@@ -6,11 +6,14 @@
   weights.bin   raw little-endian payload blob
 
 f32 payloads round-trip byte-exactly. Quantized models add i8 entries with
-a per-tensor scale column.
+a per-tensor scale column. Loading rejects, with CheckpointError, a scale
+that is not a finite number > 0, an int8 payload byte of -128 (quantization
+clamps to [-127, 127]) and bytes after the last tensor.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +99,22 @@ def _parse_manifest(path: Path):
     return rows
 
 
+def _parse_scale(path: Path, name: str, scale_s: str) -> np.float32:
+    """An int8 tensor's scale: a finite positive float32 whose product with
+    the largest payload magnitude (127) stays finite."""
+    try:
+        scale = float(scale_s)
+    except ValueError:
+        scale = math.nan
+    with np.errstate(over="ignore"):
+        scale32 = np.float32(scale)
+        peak = np.float32(127.0) * scale32
+    if not (scale32 > 0 and np.isfinite(peak)):
+        raise CheckpointError(f"{path}: int8 tensor '{name}' has bad scale "
+                              f"{scale_s!r}; need a finite number > 0")
+    return scale32
+
+
 def load_checkpoint(path):
     """Load a Seq2SeqModel (or QuantizedSeq2Seq) saved by save_checkpoint."""
     path = Path(path)
@@ -128,6 +147,7 @@ def load_checkpoint(path):
     params: dict[str, Tensor] = {}
     qparams: dict[str, QuantizedTensor] = {}
     seen = set()
+    end = 0
     for name, dtype, shape, offset, scale_s in _parse_manifest(path / "manifest.tsv"):
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor '{name}'")
@@ -143,13 +163,21 @@ def load_checkpoint(path):
                                   f"{offset + nbytes}) of {len(blob)}")
         arr = np.frombuffer(blob, dtype=np_dtype, count=count,
                             offset=offset).reshape(shape)
+        end = max(end, offset + nbytes)
         if dtype == "i8":
-            qparams[name] = QuantizedTensor(arr.copy(), np.float32(scale_s),
+            if np.any(arr == -128):
+                raise CheckpointError(f"{path}: int8 tensor '{name}' holds "
+                                      f"-128, which quantization never writes")
+            qparams[name] = QuantizedTensor(arr.copy(),
+                                            _parse_scale(path, name, scale_s),
                                             shape)
         else:
             params[name] = Tensor(arr.astype(np.float32),
                                   requires_grad=True)
         seen.add(name)
+    if len(blob) > end:
+        raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes "
+                              f"after the last tensor in weights.bin")
     missing = set(expected) - seen
     if missing:
         raise CheckpointError(f"{path}: manifest missing tensors: "

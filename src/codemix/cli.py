@@ -25,7 +25,7 @@ from .langid import (detect_query_language, eval_prf, gen_langid_corpus,
                      load_crf, load_token_labels, query_gold_language,
                      save_crf, save_token_labels, train_crf)
 from .numerics import make_rng
-from .seq2seq import Seq2SeqConfig, init_model, translate
+from .seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from .text import (Provenance, SynthTaskSpec, build_vocab, gen_clean_corpus,
                    gen_synthetic_corpus, load_parallel_tsv,
                    save_parallel_tsv, synthetic_vocab)
@@ -179,8 +179,8 @@ def _cmd_distill(args) -> int:
 def _cmd_translate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     queries = _read_lines(args.input)
-    outputs = [translate(model, q, beam=args.beam, max_len=args.max_len)
-               for q in queries]
+    outputs = translate_corpus(model, queries, beam=args.beam,
+                               max_len=args.max_len)
     _write_lines(args.output, outputs)
     return 0
 

@@ -24,8 +24,9 @@ from .errors import DataError, NonFiniteError, TrainingDivergedError
 from .numerics import (AdamWState, Tensor, add, exp, log_softmax, mul,
                        no_grad, softmax, step_tensors, tsum, xlogy)
 from .quant import QuantizedSeq2Seq, quantize_model  # noqa: F401 (re-export)
-from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search, init_model,
-                      label_smoothed_ce, make_batch, pad_batch)
+from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
+                      beam_search_batch, init_model, label_smoothed_ce,
+                      make_batch, pad_batch)
 from .seq2seq.model import encode_source
 from .text import Corpus, ParallelExample, Provenance, decode
 from .train import DEFAULT_STAGE2_KINDS
@@ -42,18 +43,19 @@ class KDKind(enum.Enum):
 def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
                            beam: int = 3, max_len: int = 32
                            ) -> tuple[Corpus, list[int]]:
-    """Beam-decode every source with the frozen teacher.
+    """Beam-decode every source with the frozen teacher, as batches.
 
     Returns (pseudo-labeled examples with NOISY_PSEUDO provenance, indices
     of skipped sources). A source is skipped when decoding fails to finish
     or produces an empty target.
     """
     vocab = teacher.config.vocab
+    results = beam_search_batch(teacher, [encode_source(s, vocab)
+                                          for s in sources],
+                                beam=beam, max_len=max_len)
     out: Corpus = []
     skipped: list[int] = []
-    for i, src in enumerate(sources):
-        result = beam_search(teacher, encode_source(src, vocab), beam=beam,
-                             max_len=max_len)
+    for i, (src, result) in enumerate(zip(sources, results)):
         if not result.finished or not result.ids:
             skipped.append(i)
             continue

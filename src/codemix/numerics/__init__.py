@@ -11,8 +11,6 @@ from .tensor import (Tensor, add, as_tensor, dropout, exp, gather_rows,
                      mul, no_grad, relu, reshape, softmax, take_along_last,
                      tmean, transpose, tsum, xlogy)
 
-RNG_ALGORITHM = "PCG64"
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Project-wide RNG: PCG64 with an explicit seed. Identical seeds and
@@ -20,15 +18,10 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def spawn_rngs(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive n independent child streams deterministically."""
-    return rng.spawn(n)
-
-
 __all__ = [
-    "AdamWState", "RNG_ALGORITHM", "Tensor", "adamw_step", "add",
+    "AdamWState", "Tensor", "adamw_step", "add",
     "as_tensor", "dropout", "exp", "finite_diff_grad_check", "gather_rows",
     "gelu", "grad_enabled", "layer_norm", "linear", "log", "log_softmax", "make_rng", "matmul",
-    "mul", "no_grad", "relu", "reshape", "softmax", "spawn_rngs",
+    "mul", "no_grad", "relu", "reshape", "softmax",
     "step_tensors", "take_along_last", "tmean", "transpose", "tsum", "xlogy",
 ]

@@ -340,17 +340,22 @@ def relu(a) -> Tensor:
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of a plain array: (output, the tanh term its gradient reuses)."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * (x * x))))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(a) -> Tensor:
     """Smooth GELU (tanh form). Being C-infinity keeps central-difference
     gradient checks clean, unlike the ReLU kink."""
     a = as_tensor(a)
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x2)))
-    out = 0.5 * x * (1.0 + t)
+    out, t = gelu_forward(x)
 
     def backward(g):
         if a.requires_grad:
+            x2 = x * x
             sech2 = 1.0 - t * t
             d_inner = _GELU_C * (1.0 + 0.134145 * x2)
             a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
@@ -406,12 +411,16 @@ def xlogy(x, y) -> Tensor:
     return _make(out, (x, y), backward)
 
 
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array (max subtraction)."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(logits, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max subtraction along `axis`)."""
     a = as_tensor(logits)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = softmax_forward(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -421,11 +430,16 @@ def softmax(logits, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(softmax(x)) of a plain array. Every entry is <= 0: the shifted
+    maximum is exactly 0, so the log-sum-exp is at least log(1) = 0."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(logits, axis: int = -1) -> Tensor:
     a = as_tensor(logits)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    out = log_softmax_forward(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -435,15 +449,21 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer normalization of a plain array over its last axis:
+    (output, normalized input, 1 / sigma); the last two feed the gradient."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis: gain * (x - mu) / sigma + bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward(g):
         if gain.requires_grad:

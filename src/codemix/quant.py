@@ -1,8 +1,9 @@
 """Symmetric per-tensor int8 weight quantization.
 
 Only 2-D attention/FFN weight matrices are quantized; embeddings, biases
-and layer norms stay float32. Matmuls dequantize on the fly, so a
-quantized model exposes the same forward API as its float parent.
+and layer norms stay float32. A quantized model exposes the same forward
+API as its float parent: each weight is dequantized to float32 once, on
+its first use, and the float32 copy is reused after that.
 """
 
 from __future__ import annotations
@@ -47,19 +48,25 @@ def _quantizable(name: str, t: Tensor) -> bool:
 
 
 class QuantizedSeq2Seq(Seq2SeqModel):
-    """Seq2SeqModel whose weight matrices are stored as int8 + scale and
-    dequantized at each parameter access. Inference only."""
+    """Seq2SeqModel whose weight matrices are stored as int8 + scale. A
+    weight is dequantized on its first access and the float32 tensor is
+    cached, so loading and quantizing stay cheap and each weight is
+    dequantized once. Inference only."""
 
     def __init__(self, config, params: dict[str, Tensor],
                  qparams: dict[str, QuantizedTensor]):
         super().__init__(config, params)
         self.qparams = qparams
+        self._dequantized: dict[str, Tensor] = {}
 
     def p(self, name: str) -> Tensor:
         q = self.qparams.get(name)
-        if q is not None:
-            return Tensor(dequantize(q))
-        return self.params[name]
+        if q is None:
+            return self.params[name]
+        t = self._dequantized.get(name)
+        if t is None:
+            t = self._dequantized[name] = Tensor(dequantize(q))
+        return t
 
     @property
     def model_id(self) -> str:

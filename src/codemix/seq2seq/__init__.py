@@ -1,7 +1,7 @@
 """Transformer seq2seq: model, label-smoothed loss, greedy/beam decoding."""
 
-from .decode import (BeamResult, beam_search, greedy_decode, translate,
-                     translate_corpus)
+from .decode import (BeamResult, beam_search, beam_search_batch,
+                     greedy_decode, translate, translate_corpus)
 from .loss import label_smoothed_ce
 from .model import (AttentionCapture, Seq2SeqConfig, Seq2SeqModel,
                     encode_source, forward_teacher_forced, init_model,
@@ -9,7 +9,8 @@ from .model import (AttentionCapture, Seq2SeqConfig, Seq2SeqModel,
 
 __all__ = [
     "AttentionCapture", "BeamResult", "Seq2SeqConfig", "Seq2SeqModel",
-    "beam_search", "encode_source", "forward_teacher_forced",
-    "greedy_decode", "init_model", "label_smoothed_ce", "make_batch", "pad_batch",
+    "beam_search", "beam_search_batch", "encode_source",
+    "forward_teacher_forced", "greedy_decode", "init_model",
+    "label_smoothed_ce", "make_batch", "pad_batch",
     "translate", "translate_corpus",
 ]

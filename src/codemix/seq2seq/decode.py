@@ -1,9 +1,24 @@
-"""Greedy and beam-search decoding.
+"""Greedy and beam-search decoding over the cached incremental decoder.
 
 Scores are unnormalized sums of token log-probabilities (no length
 penalty). PAD and BOS are never emitted; EOS is allowed from the first
 step. Ties break toward the earlier-generated candidate, which makes
 beam size 1 reproduce greedy decoding exactly.
+
+Each query is encoded once. Decoding then runs one row per live
+hypothesis through `Seq2SeqModel.decode_step`, which caches every layer's
+cross-attention keys/values per query and appends one self-attention
+key/value row per step; after each step the cache is reordered by beam
+parent. `beam_search_batch` steps the live hypotheses of all its queries
+together as one batch of rows. A row's log-probabilities do not depend on
+which other rows share the step, so a batch returns, bit for bit, what
+each query returns alone.
+
+A hypothesis that emits EOS moves from the active to the finished set. A
+query stops when no active hypothesis is left, or when its best finished
+score is at least every active score: log-probabilities are <= 0, so no
+active hypothesis can then overtake it and the result is the one decoding
+to the step limit would give.
 """
 
 from __future__ import annotations
@@ -14,8 +29,11 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import no_grad
-from ..text import BOS, EOS, PAD, Vocab, decode as decode_ids
+from ..text import BOS, EOS, PAD, decode as decode_ids
 from .model import Seq2SeqModel, encode_source
+
+# Queries decoded together at most; bounds the cache on large inputs.
+MAX_BATCH = 32
 
 
 @dataclass
@@ -25,42 +43,35 @@ class BeamResult:
     finished: bool          # False when no hypothesis emitted EOS in time
 
 
-def _log_probs(model: Seq2SeqModel, enc_out, key_mask,
-               dec_prefix: list[int]) -> np.ndarray:
-    """Next-token log-probabilities after the given decoder prefix."""
-    dec_in = np.asarray([dec_prefix], dtype=np.int64)
-    logits = model.decode(enc_out, key_mask, dec_in).data[0, -1]
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def _banned_mask(vocab_size: int) -> np.ndarray:
-    mask = np.zeros(vocab_size)
-    mask[PAD] = -np.inf
-    mask[BOS] = -np.inf
-    return mask
-
-
 def _max_steps(model: Seq2SeqModel, max_len: int) -> int:
     # The BOS-prefixed decoder input must stay within the model's max_len.
     return min(max_len, model.config.max_len - 1)
 
 
+def _step(model: Seq2SeqModel, cache, tokens: list[int]) -> np.ndarray:
+    """Next-token log-probabilities of every row, PAD and BOS banned."""
+    lp = model.decode_step(cache, np.asarray(tokens, dtype=np.int64))
+    lp[:, PAD] = -np.inf
+    lp[:, BOS] = -np.inf
+    return lp
+
+
+def _start(model: Seq2SeqModel, sources):
+    return model.start_decoding(
+        [model.encode(np.asarray([src], dtype=np.int64)) for src in sources])
+
+
 def greedy_decode(model: Seq2SeqModel, src_ids, max_len: int = 32) -> list[int]:
     """Argmax token at each step until EOS or max_len tokens."""
     with no_grad():
-        src = np.asarray([src_ids], dtype=np.int64)
-        enc_out, key_mask = model.encode(src)
-        ban = _banned_mask(len(model.config.vocab))
-        prefix = [BOS]
+        cache = _start(model, [src_ids])
         out: list[int] = []
+        tok = BOS
         for _ in range(_max_steps(model, max_len)):
-            lp = _log_probs(model, enc_out, key_mask, prefix) + ban
-            tok = int(np.argmax(lp))
+            tok = int(np.argmax(_step(model, cache, [tok])[0]))
             if tok == EOS:
                 break
             out.append(tok)
-            prefix.append(tok)
         return out
 
 
@@ -72,46 +83,83 @@ def beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
     max_len steps the best unfinished hypothesis is returned with
     finished=False.
     """
+    return beam_search_batch(model, [src_ids], beam=beam, max_len=max_len)[0]
+
+
+def beam_search_batch(model: Seq2SeqModel, sources, beam: int = 3,
+                      max_len: int = 32) -> list[BeamResult]:
+    """`beam_search` of every source, decoded MAX_BATCH queries at a time;
+    each result equals that source's own `beam_search` result."""
     if beam < 1:
         raise DataError(f"beam must be >= 1, got {beam}")
+    out: list[BeamResult] = []
+    for start in range(0, len(sources), MAX_BATCH):
+        out.extend(_beam_batch(model, sources[start:start + MAX_BATCH],
+                               beam, max_len))
+    return out
+
+
+def _beam_batch(model: Seq2SeqModel, sources, beam: int,
+                max_len: int) -> list[BeamResult]:
+    n = len(sources)
+    # Per query: active hypotheses in cache-row order, and finished ones.
+    active: list[list[tuple[float, list[int]]]] = [[(0.0, [])]
+                                                    for _ in range(n)]
+    finished: list[list[tuple[float, list[int]]]] = [[] for _ in range(n)]
+    live = list(range(n))          # queries with rows in the cache
     with no_grad():
-        src = np.asarray([src_ids], dtype=np.int64)
-        enc_out, key_mask = model.encode(src)
-        ban = _banned_mask(len(model.config.vocab))
-        active: list[tuple[float, list[int]]] = [(0.0, [])]
-        finished: list[tuple[float, list[int]]] = []
+        cache = _start(model, sources)
         for _ in range(_max_steps(model, max_len)):
-            scores: list[float] = []
-            cands: list[tuple[int, int]] = []  # (active index, token)
-            for hi, (score, ids) in enumerate(active):
-                lp = _log_probs(model, enc_out, key_mask, [BOS] + ids) + ban
-                # Per-hypothesis top-beam by token log-probability; only a
-                # global top-beam among these can survive, so nothing viable
-                # is lost and beam=1 selects exactly greedy's argmax.
-                for tok in np.argsort(-lp, kind="stable")[:beam]:
-                    if np.isfinite(lp[tok]):
-                        scores.append(score + float(lp[tok]))
-                        cands.append((hi, int(tok)))
-            order = np.argsort(-np.asarray(scores), kind="stable")[:beam]
-            next_active: list[tuple[float, list[int]]] = []
-            for oi in order:
-                hi, tok = cands[oi]
-                score = scores[oi]
-                ids = active[hi][1]
-                if tok == EOS:
-                    finished.append((score, ids))
-                else:
-                    next_active.append((score, ids + [tok]))
-            active = next_active
-            if not active:
+            tokens = [ids[-1] if ids else BOS
+                      for q in live for _, ids in active[q]]
+            lp = _step(model, cache, tokens)
+            # Per-hypothesis top-beam by token log-probability; only a
+            # global top-beam among these can survive, so nothing viable is
+            # lost and beam=1 selects exactly greedy's argmax.
+            top = np.argsort(-lp, axis=-1, kind="stable")[:, :beam]
+            top_lp = np.take_along_axis(lp, top, axis=-1).astype(np.float64)
+            width = top.shape[1]
+            parents: list[int] = []
+            counts: list[int] = []
+            row = 0
+            for q in live:
+                hyps = active[q]
+                base = np.array([score for score, _ in hyps])
+                scores = (base[:, None] + top_lp[row:row + len(hyps)]).ravel()
+                keep = np.flatnonzero(np.isfinite(scores))
+                nxt: list[tuple[float, list[int]]] = []
+                kept: list[int] = []
+                order = np.argsort(-scores[keep], kind="stable")[:beam]
+                for ci in keep[order]:
+                    hi, rank = divmod(int(ci), width)
+                    tok = int(top[row + hi, rank])
+                    score, ids = float(scores[ci]), hyps[hi][1]
+                    if tok == EOS:
+                        finished[q].append((score, ids))
+                    else:
+                        nxt.append((score, ids + [tok]))
+                        kept.append(row + hi)
+                # nxt is best-first; nothing in it can overtake a finished
+                # hypothesis that scores at least as high.
+                if nxt and finished[q] and (
+                        max(s for s, _ in finished[q]) >= nxt[0][0]):
+                    nxt, kept = [], []
+                active[q] = nxt
+                parents.extend(kept)
+                counts.append(len(nxt))
+                row += len(hyps)
+            live = [q for q, c in zip(live, counts) if c]
+            if not live:
                 break
-        if finished:
-            best = max(range(len(finished)), key=lambda i: finished[i][0])
-            score, ids = finished[best]
-            return BeamResult(ids, score, True)
-        best = max(range(len(active)), key=lambda i: active[i][0])
-        score, ids = active[best]
-        return BeamResult(ids, score, False)
+            cache.reorder(np.asarray(parents, dtype=np.int64), counts)
+    return [_best(finished[q], active[q]) for q in range(n)]
+
+
+def _best(finished, active) -> BeamResult:
+    pool, done = (finished, True) if finished else (active, False)
+    best = max(range(len(pool)), key=lambda i: pool[i][0])
+    score, ids = pool[best]
+    return BeamResult(ids, score, done)
 
 
 def translate(model: Seq2SeqModel, text: str, beam: int = 3,
@@ -125,4 +173,9 @@ def translate(model: Seq2SeqModel, text: str, beam: int = 3,
 
 def translate_corpus(model: Seq2SeqModel, texts: list[str], beam: int = 3,
                      max_len: int = 32) -> list[str]:
-    return [translate(model, t, beam=beam, max_len=max_len) for t in texts]
+    """`translate` of every text, decoded as batches (beam_search_batch)."""
+    vocab = model.config.vocab
+    results = beam_search_batch(model, [encode_source(t, vocab)
+                                        for t in texts],
+                                beam=beam, max_len=max_len)
+    return [decode_ids(r.ids, vocab) for r in results]

@@ -20,6 +20,9 @@ from ..errors import DataError, ShapeError
 from ..numerics import (Tensor, add, dropout, gather_rows, gelu,
                         layer_norm, linear, matmul, mul, reshape, softmax,
                         transpose)
+from ..numerics.tensor import (_assert_finite, gelu_forward,
+                               layer_norm_forward, log_softmax_forward,
+                               softmax_forward)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -126,9 +129,6 @@ class Seq2SeqModel:
     def trainable(self) -> dict[str, Tensor]:
         return self.params
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data for k, t in self.params.items()}
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self.params.items()}
 
@@ -228,6 +228,137 @@ class Seq2SeqModel:
         # Tied output projection: logits = x @ tok_emb^T
         return linear(x, self.p("tok_emb"), transpose_w=True)
 
+    # -- incremental decoding ----------------------------------------------
+    #
+    # Plain numpy, no tape. Rows are hypotheses; each row is computed as its
+    # own (1, D) product (stacked (N, 1, D) @ W matmuls run one BLAS call per
+    # row) and cross-attention is taken per query, so a row's values never
+    # depend on which other rows share the step.
+
+    def start_decoding(self, encoded: list[tuple[Tensor, np.ndarray]]
+                       ) -> DecoderCache:
+        """Cache for decoding one BOS row per query. `encoded` holds each
+        query's own `encode` output (encoder states (1, S, D), key mask);
+        every decoder layer's cross-attention keys and values are computed
+        here, once per query."""
+        cross = []
+        for enc_out, key_mask in encoded:
+            enc = enc_out.data
+            layers = []
+            for i in range(self.config.n_dec_layers):
+                pre = f"dec{i}.cross"
+                k = self._split_heads(self._linear_np(enc, f"{pre}.wk",
+                                                      f"{pre}.bk"))
+                v = self._split_heads(self._linear_np(enc, f"{pre}.wv",
+                                                      f"{pre}.bv"))
+                layers.append((k.transpose(0, 1, 3, 2), v))
+            mask = key_mask if np.any(key_mask) else None
+            cross.append((layers, mask))
+        cfg = self.config
+        empty = np.zeros((len(encoded), cfg.n_heads, 0, cfg.head_dim),
+                         dtype=self.dtype)
+        return DecoderCache(cross, [(empty, empty)] * cfg.n_dec_layers,
+                            [1] * len(encoded))
+
+    def decode_step(self, cache: DecoderCache,
+                    tokens: np.ndarray) -> np.ndarray:
+        """Feed each row its latest token (BOS first) and return the rows'
+        next-token log-probabilities (N, vocab). Appends the step's
+        self-attention keys and values to the cache."""
+        cfg = self.config
+        t = cache.steps
+        if t >= cfg.max_len:
+            raise DataError(f"decoder position {t} exceeds max_len "
+                            f"{cfg.max_len}")
+        x = (self.p("tok_emb").data[tokens][:, None, :]
+             + self.p("dec_pos").data[t])
+        _assert_finite(x, "decoder embedding output")
+        for i in range(cfg.n_dec_layers):
+            pre = f"dec{i}"
+            h = self._ln_np(x, f"{pre}.ln1")
+            q = self._split_heads(self._linear_np(h, f"{pre}.self.wq",
+                                                  f"{pre}.self.bq"))
+            k_old, v_old = cache.self_kv[i]
+            k = np.concatenate([k_old, self._split_heads(self._linear_np(
+                h, f"{pre}.self.wk", f"{pre}.self.bk"))], axis=2)
+            v = np.concatenate([v_old, self._split_heads(self._linear_np(
+                h, f"{pre}.self.wv", f"{pre}.self.bv"))], axis=2)
+            cache.self_kv[i] = (k, v)
+            ctx = self._attend_np(q, k.transpose(0, 1, 3, 2), v, None,
+                                  f"{pre}.self")
+            x = self._residual_np(x, self._linear_np(
+                self._merge_heads(ctx), f"{pre}.self.wo", f"{pre}.self.bo"))
+
+            h = self._ln_np(x, f"{pre}.ln2")
+            q = self._split_heads(self._linear_np(h, f"{pre}.cross.wq",
+                                                  f"{pre}.cross.bq"))
+            parts, start = [], 0
+            for n, (layers, mask) in zip(cache.counts, cache.cross):
+                kt, v = layers[i]
+                parts.append(self._attend_np(q[start:start + n], kt, v, mask,
+                                             f"{pre}.cross"))
+                start += n
+            x = self._residual_np(x, self._linear_np(
+                self._merge_heads(np.concatenate(parts)), f"{pre}.cross.wo",
+                f"{pre}.cross.bo"))
+
+            h = self._ln_np(x, f"{pre}.ln3")
+            f = gelu_forward(self._linear_np(h, f"{pre}.ffn.w1",
+                                             f"{pre}.ffn.b1"))[0]
+            _assert_finite(f, f"gelu {pre}.ffn output")
+            x = self._residual_np(x, self._linear_np(f, f"{pre}.ffn.w2",
+                                                     f"{pre}.ffn.b2"))
+        x = self._ln_np(x, "dec_lnf")
+        logits = x @ self.p("tok_emb").data.T
+        _assert_finite(logits, "output projection")
+        logp = log_softmax_forward(logits)[:, 0]
+        _assert_finite(logp, "log_softmax output")
+        cache.steps += 1
+        return logp
+
+    def _linear_np(self, x: np.ndarray, w: str, b: str) -> np.ndarray:
+        out = x @ self.p(w).data + self.p(b).data
+        _assert_finite(out, f"linear {w} output")
+        return out
+
+    def _ln_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        out = layer_norm_forward(x, self.p(f"{prefix}.g").data,
+                                 self.p(f"{prefix}.b").data)[0]
+        _assert_finite(out, f"layer_norm {prefix} output")
+        return out
+
+    @staticmethod
+    def _residual_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x + y
+        _assert_finite(out, "residual add output")
+        return out
+
+    def _split_heads(self, x: np.ndarray) -> np.ndarray:
+        """(B, T, D) -> (B, H, T, dh)."""
+        B, T, _ = x.shape
+        return x.reshape(B, T, self.config.n_heads,
+                         self.config.head_dim).transpose(0, 2, 1, 3)
+
+    @staticmethod
+    def _merge_heads(x: np.ndarray) -> np.ndarray:
+        """(B, H, T, dh) -> (B, T, D)."""
+        B, H, T, dh = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
+
+    def _attend_np(self, q: np.ndarray, kt: np.ndarray, v: np.ndarray,
+                   mask: np.ndarray | None, prefix: str) -> np.ndarray:
+        """Attention of query rows q (n, H, 1, dh) over transposed keys kt
+        (., H, dh, S) and values v (., H, S, dh)."""
+        scores = (q * (1.0 / np.sqrt(self.config.head_dim))) @ kt
+        if mask is not None:
+            scores = scores + mask
+        _assert_finite(scores, f"attention {prefix} scores")
+        attn = softmax_forward(scores)
+        _assert_finite(attn, f"softmax {prefix} output")
+        ctx = attn @ v
+        _assert_finite(ctx, f"attention {prefix} output")
+        return ctx
+
     def forward(self, src_ids: np.ndarray, dec_in: np.ndarray,
                 train: bool = False, rng=None,
                 capture_attn: bool = False
@@ -240,6 +371,26 @@ class Seq2SeqModel:
     @property
     def dtype(self):
         return self.params["tok_emb"].dtype
+
+
+@dataclass
+class DecoderCache:
+    """Keys and values of an incremental decode (see
+    Seq2SeqModel.decode_step). Rows are grouped by query in query order:
+    the k-th live query owns the next `counts[k]` rows."""
+
+    cross: list            # per live query: (per-layer (K^T, V), key mask)
+    self_kv: list          # per layer: (K, V), each (rows, H, steps, dh)
+    counts: list[int]
+    steps: int = 0
+
+    def reorder(self, parents: np.ndarray, counts: list[int]) -> None:
+        """Keep rows `parents` (row indices, grouped by query) as the new
+        rows; `counts` gives each live query's new row count, and a query
+        with none leaves the cache."""
+        self.cross = [c for c, n in zip(self.cross, counts) if n]
+        self.counts = [n for n in counts if n]
+        self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
 
 
 def init_model(config: Seq2SeqConfig, rng: np.random.Generator,

@@ -2,7 +2,9 @@
 
 These are deliberately written with different machinery than the library:
 exact rational arithmetic for BLEU, exhaustive path/sequence enumeration
-for the CRF and beam search, and plain loops everywhere.
+for the CRF and beam search, and plain loops everywhere. The beam search
+that re-runs the full-prefix decoder for each hypothesis is kept here as
+the reference for the cached, batched decoder.
 """
 
 from __future__ import annotations
@@ -91,15 +93,64 @@ def crf_enumerate(model, words: list[str]) -> tuple[float, list[str], float]:
 def sequence_log_prob(model: Seq2SeqModel, enc_out, key_mask,
                       tokens: list[int]) -> float:
     """Sum of token log-probabilities along a hypothesis, accumulated the
-    same way the decoder does (stepwise prefixes)."""
-    from codemix.seq2seq.decode import _log_probs
-    prefix = [BOS]
+    same way the decoder does (one cached decoder step per token)."""
+    cache = model.start_decoding([(enc_out, key_mask)])
+    prev = BOS
     total = 0.0
     for tok in tokens:
-        lp = _log_probs(model, enc_out, key_mask, prefix)
+        lp = model.decode_step(cache, np.asarray([prev]))[0]
         total += float(lp[tok])
-        prefix.append(tok)
+        prev = tok
     return total
+
+
+def _full_prefix_log_probs(model: Seq2SeqModel, enc_out, key_mask,
+                           dec_prefix: list[int]) -> np.ndarray:
+    """Next-token log-probabilities from a teacher-forced decoder pass over
+    the whole prefix (no cache)."""
+    dec_in = np.asarray([dec_prefix], dtype=np.int64)
+    logits = model.decode(enc_out, key_mask, dec_in).data[0, -1]
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def reference_beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
+                          max_len: int = 32):
+    """Beam search one hypothesis at a time, re-running the full-prefix
+    decoder for each, to the step limit or until no hypothesis is active.
+    Same selection and tie rules as codemix.seq2seq.beam_search."""
+    from codemix.numerics import no_grad
+    from codemix.seq2seq import BeamResult
+    ban = np.zeros(len(model.config.vocab))
+    ban[PAD] = ban[BOS] = -np.inf
+    with no_grad():
+        enc_out, key_mask = model.encode(np.asarray([src_ids], dtype=np.int64))
+        active: list[tuple[float, list[int]]] = [(0.0, [])]
+        finished: list[tuple[float, list[int]]] = []
+        for _ in range(min(max_len, model.config.max_len - 1)):
+            scores: list[float] = []
+            cands: list[tuple[int, int]] = []  # (active index, token)
+            for hi, (score, ids) in enumerate(active):
+                lp = _full_prefix_log_probs(model, enc_out, key_mask,
+                                            [BOS] + ids) + ban
+                for tok in np.argsort(-lp, kind="stable")[:beam]:
+                    if np.isfinite(lp[tok]):
+                        scores.append(score + float(lp[tok]))
+                        cands.append((hi, int(tok)))
+            order = np.argsort(-np.asarray(scores), kind="stable")[:beam]
+            next_active: list[tuple[float, list[int]]] = []
+            for oi in order:
+                hi, tok = cands[oi]
+                if tok == EOS:
+                    finished.append((scores[oi], active[hi][1]))
+                else:
+                    next_active.append((scores[oi], active[hi][1] + [tok]))
+            active = next_active
+            if not active:
+                break
+    pool = finished or active
+    best = max(range(len(pool)), key=lambda i: pool[i][0])
+    return BeamResult(pool[best][1], pool[best][0], bool(finished))
 
 
 def exhaustive_best_sequence(model: Seq2SeqModel, src_ids,

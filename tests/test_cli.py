@@ -4,9 +4,12 @@ from pathlib import Path
 import pytest
 
 from codemix.cli import main
-from codemix.checkpoint import load_checkpoint
-from codemix.seq2seq import greedy_decode, encode_source
+from codemix.checkpoint import load_checkpoint, save_checkpoint
+from codemix.quant import quantize_model
+from codemix.seq2seq import beam_search, greedy_decode, encode_source
 from codemix.text import decode
+
+from oracles import reference_beam_search
 
 
 def run(argv):
@@ -114,6 +117,38 @@ class TestTranslate:
                   "--input", str(inp), "--output", str(out)])
         assert rc == 0
         assert len(read(out).splitlines()) == 2
+
+
+    def test_cached_decoder_matches_full_prefix_reference(self, corpus_dir,
+                                                          checkpoint_dir):
+        model = load_checkpoint(checkpoint_dir)
+        vocab = model.config.vocab
+        for line in read(corpus_dir / "test.tsv").splitlines()[:12]:
+            src = encode_source(line.split("\t")[0], vocab)
+            got = beam_search(model, src, beam=3, max_len=12)
+            want = reference_beam_search(model, src, beam=3, max_len=12)
+            assert (got.ids, got.finished) == (want.ids, want.finished)
+            assert abs(got.score - want.score) <= 1e-5 * max(1.0,
+                                                              abs(want.score))
+
+    @pytest.mark.parametrize("scale", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_int8_scale_is_exit_two(self, checkpoint_dir, tmp_path,
+                                        capsys, scale):
+        ck = tmp_path / "int8"
+        save_checkpoint(quantize_model(load_checkpoint(checkpoint_dir)), ck)
+        manifest = ck / "manifest.tsv"
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, r in enumerate(rows) if r.split("\t")[1] == "i8")
+        rows[i] = "\t".join(rows[i].split("\t")[:4] + [scale])
+        manifest.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["translate", "--checkpoint", str(ck), "--input", str(inp),
+                  "--output", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and "bad scale" in err
 
 
 class TestEvalBleu:

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from codemix.errors import DataError
+from codemix import quant
+from codemix.errors import DataError, NonFiniteError
 from codemix.numerics import (AdamWState, finite_diff_grad_check, make_rng,
                               softmax, step_tensors, Tensor)
-from codemix.seq2seq import (Seq2SeqConfig, beam_search, forward_teacher_forced,
+from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
+                             encode_source, forward_teacher_forced,
                              greedy_decode, init_model, label_smoothed_ce,
-                             make_batch)
+                             make_batch, translate, translate_corpus)
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
-from oracles import exhaustive_best_sequence, sequence_log_prob
+from oracles import (exhaustive_best_sequence, reference_beam_search,
+                     sequence_log_prob)
 
 
 def tiny_vocab(n_content=4):
@@ -227,6 +230,141 @@ class TestBeam:
         m = tiny_model()
         with pytest.raises(DataError):
             beam_search(m, [5, 2], beam=0)
+
+
+class PrefixTableModel:
+    """Stands in for a Seq2SeqModel in decoding: each row's next-token
+    probabilities are looked up by the tokens it has generated, so a test
+    can pin exact scores."""
+
+    def __init__(self, table, default, max_len=6):
+        self.table = {k: np.log(np.float32(v)) for k, v in table.items()}
+        self.default = np.log(np.float32(default))
+        self.config = Seq2SeqConfig(vocab=tiny_vocab(len(default) - 5),
+                                    max_len=max_len)
+        self.steps = 0
+
+    def encode(self, src):
+        return None, None
+
+    def start_decoding(self, encoded):
+        return PrefixTableModel.Cache([() for _ in encoded])
+
+    def decode_step(self, cache, tokens):
+        self.steps += 1
+        cache.prefixes = [p if t == BOS else p + (int(t),)
+                          for p, t in zip(cache.prefixes, tokens)]
+        return np.array([self.table.get(p, self.default)
+                         for p in cache.prefixes])
+
+    class Cache:
+        def __init__(self, prefixes):
+            self.prefixes = prefixes
+
+        def reorder(self, parents, counts):
+            self.prefixes = [self.prefixes[i] for i in parents]
+
+
+def assert_matches_reference(model, src, beam, max_len):
+    got = beam_search(model, src, beam=beam, max_len=max_len)
+    want = reference_beam_search(model, src, beam=beam, max_len=max_len)
+    assert (got.ids, got.finished) == (want.ids, want.finished)
+    assert abs(got.score - want.score) <= 1e-5 * max(1.0, abs(want.score))
+    return got
+
+
+class TestCachedDecoder:
+    def test_matches_full_prefix_reference_on_random_models(self):
+        rng = make_rng(17)
+        for trial in range(20):
+            m = tiny_model(seed=400 + trial, n_content=int(rng.integers(3, 9)),
+                           layers=int(rng.integers(1, 3)),
+                           d=int(rng.choice([8, 16])), heads=2)
+            n_src = int(rng.integers(1, 6))
+            src = list(rng.integers(5, len(m.config.vocab), size=n_src))
+            assert_matches_reference(m, src + [EOS], beam=3, max_len=6)
+
+    def test_matches_reference_on_untrained_model_over_all_steps(self):
+        cfg = Seq2SeqConfig(vocab=tiny_vocab(200), n_enc_layers=2,
+                            n_dec_layers=2, d_model=64, n_heads=4, d_ff=256,
+                            max_len=32, dropout_prob=0.0)
+        m = init_model(cfg, make_rng(18))
+        got = assert_matches_reference(m, [5, 9, 40, 7, EOS], beam=3,
+                                       max_len=32)
+        assert not got.finished and len(got.ids) == 31
+
+    def test_batch_equals_single_bitwise(self):
+        m = tiny_model(seed=19, n_content=6, layers=2, d=16)
+        vocab = m.config.vocab
+        texts = ["w0 w1 w2 w3 w4", "w5", "w2 w2", "w3 w1 w0", "w4"]
+        sources = [encode_source(t, vocab) for t in texts]
+        batch = beam_search_batch(m, sources, beam=3, max_len=8)
+        singles = [beam_search(m, s, beam=3, max_len=8) for s in sources]
+        assert [(r.ids, r.score, r.finished) for r in batch] == \
+               [(r.ids, r.score, r.finished) for r in singles]
+        assert translate_corpus(m, texts, max_len=8) == \
+               [translate(m, t, max_len=8) for t in texts]
+        assert translate_corpus(m, ["w3"], max_len=8) == \
+               [translate(m, "w3", max_len=8)]
+        assert translate_corpus(m, []) == []
+
+    def test_step_rows_equal_rows_stepped_alone(self):
+        m = tiny_model(seed=20, n_content=6, layers=2, d=16)
+        sources = [[5, 6, 7, EOS], [8, EOS], [9, 10, EOS]]
+        encoded = [m.encode(np.asarray([s])) for s in sources]
+        # Rows after one BOS step: 2 of query 0, 1 of query 1, 3 of query 2.
+        parents, counts = [0, 0, 1, 2, 2, 2], [2, 1, 3]
+        tokens = np.array([5, 7, 6, 9, 10, 5])
+        cache = m.start_decoding(encoded)
+        m.decode_step(cache, np.full(3, BOS))
+        cache.reorder(np.array(parents), counts)
+        together = m.decode_step(cache, tokens)
+        for row, (q, tok) in enumerate(zip(parents, tokens)):
+            alone = m.start_decoding([encoded[q]])
+            m.decode_step(alone, np.array([BOS]))
+            assert np.array_equal(m.decode_step(alone, np.array([tok]))[0],
+                                  together[row]), row
+
+    def test_non_finite_weight_names_the_op(self):
+        m = tiny_model(seed=21)
+        m.params["dec0.cross.wq"].data[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="dec0.cross.wq") as err:
+            beam_search(m, [5, 6, EOS], beam=2, max_len=4)
+        assert "tensor data" not in str(err.value)
+
+    def test_early_stop_only_when_nothing_can_overtake(self):
+        # Ids 0-4 are specials (EOS = 2); 5, 6, 7 are words. EOS at step 1
+        # scores log .42; the word 5 scores log .45 and leads to 5 6 EOS at
+        # log(.45 * .97 * .97) = log .4234, which is better: the beam may
+        # not stop while 5 or 5 6 is active, and must stop once 5 6 EOS is
+        # finished.
+        eps = [0.005] * 8
+        table = {(): [.01, .01, .42, .01, .01, .45, .04, .05],
+                 (5,): eps[:6] + [.97, .005],
+                 (5, 6): eps[:2] + [.97] + eps[3:]}
+        default = [.1, .1, .3, .1, .1, .1, .1, .1]
+        m = PrefixTableModel(table, default)
+        res = beam_search(m, [5, EOS], beam=2, max_len=5)
+        assert (res.ids, res.finished) == ([5, 6], True)
+        assert m.steps == 3
+        ids, score, finished = exhaustive_best_sequence(m, [5, EOS], 4)
+        res = beam_search(m, [5, EOS], beam=len(default) ** 4, max_len=4)
+        assert (res.ids, res.score, res.finished) == (ids, score, finished)
+
+    def test_int8_dequantizes_each_weight_once(self, monkeypatch):
+        calls = []
+        original = quant.dequantize
+
+        def counting(q):
+            calls.append(id(q))
+            return original(q)
+
+        monkeypatch.setattr(quant, "dequantize", counting)
+        qm = quant.quantize_model(tiny_model(seed=22, layers=2))
+        assert calls == []
+        beam_search(qm, [5, 6, EOS], beam=3, max_len=6)
+        beam_search(qm, [7, EOS], beam=3, max_len=6)
+        assert sorted(calls) == sorted(id(q) for q in qm.qparams.values())
 
 
 class TestOverfitSanity:

@@ -6,6 +6,7 @@ from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import (CheckpointError, DataError, ShapeError,
                             TrainingDivergedError)
 from codemix.numerics import make_rng
+from codemix.quant import quantize_model
 from codemix.seq2seq import Seq2SeqConfig, init_model
 from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
                           gen_clean_corpus, gen_synthetic_corpus,
@@ -172,6 +173,25 @@ class TestCheckpoint:
         blob = (tmp_path / "ck" / "weights.bin").read_bytes()
         (tmp_path / "ck" / "weights.bin").write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = small_setup(seed=13)
+        save_checkpoint(model, tmp_path / "ck")
+        with open(tmp_path / "ck" / "weights.bin", "ab") as f:
+            f.write(b"\0" * 3)
+        with pytest.raises(CheckpointError, match="3 trailing bytes"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_int8_payload_of_minus_128_rejected(self, tmp_path):
+        save_checkpoint(quantize_model(small_setup(seed=13)), tmp_path / "ck")
+        rows = [ln.split("\t") for ln in
+                (tmp_path / "ck" / "manifest.tsv").read_text().splitlines()]
+        name, _, _, offset, _ = next(r for r in rows if r[1] == "i8")
+        blob = bytearray((tmp_path / "ck" / "weights.bin").read_bytes())
+        blob[int(offset)] = 0x80  # int8 -128
+        (tmp_path / "ck" / "weights.bin").write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"'{name}' holds -128"):
             load_checkpoint(tmp_path / "ck")
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
