@@ -135,7 +135,7 @@ def ae_xattn_experiment(config: XAttnExperimentConfig,
         fit(model, train_corpus, epochs=config.epochs, lr=config.lr,
             batch_size=config.batch_size, kinds=(AugKind.AUTOENCODER,),
             lam=config.lam, label_smoothing=config.label_smoothing,
-            weight_decay=0.0, rng=fit_rng, on_epoch_end=after_epoch,
-            stage="ae-xattn")
+            weight_decay=0.0, rngs=fit_rng.spawn(3),
+            on_epoch_end=after_epoch, stage="ae-xattn")
         per_seed.append(grid)
     return XAttnErrorCurve(np.mean(per_seed, axis=0), per_seed)

@@ -22,7 +22,7 @@ from .errors import CheckpointError, ShapeError
 from .numerics import Tensor
 from .quant import QuantizedSeq2Seq, QuantizedTensor
 from .seq2seq.model import Seq2SeqConfig, Seq2SeqModel, _param_shapes
-from .text import Vocab
+from .text import Vocab, read_utf8
 
 _FORMAT = "seq2seq-checkpoint-v1"
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("int8")}
@@ -35,7 +35,7 @@ def _write_kv(path: Path, items: dict[str, object]) -> None:
 
 def read_kv(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import XAttnExperimentConfig, ae_xattn_experiment
 from .bleu import bleu_corpus
@@ -27,12 +25,11 @@ from .langid import (detect_query_language, eval_prf, gen_langid_corpus,
 from .numerics import make_rng
 from .seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from .text import (Provenance, SynthTaskSpec, build_vocab, gen_clean_corpus,
-                   gen_synthetic_corpus, load_parallel_tsv,
-                   save_parallel_tsv, synthetic_vocab)
+                   gen_synthetic_corpus, load_parallel_tsv, read_utf8,
+                   save_parallel_tsv)
 from .train import (TrainingConfig, config_from_items, train_stage1,
                     train_stage2)
-from .translit import (hybrid_transliterate, load_translit_dict,
-                       train_translit)
+from .translit import hybrid_transliterate, load_translit_dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,11 +40,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_lines(spec: str) -> list[str]:
     if spec == "-":
         return [ln.rstrip("\n") for ln in sys.stdin if ln.strip()]
-    path = Path(spec)
-    if not path.exists():
-        raise UsageError(f"input file not found: {spec}")
-    return [ln for ln in path.read_text(encoding="utf-8").splitlines()
-            if ln.strip()]
+    return [ln for ln in read_utf8(spec).splitlines() if ln.strip()]
 
 
 def _write_lines(spec: str, lines: list[str]) -> None:
@@ -149,6 +142,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_distill(args) -> int:
+    dcfg = DistillConfig(epochs=args.epochs, lr=args.lr,
+                         batch_size=args.batch_size, lam=args.lam)
     teacher = load_checkpoint(args.teacher)
     clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL)
     pool = _read_lines(args.pool)
@@ -159,8 +154,6 @@ def _cmd_distill(args) -> int:
                                 d_ff=args.d_ff,
                                 max_len=teacher.config.max_len,
                                 dropout_prob=args.dropout)
-    dcfg = DistillConfig(epochs=args.epochs, lr=args.lr,
-                         batch_size=args.batch_size, lam=args.lam)
     student, report = train_student(student_cfg, teacher, clean, pool,
                                     KDKind(args.kd), make_rng(args.seed),
                                     dcfg, beam=args.beam)

@@ -4,7 +4,8 @@ plus int8 weight quantization and single-threaded latency benchmarking.
 The teacher is frozen: it pseudo-labels a pool of unlabeled sources once
 (beam search), and per student step its teacher-forced output distribution
 over a pseudo-labeled batch is matched by the student under the CE or JS
-loss. The student objective is
+loss. The student trains in the shared loop `train.fit`, which takes the KD
+loss through its `extra_loss` hook and minimizes
     (1 - lambda) * (loss_s + loss_d) + lambda * loss_kd
 with lambda = 0.5 by default.
 """
@@ -12,24 +13,21 @@ with lambda = 0.5 by default.
 from __future__ import annotations
 
 import enum
-import math
 import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugKind, sample_augmented_batch
-from .errors import DataError, NonFiniteError, TrainingDivergedError
-from .numerics import (AdamWState, Tensor, add, exp, log_softmax, mul,
-                       no_grad, softmax, step_tensors, tsum, xlogy)
+from .augment import AugKind, LossWeights
+from .errors import DataError
+from .numerics import Tensor, exp, log_softmax, mul, no_grad, tsum, xlogy
 from .quant import QuantizedSeq2Seq, quantize_model  # noqa: F401 (re-export)
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
-                      beam_search_batch, init_model, label_smoothed_ce,
-                      make_batch, pad_batch)
+                      beam_search_batch, init_model, make_batch)
 from .seq2seq.model import encode_source
 from .text import Corpus, ParallelExample, Provenance, decode
-from .train import DEFAULT_STAGE2_KINDS
+from .train import DEFAULT_STAGE2_KINDS, fit
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
@@ -136,18 +134,6 @@ def kd_loss_js(teacher_probs, student_probs) -> Tensor:
     return _js_node(tp.data, sp, 1.0 / n_rows)
 
 
-def student_loss(loss_s, loss_d, loss_kd, lam: float = 0.5):
-    """(1 - lambda) * (loss_s + loss_d) + lambda * loss_kd."""
-    for name, v in (("loss_s", loss_s), ("loss_d", loss_d),
-                    ("loss_kd", loss_kd)):
-        val = v.item() if isinstance(v, Tensor) else float(v)
-        if not math.isfinite(val):
-            raise DataError(f"{name} is not finite: {val}")
-    if any(isinstance(v, Tensor) for v in (loss_s, loss_d, loss_kd)):
-        return add(mul(add(loss_s, loss_d), 1.0 - lam), mul(loss_kd, lam))
-    return (1.0 - lam) * (loss_s + loss_d) + lam * loss_kd
-
-
 @dataclass
 class DistillConfig:
     epochs: int = 4
@@ -158,6 +144,9 @@ class DistillConfig:
     weight_decay: float = 0.01
     kinds: tuple[AugKind, ...] = DEFAULT_STAGE2_KINDS
     kd_max_len: int = 32
+
+    def __post_init__(self):
+        LossWeights(self.lam)  # lambda must be in [0, 1]
 
 
 @dataclass
@@ -216,9 +205,11 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     """Distill the frozen teacher into a student (freshly initialized, or
     `initial_student` trained in place when given).
 
-    Per step: supervised + augmentation losses on a clean batch, KD loss on
-    a pseudo-labeled batch sampled from the teacher-labeled pool, combined
-    as (1-lambda)(loss_s + loss_d) + lambda * loss_kd.
+    Per step of `train.fit`: supervised + augmentation losses on a clean
+    batch, KD loss on a pseudo-labeled batch sampled from the
+    teacher-labeled pool, combined as (1-lambda)(loss_s + loss_d) +
+    lambda * loss_kd. Divergence rolls the student back to its last
+    epoch-end weights and raises TrainingDivergedError.
     """
     if not clean_corpus or not unlabeled_pool:
         raise DataError("train_student needs non-empty clean corpus and pool")
@@ -234,58 +225,32 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
         raise DataError("teacher produced no usable pseudo-labels")
     report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
 
-    opt = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    snapshot = student.snapshot()
-    for epoch in range(cfg.epochs):
-        order = data_rng.permutation(len(clean_corpus))
-        epoch_steps: list[StepTrace] = []
-        try:
-            for start in range(0, len(clean_corpus), cfg.batch_size):
-                rows = [clean_corpus[i]
-                        for i in order[start:start + cfg.batch_size]]
-                batch = make_batch(vocab, [ex.source for ex in rows],
-                                   [ex.target for ex in rows],
-                                   student_config.max_len)
-                logits, _ = student.forward(batch["src"], batch["dec_in"],
-                                            train=True, rng=drop_rng)
-                loss_s = label_smoothed_ce(logits, batch["labels"],
-                                           cfg.label_smoothing)
-                if cfg.kinds:
-                    aug = sample_augmented_batch(clean_corpus, cfg.kinds,
-                                                 len(rows), aug_rng, vocab)
-                    abatch = pad_batch(aug.inputs, aug.outputs,
-                                       student_config.max_len)
-                    alogits, _ = student.forward(abatch["src"],
-                                                 abatch["dec_in"],
-                                                 train=True, rng=drop_rng)
-                    loss_d = label_smoothed_ce(alogits, abatch["labels"],
-                                               cfg.label_smoothing)
-                else:
-                    loss_d = Tensor(0.0)
-                kd_idx = kd_rng.integers(0, len(pseudo), size=len(rows))
-                kd_rows = [pseudo[int(i)] for i in kd_idx]
-                kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
-                                      [ex.target for ex in kd_rows],
-                                      student_config.max_len)
-                loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
-                                         drop_rng)
-                loss = student_loss(loss_s, loss_d, loss_kd, cfg.lam)
-                loss.backward()
-                step_tensors(student.trainable(), opt)
-                epoch_steps.append(StepTrace(loss_s.item(), loss_d.item(),
-                                             loss_kd.item()))
-        except NonFiniteError as e:
-            student.restore(snapshot)
-            raise TrainingDivergedError(
-                f"distillation epoch {epoch + 1}: {e}; student rolled back "
-                f"to the last epoch-end snapshot") from e
-        snapshot = student.snapshot()
-        report.steps.extend(epoch_steps)
+    steps_per_epoch = -(-len(clean_corpus) // cfg.batch_size)
+
+    def kd_term(n_rows: int, loss_s: Tensor, loss_d: Tensor) -> Tensor:
+        kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)
+        kd_rows = [pseudo[int(i)] for i in kd_idx]
+        kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
+                              [ex.target for ex in kd_rows],
+                              student_config.max_len)
+        loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
+                                 drop_rng)
+        report.steps.append(StepTrace(loss_s.item(), loss_d.item(),
+                                      loss_kd.item()))
+        return loss_kd
+
+    def record_epoch(model, epoch: int, fit_report) -> bool:
+        steps = report.steps[(epoch - 1) * steps_per_epoch:]
         report.epoch_means.append({
-            "loss_s": float(np.mean([s.loss_s for s in epoch_steps])),
-            "loss_d": float(np.mean([s.loss_d for s in epoch_steps])),
-            "loss_kd": float(np.mean([s.loss_kd for s in epoch_steps])),
-        })
+            name: float(np.mean([getattr(st, name) for st in steps]))
+            for name in ("loss_s", "loss_d", "loss_kd")})
+        return False
+
+    fit(student, clean_corpus, epochs=cfg.epochs, lr=cfg.lr,
+        batch_size=cfg.batch_size, kinds=cfg.kinds, lam=cfg.lam,
+        label_smoothing=cfg.label_smoothing, weight_decay=cfg.weight_decay,
+        rngs=(data_rng, aug_rng, drop_rng), on_epoch_end=record_epoch,
+        extra_loss=kd_term, stage="distillation")
     return student, report
 
 

@@ -21,6 +21,7 @@ from .errors import DataError
 from .numerics import (AdamWState, Tensor, adamw_step, gather_rows, linear,
                        log_softmax, make_rng, mul, step_tensors,
                        take_along_last, tsum)
+from .text import _make_words, read_utf8
 
 LABELS = ("EN", "HI", "OT")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -111,13 +112,20 @@ class CRFModel:
                if f in self.feature_index]
         return np.asarray(ids, dtype=np.int64)
 
-    def emissions(self, words: list[str]) -> np.ndarray:
-        """(len(words), 3) emission scores."""
+    def feature_ids(self, words: list[str]) -> list[np.ndarray]:
+        """token_feature_ids for every position of the query."""
+        return [self.token_feature_ids(words, t) for t in range(len(words))]
+
+    def emissions(self, words: list[str],
+                  ids: list[np.ndarray] | None = None) -> np.ndarray:
+        """(len(words), 3) emission scores; `ids` are the query's
+        feature_ids, when the caller has them already."""
+        if ids is None:
+            ids = self.feature_ids(words)
         out = np.zeros((len(words), N_LABELS))
-        for t in range(len(words)):
-            ids = self.token_feature_ids(words, t)
-            if ids.size:
-                out[t] = self.weights[ids].sum(axis=0)
+        for t, tok_ids in enumerate(ids):
+            if tok_ids.size:
+                out[t] = self.weights[tok_ids].sum(axis=0)
         return out
 
 
@@ -139,10 +147,16 @@ def crf_log_partition(model: CRFModel, words: list[str]) -> float:
 
 def crf_path_score(model: CRFModel, words: list[str],
                    labels: list[int]) -> float:
-    emis = model.emissions(words)
+    return _path_score(model.emissions(words), model.transitions, labels)
+
+
+def _path_score(emis: np.ndarray, trans: np.ndarray,
+                labels: list[int]) -> float:
+    """Emission and transition scores of one label path, summed left to
+    right."""
     score = float(emis[0, labels[0]])
-    for t in range(1, len(words)):
-        score += float(model.transitions[labels[t - 1], labels[t]])
+    for t in range(1, len(emis)):
+        score += float(trans[labels[t - 1], labels[t]])
         score += float(emis[t, labels[t]])
     return score
 
@@ -158,7 +172,8 @@ def crf_nll_grad(model: CRFModel, query: LabeledQuery
     words = [tok.word for tok in query]
     gold = [LABEL_INDEX[tok.label] for tok in query]
     L = len(words)
-    emis = model.emissions(words)
+    ids = model.feature_ids(words)
+    emis = model.emissions(words, ids)
     trans = model.transitions
 
     alpha = np.zeros((L, N_LABELS))
@@ -184,13 +199,13 @@ def crf_nll_grad(model: CRFModel, query: LabeledQuery
     for t in range(L):
         diff = gamma[t].copy()
         diff[gold[t]] -= 1.0
-        for fid in model.token_feature_ids(words, t):
+        for fid in ids[t]:
             acc = grad_feats.get(int(fid))
             if acc is None:
                 grad_feats[int(fid)] = diff.copy()
             else:
                 acc += diff
-    nll = log_z - crf_path_score(model, words, gold)
+    nll = log_z - _path_score(emis, trans, gold)
     return nll, grad_feats, grad_trans
 
 
@@ -317,7 +332,7 @@ class AvgEmbeddingClassifier:
 
 def _stack(tensors: list[Tensor]) -> Tensor:
     """Stack 1-D tape tensors into a 2-D tensor (gradient flows to each)."""
-    from .numerics.tensor import Tensor as T, _make
+    from .numerics.tensor import _make
     data = np.stack([t.data for t in tensors])
 
     def backward(g):
@@ -394,14 +409,9 @@ def eval_prf(predictions: list[QueryLanguage], gold: list[QueryLanguage],
 def load_token_labels(path) -> list[LabeledQuery]:
     """CoNLL-style file: `token<TAB>label` lines, blank line between
     queries, labels in {EN, HI, OT}."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8: {e}") from None
     queries: list[LabeledQuery] = []
     current: LabeledQuery = []
-    for lineno, line in enumerate(raw.split("\n"), start=1):
+    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
         if not line.strip():
             if current:
                 queries.append(current)
@@ -438,7 +448,7 @@ def save_crf(model: CRFModel, path) -> None:
 
 def load_crf(path) -> CRFModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(path))
         feats = payload["features"]
         model = CRFModel({f: i for i, f in enumerate(feats)},
                          np.asarray(payload["weights"], dtype=np.float64),
@@ -471,18 +481,6 @@ _STICKY = np.array([
 ])
 
 
-def _lex_words(rng, n, consonants, vowels, taken, min_syll=2, max_syll=4):
-    words = []
-    while len(words) < n:
-        k = int(rng.integers(min_syll, max_syll + 1))
-        w = "".join(consonants[rng.integers(len(consonants))]
-                    + vowels[rng.integers(len(vowels))] for _ in range(k))
-        if w not in taken:
-            taken.add(w)
-            words.append(w)
-    return words
-
-
 def gen_langid_corpus(n_queries: int, seed: int = 0, ambiguous_rate: float = 0.25,
                       min_len: int = 2, max_len: int = 6
                       ) -> list[LabeledQuery]:
@@ -492,9 +490,9 @@ def gen_langid_corpus(n_queries: int, seed: int = 0, ambiguous_rate: float = 0.2
     informative about ambiguous tokens."""
     rng = make_rng(seed ^ 0x1A6B1D)
     taken: set[str] = set()
-    en = _lex_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)
-    hi = _lex_words(rng, 150, _HI_CONSONANTS, _HI_VOWELS, taken)
-    shared = _lex_words(rng, 40, _SHARED_CONSONANTS, _SHARED_VOWELS, taken)
+    en = _make_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)
+    hi = _make_words(rng, 150, _HI_CONSONANTS, _HI_VOWELS, taken)
+    shared = _make_words(rng, 40, _SHARED_CONSONANTS, _SHARED_VOWELS, taken)
     ot = [f"{rng.integers(1, 512)}{rng.choice(list('gxk'))}" for _ in range(60)]
 
     queries: list[LabeledQuery] = []

@@ -11,9 +11,8 @@ and training targets may be corrupted by substituting a wrong lexicon word
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,21 +120,29 @@ def decode(ids, vocab: Vocab) -> str:
     return vocab.detokenize(toks)
 
 
+def read_utf8(path) -> str:
+    """The whole file decoded as UTF-8. A file that cannot be read or is
+    not valid UTF-8 raises DataError naming the path."""
+    path = Path(path)
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8: {e}") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
+
+
 def load_parallel_tsv(path, provenance: Provenance = Provenance.CLEAN_MANUAL) -> Corpus:
     """One `source<TAB>target` pair per line, UTF-8, LF endings.
 
     Blank or tab-malformed lines are rejected with their 1-based line number.
     An empty file is a valid empty corpus.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8: {e}") from None
+    lines = read_utf8(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # trailing newline
     corpus: Corpus = []
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if lineno == raw.count("\n") + 1 and line == "":
-            break  # trailing newline
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise DataError(f"{path}: malformed line {lineno}: expected "

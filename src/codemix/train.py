@@ -2,10 +2,14 @@
 augmentation, stage 2 fine-tuning on clean data with early stopping on a
 validation split. Checkpointing lives in codemix.checkpoint.
 
-Every run is deterministic given its seed: the master RNG is split into
-independent child streams (data order / augmentation / dropout), so
-configurations that skip augmentation consume exactly the same data and
-dropout streams as ones that weight it at zero.
+Every run is deterministic given its seed: each caller splits its RNG into
+independent child streams (data order / augmentation / dropout) and hands
+them to `fit`, so configurations that skip augmentation consume exactly the
+same data and dropout streams as ones that weight it at zero.
+
+`fit` is the one training loop of the package: two-stage training,
+transliteration, the cross-attention analysis and distillation (which adds
+its KD term through `fit`'s `extra_loss` hook) all step through it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .augment import AugKind, LossWeights, combined_loss, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
-from .numerics import AdamWState, no_grad, step_tensors
+from .numerics import AdamWState, Tensor, add, no_grad, step_tensors
 from .seq2seq import Seq2SeqModel, label_smoothed_ce, make_batch, pad_batch
 from .text import Corpus, Provenance
 
@@ -171,11 +175,24 @@ def evaluate_loss(model: Seq2SeqModel, corpus: Corpus, label_smoothing: float,
 def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
         batch_size: int, kinds: tuple[AugKind, ...], lam: float,
         label_smoothing: float, weight_decay: float,
-        rng: np.random.Generator,
+        rngs: tuple[np.random.Generator, np.random.Generator,
+                    np.random.Generator],
         val_corpus: Corpus | None = None,
-        on_epoch_end=None, stage: str = "fit") -> TrainReport:
+        on_epoch_end=None, extra_loss=None, stage: str = "fit") -> TrainReport:
     """Shared training loop: per supervised batch, optionally sample one
     augmented batch and combine the losses with weight lambda.
+
+    `rngs` are the (data order, augmentation, dropout) streams; callers pass
+    `rng.spawn(3)` or streams of their own.
+
+    `extra_loss(n_rows, loss_s, loss_d)` adds a third term: it runs after the
+    supervised and augmentation forwards of each step (`loss_d` is a zero
+    tensor when no augmented batch was drawn) and returns a scalar tensor
+    `loss_x`; the step then minimizes
+        (1 - lambda) * (loss_s + loss_d) + lambda * loss_x
+    and augmentation runs whenever `kinds` is non-empty. Without the hook
+    the loss is (1 - lambda) * loss_s + lambda * loss_d, and augmentation is
+    skipped at lambda == 0.
 
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
     truthy value stops training early. Divergence (non-finite loss) rolls the
@@ -186,8 +203,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
         raise DataError("cannot train on an empty corpus")
     vocab = model.config.vocab
     weights = LossWeights(lam)
-    use_aug = bool(kinds) and lam > 0.0
-    data_rng, aug_rng, drop_rng = rng.spawn(3)
+    use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
+    data_rng, aug_rng, drop_rng = rngs
     opt = AdamWState(lr=lr, weight_decay=weight_decay)
     report = TrainReport(stage=stage)
     snapshot = model.snapshot()
@@ -206,6 +223,7 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                                           train=True, rng=drop_rng)
                 loss_s = label_smoothed_ce(logits, batch["labels"],
                                            label_smoothing)
+                loss_d = None
                 if use_aug:
                     aug = sample_augmented_batch(corpus, kinds, len(rows),
                                                  aug_rng, vocab)
@@ -215,8 +233,14 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                                                train=True, rng=drop_rng)
                     loss_d = label_smoothed_ce(alogits, abatch["labels"],
                                                label_smoothing)
-                    loss = combined_loss(loss_s, loss_d, weights)
                     aug_losses.setdefault(aug.kind.value, []).append(loss_d.item())
+                if extra_loss is not None:
+                    if loss_d is None:
+                        loss_d = Tensor(0.0)
+                    loss_x = extra_loss(len(rows), loss_s, loss_d)
+                    loss = combined_loss(add(loss_s, loss_d), loss_x, weights)
+                elif loss_d is not None:
+                    loss = combined_loss(loss_s, loss_d, weights)
                 else:
                     loss = loss_s
                 loss.backward()
@@ -256,7 +280,8 @@ def train_stage1(model: Seq2SeqModel, noisy_corpus: Corpus,
                  lr=config.stage1.lr, batch_size=config.stage1.batch_size,
                  kinds=config.stage1.kinds, lam=config.lam,
                  label_smoothing=config.label_smoothing,
-                 weight_decay=config.weight_decay, rng=rng, stage="stage1")
+                 weight_decay=config.weight_decay, rngs=rng.spawn(3),
+                 stage="stage1")
     report.notes["reference_lr"] = "5e-6 (warm-started large models)"
     report.notes["lr"] = config.stage1.lr
     return report
@@ -297,18 +322,10 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
                  lr=config.stage2.lr, batch_size=config.stage2.batch_size,
                  kinds=config.stage2.kinds, lam=config.lam,
                  label_smoothing=config.label_smoothing,
-                 weight_decay=config.weight_decay, rng=fit_rng,
+                 weight_decay=config.weight_decay, rngs=fit_rng.spawn(3),
                  val_corpus=val, on_epoch_end=stop_check, stage="stage2")
     model.restore(best["snap"])
     report.notes["best_epoch"] = best["epoch"]
     report.notes["best_val_loss"] = best["loss"]
     report.notes["epoch0_val_loss"] = epoch0_loss
     return report
-
-
-def train_two_stage(model, noisy_corpus, clean_corpus, config, rng):
-    """Stage 1 then stage 2 with a fresh optimizer per stage."""
-    rng1, rng2 = rng.spawn(2)
-    rep1 = train_stage1(model, noisy_corpus, config, rng1)
-    rep2 = train_stage2(model, clean_corpus, config, rng2)
-    return rep1, rep2

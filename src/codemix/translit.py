@@ -3,15 +3,14 @@ transformer fallback decoded greedily for out-of-dictionary words."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .errors import DataError
 from .numerics import make_rng
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, greedy_decode, init_model)
 from .seq2seq.model import encode_source
-from .text import ParallelExample, Provenance, Vocab, build_vocab, decode
+from .text import (ParallelExample, Provenance, Vocab, build_vocab, decode,
+                   read_utf8)
 from .train import fit
 
 
@@ -42,13 +41,8 @@ class TranslitDict:
 
 def load_translit_dict(path) -> TranslitDict:
     """TSV file: `word<TAB>transliteration` per line, UTF-8."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8: {e}") from None
     d = TranslitDict()
-    for lineno, line in enumerate(raw.split("\n"), start=1):
+    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -114,5 +108,5 @@ def train_translit(word_pairs: list[tuple[str, str]],
     model = init_model(config, init_rng)
     fit(model, corpus, epochs=epochs, lr=lr, batch_size=batch_size,
         kinds=(), lam=0.0, label_smoothing=0.0, weight_decay=0.0,
-        rng=fit_rng, stage="translit")
+        rngs=fit_rng.spawn(3), stage="translit")
     return model

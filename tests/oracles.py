@@ -205,3 +205,83 @@ def js_reference(t: np.ndarray, s: np.ndarray) -> float:
                 acc += sk * math.log(sk / mk)
         total += acc
     return total / t.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# Distillation
+# ---------------------------------------------------------------------------
+
+def reference_train_student(student_config, teacher, clean_corpus,
+                            unlabeled_pool, kd_kind, rng, config=None,
+                            beam: int = 3, initial_student=None):
+    """Distillation as its own training loop, the way train_student ran
+    before it became train.fit plus a KD term: the same five RNG streams,
+    batching, augmentation, KD sampling and AdamW steps, written out."""
+    from codemix.augment import sample_augmented_batch
+    from codemix.distill import (DistillConfig, DistillReport, StepTrace,
+                                 _kd_batch_loss, generate_pseudo_labels)
+    from codemix.errors import NonFiniteError, TrainingDivergedError
+    from codemix.numerics import (AdamWState, Tensor, add, mul,
+                                  step_tensors)
+    from codemix.seq2seq import (init_model, label_smoothed_ce, make_batch,
+                                 pad_batch)
+    cfg = config or DistillConfig()
+    init_rng, data_rng, aug_rng, kd_rng, drop_rng = rng.spawn(5)
+    student = initial_student or init_model(student_config, init_rng)
+    vocab = student_config.vocab
+    pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
+                                             beam=beam,
+                                             max_len=cfg.kd_max_len)
+    report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
+    opt = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    snapshot = student.snapshot()
+    for epoch in range(cfg.epochs):
+        order = data_rng.permutation(len(clean_corpus))
+        epoch_steps = []
+        try:
+            for start in range(0, len(clean_corpus), cfg.batch_size):
+                rows = [clean_corpus[i]
+                        for i in order[start:start + cfg.batch_size]]
+                batch = make_batch(vocab, [ex.source for ex in rows],
+                                   [ex.target for ex in rows],
+                                   student_config.max_len)
+                logits, _ = student.forward(batch["src"], batch["dec_in"],
+                                            train=True, rng=drop_rng)
+                loss_s = label_smoothed_ce(logits, batch["labels"],
+                                           cfg.label_smoothing)
+                if cfg.kinds:
+                    aug = sample_augmented_batch(clean_corpus, cfg.kinds,
+                                                 len(rows), aug_rng, vocab)
+                    abatch = pad_batch(aug.inputs, aug.outputs,
+                                       student_config.max_len)
+                    alogits, _ = student.forward(abatch["src"],
+                                                 abatch["dec_in"],
+                                                 train=True, rng=drop_rng)
+                    loss_d = label_smoothed_ce(alogits, abatch["labels"],
+                                               cfg.label_smoothing)
+                else:
+                    loss_d = Tensor(0.0)
+                kd_idx = kd_rng.integers(0, len(pseudo), size=len(rows))
+                kd_rows = [pseudo[int(i)] for i in kd_idx]
+                kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
+                                      [ex.target for ex in kd_rows],
+                                      student_config.max_len)
+                loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
+                                         drop_rng)
+                loss = add(mul(add(loss_s, loss_d), 1.0 - cfg.lam),
+                           mul(loss_kd, cfg.lam))
+                loss.backward()
+                step_tensors(student.trainable(), opt)
+                epoch_steps.append(StepTrace(loss_s.item(), loss_d.item(),
+                                             loss_kd.item()))
+        except NonFiniteError as e:
+            student.restore(snapshot)
+            raise TrainingDivergedError(str(e)) from e
+        snapshot = student.snapshot()
+        report.steps.extend(epoch_steps)
+        report.epoch_means.append({
+            "loss_s": float(np.mean([s.loss_s for s in epoch_steps])),
+            "loss_d": float(np.mean([s.loss_d for s in epoch_steps])),
+            "loss_kd": float(np.mean([s.loss_kd for s in epoch_steps])),
+        })
+    return student, report

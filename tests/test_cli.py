@@ -248,3 +248,72 @@ class TestTrainCli:
     def test_stage1_requires_train_tsv(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "ck"),
                     "--stage", "stage1"]) == 1
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ")
+    return err
+
+
+class TestBadInputFiles:
+    """An input file that is missing or not UTF-8 is a data error: exit
+    code 2 and one line on stderr, never a traceback."""
+
+    # argv templates: {missing} is a path that does not exist, {latin1} a
+    # file holding Latin-1 bytes, {ck} a trained checkpoint, {crf} a CRF
+    CASES = {
+        "translate-input-missing": ["translate", "--checkpoint", "{ck}",
+                                    "--input", "{missing}"],
+        "translate-input-latin1": ["translate", "--checkpoint", "{ck}",
+                                   "--input", "{latin1}"],
+        "detect-lang-input-latin1": ["detect-lang", "--model", "{crf}",
+                                     "--input", "{latin1}"],
+        "detect-lang-model-missing": ["detect-lang", "--model", "{missing}",
+                                      "--input", "{latin1}"],
+        "translit-dict-missing": ["translit", "--dict", "{missing}"],
+        "translit-dict-latin1": ["translit", "--dict", "{latin1}"],
+        "train-langid-conll-missing": ["train-langid", "--conll",
+                                       "{missing}", "--out", "{out}"],
+        "train-langid-conll-latin1": ["train-langid", "--conll", "{latin1}",
+                                      "--out", "{out}"],
+        "train-tsv-missing": ["train", "--train-tsv", "{missing}",
+                              "--stage", "stage1", "--out", "{out}"],
+        "train-config-missing": ["train", "--config", "{missing}",
+                                 "--stage", "stage1", "--out", "{out}"],
+        "eval-bleu-candidates-missing": ["eval-bleu", "--candidates",
+                                         "{missing}", "--references",
+                                         "{latin1}"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_with_one_line(self, case, checkpoint_dir, tmp_path,
+                                    capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("café kala\tjuta\n".encode("latin-1"))
+        crf = tmp_path / "crf.json"
+        crf.write_text(json.dumps({"features": ["0:1:a"],
+                                   "weights": [[0.0, 0.0, 0.0]],
+                                   "transitions": [[0.0] * 3] * 3}),
+                       encoding="utf-8")
+        paths = {"missing": tmp_path / "missing.txt", "latin1": latin1,
+                 "ck": checkpoint_dir, "crf": crf, "out": tmp_path / "out"}
+        argv = [a.format(**{k: str(v) for k, v in paths.items()})
+                for a in self.CASES[case]]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = _one_error_line(capsys)
+        assert ("missing.txt" in err) or ("not valid UTF-8" in err)
+
+
+class TestDistillCli:
+    @pytest.mark.parametrize("lam", ["1.5", "-0.1"])
+    def test_lambda_outside_unit_interval_is_exit_two(self, lam, tmp_path,
+                                                      capsys):
+        rc = run(["distill", "--teacher", str(tmp_path / "teacher"),
+                  "--clean-tsv", str(tmp_path / "clean.tsv"),
+                  "--pool", str(tmp_path / "pool.txt"),
+                  "--out", str(tmp_path / "student"), "--lam", lam])
+        assert rc == 2
+        assert "lambda must be in [0, 1]" in _one_error_line(capsys)

@@ -4,8 +4,8 @@ import pytest
 from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
                              bench_latency, generate_pseudo_labels,
                              kd_loss_ce, kd_loss_js, quantize_model,
-                             student_loss, train_student)
-from codemix.errors import DataError
+                             train_student)
+from codemix.errors import DataError, TrainingDivergedError
 from codemix.numerics import (Tensor, finite_diff_grad_check, make_rng,
                               softmax, tsum, mul)
 from codemix.quant import QuantizedSeq2Seq, dequantize, quantize_int8
@@ -15,7 +15,7 @@ from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
                           synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
 
-from oracles import js_reference
+from oracles import js_reference, reference_train_student
 
 
 def random_dists(n, k, seed):
@@ -107,19 +107,6 @@ class TestKdLossJs:
         loss.backward()
         assert t_par.grad is None
         assert s_par.grad is not None
-
-
-class TestStudentLoss:
-    def test_lambda_extremes(self):
-        assert student_loss(2.0, 3.0, 7.0, lam=1.0) == 7.0
-        assert student_loss(2.0, 3.0, 7.0, lam=0.0) == 5.0
-
-    def test_midpoint_arithmetic(self):
-        assert student_loss(2.0, 2.0, 4.0, lam=0.5) == 4.0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
-            student_loss(float("nan"), 1.0, 1.0)
 
 
 SPEC = SynthTaskSpec(lexicon_size=12, code_mix_ratio=0.2,
@@ -258,6 +245,29 @@ class TestTrainStudent:
         assert first_ce.loss_d == first_js.loss_d
         assert first_ce.loss_kd != first_js.loss_kd
 
+    def test_divergence_rolls_back_initial_student_and_raises(self):
+        # 12 pairs in batches of 6: step 1 blows the weights up to ~1e18,
+        # step 2 overflows, so distillation dies inside epoch 1
+        teacher, clean, pool = self._setup()
+        student = init_model(teacher.config, make_rng(18))
+        before = {k: t.data.copy() for k, t in student.params.items()}
+        cfg = DistillConfig(epochs=2, lr=1e18, batch_size=6,
+                            weight_decay=0.0, kinds=())
+        with pytest.raises(TrainingDivergedError, match="rolled back"):
+            train_student(teacher.config, teacher, clean, pool, KDKind.JS,
+                          make_rng(19), cfg, initial_student=student)
+        for k, t in student.params.items():
+            assert np.array_equal(t.data, before[k]), k
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+    def test_lambda_outside_unit_interval_rejected(self, lam):
+        with pytest.raises(DataError, match="lambda"):
+            DistillConfig(lam=lam)
+
+    def test_lambda_bounds_accepted(self):
+        assert DistillConfig(lam=0.0).lam == 0.0
+        assert DistillConfig(lam=1.0).lam == 1.0
+
     def test_empty_inputs_rejected(self):
         teacher, clean, pool = self._setup()
         with pytest.raises(DataError):
@@ -266,6 +276,38 @@ class TestTrainStudent:
         with pytest.raises(DataError):
             train_student(teacher.config, teacher, clean, [], KDKind.JS,
                           make_rng(0))
+
+
+class TestTrainStudentMatchesReference:
+    """train_student is train.fit plus a KD term; with the same seed it must
+    take exactly the steps of the stand-alone distillation loop."""
+
+    @pytest.mark.parametrize("kd_kind", [KDKind.JS, KDKind.CE])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kinds", [(), DistillConfig().kinds],
+                             ids=["no_aug", "default_aug"])
+    def test_equal_to_reference_loop(self, kd_kind, lam, kinds):
+        teacher, corpus = overfit_teacher(pairs=12)
+        clean = [ParallelExample(ex.source, ex.target,
+                                 Provenance.CLEAN_MANUAL) for ex in corpus]
+        pool = [ex.source for ex in corpus]
+        student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
+                                    n_enc_layers=1, n_dec_layers=1,
+                                    d_model=16, n_heads=2, d_ff=32,
+                                    max_len=16, dropout_prob=0.1)
+        cfg = DistillConfig(epochs=2, lr=1e-3, batch_size=5, lam=lam,
+                            kinds=kinds)
+        got_model, got = train_student(student_cfg, teacher, clean, pool,
+                                       kd_kind, make_rng(41), cfg)
+        ref_model, ref = reference_train_student(
+            student_cfg, teacher, clean, pool, kd_kind, make_rng(41), cfg)
+        assert len(got.steps) == 2 * 3
+        assert got.steps == ref.steps
+        assert got.epoch_means == ref.epoch_means
+        assert got.skipped_sources == ref.skipped_sources
+        assert got.kd_kind == ref.kd_kind
+        for name, t in ref_model.params.items():
+            assert np.array_equal(got_model.params[name].data, t.data), name
 
 
 class TestLatency:

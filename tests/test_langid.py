@@ -148,6 +148,32 @@ class TestNllGrad:
                 worst = max(worst, rel)
         assert worst < 1e-5
 
+    def test_features_extracted_once_per_token(self, monkeypatch):
+        import codemix.langid as langid
+        words = ["kala", "shoe", "4g", "juta"]
+        query = [LabeledToken(w, lab) for w, lab in
+                 zip(words, ["HI", "EN", "OT", "HI"])]
+        model = random_crf([words], seed=13)
+        calls = []
+
+        def counted(ws, position):
+            calls.append(position)
+            return extract_features(ws, position)
+
+        monkeypatch.setattr(langid, "extract_features", counted)
+        crf_nll_grad(model, query)
+        assert calls == [0, 1, 2, 3]
+
+    def test_nll_is_partition_minus_gold_path_exactly(self):
+        words = ["kala", "shoe", "4g", "juta", "wala"]
+        labels = ["HI", "EN", "OT", "HI", "HI"]
+        query = [LabeledToken(w, lab) for w, lab in zip(words, labels)]
+        model = random_crf([words], seed=14)
+        nll, _, _ = crf_nll_grad(model, query)
+        gold = [LABEL_INDEX[lab] for lab in labels]
+        assert nll == (crf_log_partition(model, words)
+                       - crf_path_score(model, words, gold))
+
     def test_nll_nonnegative(self):
         words = ["kala", "shoe"]
         query = [LabeledToken(w, "EN") for w in words]

@@ -108,6 +108,14 @@ class TestParallelTsv:
         with pytest.raises(DataError, match="UTF-8"):
             load_parallel_tsv(p)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_parallel_tsv(tmp_path / "absent.tsv")
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_parallel_tsv(tmp_path)
+
     def test_round_trip(self, tmp_path):
         corpus = [ParallelExample("juta wala", "shoe", Provenance.CLEAN_MANUAL)]
         p = tmp_path / "c.tsv"
