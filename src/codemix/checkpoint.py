@@ -81,7 +81,7 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
 
 def _parse_manifest(path: Path):
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         parts = line.split("\t")
         if len(parts) != 5:
             raise CheckpointError(f"{path}: bad manifest line {lineno}: {line!r}")
@@ -125,7 +125,7 @@ def load_checkpoint(path):
     if kv.get("format") != _FORMAT:
         raise CheckpointError(f"{path}: unknown checkpoint format "
                               f"{kv.get('format')!r}")
-    tokens = (path / "vocab.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    tokens = read_utf8(path / "vocab.txt").split("\n")[:-1]
     vocab = Vocab(tokens, mode=kv.get("vocab_mode", "word"))
     try:
         cfg = Seq2SeqConfig(

@@ -106,23 +106,18 @@ class CRFModel:
     transitions: np.ndarray    # (3, 3) [from, to]
     template_version: str = FEATURE_TEMPLATE_VERSION
 
-    def token_feature_ids(self, words: list[str], position: int) -> np.ndarray:
-        ids = [self.feature_index[f]
-               for f in extract_features(words, position)
-               if f in self.feature_index]
-        return np.asarray(ids, dtype=np.int64)
-
     def feature_ids(self, words: list[str]) -> list[np.ndarray]:
-        """token_feature_ids for every position of the query."""
-        return [self.token_feature_ids(words, t) for t in range(len(words))]
+        """Per position, the ids of the token's features that the index
+        holds (features it never saw are dropped). Feature strings become
+        ids here, and nowhere else once the index is built."""
+        index = self.feature_index
+        return [np.asarray([index[f] for f in extract_features(words, t)
+                            if f in index], dtype=np.int64)
+                for t in range(len(words))]
 
-    def emissions(self, words: list[str],
-                  ids: list[np.ndarray] | None = None) -> np.ndarray:
-        """(len(words), 3) emission scores; `ids` are the query's
-        feature_ids, when the caller has them already."""
-        if ids is None:
-            ids = self.feature_ids(words)
-        out = np.zeros((len(words), N_LABELS))
+    def emissions(self, ids: list[np.ndarray]) -> np.ndarray:
+        """(len(ids), 3) emission scores of a query's feature_ids."""
+        out = np.zeros((len(ids), N_LABELS))
         for t, tok_ids in enumerate(ids):
             if tok_ids.size:
                 out[t] = self.weights[tok_ids].sum(axis=0)
@@ -134,20 +129,26 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
+def _forward(emis: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, float]:
+    """Forward algorithm in log space: (alpha (L, 3), log Z)."""
+    if not len(emis):
+        raise DataError("the CRF needs at least one word")
+    alpha = np.zeros_like(emis)
+    alpha[0] = emis[0]
+    for t in range(1, len(emis)):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
+    return alpha, float(_logsumexp(alpha[-1], axis=0))
+
+
 def crf_log_partition(model: CRFModel, words: list[str]) -> float:
-    """Forward algorithm in log space."""
-    if not words:
-        raise DataError("crf_log_partition needs at least one word")
-    emis = model.emissions(words)
-    alpha = emis[0].copy()
-    for t in range(1, len(words)):
-        alpha = _logsumexp(alpha[:, None] + model.transitions, axis=0) + emis[t]
-    return float(_logsumexp(alpha, axis=0))
+    return _forward(model.emissions(model.feature_ids(words)),
+                    model.transitions)[1]
 
 
 def crf_path_score(model: CRFModel, words: list[str],
                    labels: list[int]) -> float:
-    return _path_score(model.emissions(words), model.transitions, labels)
+    return _path_score(model.emissions(model.feature_ids(words)),
+                       model.transitions, labels)
 
 
 def _path_score(emis: np.ndarray, trans: np.ndarray,
@@ -161,52 +162,40 @@ def _path_score(emis: np.ndarray, trans: np.ndarray,
     return score
 
 
-def crf_nll_grad(model: CRFModel, query: LabeledQuery
-                 ) -> tuple[float, dict[int, np.ndarray], np.ndarray]:
-    """NLL = log Z - score(gold path) and its gradient.
+def crf_nll_grad(model: CRFModel, ids: list[np.ndarray], gold: list[int]
+                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """NLL = log Z - score(gold path) of one query, given its feature_ids
+    and gold label indices, and the NLL's gradient.
 
-    Returns (nll, emission gradient as {feature id: (3,) vector},
+    Returns (nll, feature ids (n,), their emission gradient rows (n, 3),
     transition gradient (3, 3)). The gradient is expected counts from
-    forward-backward marginals minus gold counts.
+    forward-backward marginals minus gold counts; each feature's row sums
+    its positions' terms in position order.
     """
-    words = [tok.word for tok in query]
-    gold = [LABEL_INDEX[tok.label] for tok in query]
-    L = len(words)
-    ids = model.feature_ids(words)
-    emis = model.emissions(words, ids)
+    L = len(ids)
+    emis = model.emissions(ids)
     trans = model.transitions
-
-    alpha = np.zeros((L, N_LABELS))
-    alpha[0] = emis[0]
-    for t in range(1, L):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
-    log_z = float(_logsumexp(alpha[-1], axis=0))
+    alpha, log_z = _forward(emis, trans)
 
     beta = np.zeros((L, N_LABELS))
     for t in range(L - 2, -1, -1):
         beta[t] = _logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :], axis=1)
 
-    # Token marginals gamma[t, y] and expected transition counts.
-    gamma = np.exp(alpha + beta - log_z)
+    # Token marginals minus gold indicators, and expected transition counts.
+    diff = np.exp(alpha + beta - log_z)
     grad_trans = np.zeros((N_LABELS, N_LABELS))
     for t in range(L - 1):
         pair = (alpha[t][:, None] + trans
                 + (emis[t + 1] + beta[t + 1])[None, :] - log_z)
         grad_trans += np.exp(pair)
         grad_trans[gold[t], gold[t + 1]] -= 1.0
+    diff[np.arange(L), gold] -= 1.0
 
-    grad_feats: dict[int, np.ndarray] = {}
-    for t in range(L):
-        diff = gamma[t].copy()
-        diff[gold[t]] -= 1.0
-        for fid in ids[t]:
-            acc = grad_feats.get(int(fid))
-            if acc is None:
-                grad_feats[int(fid)] = diff.copy()
-            else:
-                acc += diff
+    fids, slot = np.unique(np.concatenate(ids), return_inverse=True)
+    rows = np.zeros((len(fids), N_LABELS))
+    np.add.at(rows, slot, np.repeat(diff, [len(i) for i in ids], axis=0))
     nll = log_z - _path_score(emis, trans, gold)
-    return nll, grad_feats, grad_trans
+    return nll, fids, rows, grad_trans
 
 
 def viterbi(model: CRFModel, words: list[str]) -> list[str]:
@@ -214,7 +203,7 @@ def viterbi(model: CRFModel, words: list[str]) -> list[str]:
     (EN < HI < OT)."""
     if not words:
         raise DataError("viterbi needs at least one word")
-    emis = model.emissions(words)
+    emis = model.emissions(model.feature_ids(words))
     L = len(words)
     delta = emis[0].copy()
     back = np.zeros((L, N_LABELS), dtype=np.int64)
@@ -233,17 +222,20 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
               rng: np.random.Generator | None = None, lr: float = 0.05,
               batch_size: int = 8) -> CRFModel:
     """Minimize NLL + l2 * ||w||^2 with mini-batch AdamW on the exact
-    gradient. The feature index is built from the training corpus."""
+    gradient. The feature index is built from the training corpus, in the
+    one pass that also turns every query into its feature_ids."""
     if not corpus:
         raise DataError("train_crf needs a non-empty corpus")
     rng = rng or np.random.default_rng(0)
     feature_index: dict[str, int] = {}
+    data = []
     for query in corpus:
         words = [tok.word for tok in query]
-        for t in range(len(words)):
-            for f in extract_features(words, t):
-                if f not in feature_index:
-                    feature_index[f] = len(feature_index)
+        ids = [np.asarray([feature_index.setdefault(f, len(feature_index))
+                           for f in extract_features(words, t)],
+                          dtype=np.int64)
+               for t in range(len(words))]
+        data.append((ids, [LABEL_INDEX[tok.label] for tok in query]))
     model = CRFModel(feature_index,
                      np.zeros((len(feature_index), N_LABELS)),
                      np.zeros((N_LABELS, N_LABELS)))
@@ -256,9 +248,8 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
             gw = np.zeros_like(model.weights)
             gt = np.zeros_like(model.transitions)
             for i in idxs:
-                _, gf, gtr = crf_nll_grad(model, corpus[i])
-                for fid, vec in gf.items():
-                    gw[fid] += vec
+                _, fids, rows, gtr = crf_nll_grad(model, *data[i])
+                gw[fids] += rows
                 gt += gtr
             scale = 1.0 / len(idxs)
             gw *= scale
@@ -455,10 +446,18 @@ def load_crf(path) -> CRFModel:
                          np.asarray(payload["transitions"], dtype=np.float64),
                          payload.get("template_version",
                                      FEATURE_TEMPLATE_VERSION))
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: corrupt CRF model file: {e}") from None
+    if model.template_version != FEATURE_TEMPLATE_VERSION:
+        raise DataError(f"{path}: feature template "
+                        f"{model.template_version!r}, this build extracts "
+                        f"{FEATURE_TEMPLATE_VERSION!r}")
     if model.weights.shape != (len(feats), N_LABELS):
         raise DataError(f"{path}: weight matrix shape mismatch")
+    if model.transitions.shape != (N_LABELS, N_LABELS):
+        raise DataError(f"{path}: transition matrix has shape "
+                        f"{model.transitions.shape}, need "
+                        f"({N_LABELS}, {N_LABELS})")
     return model
 
 

@@ -68,7 +68,7 @@ def crf_enumerate(model, words: list[str]) -> tuple[float, list[str], float]:
     Ties break toward the lexicographically smallest index sequence, which
     matches the library's lower-label-index rule.
     """
-    emis = model.emissions(words)
+    emis = model.emissions(model.feature_ids(words))
     trans = model.transitions
     best_path = None
     best_score = -np.inf
@@ -84,6 +84,53 @@ def crf_enumerate(model, words: list[str]) -> tuple[float, list[str], float]:
     m = max(scores)
     log_z = m + math.log(sum(math.exp(s - m) for s in scores))
     return float(log_z), [LABELS[i] for i in best_path], float(best_score)
+
+
+def reference_crf_nll_grad(model, ids: list[np.ndarray], gold: list[int]
+                           ) -> tuple[float, dict[int, np.ndarray], np.ndarray]:
+    """The per-feature dict gradient that `crf_nll_grad` replaced: (nll,
+    {feature id: (3,) gradient}, transition gradient). Each feature's
+    vector is a copy of its first position's term, to which the later
+    positions' terms are added one by one."""
+    def logsumexp(a, axis):
+        m = a.max(axis=axis, keepdims=True)
+        return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+                ).squeeze(axis)
+
+    L = len(ids)
+    emis = model.emissions(ids)
+    trans = model.transitions
+    alpha = np.zeros((L, N_LABELS))
+    alpha[0] = emis[0]
+    for t in range(1, L):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
+    log_z = float(logsumexp(alpha[-1], axis=0))
+    beta = np.zeros((L, N_LABELS))
+    for t in range(L - 2, -1, -1):
+        beta[t] = logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :],
+                            axis=1)
+    gamma = np.exp(alpha + beta - log_z)
+    grad_trans = np.zeros((N_LABELS, N_LABELS))
+    for t in range(L - 1):
+        pair = (alpha[t][:, None] + trans
+                + (emis[t + 1] + beta[t + 1])[None, :] - log_z)
+        grad_trans += np.exp(pair)
+        grad_trans[gold[t], gold[t + 1]] -= 1.0
+    grad_feats: dict[int, np.ndarray] = {}
+    for t in range(L):
+        diff = gamma[t].copy()
+        diff[gold[t]] -= 1.0
+        for fid in ids[t]:
+            acc = grad_feats.get(int(fid))
+            if acc is None:
+                grad_feats[int(fid)] = diff.copy()
+            else:
+                acc += diff
+    score = float(emis[0, gold[0]])
+    for t in range(1, L):
+        score += float(trans[gold[t - 1], gold[t]])
+        score += float(emis[t, gold[t]])
+    return log_z - score, grad_feats, grad_trans
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,25 @@ class TestLangidCli:
         assert rc == 0
         assert read(out).strip() in {"english", "hinglish", "other"}
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("template_version", "ngram12-window5-v0", "feature template"),
+        ("transitions", [[0.0] * 2] * 2, "transition matrix"),
+    ], ids=["template_version", "transitions"])
+    def test_incompatible_crf_is_exit_two(self, field, value, message,
+                                          tmp_path, capsys):
+        payload = {"template_version": "ngram134-window3-v1",
+                   "features": ["0:1:a"], "weights": [[0.0, 0.0, 0.0]],
+                   "transitions": [[0.0] * 3] * 3}
+        payload[field] = value
+        crf = tmp_path / "crf.json"
+        crf.write_text(json.dumps(payload), encoding="utf-8")
+        inp = tmp_path / "q.txt"
+        inp.write_text("radata zipaxu\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["detect-lang", "--model", str(crf), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        assert message in _one_error_line(capsys)
+
 
 class TestTranslitCli:
     def test_dict_only_pipeline(self, tmp_path):
@@ -306,6 +326,21 @@ class TestBadInputFiles:
         err = _one_error_line(capsys)
         assert ("missing.txt" in err) or ("not valid UTF-8" in err)
 
+    @pytest.mark.parametrize("fname", ["vocab.txt", "manifest.tsv"])
+    def test_non_utf8_checkpoint_text_is_exit_two(self, fname,
+                                                  checkpoint_dir, tmp_path,
+                                                  capsys):
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_dir, ck)
+        with open(ck / fname, "ab") as fh:
+            fh.write(b"\xff\n")
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(ck), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        err = _one_error_line(capsys)
+        assert fname in err and "not valid UTF-8" in err
 
 class TestDistillCli:
     @pytest.mark.parametrize("lam", ["1.5", "-0.1"])

@@ -3,6 +3,10 @@
 Every imported name in src/codemix must be used in its module, listed in
 the module's __all__, or marked as a re-export with `# noqa: F401` on the
 import statement.
+
+No module in src/codemix reads a file with `.read_text(` or with `open(`
+in a read mode: `text.read_utf8` is the one text reader, so every bad
+file becomes a DataError naming its path.
 """
 
 import ast
@@ -47,6 +51,61 @@ def unused_imports(source: str) -> list[str]:
     return [f"{line}: {name}" for name, line in sorted(imported.items(),
                                                        key=lambda kv: kv[1])
             if name not in kept]
+
+
+_WRITE_MODE = set("wax+")
+
+
+def file_reads(source: str) -> list[str]:
+    """`line: call` for each `.read_text(` call and each `open(` (builtin
+    or method) whose mode is not a literal write, append or create mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name == "read_text":
+            found.append(f"{node.lineno}: read_text")
+        elif name == "open":
+            mode = next((kw.value for kw in node.keywords
+                         if kw.arg == "mode"), None)
+            if mode is None:
+                # builtin open(file, mode); Path.open(mode)
+                pos = 1 if isinstance(func, ast.Name) else 0
+                mode = node.args[pos] if len(node.args) > pos else None
+            if not (isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str)
+                    and _WRITE_MODE & set(mode.value)):
+                found.append(f"{node.lineno}: open")
+    return found
+
+
+class TestFileReads:
+    def test_scanner_finds_reads(self):
+        src = ("from pathlib import Path\n"
+               "Path('a').read_text(encoding='utf-8')\n"
+               "open('b')\n"
+               "open('c', 'rb')\n"
+               "Path('d').open()\n"
+               "open('e', mode='r')\n")
+        assert file_reads(src) == ["2: read_text", "3: open", "4: open",
+                                   "5: open", "6: open"]
+
+    def test_scanner_allows_writes(self):
+        src = ("from pathlib import Path\n"
+               "open('a', 'w', encoding='utf-8')\n"
+               "open('b', mode='ab')\n"
+               "Path('c').open('x')\n"
+               "Path('d').write_text('')\n"
+               "Path('e').read_bytes()\n")
+        assert file_reads(src) == []
+
+    @pytest.mark.parametrize("path", MODULES,
+                             ids=[str(p.relative_to(SRC)) for p in MODULES])
+    def test_no_file_reads_outside_read_utf8(self, path):
+        assert file_reads(path.read_text(encoding="utf-8")) == []
 
 
 class TestUnusedImports:

@@ -11,7 +11,7 @@ from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
                             train_crf, viterbi, LABELS, LABEL_INDEX, N_LABELS)
 from codemix.numerics import make_rng
 
-from oracles import crf_enumerate
+from oracles import crf_enumerate, reference_crf_nll_grad
 
 
 def zero_crf(features=()):
@@ -103,17 +103,22 @@ class TestForwardAlgorithm:
             assert log_z >= crf_path_score(model, words, list(labels))
 
 
+def nll_grad(model, words, labels):
+    return crf_nll_grad(model, model.feature_ids(words),
+                        [LABEL_INDEX[lab] for lab in labels])
+
+
 class TestNllGrad:
     def test_gradient_matches_finite_differences(self):
         words = ["kala", "shoe", "4g"]
-        query = [LabeledToken(w, lab) for w, lab in
-                 zip(words, ["HI", "EN", "OT"])]
+        labels = ["HI", "EN", "OT"]
         model = random_crf([words], seed=11)
 
         def nll():
-            return crf_nll_grad(model, query)[0]
+            return nll_grad(model, words, labels)[0]
 
-        _, grad_feats, grad_trans = crf_nll_grad(model, query)
+        _, fids, rows, grad_trans = nll_grad(model, words, labels)
+        grad_feats = dict(zip(fids.tolist(), rows))
         eps = 1e-6
         worst = 0.0
         rng = make_rng(42)
@@ -149,36 +154,58 @@ class TestNllGrad:
         assert worst < 1e-5
 
     def test_features_extracted_once_per_token(self, monkeypatch):
+        """A whole train_crf run extracts each training token's features
+        once, whatever the epoch count."""
         import codemix.langid as langid
-        words = ["kala", "shoe", "4g", "juta"]
-        query = [LabeledToken(w, lab) for w, lab in
-                 zip(words, ["HI", "EN", "OT", "HI"])]
-        model = random_crf([words], seed=13)
+        corpus = separable_corpus(12)
+        once = [(tuple(t.word for t in q), i)
+                for q in corpus for i in range(len(q))]
         calls = []
 
         def counted(ws, position):
-            calls.append(position)
+            calls.append((tuple(ws), position))
             return extract_features(ws, position)
 
         monkeypatch.setattr(langid, "extract_features", counted)
-        crf_nll_grad(model, query)
-        assert calls == [0, 1, 2, 3]
+        for epochs in (1, 3):
+            calls.clear()
+            train_crf(corpus, epochs=epochs, rng=make_rng(13))
+            assert calls == once
+
+    def test_ids_and_rows_equal_dict_reference_exactly(self):
+        rng = make_rng(15)
+        pool = ["kala", "juta", "shoe", "red", "4g", "mi-x", "wala"]
+        for trial in range(30):
+            length = int(rng.integers(1, 8))
+            words = [pool[int(rng.integers(len(pool)))] for _ in range(length)]
+            gold = [int(rng.integers(N_LABELS)) for _ in range(length)]
+            # the index holds only the features of the first words, so
+            # later tokens keep fewer ids or none
+            model = random_crf([words[:1 + trial % length]], seed=200 + trial)
+            ids = model.feature_ids(words)
+            nll, fids, rows, grad_trans = crf_nll_grad(model, ids, gold)
+            ref_nll, ref_feats, ref_trans = reference_crf_nll_grad(model, ids,
+                                                                   gold)
+            assert nll == ref_nll
+            assert np.array_equal(grad_trans, ref_trans)
+            assert fids.tolist() == sorted(ref_feats)
+            assert np.array_equal(rows, np.array([ref_feats[f]
+                                                  for f in sorted(ref_feats)]
+                                                 ).reshape(-1, N_LABELS))
 
     def test_nll_is_partition_minus_gold_path_exactly(self):
         words = ["kala", "shoe", "4g", "juta", "wala"]
         labels = ["HI", "EN", "OT", "HI", "HI"]
-        query = [LabeledToken(w, lab) for w, lab in zip(words, labels)]
         model = random_crf([words], seed=14)
-        nll, _, _ = crf_nll_grad(model, query)
+        nll, _, _, _ = nll_grad(model, words, labels)
         gold = [LABEL_INDEX[lab] for lab in labels]
         assert nll == (crf_log_partition(model, words)
                        - crf_path_score(model, words, gold))
 
     def test_nll_nonnegative(self):
         words = ["kala", "shoe"]
-        query = [LabeledToken(w, "EN") for w in words]
         model = random_crf([words], seed=12)
-        nll, _, _ = crf_nll_grad(model, query)
+        nll, _, _, _ = nll_grad(model, words, ["EN", "EN"])
         assert nll >= 0
 
 
@@ -364,9 +391,11 @@ class TestTokenLabelIO:
         assert back.feature_index == model.feature_index
 
     def test_corrupt_crf_rejected(self, tmp_path):
-        (tmp_path / "crf.json").write_text("{not json", encoding="utf-8")
-        with pytest.raises(DataError):
-            load_crf(tmp_path / "crf.json")
+        for text in ("{not json", "[]",
+                     '{"features": 5, "weights": [], "transitions": []}'):
+            (tmp_path / "crf.json").write_text(text, encoding="utf-8")
+            with pytest.raises(DataError):
+                load_crf(tmp_path / "crf.json")
 
 
 class TestSyntheticBenchmark:
