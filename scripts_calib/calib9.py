@@ -7,8 +7,8 @@ import numpy as np
 
 sys.path.insert(0, "src")
 from codemix.bleu import bleu_corpus
-from codemix.distill import (DistillConfig, KDKind, bench_latency,
-                             quantize_model, train_student)
+from codemix.distill import (DistillConfig, KDKind, quantize_model,
+                             train_student)
 from codemix.numerics import make_rng
 from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from codemix.text import (SynthTaskSpec, gen_clean_corpus,

@@ -37,10 +37,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_lines(spec: str) -> list[str]:
-    if spec == "-":
-        return [ln.rstrip("\n") for ln in sys.stdin if ln.strip()]
-    return [ln for ln in read_utf8(spec).splitlines() if ln.strip()]
+def _read_lines(spec: str, keep_blank: bool = False) -> list[str]:
+    """The lines of a file, or of stdin for "-"; blank lines are skipped
+    unless `keep_blank`."""
+    text = sys.stdin.read() if spec == "-" else read_utf8(spec)
+    return [ln for ln in text.splitlines() if keep_blank or ln.strip()]
 
 
 def _write_lines(spec: str, lines: list[str]) -> None:
@@ -196,8 +197,10 @@ def _cmd_translit(args) -> int:
 
 
 def _cmd_eval_bleu(args) -> int:
-    cands = _read_lines(args.candidates)
-    refs = _read_lines(args.references)
+    # One candidate or reference per line, blank lines included: an empty
+    # translation is written as an empty line.
+    cands = _read_lines(args.candidates, keep_blank=True)
+    refs = _read_lines(args.references, keep_blank=True)
     report = bleu_corpus(cands, refs)
     print(f"BLEU = {report.bleu:.2f}")
     print(f"precisions = {['%.4f' % p for p in report.precisions]}")

@@ -4,8 +4,9 @@ plus int8 weight quantization and single-threaded latency benchmarking.
 The teacher is frozen: it pseudo-labels a pool of unlabeled sources once
 (beam search), and per student step its teacher-forced output distribution
 over a pseudo-labeled batch is matched by the student under the CE or JS
-loss. The student trains in the shared loop `train.fit`, which takes the KD
-loss through its `extra_loss` hook and minimizes
+loss, both computed by `kd_loss`. The student trains in the shared loop
+`train.fit`, which takes the KD loss through its `extra_loss` hook and
+minimizes
     (1 - lambda) * (loss_s + loss_d) + lambda * loss_kd
 with lambda = 0.5 by default.
 """
@@ -21,7 +22,8 @@ import numpy as np
 
 from .augment import AugKind, LossWeights
 from .errors import DataError
-from .numerics import Tensor, exp, log_softmax, mul, no_grad, tsum, xlogy
+from .numerics import Tensor, exp, log_softmax, mul, no_grad, tsum
+from .numerics.tensor import _make
 from .quant import QuantizedSeq2Seq, quantize_model  # noqa: F401 (re-export)
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
@@ -62,46 +64,18 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
     return out, skipped
 
 
-def _as_prob_tensor(p) -> Tensor:
-    t = p if isinstance(p, Tensor) else Tensor(np.asarray(p))
-    if t.data.ndim < 1:
-        raise DataError("probability input must have at least one axis")
-    return t
-
-
-def _check_shapes(t: Tensor, s: Tensor) -> None:
-    if t.shape != s.shape:
-        raise DataError(f"teacher/student distribution shapes differ: "
-                        f"{t.shape} vs {s.shape}")
-
-
-def kd_loss_ce(teacher_probs, student_probs) -> Tensor:
-    """Mean over positions of -sum_k T[k] * log S[k].
-
-    Rows index positions, the last axis the vocabulary. Entries with
-    T[k] == 0 contribute exactly zero.
-    """
-    tp, sp = _as_prob_tensor(teacher_probs), _as_prob_tensor(student_probs)
-    _check_shapes(tp, sp)
-    n_rows = max(1, int(np.prod(tp.shape[:-1])))
-    total = tsum(xlogy(tp.detach(), sp))
-    return mul(total, -1.0 / n_rows)
-
-
 def _xlogy_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     nz = x != 0
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(nz, x * np.log(np.where(nz, y, 1.0)), 0.0)
 
 
-def _js_node(t_probs: np.ndarray, s_probs, scale: float) -> Tensor:
+def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
     """Fused JS tape node: D_KL(T||m) + D_KL(S||m) summed and scaled, with
     gradient d/dS = scale * log(S / m). The single-expression backward makes
     the gradient exactly zero wherever S equals T bitwise, so an
     already-converged student is a true fixed point under Adam."""
-    from .numerics.tensor import _make
-    sp = s_probs if isinstance(s_probs, Tensor) else Tensor(s_probs)
-    s = sp.data
+    s = s_probs.data
     m = 0.5 * (t_probs + s)
     # Summing each KL term separately keeps the value exactly symmetric
     # in (T, S): scalar addition commutes where element-wise mixing of the
@@ -111,27 +85,38 @@ def _js_node(t_probs: np.ndarray, s_probs, scale: float) -> Tensor:
     value = (kl_t + kl_s) * scale
 
     def backward(g):
-        if sp.requires_grad:
+        if s_probs.requires_grad:
             nz = (s > 0) & (m > 0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(nz, np.log(np.where(nz, s / m, 1.0)), 0.0)
-            sp.accumulate_grad(g * scale * ratio)
+            s_probs.accumulate_grad(g * scale * ratio)
 
-    return _make(np.asarray(value), (sp,), backward)
+    return _make(np.asarray(value), (s_probs,), backward)
 
 
-def kd_loss_js(teacher_probs, student_probs) -> Tensor:
-    """Jensen-Shannon loss: D_KL(T || m) + D_KL(S || m), m = (T + S) / 2.
+def kd_loss(kind: KDKind, teacher_probs: np.ndarray, student_logp: Tensor,
+            mask: np.ndarray) -> Tensor:
+    """The KD loss between teacher probabilities T (a constant array) and
+    student log-probabilities log S (a tape tensor), mean over the
+    positions where `mask` (shape T.shape[:-1]) is 1.
 
-    Natural log, mean over positions. Symmetric, bounded by 2 ln 2, zero
-    iff T == S. 0 * log(0 / x) is treated as 0; the gradient with respect
-    to the student is log(S/m) (zero at exact zeros), and no gradient
-    flows to the teacher.
+    Masked positions are zero rows in both distributions and contribute
+    nothing under the 0 * log 0 = 0 convention.
+    CE: -sum_k T[k] * log S[k]; log S stays finite, so underflowed student
+    probabilities cannot poison the loss.
+    JS: D_KL(T || m) + D_KL(S || m) with m = (T + S) / 2 and S = exp(log S);
+    symmetric, bounded by 2 ln 2, zero iff T == S, and its gradient with
+    respect to S is log(S / m) (zero at exact zeros).
     """
-    tp, sp = _as_prob_tensor(teacher_probs), _as_prob_tensor(student_probs)
-    _check_shapes(tp, sp)
-    n_rows = max(1, int(np.prod(tp.shape[:-1])))
-    return _js_node(tp.data, sp, 1.0 / n_rows)
+    if teacher_probs.shape != student_logp.shape:
+        raise DataError(f"teacher/student distribution shapes differ: "
+                        f"{teacher_probs.shape} vs {student_logp.shape}")
+    n_pos = max(1, int(mask.sum()))
+    t_masked = teacher_probs * mask[..., None]
+    if kind is KDKind.CE:
+        return mul(tsum(mul(Tensor(t_masked), student_logp)), -1.0 / n_pos)
+    mask32 = Tensor(mask[..., None].astype(np.float32))
+    return _js_node(t_masked, mul(exp(student_logp), mask32), 1.0 / n_pos)
 
 
 @dataclass
@@ -167,12 +152,9 @@ class DistillReport:
 def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
                    batch: dict[str, np.ndarray], kd_kind: KDKind,
                    train_rng) -> Tensor:
-    """Teacher-forced distribution matching on a pseudo-labeled batch.
-
-    Both models run on the same inputs; the teacher's distribution is a
-    constant (no gradient flows into it). PAD positions are excluded by
-    masking both distributions to zero rows, which contribute nothing
-    under the 0*log0 convention; the mean divides by real positions only.
+    """`kd_loss` on a pseudo-labeled batch: both models run teacher-forced
+    on the same inputs, the teacher without a tape (its probabilities are a
+    constant), and the mean runs over the batch's real (non-PAD) positions.
     """
     with no_grad():
         t_logits, _ = teacher.forward(batch["src"], batch["dec_in"])
@@ -182,18 +164,8 @@ def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
         t_probs = np.exp(log_softmax(t_logits, axis=-1).data)
     s_logits, _ = student.forward(batch["src"], batch["dec_in"], train=True,
                                   rng=train_rng)
-    mask = batch["label_mask"]           # (B, T), 1.0 on real positions
-    n_pos = max(1, int(mask.sum()))
-    t_masked = t_probs * mask[..., None]
-    s_logp = log_softmax(s_logits, axis=-1)
-    if kd_kind is KDKind.CE:
-        # -sum T * logS with the teacher constant; logS stays finite, so
-        # underflowed student probabilities cannot poison the loss.
-        total = tsum(mul(Tensor(t_masked), s_logp))
-        return mul(total, -1.0 / n_pos)
-    # JS: work with S = exp(logS) (stable); mask rows symmetrically.
-    s_probs = mul(exp(s_logp), Tensor(mask[..., None].astype(np.float32)))
-    return _js_node(t_masked, s_probs, 1.0 / n_pos)
+    return kd_loss(kd_kind, t_probs, log_softmax(s_logits, axis=-1),
+                   batch["label_mask"])
 
 
 def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,

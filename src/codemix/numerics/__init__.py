@@ -7,9 +7,9 @@ import numpy as np
 from .gradcheck import finite_diff_grad_check
 from .optim import AdamWState, adamw_step, step_tensors
 from .tensor import (Tensor, add, as_tensor, dropout, exp, gather_rows,
-                     gelu, grad_enabled, layer_norm, linear, log, log_softmax, matmul,
-                     mul, no_grad, relu, reshape, softmax, take_along_last,
-                     tmean, transpose, tsum, xlogy)
+                     gelu, grad_enabled, layer_norm, linear, log_softmax,
+                     matmul, mul, no_grad, reshape, softmax, take_along_last,
+                     transpose, tsum)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -21,7 +21,7 @@ def make_rng(seed: int) -> np.random.Generator:
 __all__ = [
     "AdamWState", "Tensor", "adamw_step", "add",
     "as_tensor", "dropout", "exp", "finite_diff_grad_check", "gather_rows",
-    "gelu", "grad_enabled", "layer_norm", "linear", "log", "log_softmax", "make_rng", "matmul",
-    "mul", "no_grad", "relu", "reshape", "softmax",
-    "step_tensors", "take_along_last", "tmean", "transpose", "tsum", "xlogy",
+    "gelu", "grad_enabled", "layer_norm", "linear", "log_softmax", "make_rng",
+    "matmul", "mul", "no_grad", "reshape", "softmax", "step_tensors",
+    "take_along_last", "transpose", "tsum",
 ]

@@ -73,9 +73,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -113,36 +110,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar. Scalars and ndarrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        raise TypeError("tensor/tensor division is not a tape primitive")
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return (f"Tensor(shape={self.shape}, dtype={self.data.dtype}, "
@@ -288,15 +255,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -304,28 +262,6 @@ def exp(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g * out)
-
-    return _make(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return _make(out, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0))
 
     return _make(out, (a,), backward)
 
@@ -382,26 +318,6 @@ def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, backward)
-
-
-def xlogy(x, y) -> Tensor:
-    """x * log(y) with the convention that entries where x == 0 contribute 0
-    to both the value and the gradients (subgradient at the boundary)."""
-    x, y = as_tensor(x), as_tensor(y)
-    nz = x.data != 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logy = np.where(nz, np.log(np.where(nz, y.data, 1.0)), 0.0)
-    out = x.data * logy
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(g * logy, x.data.shape))
-        if y.requires_grad:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(nz, x.data / np.where(nz, y.data, 1.0), 0.0)
-            y.accumulate_grad(_unbroadcast(g * ratio, y.data.shape))
-
-    return _make(out, (x, y), backward)
 
 
 def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:

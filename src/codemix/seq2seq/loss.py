@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from ..numerics import Tensor, log_softmax, mul, take_along_last, tsum
+from ..numerics import Tensor, add, log_softmax, mul, take_along_last, tsum
 from ..text import PAD
 
 
@@ -33,6 +33,7 @@ def label_smoothed_ce(logits: Tensor, target_ids, epsilon: float = 0.1,
     gold = take_along_last(logp, targets)
     per_pos = mul(gold, -(1.0 - epsilon))
     if epsilon > 0.0:
-        per_pos = per_pos + mul(tsum(logp, axis=-1), -(epsilon / vocab_size))
+        per_pos = add(per_pos, mul(tsum(logp, axis=-1),
+                                   -(epsilon / vocab_size)))
     masked = mul(per_pos, keep)
     return mul(tsum(masked), 1.0 / n_valid)

@@ -22,6 +22,7 @@ import numpy as np
 from .augment import AugKind, LossWeights, combined_loss, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
 from .numerics import AdamWState, Tensor, add, no_grad, step_tensors
+from .quant import QuantizedSeq2Seq
 from .seq2seq import Seq2SeqModel, label_smoothed_ce, make_batch, pad_batch
 from .text import Corpus, Provenance
 
@@ -197,8 +198,12 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
     truthy value stops training early. Divergence (non-finite loss) rolls the
     model back to the last epoch-end snapshot and raises
-    TrainingDivergedError.
+    TrainingDivergedError. An int8 model (`QuantizedSeq2Seq`) is inference
+    only and raises DataError.
     """
+    if isinstance(model, QuantizedSeq2Seq):
+        raise DataError("cannot train an int8-quantized model; train the "
+                        "float32 model and quantize it afterwards")
     if not corpus:
         raise DataError("cannot train on an empty corpus")
     vocab = model.config.vocab

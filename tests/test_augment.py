@@ -1,7 +1,5 @@
-import math
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from codemix.augment import (AugKind, LossWeights, aug_autoencoder,

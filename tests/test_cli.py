@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from codemix.bleu import bleu_corpus
 from codemix.cli import main
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.quant import quantize_model
@@ -173,6 +174,19 @@ class TestEvalBleu:
         rec = json.loads(read(rep).splitlines()[0])
         assert rec["bleu"] == 100.0
 
+    def test_blank_line_is_an_empty_candidate(self, tmp_path):
+        cands = ["a b c d", "", "e f g h"]
+        refs = ["a b c d", "p q", "e f g h"]
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("".join(ln + "\n" for ln in cands), encoding="utf-8")
+        b.write_text("".join(ln + "\n" for ln in refs), encoding="utf-8")
+        rep = tmp_path / "rep.jsonl"
+        assert run(["eval-bleu", "--candidates", str(a), "--references",
+                    str(b), "--report", str(rep)]) == 0
+        rec = json.loads(read(rep).splitlines()[0])
+        assert rec == bleu_corpus(cands, refs).records()[0]
+        assert (rec["candidate_len"], rec["reference_len"]) == (8, 10)
+
     def test_count_mismatch_is_data_error(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -264,6 +278,18 @@ class TestTrainCli:
                   "--out", str(tmp_path / "ck"), "--config", str(cfg),
                   "--stage", "stage1"])
         assert rc == 2
+
+    def test_int8_init_is_exit_two(self, corpus_dir, checkpoint_dir,
+                                   tmp_path, capsys):
+        ck = tmp_path / "int8"
+        save_checkpoint(quantize_model(load_checkpoint(checkpoint_dir)), ck)
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--stage", "stage1", "--init-from", str(ck),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "int8" in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_stage1_requires_train_tsv(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "ck"),

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
-                             bench_latency, generate_pseudo_labels,
-                             kd_loss_ce, kd_loss_js, quantize_model,
-                             train_student)
+                             bench_latency, generate_pseudo_labels, kd_loss,
+                             quantize_model, train_student)
 from codemix.errors import DataError, TrainingDivergedError
-from codemix.numerics import (Tensor, finite_diff_grad_check, make_rng,
-                              softmax, tsum, mul)
+from codemix.numerics import (Tensor, finite_diff_grad_check, log_softmax,
+                              make_rng)
 from codemix.quant import QuantizedSeq2Seq, dequantize, quantize_int8
 from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
-                          gen_clean_corpus, gen_synthetic_corpus,
-                          synthetic_vocab)
+                          gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
 
 from oracles import js_reference, reference_train_student
@@ -24,14 +22,24 @@ def random_dists(n, k, seed):
     return x
 
 
+def ce(t, s_logp):
+    return kd_loss(KDKind.CE, t, Tensor(s_logp), np.ones(t.shape[:-1])).item()
+
+
+def js(t, s):
+    """JS loss of student probabilities s, passed as log-probabilities."""
+    return kd_loss(KDKind.JS, t, Tensor(np.log(s)),
+                   np.ones(t.shape[:-1])).item()
+
+
 class TestKdLossCe:
     def test_uniform_pair_gives_log_vocab(self):
         u = np.full((3, 8), 1 / 8)
-        assert kd_loss_ce(u, u).item() == pytest.approx(np.log(8), abs=1e-7)
+        assert ce(u, np.log(u)) == pytest.approx(np.log(8), abs=1e-7)
 
     def test_self_ce_is_entropy(self):
         t = random_dists(5, 7, seed=1)
-        got = kd_loss_ce(t, t).item()
+        got = ce(t, np.log(t))
         entropy = -np.mean((t * np.log(t)).sum(axis=-1))
         assert got == pytest.approx(entropy, abs=1e-7)
         assert got >= 0
@@ -39,59 +47,61 @@ class TestKdLossCe:
     def test_one_hot_teacher(self):
         t = np.array([[0.0, 1.0, 0.0]])
         s = np.array([[0.25, 0.6, 0.15]])
-        assert kd_loss_ce(t, s).item() == pytest.approx(-np.log(0.6), abs=1e-7)
+        assert ce(t, np.log(s)) == pytest.approx(-np.log(0.6), abs=1e-7)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
-            kd_loss_ce(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
+            ce(np.ones((2, 3)) / 3, np.log(np.ones((2, 4)) / 4))
 
 
 class TestKdLossJs:
     def test_equal_distributions_zero(self):
         t = random_dists(4, 9, seed=2)
-        assert abs(kd_loss_js(t, t).item()) < 1e-12
+        assert abs(js(t, t)) < 1e-12
 
     def test_disjoint_extreme_is_two_ln_two(self):
         t = np.array([[1.0, 0.0]])
-        s = np.array([[0.0, 1.0]])
-        assert kd_loss_js(t, s).item() == pytest.approx(2 * np.log(2),
-                                                        abs=1e-9)
+        # exp(-1000) underflows to exactly 0 in float64
+        got = kd_loss(KDKind.JS, t, Tensor(np.array([[-1000.0, 0.0]])),
+                      np.ones(1)).item()
+        assert got == pytest.approx(2 * np.log(2), abs=1e-9)
 
     def test_symmetry_exact(self):
-        t = random_dists(6, 5, seed=3)
-        s = random_dists(6, 5, seed=4)
-        assert kd_loss_js(t, s).item() == kd_loss_js(s, t).item()
+        lt = np.log(random_dists(6, 5, seed=3))
+        ls = np.log(random_dists(6, 5, seed=4))
+        ones = np.ones(6)
+        assert kd_loss(KDKind.JS, np.exp(lt), Tensor(ls), ones).item() == \
+            kd_loss(KDKind.JS, np.exp(ls), Tensor(lt), ones).item()
 
     def test_bounds_on_1000_random_pairs(self):
         t = random_dists(1000, 11, seed=5)
         s = random_dists(1000, 11, seed=6)
         for i in range(0, 1000, 50):
-            v = kd_loss_js(t[i:i + 50], s[i:i + 50]).item()
+            v = js(t[i:i + 50], s[i:i + 50])
             assert 0.0 <= v <= JS_UPPER_BOUND + 1e-12
-        per_pair = [kd_loss_js(t[i:i + 1], s[i:i + 1]).item()
-                    for i in range(200)]
+        per_pair = [js(t[i:i + 1], s[i:i + 1]) for i in range(200)]
         assert all(0.0 <= v <= JS_UPPER_BOUND + 1e-12 for v in per_pair)
 
     def test_zero_iff_equal(self):
         t = random_dists(1, 6, seed=7)
         s = t.copy()
-        assert kd_loss_js(t, s).item() < 1e-12
+        assert js(t, s) < 1e-12
         s2 = random_dists(1, 6, seed=8)
         if not np.allclose(t, s2, atol=1e-9):
-            assert kd_loss_js(t, s2).item() > 1e-9
+            assert js(t, s2) > 1e-9
 
     def test_matches_plain_loop_reference(self):
         t = random_dists(7, 6, seed=9)
         s = random_dists(7, 6, seed=10)
-        assert kd_loss_js(t, s).item() == pytest.approx(js_reference(t, s),
-                                                        abs=1e-10)
+        assert js(t, s) == pytest.approx(js_reference(t, s), abs=1e-10)
 
     def test_gradient_wrt_student_logits(self):
-        # teacher constant, student probs via softmax on the tape
+        # teacher constant, student log-probs via log_softmax on the tape
         t = random_dists(3, 5, seed=11)
 
         def loss_fn(params):
-            return kd_loss_js(t, softmax(params["logits"], axis=-1))
+            return kd_loss(KDKind.JS, t,
+                           log_softmax(params["logits"], axis=-1), np.ones(3))
 
         params = {"logits": Tensor(make_rng(12).standard_normal((3, 5)),
                                    requires_grad=True)}
@@ -99,14 +109,14 @@ class TestKdLossJs:
                                      max_coords_per_tensor=10)
         assert err < 1e-4
 
-    def test_no_gradient_to_teacher(self):
-        t_par = Tensor(random_dists(2, 4, seed=13), requires_grad=True)
-        s_par = Tensor(make_rng(14).standard_normal((2, 4)),
-                       requires_grad=True)
-        loss = kd_loss_js(t_par, softmax(s_par, axis=-1))
-        loss.backward()
-        assert t_par.grad is None
-        assert s_par.grad is not None
+
+@pytest.mark.parametrize("kind", [KDKind.CE, KDKind.JS], ids=["ce", "js"])
+def test_masked_rows_do_not_count(kind):
+    t = random_dists(4, 6, seed=15)
+    s_logp = np.log(random_dists(4, 6, seed=16))
+    masked = kd_loss(kind, t, Tensor(s_logp), np.array([1.0, 0.0, 1.0, 0.0]))
+    alone = kd_loss(kind, t[[0, 2]], Tensor(s_logp[[0, 2]]), np.ones(2))
+    assert masked.item() == pytest.approx(alone.item(), rel=1e-12, abs=0)
 
 
 SPEC = SynthTaskSpec(lexicon_size=12, code_mix_ratio=0.2,

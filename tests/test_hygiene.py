@@ -1,8 +1,8 @@
 """Source hygiene checks over the codemix package, stdlib only.
 
-Every imported name in src/codemix must be used in its module, listed in
-the module's __all__, or marked as a re-export with `# noqa: F401` on the
-import statement.
+Every imported name in src/codemix, tests/ and scripts_calib/ must be used
+in its module, listed in the module's __all__, or marked as a re-export
+with `# noqa: F401` on the import statement.
 
 No module in src/codemix reads a file with `.read_text(` or with `open(`
 in a read mode: `text.read_utf8` is the one text reader, so every bad
@@ -14,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "codemix"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "codemix"
 MODULES = sorted(SRC.rglob("*.py"))
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "scripts_calib").glob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -122,8 +125,12 @@ class TestUnusedImports:
 
     def test_modules_found(self):
         assert SRC / "train.py" in MODULES
+        assert ROOT / "tests" / "oracles.py" in SCRIPTS
+        assert ROOT / "scripts_calib" / "calib9.py" in SCRIPTS
 
-    @pytest.mark.parametrize("path", MODULES,
-                             ids=[str(p.relative_to(SRC)) for p in MODULES])
+    @pytest.mark.parametrize(
+        "path", MODULES + SCRIPTS,
+        ids=[str(p.relative_to(SRC)) for p in MODULES]
+        + [str(p.relative_to(ROOT)) for p in SCRIPTS])
     def test_no_unused_imports(self, path):
         assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -8,7 +8,7 @@ from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
                             detect_query_language, eval_prf, extract_features,
                             gen_langid_corpus, load_crf, load_token_labels,
                             query_gold_language, save_crf, save_token_labels,
-                            train_crf, viterbi, LABELS, LABEL_INDEX, N_LABELS)
+                            train_crf, viterbi, LABEL_INDEX, N_LABELS)
 from codemix.numerics import make_rng
 
 from oracles import crf_enumerate, reference_crf_nll_grad

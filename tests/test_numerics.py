@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from codemix.errors import CodemixError, NonFiniteError, ShapeError
-from codemix.numerics import (AdamWState, Tensor, adamw_step, add, as_tensor,
-                              dropout, exp, finite_diff_grad_check,
-                              gather_rows, gelu, layer_norm, linear, log,
-                              log_softmax, make_rng, matmul, mul, no_grad,
-                              relu, reshape, softmax, take_along_last, tmean,
-                              transpose, tsum, xlogy)
+from codemix.numerics import (AdamWState, Tensor, adamw_step, add, dropout,
+                              exp, finite_diff_grad_check, gather_rows, gelu,
+                              layer_norm, linear, log_softmax, make_rng,
+                              matmul, mul, no_grad, reshape, softmax,
+                              take_along_last, transpose, tsum)
 
 
 def rnd(shape, seed=0, scale=1.0):
@@ -101,10 +100,8 @@ class TestPrimitiveGradients:
                         {"a": (3, 4)}),
         "layer_norm": (lambda p, c: tsum(mul(layer_norm(p["a"], p["g"], p["bias4"]), c["m"])),
                        {"a": (3, 4), "g": (4,), "bias4": (4,)}),
-        "relu": (lambda p, c: tsum(mul(relu(p["a"]), c["m"])), {"a": (3, 4)}),
         "gelu": (lambda p, c: tsum(mul(gelu(p["a"]), c["m"])), {"a": (3, 4)}),
         "exp": (lambda p, c: tsum(exp(p["a"])), {"a": (3, 4)}),
-        "log_sum": (lambda p, c: tsum(log(exp(p["a"]))), {"a": (3, 4)}),
         "gather": (lambda p, c: tsum(mul(gather_rows(p["tab"], c["idx"]), c["g"])),
                    {"tab": (5, 4)}),
         "take_along": (lambda p, c: tsum(take_along_last(p["a"], c["pick"])),
@@ -113,9 +110,6 @@ class TestPrimitiveGradients:
                       {"a": (3, 4)}),
         "reshape": (lambda p, c: tsum(mul(reshape(p["a"], (12,)), c["flat"])),
                     {"a": (3, 4)}),
-        "mean": (lambda p, c: tmean(mul(p["a"], p["a"])), {"a": (3, 4)}),
-        "xlogy": (lambda p, c: tsum(xlogy(p["a"], exp(p["b"]))),
-                  {"a": (3, 4), "b": (3, 4)}),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,11 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codemix.errors import DataError
 from codemix.text import (BOS, EOS, MASK, PAD, UNK, UNK_TOKEN, ParallelExample,
-                          Provenance, SynthTaskSpec, Vocab, build_lexicon,
+                          Provenance, SynthTaskSpec, build_lexicon,
                           build_vocab, decode, drop_interior_char, encode,
                           gen_clean_corpus, gen_synthetic_corpus,
                           load_parallel_tsv, save_parallel_tsv,

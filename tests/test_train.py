@@ -7,10 +7,10 @@ from codemix.errors import (CheckpointError, DataError, ShapeError,
                             TrainingDivergedError)
 from codemix.numerics import make_rng
 from codemix.quant import quantize_model
-from codemix.seq2seq import Seq2SeqConfig, init_model
-from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
-                          gen_clean_corpus, gen_synthetic_corpus,
-                          synthetic_vocab)
+from codemix.seq2seq import (Seq2SeqConfig, beam_search, encode_source,
+                             init_model)
+from codemix.text import (SynthTaskSpec, gen_clean_corpus,
+                          gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import (StageConfig, TrainingConfig, config_from_items,
                            evaluate_loss, fit, train_stage1, train_stage2)
 
@@ -156,6 +156,16 @@ class TestStage2:
         assert [e.val_loss for e in ra.epochs] == [e.val_loss for e in rb.epochs]
 
 
+class TestInt8Training:
+    def test_fit_rejects_int8_model(self):
+        model = quantize_model(small_setup(seed=16))
+        corpus, _ = gen_synthetic_corpus(SPEC, 16)
+        with pytest.raises(DataError, match="int8"):
+            fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
+                lam=0.5, label_smoothing=0.1, weight_decay=0.0,
+                rngs=make_rng(0).spawn(3))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model = small_setup(seed=12)
@@ -166,6 +176,22 @@ class TestCheckpoint:
         save_checkpoint(loaded, tmp_path / "ck2")
         assert (tmp_path / "ck" / "weights.bin").read_bytes() == \
                (tmp_path / "ck2" / "weights.bin").read_bytes()
+
+    def test_int8_round_trip_byte_identical(self, tmp_path):
+        model = quantize_model(small_setup(seed=12))
+        save_checkpoint(model, tmp_path / "ck")
+        loaded = load_checkpoint(tmp_path / "ck")
+        save_checkpoint(loaded, tmp_path / "ck2")
+        for f in ("weights.bin", "manifest.tsv", "config.txt"):
+            assert (tmp_path / "ck" / f).read_bytes() == \
+                   (tmp_path / "ck2" / f).read_bytes(), f
+        corpus, _ = gen_synthetic_corpus(SPEC, 8)
+        for ex in corpus:
+            src = encode_source(ex.source, model.config.vocab)
+            got = beam_search(loaded, src, beam=3, max_len=12)
+            want = beam_search(model, src, beam=3, max_len=12)
+            assert (got.ids, got.finished, got.score) == \
+                   (want.ids, want.finished, want.score)
 
     def test_truncated_blob_detected(self, tmp_path):
         model = small_setup(seed=13)
