@@ -14,11 +14,12 @@ clamps to [-127, 127]) and bytes after the last tensor.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, DataError, ShapeError
 from .numerics import Tensor
 from .quant import QuantizedSeq2Seq, QuantizedTensor
 from .seq2seq.model import Seq2SeqConfig, Seq2SeqModel, _param_shapes
@@ -128,19 +129,13 @@ def load_checkpoint(path):
     tokens = read_utf8(path / "vocab.txt").split("\n")[:-1]
     vocab = Vocab(tokens, mode=kv.get("vocab_mode", "word"))
     try:
-        cfg = Seq2SeqConfig(
-            vocab=vocab,
-            n_enc_layers=int(kv["n_enc_layers"]),
-            n_dec_layers=int(kv["n_dec_layers"]),
-            d_model=int(kv["d_model"]),
-            n_heads=int(kv["n_heads"]),
-            d_ff=int(kv["d_ff"]),
-            max_len=int(kv["max_len"]),
-            dropout_prob=float(kv["dropout_prob"]),
-            init_std=float(kv["init_std"]),
-        )
+        cfg = Seq2SeqConfig(vocab=vocab, **{
+            f.name: (int if f.type == "int" else float)(kv[f.name])
+            for f in fields(Seq2SeqConfig) if f.name != "vocab"})
     except KeyError as e:
         raise CheckpointError(f"{path}: config.txt missing key {e}") from None
+    except (ValueError, DataError) as e:
+        raise CheckpointError(f"{path}: bad config.txt: {e}") from None
 
     expected = {name: shape for name, shape, _ in _param_shapes(cfg)}
     blob = (path / "weights.bin").read_bytes()

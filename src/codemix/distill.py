@@ -91,7 +91,7 @@ def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
                 ratio = np.where(nz, np.log(np.where(nz, s / m, 1.0)), 0.0)
             s_probs.accumulate_grad(g * scale * ratio)
 
-    return _make(np.asarray(value), (s_probs,), backward)
+    return _make(np.asarray(value), (s_probs,), backward, "js divergence")
 
 
 def kd_loss(kind: KDKind, teacher_probs: np.ndarray, student_logp: Tensor,

@@ -331,7 +331,7 @@ def _stack(tensors: list[Tensor]) -> Tensor:
             if t.requires_grad:
                 t.accumulate_grad(g[i])
 
-    return _make(data, tuple(tensors), backward)
+    return _make(data, tuple(tensors), backward, "stack")
 
 
 def baseline_avg_embedding_classifier(

@@ -38,7 +38,8 @@ def grad_enabled() -> bool:
 
 
 def _assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    # .all() without ndarray.all's Python wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -47,11 +48,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None,
+                 what: str = "tensor data"):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        _assert_finite(arr, "tensor data")
+        _assert_finite(arr, what)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -117,14 +119,13 @@ class Tensor:
 
 
 def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data)
+          backward: Callable[[np.ndarray], None], op: str) -> Tensor:
+    """The output of tape op `op`; a NaN or Inf in it names the op."""
+    out = Tensor(data, what=f"{op} output")
     parents = tuple(p for p in parents if isinstance(p, Tensor))
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -159,7 +160,7 @@ def add(a, b) -> Tensor:
             if a.requires_grad:
                 a.accumulate_grad(g)
 
-        return _make(out, (a,), backward_scalar)
+        return _make(out, (a,), backward_scalar, "add")
 
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
@@ -170,7 +171,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.data.shape))
 
-    return _make(out, (a, b), backward)
+    return _make(out, (a, b), backward, "add")
 
 
 def mul(a, b) -> Tensor:
@@ -185,7 +186,7 @@ def mul(a, b) -> Tensor:
             if a.requires_grad:
                 a.accumulate_grad(g * scalar)
 
-        return _make(out, (a,), backward_scalar)
+        return _make(out, (a,), backward_scalar, "mul")
 
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -196,7 +197,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
 
-    return _make(out, (a, b), backward)
+    return _make(out, (a, b), backward, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -211,7 +212,7 @@ def matmul(a, b) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g
             b.accumulate_grad(_unbroadcast(gb, b.data.shape))
 
-    return _make(out, (a, b), backward)
+    return _make(out, (a, b), backward, "matmul")
 
 
 def reshape(a, shape) -> Tensor:
@@ -222,7 +223,7 @@ def reshape(a, shape) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.data.shape))
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "reshape")
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -235,7 +236,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.transpose(inv))
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "transpose")
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -245,14 +246,11 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "tsum")
 
 
 def exp(a) -> Tensor:
@@ -263,7 +261,7 @@ def exp(a) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * out)
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "exp")
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -289,7 +287,7 @@ def gelu(a) -> Tensor:
             d_inner = _GELU_C * (1.0 + 0.134145 * x2)
             a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "gelu")
 
 
 def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
@@ -317,7 +315,7 @@ def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
             b.accumulate_grad(g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, backward)
+    return _make(out, parents, backward, "linear")
 
 
 def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -336,7 +334,7 @@ def softmax(logits, axis: int = -1) -> Tensor:
             dot = (out * g).sum(axis=axis, keepdims=True)
             a.accumulate_grad(out * (g - dot))
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "softmax")
 
 
 def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -355,7 +353,7 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
             p = np.exp(out)
             a.accumulate_grad(g - p * g.sum(axis=axis, keepdims=True))
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "log_softmax")
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -363,8 +361,11 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer normalization of a plain array over its last axis:
     (output, normalized input, 1 / sigma); the last two feed the gradient."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    # add.reduce / n: .mean() bit for bit, without its Python wrapper
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+                        + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
@@ -375,11 +376,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward(g):
+        red = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            red = tuple(range(g.ndim - 1))
             gain.accumulate_grad((g * xhat).sum(axis=red))
         if bias.requires_grad:
-            red = tuple(range(g.ndim - 1))
             bias.accumulate_grad(g.sum(axis=red))
         if x.requires_grad:
             gh = g * gain.data
@@ -387,7 +387,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
             x.accumulate_grad((gh - m1 - xhat * m2) * inv)
 
-    return _make(out, (x, gain, bias), backward)
+    return _make(out, (x, gain, bias), backward, "layer_norm")
 
 
 def gather_rows(table, idx) -> Tensor:
@@ -403,7 +403,7 @@ def gather_rows(table, idx) -> Tensor:
             np.add.at(gt, idx, g)
             table.accumulate_grad(gt)
 
-    return _make(out, (table,), backward)
+    return _make(out, (table,), backward, "gather_rows")
 
 
 def take_along_last(a, idx) -> Tensor:
@@ -419,7 +419,7 @@ def take_along_last(a, idx) -> Tensor:
             np.add.at(flat, (np.arange(flat.shape[0]), idx.ravel()), g.ravel())
             a.accumulate_grad(ga)
 
-    return _make(out, (a,), backward)
+    return _make(out, (a,), backward, "take_along_last")
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:

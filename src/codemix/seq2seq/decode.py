@@ -12,7 +12,8 @@ key/value row per step; after each step the cache is reordered by beam
 parent. `beam_search_batch` steps the live hypotheses of all its queries
 together as one batch of rows. A row's log-probabilities do not depend on
 which other rows share the step, so a batch returns, bit for bit, what
-each query returns alone.
+each query returns alone. Rows run in the model's dtype: a float32 or
+int8 model decodes in float32, a float64 model in float64.
 
 A hypothesis that emits EOS moves from the active to the finished set. A
 query stops when no active hypothesis is left, or when its best finished

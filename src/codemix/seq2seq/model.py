@@ -12,14 +12,15 @@ on. Pre-norm residual blocks are used for stable from-scratch training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import DataError, ShapeError
 from ..numerics import (Tensor, add, dropout, gather_rows, gelu,
-                        layer_norm, linear, matmul, mul, reshape, softmax,
-                        transpose)
+                        grad_enabled, layer_norm, linear, matmul, mul,
+                        reshape, softmax, transpose)
 from ..numerics.tensor import (_assert_finite, gelu_forward,
                                layer_norm_forward, log_softmax_forward,
                                softmax_forward)
@@ -41,6 +42,15 @@ class Seq2SeqConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
+        for f in fields(self):  # every int field is a size
+            size = getattr(self, f.name)
+            if f.type == "int" and not (isinstance(size, (int, np.integer))
+                                        and size >= 1):
+                raise DataError(f"{f.name} must be an integer >= 1, "
+                                f"got {size!r}")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise DataError(f"dropout_prob must be in [0, 1), "
+                            f"got {self.dropout_prob!r}")
         if self.d_model % self.n_heads != 0:
             raise DataError(f"d_model {self.d_model} not divisible by "
                             f"n_heads {self.n_heads}")
@@ -50,17 +60,10 @@ class Seq2SeqConfig:
         return self.d_model // self.n_heads
 
     def scalar_items(self) -> dict[str, object]:
-        return {
-            "n_enc_layers": self.n_enc_layers,
-            "n_dec_layers": self.n_dec_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout_prob": self.dropout_prob,
-            "init_std": self.init_std,
-            "vocab_mode": self.vocab.mode,
-        }
+        """Every field but the vocabulary, in field order, then its mode."""
+        items = {f.name: getattr(self, f.name) for f in fields(self)
+                 if f.name != "vocab"}
+        return {**items, "vocab_mode": self.vocab.mode}
 
 
 @dataclass
@@ -82,14 +85,12 @@ def _param_shapes(cfg: Seq2SeqConfig) -> list[tuple[str, tuple[int, ...], str]]:
     ]
 
     def attn(prefix: str):
-        for nm in ("wq", "wk", "wv", "wo"):
-            out.append((f"{prefix}.{nm}", (d, d), "weight"))
-        for nm in ("bq", "bk", "bv", "bo"):
-            out.append((f"{prefix}.{nm}", (d,), "bias"))
+        out.extend((f"{prefix}.w{n}", (d, d), "weight") for n in "qkvo")
+        out.extend((f"{prefix}.b{n}", (d,), "bias") for n in "qkvo")
 
     def ln(prefix: str):
-        out.append((f"{prefix}.g", (d,), "ln_gain"))
-        out.append((f"{prefix}.b", (d,), "ln_bias"))
+        out.extend([(f"{prefix}.g", (d,), "ln_gain"),
+                    (f"{prefix}.b", (d,), "ln_bias")])
 
     def ffn(prefix: str):
         out.append((f"{prefix}.w1", (d, f), "weight"))
@@ -157,7 +158,8 @@ class Seq2SeqModel:
         q = heads(linear(q_in, self.p(f"{prefix}.wq"), self.p(f"{prefix}.bq")), T)
         k = heads(linear(kv_in, self.p(f"{prefix}.wk"), self.p(f"{prefix}.bk")), S)
         v = heads(linear(kv_in, self.p(f"{prefix}.wv"), self.p(f"{prefix}.bv")), S)
-        scores = matmul(mul(q, 1.0 / np.sqrt(dh)), transpose(k, (0, 1, 3, 2)))
+        scores = matmul(mul(q, 1.0 / math.sqrt(dh)),
+                        transpose(k, (0, 1, 3, 2)))
         if mask is not None:
             scores = add(scores, mask)
         attn = softmax(scores, axis=-1)
@@ -181,21 +183,36 @@ class Seq2SeqModel:
             return dropout(x, self.config.dropout_prob, rng)
         return x
 
+    def _positions(self, ids: np.ndarray) -> np.ndarray:
+        if ids.shape[1] > self.config.max_len:
+            raise DataError(f"sequence length {ids.shape[1]} exceeds "
+                            f"max_len {self.config.max_len}")
+        return np.arange(ids.shape[1])
+
     def _embed(self, ids: np.ndarray, pos_name: str) -> Tensor:
-        cfg = self.config
-        B, T = ids.shape
-        if T > cfg.max_len:
-            raise DataError(f"sequence length {T} exceeds max_len {cfg.max_len}")
         tok = gather_rows(self.p("tok_emb"), ids)
-        pos = gather_rows(self.p(pos_name), np.arange(T))
+        pos = gather_rows(self.p(pos_name), self._positions(ids))
         return add(tok, pos)
 
     def encode(self, src_ids: np.ndarray, train: bool = False,
                rng=None) -> tuple[Tensor, np.ndarray]:
-        """Returns (encoder states (B,S,D), additive key mask (B,1,1,S))."""
+        """Returns (encoder states (B,S,D), additive key mask (B,1,1,S)).
+        Without training or gradients it runs the tape's ops in the tape's
+        order on plain arrays, so the states equal the tape's bit for bit."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         key_mask = np.where(src_ids == PAD, NEG_INF, 0.0)
         key_mask = key_mask[:, None, None, :].astype(self.dtype)
+        if not train and not grad_enabled():
+            x = (self.p("tok_emb").data[src_ids]
+                 + self.p("enc_pos").data[self._positions(src_ids)])
+            _assert_finite(x, "encoder embedding output")
+            for i in range(self.config.n_enc_layers):
+                a, _ = self._self_attention_np(self._ln_np(x, f"enc{i}.ln1"),
+                                               f"enc{i}.attn", key_mask)
+                x = self._residual_np(x, a)
+                x = self._residual_np(x, self._ffn_np(
+                    self._ln_np(x, f"enc{i}.ln2"), f"enc{i}.ffn"))
+            return Tensor(self._ln_np(x, "enc_lnf")), key_mask
         x = self._embed(src_ids, "enc_pos")
         for i in range(self.config.n_enc_layers):
             h = self._ln(x, f"enc{i}.ln1")
@@ -230,10 +247,11 @@ class Seq2SeqModel:
 
     # -- incremental decoding ----------------------------------------------
     #
-    # Plain numpy, no tape. Rows are hypotheses; each row is computed as its
-    # own (1, D) product (stacked (N, 1, D) @ W matmuls run one BLAS call per
-    # row) and cross-attention is taken per query, so a row's values never
-    # depend on which other rows share the step.
+    # Plain numpy, no tape, in the model's dtype. Rows are hypotheses; each
+    # row is computed as its own (1, D) product (stacked (N, 1, D) @ W
+    # matmuls run one BLAS call per row) and cross-attention is taken per
+    # query, so a row's values never depend on which other rows share the
+    # step.
 
     def start_decoding(self, encoded: list[tuple[Tensor, np.ndarray]]
                        ) -> DecoderCache:
@@ -246,11 +264,9 @@ class Seq2SeqModel:
             enc = enc_out.data
             layers = []
             for i in range(self.config.n_dec_layers):
-                pre = f"dec{i}.cross"
-                k = self._split_heads(self._linear_np(enc, f"{pre}.wk",
-                                                      f"{pre}.bk"))
-                v = self._split_heads(self._linear_np(enc, f"{pre}.wv",
-                                                      f"{pre}.bv"))
+                k, v = (self._split_heads(self._linear_np(
+                    enc, f"dec{i}.cross.w{n}", f"dec{i}.cross.b{n}"))
+                    for n in "kv")
                 layers.append((k.transpose(0, 1, 3, 2), v))
             mask = key_mask if np.any(key_mask) else None
             cross.append((layers, mask))
@@ -275,19 +291,10 @@ class Seq2SeqModel:
         _assert_finite(x, "decoder embedding output")
         for i in range(cfg.n_dec_layers):
             pre = f"dec{i}"
-            h = self._ln_np(x, f"{pre}.ln1")
-            q = self._split_heads(self._linear_np(h, f"{pre}.self.wq",
-                                                  f"{pre}.self.bq"))
-            k_old, v_old = cache.self_kv[i]
-            k = np.concatenate([k_old, self._split_heads(self._linear_np(
-                h, f"{pre}.self.wk", f"{pre}.self.bk"))], axis=2)
-            v = np.concatenate([v_old, self._split_heads(self._linear_np(
-                h, f"{pre}.self.wv", f"{pre}.self.bv"))], axis=2)
-            cache.self_kv[i] = (k, v)
-            ctx = self._attend_np(q, k.transpose(0, 1, 3, 2), v, None,
-                                  f"{pre}.self")
-            x = self._residual_np(x, self._linear_np(
-                self._merge_heads(ctx), f"{pre}.self.wo", f"{pre}.self.bo"))
+            a, cache.self_kv[i] = self._self_attention_np(
+                self._ln_np(x, f"{pre}.ln1"), f"{pre}.self", None,
+                cache.self_kv[i])
+            x = self._residual_np(x, a)
 
             h = self._ln_np(x, f"{pre}.ln2")
             q = self._split_heads(self._linear_np(h, f"{pre}.cross.wq",
@@ -302,12 +309,8 @@ class Seq2SeqModel:
                 self._merge_heads(np.concatenate(parts)), f"{pre}.cross.wo",
                 f"{pre}.cross.bo"))
 
-            h = self._ln_np(x, f"{pre}.ln3")
-            f = gelu_forward(self._linear_np(h, f"{pre}.ffn.w1",
-                                             f"{pre}.ffn.b1"))[0]
-            _assert_finite(f, f"gelu {pre}.ffn output")
-            x = self._residual_np(x, self._linear_np(f, f"{pre}.ffn.w2",
-                                                     f"{pre}.ffn.b2"))
+            x = self._residual_np(x, self._ffn_np(
+                self._ln_np(x, f"{pre}.ln3"), f"{pre}.ffn"))
         x = self._ln_np(x, "dec_lnf")
         logits = x @ self.p("tok_emb").data.T
         _assert_finite(logits, "output projection")
@@ -315,6 +318,27 @@ class Seq2SeqModel:
         _assert_finite(logp, "log_softmax output")
         cache.steps += 1
         return logp
+
+    def _self_attention_np(self, h: np.ndarray, prefix: str,
+                           mask: np.ndarray | None, past=None):
+        """Self-attention of h (B, T, D), the `_attention` ops without
+        dropout: (output, (K, V)). With `past` = (K, V) of earlier
+        positions, h's keys and values are appended to them first."""
+        q, k, v = (self._split_heads(self._linear_np(
+            h, f"{prefix}.w{n}", f"{prefix}.b{n}")) for n in "qkv")
+        if past is not None:
+            k = np.concatenate([past[0], k], axis=2)
+            v = np.concatenate([past[1], v], axis=2)
+        ctx = self._attend_np(q, k.transpose(0, 1, 3, 2), v, mask, prefix)
+        out = self._linear_np(self._merge_heads(ctx), f"{prefix}.wo",
+                              f"{prefix}.bo")
+        return out, (k, v)
+
+    def _ffn_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        f = gelu_forward(self._linear_np(x, f"{prefix}.w1",
+                                         f"{prefix}.b1"))[0]
+        _assert_finite(f, f"gelu {prefix} output")
+        return self._linear_np(f, f"{prefix}.w2", f"{prefix}.b2")
 
     def _linear_np(self, x: np.ndarray, w: str, b: str) -> np.ndarray:
         out = x @ self.p(w).data + self.p(b).data
@@ -347,9 +371,10 @@ class Seq2SeqModel:
 
     def _attend_np(self, q: np.ndarray, kt: np.ndarray, v: np.ndarray,
                    mask: np.ndarray | None, prefix: str) -> np.ndarray:
-        """Attention of query rows q (n, H, 1, dh) over transposed keys kt
-        (., H, dh, S) and values v (., H, S, dh)."""
-        scores = (q * (1.0 / np.sqrt(self.config.head_dim))) @ kt
+        """Attention of queries q (n, H, T, dh) over transposed keys kt
+        (., H, dh, S) and values v (., H, S, dh). The scale is a Python
+        float, as in the tape's `mul`, so float32 stays float32."""
+        scores = (q * (1.0 / math.sqrt(self.config.head_dim))) @ kt
         if mask is not None:
             scores = scores + mask
         _assert_finite(scores, f"attention {prefix} scores")

@@ -291,6 +291,22 @@ class TestTrainCli:
         assert "int8" in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--heads", "0", "n_heads"), ("--d-model", "-4", "d_model"),
+        ("--dropout", "1.0", "dropout_prob"),
+        ("--dropout", "-0.5", "dropout_prob")])
+    def test_bad_model_config_is_exit_two(self, flag, value, field,
+                                          corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage1.epochs = 1\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--stage", "stage1", "--config", str(cfg),
+                  "--out", str(tmp_path / "out"), flag, value])
+        assert rc == 2
+        assert field in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_stage1_requires_train_tsv(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "ck"),
                     "--stage", "stage1"]) == 1
@@ -367,6 +383,27 @@ class TestBadInputFiles:
                     str(inp), "--output", str(tmp_path / "out.txt")]) == 2
         err = _one_error_line(capsys)
         assert fname in err and "not valid UTF-8" in err
+
+    @pytest.mark.parametrize("key,value", [("n_heads", "0"),
+                                           ("d_model", "sixty-four"),
+                                           ("dropout_prob", "2.0")])
+    def test_bad_checkpoint_config_is_exit_two(self, key, value,
+                                               checkpoint_dir, tmp_path,
+                                               capsys):
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_dir, ck)
+        lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln
+                 for ln in read(ck / "config.txt").splitlines()]
+        (ck / "config.txt").write_text("\n".join(lines) + "\n",
+                                       encoding="utf-8")
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(ck), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        err = _one_error_line(capsys)
+        assert "config.txt" in err and (key in err or value in err)
+
 
 class TestDistillCli:
     @pytest.mark.parametrize("lam", ["1.5", "-0.1"])

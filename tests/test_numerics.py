@@ -7,6 +7,7 @@ from codemix.numerics import (AdamWState, Tensor, adamw_step, add, dropout,
                               layer_norm, linear, log_softmax, make_rng,
                               matmul, mul, no_grad, reshape, softmax,
                               take_along_last, transpose, tsum)
+from codemix.numerics.tensor import _assert_finite, layer_norm_forward
 
 
 def rnd(shape, seed=0, scale=1.0):
@@ -49,8 +50,36 @@ class TestTensorBasics:
 
     def test_ops_reject_non_finite_results(self):
         a = Tensor(np.array([1e30], dtype=np.float32))
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match="mul output"):
             mul(a, a)  # overflows float32
+
+    @pytest.mark.parametrize("bad", [np.array(np.nan),
+                                     np.array(np.inf, dtype=np.float32),
+                                     np.array([1.0, -np.inf]),
+                                     np.full((2, 3), np.nan)])
+    def test_finite_check_rejects_nan_and_inf(self, bad):
+        with pytest.raises(NonFiniteError, match="non-finite values in x"):
+            _assert_finite(bad, "x")
+
+    def test_finite_check_accepts_finite_and_empty(self):
+        for ok in (np.array(1.0), np.zeros((0, 3)),
+                   np.full(4, np.finfo(np.float32).max, dtype=np.float32)):
+            _assert_finite(ok, "x")
+
+    def test_layer_norm_forward_equals_mean_form(self):
+        rng = make_rng(8)
+        for dtype in (np.float32, np.float64):
+            for shape in ((1, 1), (3, 7), (2, 5, 64), (4, 1, 256)):
+                x = (rng.standard_normal(shape) * rng.uniform(1e-3, 1e3)
+                     + rng.uniform(-50, 50)).astype(dtype)
+                gain, bias = (rng.standard_normal(shape[-1:]).astype(dtype)
+                              for _ in range(2))
+                xc = x - x.mean(axis=-1, keepdims=True)
+                inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True)
+                                    + 1e-5)
+                out = layer_norm_forward(x, gain, bias)[0]
+                assert out.dtype == dtype
+                assert np.array_equal(out, xc * inv * gain + bias), shape
 
     def test_matmul_identity_exact_shape(self):
         a = rnd((5, 7), seed=2)

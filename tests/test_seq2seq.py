@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from codemix import quant
+from codemix.checkpoint import load_checkpoint
 from codemix.errors import DataError, NonFiniteError
-from codemix.numerics import (AdamWState, finite_diff_grad_check, make_rng,
-                              softmax, step_tensors, Tensor)
+from codemix.numerics import (AdamWState, finite_diff_grad_check, linear,
+                              make_rng, no_grad, softmax, step_tensors,
+                              Tensor)
+from codemix.seq2seq import model as model_mod
 from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              encode_source, forward_teacher_forced,
                              greedy_decode, init_model, label_smoothed_ce,
@@ -13,6 +19,8 @@ from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
 from oracles import (exhaustive_best_sequence, reference_beam_search,
                      sequence_log_prob)
+
+ARTIFACTS = Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
 
 
 def tiny_vocab(n_content=4):
@@ -49,6 +57,24 @@ class TestInit:
     def test_head_divisibility_enforced(self):
         with pytest.raises(DataError):
             Seq2SeqConfig(vocab=tiny_vocab(), d_model=10, n_heads=4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_enc_layers", 0), ("n_dec_layers", -1), ("d_model", 0),
+        ("n_heads", 0), ("d_ff", 0), ("max_len", 0), ("d_model", 64.0)])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(DataError, match=field):
+            Seq2SeqConfig(vocab=tiny_vocab(), **{field: value})
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, -0.5, float("nan")])
+    def test_dropout_must_be_in_unit_interval(self, p):
+        with pytest.raises(DataError, match="dropout_prob"):
+            Seq2SeqConfig(vocab=tiny_vocab(), dropout_prob=p)
+
+    def test_smallest_config_accepted(self):
+        for p in (0.0, 0.99):
+            Seq2SeqConfig(vocab=tiny_vocab(), n_enc_layers=1, n_dec_layers=1,
+                          d_model=1, n_heads=1, d_ff=1, max_len=1,
+                          dropout_prob=p)
 
 
 class TestForward:
@@ -88,6 +114,13 @@ class TestForward:
         for layer in cap.layers:
             sums = layer.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-5
+
+    def test_tape_error_names_the_op(self):
+        m = tiny_model(seed=8)
+        m.params["enc0.ffn.w1"].data[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="linear output") as err:
+            m.forward(np.array([[5, 6, 2]]), np.array([[1, 5]]))
+        assert "tensor data" not in str(err.value)
 
     def test_dropout_only_in_train_mode(self):
         m = tiny_model(seed=7, dropout=0.5)
@@ -365,6 +398,102 @@ class TestCachedDecoder:
         beam_search(qm, [5, 6, EOS], beam=3, max_len=6)
         beam_search(qm, [7, EOS], beam=3, max_len=6)
         assert sorted(calls) == sorted(id(q) for q in qm.qparams.values())
+
+
+def random_padded_ids(rng, n_content, rows, width):
+    """Source ids (rows, width): words, EOS, then PAD; row 0 is full."""
+    ids = rng.integers(5, 5 + n_content, size=(rows, width))
+    for r, n in enumerate([width] + list(rng.integers(1, width + 1,
+                                                      size=rows - 1))):
+        ids[r, n - 1] = EOS
+        ids[r, n:] = PAD
+    return ids
+
+
+class TestPlainEncoder:
+    """Under no_grad and outside training, `encode` runs on plain arrays;
+    it must return what the tape encoder returns, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_grad_encode_equals_tape_bitwise(self, seed, monkeypatch):
+        layers, heads = 1 + seed % 3, (1, 2, 4)[seed % 3]
+        cfg = Seq2SeqConfig(vocab=tiny_vocab(9), n_enc_layers=layers,
+                            n_dec_layers=1, d_model=16, n_heads=heads,
+                            d_ff=24, max_len=10, dropout_prob=0.3,
+                            init_std=0.4)
+        m = init_model(cfg, make_rng(40 + seed))
+        if seed % 3 == 1:
+            m = m.astype(np.float64)
+        elif seed % 3 == 2:
+            m = quant.quantize_model(m)
+        src = random_padded_ids(make_rng(seed), 9, 4, 3 + seed)
+        tape_ops = []
+
+        def counting_linear(*args, **kwargs):
+            tape_ops.append(1)
+            return linear(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "linear", counting_linear)
+        tape, tape_mask = m.encode(src)
+        assert len(tape_ops) == 6 * layers
+        with no_grad():
+            plain, plain_mask = m.encode(src)
+        assert len(tape_ops) == 6 * layers  # no tape op under no_grad
+        assert plain.dtype == tape.dtype == m.dtype
+        assert np.array_equal(plain.data, tape.data)
+        assert np.array_equal(plain_mask, tape_mask)
+
+    def test_no_grad_encode_keeps_its_checks(self):
+        m = tiny_model(seed=41, max_len=6)
+        with no_grad(), pytest.raises(DataError, match="exceeds max_len"):
+            m.encode(np.full((1, 7), 5))
+        m.params["enc0.ffn.w1"].data[0, 0] = np.nan
+        with no_grad(), pytest.raises(NonFiniteError,
+                                      match="linear enc0.ffn.w1 output"):
+            m.encode(np.array([[5, 6, EOS]]))
+
+    @pytest.mark.parametrize("kind", ["float32", "float64", "int8"])
+    def test_serving_path_keeps_model_dtype(self, kind):
+        m = tiny_model(seed=42, n_content=6, layers=2)
+        want = np.float64 if kind == "float64" else np.float32
+        if kind == "float64":
+            m = m.astype(np.float64)
+        elif kind == "int8":
+            m = quant.quantize_model(m)
+        with no_grad():
+            encoded = [m.encode(np.array([s]))
+                       for s in ([5, 6, EOS], [7, EOS, PAD])]
+            cache = m.start_decoding(encoded)
+            m.decode_step(cache, np.full(2, BOS))
+            logp = m.decode_step(cache, np.array([5, 8]))
+        assert [(e.dtype, k.dtype) for e, k in encoded] == [(want, want)] * 2
+        assert logp.dtype == want
+        cached = [a for kv in cache.self_kv for a in kv]
+        cached += [a for layers, _ in cache.cross for kv in layers
+                   for a in kv]
+        assert len(cached) == 12
+        assert [a.dtype for a in cached] == [want] * 12
+
+
+class TestCommittedTeacherOutputs:
+    """Beam outputs (beam 3) of the benchmark's committed teacher, float32
+    and int8, must equal the ids recorded in its reference.json."""
+
+    @pytest.mark.parametrize("kind", ["f32", "int8"])
+    def test_beam_ids_equal_recorded(self, kind):
+        reference = json.loads((ARTIFACTS / "reference.json")
+                               .read_text(encoding="utf-8"))
+        model = load_checkpoint(ARTIFACTS / "teacher")
+        if kind == "int8":
+            model = quant.quantize_model(model)
+        queries = sorted(reference)
+        results = beam_search_batch(
+            model, [encode_source(q, model.config.vocab) for q in queries],
+            beam=3)
+        assert len(queries) > 400
+        changed = [q for q, r in zip(queries, results)
+                   if r.ids != reference[q][kind]]
+        assert changed == []
 
 
 class TestOverfitSanity:

@@ -237,6 +237,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="dtype"):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("old,new", [("n_heads = 2", "n_heads = 0"),
+                                         ("d_model = 32", "d_model = x32"),
+                                         ("dropout_prob = 0.0",
+                                          "dropout_prob = 1.0")])
+    def test_bad_config_value_rejected(self, old, new, tmp_path):
+        save_checkpoint(small_setup(seed=15), tmp_path / "ck")
+        cfg_file = tmp_path / "ck" / "config.txt"
+        text = cfg_file.read_text()
+        assert old in text
+        cfg_file.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match="bad config.txt"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope")
