@@ -60,6 +60,15 @@ def _write_records(path: str | None, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers (argparse type)."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _model_config(args, vocab) -> Seq2SeqConfig:
     return Seq2SeqConfig(vocab=vocab, n_enc_layers=args.enc_layers,
                          n_dec_layers=args.dec_layers, d_model=args.d_model,
@@ -228,8 +237,7 @@ def _cmd_analyze_xattn(args) -> int:
     cfg.n_dec_layers = args.dec_layers
     cfg.epochs = args.epochs
     cfg.n_train = args.n_train
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    curve = ae_xattn_experiment(cfg, seeds)
+    curve = ae_xattn_experiment(cfg, args.seeds)
     for rec in curve.records():
         print(json.dumps(rec))
     _write_records(args.report, curve.records())
@@ -357,7 +365,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-xattn", help="autoencoder cross-attention "
                        "identity-error curves")
-    p.add_argument("--seeds", default="0")
+    p.add_argument("--seeds", type=_int_list, default="0")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--dec-layers", type=int, default=4)
     p.add_argument("--n-train", type=int, default=3000)
@@ -394,7 +402,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except CodemixError as e:
+    except (CodemixError, OSError) as e:  # OSError: an unwritable output
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
 from .seq2seq.model import encode_source
 from .text import Corpus, ParallelExample, Provenance, decode
-from .train import DEFAULT_STAGE2_KINDS, fit
+from .train import DEFAULT_STAGE2_KINDS, check_loop_sizes, fit
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
@@ -131,6 +131,7 @@ class DistillConfig:
     kd_max_len: int = 32
 
     def __post_init__(self):
+        check_loop_sizes(self)
         LossWeights(self.lam)  # lambda must be in [0, 1]
 
 

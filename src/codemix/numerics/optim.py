@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _assert_finite
 
 
 @dataclass
@@ -30,7 +30,10 @@ def adamw_step(params: dict[str, np.ndarray | Tensor],
     """One AdamW update, in place on the parameter arrays.
 
     p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)
-    Missing gradients are treated as zero (decay still applies).
+    Missing gradients are treated as zero (decay still applies). A NaN or
+    Inf in an updated parameter (from a non-finite lr, weight decay or
+    gradient) raises NonFiniteError naming it; parameters earlier in
+    `params` have been updated by then.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -56,13 +59,13 @@ def adamw_step(params: dict[str, np.ndarray | Tensor],
         if state.weight_decay:
             update = update + state.weight_decay * arr
         arr -= state.lr * update
+        _assert_finite(arr, f"parameter {name!r} after the optimizer step")
     return state
 
 
 def step_tensors(params: dict[str, Tensor], state: AdamWState) -> AdamWState:
     """AdamW over tape tensors, reading grads from `.grad` and clearing them."""
     grads = {k: t.grad for k, t in params.items() if t.grad is not None}
-    adamw_step(params, grads, state)
     for t in params.values():
         t.zero_grad()
-    return state
+    return adamw_step(params, grads, state)

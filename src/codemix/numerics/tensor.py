@@ -7,12 +7,17 @@ NonFiniteError) so silent divergence cannot corrupt an experiment.
 Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
 walks the tape in reverse topological order. Wrap inference code in
 `no_grad()` to skip tape construction entirely.
+
+Multi-head attention is one tape op, `attention`, with a hand-written
+backward, built from the plain helpers that the tape-free encoder and the
+cached decoder call too: `split_heads`, `attention_probs`, `merge_heads`.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -226,19 +231,6 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), backward, "reshape")
 
 
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out = a.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inv))
-
-    return _make(out, (a,), backward, "transpose")
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -335,6 +327,69 @@ def softmax(logits, axis: int = -1) -> Tensor:
             a.accumulate_grad(out * (g - dot))
 
     return _make(out, (a,), backward, "softmax")
+
+
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, T, D) -> (B, H, T, D / H), a view."""
+    B, T, D = x.shape
+    return x.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """(B, H, T, dh) -> (B, T, H * dh)."""
+    B, H, T, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
+
+
+def attention_probs(q: np.ndarray, kt: np.ndarray, mask: np.ndarray | None,
+                    what: str) -> np.ndarray:
+    """softmax(q kt / sqrt(dh) + mask) for queries q (B, H, T, dh) and
+    transposed keys kt (B, H, dh, S). The scale is a Python float, so
+    float32 stays float32."""
+    scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ kt
+    if mask is not None:
+        scores = scores + mask
+    _assert_finite(scores, f"attention {what} scores")
+    probs = softmax_forward(scores)
+    _assert_finite(probs, f"softmax {what} output")
+    return probs
+
+
+def attention(q, k, v, mask: np.ndarray | None, n_heads: int, what: str,
+              p: float = 0.0, rng: np.random.Generator | None = None,
+              capture: list | None = None) -> Tensor:
+    """Multi-head attention of projected queries q (B, T, D) over keys and
+    values k, v (B, S, D), one tape node; heads merged back to (B, T, D).
+    p > 0 adds inverted dropout; `capture` gets the weights before it. The
+    backward scales after its matmuls, dq = (gs K) * scale and dk = gs^T
+    (Q * scale): moving the scale changes float32 rounding and weights."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    Q, K, V = (split_heads(t.data, n_heads) for t in (q, k, v))
+    probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask, what)
+    if capture is not None:
+        capture.append(probs)
+    used, keep = probs, None
+    if p > 0:
+        keep = (rng.random(probs.shape) >= p).astype(probs.dtype) / (1.0 - p)
+        used = probs * keep
+    scale = 1.0 / math.sqrt(Q.shape[-1])
+
+    def backward(g):
+        G = split_heads(g, n_heads)
+        if v.requires_grad:
+            v.accumulate_grad(merge_heads(np.swapaxes(used, -1, -2) @ G))
+        gu = G @ np.swapaxes(V, -1, -2)
+        if keep is not None:
+            gu = gu * keep
+        gs = probs * (gu - (probs * gu).sum(axis=-1, keepdims=True))
+        if q.requires_grad:
+            q.accumulate_grad(merge_heads((gs @ K) * scale))
+        if k.requires_grad:
+            k.accumulate_grad(merge_heads(np.swapaxes(gs, -1, -2)
+                                          @ (Q * scale)))
+
+    return _make(merge_heads(used @ V), (q, k, v), backward,
+                 f"attention {what}")
 
 
 def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -12,18 +12,16 @@ on. Pre-norm residual blocks are used for stable from-scratch training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import DataError, ShapeError
-from ..numerics import (Tensor, add, dropout, gather_rows, gelu,
-                        grad_enabled, layer_norm, linear, matmul, mul,
-                        reshape, softmax, transpose)
-from ..numerics.tensor import (_assert_finite, gelu_forward,
+from ..numerics import (Tensor, add, attention, dropout, gather_rows, gelu,
+                        grad_enabled, layer_norm, linear, reshape)
+from ..numerics.tensor import (_assert_finite, attention_probs, gelu_forward,
                                layer_norm_forward, log_softmax_forward,
-                               softmax_forward)
+                               merge_heads, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -147,28 +145,11 @@ class Seq2SeqModel:
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str,
                    mask: np.ndarray | None, capture: list | None,
                    train: bool, rng) -> Tensor:
-        cfg = self.config
-        B, T, D = q_in.shape
-        S = kv_in.shape[1]
-        H, dh = cfg.n_heads, cfg.head_dim
-
-        def heads(x: Tensor, n: int) -> Tensor:
-            return transpose(reshape(x, (B, n, H, dh)), (0, 2, 1, 3))
-
-        q = heads(linear(q_in, self.p(f"{prefix}.wq"), self.p(f"{prefix}.bq")), T)
-        k = heads(linear(kv_in, self.p(f"{prefix}.wk"), self.p(f"{prefix}.bk")), S)
-        v = heads(linear(kv_in, self.p(f"{prefix}.wv"), self.p(f"{prefix}.bv")), S)
-        scores = matmul(mul(q, 1.0 / math.sqrt(dh)),
-                        transpose(k, (0, 1, 3, 2)))
-        if mask is not None:
-            scores = add(scores, mask)
-        attn = softmax(scores, axis=-1)
-        if capture is not None:
-            capture.append(attn.data.copy())
-        if train and cfg.dropout_prob > 0:
-            attn = dropout(attn, cfg.dropout_prob, rng)
-        ctx = matmul(attn, v)  # (B, H, T, dh)
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (B, T, D))
+        q, k, v = (linear(x, self.p(f"{prefix}.w{n}"), self.p(f"{prefix}.b{n}"))
+                   for x, n in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")))
+        ctx = attention(q, k, v, mask, self.config.n_heads, prefix,
+                        self.config.dropout_prob if train else 0.0, rng,
+                        capture)
         return linear(ctx, self.p(f"{prefix}.wo"), self.p(f"{prefix}.bo"))
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
@@ -259,18 +240,17 @@ class Seq2SeqModel:
         query's own `encode` output (encoder states (1, S, D), key mask);
         every decoder layer's cross-attention keys and values are computed
         here, once per query."""
+        cfg = self.config
         cross = []
         for enc_out, key_mask in encoded:
-            enc = enc_out.data
             layers = []
-            for i in range(self.config.n_dec_layers):
-                k, v = (self._split_heads(self._linear_np(
-                    enc, f"dec{i}.cross.w{n}", f"dec{i}.cross.b{n}"))
-                    for n in "kv")
+            for i in range(cfg.n_dec_layers):
+                k, v = (split_heads(self._linear_np(
+                    enc_out.data, f"dec{i}.cross.w{n}", f"dec{i}.cross.b{n}"),
+                    cfg.n_heads) for n in "kv")
                 layers.append((k.transpose(0, 1, 3, 2), v))
             mask = key_mask if np.any(key_mask) else None
             cross.append((layers, mask))
-        cfg = self.config
         empty = np.zeros((len(encoded), cfg.n_heads, 0, cfg.head_dim),
                          dtype=self.dtype)
         return DecoderCache(cross, [(empty, empty)] * cfg.n_dec_layers,
@@ -296,17 +276,17 @@ class Seq2SeqModel:
                 cache.self_kv[i])
             x = self._residual_np(x, a)
 
-            h = self._ln_np(x, f"{pre}.ln2")
-            q = self._split_heads(self._linear_np(h, f"{pre}.cross.wq",
-                                                  f"{pre}.cross.bq"))
+            q = split_heads(self._linear_np(self._ln_np(x, f"{pre}.ln2"),
+                                            f"{pre}.cross.wq",
+                                            f"{pre}.cross.bq"), cfg.n_heads)
             parts, start = [], 0
             for n, (layers, mask) in zip(cache.counts, cache.cross):
                 kt, v = layers[i]
-                parts.append(self._attend_np(q[start:start + n], kt, v, mask,
-                                             f"{pre}.cross"))
+                parts.append(attention_probs(q[start:start + n], kt, mask,
+                                             f"{pre}.cross") @ v)
                 start += n
             x = self._residual_np(x, self._linear_np(
-                self._merge_heads(np.concatenate(parts)), f"{pre}.cross.wo",
+                merge_heads(np.concatenate(parts)), f"{pre}.cross.wo",
                 f"{pre}.cross.bo"))
 
             x = self._residual_np(x, self._ffn_np(
@@ -324,13 +304,14 @@ class Seq2SeqModel:
         """Self-attention of h (B, T, D), the `_attention` ops without
         dropout: (output, (K, V)). With `past` = (K, V) of earlier
         positions, h's keys and values are appended to them first."""
-        q, k, v = (self._split_heads(self._linear_np(
-            h, f"{prefix}.w{n}", f"{prefix}.b{n}")) for n in "qkv")
+        q, k, v = (split_heads(self._linear_np(
+            h, f"{prefix}.w{n}", f"{prefix}.b{n}"), self.config.n_heads)
+            for n in "qkv")
         if past is not None:
             k = np.concatenate([past[0], k], axis=2)
             v = np.concatenate([past[1], v], axis=2)
-        ctx = self._attend_np(q, k.transpose(0, 1, 3, 2), v, mask, prefix)
-        out = self._linear_np(self._merge_heads(ctx), f"{prefix}.wo",
+        ctx = attention_probs(q, k.transpose(0, 1, 3, 2), mask, prefix) @ v
+        out = self._linear_np(merge_heads(ctx), f"{prefix}.wo",
                               f"{prefix}.bo")
         return out, (k, v)
 
@@ -356,33 +337,6 @@ class Seq2SeqModel:
         out = x + y
         _assert_finite(out, "residual add output")
         return out
-
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        """(B, T, D) -> (B, H, T, dh)."""
-        B, T, _ = x.shape
-        return x.reshape(B, T, self.config.n_heads,
-                         self.config.head_dim).transpose(0, 2, 1, 3)
-
-    @staticmethod
-    def _merge_heads(x: np.ndarray) -> np.ndarray:
-        """(B, H, T, dh) -> (B, T, D)."""
-        B, H, T, dh = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
-
-    def _attend_np(self, q: np.ndarray, kt: np.ndarray, v: np.ndarray,
-                   mask: np.ndarray | None, prefix: str) -> np.ndarray:
-        """Attention of queries q (n, H, T, dh) over transposed keys kt
-        (., H, dh, S) and values v (., H, S, dh). The scale is a Python
-        float, as in the tape's `mul`, so float32 stays float32."""
-        scores = (q * (1.0 / math.sqrt(self.config.head_dim))) @ kt
-        if mask is not None:
-            scores = scores + mask
-        _assert_finite(scores, f"attention {prefix} scores")
-        attn = softmax_forward(scores)
-        _assert_finite(attn, f"softmax {prefix} output")
-        ctx = attn @ v
-        _assert_finite(ctx, f"attention {prefix} output")
-        return ctx
 
     def forward(self, src_ids: np.ndarray, dec_in: np.ndarray,
                 train: bool = False, rng=None,

@@ -15,7 +15,7 @@ its KD term through `fit`'s `extra_loss` hook) all step through it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,16 @@ DEFAULT_STAGE1_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER, AugKind.MASK)
 DEFAULT_STAGE2_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER)
 
 
+def check_loop_sizes(cfg) -> None:
+    """A training loop's `epochs` must be an integer >= 0 and its
+    `batch_size` an integer >= 1 (StageConfig, DistillConfig)."""
+    for name, least in (("epochs", 0), ("batch_size", 1)):
+        n = getattr(cfg, name)
+        if not (isinstance(n, (int, np.integer)) and n >= least):
+            raise DataError(f"{name} must be an integer >= {least}, "
+                            f"got {n!r}")
+
+
 @dataclass
 class StageConfig:
     epochs: int = 5
@@ -40,6 +50,7 @@ class StageConfig:
     val_fraction: float = 0.1    # stage 2 only
 
     def __post_init__(self):
+        check_loop_sizes(self)
         if not 0.0 < self.val_fraction < 1.0:
             raise DataError("val_fraction must be in (0, 1)")
         if self.patience < 1:
@@ -80,36 +91,39 @@ class TrainingConfig:
 
 
 def config_from_items(kv: dict[str, str]) -> TrainingConfig:
-    """Build a TrainingConfig from flat key-value text (CLI config files)."""
+    """Build a TrainingConfig from flat key-value text (CLI config files):
+    the keys of `TrainingConfig.items()`, each parsed as its default's type
+    and checked as the dataclasses check it. A value that does not parse
+    is a DataError naming its key."""
     cfg = TrainingConfig()
-
-    def kinds(v: str) -> tuple[AugKind, ...]:
-        v = v.strip()
-        if not v or v == "none":
-            return ()
-        return tuple(AugKind(x.strip()) for x in v.split(","))
-
-    setters = {
-        "stage1.epochs": lambda v: setattr(cfg.stage1, "epochs", int(v)),
-        "stage1.lr": lambda v: setattr(cfg.stage1, "lr", float(v)),
-        "stage1.batch_size": lambda v: setattr(cfg.stage1, "batch_size", int(v)),
-        "stage1.kinds": lambda v: setattr(cfg.stage1, "kinds", kinds(v)),
-        "stage2.epochs": lambda v: setattr(cfg.stage2, "epochs", int(v)),
-        "stage2.lr": lambda v: setattr(cfg.stage2, "lr", float(v)),
-        "stage2.batch_size": lambda v: setattr(cfg.stage2, "batch_size", int(v)),
-        "stage2.kinds": lambda v: setattr(cfg.stage2, "kinds", kinds(v)),
-        "stage2.patience": lambda v: setattr(cfg.stage2, "patience", int(v)),
-        "stage2.val_fraction": lambda v: setattr(cfg.stage2, "val_fraction", float(v)),
-        "lambda": lambda v: setattr(cfg, "lam", float(v)),
-        "label_smoothing": lambda v: setattr(cfg, "label_smoothing", float(v)),
-        "weight_decay": lambda v: setattr(cfg, "weight_decay", float(v)),
-        "seed": lambda v: setattr(cfg, "seed", int(v)),
-    }
-    for key, value in kv.items():
-        if key not in setters:
+    defaults = cfg.items()
+    values: dict[str, dict[str, object]] = {"stage1": {}, "stage2": {},
+                                            "": {}}
+    for key, text in kv.items():
+        if key not in defaults:
             raise DataError(f"unknown training config key: {key!r}")
-        setters[key](value)
-    return cfg
+        kind = type(defaults[key])
+        try:
+            value = _parse_kinds(text) if kind is str else kind(text)
+        except ValueError as e:
+            raise DataError(f"bad training config value {key} = {text!r}: "
+                            f"{e}") from e
+        section, _, name = key.rpartition(".")
+        values[section]["lam" if name == "lambda" else name] = value
+    stages = {}
+    for stage in ("stage1", "stage2"):
+        try:
+            stages[stage] = replace(getattr(cfg, stage), **values[stage])
+        except DataError as e:
+            raise DataError(f"training config {stage}: {e}") from e
+    return replace(cfg, **stages, **values[""])
+
+
+def _parse_kinds(text: str) -> tuple[AugKind, ...]:
+    text = text.strip()
+    if not text or text == "none":
+        return ()
+    return tuple(AugKind(x.strip()) for x in text.split(","))
 
 
 @dataclass

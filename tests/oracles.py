@@ -4,7 +4,8 @@ These are deliberately written with different machinery than the library:
 exact rational arithmetic for BLEU, exhaustive path/sequence enumeration
 for the CRF and beam search, and plain loops everywhere. The beam search
 that re-runs the full-prefix decoder for each hypothesis is kept here as
-the reference for the cached, batched decoder.
+the reference for the cached, batched decoder, and a float64 per-head
+loop is the reference for the attention op.
 """
 
 from __future__ import annotations
@@ -131,6 +132,37 @@ def reference_crf_nll_grad(model, ids: list[np.ndarray], gold: list[int]
         score += float(trans[gold[t - 1], gold[t]])
         score += float(emis[t, gold[t]])
     return log_z - score, grad_feats, grad_trans
+
+
+# ---------------------------------------------------------------------------
+# Attention
+# ---------------------------------------------------------------------------
+
+def reference_attention(q, k, v, mask, n_heads: int, keep=None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head attention in float64, one batch row and head at a time:
+    head h takes columns h*dh:(h+1)*dh of q (B, T, D), k and v (B, S, D),
+    forms softmax(q_h k_h^T / sqrt(dh) + mask), multiplies the weights by
+    `keep` (the scaled dropout mask, (B, H, T, S)) when given, and writes
+    weights @ v_h into its columns. Returns (output (B, T, D), weights
+    before dropout (B, H, T, S))."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    B, T, D = q.shape
+    S = k.shape[1]
+    dh = D // n_heads
+    mask = np.broadcast_to(0.0 if mask is None else mask, (B, n_heads, T, S))
+    out = np.zeros((B, T, D))
+    weights = np.zeros((B, n_heads, T, S))
+    for b in range(B):
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q[b, :, cols] @ k[b, :, cols].T / math.sqrt(dh)
+            scores = scores + mask[b, h]
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights[b, h] = e / e.sum(axis=1, keepdims=True)
+            used = weights[b, h] if keep is None else weights[b, h] * keep[b, h]
+            out[b, :, cols] = used @ v[b, :, cols]
+    return out, weights
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,10 @@ class TestExitCodes:
                   str(tmp_path / "ck"), "--stage", "stage1"])
         assert rc == 2
 
+    def test_bad_seed_list_is_usage_error(self, capsys):
+        assert run(["analyze-xattn", "--seeds", "a,b"]) == 1
+        assert "--seeds" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_exit_two(self, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_text("a b\n", encoding="utf-8")
@@ -307,9 +311,44 @@ class TestTrainCli:
         assert field in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["stage1.lr = inf", "stage1.lr = nan",
+                                      "weight_decay = nan"])
+    def test_non_finite_step_is_exit_two(self, line, corpus_dir, tmp_path,
+                                         capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"stage1.epochs = 1\n{line}\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--stage", "stage1", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")] + TINY_MODEL)
+        assert rc == 2
+        assert "after the optimizer step" in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("stage1.batch_size = 0", "stage1: batch_size must be an integer"),
+        ("stage2.epochs = -1", "stage2: epochs must be an integer >= 0"),
+        ("stage1.epochs = x", "stage1.epochs = 'x'")])
+    def test_bad_loop_config_is_exit_two(self, line, message, corpus_dir,
+                                         tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--stage", "stage1", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_stage1_requires_train_tsv(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "ck"),
                     "--stage", "stage1"]) == 1
+
+
+TINY_MODEL = ["--d-model", "16", "--d-ff", "32", "--heads", "2"]
+TEACHER = (Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
+           / "teacher")
 
 
 def _one_error_line(capsys) -> str:
@@ -415,3 +454,68 @@ class TestDistillCli:
                   "--out", str(tmp_path / "student"), "--lam", lam])
         assert rc == 2
         assert "lambda must be in [0, 1]" in _one_error_line(capsys)
+
+    def test_bad_batch_size_is_exit_two(self, tmp_path, capsys):
+        rc = run(["distill", "--teacher", str(tmp_path / "teacher"),
+                  "--clean-tsv", str(tmp_path / "clean.tsv"),
+                  "--pool", str(tmp_path / "pool.txt"),
+                  "--out", str(tmp_path / "student"), "--batch-size", "0"])
+        assert rc == 2
+        assert "batch_size must be an integer >= 1" in _one_error_line(capsys)
+
+    def test_non_finite_lr_is_exit_two(self, tmp_path, capsys):
+        # the benchmark's committed teacher (read only) finishes its beams
+        reference = json.loads(read(TEACHER.parent / "reference.json"))
+        queries = [q for q in sorted(reference) if reference[q]["f32"]][:12]
+        pool, clean = tmp_path / "pool.txt", tmp_path / "clean.tsv"
+        pool.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        clean.write_text("".join(f"{q}\t{q}\n" for q in queries),
+                         encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["distill", "--teacher", str(TEACHER), "--clean-tsv",
+                  str(clean), "--pool", str(pool),
+                  "--out", str(tmp_path / "student"), "--lr", "nan",
+                  "--epochs", "1"] + TINY_MODEL)
+        assert rc == 2
+        assert "after the optimizer step" in _one_error_line(capsys)
+        assert not (tmp_path / "student").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is exit code 2 with one
+    error line, never an OSError traceback."""
+
+    # {nodir} is a directory that does not exist, {file} a regular file
+    CASES = {
+        "translate-output": ["translate", "--checkpoint", "{ck}",
+                             "--input", "{queries}",
+                             "--output", "{nodir}/out.txt"],
+        "train-out-is-a-file": ["train", "--train-tsv", "{train}",
+                                "--stage", "stage1", "--config", "{cfg}",
+                                "--out", "{file}"] + TINY_MODEL,
+        "train-langid-out": ["train-langid", "--conll", "{conll}",
+                             "--epochs", "1", "--out", "{nodir}/crf.json"],
+        "eval-bleu-report": ["eval-bleu", "--candidates", "{queries}",
+                             "--references", "{queries}",
+                             "--report", "{nodir}/bleu.jsonl"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_with_one_line(self, case, corpus_dir, checkpoint_dir,
+                                    tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("a b\n", encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage1.epochs = 1\n", encoding="utf-8")
+        regular = tmp_path / "regular"
+        regular.write_text("", encoding="utf-8")
+        paths = {"ck": checkpoint_dir, "queries": queries, "cfg": cfg,
+                 "train": corpus_dir / "train.tsv", "file": regular,
+                 "conll": corpus_dir / "langid.conll",
+                 "nodir": tmp_path / "missing"}
+        argv = [a.format(**{k: str(v) for k, v in paths.items()})
+                for a in self.CASES[case]]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = _one_error_line(capsys)
+        assert "missing" in err or "regular" in err

@@ -274,6 +274,12 @@ class TestTrainStudent:
         with pytest.raises(DataError, match="lambda"):
             DistillConfig(lam=lam)
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("epochs", -2), ("epochs", 1.0)])
+    def test_loop_sizes_checked(self, field, value):
+        with pytest.raises(DataError, match=field):
+            DistillConfig(**{field: value})
+
     def test_lambda_bounds_accepted(self):
         assert DistillConfig(lam=0.0).lam == 0.0
         assert DistillConfig(lam=1.0).lam == 1.0

@@ -7,9 +7,14 @@ with `# noqa: F401` on the import statement.
 No module in src/codemix reads a file with `.read_text(` or with `open(`
 in a read mode: `text.read_utf8` is the one text reader, so every bad
 file becomes a DataError naming its path.
+
+Every name that the benchmark's tracer (perfbench/spans.py) wraps must
+exist, so deleting one fails here and not only in the slower
+perfbench/tests.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -134,3 +139,18 @@ class TestUnusedImports:
         + [str(p.relative_to(ROOT)) for p in SCRIPTS])
     def test_no_unused_imports(self, path):
         assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+class TestTracerNames:
+    def test_tracer_installs_and_restores(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        try:
+            tracer.install()  # a missing name raises here
+            assert spans.installed_wrappers()
+        finally:
+            tracer.restore()
+        assert spans.installed_wrappers() == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codemix.errors import DataError
+from codemix.errors import DataError, NonFiniteError
 from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
                             aggregate_labels, baseline_avg_embedding_classifier,
                             crf_log_partition, crf_nll_grad, crf_path_score,
@@ -288,6 +288,13 @@ class TestTrainCrf:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             train_crf([], epochs=1)
+
+    @pytest.mark.parametrize("l2,lr", [(float("nan"), 0.05),
+                                       (1e-4, float("inf"))])
+    def test_non_finite_step_stops_training(self, l2, lr):
+        with pytest.raises(NonFiniteError, match="parameter 'weights'"):
+            train_crf(separable_corpus(10), l2=l2, lr=lr, epochs=2,
+                      rng=make_rng(4))
 
 
 class TestAggregation:

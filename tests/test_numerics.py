@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from codemix.errors import CodemixError, NonFiniteError, ShapeError
-from codemix.numerics import (AdamWState, Tensor, adamw_step, add, dropout,
-                              exp, finite_diff_grad_check, gather_rows, gelu,
-                              layer_norm, linear, log_softmax, make_rng,
-                              matmul, mul, no_grad, reshape, softmax,
-                              take_along_last, transpose, tsum)
+from codemix.numerics import (AdamWState, Tensor, adamw_step, add, attention,
+                              dropout, exp, finite_diff_grad_check,
+                              gather_rows, gelu, layer_norm, linear,
+                              log_softmax, make_rng, matmul, mul, no_grad,
+                              reshape, softmax, take_along_last, tsum)
 from codemix.numerics.tensor import _assert_finite, layer_norm_forward
+from codemix.seq2seq.model import NEG_INF
+
+from oracles import reference_attention
 
 
 def rnd(shape, seed=0, scale=1.0):
@@ -135,8 +138,6 @@ class TestPrimitiveGradients:
                    {"tab": (5, 4)}),
         "take_along": (lambda p, c: tsum(take_along_last(p["a"], c["pick"])),
                        {"a": (3, 4)}),
-        "transpose": (lambda p, c: tsum(mul(transpose(p["a"], (1, 0)), c["mt"])),
-                      {"a": (3, 4)}),
         "reshape": (lambda p, c: tsum(mul(reshape(p["a"], (12,)), c["flat"])),
                     {"a": (3, 4)}),
     }
@@ -149,7 +150,6 @@ class TestPrimitiveGradients:
             "m": Tensor(rng.standard_normal((3, 4))),
             "mm": Tensor(rng.standard_normal((3, 5))),
             "mb": Tensor(rng.standard_normal((2, 3, 5))),
-            "mt": Tensor(rng.standard_normal((4, 3))),
             "flat": Tensor(rng.standard_normal(12)),
             "g": Tensor(rng.standard_normal((2, 3, 4))),
             "idx": np.array([[0, 4, 2], [2, 1, 3]]),
@@ -160,6 +160,73 @@ class TestPrimitiveGradients:
         err = finite_diff_grad_check(lambda p: fn(p, consts), params,
                                      epsilon=1e-6, max_coords_per_tensor=8)
         assert err < 1e-6, f"{name}: rel err {err}"
+
+
+class TestAttention:
+    """The attention node against a float64 per-head loop and central
+    differences: causal and key-padding masks, S != T, 1/2/4 heads, and
+    dropout from a fixed RNG stream."""
+
+    # (heads, T, S, mask kind, dropout probability)
+    CASES = {"causal_h1": (1, 5, 5, "causal", 0.0),
+             "causal_h4_dropout": (4, 4, 4, "causal", 0.3),
+             "padded_h2_s_gt_t": (2, 3, 6, "padding", 0.0),
+             "padded_h2_dropout_s_lt_t": (2, 5, 3, "padding", 0.5),
+             "padded_h4_dropout": (4, 2, 5, "padding", 0.2)}
+
+    @staticmethod
+    def inputs(heads, T, S, kind, seed=3, B=2, D=8):
+        rng = make_rng(seed)
+        q = rng.standard_normal((B, T, D))
+        k, v = (rng.standard_normal((B, S, D)) for _ in range(2))
+        if kind == "causal":
+            mask = np.triu(np.full((T, S), NEG_INF), k=1)[None, None]
+        else:
+            mask = np.zeros((B, 1, 1, S))
+            mask[1, ..., S // 2:] = NEG_INF  # row 1 pads its later keys
+        return q, k, v, mask
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_forward_matches_reference(self, name):
+        heads, T, S, kind, p = self.CASES[name]
+        q, k, v, mask = self.inputs(heads, T, S, kind)
+        keep = None
+        if p > 0:
+            keep = (make_rng(9).random((2, heads, T, S)) >= p) / (1.0 - p)
+        captured = []
+        out = attention(Tensor(q), Tensor(k), Tensor(v), mask, heads, "x",
+                        p, make_rng(9), captured)
+        want, weights = reference_attention(q, k, v, mask, heads, keep)
+        assert out.shape == (2, T, 8)
+        assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        assert len(captured) == 1  # the weights before dropout
+        assert np.allclose(captured[0], weights, rtol=1e-12, atol=1e-12)
+        if kind == "padding":
+            assert not captured[0][1, ..., S // 2:].any()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_gradcheck(self, name):
+        heads, T, S, kind, p = self.CASES[name]
+        q, k, v, mask = self.inputs(heads, T, S, kind)
+        weight = Tensor(make_rng(4).standard_normal((2, T, 8)))
+        params = {"q": Tensor(q, requires_grad=True),
+                  "k": Tensor(k, requires_grad=True),
+                  "v": Tensor(v, requires_grad=True)}
+
+        def loss(ps):
+            out = attention(ps["q"], ps["k"], ps["v"], mask, heads, "x", p,
+                            make_rng(9))
+            return tsum(mul(out, weight))
+
+        err = finite_diff_grad_check(loss, params, epsilon=1e-6,
+                                     max_coords_per_tensor=12)
+        assert err < 1e-6, f"{name}: rel err {err}"
+
+    def test_non_finite_scores_name_the_sublayer(self):
+        q, k, v, mask = self.inputs(2, 3, 3, "causal")
+        q[0, 0, 0] = k[0, 0, 0] = 1e200  # their product overflows
+        with pytest.raises(NonFiniteError, match="attention dec0.self scores"):
+            attention(Tensor(q), Tensor(k), Tensor(v), mask, 2, "dec0.self")
 
 
 class TestAdamW:
@@ -192,6 +259,17 @@ class TestAdamW:
         for i in range(1, 5):
             adamw_step(params, {"w": np.array([0.1])}, state)
             assert state.t == i
+
+    @pytest.mark.parametrize("lr,weight_decay,grad,bad", [
+        (float("inf"), 0.0, 1.0, "a"), (float("nan"), 0.0, 1.0, "a"),
+        (0.1, float("nan"), 1.0, "a"), (0.1, 0.0, float("nan"), "w")])
+    def test_non_finite_update_names_the_parameter(self, lr, weight_decay,
+                                                   grad, bad):
+        params = {"a": np.array([1.0]), "w": np.array([1.0, 2.0])}
+        state = AdamWState(lr=lr, weight_decay=weight_decay)
+        with pytest.raises(NonFiniteError, match=f"parameter '{bad}' after"):
+            adamw_step(params, {"a": np.zeros(1), "w": np.full(2, grad)},
+                       state)
 
     def test_shape_mismatch_rejected(self):
         state = AdamWState()

@@ -81,6 +81,23 @@ class TestStage1:
         assert all(np.array_equal(model.params[k].data, before[k])
                    for k in before)
 
+    @pytest.mark.parametrize("lr,weight_decay", [
+        (float("inf"), 0.01), (float("nan"), 0.01), (1e-3, float("nan"))],
+        ids=["lr-inf", "lr-nan", "weight-decay-nan"])
+    def test_non_finite_step_rolls_back_and_raises(self, lr, weight_decay):
+        # the first step writes NaN or Inf weights; the loss never sees them
+        corpus, _ = gen_synthetic_corpus(SPEC, 40)
+        model = small_setup(seed=6)
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        with pytest.raises(TrainingDivergedError,
+                           match="after the optimizer step.*rolled back"):
+            fit(model, corpus, epochs=2, lr=lr, batch_size=16, kinds=(),
+                lam=0.0, label_smoothing=0.1, weight_decay=weight_decay,
+                rngs=make_rng(8).spawn(3))
+        assert all(np.array_equal(model.params[k].data, before[k])
+                   for k in before)
+        assert all(t.grad is None for t in model.params.values())
+
     def test_report_has_aug_means(self):
         corpus, _ = gen_synthetic_corpus(SPEC, 80)
         cfg = TrainingConfig()
@@ -268,6 +285,29 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError):
             config_from_items({"frobnicate": "1"})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("stage1.batch_size", "0", "stage1: batch_size must be an integer"),
+        ("stage2.batch_size", "-3", "stage2: batch_size must be an integer"),
+        ("stage1.epochs", "-1", "stage1: epochs must be an integer >= 0"),
+        ("stage2.patience", "0", "patience must be >= 1"),
+        ("stage1.epochs", "x", "stage1.epochs = 'x'"),
+        ("seed", "1.5", "seed = '1.5'"),
+        ("lambda", "half", "lambda = 'half'"),
+        ("stage2.kinds", "mask,bogus", "stage2.kinds = 'mask,bogus'")])
+    def test_bad_value_is_data_error_naming_the_key(self, key, value,
+                                                    message):
+        with pytest.raises(DataError, match=message):
+            config_from_items({key: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", 2.5), ("epochs", -1)])
+    def test_stage_config_checks_loop_sizes(self, field, value):
+        with pytest.raises(DataError, match=field):
+            StageConfig(**{field: value})
+
+    def test_zero_epochs_accepted(self):
+        assert config_from_items({"stage2.epochs": "0"}).stage2.epochs == 0
 
     def test_empty_kinds_spelled_none(self):
         back = config_from_items({"stage1.kinds": "none"})
