@@ -112,6 +112,9 @@ def ae_xattn_experiment(config: XAttnExperimentConfig,
     every epoch."""
     if not seeds:
         raise DataError("ae_xattn_experiment needs at least one seed")
+    if config.epochs < 1:
+        raise DataError(f"ae_xattn_experiment needs epochs >= 1, "
+                        f"got {config.epochs}")
     vocab = synthetic_vocab(config.task)
     train_corpus, val_corpus = gen_synthetic_corpus(
         config.task, config.n_train, config.n_val)

@@ -52,6 +52,19 @@ def _write_lines(spec: str, lines: list[str]) -> None:
         Path(spec).write_text(text, encoding="utf-8")
 
 
+def _map_lines(args, fn) -> int:
+    """One line of args.output per line of args.input: fn maps the list of
+    non-blank input lines to their outputs; a blank line is not passed to
+    fn and gets an empty output line, so output line i answers input i."""
+    lines = _read_lines(args.input, keep_blank=True)
+    idx = [i for i, ln in enumerate(lines) if ln.strip()]
+    out = [""] * len(lines)
+    for i, res in zip(idx, fn([lines[i] for i in idx])):
+        out[i] = res
+    _write_lines(args.output, out)
+    return 0
+
+
 def _write_records(path: str | None, records: list[dict]) -> None:
     if not path:
         return
@@ -181,28 +194,21 @@ def _cmd_distill(args) -> int:
 
 def _cmd_translate(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    queries = _read_lines(args.input)
-    outputs = translate_corpus(model, queries, beam=args.beam,
-                               max_len=args.max_len)
-    _write_lines(args.output, outputs)
-    return 0
+    return _map_lines(args, lambda qs: translate_corpus(
+        model, qs, beam=args.beam, max_len=args.max_len))
 
 
 def _cmd_detect_lang(args) -> int:
     crf = load_crf(args.model)
-    queries = _read_lines(args.input)
-    _write_lines(args.output,
-                 [detect_query_language(crf, q).value for q in queries])
-    return 0
+    return _map_lines(args, lambda qs: [
+        detect_query_language(crf, q).value for q in qs])
 
 
 def _cmd_translit(args) -> int:
     tdict = load_translit_dict(args.dict)
     model = load_checkpoint(args.model) if args.model else None
-    texts = _read_lines(args.input)
-    _write_lines(args.output,
-                 [hybrid_transliterate(t, tdict, model) for t in texts])
-    return 0
+    return _map_lines(args, lambda ts: [
+        hybrid_transliterate(t, tdict, model) for t in ts])
 
 
 def _cmd_eval_bleu(args) -> int:

@@ -226,6 +226,8 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
     one pass that also turns every query into its feature_ids."""
     if not corpus:
         raise DataError("train_crf needs a non-empty corpus")
+    if epochs < 1:
+        raise DataError(f"train_crf needs epochs >= 1, got {epochs}")
     rng = rng or np.random.default_rng(0)
     feature_index: dict[str, int] = {}
     data = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DataError
 from .gradcheck import finite_diff_grad_check
 from .optim import AdamWState, adamw_step, step_tensors
 from .tensor import (Tensor, add, as_tensor, attention, dropout, exp,
@@ -15,6 +16,8 @@ from .tensor import (Tensor, add, as_tensor, attention, dropout, exp,
 def make_rng(seed: int) -> np.random.Generator:
     """Project-wide RNG: PCG64 with an explicit seed. Identical seeds and
     call sequences produce identical streams."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DataError(f"seed must be an integer >= 0, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

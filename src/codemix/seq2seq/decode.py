@@ -15,6 +15,12 @@ which other rows share the step, so a batch returns, bit for bit, what
 each query returns alone. Rows run in the model's dtype: a float32 or
 int8 model decodes in float32, a float64 model in float64.
 
+Selection. Each row proposes its `beam` most likely tokens (`top_k`), ties
+going to the lower token id. A query's candidates are enumerated in
+(hypothesis, rank) order, those with a non-finite score are dropped, and
+the rest are stable-sorted by score, so equal scores keep that order;
+the first `beam` survive.
+
 A hypothesis that emits EOS moves from the active to the finished set. A
 query stops when no active hypothesis is left, or when its best finished
 score is at least every active score: log-probabilities are <= 0, so no
@@ -24,7 +30,9 @@ to the step limit would give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,8 +53,31 @@ class BeamResult:
 
 
 def _max_steps(model: Seq2SeqModel, max_len: int) -> int:
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
     # The BOS-prefixed decoder input must stay within the model's max_len.
     return min(max_len, model.config.max_len - 1)
+
+
+def top_k(lp: np.ndarray, k: int) -> np.ndarray:
+    """`np.argsort(-lp, axis=-1, kind="stable")[:, :k]` without sorting
+    whole rows: `np.partition` finds each row's k-th value and only the
+    columns at or above it are sorted. A row whose k-th value is tied, or
+    k >= the row length, takes the full stable sort."""
+    neg = -lp
+    if k >= neg.shape[1]:
+        return np.argsort(neg, axis=-1, kind="stable")[:, :k]
+    mask = neg <= np.partition(neg, k - 1, axis=-1)[:, k - 1:k]
+    tied = np.flatnonzero(mask.sum(axis=1) != k)
+    mask[tied] = False
+    mask[tied, :k] = True          # placeholders, overwritten below
+    cols = np.nonzero(mask)[1].reshape(-1, k)   # ascending ids per row
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1,
+                       kind="stable")
+    top = np.take_along_axis(cols, order, axis=1)
+    if tied.size:
+        top[tied] = np.argsort(neg[tied], axis=-1, kind="stable")[:, :k]
+    return top
 
 
 def _step(model: Seq2SeqModel, cache, tokens: list[int]) -> np.ndarray:
@@ -64,11 +95,12 @@ def _start(model: Seq2SeqModel, sources):
 
 def greedy_decode(model: Seq2SeqModel, src_ids, max_len: int = 32) -> list[int]:
     """Argmax token at each step until EOS or max_len tokens."""
+    steps = _max_steps(model, max_len)
     with no_grad():
         cache = _start(model, [src_ids])
         out: list[int] = []
         tok = BOS
-        for _ in range(_max_steps(model, max_len)):
+        for _ in range(steps):
             tok = int(np.argmax(_step(model, cache, [tok])[0]))
             if tok == EOS:
                 break
@@ -93,15 +125,16 @@ def beam_search_batch(model: Seq2SeqModel, sources, beam: int = 3,
     each result equals that source's own `beam_search` result."""
     if beam < 1:
         raise DataError(f"beam must be >= 1, got {beam}")
+    steps = _max_steps(model, max_len)
     out: list[BeamResult] = []
     for start in range(0, len(sources), MAX_BATCH):
         out.extend(_beam_batch(model, sources[start:start + MAX_BATCH],
-                               beam, max_len))
+                               beam, steps))
     return out
 
 
 def _beam_batch(model: Seq2SeqModel, sources, beam: int,
-                max_len: int) -> list[BeamResult]:
+                steps: int) -> list[BeamResult]:
     n = len(sources)
     # Per query: active hypotheses in cache-row order, and finished ones.
     active: list[list[tuple[float, list[int]]]] = [[(0.0, [])]
@@ -110,36 +143,37 @@ def _beam_batch(model: Seq2SeqModel, sources, beam: int,
     live = list(range(n))          # queries with rows in the cache
     with no_grad():
         cache = _start(model, sources)
-        for _ in range(_max_steps(model, max_len)):
+        for _ in range(steps):
             tokens = [ids[-1] if ids else BOS
                       for q in live for _, ids in active[q]]
             lp = _step(model, cache, tokens)
             # Per-hypothesis top-beam by token log-probability; only a
             # global top-beam among these can survive, so nothing viable is
             # lost and beam=1 selects exactly greedy's argmax.
-            top = np.argsort(-lp, axis=-1, kind="stable")[:, :beam]
-            top_lp = np.take_along_axis(lp, top, axis=-1).astype(np.float64)
-            width = top.shape[1]
+            top = top_k(lp, beam)
+            top_lp = np.take_along_axis(lp, top, axis=-1).tolist()
+            top = top.tolist()
             parents: list[int] = []
             counts: list[int] = []
             row = 0
             for q in live:
                 hyps = active[q]
-                base = np.array([score for score, _ in hyps])
-                scores = (base[:, None] + top_lp[row:row + len(hyps)]).ravel()
-                keep = np.flatnonzero(np.isfinite(scores))
+                # (score, row, token) in (hypothesis, rank) order; Python
+                # floats add in float64, as the scores always have.
+                cands = [(score, r, tok)
+                         for r, (base, _) in enumerate(hyps, row)
+                         for tok, tok_lp in zip(top[r], top_lp[r])
+                         if math.isfinite(score := base + tok_lp)]
+                cands.sort(key=itemgetter(0), reverse=True)  # stable
                 nxt: list[tuple[float, list[int]]] = []
                 kept: list[int] = []
-                order = np.argsort(-scores[keep], kind="stable")[:beam]
-                for ci in keep[order]:
-                    hi, rank = divmod(int(ci), width)
-                    tok = int(top[row + hi, rank])
-                    score, ids = float(scores[ci]), hyps[hi][1]
+                for score, r, tok in cands[:beam]:
+                    ids = hyps[r - row][1]
                     if tok == EOS:
                         finished[q].append((score, ids))
                     else:
                         nxt.append((score, ids + [tok]))
-                        kept.append(row + hi)
+                        kept.append(r)
                 # nxt is best-first; nothing in it can overtake a finished
                 # hypothesis that scores at least as high.
                 if nxt and finished[q] and (

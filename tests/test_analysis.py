@@ -103,3 +103,10 @@ class TestExperiment:
     def test_requires_seeds(self):
         with pytest.raises(DataError):
             ae_xattn_experiment(XAttnExperimentConfig(), seeds=[])
+
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_requires_an_epoch(self, epochs):
+        cfg = XAttnExperimentConfig()
+        cfg.epochs = epochs
+        with pytest.raises(DataError, match="epochs >= 1"):
+            ae_xattn_experiment(cfg, seeds=[0])

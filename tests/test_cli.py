@@ -7,8 +7,10 @@ import pytest
 from codemix.bleu import bleu_corpus
 from codemix.cli import main
 from codemix.checkpoint import load_checkpoint, save_checkpoint
+from codemix.langid import detect_query_language, load_crf
 from codemix.quant import quantize_model
-from codemix.seq2seq import beam_search, greedy_decode, encode_source
+from codemix.seq2seq import (beam_search, encode_source, greedy_decode,
+                             translate_corpus)
 from codemix.text import decode
 
 from oracles import reference_beam_search
@@ -519,3 +521,104 @@ class TestUnwritableOutput:
         assert run(argv) == 2
         err = _one_error_line(capsys)
         assert "missing" in err or "regular" in err
+
+
+class TestBadArguments:
+    """A flag or config value no run can use is exit code 2 with one error
+    line, and nothing is written."""
+
+    # {ck} a trained checkpoint, {queries} two queries around a blank line,
+    # {blank} only a blank line, {seedcfg} a training config with seed = -1,
+    # {clean} a clean corpus for the committed teacher, {out} the output
+    CASES = {
+        "translate-max-len-0": (
+            ["translate", "--checkpoint", "{ck}", "--input", "{queries}",
+             "--output", "{out}", "--max-len", "0"], "max_len must be >= 1"),
+        "translate-blank-input-max-len-0": (
+            ["translate", "--checkpoint", "{ck}", "--input", "{blank}",
+             "--output", "{out}", "--max-len", "0"], "max_len must be >= 1"),
+        "bench-latency-max-len-negative": (
+            ["bench-latency", "--checkpoint", "{ck}", "--queries",
+             "{queries}", "--max-len", "-1", "--report", "{out}"],
+            "max_len must be >= 1"),
+        "train-seed-negative": (
+            ["train", "--train-tsv", "{train}", "--stage", "stage1",
+             "--seed", "-1", "--out", "{out}"] + TINY_MODEL,
+            "seed must be an integer >= 0, got -1"),
+        "train-config-seed-negative": (
+            ["train", "--train-tsv", "{train}", "--stage", "stage1",
+             "--config", "{seedcfg}", "--out", "{out}"] + TINY_MODEL,
+            "seed must be an integer >= 0, got -1"),
+        "distill-seed-negative": (
+            ["distill", "--teacher", "{teacher}", "--clean-tsv", "{clean}",
+             "--pool", "{queries}", "--seed", "-3", "--out", "{out}"],
+            "seed must be an integer >= 0, got -3"),
+        "train-langid-epochs-negative": (
+            ["train-langid", "--conll", "{conll}", "--epochs", "-1",
+             "--out", "{out}"], "train_crf needs epochs >= 1, got -1"),
+        "analyze-xattn-epochs-0": (
+            ["analyze-xattn", "--epochs", "0", "--report", "{out}"],
+            "ae_xattn_experiment needs epochs >= 1, got 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_with_one_line(self, case, corpus_dir, checkpoint_dir,
+                                    tmp_path, capsys):
+        queries, blank = tmp_path / "queries.txt", tmp_path / "blank.txt"
+        queries.write_text("kala juta\n\nred shoe\n", encoding="utf-8")
+        blank.write_text("\n", encoding="utf-8")
+        seedcfg, clean = tmp_path / "seed.cfg", tmp_path / "clean.tsv"
+        seedcfg.write_text("stage1.epochs = 1\nseed = -1\n", encoding="utf-8")
+        clean.write_text("kala juta\tblack shoe\n", encoding="utf-8")
+        paths = {"ck": checkpoint_dir, "queries": queries, "blank": blank,
+                 "seedcfg": seedcfg, "clean": clean, "teacher": TEACHER,
+                 "train": corpus_dir / "train.tsv",
+                 "conll": corpus_dir / "langid.conll",
+                 "out": tmp_path / "out"}
+        argv, message = self.CASES[case]
+        argv = [a.format(**{k: str(v) for k, v in paths.items()})
+                for a in argv]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+class TestBlankInputLines:
+    """translate, detect-lang and translit write output line i for input
+    line i: a blank input line gets an empty output line."""
+
+    def _run(self, argv, lines, tmp_path) -> list[str]:
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        assert run(argv + ["--input", str(inp), "--output", str(out)]) == 0
+        return read(out).splitlines()
+
+    def test_translate(self, corpus_dir, checkpoint_dir, tmp_path):
+        srcs = [ln.split("\t")[0] for ln in
+                read(corpus_dir / "test.tsv").splitlines()[:3]]
+        got = self._run(["translate", "--checkpoint", str(checkpoint_dir),
+                         "--max-len", "12"],
+                        ["", srcs[0], "", srcs[1], "   ", srcs[2]], tmp_path)
+        want = translate_corpus(load_checkpoint(checkpoint_dir), srcs,
+                                max_len=12)
+        assert got == ["", want[0], "", want[1], "", want[2]]
+
+    def test_detect_lang(self, corpus_dir, tmp_path):
+        crf = tmp_path / "crf.json"
+        assert run(["train-langid", "--conll", str(corpus_dir / "langid.conll"),
+                    "--epochs", "1", "--out", str(crf)]) == 0
+        queries = ["radata zipaxu", "red shoe", "kala juta"]
+        got = self._run(["detect-lang", "--model", str(crf)],
+                        [queries[0], "", queries[1], "\t", queries[2]],
+                        tmp_path)
+        model = load_crf(crf)
+        want = [detect_query_language(model, q).value for q in queries]
+        assert got == [want[0], "", want[1], "", want[2]]
+
+    def test_translit(self, tmp_path):
+        d = tmp_path / "d.tsv"
+        d.write_text("juta\tjoota\nkala\tkaala\n", encoding="utf-8")
+        got = self._run(["translit", "--dict", str(d)],
+                        ["kala juta", "", "juta", " "], tmp_path)
+        assert got == ["kaala joota", "", "joota", ""]

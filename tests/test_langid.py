@@ -289,6 +289,11 @@ class TestTrainCrf:
         with pytest.raises(DataError):
             train_crf([], epochs=1)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(DataError, match="epochs >= 1"):
+            train_crf(separable_corpus(4), epochs=epochs)
+
     @pytest.mark.parametrize("l2,lr", [(float("nan"), 0.05),
                                        (1e-4, float("inf"))])
     def test_non_finite_step_stops_training(self, l2, lr):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from codemix.errors import CodemixError, NonFiniteError, ShapeError
+from codemix.errors import (CodemixError, DataError, NonFiniteError,
+                             ShapeError)
 from codemix.numerics import (AdamWState, Tensor, adamw_step, add, attention,
                               dropout, exp, finite_diff_grad_check,
                               gather_rows, gelu, layer_norm, linear,
@@ -311,6 +312,15 @@ class TestRng:
         a = make_rng(7).spawn(3)[1].integers(0, 1000, 10)
         b = make_rng(7).spawn(3)[1].integers(0, 1000, 10)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_is_data_error(self, seed):
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            make_rng(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(make_rng(np.int64(5)).integers(0, 9, 4),
+                              make_rng(5).integers(0, 9, 4))
 
 
 class TestDropout:

@@ -1,8 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codemix import quant
 from codemix.checkpoint import load_checkpoint
@@ -15,6 +18,7 @@ from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              encode_source, forward_teacher_forced,
                              greedy_decode, init_model, label_smoothed_ce,
                              make_batch, translate, translate_corpus)
+from codemix.seq2seq.decode import top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
 from oracles import (exhaustive_best_sequence, reference_beam_search,
@@ -264,6 +268,59 @@ class TestBeam:
         with pytest.raises(DataError):
             beam_search(m, [5, 2], beam=0)
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_rejected(self, max_len):
+        m = tiny_model()
+        with pytest.raises(DataError, match="max_len must be >= 1"):
+            beam_search_batch(m, [], max_len=max_len)
+        with pytest.raises(DataError, match="max_len must be >= 1"):
+            beam_search(m, [5, 2], max_len=max_len)
+        with pytest.raises(DataError, match="max_len must be >= 1"):
+            greedy_decode(m, [5, 2], max_len=max_len)
+
+
+# Log-probabilities with many exact ties and -inf entries.
+LOG_PROBS = st.one_of(st.sampled_from([0.0, -0.5, -1.0, -3.0, -np.inf]),
+                      st.floats(-30.0, 0.0))
+
+
+@st.composite
+def log_prob_rows(draw):
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = draw(st.lists(LOG_PROBS, min_size=rows * width,
+                           max_size=rows * width))
+    lp = np.array(values, dtype=dtype).reshape(rows, width)
+    return lp, draw(st.integers(1, width + 1))
+
+
+class TestTopK:
+    """top_k must pick what the full stable argsort picks, in its order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(log_prob_rows())
+    def test_equals_full_stable_argsort(self, case):
+        lp, k = case
+        want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
+        assert np.array_equal(top_k(lp, k), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows,k", [
+        ([[-1.0] * 6], 2),                                # all tied
+        ([[-0.5, -1.0, -1.0, -2.0, -1.0]], 2),            # tie at k-th
+        ([[-0.5, -1.0, -1.0, -2.0, -1.0]], 4),            # k-th value ends tie
+        ([[-np.inf, -1.0, -np.inf, -0.5]], 3),            # -inf at k-th
+        ([[-np.inf, -1.0, -np.inf, -0.5]], 2),            # -inf below k-th
+        ([[-0.2, -0.1, -0.3]] * 2, 3),                    # k = width
+        ([[-0.2, -0.1, -0.3]], 4),                        # k > width
+        ([[-0.3, -0.1, -0.2, -0.2], [-2.0, -1.0, -3.0, -4.0]], 2),  # mixed
+    ], ids=["all-tied", "tie-at-kth", "kth-ends-tie", "inf-at-kth",
+            "inf-below-kth", "k-eq-width", "k-gt-width", "tied-and-not"])
+    def test_named_cases(self, rows, k, dtype):
+        lp = np.array(rows, dtype=dtype)
+        want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
+        assert np.array_equal(top_k(lp, k), want)
+
 
 class PrefixTableModel:
     """Stands in for a Seq2SeqModel in decoding: each row's next-token
@@ -271,11 +328,13 @@ class PrefixTableModel:
     can pin exact scores."""
 
     def __init__(self, table, default, max_len=6):
-        self.table = {k: np.log(np.float32(v)) for k, v in table.items()}
-        self.default = np.log(np.float32(default))
+        with np.errstate(divide="ignore"):  # probability 0 is log -inf
+            self.table = {k: np.log(np.float32(v)) for k, v in table.items()}
+            self.default = np.log(np.float32(default))
         self.config = Seq2SeqConfig(vocab=tiny_vocab(len(default) - 5),
                                     max_len=max_len)
         self.steps = 0
+        self.prefixes: set[tuple[int, ...]] = set()  # every row decoded
 
     def encode(self, src):
         return None, None
@@ -287,8 +346,16 @@ class PrefixTableModel:
         self.steps += 1
         cache.prefixes = [p if t == BOS else p + (int(t),)
                           for p, t in zip(cache.prefixes, tokens)]
+        self.prefixes.update(cache.prefixes)
         return np.array([self.table.get(p, self.default)
                          for p in cache.prefixes])
+
+    def decode(self, enc_out, key_mask, dec_in):
+        """Teacher-forced logits for the full-prefix reference: the last
+        position's are the table's log-probabilities of the prefix."""
+        prefix = tuple(int(t) for t in dec_in[0, 1:])
+        return SimpleNamespace(
+            data=self.table.get(prefix, self.default)[None, None])
 
     class Cache:
         def __init__(self, prefixes):
@@ -383,6 +450,52 @@ class TestCachedDecoder:
         ids, score, finished = exhaustive_best_sequence(m, [5, EOS], 4)
         res = beam_search(m, [5, EOS], beam=len(default) ** 4, max_len=4)
         assert (res.ids, res.score, res.finished) == (ids, score, finished)
+
+    # Ids 0-4 are specials (EOS = 2); 5, 6, 7 are words. At step 1 the
+    # words 5 and 6 tie at .3, and EOS and 7 tie at .18; after 5, the words
+    # 5 and 6 tie at .2; after 6, all three words tie at .02. Any other
+    # prefix gives 7 probability 0 (log -inf).
+    TIED = {(): [.01, .01, .18, .01, .01, .3, .3, .18],
+            (5,): [.01, .01, .4, .01, .01, .2, .2, .16],
+            (6,): [.01, .01, .9, .01, .01, .02, .02, .02]}
+    TIED_DEFAULT = [.05, .05, .6, .05, .05, .1, .1, 0.0]
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4, 8, 9])
+    def test_tied_probabilities_match_reference(self, beam):
+        # beam 1 keeps 5, the lower id of the tie, and ends 5 EOS (.12);
+        # wider beams also keep 6 and find 6 EOS (.27).
+        m = PrefixTableModel(self.TIED, self.TIED_DEFAULT)
+        got = assert_matches_reference(m, [5, EOS], beam=beam, max_len=4)
+        assert (got.ids, got.finished) == ([5] if beam == 1 else [6], True)
+        if beam == 1:
+            assert greedy_decode(m, [5, EOS], max_len=4) == [5]
+        # PAD and BOS (log -inf) are never extended, even when the beam is
+        # wider than the tokens left
+        assert not any({PAD, BOS} & set(p) for p in m.prefixes)
+
+    def test_tied_probabilities_match_exhaustive(self):
+        m = PrefixTableModel(self.TIED, self.TIED_DEFAULT)
+        ids, score, finished = exhaustive_best_sequence(m, [5, EOS], 3)
+        res = beam_search(m, [5, EOS], beam=len(self.TIED_DEFAULT) ** 3,
+                          max_len=3)
+        assert (res.ids, res.score, res.finished) == (ids, score, finished)
+        assert (ids, finished) == ([6], True)
+
+    # 5 (.5) then EOS (.4) and 6 (.4) then EOS (.5) tie exactly for the
+    # best score, log .5 + log .4; the earlier candidate, 5 EOS, wins.
+    # Checked against the exhaustive search only: the full-prefix reference
+    # renormalizes each row, which splits a tie between different rows.
+    TIED_CANDIDATES = {(): [.01, .01, .04, .01, .01, .5, .4, .02],
+                       (5,): [.02, .02, .4, .02, .02, .3, .1, .12],
+                       (6,): [.02, .02, .5, .02, .02, .2, .1, .12]}
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4, 8 ** 3])
+    def test_equal_scores_keep_the_earlier_candidate(self, beam):
+        m = PrefixTableModel(self.TIED_CANDIDATES, self.TIED_DEFAULT)
+        got = beam_search(m, [5, EOS], beam=beam, max_len=3)
+        ids, score, finished = exhaustive_best_sequence(m, [5, EOS], 3)
+        assert (got.ids, got.score, got.finished) == (ids, score, finished)
+        assert (ids, finished) == ([5], True)
 
     def test_int8_dequantizes_each_weight_once(self, monkeypatch):
         calls = []
