@@ -58,10 +58,10 @@ def xattn_identity_error(model: Seq2SeqModel, batch, layer: int) -> float:
         lens.append(n_src + 1)  # + EOS on the encoder, + BOS on the decoder
     arrays = make_batch(vocab, [p[0] for p in pairs], [p[1] for p in pairs],
                         model.config.max_len)
+    capture: list[np.ndarray] = []
     with no_grad():
-        _, capture = model.forward(arrays["src"], arrays["dec_in"],
-                                   capture_attn=True)
-    attn = capture.layers[layer]  # (B, H, T, S)
+        model.forward(arrays["src"], arrays["dec_in"], capture=capture)
+    attn = capture[layer]  # (B, H, T, S)
     errors = [min_head_identity_error(attn[i, :, :n, :n])
               for i, n in enumerate(lens)]
     # fsum makes the mean exactly invariant to batch order.

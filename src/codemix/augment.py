@@ -107,19 +107,11 @@ def apply_augmentation(kind: AugKind, example: ParallelExample,
     return _TRANSFORMS[kind](example, rng)
 
 
-def combined_loss(loss_s, loss_d, weights: LossWeights):
-    """(1 - lambda) * supervised + lambda * augmentation loss.
-
-    Accepts floats or tape tensors (gradient flows through both terms).
-    """
-    lam = weights.lam
-    for name, v in (("loss_s", loss_s), ("loss_d", loss_d)):
-        val = v.item() if isinstance(v, Tensor) else float(v)
-        if not math.isfinite(val):
-            raise DataError(f"{name} is not finite: {val}")
-    if isinstance(loss_s, Tensor) or isinstance(loss_d, Tensor):
-        return add(mul(loss_s, 1.0 - lam), mul(loss_d, lam))
-    return (1.0 - lam) * loss_s + lam * loss_d
+def combined_loss(loss_s: Tensor, loss_d: Tensor,
+                  weights: LossWeights) -> Tensor:
+    """(1 - lambda) * supervised + lambda * augmentation loss on the tape;
+    the gradient flows through both terms."""
+    return add(mul(loss_s, 1.0 - weights.lam), mul(loss_d, weights.lam))
 
 
 def sample_augmented_batch(corpus: Corpus, kinds, batch_size: int,

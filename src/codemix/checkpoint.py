@@ -65,17 +65,13 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
     for name, _, _ in _param_shapes(cfg):
         if isinstance(model, QuantizedSeq2Seq) and name in model.qparams:
             q = model.qparams[name]
-            payload = q.payload.tobytes()
-            dtype, scale = "i8", repr(float(q.scale))
-            shape = q.shape
+            arr, dtype, scale = q.payload, "i8", repr(float(q.scale))
         else:
-            t = model.params[name]
-            payload = t.data.astype("<f4").tobytes()
+            arr = model.params[name].data.astype("<f4")
             dtype, scale = "f32", ""
-            shape = t.data.shape
-        shape_s = "x".join(str(s) for s in shape)
+        shape_s = "x".join(str(s) for s in arr.shape)
         manifest_lines.append(f"{name}\t{dtype}\t{shape_s}\t{len(blob)}\t{scale}\n")
-        blob.extend(payload)
+        blob.extend(arr.tobytes())
     (path / "manifest.tsv").write_text("".join(manifest_lines), encoding="utf-8")
     (path / "weights.bin").write_bytes(bytes(blob))
 
@@ -164,8 +160,7 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: int8 tensor '{name}' holds "
                                       f"-128, which quantization never writes")
             qparams[name] = QuantizedTensor(arr.copy(),
-                                            _parse_scale(path, name, scale_s),
-                                            shape)
+                                            _parse_scale(path, name, scale_s))
         else:
             params[name] = Tensor(arr.astype(np.float32),
                                   requires_grad=True)

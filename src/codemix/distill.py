@@ -158,13 +158,12 @@ def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
     constant), and the mean runs over the batch's real (non-PAD) positions.
     """
     with no_grad():
-        t_logits, _ = teacher.forward(batch["src"], batch["dec_in"])
+        t_logits = teacher.forward(batch["src"], batch["dec_in"])
         # exp(log_softmax) rather than softmax: bitwise-identical to the
         # student's probability path, so a student that equals the teacher
         # sees an exactly-zero KD loss and gradient.
         t_probs = np.exp(log_softmax(t_logits, axis=-1).data)
-    s_logits, _ = student.forward(batch["src"], batch["dec_in"], train=True,
-                                  rng=train_rng)
+    s_logits = student.forward(batch["src"], batch["dec_in"], rng=train_rng)
     return kd_loss(kd_kind, t_probs, log_softmax(s_logits, axis=-1),
                    batch["label_mask"])
 
@@ -198,8 +197,6 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
         raise DataError("teacher produced no usable pseudo-labels")
     report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
 
-    steps_per_epoch = -(-len(clean_corpus) // cfg.batch_size)
-
     def kd_term(n_rows: int, loss_s: Tensor, loss_d: Tensor) -> Tensor:
         kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)
         kd_rows = [pseudo[int(i)] for i in kd_idx]
@@ -212,8 +209,11 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
                                       loss_kd.item()))
         return loss_kd
 
+    recorded = 0  # steps of the epochs already recorded
+
     def record_epoch(model, epoch: int, fit_report) -> bool:
-        steps = report.steps[(epoch - 1) * steps_per_epoch:]
+        nonlocal recorded
+        steps, recorded = report.steps[recorded:], len(report.steps)
         report.epoch_means.append({
             name: float(np.mean([getattr(st, name) for st in steps]))
             for name in ("loss_s", "loss_d", "loss_kd")})

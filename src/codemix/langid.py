@@ -401,10 +401,11 @@ def eval_prf(predictions: list[QueryLanguage], gold: list[QueryLanguage],
 
 def load_token_labels(path) -> list[LabeledQuery]:
     """CoNLL-style file: `token<TAB>label` lines, blank line between
-    queries, labels in {EN, HI, OT}."""
+    queries, labels in {EN, HI, OT}; LF or CRLF endings."""
     queries: list[LabeledQuery] = []
     current: LabeledQuery = []
     for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             if current:
                 queries.append(current)

@@ -53,9 +53,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
+    def __init__(self, data, requires_grad: bool = False,
                  what: str = "tensor data"):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         _assert_finite(arr, what)
@@ -123,8 +123,8 @@ class Tensor:
                 f"requires_grad={self.requires_grad})")
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor],
@@ -152,22 +152,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    # Python scalars stay scalars so float32 tensors are not promoted.
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of an elementwise op as tensors. A Python number
+    becomes a 0-d array of the other operand's dtype, which is how NumPy
+    (NEP 50) computes it anyway, so float32 stays float32."""
     if isinstance(a, (int, float)):
-        a, b = b, a
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, b.dtype)), b
+    a = as_tensor(a)
     if isinstance(b, (int, float)):
-        a = as_tensor(a)
-        scalar = float(b)
-        out = a.data + scalar
+        return a, Tensor(np.asarray(b, a.dtype))
+    return a, as_tensor(b)
 
-        def backward_scalar(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
 
-        return _make(out, (a,), backward_scalar, "add")
-
-    a, b = as_tensor(a), as_tensor(b)
+def add(a, b) -> Tensor:
+    a, b = _operands(a, b)
     out = a.data + b.data
 
     def backward(g):
@@ -180,20 +179,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(a, (int, float)):
-        a, b = b, a
-    if isinstance(b, (int, float)):
-        a = as_tensor(a)
-        scalar = float(b)
-        out = a.data * scalar
-
-        def backward_scalar(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * scalar)
-
-        return _make(out, (a,), backward_scalar, "mul")
-
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data * b.data
 
     def backward(g):
@@ -231,14 +217,14 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), backward, "reshape")
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
 

@@ -22,7 +22,6 @@ _F32_ONLY = ("tok_emb", "enc_pos", "dec_pos")
 class QuantizedTensor:
     payload: np.ndarray          # int8, original shape
     scale: np.float32            # positive; dequant = payload * scale
-    shape: tuple[int, ...]
 
 
 def quantize_int8(tensor) -> QuantizedTensor:
@@ -36,7 +35,7 @@ def quantize_int8(tensor) -> QuantizedTensor:
     scale = np.float32(peak / 127.0) if peak > 0 else np.float32(1.0)
     ratio = x.astype(np.float64) / np.float64(scale)
     payload = np.clip(np.round(ratio), -127, 127).astype(np.int8)
-    return QuantizedTensor(payload, scale, tuple(x.shape))
+    return QuantizedTensor(payload, scale)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:

@@ -3,12 +3,11 @@
 from .decode import (BeamResult, beam_search, beam_search_batch,
                      greedy_decode, translate, translate_corpus)
 from .loss import label_smoothed_ce
-from .model import (AttentionCapture, Seq2SeqConfig, Seq2SeqModel,
-                    encode_source, forward_teacher_forced, init_model,
-                    make_batch, pad_batch)
+from .model import (Seq2SeqConfig, Seq2SeqModel, encode_source,
+                    forward_teacher_forced, init_model, make_batch, pad_batch)
 
 __all__ = [
-    "AttentionCapture", "BeamResult", "Seq2SeqConfig", "Seq2SeqModel",
+    "BeamResult", "Seq2SeqConfig", "Seq2SeqModel",
     "beam_search", "beam_search_batch", "encode_source",
     "forward_teacher_forced", "greedy_decode", "init_model",
     "label_smoothed_ce", "make_batch", "pad_batch",

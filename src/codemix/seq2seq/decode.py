@@ -200,10 +200,7 @@ def _best(finished, active) -> BeamResult:
 def translate(model: Seq2SeqModel, text: str, beam: int = 3,
               max_len: int = 32) -> str:
     """Encode, decode with beam search, and detokenize."""
-    vocab = model.config.vocab
-    src = encode_source(text, vocab)
-    result = beam_search(model, src, beam=beam, max_len=max_len)
-    return decode_ids(result.ids, vocab)
+    return translate_corpus(model, [text], beam=beam, max_len=max_len)[0]
 
 
 def translate_corpus(model: Seq2SeqModel, texts: list[str], beam: int = 3,

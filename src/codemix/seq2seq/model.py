@@ -12,7 +12,7 @@ on. Pre-norm residual blocks are used for stable from-scratch training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,14 +62,6 @@ class Seq2SeqConfig:
         items = {f.name: getattr(self, f.name) for f in fields(self)
                  if f.name != "vocab"}
         return {**items, "vocab_mode": self.vocab.mode}
-
-
-@dataclass
-class AttentionCapture:
-    """Row-stochastic cross-attention matrices, one array per decoder layer
-    of shape (batch, heads, decoder positions, encoder positions)."""
-
-    layers: list[np.ndarray] = field(default_factory=list)
 
 
 def _param_shapes(cfg: Seq2SeqConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -125,9 +117,6 @@ class Seq2SeqModel:
         c = self.config
         return f"seq2seq-{c.n_enc_layers}x{c.n_dec_layers}-d{c.d_model}"
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.params
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self.params.items()}
 
@@ -144,12 +133,12 @@ class Seq2SeqModel:
 
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str,
                    mask: np.ndarray | None, capture: list | None,
-                   train: bool, rng) -> Tensor:
+                   rng) -> Tensor:
         q, k, v = (linear(x, self.p(f"{prefix}.w{n}"), self.p(f"{prefix}.b{n}"))
                    for x, n in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")))
         ctx = attention(q, k, v, mask, self.config.n_heads, prefix,
-                        self.config.dropout_prob if train else 0.0, rng,
-                        capture)
+                        0.0 if rng is None else self.config.dropout_prob,
+                        rng, capture)
         return linear(ctx, self.p(f"{prefix}.wo"), self.p(f"{prefix}.bo"))
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
@@ -159,10 +148,8 @@ class Seq2SeqModel:
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.p(f"{prefix}.g"), self.p(f"{prefix}.b"))
 
-    def _drop(self, x: Tensor, train: bool, rng) -> Tensor:
-        if train and self.config.dropout_prob > 0:
-            return dropout(x, self.config.dropout_prob, rng)
-        return x
+    def _drop(self, x: Tensor, rng) -> Tensor:
+        return x if rng is None else dropout(x, self.config.dropout_prob, rng)
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
         if ids.shape[1] > self.config.max_len:
@@ -175,15 +162,16 @@ class Seq2SeqModel:
         pos = gather_rows(self.p(pos_name), self._positions(ids))
         return add(tok, pos)
 
-    def encode(self, src_ids: np.ndarray, train: bool = False,
+    def encode(self, src_ids: np.ndarray,
                rng=None) -> tuple[Tensor, np.ndarray]:
         """Returns (encoder states (B,S,D), additive key mask (B,1,1,S)).
-        Without training or gradients it runs the tape's ops in the tape's
-        order on plain arrays, so the states equal the tape's bit for bit."""
+        Dropout runs when a dropout stream `rng` is given. Without one and
+        with gradients off it runs the tape's ops in the tape's order on
+        plain arrays, so the states equal the tape's bit for bit."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         key_mask = np.where(src_ids == PAD, NEG_INF, 0.0)
         key_mask = key_mask[:, None, None, :].astype(self.dtype)
-        if not train and not grad_enabled():
+        if rng is None and not grad_enabled():
             x = (self.p("tok_emb").data[src_ids]
                  + self.p("enc_pos").data[self._positions(src_ids)])
             _assert_finite(x, "encoder embedding output")
@@ -197,16 +185,19 @@ class Seq2SeqModel:
         x = self._embed(src_ids, "enc_pos")
         for i in range(self.config.n_enc_layers):
             h = self._ln(x, f"enc{i}.ln1")
-            a = self._attention(h, h, f"enc{i}.attn", key_mask, None, train, rng)
-            x = add(x, self._drop(a, train, rng))
+            a = self._attention(h, h, f"enc{i}.attn", key_mask, None, rng)
+            x = add(x, self._drop(a, rng))
             f = self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn")
-            x = add(x, self._drop(f, train, rng))
+            x = add(x, self._drop(f, rng))
         return self._ln(x, "enc_lnf"), key_mask
 
     def decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
-               dec_in: np.ndarray, train: bool = False, rng=None,
-               capture: AttentionCapture | None = None) -> Tensor:
-        """Teacher-forced decoder pass; returns logits (B, T, vocab)."""
+               dec_in: np.ndarray, rng=None,
+               capture: list | None = None) -> Tensor:
+        """Teacher-forced decoder pass; returns logits (B, T, vocab).
+        Dropout runs when a dropout stream `rng` is given. A `capture` list
+        gets each layer's row-stochastic cross-attention weights (B, heads,
+        decoder positions, encoder positions), before dropout."""
         dec_in = np.asarray(dec_in, dtype=np.int64)
         B, T = dec_in.shape
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
@@ -214,14 +205,13 @@ class Seq2SeqModel:
         x = self._embed(dec_in, "dec_pos")
         for i in range(self.config.n_dec_layers):
             h = self._ln(x, f"dec{i}.ln1")
-            a = self._attention(h, h, f"dec{i}.self", causal, None, train, rng)
-            x = add(x, self._drop(a, train, rng))
-            sink = capture.layers if capture is not None else None
+            a = self._attention(h, h, f"dec{i}.self", causal, None, rng)
+            x = add(x, self._drop(a, rng))
             c = self._attention(self._ln(x, f"dec{i}.ln2"), enc_out,
-                                f"dec{i}.cross", enc_key_mask, sink, train, rng)
-            x = add(x, self._drop(c, train, rng))
+                                f"dec{i}.cross", enc_key_mask, capture, rng)
+            x = add(x, self._drop(c, rng))
             f = self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn")
-            x = add(x, self._drop(f, train, rng))
+            x = add(x, self._drop(f, rng))
         x = self._ln(x, "dec_lnf")
         # Tied output projection: logits = x @ tok_emb^T
         return linear(x, self.p("tok_emb"), transpose_w=True)
@@ -338,14 +328,13 @@ class Seq2SeqModel:
         _assert_finite(out, "residual add output")
         return out
 
-    def forward(self, src_ids: np.ndarray, dec_in: np.ndarray,
-                train: bool = False, rng=None,
-                capture_attn: bool = False
-                ) -> tuple[Tensor, AttentionCapture | None]:
-        capture = AttentionCapture() if capture_attn else None
-        enc_out, key_mask = self.encode(src_ids, train, rng)
-        logits = self.decode(enc_out, key_mask, dec_in, train, rng, capture)
-        return logits, capture
+    def forward(self, src_ids: np.ndarray, dec_in: np.ndarray, rng=None,
+                capture: list | None = None) -> Tensor:
+        """`encode` then `decode`: the logits (B, T, vocab). Dropout runs
+        in both when a dropout stream `rng` is given; a `capture` list gets
+        the decoder's cross-attention weights, one array per layer."""
+        enc_out, key_mask = self.encode(src_ids, rng)
+        return self.decode(enc_out, key_mask, dec_in, rng, capture)
 
     @property
     def dtype(self):
@@ -396,11 +385,13 @@ def forward_teacher_forced(model: Seq2SeqModel, src_ids, tgt_ids,
     `src_ids` is the full encoder input and `tgt_ids` the full decoder input
     (callers BOS-prefix the target themselves; labels are the EOS-suffixed
     target). Returns logits of shape (len(tgt_ids), vocab), plus the
-    attention capture when requested.
+    per-layer cross-attention list of `forward` when `capture_attn`, else
+    None.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     tgt = np.asarray([tgt_ids], dtype=np.int64)
-    logits, capture = model.forward(src, tgt, capture_attn=capture_attn)
+    capture = [] if capture_attn else None
+    logits = model.forward(src, tgt, capture=capture)
     return reshape(logits, (tgt.shape[1], len(model.config.vocab))), capture
 
 

@@ -179,7 +179,7 @@ def evaluate_loss(model: Seq2SeqModel, corpus: Corpus, label_smoothing: float,
             batch = make_batch(vocab, [corpus[i].source for i in idxs],
                                [corpus[i].target for i in idxs],
                                model.config.max_len)
-            logits, _ = model.forward(batch["src"], batch["dec_in"])
+            logits = model.forward(batch["src"], batch["dec_in"])
             loss = label_smoothed_ce(logits, batch["labels"], label_smoothing)
             k = int(batch["label_mask"].sum())
             total += loss.item() * k
@@ -238,8 +238,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                 batch = make_batch(vocab, [ex.source for ex in rows],
                                    [ex.target for ex in rows],
                                    model.config.max_len)
-                logits, _ = model.forward(batch["src"], batch["dec_in"],
-                                          train=True, rng=drop_rng)
+                logits = model.forward(batch["src"], batch["dec_in"],
+                                       rng=drop_rng)
                 loss_s = label_smoothed_ce(logits, batch["labels"],
                                            label_smoothing)
                 loss_d = None
@@ -248,8 +248,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                                                  aug_rng, vocab)
                     abatch = pad_batch(aug.inputs, aug.outputs,
                                        model.config.max_len)
-                    alogits, _ = model.forward(abatch["src"], abatch["dec_in"],
-                                               train=True, rng=drop_rng)
+                    alogits = model.forward(abatch["src"], abatch["dec_in"],
+                                            rng=drop_rng)
                     loss_d = label_smoothed_ce(alogits, abatch["labels"],
                                                label_smoothing)
                     aug_losses.setdefault(aug.kind.value, []).append(loss_d.item())
@@ -263,7 +263,7 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                 else:
                     loss = loss_s
                 loss.backward()
-                step_tensors(model.trainable(), opt)
+                step_tensors(model.params, opt)
                 losses.append(loss_s.item())
         except NonFiniteError as e:
             model.restore(snapshot)

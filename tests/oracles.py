@@ -324,8 +324,8 @@ def reference_train_student(student_config, teacher, clean_corpus,
                 batch = make_batch(vocab, [ex.source for ex in rows],
                                    [ex.target for ex in rows],
                                    student_config.max_len)
-                logits, _ = student.forward(batch["src"], batch["dec_in"],
-                                            train=True, rng=drop_rng)
+                logits = student.forward(batch["src"], batch["dec_in"],
+                                         rng=drop_rng)
                 loss_s = label_smoothed_ce(logits, batch["labels"],
                                            cfg.label_smoothing)
                 if cfg.kinds:
@@ -333,9 +333,9 @@ def reference_train_student(student_config, teacher, clean_corpus,
                                                  len(rows), aug_rng, vocab)
                     abatch = pad_batch(aug.inputs, aug.outputs,
                                        student_config.max_len)
-                    alogits, _ = student.forward(abatch["src"],
-                                                 abatch["dec_in"],
-                                                 train=True, rng=drop_rng)
+                    alogits = student.forward(abatch["src"],
+                                              abatch["dec_in"],
+                                              rng=drop_rng)
                     loss_d = label_smoothed_ce(alogits, abatch["labels"],
                                                cfg.label_smoothing)
                 else:
@@ -350,7 +350,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
                 loss = add(mul(add(loss_s, loss_d), 1.0 - cfg.lam),
                            mul(loss_kd, cfg.lam))
                 loss.backward()
-                step_tensors(student.trainable(), opt)
+                step_tensors(student.params, opt)
                 epoch_steps.append(StepTrace(loss_s.item(), loss_d.item(),
                                              loss_kd.item()))
         except NonFiniteError as e:

@@ -8,9 +8,9 @@ from codemix.bleu import bleu_corpus
 from codemix.cli import main
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.langid import detect_query_language, load_crf
-from codemix.quant import quantize_model
+from codemix.quant import QuantizedSeq2Seq, quantize_model
 from codemix.seq2seq import (beam_search, encode_source, greedy_decode,
-                             translate_corpus)
+                             translate, translate_corpus)
 from codemix.text import decode
 
 from oracles import reference_beam_search
@@ -217,6 +217,15 @@ class TestLangidCli:
                   str(inp), "--output", str(out)])
         assert rc == 0
         assert read(out).strip() in {"english", "hinglish", "other"}
+
+    def test_crlf_conll_trains_the_same_crf(self, corpus_dir, tmp_path):
+        lf, crlf = corpus_dir / "langid.conll", tmp_path / "crlf.conll"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        for src, out in ((lf, "lf.json"), (crlf, "crlf.json")):
+            assert run(["train-langid", "--conll", str(src), "--epochs", "1",
+                        "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "lf.json").read_bytes() == \
+               (tmp_path / "crlf.json").read_bytes()
 
     @pytest.mark.parametrize("field,value,message", [
         ("template_version", "ngram12-window5-v0", "feature template"),
@@ -446,7 +455,112 @@ class TestBadInputFiles:
         assert "config.txt" in err and (key in err or value in err)
 
 
+class TestCorruptCheckpoint:
+    """Each way a checkpoint's text files can be damaged is exit code 2
+    with one error line naming the problem."""
+
+    # file -> its edited lines, and the message
+    CASES = {
+        "bad-config-line": ("config.txt", lambda ls: ls + ["no equals"],
+                            "bad key-value line"),
+        "unknown-format": (
+            "config.txt", lambda ls: ["format = seq2seq-v0"] + ls[1:],
+            "unknown checkpoint format 'seq2seq-v0'"),
+        "missing-config-key": (
+            "config.txt", lambda ls: [ln for ln in ls
+                                      if not ln.startswith("d_ff =")],
+            "config.txt missing key 'd_ff'"),
+        "bad-manifest-line": ("manifest.tsv",
+                              lambda ls: ls + ["tok_emb\tf32"],
+                              "bad manifest line"),
+        "unexpected-tensor": (
+            "manifest.tsv", lambda ls: ["tok_embedding" + ls[0][7:]] + ls[1:],
+            "unexpected tensor 'tok_embedding'"),
+        # the first tensor's bytes stay in weights.bin, so no byte trails
+        "missing-tensor": ("manifest.tsv", lambda ls: ls[1:],
+                           "manifest missing tensors: ['tok_emb']"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_with_one_line(self, case, checkpoint_dir, tmp_path,
+                                    capsys):
+        fname, edit, message = self.CASES[case]
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_dir, ck)
+        lines = read(ck / fname).splitlines()
+        assert lines[0].startswith("format =" if fname == "config.txt"
+                                   else "tok_emb\t")
+        (ck / fname).write_text("".join(ln + "\n" for ln in edit(lines)),
+                                encoding="utf-8")
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(ck), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out.txt").exists()
+
+
+def _teacher_queries(n: int) -> list[str]:
+    """Queries the committed teacher (read only) translates to non-empty
+    finished outputs."""
+    reference = json.loads(read(TEACHER.parent / "reference.json"))
+    return [q for q in sorted(reference) if reference[q]["f32"]][:n]
+
+
 class TestDistillCli:
+    @pytest.mark.parametrize("quantize", [False, True],
+                             ids=["float32", "int8"])
+    def test_writes_a_student_that_translates(self, quantize, tmp_path,
+                                              capsys):
+        queries = _teacher_queries(12)
+        pool, clean = tmp_path / "pool.txt", tmp_path / "clean.tsv"
+        pool.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        clean.write_text("".join(f"{q}\t{q}\n" for q in queries),
+                         encoding="utf-8")
+        student, report = tmp_path / "student", tmp_path / "report.jsonl"
+        capsys.readouterr()
+        rc = run(["distill", "--teacher", str(TEACHER), "--clean-tsv",
+                  str(clean), "--pool", str(pool), "--out", str(student),
+                  "--epochs", "2", "--report", str(report)] + TINY_MODEL
+                 + (["--quantize"] if quantize else []))
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        records = [json.loads(ln) for ln in read(report).splitlines()]
+        assert [r["epoch"] for r in records] == [1, 2]
+        assert all(set(r) == {"epoch", "loss_s", "loss_d", "loss_kd"}
+                   for r in records)
+        assert out == [json.dumps(r) for r in records] + [
+            f"student checkpoint written to {student}"]
+
+        model = load_checkpoint(student)
+        assert isinstance(model, QuantizedSeq2Seq) == quantize
+        assert model.model_id == "seq2seq-1x1-d16" + ("-int8" if quantize
+                                                      else "")
+        inp, got = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("".join(q + "\n" for q in queries[:4]),
+                       encoding="utf-8")
+        assert run(["translate", "--checkpoint", str(student), "--input",
+                    str(inp), "--output", str(got)]) == 0
+        assert read(got).splitlines() == [translate(model, q)
+                                          for q in queries[:4]]
+
+    def test_no_usable_pseudo_labels_is_exit_two(self, tmp_path, capsys):
+        # the committed teacher translates this query to nothing
+        reference = json.loads(read(TEACHER.parent / "reference.json"))
+        assert reference["beboero"]["f32"] == []
+        pool, clean = tmp_path / "pool.txt", tmp_path / "clean.tsv"
+        pool.write_text("beboero\n", encoding="utf-8")
+        clean.write_text("beboero\tbeboero\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["distill", "--teacher", str(TEACHER), "--clean-tsv",
+                  str(clean), "--pool", str(pool),
+                  "--out", str(tmp_path / "student")] + TINY_MODEL)
+        assert rc == 2
+        assert "teacher produced no usable pseudo-labels" in \
+            _one_error_line(capsys)
+        assert not (tmp_path / "student").exists()
+
     @pytest.mark.parametrize("lam", ["1.5", "-0.1"])
     def test_lambda_outside_unit_interval_is_exit_two(self, lam, tmp_path,
                                                       capsys):
@@ -466,9 +580,7 @@ class TestDistillCli:
         assert "batch_size must be an integer >= 1" in _one_error_line(capsys)
 
     def test_non_finite_lr_is_exit_two(self, tmp_path, capsys):
-        # the benchmark's committed teacher (read only) finishes its beams
-        reference = json.loads(read(TEACHER.parent / "reference.json"))
-        queries = [q for q in sorted(reference) if reference[q]["f32"]][:12]
+        queries = _teacher_queries(12)
         pool, clean = tmp_path / "pool.txt", tmp_path / "clean.tsv"
         pool.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
         clean.write_text("".join(f"{q}\t{q}\n" for q in queries),
@@ -622,3 +734,36 @@ class TestBlankInputLines:
         got = self._run(["translit", "--dict", str(d)],
                         ["kala juta", "", "juta", " "], tmp_path)
         assert got == ["kaala joota", "", "joota", ""]
+
+
+class TestBenchLatencyCli:
+    def test_prints_percentiles_and_writes_report(self, checkpoint_dir,
+                                                  tmp_path, capsys):
+        queries, report = tmp_path / "q.txt", tmp_path / "lat.jsonl"
+        queries.write_text("kala juta\nred shoe\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["bench-latency", "--checkpoint", str(checkpoint_dir),
+                    "--queries", str(queries), "--report", str(report)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("model=seq2seq-2x2-d32 p50=")
+        assert "(200 samples, hardware: " in line
+        (rec,) = [json.loads(ln) for ln in read(report).splitlines()]
+        assert rec["model"] == "seq2seq-2x2-d32"
+        assert rec["n_samples"] == 200
+        assert 0 < rec["p50_ms"] <= rec["p95_ms"]
+        assert f"p50={rec['p50_ms']:.2f}ms" in line
+
+
+class TestAnalyzeXattnCli:
+    def test_prints_layer_epoch_records(self, tmp_path, capsys):
+        report = tmp_path / "xattn.jsonl"
+        capsys.readouterr()
+        assert run(["analyze-xattn", "--seeds", "0", "--epochs", "2",
+                    "--dec-layers", "2", "--n-train", "64",
+                    "--report", str(report)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        records = [json.loads(ln) for ln in out]
+        assert [(r["layer"], r["epoch"]) for r in records] == [
+            (0, 1), (0, 2), (1, 1), (1, 2)]
+        assert all(r["error"] > 0 for r in records)
+        assert read(report).splitlines() == out

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from codemix import train as train_mod
+from codemix.checkpoint import load_checkpoint
 from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
                              bench_latency, generate_pseudo_labels, kd_loss,
                              quantize_model, train_student)
@@ -8,12 +12,16 @@ from codemix.errors import DataError, TrainingDivergedError
 from codemix.numerics import (Tensor, finite_diff_grad_check, log_softmax,
                               make_rng)
 from codemix.quant import QuantizedSeq2Seq, dequantize, quantize_int8
-from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
+from codemix.seq2seq import (Seq2SeqConfig, beam_search_batch, encode_source,
+                             init_model, translate_corpus)
 from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
 
 from oracles import js_reference, reference_train_student
+
+TEACHER = (Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
+           / "teacher")
 
 
 def random_dists(n, k, seed):
@@ -159,6 +167,32 @@ class TestPseudoLabels:
         pseudo, skipped = generate_pseudo_labels(teacher, [])
         assert pseudo == [] and skipped == []
 
+    def test_unfinished_and_empty_decodes_are_skipped(self):
+        # read-only committed teacher: "beboero" translates to nothing, and
+        # three decoder steps finish two-word outputs but not longer ones
+        teacher = load_checkpoint(TEACHER)
+        vocab = teacher.config.vocab
+        sources = ["beboero", "bere vpu", "bebogero fece jijaja",
+                   "heheho xuqiku", "befone soro reso"]
+        results = beam_search_batch(
+            teacher, [encode_source(s, vocab) for s in sources], max_len=3)
+        unfinished = [i for i, r in enumerate(results) if not r.finished]
+        empty = [i for i, r in enumerate(results) if r.finished and not r.ids]
+        assert unfinished and empty
+        pseudo, skipped = generate_pseudo_labels(teacher, sources, max_len=3)
+        assert skipped == sorted(unfinished + empty)
+        assert len(pseudo) == len(sources) - len(skipped) > 0
+
+        clean = [ParallelExample(s, s, Provenance.CLEAN_MANUAL)
+                 for s in sources]
+        student_cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
+                                    n_dec_layers=1, d_model=16, n_heads=2,
+                                    d_ff=32)
+        _, report = train_student(student_cfg, teacher, clean, sources,
+                                  KDKind.JS, make_rng(3),
+                                  DistillConfig(epochs=1, kd_max_len=3))
+        assert report.skipped_sources == len(skipped)
+
     def test_deterministic(self):
         teacher, corpus = overfit_teacher()
         sources = [ex.source for ex in corpus]
@@ -242,6 +276,33 @@ class TestTrainStudent:
                            teacher.config.max_len)
         loss = _kd_batch_loss(teacher, teacher, batch, KDKind.JS, None)
         assert abs(loss.item()) < 1e-9
+
+    def test_epoch_means_follow_the_batches_fit_cuts(self, monkeypatch):
+        # one row, then batches of batch_size: 12 rows in batches of 5 make
+        # 4 steps an epoch, not ceil(12 / 5) = 3
+        teacher, clean, pool = self._setup()
+        per_epoch = []
+
+        def uneven(n, batch_size):
+            cuts = [0, 1] + list(range(1 + batch_size, n, batch_size)) + [n]
+            per_epoch.append(len(cuts) - 1)
+            return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+        monkeypatch.setattr(train_mod, "_batches", uneven)
+        student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
+                                    n_enc_layers=1, n_dec_layers=1,
+                                    d_model=16, n_heads=2, d_ff=32,
+                                    max_len=16)
+        _, report = train_student(student_cfg, teacher, clean, pool,
+                                  KDKind.JS, make_rng(20),
+                                  DistillConfig(epochs=3, batch_size=5))
+        assert per_epoch == [4, 4, 4]
+        assert len(report.steps) == 12
+        for e, means in enumerate(report.epoch_means):
+            steps = report.steps[4 * e:4 * (e + 1)]
+            assert means == {
+                name: float(np.mean([getattr(st, name) for st in steps]))
+                for name in ("loss_s", "loss_d", "loss_kd")}, e
 
     def test_ce_vs_js_differ_only_in_kd_term_at_step_one(self):
         teacher, clean, pool = self._setup()

@@ -1,4 +1,4 @@
-"""Source hygiene checks over the codemix package, stdlib only.
+"""Source hygiene checks over the codemix package.
 
 Every imported name in src/codemix, tests/ and scripts_calib/ must be used
 in its module, listed in the module's __all__, or marked as a re-export
@@ -9,15 +9,23 @@ in a read mode: `text.read_utf8` is the one text reader, so every bad
 file becomes a DataError naming its path.
 
 Every name that the benchmark's tracer (perfbench/spans.py) wraps must
-exist, so deleting one fails here and not only in the slower
-perfbench/tests.
+exist, and the benchmark's workloads (perfbench/workloads.py) must import
+and score a model, so deleting or reshaping an API the benchmark uses
+fails here and not only in the slower perfbench/tests.
 """
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from codemix.numerics import make_rng
+from codemix.seq2seq import (Seq2SeqConfig, beam_search, encode_source,
+                             init_model)
+from codemix.text import Vocab
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "codemix"
@@ -141,12 +149,21 @@ class TestUnusedImports:
         assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _perfbench_module(name: str, monkeypatch):
+    """perfbench/<name>.py loaded as a module, which its sibling modules
+    can import by plain name (as perfbench/run.py does)."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestTracerNames:
-    def test_tracer_installs_and_restores(self):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_spans", ROOT / "perfbench" / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+    def test_tracer_installs_and_restores(self, monkeypatch):
+        spans = _perfbench_module("spans", monkeypatch)
         tracer = spans.Tracer()
         try:
             tracer.install()  # a missing name raises here
@@ -154,3 +171,18 @@ class TestTracerNames:
         finally:
             tracer.restore()
         assert spans.installed_wrappers() == []
+
+
+class TestBenchmarkWorkloads:
+    def test_teacher_forced_score_matches_beam_score(self, monkeypatch):
+        workloads = _perfbench_module("workloads", monkeypatch)
+        cfg = Seq2SeqConfig(vocab=Vocab([f"w{i}" for i in range(6)]),
+                            n_enc_layers=1, n_dec_layers=1, d_model=16,
+                            n_heads=2, d_ff=32, max_len=8)
+        model = init_model(cfg, make_rng(4))
+        src = encode_source("w1 w2 w3", cfg.vocab)
+        result = beam_search(model, src, beam=2, max_len=5)
+        score = workloads.teacher_forced_score(model, src, result.ids,
+                                               result.finished)
+        assert np.isfinite(score)
+        assert abs(score - result.score) <= workloads.SCORE_TOL

@@ -387,6 +387,14 @@ class TestTokenLabelIO:
                [(t.word, t.label) for q in queries for t in q]
         assert len(back) == len(queries)
 
+    def test_crlf_endings_load_like_lf(self, tmp_path):
+        queries = gen_langid_corpus(15, seed=5)
+        lf, crlf = tmp_path / "lf.conll", tmp_path / "crlf.conll"
+        save_token_labels(queries, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        assert load_token_labels(crlf) == load_token_labels(lf) == queries
+
     def test_bad_label_named_line(self, tmp_path):
         p = tmp_path / "q.conll"
         p.write_text("juta\tHI\nshoe\tXX\n", encoding="utf-8")

@@ -91,6 +91,20 @@ class TestTensorBasics:
         assert out.shape == (5, 7)
         assert np.abs(out.data - a).max() < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_number_operand_keeps_the_tensor_dtype(self, dtype):
+        # NumPy computes x * 0.1 in x's dtype (NEP 50); so must the tape
+        x = rnd((3, 4), seed=6).astype(dtype)
+        for s in (0.1, -3, 1 / 3):
+            for op, want in ((add, x + s), (mul, x * s)):
+                for got in (op(Tensor(x), s), op(s, Tensor(x))):
+                    assert got.dtype == dtype
+                    assert np.array_equal(got.data, want), (op, s)
+            t = Tensor(x, requires_grad=True)
+            tsum(mul(t, s)).backward()
+            assert t.grad.dtype == dtype
+            assert np.array_equal(t.grad, np.ones_like(x) * s)
+
     def test_backward_requires_scalar(self):
         t = Tensor(rnd((3,)), requires_grad=True)
         with pytest.raises(ShapeError):

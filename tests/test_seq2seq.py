@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from codemix import quant
 from codemix.checkpoint import load_checkpoint
-from codemix.errors import DataError, NonFiniteError
+from codemix.errors import DataError, NonFiniteError, ShapeError
 from codemix.numerics import (AdamWState, finite_diff_grad_check, linear,
                               make_rng, no_grad, softmax, step_tensors,
                               Tensor)
@@ -17,7 +17,8 @@ from codemix.seq2seq import model as model_mod
 from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              encode_source, forward_teacher_forced,
                              greedy_decode, init_model, label_smoothed_ce,
-                             make_batch, translate, translate_corpus)
+                             make_batch, pad_batch, translate,
+                             translate_corpus)
 from codemix.seq2seq.decode import top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
@@ -114,8 +115,8 @@ class TestForward:
         m = tiny_model(seed=6, layers=2)
         _, cap = forward_teacher_forced(m, [5, 6, 7, 2], [1, 5, 6],
                                         capture_attn=True)
-        assert len(cap.layers) == 2
-        for layer in cap.layers:
+        assert len(cap) == 2
+        for layer in cap:
             sums = layer.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-5
 
@@ -127,14 +128,17 @@ class TestForward:
         assert "tensor data" not in str(err.value)
 
     def test_dropout_only_in_train_mode(self):
+        # dropout runs exactly when a dropout stream is passed
         m = tiny_model(seed=7, dropout=0.5)
         src = np.array([[5, 6, 2]])
         dec = np.array([[1, 5]])
-        a, _ = m.forward(src, dec)
-        b, _ = m.forward(src, dec)
+        a = m.forward(src, dec)
+        b = m.forward(src, dec)
         assert np.array_equal(a.data, b.data)
-        c, _ = m.forward(src, dec, train=True, rng=make_rng(0))
+        c = m.forward(src, dec, rng=make_rng(0))
         assert not np.array_equal(a.data, c.data)
+        assert np.array_equal(c.data, m.forward(src, dec,
+                                                rng=make_rng(0)).data)
 
 
 class TestLabelSmoothedCE:
@@ -183,18 +187,36 @@ class TestLabelSmoothedCE:
         with pytest.raises(DataError):
             label_smoothed_ce(logits, np.array([5]), 1.0)
 
+    def test_target_shape_mismatch_rejected(self):
+        logits = Tensor(np.zeros((2, 3, 7)))
+        with pytest.raises(DataError, match="does not match logits"):
+            label_smoothed_ce(logits, np.full((2, 4), 5))
+
     def test_gradient_matches_finite_differences(self):
         m = tiny_model(seed=11, d=8).astype(np.float64)
         batch = make_batch(m.config.vocab, ["w0 w1", "w2"], ["w1 w0", "w3"],
                            m.config.max_len)
 
         def loss_fn(params):
-            logits, _ = m.forward(batch["src"], batch["dec_in"])
+            logits = m.forward(batch["src"], batch["dec_in"])
             return label_smoothed_ce(logits, batch["labels"], 0.1)
 
         err = finite_diff_grad_check(loss_fn, m.params, epsilon=1e-5,
                                      max_coords_per_tensor=4)
         assert err < 1e-4
+
+
+class TestPadBatch:
+    def test_sources_and_targets_must_pair_up(self):
+        with pytest.raises(ShapeError, match="differ in length"):
+            pad_batch([[5], [6]], [[5]], max_len=8)
+
+    @pytest.mark.parametrize("src,tgt", [([5] * 8, [5]), ([5], [5] * 8)],
+                             ids=["source", "target"])
+    def test_over_long_batch_rejected(self, src, tgt):
+        # + EOS on the source, + BOS on the decoder input: 9 > 8
+        with pytest.raises(DataError, match="exceeds max_len 8"):
+            pad_batch([src], [tgt], max_len=8)
 
 
 class TestGreedy:
@@ -425,6 +447,15 @@ class TestCachedDecoder:
             assert np.array_equal(m.decode_step(alone, np.array([tok]))[0],
                                   together[row]), row
 
+    def test_step_past_max_len_rejected(self):
+        m = tiny_model(seed=3, max_len=3)
+        with no_grad():
+            cache = m.start_decoding([m.encode(np.array([[5, EOS]]))])
+            for tok in (BOS, 5, 6):
+                m.decode_step(cache, np.array([tok]))
+            with pytest.raises(DataError, match="position 3 exceeds max_len"):
+                m.decode_step(cache, np.array([7]))
+
     def test_non_finite_weight_names_the_op(self):
         m = tiny_model(seed=21)
         m.params["dec0.cross.wq"].data[0, 0] = np.nan
@@ -624,12 +655,12 @@ class TestOverfitSanity:
         opt = AdamWState(lr=1e-3)
         first = None
         for step in range(50):
-            logits, _ = m.forward(batch["src"], batch["dec_in"])
+            logits = m.forward(batch["src"], batch["dec_in"])
             loss = label_smoothed_ce(logits, batch["labels"], 0.1)
             if first is None:
                 first = loss.item()
             loss.backward()
             step_tensors(m.params, opt)
-        logits, _ = m.forward(batch["src"], batch["dec_in"])
+        logits = m.forward(batch["src"], batch["dec_in"])
         final = label_smoothed_ce(logits, batch["labels"], 0.1).item()
         assert final < 0.5 * first
