@@ -18,12 +18,13 @@ from .bleu import bleu_corpus
 from .checkpoint import load_checkpoint, read_kv, save_checkpoint
 from .distill import (DistillConfig, KDKind, bench_latency, quantize_model,
                       train_student)
-from .errors import CodemixError, UsageError
+from .errors import CodemixError, DataError, UsageError
 from .langid import (detect_query_language, eval_prf, gen_langid_corpus,
                      load_crf, load_token_labels, query_gold_language,
                      save_crf, save_token_labels, train_crf)
 from .numerics import make_rng
-from .seq2seq import Seq2SeqConfig, init_model, translate_corpus
+from .seq2seq import (Seq2SeqConfig, encode_source, init_model,
+                      translate_corpus)
 from .text import (Provenance, SynthTaskSpec, build_vocab, gen_clean_corpus,
                    gen_synthetic_corpus, load_parallel_tsv, read_utf8,
                    save_parallel_tsv)
@@ -52,12 +53,19 @@ def _write_lines(spec: str, lines: list[str]) -> None:
         Path(spec).write_text(text, encoding="utf-8")
 
 
-def _map_lines(args, fn) -> int:
+def _map_lines(args, fn, check=None) -> int:
     """One line of args.output per line of args.input: fn maps the list of
     non-blank input lines to their outputs; a blank line is not passed to
-    fn and gets an empty output line, so output line i answers input i."""
+    fn and gets an empty output line, so output line i answers input i.
+    `check(line)`, when given, raises a DataError for a line fn cannot
+    take, before fn runs; the error then names the line (1-based)."""
     lines = _read_lines(args.input, keep_blank=True)
     idx = [i for i, ln in enumerate(lines) if ln.strip()]
+    for i in idx if check else ():
+        try:
+            check(lines[i])
+        except DataError as e:
+            raise DataError(f"line {i + 1}: {e}") from None
     out = [""] * len(lines)
     for i, res in zip(idx, fn([lines[i] for i in idx])):
         out[i] = res
@@ -194,8 +202,15 @@ def _cmd_distill(args) -> int:
 
 def _cmd_translate(args) -> int:
     model = load_checkpoint(args.checkpoint)
+    limit = model.config.max_len
+
+    def check(query: str) -> None:
+        n = len(encode_source(query, model.config.vocab))
+        if n > limit:
+            raise DataError(f"sequence length {n} exceeds max_len {limit}")
+
     return _map_lines(args, lambda qs: translate_corpus(
-        model, qs, beam=args.beam, max_len=args.max_len))
+        model, qs, beam=args.beam, max_len=args.max_len), check)
 
 
 def _cmd_detect_lang(args) -> int:

@@ -94,14 +94,14 @@ def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
     return _make(np.asarray(value), (s_probs,), backward, "js divergence")
 
 
-def kd_loss(kind: KDKind, teacher_probs: np.ndarray, student_logp: Tensor,
-            mask: np.ndarray) -> Tensor:
+def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
+            student_logp: Tensor) -> Tensor:
     """The KD loss between teacher probabilities T (a constant array) and
-    student log-probabilities log S (a tape tensor), mean over the
-    positions where `mask` (shape T.shape[:-1]) is 1.
+    student log-probabilities log S (a tape tensor), both (positions,
+    vocab), mean over the positions. In training the positions are the
+    real decoder rows `Seq2SeqModel.forward` returns, so padding never
+    reaches the loss.
 
-    Masked positions are zero rows in both distributions and contribute
-    nothing under the 0 * log 0 = 0 convention.
     CE: -sum_k T[k] * log S[k]; log S stays finite, so underflowed student
     probabilities cannot poison the loss.
     JS: D_KL(T || m) + D_KL(S || m) with m = (T + S) / 2 and S = exp(log S);
@@ -111,12 +111,11 @@ def kd_loss(kind: KDKind, teacher_probs: np.ndarray, student_logp: Tensor,
     if teacher_probs.shape != student_logp.shape:
         raise DataError(f"teacher/student distribution shapes differ: "
                         f"{teacher_probs.shape} vs {student_logp.shape}")
-    n_pos = max(1, int(mask.sum()))
-    t_masked = teacher_probs * mask[..., None]
+    n_pos = len(teacher_probs)
     if kind is KDKind.CE:
-        return mul(tsum(mul(Tensor(t_masked), student_logp)), -1.0 / n_pos)
-    mask32 = Tensor(mask[..., None].astype(np.float32))
-    return _js_node(t_masked, mul(exp(student_logp), mask32), 1.0 / n_pos)
+        return mul(tsum(mul(Tensor(teacher_probs), student_logp)),
+                   -1.0 / n_pos)
+    return _js_node(teacher_probs, exp(student_logp), 1.0 / n_pos)
 
 
 @dataclass
@@ -155,7 +154,7 @@ def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
                    train_rng) -> Tensor:
     """`kd_loss` on a pseudo-labeled batch: both models run teacher-forced
     on the same inputs, the teacher without a tape (its probabilities are a
-    constant), and the mean runs over the batch's real (non-PAD) positions.
+    constant), over the batch's real (non-PAD) decoder positions.
     """
     with no_grad():
         t_logits = teacher.forward(batch["src"], batch["dec_in"])
@@ -164,8 +163,7 @@ def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
         # sees an exactly-zero KD loss and gradient.
         t_probs = np.exp(log_softmax(t_logits, axis=-1).data)
     s_logits = student.forward(batch["src"], batch["dec_in"], rng=train_rng)
-    return kd_loss(kd_kind, t_probs, log_softmax(s_logits, axis=-1),
-                   batch["label_mask"])
+    return kd_loss(kd_kind, t_probs, log_softmax(s_logits, axis=-1))
 
 
 def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,

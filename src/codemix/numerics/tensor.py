@@ -11,6 +11,10 @@ walks the tape in reverse topological order. Wrap inference code in
 Multi-head attention is one tape op, `attention`, with a hand-written
 backward, built from the plain helpers that the tape-free encoder and the
 cached decoder call too: `split_heads`, `attention_probs`, `merge_heads`.
+The model's tensors are packed rows (n, D), one row per real (non-PAD)
+position, so every position-wise op skips the padding; a `RowLayout`
+says where each row sits in its padded (B, T) block, and attention alone
+scatters the rows into padded blocks.
 """
 
 from __future__ import annotations
@@ -271,8 +275,9 @@ def gelu(a) -> Tensor:
 def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
     """x @ w (+ b), with weight gradients computed as single 2-D GEMMs.
 
-    x has shape (..., D); w is (D, F), or (F, D) with transpose_w=True
-    (used for the tied output projection). b, when given, is (F,).
+    x has shape (..., D), packed rows (n, D) in the model, which makes the
+    product one GEMM; w is (D, F), or (F, D) with transpose_w=True (used
+    for the tied output projection). b, when given, is (F,).
     """
     x, w = as_tensor(x), as_tensor(w)
     wd = w.data.T if transpose_w else w.data
@@ -315,6 +320,36 @@ def softmax(logits, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward, "softmax")
 
 
+class RowLayout:
+    """Where packed rows sit in a padded (B, T) block: packed row r is
+    position `idx[r]` of the block flattened in row-major (b, t) order.
+    Position-wise layers run on the packed (n, ...) rows; only attention
+    scatters them back into padded blocks. When every position is real,
+    `pad` and `pack` are plain reshapes."""
+
+    __slots__ = ("idx", "shape", "dense")
+
+    def __init__(self, real: np.ndarray):
+        """`real` is a (B, T) boolean array marking the real positions."""
+        self.shape = real.shape
+        self.idx = np.flatnonzero(real)
+        self.dense = self.idx.size == real.size
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """Packed rows (n, D) -> (B, T, D), zeros at the padding."""
+        if self.dense:
+            return x.reshape(*self.shape, x.shape[-1])
+        out = np.zeros((self.shape[0] * self.shape[1], x.shape[-1]),
+                       dtype=x.dtype)
+        out[self.idx] = x
+        return out.reshape(*self.shape, x.shape[-1])
+
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        """(B, T, D) -> the packed rows (n, D)."""
+        flat = x.reshape(-1, x.shape[-1])
+        return flat if self.dense else flat[self.idx]
+
+
 def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(B, T, D) -> (B, H, T, D / H), a view."""
     B, T, D = x.shape
@@ -341,16 +376,25 @@ def attention_probs(q: np.ndarray, kt: np.ndarray, mask: np.ndarray | None,
     return probs
 
 
-def attention(q, k, v, mask: np.ndarray | None, n_heads: int, what: str,
+def attention(q, k, v, q_rows: RowLayout, k_rows: RowLayout,
+              mask: np.ndarray | None, n_heads: int, what: str,
               p: float = 0.0, rng: np.random.Generator | None = None,
               capture: list | None = None) -> Tensor:
-    """Multi-head attention of projected queries q (B, T, D) over keys and
-    values k, v (B, S, D), one tape node; heads merged back to (B, T, D).
-    p > 0 adds inverted dropout; `capture` gets the weights before it. The
-    backward scales after its matmuls, dq = (gs K) * scale and dk = gs^T
-    (Q * scale): moving the scale changes float32 rounding and weights."""
+    """Multi-head attention of projected queries q (n_q, D), packed at
+    `q_rows`, over keys and values k, v (n_k, D), packed at `k_rows`; one
+    tape node returning the queries' rows (n_q, D), heads merged.
+
+    The rows are scattered into zero-filled padded blocks, and `mask`
+    (broadcast to the (B, H, T, S) scores) must give -1e9 to every padding
+    key a real query sees, as a key-padding or causal mask does: its
+    probability is then exactly 0, so real rows never read padding. p > 0
+    adds inverted dropout; `capture` gets the (B, H, T, S) weights before
+    it. The backward scales after its matmuls, dq = (gs K) * scale and
+    dk = gs^T (Q * scale): moving the scale changes float32 rounding and
+    weights."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    Q, K, V = (split_heads(t.data, n_heads) for t in (q, k, v))
+    Q = split_heads(q_rows.pad(q.data), n_heads)
+    K, V = (split_heads(k_rows.pad(t.data), n_heads) for t in (k, v))
     probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask, what)
     if capture is not None:
         capture.append(probs)
@@ -361,20 +405,21 @@ def attention(q, k, v, mask: np.ndarray | None, n_heads: int, what: str,
     scale = 1.0 / math.sqrt(Q.shape[-1])
 
     def backward(g):
-        G = split_heads(g, n_heads)
+        G = split_heads(q_rows.pad(g), n_heads)
         if v.requires_grad:
-            v.accumulate_grad(merge_heads(np.swapaxes(used, -1, -2) @ G))
+            v.accumulate_grad(k_rows.pack(merge_heads(
+                np.swapaxes(used, -1, -2) @ G)))
         gu = G @ np.swapaxes(V, -1, -2)
         if keep is not None:
             gu = gu * keep
         gs = probs * (gu - (probs * gu).sum(axis=-1, keepdims=True))
         if q.requires_grad:
-            q.accumulate_grad(merge_heads((gs @ K) * scale))
+            q.accumulate_grad(q_rows.pack(merge_heads((gs @ K) * scale)))
         if k.requires_grad:
-            k.accumulate_grad(merge_heads(np.swapaxes(gs, -1, -2)
-                                          @ (Q * scale)))
+            k.accumulate_grad(k_rows.pack(merge_heads(
+                np.swapaxes(gs, -1, -2) @ (Q * scale))))
 
-    return _make(merge_heads(used @ V), (q, k, v), backward,
+    return _make(q_rows.pack(merge_heads(used @ V)), (q, k, v), backward,
                  f"attention {what}")
 
 
@@ -463,10 +508,14 @@ def take_along_last(a, idx) -> Tensor:
     return _make(out, (a,), backward, "take_along_last")
 
 
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+def dropout(x, p: float, rng: np.random.Generator,
+            rows: RowLayout) -> Tensor:
+    """Inverted dropout of packed rows x (n, D) at `rows`; identity when
+    p == 0. The mask is drawn for the whole padded block (B, T, D) and its
+    real rows are kept, so a stream gives each real position the mask it
+    gives that position of the padded block."""
     if p <= 0.0:
         return as_tensor(x)
     x = as_tensor(x)
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, keep)
+    u = rows.pack(rng.random((*rows.shape, x.data.shape[-1])))
+    return mul(x, (u >= p).astype(x.data.dtype) / (1.0 - p))

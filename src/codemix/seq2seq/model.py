@@ -3,11 +3,20 @@
 Conventions used everywhere in the package:
   encoder input   = source tokens + EOS (+ PAD)
   decoder input   = BOS + target tokens (+ PAD)
-  decoder labels  = target tokens + EOS (+ PAD, ignored by the loss)
+  decoder labels  = target tokens + EOS, one per real decoder position
 
 With equal source/target token counts (the autoencoder augmentation) this
 makes cross-attention matrices square, which the attention analysis relies
 on. Pre-norm residual blocks are used for stable from-scratch training.
+
+Batches are padded (B, T) id arrays, but the tape model runs on packed
+rows: every real (non-PAD) position is one row of an (n, D) array, in
+row-major (b, t) order (`numerics.tensor.RowLayout`). Embeddings,
+projections, layer norms, GELU, dropout, residual adds and the tied output
+projection touch only those rows, and attention alone scatters them into
+padded blocks under its masks, so padding costs no position-wise work.
+Dropout masks are drawn for the padded blocks, so a dropout stream gives
+each real position the mask it would give it in the padded forward.
 """
 
 from __future__ import annotations
@@ -18,10 +27,10 @@ import numpy as np
 
 from ..errors import DataError, ShapeError
 from ..numerics import (Tensor, add, attention, dropout, gather_rows, gelu,
-                        grad_enabled, layer_norm, linear, reshape)
-from ..numerics.tensor import (_assert_finite, attention_probs, gelu_forward,
-                               layer_norm_forward, log_softmax_forward,
-                               merge_heads, split_heads)
+                        grad_enabled, layer_norm, linear)
+from ..numerics.tensor import (RowLayout, _assert_finite, attention_probs,
+                               gelu_forward, layer_norm_forward,
+                               log_softmax_forward, merge_heads, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -132,11 +141,13 @@ class Seq2SeqModel:
     # -- forward ----------------------------------------------------------
 
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str,
+                   q_rows: RowLayout, kv_rows: RowLayout,
                    mask: np.ndarray | None, capture: list | None,
                    rng) -> Tensor:
         q, k, v = (linear(x, self.p(f"{prefix}.w{n}"), self.p(f"{prefix}.b{n}"))
                    for x, n in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")))
-        ctx = attention(q, k, v, mask, self.config.n_heads, prefix,
+        ctx = attention(q, k, v, q_rows, kv_rows, mask, self.config.n_heads,
+                        prefix,
                         0.0 if rng is None else self.config.dropout_prob,
                         rng, capture)
         return linear(ctx, self.p(f"{prefix}.wo"), self.p(f"{prefix}.bo"))
@@ -148,70 +159,91 @@ class Seq2SeqModel:
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.p(f"{prefix}.g"), self.p(f"{prefix}.b"))
 
-    def _drop(self, x: Tensor, rng) -> Tensor:
-        return x if rng is None else dropout(x, self.config.dropout_prob, rng)
+    def _drop(self, x: Tensor, rows: RowLayout, rng) -> Tensor:
+        if rng is None:
+            return x
+        return dropout(x, self.config.dropout_prob, rng, rows)
 
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
+    def _rows(self, ids: np.ndarray) -> RowLayout:
+        """The real (non-PAD) positions of a padded (B, T) id array."""
         if ids.shape[1] > self.config.max_len:
             raise DataError(f"sequence length {ids.shape[1]} exceeds "
                             f"max_len {self.config.max_len}")
-        return np.arange(ids.shape[1])
+        return RowLayout(ids != PAD)
 
-    def _embed(self, ids: np.ndarray, pos_name: str) -> Tensor:
-        tok = gather_rows(self.p("tok_emb"), ids)
-        pos = gather_rows(self.p(pos_name), self._positions(ids))
-        return add(tok, pos)
+    @staticmethod
+    def _embedding_ids(ids: np.ndarray, rows: RowLayout):
+        """(token id, position) of each packed row."""
+        return ids.reshape(-1)[rows.idx], rows.idx % ids.shape[1]
+
+    def _embed(self, ids: np.ndarray, rows: RowLayout, pos_name: str) -> Tensor:
+        tok_ids, pos_ids = self._embedding_ids(ids, rows)
+        return add(gather_rows(self.p("tok_emb"), tok_ids),
+                   gather_rows(self.p(pos_name), pos_ids))
 
     def encode(self, src_ids: np.ndarray,
                rng=None) -> tuple[Tensor, np.ndarray]:
-        """Returns (encoder states (B,S,D), additive key mask (B,1,1,S)).
-        Dropout runs when a dropout stream `rng` is given. Without one and
-        with gradients off it runs the tape's ops in the tape's order on
-        plain arrays, so the states equal the tape's bit for bit."""
+        """Returns (encoder states, additive key mask (B,1,1,S)): the states
+        are the packed rows (n_src, D) of the real source positions, which
+        the key mask's zeros mark (`source_rows`). Dropout runs when a
+        dropout stream `rng` is given. Without one and with gradients off it
+        runs the tape's ops in the tape's order on plain arrays, so the
+        states equal the tape's bit for bit."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
+        rows = self._rows(src_ids)
         key_mask = np.where(src_ids == PAD, NEG_INF, 0.0)
         key_mask = key_mask[:, None, None, :].astype(self.dtype)
         if rng is None and not grad_enabled():
-            x = (self.p("tok_emb").data[src_ids]
-                 + self.p("enc_pos").data[self._positions(src_ids)])
+            tok_ids, pos_ids = self._embedding_ids(src_ids, rows)
+            x = (self.p("tok_emb").data[tok_ids]
+                 + self.p("enc_pos").data[pos_ids])
             _assert_finite(x, "encoder embedding output")
             for i in range(self.config.n_enc_layers):
                 a, _ = self._self_attention_np(self._ln_np(x, f"enc{i}.ln1"),
-                                               f"enc{i}.attn", key_mask)
+                                               f"enc{i}.attn", key_mask, rows)
                 x = self._residual_np(x, a)
                 x = self._residual_np(x, self._ffn_np(
                     self._ln_np(x, f"enc{i}.ln2"), f"enc{i}.ffn"))
             return Tensor(self._ln_np(x, "enc_lnf")), key_mask
-        x = self._embed(src_ids, "enc_pos")
+        x = self._embed(src_ids, rows, "enc_pos")
         for i in range(self.config.n_enc_layers):
             h = self._ln(x, f"enc{i}.ln1")
-            a = self._attention(h, h, f"enc{i}.attn", key_mask, None, rng)
-            x = add(x, self._drop(a, rng))
+            a = self._attention(h, h, f"enc{i}.attn", rows, rows, key_mask,
+                                None, rng)
+            x = add(x, self._drop(a, rows, rng))
             f = self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn")
-            x = add(x, self._drop(f, rng))
+            x = add(x, self._drop(f, rows, rng))
         return self._ln(x, "enc_lnf"), key_mask
 
     def decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
                dec_in: np.ndarray, rng=None,
                capture: list | None = None) -> Tensor:
-        """Teacher-forced decoder pass; returns logits (B, T, vocab).
-        Dropout runs when a dropout stream `rng` is given. A `capture` list
-        gets each layer's row-stochastic cross-attention weights (B, heads,
-        decoder positions, encoder positions), before dropout."""
+        """Teacher-forced decoder pass over the padded decoder input
+        (B, T), given `encode`'s output; returns the logits of the real
+        (non-PAD) decoder positions, (n_dec, vocab) in row-major (b, t)
+        order, which `pad_batch`'s labels follow. Dropout runs when a
+        dropout stream `rng` is given. A `capture` list gets each layer's
+        row-stochastic cross-attention weights (B, heads, decoder
+        positions, encoder positions), before dropout; only the real rows
+        and columns carry meaning."""
         dec_in = np.asarray(dec_in, dtype=np.int64)
-        B, T = dec_in.shape
+        T = dec_in.shape[1]
+        rows = self._rows(dec_in)
+        src_rows = source_rows(enc_key_mask)
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
         causal = causal[None, None, :, :]
-        x = self._embed(dec_in, "dec_pos")
+        x = self._embed(dec_in, rows, "dec_pos")
         for i in range(self.config.n_dec_layers):
             h = self._ln(x, f"dec{i}.ln1")
-            a = self._attention(h, h, f"dec{i}.self", causal, None, rng)
-            x = add(x, self._drop(a, rng))
+            a = self._attention(h, h, f"dec{i}.self", rows, rows, causal,
+                                None, rng)
+            x = add(x, self._drop(a, rows, rng))
             c = self._attention(self._ln(x, f"dec{i}.ln2"), enc_out,
-                                f"dec{i}.cross", enc_key_mask, capture, rng)
-            x = add(x, self._drop(c, rng))
+                                f"dec{i}.cross", rows, src_rows,
+                                enc_key_mask, capture, rng)
+            x = add(x, self._drop(c, rows, rng))
             f = self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn")
-            x = add(x, self._drop(f, rng))
+            x = add(x, self._drop(f, rows, rng))
         x = self._ln(x, "dec_lnf")
         # Tied output projection: logits = x @ tok_emb^T
         return linear(x, self.p("tok_emb"), transpose_w=True)
@@ -227,16 +259,17 @@ class Seq2SeqModel:
     def start_decoding(self, encoded: list[tuple[Tensor, np.ndarray]]
                        ) -> DecoderCache:
         """Cache for decoding one BOS row per query. `encoded` holds each
-        query's own `encode` output (encoder states (1, S, D), key mask);
+        query's own `encode` output (encoder states (S, D), key mask);
         every decoder layer's cross-attention keys and values are computed
         here, once per query."""
         cfg = self.config
         cross = []
         for enc_out, key_mask in encoded:
+            enc = source_rows(key_mask).pad(enc_out.data)
             layers = []
             for i in range(cfg.n_dec_layers):
                 k, v = (split_heads(self._linear_np(
-                    enc_out.data, f"dec{i}.cross.w{n}", f"dec{i}.cross.b{n}"),
+                    enc, f"dec{i}.cross.w{n}", f"dec{i}.cross.b{n}"),
                     cfg.n_heads) for n in "kv")
                 layers.append((k.transpose(0, 1, 3, 2), v))
             mask = key_mask if np.any(key_mask) else None
@@ -263,7 +296,7 @@ class Seq2SeqModel:
             pre = f"dec{i}"
             a, cache.self_kv[i] = self._self_attention_np(
                 self._ln_np(x, f"{pre}.ln1"), f"{pre}.self", None,
-                cache.self_kv[i])
+                past=cache.self_kv[i])
             x = self._residual_np(x, a)
 
             q = split_heads(self._linear_np(self._ln_np(x, f"{pre}.ln2"),
@@ -290,19 +323,26 @@ class Seq2SeqModel:
         return logp
 
     def _self_attention_np(self, h: np.ndarray, prefix: str,
-                           mask: np.ndarray | None, past=None):
-        """Self-attention of h (B, T, D), the `_attention` ops without
-        dropout: (output, (K, V)). With `past` = (K, V) of earlier
-        positions, h's keys and values are appended to them first."""
-        q, k, v = (split_heads(self._linear_np(
-            h, f"{prefix}.w{n}", f"{prefix}.b{n}"), self.config.n_heads)
-            for n in "qkv")
+                           mask: np.ndarray | None,
+                           rows: RowLayout | None = None, past=None):
+        """Self-attention of h, the `_attention` ops without dropout:
+        (output, (K, V)). h is packed rows at `rows` (the encoder), or
+        (N, T, D) blocks when `rows` is None (`decode_step`). With `past` =
+        (K, V) of earlier positions, h's keys and values are appended to
+        them first."""
+        q, k, v = (self._linear_np(h, f"{prefix}.w{n}", f"{prefix}.b{n}")
+                   for n in "qkv")
+        if rows is not None:
+            q, k, v = rows.pad(q), rows.pad(k), rows.pad(v)
+        q, k, v = (split_heads(t, self.config.n_heads) for t in (q, k, v))
         if past is not None:
             k = np.concatenate([past[0], k], axis=2)
             v = np.concatenate([past[1], v], axis=2)
-        ctx = attention_probs(q, k.transpose(0, 1, 3, 2), mask, prefix) @ v
-        out = self._linear_np(merge_heads(ctx), f"{prefix}.wo",
-                              f"{prefix}.bo")
+        ctx = merge_heads(attention_probs(q, k.transpose(0, 1, 3, 2), mask,
+                                          prefix) @ v)
+        if rows is not None:
+            ctx = rows.pack(ctx)
+        out = self._linear_np(ctx, f"{prefix}.wo", f"{prefix}.bo")
         return out, (k, v)
 
     def _ffn_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
@@ -330,7 +370,8 @@ class Seq2SeqModel:
 
     def forward(self, src_ids: np.ndarray, dec_in: np.ndarray, rng=None,
                 capture: list | None = None) -> Tensor:
-        """`encode` then `decode`: the logits (B, T, vocab). Dropout runs
+        """`encode` then `decode`: the logits of the real decoder
+        positions, (n_dec, vocab) in row-major (b, t) order. Dropout runs
         in both when a dropout stream `rng` is given; a `capture` list gets
         the decoder's cross-attention weights, one array per layer."""
         enc_out, key_mask = self.encode(src_ids, rng)
@@ -339,6 +380,12 @@ class Seq2SeqModel:
     @property
     def dtype(self):
         return self.params["tok_emb"].dtype
+
+
+def source_rows(key_mask: np.ndarray) -> RowLayout:
+    """The real source positions of `encode`'s key mask (B, 1, 1, S): the
+    layout of its packed encoder states."""
+    return RowLayout(key_mask[:, 0, 0, :] == 0)
 
 
 @dataclass
@@ -384,15 +431,14 @@ def forward_teacher_forced(model: Seq2SeqModel, src_ids, tgt_ids,
 
     `src_ids` is the full encoder input and `tgt_ids` the full decoder input
     (callers BOS-prefix the target themselves; labels are the EOS-suffixed
-    target). Returns logits of shape (len(tgt_ids), vocab), plus the
-    per-layer cross-attention list of `forward` when `capture_attn`, else
-    None.
+    target). Returns logits of shape (len(tgt_ids), vocab) for a PAD-free
+    decoder input, plus the per-layer cross-attention list of `forward`
+    when `capture_attn`, else None.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     tgt = np.asarray([tgt_ids], dtype=np.int64)
     capture = [] if capture_attn else None
-    logits = model.forward(src, tgt, capture=capture)
-    return reshape(logits, (tgt.shape[1], len(model.config.vocab))), capture
+    return model.forward(src, tgt, capture=capture), capture
 
 
 def encode_source(text: str, vocab: Vocab) -> list[int]:
@@ -404,9 +450,11 @@ def pad_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]],
               max_len: int) -> dict[str, np.ndarray]:
     """Pad plain (BOS/EOS-free) id sequences into training arrays.
 
-    src     = tokens + EOS + PAD...
-    dec_in  = BOS + tokens + PAD...
-    labels  = tokens + EOS + PAD...  (label_mask marks real positions)
+    src     = tokens + EOS + PAD...   (B, S)
+    dec_in  = BOS + tokens + PAD...   (B, T)
+    labels  = tokens + EOS of every example, concatenated (n_dec,): the
+              label of each real decoder position in row-major (b, t)
+              order, the rows `Seq2SeqModel.forward` returns logits for
     """
     if len(src_seqs) != len(tgt_seqs):
         raise ShapeError("sources and targets differ in length")
@@ -417,17 +465,16 @@ def pad_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]],
     B = len(src_seqs)
     src = np.full((B, S), PAD, dtype=np.int64)
     dec_in = np.full((B, T), PAD, dtype=np.int64)
-    labels = np.full((B, T), PAD, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=np.float32)
+    labels: list[int] = []
     for i, (s, t) in enumerate(zip(src_seqs, tgt_seqs)):
         src[i, :len(s)] = s
         src[i, len(s)] = EOS
         dec_in[i, 0] = BOS
         dec_in[i, 1:1 + len(t)] = t
-        labels[i, :len(t)] = t
-        labels[i, len(t)] = EOS
-        mask[i, :len(t) + 1] = 1.0
-    return {"src": src, "dec_in": dec_in, "labels": labels, "label_mask": mask}
+        labels += t
+        labels.append(EOS)
+    return {"src": src, "dec_in": dec_in,
+            "labels": np.asarray(labels, dtype=np.int64)}
 
 
 def make_batch(vocab: Vocab, sources: list[str], targets: list[str],

@@ -169,7 +169,8 @@ def _batches(n: int, batch_size: int):
 
 def evaluate_loss(model: Seq2SeqModel, corpus: Corpus, label_smoothing: float,
                   batch_size: int = 64) -> float:
-    """Mean label-smoothed CE per non-PAD token, dropout disabled."""
+    """Mean label-smoothed CE per target token (EOS included), dropout
+    disabled."""
     if not corpus:
         raise DataError("cannot evaluate on an empty corpus")
     vocab = model.config.vocab
@@ -181,7 +182,7 @@ def evaluate_loss(model: Seq2SeqModel, corpus: Corpus, label_smoothing: float,
                                model.config.max_len)
             logits = model.forward(batch["src"], batch["dec_in"])
             loss = label_smoothed_ce(logits, batch["labels"], label_smoothing)
-            k = int(batch["label_mask"].sum())
+            k = len(batch["labels"])
             total += loss.item() * k
             n_tokens += k
     return total / n_tokens
@@ -255,7 +256,7 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                     aug_losses.setdefault(aug.kind.value, []).append(loss_d.item())
                 if extra_loss is not None:
                     if loss_d is None:
-                        loss_d = Tensor(0.0)
+                        loss_d = Tensor(np.zeros((), model.dtype))
                     loss_x = extra_loss(len(rows), loss_s, loss_d)
                     loss = combined_loss(add(loss_s, loss_d), loss_x, weights)
                 elif loss_d is not None:

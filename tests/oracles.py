@@ -4,8 +4,10 @@ These are deliberately written with different machinery than the library:
 exact rational arithmetic for BLEU, exhaustive path/sequence enumeration
 for the CRF and beam search, and plain loops everywhere. The beam search
 that re-runs the full-prefix decoder for each hypothesis is kept here as
-the reference for the cached, batched decoder, and a float64 per-head
-loop is the reference for the attention op.
+the reference for the cached, batched decoder, a float64 per-head loop is
+the reference for the attention op, and the forward on padded blocks
+(every position-wise op on every position, PAD included) is the
+reference for the model's packed rows.
 """
 
 from __future__ import annotations
@@ -166,6 +168,86 @@ def reference_attention(q, k, v, mask, n_heads: int, keep=None
 
 
 # ---------------------------------------------------------------------------
+# Padded forward
+# ---------------------------------------------------------------------------
+
+def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
+    """The teacher-forced forward on padded blocks: every position-wise op
+    runs on the whole (B, T, D) block, PAD positions included, and each
+    attention sees every position of its block (a dense layout). Dropout
+    runs when a dropout stream `rng` is given, drawn in the model's order.
+    Returns the logits (B, T, vocab) on the tape."""
+    from codemix.numerics import (add, attention, gather_rows, gelu,
+                                  layer_norm, linear, mul, reshape)
+    from codemix.numerics.tensor import RowLayout
+    from codemix.seq2seq.model import NEG_INF
+    cfg, p = model.config, model.p
+    drop_p = 0.0 if rng is None else cfg.dropout_prob
+
+    def ln(x, pre):
+        return layer_norm(x, p(f"{pre}.g"), p(f"{pre}.b"))
+
+    def attend(q_in, kv_in, pre, mask):
+        (B, T, D), S = q_in.shape, kv_in.shape[1]
+        q, k, v = (reshape(linear(x, p(f"{pre}.w{n}"), p(f"{pre}.b{n}")),
+                           (-1, D))
+                   for x, n in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")))
+        ctx = attention(q, k, v, RowLayout(np.ones((B, T), bool)),
+                        RowLayout(np.ones((B, S), bool)), mask,
+                        cfg.n_heads, pre, drop_p, rng)
+        return linear(reshape(ctx, (B, T, D)), p(f"{pre}.wo"),
+                      p(f"{pre}.bo"))
+
+    def drop(x):  # inverted dropout, its mask drawn for the (B, T, D) block
+        if rng is None:
+            return x
+        keep = (rng.random(x.shape) >= drop_p).astype(x.dtype)
+        return mul(x, keep / (1.0 - drop_p))
+
+    def ffn(x, pre):
+        h = gelu(linear(x, p(f"{pre}.w1"), p(f"{pre}.b1")))
+        return linear(h, p(f"{pre}.w2"), p(f"{pre}.b2"))
+
+    def embed(ids, pos):
+        return add(gather_rows(p("tok_emb"), ids),
+                   gather_rows(p(pos), np.arange(ids.shape[1])))
+
+    src = np.asarray(src_ids, dtype=np.int64)
+    dec = np.asarray(dec_in, dtype=np.int64)
+    key_mask = np.where(src == PAD, NEG_INF, 0.0)[:, None, None, :]
+    key_mask = key_mask.astype(model.dtype)
+    x = embed(src, "enc_pos")
+    for i in range(cfg.n_enc_layers):
+        h = ln(x, f"enc{i}.ln1")
+        x = add(x, drop(attend(h, h, f"enc{i}.attn", key_mask)))
+        x = add(x, drop(ffn(ln(x, f"enc{i}.ln2"), f"enc{i}.ffn")))
+    enc = ln(x, "enc_lnf")
+    T = dec.shape[1]
+    causal = np.triu(np.full((T, T), NEG_INF, dtype=model.dtype), k=1)
+    x = embed(dec, "dec_pos")
+    for i in range(cfg.n_dec_layers):
+        h = ln(x, f"dec{i}.ln1")
+        x = add(x, drop(attend(h, h, f"dec{i}.self", causal[None, None])))
+        x = add(x, drop(attend(ln(x, f"dec{i}.ln2"), enc, f"dec{i}.cross",
+                               key_mask)))
+        x = add(x, drop(ffn(ln(x, f"dec{i}.ln3"), f"dec{i}.ffn")))
+    return linear(ln(x, "dec_lnf"), p("tok_emb"), transpose_w=True)
+
+
+def reference_padded_ce(logits, labels: np.ndarray, epsilon: float):
+    """Label-smoothed CE over padded (B, T, vocab) logits and (B, T) labels
+    as a masked mean: a PAD label weighs 0, the rest 1 / (real count)."""
+    from codemix.numerics import (add, log_softmax, mul, take_along_last,
+                                  tsum)
+    keep = (labels != PAD).astype(logits.dtype)
+    logp = log_softmax(logits, axis=-1)
+    per_pos = mul(take_along_last(logp, labels), -(1.0 - epsilon))
+    per_pos = add(per_pos, mul(tsum(logp, axis=-1),
+                               -(epsilon / logits.shape[-1])))
+    return mul(tsum(mul(per_pos, keep)), 1.0 / float(keep.sum()))
+
+
+# ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
@@ -188,7 +270,7 @@ def _full_prefix_log_probs(model: Seq2SeqModel, enc_out, key_mask,
     """Next-token log-probabilities from a teacher-forced decoder pass over
     the whole prefix (no cache)."""
     dec_in = np.asarray([dec_prefix], dtype=np.int64)
-    logits = model.decode(enc_out, key_mask, dec_in).data[0, -1]
+    logits = model.decode(enc_out, key_mask, dec_in).data[-1]
     shifted = logits - logits.max()
     return shifted - np.log(np.exp(shifted).sum())
 
@@ -339,7 +421,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
                     loss_d = label_smoothed_ce(alogits, abatch["labels"],
                                                cfg.label_smoothing)
                 else:
-                    loss_d = Tensor(0.0)
+                    loss_d = Tensor(np.zeros((), student.dtype))
                 kd_idx = kd_rng.integers(0, len(pseudo), size=len(rows))
                 kd_rows = [pseudo[int(i)] for i in kd_idx]
                 kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],

@@ -736,6 +736,21 @@ class TestBlankInputLines:
         assert got == ["kaala joota", "", "joota", ""]
 
 
+class TestTranslateLineTooLong:
+    def test_error_names_the_line(self, tmp_path, capsys):
+        # line 1 is blank, line 2 holds 40 words: 41 ids with EOS > 32
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("\n" + " ".join(["kala"] * 40) + "\nkala juta\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["translate", "--checkpoint", str(TEACHER), "--input",
+                  str(inp), "--output", str(out)])
+        assert rc == 2
+        assert _one_error_line(capsys) == (
+            "error: line 2: sequence length 41 exceeds max_len 32\n")
+        assert not out.exists()
+
+
 class TestBenchLatencyCli:
     def test_prints_percentiles_and_writes_report(self, checkpoint_dir,
                                                   tmp_path, capsys):

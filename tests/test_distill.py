@@ -31,13 +31,12 @@ def random_dists(n, k, seed):
 
 
 def ce(t, s_logp):
-    return kd_loss(KDKind.CE, t, Tensor(s_logp), np.ones(t.shape[:-1])).item()
+    return kd_loss(KDKind.CE, t, Tensor(s_logp)).item()
 
 
 def js(t, s):
     """JS loss of student probabilities s, passed as log-probabilities."""
-    return kd_loss(KDKind.JS, t, Tensor(np.log(s)),
-                   np.ones(t.shape[:-1])).item()
+    return kd_loss(KDKind.JS, t, Tensor(np.log(s))).item()
 
 
 class TestKdLossCe:
@@ -70,16 +69,15 @@ class TestKdLossJs:
     def test_disjoint_extreme_is_two_ln_two(self):
         t = np.array([[1.0, 0.0]])
         # exp(-1000) underflows to exactly 0 in float64
-        got = kd_loss(KDKind.JS, t, Tensor(np.array([[-1000.0, 0.0]])),
-                      np.ones(1)).item()
+        got = kd_loss(KDKind.JS, t,
+                      Tensor(np.array([[-1000.0, 0.0]]))).item()
         assert got == pytest.approx(2 * np.log(2), abs=1e-9)
 
     def test_symmetry_exact(self):
         lt = np.log(random_dists(6, 5, seed=3))
         ls = np.log(random_dists(6, 5, seed=4))
-        ones = np.ones(6)
-        assert kd_loss(KDKind.JS, np.exp(lt), Tensor(ls), ones).item() == \
-            kd_loss(KDKind.JS, np.exp(ls), Tensor(lt), ones).item()
+        assert kd_loss(KDKind.JS, np.exp(lt), Tensor(ls)).item() == \
+            kd_loss(KDKind.JS, np.exp(ls), Tensor(lt)).item()
 
     def test_bounds_on_1000_random_pairs(self):
         t = random_dists(1000, 11, seed=5)
@@ -109,22 +107,13 @@ class TestKdLossJs:
 
         def loss_fn(params):
             return kd_loss(KDKind.JS, t,
-                           log_softmax(params["logits"], axis=-1), np.ones(3))
+                           log_softmax(params["logits"], axis=-1))
 
         params = {"logits": Tensor(make_rng(12).standard_normal((3, 5)),
                                    requires_grad=True)}
         err = finite_diff_grad_check(loss_fn, params, epsilon=1e-6,
                                      max_coords_per_tensor=10)
         assert err < 1e-4
-
-
-@pytest.mark.parametrize("kind", [KDKind.CE, KDKind.JS], ids=["ce", "js"])
-def test_masked_rows_do_not_count(kind):
-    t = random_dists(4, 6, seed=15)
-    s_logp = np.log(random_dists(4, 6, seed=16))
-    masked = kd_loss(kind, t, Tensor(s_logp), np.array([1.0, 0.0, 1.0, 0.0]))
-    alone = kd_loss(kind, t[[0, 2]], Tensor(s_logp[[0, 2]]), np.ones(2))
-    assert masked.item() == pytest.approx(alone.item(), rel=1e-12, abs=0)
 
 
 SPEC = SynthTaskSpec(lexicon_size=12, code_mix_ratio=0.2,

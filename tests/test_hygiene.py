@@ -10,7 +10,8 @@ file becomes a DataError naming its path.
 
 Every name that the benchmark's tracer (perfbench/spans.py) wraps must
 exist, and the benchmark's workloads (perfbench/workloads.py) must import
-and score a model, so deleting or reshaping an API the benchmark uses
+and score a model and run their tiny training and distillation jobs with
+no failed operation, so deleting or reshaping an API the benchmark uses
 fails here and not only in the slower perfbench/tests.
 """
 
@@ -186,3 +187,17 @@ class TestBenchmarkWorkloads:
                                                result.finished)
         assert np.isfinite(score)
         assert abs(score - result.score) <= workloads.SCORE_TOL
+
+    @pytest.mark.parametrize("name", ["Train", "Distill"])
+    def test_training_workload_runs_two_cycles(self, name, monkeypatch):
+        # the benchmark's own checks: finite losses, the expected steps and
+        # the same final loss when a job runs again on the second cycle
+        workloads = _perfbench_module("workloads", monkeypatch)
+        workload = getattr(workloads, name)(1, "tiny")
+        tracer = workloads.NullTracer()
+        workload.setup(tracer)
+        for k in range(2):
+            workload.cycle(k, tracer)
+        assert workload.rec.attempted > 0
+        assert (workload.rec.failed, workload.rec.errors) == (0, [])
+        assert np.isfinite(workload.headline()["loss"][0])

@@ -8,7 +8,8 @@ from codemix.numerics import (AdamWState, Tensor, adamw_step, add, attention,
                               gather_rows, gelu, layer_norm, linear,
                               log_softmax, make_rng, matmul, mul, no_grad,
                               reshape, softmax, take_along_last, tsum)
-from codemix.numerics.tensor import _assert_finite, layer_norm_forward
+from codemix.numerics.tensor import (RowLayout, _assert_finite,
+                                     layer_norm_forward)
 from codemix.seq2seq.model import NEG_INF
 
 from oracles import reference_attention
@@ -178,9 +179,10 @@ class TestPrimitiveGradients:
 
 
 class TestAttention:
-    """The attention node against a float64 per-head loop and central
-    differences: causal and key-padding masks, S != T, 1/2/4 heads, and
-    dropout from a fixed RNG stream."""
+    """The attention node on packed rows against a float64 per-head loop
+    on the padded blocks and central differences: causal and key-padding
+    masks, padded query and key rows, S != T, 1/2/4 heads, and dropout
+    from a fixed RNG stream."""
 
     # (heads, T, S, mask kind, dropout probability)
     CASES = {"causal_h1": (1, 5, 5, "causal", 0.0),
@@ -191,46 +193,59 @@ class TestAttention:
 
     @staticmethod
     def inputs(heads, T, S, kind, seed=3, B=2, D=8):
+        """Padded blocks q (B, T, D), k, v (B, S, D), the mask, and the
+        query and key layouts: batch row 1 is shorter than row 0."""
         rng = make_rng(seed)
         q = rng.standard_normal((B, T, D))
         k, v = (rng.standard_normal((B, S, D)) for _ in range(2))
-        if kind == "causal":
+        q_real, k_real = np.ones((B, T), bool), np.ones((B, S), bool)
+        if kind == "causal":  # self-attention: one layout, padding at the end
             mask = np.triu(np.full((T, S), NEG_INF), k=1)[None, None]
+            q_real[1, T - 1:] = k_real[1, S - 1:] = False
         else:
             mask = np.zeros((B, 1, 1, S))
             mask[1, ..., S // 2:] = NEG_INF  # row 1 pads its later keys
-        return q, k, v, mask
+            k_real[1, S // 2:] = False
+            q_real[1, (T + 1) // 2:] = False
+        return q, k, v, mask, RowLayout(q_real), RowLayout(k_real)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_forward_matches_reference(self, name):
         heads, T, S, kind, p = self.CASES[name]
-        q, k, v, mask = self.inputs(heads, T, S, kind)
+        q, k, v, mask, q_rows, k_rows = self.inputs(heads, T, S, kind)
         keep = None
         if p > 0:
             keep = (make_rng(9).random((2, heads, T, S)) >= p) / (1.0 - p)
         captured = []
-        out = attention(Tensor(q), Tensor(k), Tensor(v), mask, heads, "x",
-                        p, make_rng(9), captured)
-        want, weights = reference_attention(q, k, v, mask, heads, keep)
-        assert out.shape == (2, T, 8)
-        assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        out = attention(Tensor(q_rows.pack(q)), Tensor(k_rows.pack(k)),
+                        Tensor(k_rows.pack(v)), q_rows, k_rows, mask, heads,
+                        "x", p, make_rng(9), captured)
+        padded = [rows.pad(rows.pack(a))
+                  for rows, a in ((q_rows, q), (k_rows, k), (k_rows, v))]
+        want, weights = reference_attention(*padded, mask, heads, keep)
+        assert out.shape == (q_rows.idx.size, 8)
+        assert np.allclose(out.data, q_rows.pack(want), rtol=1e-12,
+                           atol=1e-12)
         assert len(captured) == 1  # the weights before dropout
-        assert np.allclose(captured[0], weights, rtol=1e-12, atol=1e-12)
+        real = q_rows.pack(captured[0].transpose(0, 2, 1, 3).reshape(
+            2, T, -1))
+        assert np.allclose(real, q_rows.pack(weights.transpose(
+            0, 2, 1, 3).reshape(2, T, -1)), rtol=1e-12, atol=1e-12)
         if kind == "padding":
             assert not captured[0][1, ..., S // 2:].any()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_gradcheck(self, name):
         heads, T, S, kind, p = self.CASES[name]
-        q, k, v, mask = self.inputs(heads, T, S, kind)
-        weight = Tensor(make_rng(4).standard_normal((2, T, 8)))
-        params = {"q": Tensor(q, requires_grad=True),
-                  "k": Tensor(k, requires_grad=True),
-                  "v": Tensor(v, requires_grad=True)}
+        q, k, v, mask, q_rows, k_rows = self.inputs(heads, T, S, kind)
+        weight = Tensor(make_rng(4).standard_normal((q_rows.idx.size, 8)))
+        params = {"q": Tensor(q_rows.pack(q), requires_grad=True),
+                  "k": Tensor(k_rows.pack(k), requires_grad=True),
+                  "v": Tensor(k_rows.pack(v), requires_grad=True)}
 
         def loss(ps):
-            out = attention(ps["q"], ps["k"], ps["v"], mask, heads, "x", p,
-                            make_rng(9))
+            out = attention(ps["q"], ps["k"], ps["v"], q_rows, k_rows, mask,
+                            heads, "x", p, make_rng(9))
             return tsum(mul(out, weight))
 
         err = finite_diff_grad_check(loss, params, epsilon=1e-6,
@@ -238,10 +253,30 @@ class TestAttention:
         assert err < 1e-6, f"{name}: rel err {err}"
 
     def test_non_finite_scores_name_the_sublayer(self):
-        q, k, v, mask = self.inputs(2, 3, 3, "causal")
+        q, k, v, mask, q_rows, k_rows = self.inputs(2, 3, 3, "causal")
         q[0, 0, 0] = k[0, 0, 0] = 1e200  # their product overflows
         with pytest.raises(NonFiniteError, match="attention dec0.self scores"):
-            attention(Tensor(q), Tensor(k), Tensor(v), mask, 2, "dec0.self")
+            attention(Tensor(q_rows.pack(q)), Tensor(k_rows.pack(k)),
+                      Tensor(k_rows.pack(v)), q_rows, k_rows, mask, 2,
+                      "dec0.self")
+
+
+class TestRowLayout:
+    def test_pack_and_pad_round_trip(self):
+        real = np.array([[True, True, False], [True, False, False]])
+        rows = RowLayout(real)
+        x = rnd((2, 3, 4), seed=5)
+        packed = rows.pack(x)
+        assert np.array_equal(packed, x[real])  # row-major (b, t) order
+        padded = rows.pad(packed)
+        assert np.array_equal(padded[real], x[real])
+        assert not padded[~real].any()
+
+    def test_dense_layout_is_a_reshape(self):
+        rows = RowLayout(np.ones((2, 3), bool))
+        x = rnd((6, 4), seed=6)
+        assert rows.pad(x).base is x
+        assert rows.pack(rows.pad(x)).base is x
 
 
 class TestAdamW:
@@ -340,9 +375,18 @@ class TestRng:
 class TestDropout:
     def test_zero_probability_is_identity(self):
         t = Tensor(rnd((4, 4)))
-        assert dropout(t, 0.0, make_rng(0)) is t
+        assert dropout(t, 0.0, make_rng(0), RowLayout(np.ones((2, 2),
+                                                              bool))) is t
 
     def test_inverted_scaling_preserves_mean(self):
         t = Tensor(np.ones((200, 200)))
-        out = dropout(t, 0.3, make_rng(1)).data
+        out = dropout(t, 0.3, make_rng(1),
+                      RowLayout(np.ones((20, 10), bool))).data
         assert abs(out.mean() - 1.0) < 0.02
+
+    def test_packed_rows_keep_the_padded_block_mask(self):
+        real = np.array([[True, True, False], [True, False, False]])
+        x = rnd((3, 4), seed=7)
+        out = dropout(Tensor(x), 0.5, make_rng(2), RowLayout(real)).data
+        keep = (make_rng(2).random((2, 3, 4)) >= 0.5) / 0.5
+        assert np.array_equal(out, x * keep[real])

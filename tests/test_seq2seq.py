@@ -1,3 +1,4 @@
+import contextlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from codemix.seq2seq.decode import top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
 from oracles import (exhaustive_best_sequence, reference_beam_search,
+                     reference_forward, reference_padded_ce,
                      sequence_log_prob)
 
 ARTIFACTS = Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
@@ -146,7 +148,7 @@ class TestLabelSmoothedCE:
         rng = make_rng(8)
         logits = Tensor(rng.standard_normal((6, 9)))
         targets = rng.integers(5, 9, size=6)
-        ls = label_smoothed_ce(logits, targets, 0.0, ignore_index=PAD).item()
+        ls = label_smoothed_ce(logits, targets, 0.0).item()
         p = softmax(logits, axis=-1).data
         ce = -np.mean(np.log(p[np.arange(6), targets]))
         assert abs(ls - ce) < 1e-6
@@ -169,18 +171,6 @@ class TestLabelSmoothedCE:
         logp = np.log(softmax(logits64, axis=-1).data)
         uniform_ce = -np.mean(logp.mean(axis=-1))
         assert abs(ls - ((1 - eps) * ce + eps * uniform_ce)) < 1e-10
-
-    def test_pad_positions_ignored(self):
-        logits = Tensor(make_rng(10).standard_normal((4, 7)))
-        with_pad = label_smoothed_ce(logits, np.array([5, 6, PAD, PAD]), 0.1)
-        no_pad = label_smoothed_ce(Tensor(logits.data[:2]),
-                                   np.array([5, 6]), 0.1)
-        assert abs(with_pad.item() - no_pad.item()) < 1e-6
-
-    def test_all_pad_rejected(self):
-        logits = Tensor(np.zeros((2, 7)))
-        with pytest.raises(DataError):
-            label_smoothed_ce(logits, np.array([PAD, PAD]), 0.1)
 
     def test_invalid_epsilon_rejected(self):
         logits = Tensor(np.zeros((1, 7)))
@@ -217,6 +207,109 @@ class TestPadBatch:
         # + EOS on the source, + BOS on the decoder input: 9 > 8
         with pytest.raises(DataError, match="exceeds max_len 8"):
             pad_batch([src], [tgt], max_len=8)
+
+    def test_labels_are_the_real_decoder_rows(self):
+        batch = pad_batch([[5, 6], [7], [8, 9, 5]], [[6, 7, 8], [], [9]],
+                          max_len=8)
+        assert batch["dec_in"].tolist() == [[BOS, 6, 7, 8], [BOS, PAD, PAD,
+                                                             PAD],
+                                            [BOS, 9, PAD, PAD]]
+        # one label per non-PAD decoder position, in row-major (b, t) order
+        assert batch["labels"].tolist() == [6, 7, 8, EOS, EOS, 9, EOS]
+        assert set(batch) == {"src", "dec_in", "labels"}
+
+
+def padded_batch(n_content, n, seed, max_words=6):
+    """A batch of n random pairs of 1 to max_words words of
+    tiny_vocab(n_content)."""
+    rng = make_rng(seed)
+    texts = [" ".join(f"w{i}" for i in rng.integers(
+        0, n_content, size=int(rng.integers(1, max_words + 1))))
+        for _ in range(2 * n)]
+    return make_batch(tiny_vocab(n_content), texts[:n], texts[n:],
+                      max_words + 1)
+
+
+def padded_labels(batch) -> np.ndarray:
+    """`pad_batch`'s labels scattered back to (B, T), PAD elsewhere."""
+    out = np.full(batch["dec_in"].shape, PAD)
+    out[batch["dec_in"] != PAD] = batch["labels"]
+    return out
+
+
+class TestPackedRows:
+    """The packed-row forward against the forward on padded blocks
+    (`oracles.reference_forward`), which runs every position-wise op on
+    every position."""
+
+    @pytest.mark.parametrize("grad", ["tape", "no_grad", "dropout"])
+    @pytest.mark.parametrize("kind", ["f32", "int8"])
+    def test_logits_equal_padded_reference_bitwise(self, kind, grad):
+        # float32 d64 teacher, batches with S, T > 1: the real rows' GEMMs
+        # give the same bits at any row count, a padding key scores -1e9
+        # either way, and a dropout stream draws the same masks, so the
+        # logits of every real position are equal
+        reference = json.loads((ARTIFACTS / "reference.json")
+                               .read_text(encoding="utf-8"))
+        model = load_checkpoint(ARTIFACTS / "teacher")
+        if kind == "int8":
+            model = quant.quantize_model(model)
+        vocab = model.config.vocab
+        queries = sorted(reference)[::12]
+        batch = pad_batch([encode_source(q, vocab)[:-1] for q in queries],
+                          [reference[q]["f32"] for q in queries],
+                          model.config.max_len)
+        real = batch["dec_in"] != PAD
+        assert 0.3 < real.mean() < 0.9 and (batch["src"] == PAD).any()
+        rng = (lambda: make_rng(34)) if grad == "dropout" else (lambda: None)
+        with no_grad() if grad == "no_grad" else contextlib.nullcontext():
+            got = model.forward(batch["src"], batch["dec_in"], rng=rng())
+            want = reference_forward(model, batch["src"], batch["dec_in"],
+                                     rng())
+        assert got.shape == (real.sum(), len(vocab))
+        assert np.array_equal(got.data, want.data[real])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_logits_match_reference_elsewhere(self, dtype):
+        # float64 GEMMs and single-position (T = 1) products may round
+        # differently with the row count
+        m = tiny_model(seed=30, n_content=6, layers=2).astype(dtype)
+        batch = padded_batch(6, 5, seed=31)
+        for dec_in in (batch["dec_in"], batch["dec_in"][:, :1]):
+            got = m.forward(batch["src"], dec_in)
+            want = reference_forward(m, batch["src"], dec_in)
+            assert np.allclose(got.data, want.data[dec_in != PAD],
+                               rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gradients_match_padded_reference(self, dtype, dropout):
+        cfg = Seq2SeqConfig(vocab=tiny_vocab(40), dropout_prob=dropout)
+        m = init_model(cfg, make_rng(32)).astype(dtype)
+        batch = padded_batch(40, 12, seed=33)
+        rng = (lambda: make_rng(35)) if dropout else (lambda: None)
+        grads = []
+        for loss_fn in (
+                lambda: label_smoothed_ce(m.forward(batch["src"],
+                                                    batch["dec_in"],
+                                                    rng=rng()),
+                                          batch["labels"], 0.1),
+                lambda: reference_padded_ce(
+                    reference_forward(m, batch["src"], batch["dec_in"],
+                                      rng()),
+                    padded_labels(batch), 0.1)):
+            for t in m.params.values():
+                t.zero_grad()
+            loss_fn().backward()
+            grads.append({k: t.grad for k, t in m.params.items()})
+        packed, padded = grads
+        largest = max(np.abs(g).max() for g in padded.values())
+        for name, want in padded.items():
+            # the attention key biases' true gradient is 0 (softmax ignores
+            # a shift shared by a row), so theirs is rounding noise: their
+            # scale is floored at a thousandth of the largest gradient
+            scale = max(np.abs(want).max(), 1e-3 * largest)
+            assert np.abs(packed[name] - want).max() <= 1e-5 * scale, name
 
 
 class TestGreedy:
@@ -377,7 +470,7 @@ class PrefixTableModel:
         position's are the table's log-probabilities of the prefix."""
         prefix = tuple(int(t) for t in dec_in[0, 1:])
         return SimpleNamespace(
-            data=self.table.get(prefix, self.default)[None, None])
+            data=self.table.get(prefix, self.default)[None])
 
     class Cache:
         def __init__(self, prefixes):

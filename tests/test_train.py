@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from codemix.augment import AugKind
+from codemix import train as train_mod
+from codemix.augment import AugKind, combined_loss
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import (CheckpointError, DataError, ShapeError,
                             TrainingDivergedError)
@@ -325,3 +326,39 @@ class TestEvaluateLoss:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             evaluate_loss(small_setup(), [], 0.1)
+
+    def test_token_weighted_mean_for_any_batch_size(self):
+        model = small_setup(seed=19)
+        clean = gen_clean_corpus(SPEC, 40)
+        tokens = [len(ex.target.split()) + 1 for ex in clean]  # + EOS
+        assert len(set(tokens)) > 2
+        got = [evaluate_loss(model, clean, 0.1, batch_size=b)
+               for b in (1, 3, 64)]
+        assert max(got) - min(got) < 1e-6
+        per_example = [evaluate_loss(model, [ex], 0.1) for ex in clean]
+        weighted = np.dot(per_example, tokens) / sum(tokens)
+        assert abs(got[-1] - weighted) < 1e-6
+        assert abs(got[-1] - np.mean(per_example)) > 1e-4  # not per example
+
+
+class TestExtraLossHook:
+    def test_zero_augmentation_loss_keeps_the_model_dtype(self, monkeypatch):
+        # a hook and no augmentation kinds, as distillation with kinds=()
+        model = small_setup(seed=20)
+        corpus, _ = gen_synthetic_corpus(SPEC, 24)
+        hook_dtypes, step_dtypes = [], []
+
+        def hook(n_rows, loss_s, loss_d):
+            hook_dtypes.append(loss_d.dtype)
+            return loss_s
+
+        def combined(a, b, weights):
+            out = combined_loss(a, b, weights)
+            step_dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(train_mod, "combined_loss", combined)
+        fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
+            lam=0.5, label_smoothing=0.1, weight_decay=0.0,
+            rngs=make_rng(21).spawn(3), extra_loss=hook)
+        assert hook_dtypes == step_dtypes == [np.float32] * 3
