@@ -247,9 +247,12 @@ def _cmd_bench_latency(args) -> int:
     rep = bench_latency(model, queries, warmup=args.warmup,
                         samples=args.samples, beam=args.beam,
                         max_len=args.max_len)
-    print(f"model={rep.model_id} p50={rep.p50_ms:.2f}ms p95={rep.p95_ms:.2f}ms "
-          f"({len(rep.samples_ms)} samples, hardware: {rep.hardware})")
-    _write_records(args.report, rep.records())
+    records = rep.records()
+    rec = records[0]  # print the report's rounded numbers, not raw ones
+    print(f"model={rec['model']} p50={rec['p50_ms']:.2f}ms "
+          f"p95={rec['p95_ms']:.2f}ms ({rec['n_samples']} samples, "
+          f"hardware: {rec['hardware']})")
+    _write_records(args.report, records)
     return 0
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _assert_finite
+from . import tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -59,7 +60,8 @@ def adamw_step(params: dict[str, np.ndarray | Tensor],
         if state.weight_decay:
             update = update + state.weight_decay * arr
         arr -= state.lr * update
-        _assert_finite(arr, f"parameter {name!r} after the optimizer step")
+        tensor._assert_finite(arr, f"parameter {name!r} after the "
+                                   "optimizer step")
     return state
 
 

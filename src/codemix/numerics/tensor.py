@@ -1,8 +1,15 @@
 """Dense tensors with a reverse-mode gradient tape, backed by numpy.
 
 Values are float32 for training/inference; float64 is used for gradient
-checks. Every op validates that its output is finite (NaN/Inf raises
-NonFiniteError) so silent divergence cannot corrupt an experiment.
+checks. A NaN or Inf is a hard error (NonFiniteError), so silent
+divergence cannot corrupt an experiment. Outside a model pass every op
+checks its output. A model pass (the encoder, the decoder, one cached
+decoder step) runs through `checked_pass`, which checks only the pass's
+output: NaN and Inf propagate through every op the passes use, save a
+-Inf attention score, which softmax turns into probability 0, so
+`attention_probs` always checks its scores. When a pass's output is not
+finite, the pass runs again on the same inputs with every op checked, and
+the error names the op, as it would with per-op checks throughout.
 
 Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
 walks the tape in reverse topological order. Wrap inference code in
@@ -28,6 +35,7 @@ import numpy as np
 from ..errors import NonFiniteError, ShapeError
 
 _grad_enabled = True
+_op_checks = True  # False only during a model pass's first run
 
 
 @contextlib.contextmanager
@@ -52,17 +60,54 @@ def _assert_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite values in {what}")
 
 
+def _op_check(arr: np.ndarray, what: str) -> None:
+    """The finite check of one op's output, skipped during a model pass's
+    first run: `checked_pass` checks the pass's output instead."""
+    if _op_checks:
+        _assert_finite(arr, what)
+
+
+def checked_pass(run: Callable[[], object], what: str,
+                 reset: Callable[[], None] | None = None):
+    """Run the model pass `run()`, whose result is a Tensor or an array,
+    and check the result once, with the ops inside unchecked but for the
+    attention scores (`attention_probs`).
+
+    If the result holds NaN or Inf, or a score check fails, `reset()`
+    undoes what the run changed (a dropout stream's state, a cache, a
+    capture list) and the pass runs again on the same inputs with every op
+    checked, so the NonFiniteError names the first op that made a NaN or
+    Inf. If that run raises nothing, the first run's error is raised."""
+    global _op_checks
+    outer, _op_checks = _op_checks, False
+    try:
+        out = run()
+        _assert_finite(out.data if isinstance(out, Tensor) else out, what)
+        return out
+    except NonFiniteError:
+        _op_checks = outer
+        if reset is not None:
+            reset()
+        run()
+        raise
+    finally:
+        _op_checks = outer
+
+
 class Tensor:
     """A numpy array plus optional gradient buffer and tape linkage."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False,
-                 what: str = "tensor data"):
+                 what: str | None = "tensor data"):
+        """`what` names the data in a NonFiniteError; None when the caller
+        checks the data itself (`_make`, a model pass's result)."""
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        _assert_finite(arr, what)
+        if what is not None:
+            _assert_finite(arr, what)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -133,8 +178,10 @@ def as_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Iterable[Tensor],
           backward: Callable[[np.ndarray], None], op: str) -> Tensor:
-    """The output of tape op `op`; a NaN or Inf in it names the op."""
-    out = Tensor(data, what=f"{op} output")
+    """The output of tape op `op`. Outside a model pass's first run a NaN
+    or Inf in it raises NonFiniteError naming the op (`_op_check`)."""
+    _op_check(data, f"{op} output")
+    out = Tensor(data, what=None)
     parents = tuple(p for p in parents if isinstance(p, Tensor))
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -366,13 +413,16 @@ def attention_probs(q: np.ndarray, kt: np.ndarray, mask: np.ndarray | None,
                     what: str) -> np.ndarray:
     """softmax(q kt / sqrt(dh) + mask) for queries q (B, H, T, dh) and
     transposed keys kt (B, H, dh, S). The scale is a Python float, so
-    float32 stays float32."""
+    float32 stays float32. The scores are checked even inside a model
+    pass: softmax turns a -Inf score into probability 0, and a pass's
+    output check would not see it. The probabilities of finite scores are
+    finite, so they are checked only where every op is."""
     scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ kt
     if mask is not None:
         scores = scores + mask
     _assert_finite(scores, f"attention {what} scores")
     probs = softmax_forward(scores)
-    _assert_finite(probs, f"softmax {what} output")
+    _op_check(probs, f"softmax {what} output")
     return probs
 
 

@@ -28,8 +28,8 @@ import numpy as np
 from ..errors import DataError, ShapeError
 from ..numerics import (Tensor, add, attention, dropout, gather_rows, gelu,
                         grad_enabled, layer_norm, linear)
-from ..numerics.tensor import (RowLayout, _assert_finite, attention_probs,
-                               gelu_forward, layer_norm_forward,
+from ..numerics.tensor import (RowLayout, _op_check, attention_probs,
+                               checked_pass, gelu_forward, layer_norm_forward,
                                log_softmax_forward, merge_heads, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
@@ -181,6 +181,23 @@ class Seq2SeqModel:
         return add(gather_rows(self.p("tok_emb"), tok_ids),
                    gather_rows(self.p(pos_name), pos_ids))
 
+    @staticmethod
+    def _checked(run, what: str, rng=None, capture: list | None = None):
+        """`checked_pass(run, what)` for a pass that may draw from the
+        dropout stream `rng` and append to `capture`: a replay starts from
+        the stream's state and the list's length before the pass, so it
+        draws the same masks and adds each weight array once."""
+        state = None if rng is None else rng.bit_generator.state
+        n = None if capture is None else len(capture)
+
+        def reset():
+            if rng is not None:
+                rng.bit_generator.state = state
+            if capture is not None:
+                del capture[n:]
+
+        return checked_pass(run, what, reset)
+
     def encode(self, src_ids: np.ndarray,
                rng=None) -> tuple[Tensor, np.ndarray]:
         """Returns (encoder states, additive key mask (B,1,1,S)): the states
@@ -188,23 +205,35 @@ class Seq2SeqModel:
         the key mask's zeros mark (`source_rows`). Dropout runs when a
         dropout stream `rng` is given. Without one and with gradients off it
         runs the tape's ops in the tape's order on plain arrays, so the
-        states equal the tape's bit for bit."""
+        states equal the tape's bit for bit. A model pass: the states are
+        checked once, and NaN or Inf in them replays the pass with every op
+        checked, so the NonFiniteError names the op."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         rows = self._rows(src_ids)
         key_mask = np.where(src_ids == PAD, NEG_INF, 0.0)
         key_mask = key_mask[:, None, None, :].astype(self.dtype)
-        if rng is None and not grad_enabled():
-            tok_ids, pos_ids = self._embedding_ids(src_ids, rows)
-            x = (self.p("tok_emb").data[tok_ids]
-                 + self.p("enc_pos").data[pos_ids])
-            _assert_finite(x, "encoder embedding output")
-            for i in range(self.config.n_enc_layers):
-                a, _ = self._self_attention_np(self._ln_np(x, f"enc{i}.ln1"),
-                                               f"enc{i}.attn", key_mask, rows)
-                x = self._residual_np(x, a)
-                x = self._residual_np(x, self._ffn_np(
-                    self._ln_np(x, f"enc{i}.ln2"), f"enc{i}.ffn"))
-            return Tensor(self._ln_np(x, "enc_lnf")), key_mask
+        plain = rng is None and not grad_enabled()
+        states = self._checked(
+            lambda: (self._encode_np(src_ids, rows, key_mask) if plain
+                     else self._encode_tape(src_ids, rows, key_mask, rng)),
+            "encoder states", rng)
+        return states, key_mask
+
+    def _encode_np(self, src_ids: np.ndarray, rows: RowLayout,
+                   key_mask: np.ndarray) -> Tensor:
+        tok_ids, pos_ids = self._embedding_ids(src_ids, rows)
+        x = self.p("tok_emb").data[tok_ids] + self.p("enc_pos").data[pos_ids]
+        _op_check(x, "encoder embedding output")
+        for i in range(self.config.n_enc_layers):
+            a, _ = self._self_attention_np(self._ln_np(x, f"enc{i}.ln1"),
+                                           f"enc{i}.attn", key_mask, rows)
+            x = self._residual_np(x, a)
+            x = self._residual_np(x, self._ffn_np(
+                self._ln_np(x, f"enc{i}.ln2"), f"enc{i}.ffn"))
+        return Tensor(self._ln_np(x, "enc_lnf"), what=None)  # `encode` checks
+
+    def _encode_tape(self, src_ids: np.ndarray, rows: RowLayout,
+                     key_mask: np.ndarray, rng) -> Tensor:
         x = self._embed(src_ids, rows, "enc_pos")
         for i in range(self.config.n_enc_layers):
             h = self._ln(x, f"enc{i}.ln1")
@@ -213,7 +242,7 @@ class Seq2SeqModel:
             x = add(x, self._drop(a, rows, rng))
             f = self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn")
             x = add(x, self._drop(f, rows, rng))
-        return self._ln(x, "enc_lnf"), key_mask
+        return self._ln(x, "enc_lnf")
 
     def decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
                dec_in: np.ndarray, rng=None,
@@ -225,10 +254,21 @@ class Seq2SeqModel:
         dropout stream `rng` is given. A `capture` list gets each layer's
         row-stochastic cross-attention weights (B, heads, decoder
         positions, encoder positions), before dropout; only the real rows
-        and columns carry meaning."""
+        and columns carry meaning. A model pass, like `encode`: the logits
+        are checked once, and a replay names the op that made a NaN or Inf
+        (it starts from the dropout stream's state before the pass and
+        leaves one weight array per layer in `capture`)."""
         dec_in = np.asarray(dec_in, dtype=np.int64)
-        T = dec_in.shape[1]
         rows = self._rows(dec_in)
+        return self._checked(
+            lambda: self._decode_tape(enc_out, enc_key_mask, dec_in, rows,
+                                      rng, capture),
+            "decoder logits", rng, capture)
+
+    def _decode_tape(self, enc_out: Tensor, enc_key_mask: np.ndarray,
+                     dec_in: np.ndarray, rows: RowLayout, rng,
+                     capture: list | None) -> Tensor:
+        T = dec_in.shape[1]
         src_rows = source_rows(enc_key_mask)
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
         causal = causal[None, None, :, :]
@@ -283,15 +323,32 @@ class Seq2SeqModel:
                     tokens: np.ndarray) -> np.ndarray:
         """Feed each row its latest token (BOS first) and return the rows'
         next-token log-probabilities (N, vocab). Appends the step's
-        self-attention keys and values to the cache."""
+        self-attention keys and values to the cache. A model pass: the
+        log-probabilities are checked once, and NaN or Inf in them puts the
+        cache's self-attention keys and values back and replays the step
+        with every op checked, so the NonFiniteError names the op; the
+        cache's step count advances only on success."""
         cfg = self.config
         t = cache.steps
         if t >= cfg.max_len:
             raise DataError(f"decoder position {t} exceeds max_len "
                             f"{cfg.max_len}")
+        self_kv = list(cache.self_kv)
+
+        def reset():
+            cache.self_kv[:] = self_kv
+
+        logp = checked_pass(lambda: self._decode_step_np(cache, tokens),
+                            "decoder log-probabilities", reset)
+        cache.steps += 1
+        return logp
+
+    def _decode_step_np(self, cache: DecoderCache,
+                        tokens: np.ndarray) -> np.ndarray:
+        cfg = self.config
         x = (self.p("tok_emb").data[tokens][:, None, :]
-             + self.p("dec_pos").data[t])
-        _assert_finite(x, "decoder embedding output")
+             + self.p("dec_pos").data[cache.steps])
+        _op_check(x, "decoder embedding output")
         for i in range(cfg.n_dec_layers):
             pre = f"dec{i}"
             a, cache.self_kv[i] = self._self_attention_np(
@@ -316,10 +373,9 @@ class Seq2SeqModel:
                 self._ln_np(x, f"{pre}.ln3"), f"{pre}.ffn"))
         x = self._ln_np(x, "dec_lnf")
         logits = x @ self.p("tok_emb").data.T
-        _assert_finite(logits, "output projection")
+        _op_check(logits, "output projection")
         logp = log_softmax_forward(logits)[:, 0]
-        _assert_finite(logp, "log_softmax output")
-        cache.steps += 1
+        _op_check(logp, "log_softmax output")
         return logp
 
     def _self_attention_np(self, h: np.ndarray, prefix: str,
@@ -348,24 +404,24 @@ class Seq2SeqModel:
     def _ffn_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
         f = gelu_forward(self._linear_np(x, f"{prefix}.w1",
                                          f"{prefix}.b1"))[0]
-        _assert_finite(f, f"gelu {prefix} output")
+        _op_check(f, f"gelu {prefix} output")
         return self._linear_np(f, f"{prefix}.w2", f"{prefix}.b2")
 
     def _linear_np(self, x: np.ndarray, w: str, b: str) -> np.ndarray:
         out = x @ self.p(w).data + self.p(b).data
-        _assert_finite(out, f"linear {w} output")
+        _op_check(out, f"linear {w} output")
         return out
 
     def _ln_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
         out = layer_norm_forward(x, self.p(f"{prefix}.g").data,
                                  self.p(f"{prefix}.b").data)[0]
-        _assert_finite(out, f"layer_norm {prefix} output")
+        _op_check(out, f"layer_norm {prefix} output")
         return out
 
     @staticmethod
     def _residual_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = x + y
-        _assert_finite(out, "residual add output")
+        _op_check(out, "residual add output")
         return out
 
     def forward(self, src_ids: np.ndarray, dec_in: np.ndarray, rng=None,

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from codemix.bleu import bleu_corpus
+from codemix import cli
 from codemix.cli import main
+from codemix.distill import LatencyReport
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.langid import detect_query_language, load_crf
 from codemix.quant import QuantizedSeq2Seq, quantize_model
@@ -767,6 +769,23 @@ class TestBenchLatencyCli:
         assert rec["n_samples"] == 200
         assert 0 < rec["p50_ms"] <= rec["p95_ms"]
         assert f"p50={rec['p50_ms']:.2f}ms" in line
+
+    def test_line_prints_the_reported_numbers(self, checkpoint_dir, tmp_path,
+                                              capsys, monkeypatch):
+        # a raw p50 of 0.6349996 formats as 0.63; the report holds its
+        # rounding 0.635, which formats as 0.64, and the line must agree
+        rep = LatencyReport("m", "hw", [0.6] * 200, 0.6349996, 1.2349996)
+        monkeypatch.setattr(cli, "bench_latency", lambda *a, **k: rep)
+        queries, report = tmp_path / "q.txt", tmp_path / "lat.jsonl"
+        queries.write_text("kala juta\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["bench-latency", "--checkpoint", str(checkpoint_dir),
+                    "--queries", str(queries), "--report", str(report)]) == 0
+        line = capsys.readouterr().out.strip()
+        (rec,) = [json.loads(ln) for ln in read(report).splitlines()]
+        assert (rec["p50_ms"], rec["p95_ms"]) == (0.635, 1.235)
+        assert line == ("model=m p50=0.64ms p95=1.24ms "
+                        "(200 samples, hardware: hw)")
 
 
 class TestAnalyzeXattnCli:

@@ -8,6 +8,10 @@ No module in src/codemix reads a file with `.read_text(` or with `open(`
 in a read mode: `text.read_utf8` is the one text reader, so every bad
 file becomes a DataError naming its path.
 
+No module in src/codemix imports `_assert_finite` by name: each finite
+check calls it through `numerics.tensor`, so a wrapper on that one module
+attribute (the benchmark's `numerics.finite_check` row) sees every check.
+
 Every name that the benchmark's tracer (perfbench/spans.py) wraps must
 exist, and the benchmark's workloads (perfbench/workloads.py) must import
 and score a model and run their tiny training and distillation jobs with
@@ -148,6 +152,30 @@ class TestUnusedImports:
         + [str(p.relative_to(ROOT)) for p in SCRIPTS])
     def test_no_unused_imports(self, path):
         assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def finite_check_imports(source: str) -> list[str]:
+    """`line: module` for each `from <module> import _assert_finite`."""
+    return [f"{node.lineno}: {'.' * node.level}{node.module or ''}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name == "_assert_finite" for alias in node.names)]
+
+
+class TestFiniteChecksThroughTheModule:
+    def test_scanner_finds_by_name_imports(self):
+        src = ("from .tensor import Tensor, _assert_finite\n"
+               "from ..numerics.tensor import (RowLayout,\n"
+               "                               _assert_finite)\n"
+               "from . import tensor\n"
+               "tensor._assert_finite(x, 'x')\n")
+        assert finite_check_imports(src) == ["1: .tensor",
+                                             "2: ..numerics.tensor"]
+
+    @pytest.mark.parametrize("path", MODULES,
+                             ids=[str(p.relative_to(SRC)) for p in MODULES])
+    def test_no_by_name_import(self, path):
+        assert finite_check_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _perfbench_module(name: str, monkeypatch):
