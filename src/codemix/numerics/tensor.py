@@ -409,20 +409,27 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
 
 
+def attention_names(what: str) -> tuple[str, str]:
+    """The names `attention_probs` checks attention `what`'s scores and
+    probabilities under."""
+    return f"attention {what} scores", f"softmax {what} output"
+
+
 def attention_probs(q: np.ndarray, kt: np.ndarray, mask: np.ndarray | None,
-                    what: str) -> np.ndarray:
+                    names: tuple[str, str]) -> np.ndarray:
     """softmax(q kt / sqrt(dh) + mask) for queries q (B, H, T, dh) and
-    transposed keys kt (B, H, dh, S). The scale is a Python float, so
-    float32 stays float32. The scores are checked even inside a model
-    pass: softmax turns a -Inf score into probability 0, and a pass's
-    output check would not see it. The probabilities of finite scores are
-    finite, so they are checked only where every op is."""
+    transposed keys kt (B, H, dh, S), checked under `attention_names`. The
+    scale is a Python float, so float32 stays float32. The scores are
+    checked even inside a model pass: softmax turns a -Inf score into
+    probability 0, and a pass's output check would not see it. The
+    probabilities of finite scores are finite, so they are checked only
+    where every op is."""
     scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ kt
     if mask is not None:
         scores = scores + mask
-    _assert_finite(scores, f"attention {what} scores")
+    _assert_finite(scores, names[0])
     probs = softmax_forward(scores)
-    _op_check(probs, f"softmax {what} output")
+    _op_check(probs, names[1])
     return probs
 
 
@@ -445,7 +452,8 @@ def attention(q, k, v, q_rows: RowLayout, k_rows: RowLayout,
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     Q = split_heads(q_rows.pad(q.data), n_heads)
     K, V = (split_heads(k_rows.pad(t.data), n_heads) for t in (k, v))
-    probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask, what)
+    probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask,
+                            attention_names(what))
     if capture is not None:
         capture.append(probs)
     used, keep = probs, None

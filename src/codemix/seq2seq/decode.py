@@ -15,8 +15,10 @@ which other rows share the step, so a batch returns, bit for bit, what
 each query returns alone. Rows run in the model's dtype: a float32 or
 int8 model decodes in float32, a float64 model in float64.
 
-Selection. Each row proposes its `beam` most likely tokens (`top_k`), ties
-going to the lower token id. A query's candidates are enumerated in
+Selection. Each row proposes its `beam` most likely tokens, ties going to
+the lower token id, with their log-probabilities (`_top_k`): `beam` rounds
+of row-wise argmax, each reading the log-probability it picks, cost less
+than sorting the vocabulary. A query's candidates are enumerated in
 (hypothesis, rank) order, those with a non-finite score are dropped, and
 the rest are stable-sorted by score, so equal scores keep that order;
 the first `beam` survive.
@@ -60,24 +62,41 @@ def _max_steps(model: Seq2SeqModel, max_len: int) -> int:
 
 
 def top_k(lp: np.ndarray, k: int) -> np.ndarray:
-    """`np.argsort(-lp, axis=-1, kind="stable")[:, :k]` without sorting
-    whole rows: `np.partition` finds each row's k-th value and only the
-    columns at or above it are sorted. A row whose k-th value is tied, or
-    k >= the row length, takes the full stable sort."""
-    neg = -lp
-    if k >= neg.shape[1]:
-        return np.argsort(neg, axis=-1, kind="stable")[:, :k]
-    mask = neg <= np.partition(neg, k - 1, axis=-1)[:, k - 1:k]
-    tied = np.flatnonzero(mask.sum(axis=1) != k)
-    mask[tied] = False
-    mask[tied, :k] = True          # placeholders, overwritten below
-    cols = np.nonzero(mask)[1].reshape(-1, k)   # ascending ids per row
-    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1,
-                       kind="stable")
-    top = np.take_along_axis(cols, order, axis=1)
-    if tied.size:
-        top[tied] = np.argsort(neg[tied], axis=-1, kind="stable")[:, :k]
-    return top
+    """The ids of `_top_k`: `np.argsort(-lp, axis=-1, kind="stable")[:, :k]`
+    without sorting whole rows."""
+    return _top_k(lp, k)[0]
+
+
+def _top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k largest entries, best first with ties to the lower id
+    (the order of the stable argsort of `-lp`), and their values, by k
+    rounds of row-wise argmax: argmax returns the lowest id among tied
+    maxima, and each pick is set to -inf before the next round. Rows where
+    a round picks -inf or NaN, where a round can pick an id again, and
+    k >= the row length, take the full stable sort."""
+    n, width = lp.shape
+    if k >= width:
+        return _sorted_top_k(lp, k)
+    work = lp.copy()
+    flat = work.reshape(-1)                     # a view of work
+    offsets = np.arange(n) * width
+    top = np.empty((n, k), dtype=np.intp)
+    vals = np.empty((n, k), dtype=lp.dtype)
+    for j in range(k):
+        top[:, j] = pick = work.argmax(axis=1)
+        at = pick + offsets
+        vals[:, j] = flat[at]
+        flat[at] = -np.inf
+    ok = vals > -np.inf
+    if not ok.all():
+        bad = np.flatnonzero(~ok.all(axis=1))
+        top[bad], vals[bad] = _sorted_top_k(lp[bad], k)
+    return top, vals
+
+
+def _sorted_top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    top = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
+    return top, np.take_along_axis(lp, top, axis=-1)
 
 
 def _step(model: Seq2SeqModel, cache, tokens: list[int]) -> np.ndarray:
@@ -150,9 +169,8 @@ def _beam_batch(model: Seq2SeqModel, sources, beam: int,
             # Per-hypothesis top-beam by token log-probability; only a
             # global top-beam among these can survive, so nothing viable is
             # lost and beam=1 selects exactly greedy's argmax.
-            top = top_k(lp, beam)
-            top_lp = np.take_along_axis(lp, top, axis=-1).tolist()
-            top = top.tolist()
+            top, top_lp = _top_k(lp, beam)
+            top, top_lp = top.tolist(), top_lp.tolist()
             parents: list[int] = []
             counts: list[int] = []
             row = 0

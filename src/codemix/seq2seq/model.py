@@ -22,15 +22,17 @@ each real position the mask it would give it in the padded forward.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import DataError, ShapeError
 from ..numerics import (Tensor, add, attention, dropout, gather_rows, gelu,
                         grad_enabled, layer_norm, linear)
-from ..numerics.tensor import (RowLayout, _op_check, attention_probs,
-                               checked_pass, gelu_forward, layer_norm_forward,
-                               log_softmax_forward, merge_heads, split_heads)
+from ..numerics.tensor import (RowLayout, _op_check, attention_names,
+                               attention_probs, checked_pass, gelu_forward,
+                               layer_norm_forward, log_softmax_forward,
+                               merge_heads, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -224,13 +226,17 @@ class Seq2SeqModel:
         tok_ids, pos_ids = self._embedding_ids(src_ids, rows)
         x = self.p("tok_emb").data[tok_ids] + self.p("enc_pos").data[pos_ids]
         _op_check(x, "encoder embedding output")
+        n_heads = self.config.n_heads
         for i in range(self.config.n_enc_layers):
-            a, _ = self._self_attention_np(self._ln_np(x, f"enc{i}.ln1"),
-                                           f"enc{i}.attn", key_mask, rows)
-            x = self._residual_np(x, a)
-            x = self._residual_np(x, self._ffn_np(
-                self._ln_np(x, f"enc{i}.ln2"), f"enc{i}.ffn"))
-        return Tensor(self._ln_np(x, "enc_lnf"), what=None)  # `encode` checks
+            a, _ = _self_attention_np(
+                _ln_np(x, self._bind_ln(f"enc{i}.ln1")),
+                self._bind_attention(f"enc{i}.attn"), n_heads, key_mask, rows)
+            x = _residual_np(x, a)
+            f = _ffn_np(_ln_np(x, self._bind_ln(f"enc{i}.ln2")),
+                        self._bind_ffn(f"enc{i}.ffn"))
+            x = _residual_np(x, f)
+        x = _ln_np(x, self._bind_ln("enc_lnf"))
+        return Tensor(x, what=None)  # `encode` checks
 
     def _encode_tape(self, src_ids: np.ndarray, rows: RowLayout,
                      key_mask: np.ndarray, rng) -> Tensor:
@@ -295,28 +301,63 @@ class Seq2SeqModel:
     # matmuls run one BLAS call per row) and cross-attention is taken per
     # query, so a row's values never depend on which other rows share the
     # step.
+    #
+    # The plain-array passes read weight arrays bound together with the op
+    # names their checks use (`_bind_*`). `encode` binds per call;
+    # `start_decoding` binds the decoder once per decode onto the cache, so
+    # a step looks up no parameter and formats no name. The model keeps no
+    # binding, so none can go stale: each decode reads what `p` gives at
+    # its start, after any optimizer step or parameter swap, and on a
+    # quantized model the dequantized copies.
+
+    def _bind_linear(self, w: str, b: str) -> Linear:
+        return Linear(self.p(w).data, self.p(b).data, f"linear {w} output")
+
+    def _bind_ln(self, prefix: str) -> Norm:
+        return Norm(self.p(f"{prefix}.g").data, self.p(f"{prefix}.b").data,
+                    f"layer_norm {prefix} output")
+
+    def _bind_ffn(self, prefix: str) -> FFN:
+        return FFN(self._bind_linear(f"{prefix}.w1", f"{prefix}.b1"),
+                   self._bind_linear(f"{prefix}.w2", f"{prefix}.b2"),
+                   f"gelu {prefix} output")
+
+    def _bind_attention(self, prefix: str) -> Attention:
+        return Attention(*(self._bind_linear(f"{prefix}.w{n}",
+                                             f"{prefix}.b{n}")
+                           for n in "qkvo"), attention_names(prefix))
 
     def start_decoding(self, encoded: list[tuple[Tensor, np.ndarray]]
                        ) -> DecoderCache:
         """Cache for decoding one BOS row per query. `encoded` holds each
         query's own `encode` output (encoder states (S, D), key mask);
         every decoder layer's cross-attention keys and values are computed
-        here, once per query."""
+        here, once per query, and the decoder's weights are bound."""
         cfg = self.config
+        layers = [DecoderLayer(self._bind_ln(f"dec{i}.ln1"),
+                               self._bind_attention(f"dec{i}.self"),
+                               self._bind_ln(f"dec{i}.ln2"),
+                               self._bind_attention(f"dec{i}.cross"),
+                               self._bind_ln(f"dec{i}.ln3"),
+                               self._bind_ffn(f"dec{i}.ffn"))
+                  for i in range(cfg.n_dec_layers)]
         cross = []
         for enc_out, key_mask in encoded:
             enc = source_rows(key_mask).pad(enc_out.data)
-            layers = []
-            for i in range(cfg.n_dec_layers):
-                k, v = (split_heads(self._linear_np(
-                    enc, f"dec{i}.cross.w{n}", f"dec{i}.cross.b{n}"),
-                    cfg.n_heads) for n in "kv")
-                layers.append((k.transpose(0, 1, 3, 2), v))
+            kv = []
+            for layer in layers:
+                k, v = (split_heads(_linear_np(enc, lin), cfg.n_heads)
+                        for lin in (layer.cross.k, layer.cross.v))
+                kv.append((k.transpose(0, 1, 3, 2), v))
             mask = key_mask if np.any(key_mask) else None
-            cross.append((layers, mask))
+            cross.append((kv, mask))
         empty = np.zeros((len(encoded), cfg.n_heads, 0, cfg.head_dim),
                          dtype=self.dtype)
-        return DecoderCache(cross, [(empty, empty)] * cfg.n_dec_layers,
+        weights = DecoderWeights(self.p("tok_emb").data,
+                                 self.p("dec_pos").data, layers,
+                                 self._bind_ln("dec_lnf"))
+        return DecoderCache(weights, cross,
+                            [(empty, empty)] * cfg.n_dec_layers,
                             [1] * len(encoded))
 
     def decode_step(self, cache: DecoderCache,
@@ -345,84 +386,33 @@ class Seq2SeqModel:
 
     def _decode_step_np(self, cache: DecoderCache,
                         tokens: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        x = (self.p("tok_emb").data[tokens][:, None, :]
-             + self.p("dec_pos").data[cache.steps])
+        n_heads, w = self.config.n_heads, cache.weights
+        x = w.tok_emb[tokens][:, None, :] + w.dec_pos[cache.steps]
         _op_check(x, "decoder embedding output")
-        for i in range(cfg.n_dec_layers):
-            pre = f"dec{i}"
-            a, cache.self_kv[i] = self._self_attention_np(
-                self._ln_np(x, f"{pre}.ln1"), f"{pre}.self", None,
+        for i, layer in enumerate(w.layers):
+            a, cache.self_kv[i] = _self_attention_np(
+                _ln_np(x, layer.ln1), layer.self_attn, n_heads, None,
                 past=cache.self_kv[i])
-            x = self._residual_np(x, a)
+            x = _residual_np(x, a)
 
-            q = split_heads(self._linear_np(self._ln_np(x, f"{pre}.ln2"),
-                                            f"{pre}.cross.wq",
-                                            f"{pre}.cross.bq"), cfg.n_heads)
+            q = split_heads(_linear_np(_ln_np(x, layer.ln2), layer.cross.q),
+                            n_heads)
             parts, start = [], 0
-            for n, (layers, mask) in zip(cache.counts, cache.cross):
-                kt, v = layers[i]
+            for n, (kv, mask) in zip(cache.counts, cache.cross):
+                kt, v = kv[i]
                 parts.append(attention_probs(q[start:start + n], kt, mask,
-                                             f"{pre}.cross") @ v)
+                                             layer.cross.names) @ v)
                 start += n
-            x = self._residual_np(x, self._linear_np(
-                merge_heads(np.concatenate(parts)), f"{pre}.cross.wo",
-                f"{pre}.cross.bo"))
+            x = _residual_np(x, _linear_np(merge_heads(np.concatenate(parts)),
+                                           layer.cross.o))
 
-            x = self._residual_np(x, self._ffn_np(
-                self._ln_np(x, f"{pre}.ln3"), f"{pre}.ffn"))
-        x = self._ln_np(x, "dec_lnf")
-        logits = x @ self.p("tok_emb").data.T
+            x = _residual_np(x, _ffn_np(_ln_np(x, layer.ln3), layer.ffn))
+        x = _ln_np(x, w.lnf)
+        logits = x @ w.tok_emb.T
         _op_check(logits, "output projection")
         logp = log_softmax_forward(logits)[:, 0]
         _op_check(logp, "log_softmax output")
         return logp
-
-    def _self_attention_np(self, h: np.ndarray, prefix: str,
-                           mask: np.ndarray | None,
-                           rows: RowLayout | None = None, past=None):
-        """Self-attention of h, the `_attention` ops without dropout:
-        (output, (K, V)). h is packed rows at `rows` (the encoder), or
-        (N, T, D) blocks when `rows` is None (`decode_step`). With `past` =
-        (K, V) of earlier positions, h's keys and values are appended to
-        them first."""
-        q, k, v = (self._linear_np(h, f"{prefix}.w{n}", f"{prefix}.b{n}")
-                   for n in "qkv")
-        if rows is not None:
-            q, k, v = rows.pad(q), rows.pad(k), rows.pad(v)
-        q, k, v = (split_heads(t, self.config.n_heads) for t in (q, k, v))
-        if past is not None:
-            k = np.concatenate([past[0], k], axis=2)
-            v = np.concatenate([past[1], v], axis=2)
-        ctx = merge_heads(attention_probs(q, k.transpose(0, 1, 3, 2), mask,
-                                          prefix) @ v)
-        if rows is not None:
-            ctx = rows.pack(ctx)
-        out = self._linear_np(ctx, f"{prefix}.wo", f"{prefix}.bo")
-        return out, (k, v)
-
-    def _ffn_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        f = gelu_forward(self._linear_np(x, f"{prefix}.w1",
-                                         f"{prefix}.b1"))[0]
-        _op_check(f, f"gelu {prefix} output")
-        return self._linear_np(f, f"{prefix}.w2", f"{prefix}.b2")
-
-    def _linear_np(self, x: np.ndarray, w: str, b: str) -> np.ndarray:
-        out = x @ self.p(w).data + self.p(b).data
-        _op_check(out, f"linear {w} output")
-        return out
-
-    def _ln_np(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        out = layer_norm_forward(x, self.p(f"{prefix}.g").data,
-                                 self.p(f"{prefix}.b").data)[0]
-        _op_check(out, f"layer_norm {prefix} output")
-        return out
-
-    @staticmethod
-    def _residual_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = x + y
-        _op_check(out, "residual add output")
-        return out
 
     def forward(self, src_ids: np.ndarray, dec_in: np.ndarray, rng=None,
                 capture: list | None = None) -> Tensor:
@@ -444,12 +434,105 @@ def source_rows(key_mask: np.ndarray) -> RowLayout:
     return RowLayout(key_mask[:, 0, 0, :] == 0)
 
 
+class Linear(NamedTuple):
+    """A projection x @ w + b bound for the plain-array passes, with the
+    name its output is checked under."""
+    w: np.ndarray
+    b: np.ndarray
+    name: str
+
+
+class Norm(NamedTuple):
+    """A layer norm's gain and offset, and its output's check name."""
+    g: np.ndarray
+    b: np.ndarray
+    name: str
+
+
+class FFN(NamedTuple):
+    up: Linear
+    down: Linear
+    name: str              # of the GELU's output
+
+
+class Attention(NamedTuple):
+    q: Linear
+    k: Linear
+    v: Linear
+    o: Linear
+    names: tuple[str, str]  # `attention_probs`'s check names
+
+
+class DecoderLayer(NamedTuple):
+    ln1: Norm
+    self_attn: Attention
+    ln2: Norm
+    cross: Attention
+    ln3: Norm
+    ffn: FFN
+
+
+class DecoderWeights(NamedTuple):
+    tok_emb: np.ndarray
+    dec_pos: np.ndarray
+    layers: list[DecoderLayer]
+    lnf: Norm
+
+
+def _self_attention_np(h: np.ndarray, attn: Attention, n_heads: int,
+                       mask: np.ndarray | None,
+                       rows: RowLayout | None = None, past=None):
+    """Self-attention of h, the `_attention` ops without dropout:
+    (output, (K, V)). h is packed rows at `rows` (the encoder), or
+    (N, T, D) blocks when `rows` is None (`decode_step`). With `past` =
+    (K, V) of earlier positions, h's keys and values are appended to them
+    first."""
+    q, k, v = (_linear_np(h, lin) for lin in attn[:3])
+    if rows is not None:
+        q, k, v = rows.pad(q), rows.pad(k), rows.pad(v)
+    q, k, v = (split_heads(t, n_heads) for t in (q, k, v))
+    if past is not None:
+        k = np.concatenate([past[0], k], axis=2)
+        v = np.concatenate([past[1], v], axis=2)
+    ctx = merge_heads(attention_probs(q, k.transpose(0, 1, 3, 2), mask,
+                                      attn.names) @ v)
+    if rows is not None:
+        ctx = rows.pack(ctx)
+    return _linear_np(ctx, attn.o), (k, v)
+
+
+def _ffn_np(x: np.ndarray, ffn: FFN) -> np.ndarray:
+    f = gelu_forward(_linear_np(x, ffn.up))[0]
+    _op_check(f, ffn.name)
+    return _linear_np(f, ffn.down)
+
+
+def _linear_np(x: np.ndarray, lin: Linear) -> np.ndarray:
+    out = x @ lin.w + lin.b
+    _op_check(out, lin.name)
+    return out
+
+
+def _ln_np(x: np.ndarray, ln: Norm) -> np.ndarray:
+    out = layer_norm_forward(x, ln.g, ln.b)[0]
+    _op_check(out, ln.name)
+    return out
+
+
+def _residual_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x + y
+    _op_check(out, "residual add output")
+    return out
+
+
 @dataclass
 class DecoderCache:
     """Keys and values of an incremental decode (see
-    Seq2SeqModel.decode_step). Rows are grouped by query in query order:
-    the k-th live query owns the next `counts[k]` rows."""
+    Seq2SeqModel.decode_step), and the decoder weights it binds
+    (`start_decoding`). Rows are grouped by query in query order: the k-th
+    live query owns the next `counts[k]` rows."""
 
+    weights: DecoderWeights
     cross: list            # per live query: (per-layer (K^T, V), key mask)
     self_kv: list          # per layer: (K, V), each (rows, H, steps, dh)
     counts: list[int]

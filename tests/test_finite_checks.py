@@ -18,6 +18,7 @@ import pytest
 from codemix.errors import NonFiniteError
 from codemix.numerics import make_rng, no_grad
 from codemix.numerics import tensor as tensor_mod
+from codemix.quant import quantize_model
 from codemix.seq2seq import Seq2SeqConfig, init_model
 from codemix.seq2seq import model as model_mod
 from codemix.text import BOS, EOS, PAD, Vocab
@@ -238,6 +239,29 @@ def test_decode_step_checks_its_output_and_the_scores(queries, monkeypatch):
         calls.clear()
         m.encode(SRC)
     assert len(calls) == 1 + 3, calls  # the states, each layer's scores
+
+
+@pytest.mark.parametrize("kind", ["f32", "int8"])
+def test_decode_step_looks_up_no_parameter(kind, monkeypatch):
+    # start_decoding binds the decoder's weights for the whole decode
+    m = make_model(dropout=0.0)
+    if kind == "int8":
+        m = quantize_model(m)
+    calls = []
+    original = type(m).p
+
+    def counting(self, name):
+        calls.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(type(m), "p", counting)
+    with no_grad():
+        cache = m.start_decoding([m.encode(SRC[1:, :n]) for n in (4, 2)])
+        assert calls
+        calls.clear()
+        m.decode_step(cache, np.full(2, BOS))
+        m.decode_step(cache, np.full(2, 5))
+    assert calls == []
 
 
 def test_replay_names_the_pass_output_when_per_op_checks_find_nothing(

@@ -20,7 +20,7 @@ from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              greedy_decode, init_model, label_smoothed_ce,
                              make_batch, pad_batch, translate,
                              translate_corpus)
-from codemix.seq2seq.decode import top_k
+from codemix.seq2seq.decode import MAX_BATCH, top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
 from oracles import (exhaustive_best_sequence, reference_beam_search,
@@ -429,12 +429,18 @@ class TestTopK:
         ([[-0.2, -0.1, -0.3]] * 2, 3),                    # k = width
         ([[-0.2, -0.1, -0.3]], 4),                        # k > width
         ([[-0.3, -0.1, -0.2, -0.2], [-2.0, -1.0, -3.0, -4.0]], 2),  # mixed
+        ([[0.0, 0.0, -np.inf, -np.inf]], 3),              # a round repeats
+        ([[-3.0] * 200 + [-0.5] + [-1.0] * 300 + [-0.5] * 3
+          + [-2.0] * 121], 1),                            # wide, tied max
     ], ids=["all-tied", "tie-at-kth", "kth-ends-tie", "inf-at-kth",
-            "inf-below-kth", "k-eq-width", "k-gt-width", "tied-and-not"])
+            "inf-below-kth", "k-eq-width", "k-gt-width", "tied-and-not",
+            "round-repeats-after-inf", "k1-wide-tied-max"])
     def test_named_cases(self, rows, k, dtype):
         lp = np.array(rows, dtype=dtype)
         want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
         assert np.array_equal(top_k(lp, k), want)
+        if k == 1:
+            assert np.array_equal(top_k(lp, k)[:, 0], np.argmax(lp, axis=1))
 
 
 class PrefixTableModel:
@@ -522,6 +528,47 @@ class TestCachedDecoder:
         assert translate_corpus(m, ["w3"], max_len=8) == \
                [translate(m, "w3", max_len=8)]
         assert translate_corpus(m, []) == []
+
+    def test_batch_across_the_chunk_boundary_equals_single_bitwise(self):
+        m = tiny_model(seed=24, n_content=6, layers=2, d=8)
+        rng = make_rng(25)
+        sources = [[int(t) for t in rng.integers(5, 11, size=n)] + [EOS]
+                   for n in rng.integers(1, 7, size=MAX_BATCH + 3)]
+        batch = beam_search_batch(m, sources, beam=3, max_len=8)
+        singles = [beam_search(m, s, beam=3, max_len=8) for s in sources]
+        assert [(r.ids, r.score, r.finished) for r in batch] == \
+               [(r.ids, r.score, r.finished) for r in singles]
+
+    @pytest.mark.parametrize("update", ["adamw step", "scaled in place"])
+    def test_decoding_sees_in_place_weight_updates(self, update):
+        # The decoder's weights are bound per decode, never kept on the
+        # model, so a decode after an update equals a fresh model's.
+        m = tiny_model(seed=26, n_content=6, layers=2)
+        vocab = m.config.vocab
+        texts = ["w0 w1 w2", "w3 w5"]
+
+        def decoded(model):
+            results = [beam_search(model, encode_source(t, vocab), beam=3,
+                                   max_len=8) for t in texts]
+            return ([(r.ids, r.score, r.finished) for r in results],
+                    [translate(model, t, max_len=8) for t in texts])
+
+        before = decoded(m)
+        if update == "adamw step":
+            batch = make_batch(vocab, texts, ["w2 w1", "w4"],
+                               m.config.max_len)
+            label_smoothed_ce(m.forward(batch["src"], batch["dec_in"]),
+                              batch["labels"]).backward()
+            step_tensors(m.params, AdamWState(lr=1e-2))
+        else:
+            for name in ("tok_emb", "dec0.self.wv", "dec1.cross.wq",
+                         "dec1.ffn.w2", "dec_lnf.g"):
+                m.params[name].data *= np.float32(3.0)
+        fresh = model_mod.Seq2SeqModel(
+            m.config, {k: Tensor(t.data.copy()) for k, t in m.params.items()})
+        after = decoded(m)
+        assert after == decoded(fresh)
+        assert after[0] != before[0]
 
     def test_step_rows_equal_rows_stepped_alone(self):
         m = tiny_model(seed=20, n_content=6, layers=2, d=16)

@@ -99,20 +99,51 @@ class TestHybrid:
             hybrid_transliterate("juta zzz", d)
 
 
+def scrambled(pairs, seed):
+    """`pairs` with every target letter drawn at random: a broken cipher,
+    which maps no source letter to any one target letter."""
+    rng = make_rng(seed)
+    tgt_alpha = "nopqrstuvwxyz"
+    return [(w, "".join(tgt_alpha[int(rng.integers(13))] for _ in t))
+            for w, t in pairs]
+
+
+def held_out_cipher_scores(scramble: bool) -> tuple[int, float]:
+    """(words exactly right, share of characters right) on 20 held-out
+    cipher words, after training on 60 cipher words or, if `scramble`, on
+    their scrambled targets. Word lengths 1-8 give direct per-character
+    supervision; dropout pushes the model from memorization to the
+    systematic mapping."""
+    train = cipher_pairs(60, seed=60, word_len=(1, 8))
+    test = [p for p in cipher_pairs(80, seed=61)[60:] if p not in train][:20]
+    if scramble:
+        train = scrambled(train, seed=99)
+    vocab = build_vocab([w for p in train for w in p], mode="char")
+    cfg = char_seq2seq_config(vocab)
+    cfg.d_model, cfg.d_ff, cfg.dropout_prob = 64, 128, 0.2
+    model = train_translit(train, config=cfg, rng=make_rng(62), epochs=200,
+                           lr=2e-3, batch_size=16)
+    outs = [transliterate_word(model, w) for w, _ in test]
+    chars = sum(a == b for o, (_, t) in zip(outs, test) for a, b in zip(o, t))
+    total = sum(max(len(o), len(t)) for o, (_, t) in zip(outs, test))
+    return sum(o == t for o, (_, t) in zip(outs, test)), chars / total
+
+
+# Trained on the cipher, 14 model seeds (62, 70-82) gave 10-19 of the 20
+# held-out words exactly and 81-99 % of their characters; trained on the
+# scrambled targets, no word and 3-14 % of the characters.
+def learned_the_cipher(words: int, chars: float) -> bool:
+    return words >= 5 and chars >= 0.7
+
+
 class TestTrainTranslit:
     def test_cipher_generalizes_to_held_out_words(self):
-        # word lengths 1-8 give direct per-character supervision; dropout
-        # pushes the model from memorization to the systematic mapping
-        train = cipher_pairs(60, seed=60, word_len=(1, 8))
-        test = [p for p in cipher_pairs(80, seed=61)[60:]
-                if p not in train][:20]
-        vocab = build_vocab([w for p in train for w in p], mode="char")
-        cfg = char_seq2seq_config(vocab)
-        cfg.dropout_prob = 0.2
-        model = train_translit(train, config=cfg, rng=make_rng(62),
-                               epochs=400, lr=1e-3, batch_size=16)
-        correct = sum(transliterate_word(model, w) == t for w, t in test)
-        assert correct / len(test) >= 0.95
+        scores = held_out_cipher_scores(scramble=False)
+        assert learned_the_cipher(*scores), scores
+
+    def test_scrambled_cipher_does_not_pass_as_learned(self):
+        scores = held_out_cipher_scores(scramble=True)
+        assert not learned_the_cipher(*scores), scores
 
     def test_overfit_memorizes_single_char_words(self):
         pairs = [("a", "n"), ("b", "o"), ("c", "p"), ("d", "q")]
