@@ -1,0 +1,73 @@
+"""Fingerprints of trained weights, for checking that a change to the model
+code leaves training bit-for-bit unchanged.
+
+    python3 scripts_calib/train_hashes.py SRC_DIR
+
+imports codemix from SRC_DIR (for instance `src`, or the `src` of a
+second checkout), runs a fixed recipe and prints the first 16 hex digits of
+the sha256 of the weights after each phase:
+
+  stages   a d32 2+2 model (dropout 0.1) after train_stage1 and
+           train_stage2 with their default augmentation kinds;
+  ce, js   a d32 2+2 student distilled from that model with the CE and
+           the JS KD loss (train_student, default augmentation).
+
+Two trees train identically when they print the same three lines. BLAS is
+pinned to one thread, so the GEMMs split their work the same way on both.
+"""
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+if len(sys.argv) != 2:
+    sys.exit(__doc__)
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
+
+import numpy as np  # noqa: E402
+
+from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
+from codemix.numerics import make_rng  # noqa: E402
+from codemix.seq2seq import Seq2SeqConfig, init_model  # noqa: E402
+from codemix.text import (SynthTaskSpec, gen_clean_corpus,  # noqa: E402
+                          gen_synthetic_corpus, synthetic_vocab)
+from codemix.train import (StageConfig, TrainingConfig,  # noqa: E402
+                           train_stage1, train_stage2)
+
+
+def fingerprint(model) -> str:
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(model.params[name].data).tobytes())
+    return h.hexdigest()[:16]
+
+
+spec = SynthTaskSpec(lexicon_size=30, code_mix_ratio=0.3,
+                     noise_char_drop_prob=0.1, pseudo_label_error_rate=0.1,
+                     seed=7)
+noisy, _ = gen_synthetic_corpus(spec, 1200, 1)
+clean = gen_clean_corpus(spec, 80)
+pool = [ex.source for ex in gen_clean_corpus(spec, 60, salt=3)]
+vocab = synthetic_vocab(spec)
+
+
+config = Seq2SeqConfig(vocab=vocab, n_enc_layers=2, n_dec_layers=2,
+                       d_model=32, n_heads=4, d_ff=64, max_len=16,
+                       dropout_prob=0.1)
+model = init_model(config, make_rng(1))
+tc = TrainingConfig()
+tc.stage1 = StageConfig(epochs=4, lr=2e-3, batch_size=32)
+tc.stage2 = StageConfig(epochs=2, lr=5e-4, batch_size=16,
+                        kinds=tc.stage2.kinds)
+train_stage1(model, noisy, tc, make_rng(2))
+train_stage2(model, clean, tc, make_rng(3))
+print(f"stages {fingerprint(model)}", flush=True)
+
+for kind in (KDKind.CE, KDKind.JS):
+    student, _ = train_student(config, model, clean, pool, kind,
+                               make_rng(4),
+                               DistillConfig(epochs=2, batch_size=16))
+    print(f"{kind.value:6s} {fingerprint(student)}", flush=True)

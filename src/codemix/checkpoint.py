@@ -8,7 +8,8 @@
 f32 payloads round-trip byte-exactly. Quantized models add i8 entries with
 a per-tensor scale column. Loading rejects, with CheckpointError, a scale
 that is not a finite number > 0, an int8 payload byte of -128 (quantization
-clamps to [-127, 127]) and bytes after the last tensor.
+clamps to [-127, 127]), an int8 entry for a tensor quantization keeps in
+float32, a tensor listed twice and bytes after the last tensor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import CheckpointError, DataError, ShapeError
 from .numerics import Tensor
-from .quant import QuantizedSeq2Seq, QuantizedTensor
+from .quant import QuantizedSeq2Seq, QuantizedTensor, _quantizable
 from .seq2seq.model import Seq2SeqConfig, Seq2SeqModel, _param_shapes
 from .text import Vocab, read_utf8
 
@@ -142,9 +143,14 @@ def load_checkpoint(path):
     for name, dtype, shape, offset, scale_s in _parse_manifest(path / "manifest.tsv"):
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor '{name}'")
+        if name in seen:
+            raise CheckpointError(f"{path}: tensor '{name}' listed twice")
         if shape != expected[name]:
             raise ShapeError(f"{path}: tensor '{name}' has shape {shape}, "
                              f"config implies {expected[name]}")
+        if dtype == "i8" and not _quantizable(name, shape):
+            raise CheckpointError(f"{path}: tensor '{name}' is int8, but "
+                                  f"quantization keeps it float32")
         np_dtype = _DTYPES[dtype]
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * np_dtype.itemsize

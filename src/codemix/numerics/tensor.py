@@ -15,13 +15,14 @@ Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
 walks the tape in reverse topological order. Wrap inference code in
 `no_grad()` to skip tape construction entirely.
 
-Multi-head attention is one tape op, `attention`, with a hand-written
-backward, built from the plain helpers that the tape-free encoder and the
-cached decoder call too: `split_heads`, `attention_probs`, `merge_heads`.
-The model's tensors are packed rows (n, D), one row per real (non-PAD)
-position, so every position-wise op skips the padding; a `RowLayout`
-says where each row sits in its padded (B, T) block, and attention alone
-scatters the rows into padded blocks.
+Each op's forward and backward are plain-array helpers, written once
+(`layer_norm_forward`/`_backward`, `gelu_*`, `linear_backward`, `attend`:
+attention's output and gradient function); the tape ops wrap them, and so
+does each of the model's pre-norm residual blocks, one tape node with a
+hand-written backward. The model's tensors are packed rows (n, D), one
+row per real (non-PAD) position, so every position-wise op skips the
+padding; a `RowLayout` says where each row sits in its padded (B, T)
+block, and attention alone scatters the rows into padded blocks.
 """
 
 from __future__ import annotations
@@ -182,8 +183,10 @@ def _make(data: np.ndarray, parents: Iterable[Tensor],
     or Inf in it raises NonFiniteError naming the op (`_op_check`)."""
     _op_check(data, f"{op} output")
     out = Tensor(data, what=None)
+    if not _grad_enabled:
+        return out
     parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -302,19 +305,22 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * x * (1.0 + t), t
 
 
+def gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's input gradient at x for output gradient g and tanh term t."""
+    sech2 = 1.0 - t * t
+    d_inner = _GELU_C * (1.0 + 0.134145 * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+
+
 def gelu(a) -> Tensor:
     """Smooth GELU (tanh form). Being C-infinity keeps central-difference
     gradient checks clean, unlike the ReLU kink."""
     a = as_tensor(a)
-    x = a.data
-    out, t = gelu_forward(x)
+    out, t = gelu_forward(a.data)
 
     def backward(g):
         if a.requires_grad:
-            x2 = x * x
-            sech2 = 1.0 - t * t
-            d_inner = _GELU_C * (1.0 + 0.134145 * x2)
-            a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
+            a.accumulate_grad(gelu_backward(g, a.data, t))
 
     return _make(out, (a,), backward, "gelu")
 
@@ -334,18 +340,22 @@ def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
         out = out + b.data
 
     def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x.accumulate_grad((g2 @ wd.T).reshape(x.data.shape))
-        if w.requires_grad:
-            x2 = x.data.reshape(-1, x.data.shape[-1])
-            gw = x2.T @ g2
-            w.accumulate_grad(gw.T if transpose_w else gw)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
+        gx, gw, gb = linear_backward(g, x.data, wd)
+        for t, gt in ((x, gx), (w, gw.T if transpose_w else gw), (b, gb)):
+            if t is not None and t.requires_grad:
+                t.accumulate_grad(gt)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, backward, "linear")
+
+
+def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients (x, w, b) of x @ w + b given the output's gradient g,
+    each one 2-D GEMM or sum over x's rows."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return ((g2 @ w.T).reshape(x.shape),
+            x.reshape(-1, x.shape[-1]).T @ g2, g2.sum(axis=0))
 
 
 def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -433,27 +443,28 @@ def attention_probs(q: np.ndarray, kt: np.ndarray, mask: np.ndarray | None,
     return probs
 
 
-def attention(q, k, v, q_rows: RowLayout, k_rows: RowLayout,
-              mask: np.ndarray | None, n_heads: int, what: str,
-              p: float = 0.0, rng: np.random.Generator | None = None,
-              capture: list | None = None) -> Tensor:
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_rows: RowLayout,
+           k_rows: RowLayout, mask: np.ndarray | None, n_heads: int,
+           names: tuple[str, str], p: float = 0.0,
+           rng: np.random.Generator | None = None,
+           capture: list | None = None):
     """Multi-head attention of projected queries q (n_q, D), packed at
-    `q_rows`, over keys and values k, v (n_k, D), packed at `k_rows`; one
-    tape node returning the queries' rows (n_q, D), heads merged.
+    `q_rows`, over keys and values k, v (n_k, D), packed at `k_rows`:
+    (the queries' rows (n_q, D), heads merged, and the function taking
+    their gradient to the gradients (q, k, v)).
 
     The rows are scattered into zero-filled padded blocks, and `mask`
     (broadcast to the (B, H, T, S) scores) must give -1e9 to every padding
     key a real query sees, as a key-padding or causal mask does: its
-    probability is then exactly 0, so real rows never read padding. p > 0
-    adds inverted dropout; `capture` gets the (B, H, T, S) weights before
-    it. The backward scales after its matmuls, dq = (gs K) * scale and
+    probability is then exactly 0, so real rows never read padding. The
+    scores are checked under `names` (`attention_probs`). p > 0 adds
+    inverted dropout; `capture` gets the (B, H, T, S) weights before it.
+    The gradient scales after its matmuls, dq = (gs K) * scale and
     dk = gs^T (Q * scale): moving the scale changes float32 rounding and
     weights."""
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    Q = split_heads(q_rows.pad(q.data), n_heads)
-    K, V = (split_heads(k_rows.pad(t.data), n_heads) for t in (k, v))
-    probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask,
-                            attention_names(what))
+    Q = split_heads(q_rows.pad(q), n_heads)
+    K, V = (split_heads(k_rows.pad(t), n_heads) for t in (k, v))
+    probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask, names)
     if capture is not None:
         capture.append(probs)
     used, keep = probs, None
@@ -462,23 +473,36 @@ def attention(q, k, v, q_rows: RowLayout, k_rows: RowLayout,
         used = probs * keep
     scale = 1.0 / math.sqrt(Q.shape[-1])
 
-    def backward(g):
+    def grad(g):
         G = split_heads(q_rows.pad(g), n_heads)
-        if v.requires_grad:
-            v.accumulate_grad(k_rows.pack(merge_heads(
-                np.swapaxes(used, -1, -2) @ G)))
+        gv = k_rows.pack(merge_heads(np.swapaxes(used, -1, -2) @ G))
         gu = G @ np.swapaxes(V, -1, -2)
         if keep is not None:
             gu = gu * keep
         gs = probs * (gu - (probs * gu).sum(axis=-1, keepdims=True))
-        if q.requires_grad:
-            q.accumulate_grad(q_rows.pack(merge_heads((gs @ K) * scale)))
-        if k.requires_grad:
-            k.accumulate_grad(k_rows.pack(merge_heads(
-                np.swapaxes(gs, -1, -2) @ (Q * scale))))
+        return (q_rows.pack(merge_heads((gs @ K) * scale)),
+                k_rows.pack(merge_heads(np.swapaxes(gs, -1, -2)
+                                        @ (Q * scale))), gv)
 
-    return _make(q_rows.pack(merge_heads(used @ V)), (q, k, v), backward,
-                 f"attention {what}")
+    return q_rows.pack(merge_heads(used @ V)), grad
+
+
+def attention(q, k, v, q_rows: RowLayout, k_rows: RowLayout,
+              mask: np.ndarray | None, n_heads: int, what: str,
+              p: float = 0.0, rng: np.random.Generator | None = None,
+              capture: list | None = None) -> Tensor:
+    """`attend` as one tape node over the tensors q, k, v, its scores
+    checked under `attention_names(what)`."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    out, grad = attend(q.data, k.data, v.data, q_rows, k_rows, mask,
+                       n_heads, attention_names(what), p, rng, capture)
+
+    def backward(g):
+        for t, gt in zip((q, k, v), grad(g)):
+            if t.requires_grad:
+                t.accumulate_grad(gt)
+
+    return _make(out, (q, k, v), backward, f"attention {what}")
 
 
 def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -520,18 +544,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward(g):
-        red = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).sum(axis=red))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=red))
-        if x.requires_grad:
-            gh = g * gain.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad((gh - m1 - xhat * m2) * inv)
+        for t, gt in zip((x, gain, bias),
+                         layer_norm_backward(g, gain.data, xhat, inv)):
+            if t.requires_grad:
+                t.accumulate_grad(gt)
 
     return _make(out, (x, gain, bias), backward, "layer_norm")
+
+
+def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                        inv: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients (input, gain, bias) of a layer norm given its output's
+    gradient g and `layer_norm_forward`'s xhat and inv."""
+    red = tuple(range(g.ndim - 1))
+    gh = g * gain
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    return ((gh - m1 - xhat * m2) * inv, (g * xhat).sum(axis=red),
+            g.sum(axis=red))
 
 
 def gather_rows(table, idx) -> Tensor:
@@ -566,14 +597,11 @@ def take_along_last(a, idx) -> Tensor:
     return _make(out, (a,), backward, "take_along_last")
 
 
-def dropout(x, p: float, rng: np.random.Generator,
-            rows: RowLayout) -> Tensor:
-    """Inverted dropout of packed rows x (n, D) at `rows`; identity when
-    p == 0. The mask is drawn for the whole padded block (B, T, D) and its
-    real rows are kept, so a stream gives each real position the mask it
-    gives that position of the padded block."""
-    if p <= 0.0:
-        return as_tensor(x)
-    x = as_tensor(x)
-    u = rows.pack(rng.random((*rows.shape, x.data.shape[-1])))
-    return mul(x, (u >= p).astype(x.data.dtype) / (1.0 - p))
+def dropout_mask(p: float, rng: np.random.Generator, rows: RowLayout,
+                 x: np.ndarray) -> np.ndarray:
+    """The inverted-dropout mask (0 or 1 / (1 - p), in x's dtype) of packed
+    rows x (n, D) at `rows`. It is drawn for the whole padded block
+    (B, T, D) and its real rows are kept, so a stream gives each real
+    position the mask it gives that position of the padded block."""
+    u = rows.pack(rng.random((*rows.shape, x.shape[-1])))
+    return (u >= p).astype(x.dtype) / (1.0 - p)

@@ -42,8 +42,8 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.payload.astype(np.float32) * q.scale
 
 
-def _quantizable(name: str, t: Tensor) -> bool:
-    return name not in _F32_ONLY and t.data.ndim == 2
+def _quantizable(name: str, shape: tuple[int, ...]) -> bool:
+    return name not in _F32_ONLY and len(shape) == 2
 
 
 class QuantizedSeq2Seq(Seq2SeqModel):
@@ -76,7 +76,7 @@ def quantize_model(model: Seq2SeqModel) -> QuantizedSeq2Seq:
     params: dict[str, Tensor] = {}
     qparams: dict[str, QuantizedTensor] = {}
     for name, t in model.params.items():
-        if _quantizable(name, t):
+        if _quantizable(name, t.data.shape):
             qparams[name] = quantize_int8(t)
         else:
             params[name] = Tensor(t.data.astype(np.float32).copy())

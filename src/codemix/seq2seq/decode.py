@@ -61,12 +61,6 @@ def _max_steps(model: Seq2SeqModel, max_len: int) -> int:
     return min(max_len, model.config.max_len - 1)
 
 
-def top_k(lp: np.ndarray, k: int) -> np.ndarray:
-    """The ids of `_top_k`: `np.argsort(-lp, axis=-1, kind="stable")[:, :k]`
-    without sorting whole rows."""
-    return _top_k(lp, k)[0]
-
-
 def _top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k largest entries, best first with ties to the lower id
     (the order of the stable argsort of `-lp`), and their values, by k

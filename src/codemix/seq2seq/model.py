@@ -9,14 +9,20 @@ With equal source/target token counts (the autoencoder augmentation) this
 makes cross-attention matrices square, which the attention analysis relies
 on. Pre-norm residual blocks are used for stable from-scratch training.
 
-Batches are padded (B, T) id arrays, but the tape model runs on packed
-rows: every real (non-PAD) position is one row of an (n, D) array, in
-row-major (b, t) order (`numerics.tensor.RowLayout`). Embeddings,
-projections, layer norms, GELU, dropout, residual adds and the tied output
-projection touch only those rows, and attention alone scatters them into
-padded blocks under its masks, so padding costs no position-wise work.
-Dropout masks are drawn for the padded blocks, so a dropout stream gives
-each real position the mask it would give it in the padded forward.
+Batches are padded (B, T) id arrays, but the model runs on packed rows:
+every real (non-PAD) position is one row of an (n, D) array, in row-major
+(b, t) order (`numerics.tensor.RowLayout`). Embeddings, projections, layer
+norms, GELU, dropout, residual adds and the tied output projection touch
+only those rows, and attention alone scatters them into padded blocks
+under its masks, so padding costs no position-wise work. Dropout masks
+are drawn for the padded blocks, so a dropout stream gives each real
+position the mask it would give it in the padded forward.
+
+`encode` and `decode` run one layer stack, with gradients on or off. Each
+pre-norm residual block (`_attend`, `_ffn`) is one tape node whose forward
+is the plain-array helpers the cached decoder (`decode_step`) calls and
+whose backward is written by hand; with gradients off a block is its plain
+forward and one Tensor.
 """
 
 from __future__ import annotations
@@ -27,12 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DataError, ShapeError
-from ..numerics import (Tensor, add, attention, dropout, gather_rows, gelu,
-                        grad_enabled, layer_norm, linear)
-from ..numerics.tensor import (RowLayout, _op_check, attention_names,
-                               attention_probs, checked_pass, gelu_forward,
-                               layer_norm_forward, log_softmax_forward,
-                               merge_heads, split_heads)
+from ..numerics import (Tensor, add, gather_rows, grad_enabled, layer_norm,
+                        linear)
+from ..numerics.tensor import (RowLayout, _make, _op_check, attend,
+                               attention_names, attention_probs,
+                               checked_pass, dropout_mask, gelu_backward,
+                               gelu_forward, layer_norm_backward,
+                               layer_norm_forward, linear_backward,
+                               log_softmax_forward, merge_heads, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -142,29 +150,83 @@ class Seq2SeqModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str,
-                   q_rows: RowLayout, kv_rows: RowLayout,
-                   mask: np.ndarray | None, capture: list | None,
-                   rng) -> Tensor:
-        q, k, v = (linear(x, self.p(f"{prefix}.w{n}"), self.p(f"{prefix}.b{n}"))
-                   for x, n in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")))
-        ctx = attention(q, k, v, q_rows, kv_rows, mask, self.config.n_heads,
-                        prefix,
-                        0.0 if rng is None else self.config.dropout_prob,
-                        rng, capture)
-        return linear(ctx, self.p(f"{prefix}.wo"), self.p(f"{prefix}.bo"))
+    def _block(self, x: Tensor, ln: str, body, prefix: str,
+               names: tuple[str, ...], rows: RowLayout, rng,
+               extra: tuple[Tensor, ...] = ()) -> Tensor:
+        """The pre-norm residual block x + dropout(body(LN(x))) on packed
+        rows at `rows`, LN being layer norm `ln`, as one tape node.
+        `body(h)` returns its output and the function taking that output's
+        gradient to (h's gradient, the gradients of the parameters
+        `prefix`.`names` and of the tensors `extra`, in that order). The
+        dropout mask is drawn after whatever `body` draws. With gradients
+        off no parameter tensor is looked up."""
+        norm = self._bind_ln(ln)
+        h, xhat, inv = layer_norm_forward(x.data, norm.g, norm.b)
+        _op_check(h, norm.name)
+        y, body_grad = body(h)
+        keep = None
+        if rng is not None and self.config.dropout_prob > 0:
+            keep = dropout_mask(self.config.dropout_prob, rng, rows, y)
+            y = y * keep
+        # walked last to first: V, then K, before x, as on the per-op tape
+        parents = () if not grad_enabled() else (
+            x, self.p(f"{ln}.g"), self.p(f"{ln}.b"),
+            *(self.p(f"{prefix}.{n}") for n in names), *extra)
 
-    def _ffn(self, x: Tensor, prefix: str) -> Tensor:
-        h = gelu(linear(x, self.p(f"{prefix}.w1"), self.p(f"{prefix}.b1")))
-        return linear(h, self.p(f"{prefix}.w2"), self.p(f"{prefix}.b2"))
+        def backward(g):
+            gh, grads = body_grad(g if keep is None else g * keep)
+            gx, gg, gb = layer_norm_backward(gh, norm.g, xhat, inv)
+            for t, gt in zip(parents, (g + gx, gg, gb, *grads)):
+                if t.requires_grad:
+                    t.accumulate_grad(gt)
+
+        return _make(x.data + y, parents, backward, "residual add")
+
+    def _attend(self, x: Tensor, prefix: str, ln: str, rows: RowLayout,
+                mask: np.ndarray, rng, kv: tuple[Tensor, ...] = (),
+                kv_rows: RowLayout | None = None,
+                capture: list | None = None) -> Tensor:
+        """The attention block x + dropout(W_o attention(LN(x))) (see
+        `_block`): self-attention, or, given the projected encoder keys and
+        values kv = (k, v) packed at `kv_rows`, cross-attention."""
+        attn = self._bind_attention(prefix)
+        p = 0.0 if rng is None else self.config.dropout_prob
+
+        def body(h):
+            q = _linear_np(h, attn.q)
+            k, v = ((t.data for t in kv) if kv else
+                    (_linear_np(h, attn.k), _linear_np(h, attn.v)))
+            ctx, ctx_grad = attend(q, k, v, rows, kv_rows or rows, mask,
+                                   self.config.n_heads, attn.names, p, rng,
+                                   capture)
+
+            def grad(g):
+                gctx, gwo, gbo = linear_backward(g, ctx, attn.o.w)
+                gq, gk, gv = ctx_grad(gctx)
+                gh, gwq, gbq = linear_backward(gq, h, attn.q.w)
+                if kv:
+                    return gh, (gwq, gbq, gwo, gbo, gk, gv)
+                ghk, gwk, gbk = linear_backward(gk, h, attn.k.w)
+                ghv, gwv, gbv = linear_backward(gv, h, attn.v.w)
+                # h's gradient sums in the tape's order: q, k, then v
+                return (gh + ghk + ghv,
+                        (gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo))
+
+            return _linear_np(ctx, attn.o), grad
+
+        names = (("wq", "bq", "wo", "bo") if kv else
+                 ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
+        return self._block(x, ln, body, prefix, names, rows, rng, kv)
+
+    def _ffn(self, x: Tensor, prefix: str, ln: str, rows: RowLayout,
+             rng) -> Tensor:
+        """The feed-forward block x + dropout(FFN(LN(x))) (see `_block`)."""
+        ffn = self._bind_ffn(prefix)
+        return self._block(x, ln, lambda h: _ffn_np(h, ffn), prefix,
+                           ("w1", "b1", "w2", "b2"), rows, rng)
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.p(f"{prefix}.g"), self.p(f"{prefix}.b"))
-
-    def _drop(self, x: Tensor, rows: RowLayout, rng) -> Tensor:
-        if rng is None:
-            return x
-        return dropout(x, self.config.dropout_prob, rng, rows)
 
     def _rows(self, ids: np.ndarray) -> RowLayout:
         """The real (non-PAD) positions of a padded (B, T) id array."""
@@ -173,15 +235,10 @@ class Seq2SeqModel:
                             f"max_len {self.config.max_len}")
         return RowLayout(ids != PAD)
 
-    @staticmethod
-    def _embedding_ids(ids: np.ndarray, rows: RowLayout):
-        """(token id, position) of each packed row."""
-        return ids.reshape(-1)[rows.idx], rows.idx % ids.shape[1]
-
     def _embed(self, ids: np.ndarray, rows: RowLayout, pos_name: str) -> Tensor:
-        tok_ids, pos_ids = self._embedding_ids(ids, rows)
-        return add(gather_rows(self.p("tok_emb"), tok_ids),
-                   gather_rows(self.p(pos_name), pos_ids))
+        """Token plus position embedding of each packed row."""
+        return add(gather_rows(self.p("tok_emb"), ids.reshape(-1)[rows.idx]),
+                   gather_rows(self.p(pos_name), rows.idx % ids.shape[1]))
 
     @staticmethod
     def _checked(run, what: str, rng=None, capture: list | None = None):
@@ -205,49 +262,25 @@ class Seq2SeqModel:
         """Returns (encoder states, additive key mask (B,1,1,S)): the states
         are the packed rows (n_src, D) of the real source positions, which
         the key mask's zeros mark (`source_rows`). Dropout runs when a
-        dropout stream `rng` is given. Without one and with gradients off it
-        runs the tape's ops in the tape's order on plain arrays, so the
-        states equal the tape's bit for bit. A model pass: the states are
-        checked once, and NaN or Inf in them replays the pass with every op
+        dropout stream `rng` is given. A model pass: the states are checked
+        once, and NaN or Inf in them replays the pass with every op
         checked, so the NonFiniteError names the op."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         rows = self._rows(src_ids)
         key_mask = np.where(src_ids == PAD, NEG_INF, 0.0)
         key_mask = key_mask[:, None, None, :].astype(self.dtype)
-        plain = rng is None and not grad_enabled()
         states = self._checked(
-            lambda: (self._encode_np(src_ids, rows, key_mask) if plain
-                     else self._encode_tape(src_ids, rows, key_mask, rng)),
+            lambda: self._encode(src_ids, rows, key_mask, rng),
             "encoder states", rng)
         return states, key_mask
 
-    def _encode_np(self, src_ids: np.ndarray, rows: RowLayout,
-                   key_mask: np.ndarray) -> Tensor:
-        tok_ids, pos_ids = self._embedding_ids(src_ids, rows)
-        x = self.p("tok_emb").data[tok_ids] + self.p("enc_pos").data[pos_ids]
-        _op_check(x, "encoder embedding output")
-        n_heads = self.config.n_heads
-        for i in range(self.config.n_enc_layers):
-            a, _ = _self_attention_np(
-                _ln_np(x, self._bind_ln(f"enc{i}.ln1")),
-                self._bind_attention(f"enc{i}.attn"), n_heads, key_mask, rows)
-            x = _residual_np(x, a)
-            f = _ffn_np(_ln_np(x, self._bind_ln(f"enc{i}.ln2")),
-                        self._bind_ffn(f"enc{i}.ffn"))
-            x = _residual_np(x, f)
-        x = _ln_np(x, self._bind_ln("enc_lnf"))
-        return Tensor(x, what=None)  # `encode` checks
-
-    def _encode_tape(self, src_ids: np.ndarray, rows: RowLayout,
-                     key_mask: np.ndarray, rng) -> Tensor:
+    def _encode(self, src_ids: np.ndarray, rows: RowLayout,
+                key_mask: np.ndarray, rng) -> Tensor:
         x = self._embed(src_ids, rows, "enc_pos")
         for i in range(self.config.n_enc_layers):
-            h = self._ln(x, f"enc{i}.ln1")
-            a = self._attention(h, h, f"enc{i}.attn", rows, rows, key_mask,
-                                None, rng)
-            x = add(x, self._drop(a, rows, rng))
-            f = self._ffn(self._ln(x, f"enc{i}.ln2"), f"enc{i}.ffn")
-            x = add(x, self._drop(f, rows, rng))
+            x = self._attend(x, f"enc{i}.attn", f"enc{i}.ln1", rows,
+                             key_mask, rng)
+            x = self._ffn(x, f"enc{i}.ffn", f"enc{i}.ln2", rows, rng)
         return self._ln(x, "enc_lnf")
 
     def decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
@@ -267,47 +300,46 @@ class Seq2SeqModel:
         dec_in = np.asarray(dec_in, dtype=np.int64)
         rows = self._rows(dec_in)
         return self._checked(
-            lambda: self._decode_tape(enc_out, enc_key_mask, dec_in, rows,
-                                      rng, capture),
+            lambda: self._decode(enc_out, enc_key_mask, dec_in, rows, rng,
+                                 capture),
             "decoder logits", rng, capture)
 
-    def _decode_tape(self, enc_out: Tensor, enc_key_mask: np.ndarray,
-                     dec_in: np.ndarray, rows: RowLayout, rng,
-                     capture: list | None) -> Tensor:
+    def _decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
+                dec_in: np.ndarray, rows: RowLayout, rng,
+                capture: list | None) -> Tensor:
         T = dec_in.shape[1]
         src_rows = source_rows(enc_key_mask)
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
         causal = causal[None, None, :, :]
         x = self._embed(dec_in, rows, "dec_pos")
         for i in range(self.config.n_dec_layers):
-            h = self._ln(x, f"dec{i}.ln1")
-            a = self._attention(h, h, f"dec{i}.self", rows, rows, causal,
-                                None, rng)
-            x = add(x, self._drop(a, rows, rng))
-            c = self._attention(self._ln(x, f"dec{i}.ln2"), enc_out,
-                                f"dec{i}.cross", rows, src_rows,
-                                enc_key_mask, capture, rng)
-            x = add(x, self._drop(c, rows, rng))
-            f = self._ffn(self._ln(x, f"dec{i}.ln3"), f"dec{i}.ffn")
-            x = add(x, self._drop(f, rows, rng))
+            x = self._attend(x, f"dec{i}.self", f"dec{i}.ln1", rows, causal,
+                             rng)
+            pre = f"dec{i}.cross"
+            # tape ops of their own: enc_out's gradient sums in tape order
+            kv = tuple(linear(enc_out, self.p(f"{pre}.w{n}"),
+                              self.p(f"{pre}.b{n}")) for n in "kv")
+            x = self._attend(x, pre, f"dec{i}.ln2", rows, enc_key_mask, rng,
+                             kv, src_rows, capture)
+            x = self._ffn(x, f"dec{i}.ffn", f"dec{i}.ln3", rows, rng)
         x = self._ln(x, "dec_lnf")
         # Tied output projection: logits = x @ tok_emb^T
         return linear(x, self.p("tok_emb"), transpose_w=True)
 
     # -- incremental decoding ----------------------------------------------
     #
-    # Plain numpy, no tape, in the model's dtype. Rows are hypotheses; each
-    # row is computed as its own (1, D) product (stacked (N, 1, D) @ W
-    # matmuls run one BLAS call per row) and cross-attention is taken per
-    # query, so a row's values never depend on which other rows share the
-    # step.
+    # Plain numpy, no tape, in the model's dtype, on the helpers the
+    # blocks are built from. Rows are hypotheses; each row is computed as
+    # its own (1, D) product (stacked (N, 1, D) @ W matmuls run one BLAS
+    # call per row) and cross-attention is taken per query, so a row's
+    # values never depend on which other rows share the step.
     #
-    # The plain-array passes read weight arrays bound together with the op
-    # names their checks use (`_bind_*`). `encode` binds per call;
+    # The helpers read weight arrays bound together with the op names
+    # their checks use (`_bind_*`). Each block binds its own per call;
     # `start_decoding` binds the decoder once per decode onto the cache, so
     # a step looks up no parameter and formats no name. The model keeps no
-    # binding, so none can go stale: each decode reads what `p` gives at
-    # its start, after any optimizer step or parameter swap, and on a
+    # binding, so none can go stale: each pass reads what `p` gives at its
+    # start, after any optimizer step or parameter swap, and on a
     # quantized model the dequantized copies.
 
     def _bind_linear(self, w: str, b: str) -> Linear:
@@ -391,8 +423,8 @@ class Seq2SeqModel:
         _op_check(x, "decoder embedding output")
         for i, layer in enumerate(w.layers):
             a, cache.self_kv[i] = _self_attention_np(
-                _ln_np(x, layer.ln1), layer.self_attn, n_heads, None,
-                past=cache.self_kv[i])
+                _ln_np(x, layer.ln1), layer.self_attn, n_heads,
+                cache.self_kv[i])
             x = _residual_np(x, a)
 
             q = split_heads(_linear_np(_ln_np(x, layer.ln2), layer.cross.q),
@@ -406,7 +438,7 @@ class Seq2SeqModel:
             x = _residual_np(x, _linear_np(merge_heads(np.concatenate(parts)),
                                            layer.cross.o))
 
-            x = _residual_np(x, _ffn_np(_ln_np(x, layer.ln3), layer.ffn))
+            x = _residual_np(x, _ffn_np(_ln_np(x, layer.ln3), layer.ffn)[0])
         x = _ln_np(x, w.lnf)
         logits = x @ w.tok_emb.T
         _op_check(logits, "output projection")
@@ -480,31 +512,30 @@ class DecoderWeights(NamedTuple):
 
 
 def _self_attention_np(h: np.ndarray, attn: Attention, n_heads: int,
-                       mask: np.ndarray | None,
-                       rows: RowLayout | None = None, past=None):
-    """Self-attention of h, the `_attention` ops without dropout:
-    (output, (K, V)). h is packed rows at `rows` (the encoder), or
-    (N, T, D) blocks when `rows` is None (`decode_step`). With `past` =
-    (K, V) of earlier positions, h's keys and values are appended to them
-    first."""
-    q, k, v = (_linear_np(h, lin) for lin in attn[:3])
-    if rows is not None:
-        q, k, v = rows.pad(q), rows.pad(k), rows.pad(v)
-    q, k, v = (split_heads(t, n_heads) for t in (q, k, v))
-    if past is not None:
-        k = np.concatenate([past[0], k], axis=2)
-        v = np.concatenate([past[1], v], axis=2)
-    ctx = merge_heads(attention_probs(q, k.transpose(0, 1, 3, 2), mask,
+                       past: tuple[np.ndarray, np.ndarray]):
+    """Self-attention of rows h (N, T, D) over the keys and values `past`
+    of earlier positions and its own: (output, (K, V) with h's appended)."""
+    q, k, v = (split_heads(_linear_np(h, lin), n_heads) for lin in attn[:3])
+    k = np.concatenate([past[0], k], axis=2)
+    v = np.concatenate([past[1], v], axis=2)
+    ctx = merge_heads(attention_probs(q, k.transpose(0, 1, 3, 2), None,
                                       attn.names) @ v)
-    if rows is not None:
-        ctx = rows.pack(ctx)
     return _linear_np(ctx, attn.o), (k, v)
 
 
-def _ffn_np(x: np.ndarray, ffn: FFN) -> np.ndarray:
-    f = gelu_forward(_linear_np(x, ffn.up))[0]
+def _ffn_np(h: np.ndarray, ffn: FFN):
+    """FFN(h), and the function taking its gradient to (h's gradient,
+    the gradients (w1, b1, w2, b2))."""
+    u = _linear_np(h, ffn.up)
+    f, t = gelu_forward(u)
     _op_check(f, ffn.name)
-    return _linear_np(f, ffn.down)
+
+    def grad(g):
+        gf, gw2, gb2 = linear_backward(g, f, ffn.down.w)
+        gh, gw1, gb1 = linear_backward(gelu_backward(gf, u, t), h, ffn.up.w)
+        return gh, (gw1, gb1, gw2, gb2)
+
+    return _linear_np(f, ffn.down), grad
 
 
 def _linear_np(x: np.ndarray, lin: Linear) -> np.ndarray:

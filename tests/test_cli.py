@@ -457,6 +457,12 @@ class TestBadInputFiles:
         assert "config.txt" in err and (key in err or value in err)
 
 
+def _as_int8(manifest_line: str) -> str:
+    """The manifest line with its tensor stored as int8 at scale 0.01."""
+    name, _, shape, offset, _ = manifest_line.split("\t")
+    return "\t".join([name, "i8", shape, offset, "0.01"])
+
+
 class TestCorruptCheckpoint:
     """Each way a checkpoint's text files can be damaged is exit code 2
     with one error line naming the problem."""
@@ -481,6 +487,21 @@ class TestCorruptCheckpoint:
         # the first tensor's bytes stay in weights.bin, so no byte trails
         "missing-tensor": ("manifest.tsv", lambda ls: ls[1:],
                            "manifest missing tensors: ['tok_emb']"),
+        # enc_pos listed again over dec_pos's bytes
+        "duplicate-tensor": (
+            "manifest.tsv",
+            lambda ls: ls[:3] + ["\t".join(ls[1].split("\t")[:3]
+                                           + ls[2].split("\t")[3:])] + ls[3:],
+            "tensor 'enc_pos' listed twice"),
+        # quantization keeps embeddings and 1-D tensors in float32
+        "int8-embedding": (
+            "manifest.tsv", lambda ls: [_as_int8(ls[0])] + ls[1:],
+            "tensor 'tok_emb' is int8, but quantization keeps it float32"),
+        "int8-layer-norm-gain": (
+            "manifest.tsv",
+            lambda ls: [_as_int8(ln) if ln.startswith("enc0.ln1.g\t") else ln
+                        for ln in ls],
+            "tensor 'enc0.ln1.g' is int8, but quantization keeps it float32"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -267,7 +267,7 @@ def test_decode_step_looks_up_no_parameter(kind, monkeypatch):
 def test_replay_names_the_pass_output_when_per_op_checks_find_nothing(
         monkeypatch):
     m = make_model(dropout=0.0)
-    real = model_mod.Seq2SeqModel._encode_np
+    real = model_mod.Seq2SeqModel._encode
     first = []
 
     def flaky(self, *args):
@@ -277,7 +277,7 @@ def test_replay_names_the_pass_output_when_per_op_checks_find_nothing(
             out.data[0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(model_mod.Seq2SeqModel, "_encode_np", flaky)
+    monkeypatch.setattr(model_mod.Seq2SeqModel, "_encode", flaky)
     with no_grad(), pytest.raises(NonFiniteError,
                                   match="non-finite values in encoder states"):
         m.encode(SRC)

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from codemix import quant
 from codemix.checkpoint import load_checkpoint
 from codemix.errors import DataError, NonFiniteError, ShapeError
-from codemix.numerics import (AdamWState, finite_diff_grad_check, linear,
-                              make_rng, no_grad, softmax, step_tensors,
-                              Tensor)
+from codemix.numerics import (AdamWState, finite_diff_grad_check, make_rng,
+                              mul, no_grad, softmax, step_tensors, Tensor,
+                              tsum)
 from codemix.seq2seq import model as model_mod
 from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              encode_source, forward_teacher_forced,
                              greedy_decode, init_model, label_smoothed_ce,
                              make_batch, pad_batch, translate,
                              translate_corpus)
-from codemix.seq2seq.decode import MAX_BATCH, top_k
+from codemix.seq2seq.decode import MAX_BATCH, _top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
 from oracles import (exhaustive_best_sequence, reference_beam_search,
@@ -125,7 +125,8 @@ class TestForward:
     def test_tape_error_names_the_op(self):
         m = tiny_model(seed=8)
         m.params["enc0.ffn.w1"].data[0, 0] = np.nan
-        with pytest.raises(NonFiniteError, match="linear output") as err:
+        with pytest.raises(NonFiniteError,
+                           match="linear enc0.ffn.w1 output") as err:
             m.forward(np.array([[5, 6, 2]]), np.array([[1, 5]]))
         assert "tensor data" not in str(err.value)
 
@@ -312,6 +313,62 @@ class TestPackedRows:
             assert np.abs(packed[name] - want).max() <= 1e-5 * scale, name
 
 
+class TestBlockNodes:
+    """Each pre-norm residual block is one tape node with a hand-written
+    backward: its gradients against central differences in float64, on
+    packed rows with padding, with dropout off and on (a fixed stream)."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("block", ["self", "cross", "ffn"])
+    def test_gradcheck(self, block, dropout):
+        cfg = Seq2SeqConfig(vocab=tiny_vocab(4), n_enc_layers=1,
+                            n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
+                            max_len=8, dropout_prob=dropout, init_std=0.4)
+        m = init_model(cfg, make_rng(60)).astype(np.float64)
+        rows = model_mod.RowLayout(np.array([[1, 1, 1, 1], [1, 1, 1, 0]],
+                                            bool))
+        src = np.array([[5, 6, 7, 8, EOS], [5, 6, EOS, PAD, PAD]])
+        key_mask = np.where(src == PAD, model_mod.NEG_INF, 0.0)
+        key_mask = key_mask[:, None, None, :]
+        src_rows = model_mod.source_rows(key_mask)
+        causal = np.triu(np.full((4, 4), model_mod.NEG_INF), k=1)[None, None]
+        data = make_rng(61)
+        params = {"x": Tensor(data.standard_normal((7, 8)),
+                              requires_grad=True)}
+        if block == "cross":
+            params.update(k=Tensor(data.standard_normal((8, 8)),
+                                   requires_grad=True),
+                          v=Tensor(data.standard_normal((8, 8)),
+                                   requires_grad=True))
+        prefix, ln = {"self": ("dec0.self", "dec0.ln1"),
+                      "cross": ("dec0.cross", "dec0.ln2"),
+                      "ffn": ("dec0.ffn", "dec0.ln3")}[block]
+        # not the key bias: softmax ignores a shift shared by a row, so its
+        # true gradient is 0 and central differences measure only noise
+        names = [f"{ln}.g", f"{ln}.b"] + [
+            f"{prefix}.{n}" for n in {
+                "self": ["wq", "bq", "wk", "wv", "bv", "wo", "bo"],
+                "cross": ["wq", "bq", "wo", "bo"],
+                "ffn": ["w1", "b1", "w2", "b2"]}[block]]
+        params.update((n, m.params[n]) for n in names)
+        weight = Tensor(data.standard_normal((7, 8)))
+
+        def loss(ps):
+            rng = make_rng(62) if dropout else None
+            if block == "self":
+                out = m._attend(ps["x"], prefix, ln, rows, causal, rng)
+            elif block == "cross":
+                out = m._attend(ps["x"], prefix, ln, rows, key_mask, rng,
+                                (ps["k"], ps["v"]), src_rows)
+            else:
+                out = m._ffn(ps["x"], prefix, ln, rows, rng)
+            return tsum(mul(out, weight))
+
+        err = finite_diff_grad_check(loss, params, epsilon=1e-6,
+                                     max_coords_per_tensor=12)
+        assert err < 1e-6, f"{block}: rel err {err}"
+
+
 class TestGreedy:
     def test_stops_at_first_eos_and_never_emits_pad_bos(self):
         for seed in range(8):
@@ -410,14 +467,14 @@ def log_prob_rows(draw):
 
 
 class TestTopK:
-    """top_k must pick what the full stable argsort picks, in its order."""
+    """_top_k must pick what the full stable argsort picks, in its order."""
 
     @settings(max_examples=400, deadline=None)
     @given(log_prob_rows())
     def test_equals_full_stable_argsort(self, case):
         lp, k = case
         want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
-        assert np.array_equal(top_k(lp, k), want)
+        assert np.array_equal(_top_k(lp, k)[0], want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows,k", [
@@ -438,9 +495,10 @@ class TestTopK:
     def test_named_cases(self, rows, k, dtype):
         lp = np.array(rows, dtype=dtype)
         want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
-        assert np.array_equal(top_k(lp, k), want)
+        assert np.array_equal(_top_k(lp, k)[0], want)
         if k == 1:
-            assert np.array_equal(top_k(lp, k)[:, 0], np.argmax(lp, axis=1))
+            assert np.array_equal(_top_k(lp, k)[0][:, 0],
+                                  np.argmax(lp, axis=1))
 
 
 class PrefixTableModel:
@@ -695,37 +753,52 @@ def random_padded_ids(rng, n_content, rows, width):
 
 
 class TestPlainEncoder:
-    """Under no_grad and outside training, `encode` runs on plain arrays;
-    it must return what the tape encoder returns, bit for bit."""
+    """`encode` and the teacher-forced `decode` run one layer stack, whose
+    residual blocks are tape nodes. With gradients off a block is its plain
+    forward: it records no tape and gives the recorded pass's bits."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_grad_encode_equals_tape_bitwise(self, seed, monkeypatch):
-        layers, heads = 1 + seed % 3, (1, 2, 4)[seed % 3]
+        kind = ("float32", "float64", "int8")[seed % 3]
+        layers, heads = 1 + seed % 2, (1, 2, 4)[seed % 3]
         cfg = Seq2SeqConfig(vocab=tiny_vocab(9), n_enc_layers=layers,
-                            n_dec_layers=1, d_model=16, n_heads=heads,
+                            n_dec_layers=layers, d_model=16, n_heads=heads,
                             d_ff=24, max_len=10, dropout_prob=0.3,
                             init_std=0.4)
         m = init_model(cfg, make_rng(40 + seed))
-        if seed % 3 == 1:
+        if kind == "float64":
             m = m.astype(np.float64)
-        elif seed % 3 == 2:
+        elif kind == "int8":
             m = quant.quantize_model(m)
         src = random_padded_ids(make_rng(seed), 9, 4, 3 + seed)
-        tape_ops = []
+        dec_in = random_padded_ids(make_rng(50 + seed), 9, 4, 2 + seed)
+        dec_in[:, 0] = BOS
+        blocks = []
+        block = model_mod.Seq2SeqModel._block
 
-        def counting_linear(*args, **kwargs):
-            tape_ops.append(1)
-            return linear(*args, **kwargs)
+        def keeping(self, *args, **kwargs):
+            blocks.append(block(self, *args, **kwargs))
+            return blocks[-1]
 
-        monkeypatch.setattr(model_mod, "linear", counting_linear)
-        tape, tape_mask = m.encode(src)
-        assert len(tape_ops) == 6 * layers
-        with no_grad():
-            plain, plain_mask = m.encode(src)
-        assert len(tape_ops) == 6 * layers  # no tape op under no_grad
-        assert plain.dtype == tape.dtype == m.dtype
-        assert np.array_equal(plain.data, tape.data)
-        assert np.array_equal(plain_mask, tape_mask)
+        monkeypatch.setattr(model_mod.Seq2SeqModel, "_block", keeping)
+        passes = []
+        for grad in (contextlib.nullcontext, no_grad):
+            with grad():
+                enc, mask = m.encode(src)
+                passes.append((enc, mask, m.decode(enc, mask, dec_in)))
+        (tape_enc, tape_mask, tape), (enc, mask, out) = passes
+        assert out.dtype == enc.dtype == m.dtype
+        assert np.array_equal(enc.data, tape_enc.data)
+        assert np.array_equal(mask, tape_mask)
+        assert np.array_equal(out.data, tape.data)
+        n = 5 * layers  # 2 blocks per encoder layer, 3 per decoder layer
+        assert len(blocks) == 2 * n
+        # int8 weights take no gradient, so nothing is recorded for them
+        recorded = kind != "int8"
+        assert [b._parents != () for b in blocks[:n]] == [recorded] * n
+        assert (tape._parents != ()) == recorded
+        assert all(b._parents == () for b in blocks[n:])
+        assert enc._parents == out._parents == ()
 
     def test_no_grad_encode_keeps_its_checks(self):
         m = tiny_model(seed=41, max_len=6)
