@@ -10,9 +10,12 @@ the sha256 of the weights after each phase:
   stages   a d32 2+2 model (dropout 0.1) after train_stage1 and
            train_stage2 with their default augmentation kinds;
   ce, js   a d32 2+2 student distilled from that model with the CE and
-           the JS KD loss (train_student, default augmentation).
+           the JS KD loss (train_student, default augmentation);
+  crf      the CRF language detector's weights and transitions after
+           train_crf (3 epochs, default batch size) on 120 queries of
+           gen_langid_corpus.
 
-Two trees train identically when they print the same three lines. BLAS is
+Two trees train identically when they print the same four lines. BLAS is
 pinned to one thread, so the GEMMs split their work the same way on both.
 """
 import hashlib
@@ -29,6 +32,7 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 import numpy as np  # noqa: E402
 
 from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
+from codemix.langid import gen_langid_corpus, train_crf  # noqa: E402
 from codemix.numerics import make_rng  # noqa: E402
 from codemix.seq2seq import Seq2SeqConfig, init_model  # noqa: E402
 from codemix.text import (SynthTaskSpec, gen_clean_corpus,  # noqa: E402
@@ -37,12 +41,16 @@ from codemix.train import (StageConfig, TrainingConfig,  # noqa: E402
                            train_stage1, train_stage2)
 
 
-def fingerprint(model) -> str:
+def fingerprint(arrays: dict) -> str:
     h = hashlib.sha256()
-    for name in sorted(model.params):
+    for name in sorted(arrays):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(model.params[name].data).tobytes())
+        h.update(np.ascontiguousarray(arrays[name]).tobytes())
     return h.hexdigest()[:16]
+
+
+def params(model) -> dict:
+    return {name: p.data for name, p in model.params.items()}
 
 
 spec = SynthTaskSpec(lexicon_size=30, code_mix_ratio=0.3,
@@ -64,10 +72,14 @@ tc.stage2 = StageConfig(epochs=2, lr=5e-4, batch_size=16,
                         kinds=tc.stage2.kinds)
 train_stage1(model, noisy, tc, make_rng(2))
 train_stage2(model, clean, tc, make_rng(3))
-print(f"stages {fingerprint(model)}", flush=True)
+print(f"stages {fingerprint(params(model))}", flush=True)
 
 for kind in (KDKind.CE, KDKind.JS):
     student, _ = train_student(config, model, clean, pool, kind,
                                make_rng(4),
                                DistillConfig(epochs=2, batch_size=16))
-    print(f"{kind.value:6s} {fingerprint(student)}", flush=True)
+    print(f"{kind.value:6s} {fingerprint(params(student))}", flush=True)
+
+crf = train_crf(gen_langid_corpus(120, seed=5), epochs=3, rng=make_rng(6))
+crf_arrays = {"weights": crf.weights, "transitions": crf.transitions}
+print(f"crf    {fingerprint(crf_arrays)}", flush=True)

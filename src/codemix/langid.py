@@ -3,9 +3,11 @@ n-gram features, an averaged-embedding baseline classifier, and query-level
 aggregation (any HI token makes the query HINGLISH).
 
 The CRF is trained on the exact negative log-likelihood via the forward
-algorithm in log space; gradients are expected minus gold feature counts
-from forward-backward marginals, so a brute-force path enumeration can
-verify both the partition function and Viterbi.
+algorithm in log space, so a brute-force path enumeration can verify both
+the partition function and Viterbi. Gradients are expected minus gold
+feature counts from forward-backward marginals, taken for a whole
+mini-batch in one pass (`crf_batch_grad`) and added up in the order of a
+per-query loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -116,11 +118,12 @@ class CRFModel:
                 for t in range(len(words))]
 
     def emissions(self, ids: list[np.ndarray]) -> np.ndarray:
-        """(len(ids), 3) emission scores of a query's feature_ids."""
+        """(len(ids), 3) emission scores of feature_ids, token by token."""
         out = np.zeros((len(ids), N_LABELS))
         for t, tok_ids in enumerate(ids):
             if tok_ids.size:
-                out[t] = self.weights[tok_ids].sum(axis=0)
+                # take: the same rows as weights[tok_ids], gathered faster
+                out[t] = self.weights.take(tok_ids, axis=0).sum(axis=0)
         return out
 
 
@@ -129,20 +132,24 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _forward(emis: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, float]:
-    """Forward algorithm in log space: (alpha (L, 3), log Z)."""
-    if not len(emis):
-        raise DataError("the CRF needs at least one word")
+def _forward(emis: np.ndarray, trans: np.ndarray, lens: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Forward algorithm in log space over queries padded to one length:
+    (alpha (B, T, 3), log Z (B,)). A query's last real alpha is carried
+    through its padding, so log Z is read at the last column."""
+    if not lens.all():
+        raise DataError("the CRF needs at least one word per query")
     alpha = np.zeros_like(emis)
-    alpha[0] = emis[0]
-    for t in range(1, len(emis)):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emis[t]
-    return alpha, float(_logsumexp(alpha[-1], axis=0))
+    alpha[:, 0] = emis[:, 0]
+    for t in range(1, emis.shape[1]):
+        step = _logsumexp(alpha[:, t - 1, :, None] + trans, 1) + emis[:, t]
+        alpha[:, t] = np.where((t < lens)[:, None], step, alpha[:, t - 1])
+    return alpha, _logsumexp(alpha[:, -1], axis=1)
 
 
 def crf_log_partition(model: CRFModel, words: list[str]) -> float:
-    return _forward(model.emissions(model.feature_ids(words)),
-                    model.transitions)[1]
+    return float(_forward(model.emissions(model.feature_ids(words))[None],
+                          model.transitions, np.array([len(words)]))[1][0])
 
 
 def crf_path_score(model: CRFModel, words: list[str],
@@ -165,37 +172,69 @@ def _path_score(emis: np.ndarray, trans: np.ndarray,
 def crf_nll_grad(model: CRFModel, ids: list[np.ndarray], gold: list[int]
                  ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """NLL = log Z - score(gold path) of one query, given its feature_ids
-    and gold label indices, and the NLL's gradient.
+    and gold label indices, and the NLL's gradient: `crf_batch_grad` of a
+    batch of one, with the NLL as a float."""
+    nll, fids, rows, grad_trans = crf_batch_grad(model, [(ids, gold)])
+    return float(nll[0]), fids, rows, grad_trans
 
-    Returns (nll, feature ids (n,), their emission gradient rows (n, 3),
-    transition gradient (3, 3)). The gradient is expected counts from
-    forward-backward marginals minus gold counts; each feature's row sums
-    its positions' terms in position order.
-    """
-    L = len(ids)
-    emis = model.emissions(ids)
+
+def crf_batch_grad(model: CRFModel, batch: list[tuple[list, list[int]]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-query NLL of a batch of (feature_ids, gold label indices) and
+    the gradient of their sum, in one forward-backward pass over the
+    queries padded to the longest: (nll (B,), feature ids (n,), their
+    emission gradient rows (n, 3), transition gradient (3, 3)), bit-equal
+    to adding up the queries' gradients one at a time in batch order."""
+    lens = np.array([len(ids) for ids, _ in batch])
+    B, T = len(batch), int(lens.max())
+    real = np.arange(T) < lens[:, None]
+    tok_ids = [tok for ids, _ in batch for tok in ids]
+    emis = np.zeros((B, T, N_LABELS))
+    emis[real] = model.emissions(tok_ids)
+    gold = np.zeros((B, T), dtype=np.int64)
+    gold[real] = np.concatenate([labels for _, labels in batch])
     trans = model.transitions
-    alpha, log_z = _forward(emis, trans)
+    alpha, log_z = _forward(emis, trans, lens)
 
-    beta = np.zeros((L, N_LABELS))
-    for t in range(L - 2, -1, -1):
-        beta[t] = _logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :], axis=1)
+    beta = np.zeros_like(emis)
+    for t in range(T - 2, -1, -1):
+        step = _logsumexp(trans + (emis[:, t + 1] + beta[:, t + 1])[:, None],
+                          axis=2)
+        beta[:, t] = np.where((t < lens - 1)[:, None], step, 0.0)
 
-    # Token marginals minus gold indicators, and expected transition counts.
-    diff = np.exp(alpha + beta - log_z)
-    grad_trans = np.zeros((N_LABELS, N_LABELS))
-    for t in range(L - 1):
-        pair = (alpha[t][:, None] + trans
-                + (emis[t + 1] + beta[t + 1])[None, :] - log_z)
-        grad_trans += np.exp(pair)
-        grad_trans[gold[t], gold[t + 1]] -= 1.0
-    diff[np.arange(L), gold] -= 1.0
+    # Expected minus gold pair counts, interleaved by position; padding adds 0.
+    pair = np.exp(alpha[:, :-1, :, None] + trans
+                  + (emis[:, 1:] + beta[:, 1:])[:, :, None]
+                  - log_z[:, None, None, None])
+    pair[~real[:, 1:]] = 0.0
+    grad_trans = np.zeros((B, N_LABELS, N_LABELS))
+    for t in range(T - 1):
+        grad_trans += pair[:, t]
+        on = np.flatnonzero(t + 1 < lens)
+        grad_trans[on, gold[on, t], gold[on, t + 1]] -= 1.0
 
-    fids, slot = np.unique(np.concatenate(ids), return_inverse=True)
-    rows = np.zeros((len(fids), N_LABELS))
-    np.add.at(rows, slot, np.repeat(diff, [len(i) for i in ids], axis=0))
-    nll = log_z - _path_score(emis, trans, gold)
-    return nll, fids, rows, grad_trans
+    # Token marginals minus gold indicators at the real positions, summed
+    # per (feature, query), then per feature in query order.
+    diff = np.exp(alpha + beta - log_z[:, None, None])[real]
+    diff[np.arange(len(diff)), gold[real]] -= 1.0
+    counts = np.array([len(tok) for tok in tok_ids])
+    query = np.repeat(np.repeat(np.arange(B), lens), counts)
+    pairs, per_query = _sum_by_key(np.concatenate(tok_ids) * B + query,
+                                   np.repeat(diff, counts, axis=0))
+    fids, rows = _sum_by_key(pairs // B, per_query)
+    nll = log_z - [_path_score(emis[b, :lens[b]], trans, labels)
+                   for b, (_, labels) in enumerate(batch)]
+    return nll, fids, rows, grad_trans.sum(axis=0)
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted unique keys, (n, 3) sums of each key's `values` rows), the
+    rows added in order to an exact zero, as np.bincount adds."""
+    uniq, at = np.unique(keys, return_inverse=True)
+    flat = (at[:, None] * N_LABELS + np.arange(N_LABELS)).ravel()
+    sums = np.bincount(flat, values.ravel(), minlength=len(uniq) * N_LABELS)
+    return uniq, sums.reshape(-1, N_LABELS)
 
 
 def viterbi(model: CRFModel, words: list[str]) -> list[str]:
@@ -228,10 +267,15 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
         raise DataError("train_crf needs a non-empty corpus")
     if epochs < 1:
         raise DataError(f"train_crf needs epochs >= 1, got {epochs}")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise DataError(f"batch_size must be an integer >= 1, got "
+                        f"{batch_size!r}")
     rng = rng or np.random.default_rng(0)
     feature_index: dict[str, int] = {}
     data = []
-    for query in corpus:
+    for i, query in enumerate(corpus):
+        if not query:
+            raise DataError(f"train_crf: query {i} has no words")
         words = [tok.word for tok in query]
         ids = [np.asarray([feature_index.setdefault(f, len(feature_index))
                            for f in extract_features(words, t)],
@@ -247,12 +291,9 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
         order = rng.permutation(len(corpus))
         for start in range(0, len(corpus), batch_size):
             idxs = order[start:start + batch_size]
+            _, fids, rows, gt = crf_batch_grad(model, [data[i] for i in idxs])
             gw = np.zeros_like(model.weights)
-            gt = np.zeros_like(model.transitions)
-            for i in idxs:
-                _, fids, rows, gtr = crf_nll_grad(model, *data[i])
-                gw[fids] += rows
-                gt += gtr
+            gw[fids] = rows
             scale = 1.0 / len(idxs)
             gw *= scale
             gt *= scale
@@ -461,6 +502,9 @@ def load_crf(path) -> CRFModel:
         raise DataError(f"{path}: transition matrix has shape "
                         f"{model.transitions.shape}, need "
                         f"({N_LABELS}, {N_LABELS})")
+    if not (np.isfinite(model.weights).all()
+            and np.isfinite(model.transitions).all()):
+        raise DataError(f"{path}: non-finite CRF weight or transition")
     return model
 
 

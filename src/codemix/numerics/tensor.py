@@ -37,6 +37,7 @@ from ..errors import NonFiniteError, ShapeError
 
 _grad_enabled = True
 _op_checks = True  # False only during a model pass's first run
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextlib.contextmanager
@@ -105,7 +106,7 @@ class Tensor:
         """`what` names the data in a NonFiniteError; None when the caller
         checks the data itself (`_make`, a model pass's result)."""
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:  # dtypes: `in` converts no type
             arr = arr.astype(np.float32)
         if what is not None:
             _assert_finite(arr, what)

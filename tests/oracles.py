@@ -5,9 +5,10 @@ exact rational arithmetic for BLEU, exhaustive path/sequence enumeration
 for the CRF and beam search, and plain loops everywhere. The beam search
 that re-runs the full-prefix decoder for each hypothesis is kept here as
 the reference for the cached, batched decoder, a float64 per-head loop is
-the reference for the attention op, and the forward on padded blocks
+the reference for the attention op, the forward on padded blocks
 (every position-wise op on every position, PAD included) is the
-reference for the model's packed rows.
+reference for the model's packed rows, and CRF training that takes one
+query's gradient at a time is the reference for the batched gradient.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from codemix.langid import LABELS, N_LABELS
+from codemix.langid import (LABEL_INDEX, LABELS, N_LABELS, CRFModel,
+                            extract_features)
+from codemix.numerics import AdamWState, adamw_step
 from codemix.seq2seq.model import Seq2SeqModel
 from codemix.text import BOS, EOS, PAD
 
@@ -134,6 +137,47 @@ def reference_crf_nll_grad(model, ids: list[np.ndarray], gold: list[int]
         score += float(trans[gold[t - 1], gold[t]])
         score += float(emis[t, gold[t]])
     return log_z - score, grad_feats, grad_trans
+
+
+def reference_train_crf(corpus, l2: float = 1e-4, epochs: int = 8,
+                        rng=None, lr: float = 0.05, batch_size: int = 8
+                        ) -> CRFModel:
+    """`train_crf` taking each query's gradient on its own: the mini-batch
+    gradient adds the queries' `reference_crf_nll_grad` one by one, in
+    batch order, to zero arrays."""
+    rng = rng or np.random.default_rng(0)
+    feature_index: dict[str, int] = {}
+    data = []
+    for query in corpus:
+        words = [tok.word for tok in query]
+        ids = [np.asarray([feature_index.setdefault(f, len(feature_index))
+                           for f in extract_features(words, t)],
+                          dtype=np.int64)
+               for t in range(len(words))]
+        data.append((ids, [LABEL_INDEX[tok.label] for tok in query]))
+    model = CRFModel(feature_index,
+                     np.zeros((len(feature_index), N_LABELS)),
+                     np.zeros((N_LABELS, N_LABELS)))
+    params = {"weights": model.weights, "transitions": model.transitions}
+    opt = AdamWState(lr=lr, weight_decay=0.0)
+    for _ in range(epochs):
+        order = rng.permutation(len(corpus))
+        for start in range(0, len(corpus), batch_size):
+            idxs = order[start:start + batch_size]
+            gw = np.zeros_like(model.weights)
+            gt = np.zeros_like(model.transitions)
+            for i in idxs:
+                _, feats, gtr = reference_crf_nll_grad(model, *data[i])
+                for fid, row in feats.items():
+                    gw[fid] += row
+                gt += gtr
+            scale = 1.0 / len(idxs)
+            gw *= scale
+            gt *= scale
+            gw += 2.0 * l2 * model.weights
+            gt += 2.0 * l2 * model.transitions
+            adamw_step(params, {"weights": gw, "transitions": gt}, opt)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,10 @@ class TestLangidCli:
     @pytest.mark.parametrize("field,value,message", [
         ("template_version", "ngram12-window5-v0", "feature template"),
         ("transitions", [[0.0] * 2] * 2, "transition matrix"),
-    ], ids=["template_version", "transitions"])
+        ("weights", [[float("nan"), 0.0, 0.0]], "non-finite"),
+        ("transitions", [[0.0, float("inf"), 0.0]] + [[0.0] * 3] * 2,
+         "non-finite"),
+    ], ids=["template_version", "transitions", "nan-weight", "inf-transition"])
     def test_incompatible_crf_is_exit_two(self, field, value, message,
                                           tmp_path, capsys):
         payload = {"template_version": "ngram134-window3-v1",

@@ -4,14 +4,16 @@ import pytest
 from codemix.errors import DataError, NonFiniteError
 from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
                             aggregate_labels, baseline_avg_embedding_classifier,
-                            crf_log_partition, crf_nll_grad, crf_path_score,
-                            detect_query_language, eval_prf, extract_features,
+                            crf_batch_grad, crf_log_partition, crf_nll_grad,
+                            crf_path_score, detect_query_language, eval_prf,
+                            extract_features,
                             gen_langid_corpus, load_crf, load_token_labels,
                             query_gold_language, save_crf, save_token_labels,
                             train_crf, viterbi, LABEL_INDEX, N_LABELS)
 from codemix.numerics import make_rng
 
-from oracles import crf_enumerate, reference_crf_nll_grad
+from oracles import (crf_enumerate, reference_crf_nll_grad,
+                     reference_train_crf)
 
 
 def zero_crf(features=()):
@@ -193,6 +195,44 @@ class TestNllGrad:
                                                   for f in sorted(ref_feats)]
                                                  ).reshape(-1, N_LABELS))
 
+    def test_batch_grad_equals_summed_reference_exactly(self):
+        """Mixed lengths 1-7, tokens with few or no known ids, batches of
+        one: the batch's rows and transition gradient are the queries'
+        reference gradients added one by one in batch order."""
+        rng = make_rng(16)
+        pool = ["kala", "juta", "shoe", "red", "4g", "mi-x", "wala"]
+        for trial in range(25):
+            queries = [[pool[int(rng.integers(len(pool)))]
+                        for _ in range(int(rng.integers(1, 8)))]
+                       for _ in range(1 + trial % 9)]
+            # index only part of the words: later tokens lose ids
+            model = random_crf([q[:1 + trial % 3] for q in queries],
+                               seed=300 + trial)
+            batch = [(model.feature_ids(q),
+                      [int(rng.integers(N_LABELS)) for _ in q])
+                     for q in queries]
+            nll, fids, rows, grad_trans = crf_batch_grad(model, batch)
+            gw = np.zeros_like(model.weights)
+            gt = np.zeros_like(model.transitions)
+            for b, (ids, gold) in enumerate(batch):
+                ref_nll, ref_feats, ref_trans = reference_crf_nll_grad(
+                    model, ids, gold)
+                assert nll[b] == ref_nll
+                for fid, row in ref_feats.items():
+                    gw[fid] += row
+                gt += ref_trans
+            want = sorted({int(f) for ids, _ in batch for tok in ids
+                           for f in tok})
+            assert fids.tolist() == want
+            assert np.array_equal(rows, gw[want])
+            assert np.array_equal(grad_trans, gt)
+
+    def test_batch_grad_rejects_an_empty_query(self):
+        model = random_crf([["kala"]], seed=1)
+        with pytest.raises(DataError, match="at least one word"):
+            crf_batch_grad(model, [(model.feature_ids(["kala"]), [0]),
+                                   ([], [])])
+
     def test_nll_is_partition_minus_gold_path_exactly(self):
         words = ["kala", "shoe", "4g", "juta", "wala"]
         labels = ["HI", "EN", "OT", "HI", "HI"]
@@ -285,9 +325,34 @@ class TestTrainCrf:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.transitions, b.transitions)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 64])
+    def test_equals_per_query_reference_bitwise(self, seed, batch_size):
+        """37 queries: every batch size but 1 ends on a partial batch,
+        and 64 puts the whole corpus in one batch."""
+        corpus = gen_langid_corpus(37, seed=seed)
+        got = train_crf(corpus, epochs=2, rng=make_rng(seed),
+                        batch_size=batch_size)
+        ref = reference_train_crf(corpus, epochs=2, rng=make_rng(seed),
+                                  batch_size=batch_size)
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.transitions.tobytes() == ref.transitions.tobytes()
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             train_crf([], epochs=1)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, "8"])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size):
+        with pytest.raises(DataError,
+                           match="batch_size must be an integer >= 1"):
+            train_crf(separable_corpus(4), epochs=1, batch_size=batch_size)
+
+    def test_empty_query_rejected_by_index(self):
+        corpus = separable_corpus(3)
+        corpus.insert(2, [])
+        with pytest.raises(DataError, match="query 2 has no words"):
+            train_crf(corpus, epochs=1)
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
