@@ -7,9 +7,9 @@ import numpy as np
 
 sys.path.insert(0, "src")
 from codemix.bleu import bleu_corpus
-from codemix.distill import (DistillConfig, KDKind, quantize_model,
-                             train_student)
+from codemix.distill import DistillConfig, KDKind, train_student
 from codemix.numerics import make_rng
+from codemix.quant import quantize_model
 from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from codemix.text import (SynthTaskSpec, gen_clean_corpus,
                           gen_synthetic_corpus, synthetic_vocab)

@@ -168,8 +168,11 @@ def load_checkpoint(path):
             qparams[name] = QuantizedTensor(arr.copy(),
                                             _parse_scale(path, name, scale_s))
         else:
-            params[name] = Tensor(arr.astype(np.float32),
-                                  requires_grad=True)
+            arr = arr.astype(np.float32)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor '{name}' holds NaN "
+                                      f"or Inf")
+            params[name] = Tensor(arr, requires_grad=True, what=None)
         seen.add(name)
     if len(blob) > end:
         raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes "

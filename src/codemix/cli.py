@@ -16,13 +16,13 @@ from . import __version__
 from .analysis import XAttnExperimentConfig, ae_xattn_experiment
 from .bleu import bleu_corpus
 from .checkpoint import load_checkpoint, read_kv, save_checkpoint
-from .distill import (DistillConfig, KDKind, bench_latency, quantize_model,
-                      train_student)
+from .distill import DistillConfig, KDKind, bench_latency, train_student
 from .errors import CodemixError, DataError, UsageError
 from .langid import (detect_query_language, eval_prf, gen_langid_corpus,
                      load_crf, load_token_labels, query_gold_language,
                      save_crf, save_token_labels, train_crf)
 from .numerics import make_rng
+from .quant import quantize_model
 from .seq2seq import (Seq2SeqConfig, encode_source, init_model,
                       translate_corpus)
 from .text import (Provenance, SynthTaskSpec, build_vocab, gen_clean_corpus,

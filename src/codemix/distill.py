@@ -1,5 +1,5 @@
 """Sequence-level knowledge distillation with CE / Jensen-Shannon losses,
-plus int8 weight quantization and single-threaded latency benchmarking.
+plus single-threaded latency benchmarking.
 
 The teacher is frozen: it pseudo-labels a pool of unlabeled sources once
 (beam search), and per student step its teacher-forced output distribution
@@ -24,7 +24,6 @@ from .augment import AugKind, LossWeights
 from .errors import DataError
 from .numerics import Tensor, exp, log_softmax, mul, no_grad, tsum
 from .numerics.tensor import _make
-from .quant import QuantizedSeq2Seq, quantize_model  # noqa: F401 (re-export)
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
 from .seq2seq.model import encode_source

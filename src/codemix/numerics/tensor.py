@@ -70,7 +70,7 @@ def _op_check(arr: np.ndarray, what: str) -> None:
 
 
 def checked_pass(run: Callable[[], object], what: str,
-                 reset: Callable[[], None] | None = None):
+                 reset: Callable[[], None]):
     """Run the model pass `run()`, whose result is a Tensor or an array,
     and check the result once, with the ops inside unchecked but for the
     attention scores (`attention_probs`).
@@ -88,8 +88,7 @@ def checked_pass(run: Callable[[], object], what: str,
         return out
     except NonFiniteError:
         _op_checks = outer
-        if reset is not None:
-            reset()
+        reset()
         run()
         raise
     finally:

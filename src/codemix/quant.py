@@ -2,8 +2,8 @@
 
 Only 2-D attention/FFN weight matrices are quantized; embeddings, biases
 and layer norms stay float32. A quantized model exposes the same forward
-API as its float parent: each weight is dequantized to float32 once, on
-its first use, and the float32 copy is reused after that.
+API as its float parent: each weight is dequantized to float32 on the
+model's first pass, which binds the float32 copies for every later pass.
 """
 
 from __future__ import annotations
@@ -47,25 +47,20 @@ def _quantizable(name: str, shape: tuple[int, ...]) -> bool:
 
 
 class QuantizedSeq2Seq(Seq2SeqModel):
-    """Seq2SeqModel whose weight matrices are stored as int8 + scale. A
-    weight is dequantized on its first access and the float32 tensor is
-    cached, so loading and quantizing stay cheap and each weight is
-    dequantized once. Inference only."""
+    """Seq2SeqModel whose weight matrices are stored as int8 + scale. Each
+    is dequantized on the model's first pass, whose binding
+    (`Seq2SeqModel.weights`) keeps the float32 tensors, so loading and
+    quantizing stay cheap and each weight is dequantized once. Inference
+    only."""
 
     def __init__(self, config, params: dict[str, Tensor],
                  qparams: dict[str, QuantizedTensor]):
         super().__init__(config, params)
         self.qparams = qparams
-        self._dequantized: dict[str, Tensor] = {}
 
     def p(self, name: str) -> Tensor:
         q = self.qparams.get(name)
-        if q is None:
-            return self.params[name]
-        t = self._dequantized.get(name)
-        if t is None:
-            t = self._dequantized[name] = Tensor(dequantize(q))
-        return t
+        return self.params[name] if q is None else Tensor(dequantize(q))
 
     @property
     def model_id(self) -> str:

@@ -22,12 +22,15 @@ position the mask it would give it in the padded forward.
 pre-norm residual block (`_attend`, `_ffn`) is one tape node whose forward
 is the plain-array helpers the cached decoder (`decode_step`) calls and
 whose backward is written by hand; with gradients off a block is its plain
-forward and one Tensor.
+forward and one Tensor. Every pass, the cached decoder's included, reads
+the parameters through one binding (`Seq2SeqModel.weights`) of the layers
+that `LAYER_BLOCKS` describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +86,22 @@ class Seq2SeqConfig:
         return {**items, "vocab_mode": self.vocab.mode}
 
 
+# The pre-norm residual blocks of every encoder and decoder layer, in
+# order, as (layer norm, body): the body "ffn" is a feed-forward block, any
+# other an attention block. `_param_shapes` and `Seq2SeqModel.weights`
+# both read it.
+LAYER_BLOCKS = {"enc": (("ln1", "attn"), ("ln2", "ffn")),
+                "dec": (("ln1", "self"), ("ln2", "cross"), ("ln3", "ffn"))}
+
+
+def _layer_blocks(cfg: Seq2SeqConfig, side: str
+                  ) -> list[list[tuple[str, str]]]:
+    """The (layer norm, body) name prefixes of each `side` layer's blocks."""
+    n = cfg.n_enc_layers if side == "enc" else cfg.n_dec_layers
+    return [[(f"{side}{i}.{ln}", f"{side}{i}.{body}")
+             for ln, body in LAYER_BLOCKS[side]] for i in range(n)]
+
+
 def _param_shapes(cfg: Seq2SeqConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, kind) for every parameter, in creation order.
     kind is one of weight/bias/ln_gain/ln_bias."""
@@ -93,43 +112,72 @@ def _param_shapes(cfg: Seq2SeqConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("dec_pos", (m, d), "weight"),
     ]
 
-    def attn(prefix: str):
-        out.extend((f"{prefix}.w{n}", (d, d), "weight") for n in "qkvo")
-        out.extend((f"{prefix}.b{n}", (d,), "bias") for n in "qkvo")
-
     def ln(prefix: str):
         out.extend([(f"{prefix}.g", (d,), "ln_gain"),
                     (f"{prefix}.b", (d,), "ln_bias")])
 
-    def ffn(prefix: str):
-        out.append((f"{prefix}.w1", (d, f), "weight"))
-        out.append((f"{prefix}.b1", (f,), "bias"))
-        out.append((f"{prefix}.w2", (f, d), "weight"))
-        out.append((f"{prefix}.b2", (d,), "bias"))
-
-    for i in range(cfg.n_enc_layers):
-        ln(f"enc{i}.ln1"); attn(f"enc{i}.attn")
-        ln(f"enc{i}.ln2"); ffn(f"enc{i}.ffn")
-    ln("enc_lnf")
-    for i in range(cfg.n_dec_layers):
-        ln(f"dec{i}.ln1"); attn(f"dec{i}.self")
-        ln(f"dec{i}.ln2"); attn(f"dec{i}.cross")
-        ln(f"dec{i}.ln3"); ffn(f"dec{i}.ffn")
-    ln("dec_lnf")
+    for side in LAYER_BLOCKS:
+        for layer in _layer_blocks(cfg, side):
+            for norm, body in layer:
+                ln(norm)
+                if body.endswith(".ffn"):
+                    out.extend([(f"{body}.w1", (d, f), "weight"),
+                                (f"{body}.b1", (f,), "bias"),
+                                (f"{body}.w2", (f, d), "weight"),
+                                (f"{body}.b2", (d,), "bias")])
+                else:
+                    out.extend((f"{body}.w{n}", (d, d), "weight")
+                               for n in "qkvo")
+                    out.extend((f"{body}.b{n}", (d,), "bias") for n in "qkvo")
+        ln(f"{side}_lnf")
     return out
 
 
 class Seq2SeqModel:
     """Parameters plus forward passes. Training mutates parameters through
-    the optimizer (single writer); inference is read-only."""
+    the optimizer (single writer); inference is read-only.
+
+    Every pass reads the parameters through `weights`, which the first
+    pass binds and the model keeps. It holds the parameter Tensors, not
+    their arrays, and no code replaces a tensor: the optimizer, `restore`
+    and the gradient checks write `.data` in place, and a pass reads
+    `.data` as it runs, so the binding never goes stale."""
 
     def __init__(self, config: Seq2SeqConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
 
-    # Parameter access point; the quantized variant overrides this.
+    # The binding's parameter lookup; the quantized variant overrides it.
     def p(self, name: str) -> Tensor:
         return self.params[name]
+
+    @cached_property
+    def weights(self) -> Weights:
+        """The parameters bound into the layers of `LAYER_BLOCKS`, each
+        block with the names its ops' checks use; built by the first pass,
+        which calls `p` once per parameter."""
+        def lin(w: str, b: str) -> Linear:
+            return Linear(self.p(w), self.p(b), f"linear {w} output")
+
+        def norm(prefix: str) -> Norm:
+            return Norm(self.p(f"{prefix}.g"), self.p(f"{prefix}.b"),
+                        f"layer_norm {prefix} output")
+
+        def body(prefix: str) -> Attention | FFN:
+            if prefix.endswith(".ffn"):
+                return FFN(lin(f"{prefix}.w1", f"{prefix}.b1"),
+                           lin(f"{prefix}.w2", f"{prefix}.b2"),
+                           f"gelu {prefix} output")
+            return Attention(*(lin(f"{prefix}.w{n}", f"{prefix}.b{n}")
+                               for n in "qkvo"), attention_names(prefix))
+
+        def layers(side: str) -> tuple:
+            return tuple(tuple((norm(ln), body(b)) for ln, b in layer)
+                         for layer in _layer_blocks(self.config, side))
+
+        return Weights(self.p("tok_emb"), self.p("enc_pos"), self.p("dec_pos"),
+                       layers("enc"), norm("enc_lnf"), layers("dec"),
+                       norm("dec_lnf"))
 
     @property
     def model_id(self) -> str:
@@ -150,18 +198,16 @@ class Seq2SeqModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _block(self, x: Tensor, ln: str, body, prefix: str,
-               names: tuple[str, ...], rows: RowLayout, rng,
+    def _block(self, x: Tensor, norm: Norm, body,
+               linears: tuple[Linear, ...], rows: RowLayout, rng,
                extra: tuple[Tensor, ...] = ()) -> Tensor:
         """The pre-norm residual block x + dropout(body(LN(x))) on packed
-        rows at `rows`, LN being layer norm `ln`, as one tape node.
-        `body(h)` returns its output and the function taking that output's
-        gradient to (h's gradient, the gradients of the parameters
-        `prefix`.`names` and of the tensors `extra`, in that order). The
-        dropout mask is drawn after whatever `body` draws. With gradients
-        off no parameter tensor is looked up."""
-        norm = self._bind_ln(ln)
-        h, xhat, inv = layer_norm_forward(x.data, norm.g, norm.b)
+        rows at `rows`, LN being `norm`, as one tape node. `body(h)`
+        returns its output and the function taking that output's gradient
+        to (h's gradient, the gradients of the weights and biases of
+        `linears` and of the tensors `extra`, in that order). The dropout
+        mask is drawn after whatever `body` draws."""
+        h, xhat, inv = layer_norm_forward(x.data, norm.g.data, norm.b.data)
         _op_check(h, norm.name)
         y, body_grad = body(h)
         keep = None
@@ -170,26 +216,26 @@ class Seq2SeqModel:
             y = y * keep
         # walked last to first: V, then K, before x, as on the per-op tape
         parents = () if not grad_enabled() else (
-            x, self.p(f"{ln}.g"), self.p(f"{ln}.b"),
-            *(self.p(f"{prefix}.{n}") for n in names), *extra)
+            x, norm.g, norm.b, *(t for lin in linears for t in lin[:2]),
+            *extra)
 
         def backward(g):
             gh, grads = body_grad(g if keep is None else g * keep)
-            gx, gg, gb = layer_norm_backward(gh, norm.g, xhat, inv)
+            gx, gg, gb = layer_norm_backward(gh, norm.g.data, xhat, inv)
             for t, gt in zip(parents, (g + gx, gg, gb, *grads)):
                 if t.requires_grad:
                     t.accumulate_grad(gt)
 
         return _make(x.data + y, parents, backward, "residual add")
 
-    def _attend(self, x: Tensor, prefix: str, ln: str, rows: RowLayout,
-                mask: np.ndarray, rng, kv: tuple[Tensor, ...] = (),
-                kv_rows: RowLayout | None = None,
+    def _attend(self, x: Tensor, block: tuple[Norm, Attention],
+                rows: RowLayout, mask: np.ndarray, rng,
+                kv: tuple[Tensor, ...] = (), kv_rows: RowLayout | None = None,
                 capture: list | None = None) -> Tensor:
         """The attention block x + dropout(W_o attention(LN(x))) (see
         `_block`): self-attention, or, given the projected encoder keys and
         values kv = (k, v) packed at `kv_rows`, cross-attention."""
-        attn = self._bind_attention(prefix)
+        norm, attn = block
         p = 0.0 if rng is None else self.config.dropout_prob
 
         def body(h):
@@ -201,32 +247,28 @@ class Seq2SeqModel:
                                    capture)
 
             def grad(g):
-                gctx, gwo, gbo = linear_backward(g, ctx, attn.o.w)
+                gctx, gwo, gbo = linear_backward(g, ctx, attn.o.w.data)
                 gq, gk, gv = ctx_grad(gctx)
-                gh, gwq, gbq = linear_backward(gq, h, attn.q.w)
+                gh, gwq, gbq = linear_backward(gq, h, attn.q.w.data)
                 if kv:
                     return gh, (gwq, gbq, gwo, gbo, gk, gv)
-                ghk, gwk, gbk = linear_backward(gk, h, attn.k.w)
-                ghv, gwv, gbv = linear_backward(gv, h, attn.v.w)
+                ghk, gwk, gbk = linear_backward(gk, h, attn.k.w.data)
+                ghv, gwv, gbv = linear_backward(gv, h, attn.v.w.data)
                 # h's gradient sums in the tape's order: q, k, then v
                 return (gh + ghk + ghv,
                         (gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo))
 
             return _linear_np(ctx, attn.o), grad
 
-        names = (("wq", "bq", "wo", "bo") if kv else
-                 ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
-        return self._block(x, ln, body, prefix, names, rows, rng, kv)
+        linears = (attn.q, attn.o) if kv else attn[:4]
+        return self._block(x, norm, body, linears, rows, rng, kv)
 
-    def _ffn(self, x: Tensor, prefix: str, ln: str, rows: RowLayout,
+    def _ffn(self, x: Tensor, block: tuple[Norm, FFN], rows: RowLayout,
              rng) -> Tensor:
         """The feed-forward block x + dropout(FFN(LN(x))) (see `_block`)."""
-        ffn = self._bind_ffn(prefix)
-        return self._block(x, ln, lambda h: _ffn_np(h, ffn), prefix,
-                           ("w1", "b1", "w2", "b2"), rows, rng)
-
-    def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        return layer_norm(x, self.p(f"{prefix}.g"), self.p(f"{prefix}.b"))
+        norm, ffn = block
+        return self._block(x, norm, lambda h: _ffn_np(h, ffn), ffn[:2], rows,
+                           rng)
 
     def _rows(self, ids: np.ndarray) -> RowLayout:
         """The real (non-PAD) positions of a padded (B, T) id array."""
@@ -235,10 +277,11 @@ class Seq2SeqModel:
                             f"max_len {self.config.max_len}")
         return RowLayout(ids != PAD)
 
-    def _embed(self, ids: np.ndarray, rows: RowLayout, pos_name: str) -> Tensor:
+    def _embed(self, ids: np.ndarray, rows: RowLayout, pos: Tensor) -> Tensor:
         """Token plus position embedding of each packed row."""
-        return add(gather_rows(self.p("tok_emb"), ids.reshape(-1)[rows.idx]),
-                   gather_rows(self.p(pos_name), rows.idx % ids.shape[1]))
+        return add(gather_rows(self.weights.tok_emb,
+                               ids.reshape(-1)[rows.idx]),
+                   gather_rows(pos, rows.idx % ids.shape[1]))
 
     @staticmethod
     def _checked(run, what: str, rng=None, capture: list | None = None):
@@ -276,12 +319,12 @@ class Seq2SeqModel:
 
     def _encode(self, src_ids: np.ndarray, rows: RowLayout,
                 key_mask: np.ndarray, rng) -> Tensor:
-        x = self._embed(src_ids, rows, "enc_pos")
-        for i in range(self.config.n_enc_layers):
-            x = self._attend(x, f"enc{i}.attn", f"enc{i}.ln1", rows,
-                             key_mask, rng)
-            x = self._ffn(x, f"enc{i}.ffn", f"enc{i}.ln2", rows, rng)
-        return self._ln(x, "enc_lnf")
+        w = self.weights
+        x = self._embed(src_ids, rows, w.enc_pos)
+        for attn, ffn in w.enc:
+            x = self._attend(x, attn, rows, key_mask, rng)
+            x = self._ffn(x, ffn, rows, rng)
+        return layer_norm(x, w.enc_lnf.g, w.enc_lnf.b)
 
     def decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
                dec_in: np.ndarray, rng=None,
@@ -311,20 +354,19 @@ class Seq2SeqModel:
         src_rows = source_rows(enc_key_mask)
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
         causal = causal[None, None, :, :]
-        x = self._embed(dec_in, rows, "dec_pos")
-        for i in range(self.config.n_dec_layers):
-            x = self._attend(x, f"dec{i}.self", f"dec{i}.ln1", rows, causal,
-                             rng)
-            pre = f"dec{i}.cross"
+        w = self.weights
+        x = self._embed(dec_in, rows, w.dec_pos)
+        for attn, cross, ffn in w.dec:
+            x = self._attend(x, attn, rows, causal, rng)
             # tape ops of their own: enc_out's gradient sums in tape order
-            kv = tuple(linear(enc_out, self.p(f"{pre}.w{n}"),
-                              self.p(f"{pre}.b{n}")) for n in "kv")
-            x = self._attend(x, pre, f"dec{i}.ln2", rows, enc_key_mask, rng,
-                             kv, src_rows, capture)
-            x = self._ffn(x, f"dec{i}.ffn", f"dec{i}.ln3", rows, rng)
-        x = self._ln(x, "dec_lnf")
+            kv = tuple(linear(enc_out, lin.w, lin.b)
+                       for lin in (cross[1].k, cross[1].v))
+            x = self._attend(x, cross, rows, enc_key_mask, rng, kv, src_rows,
+                             capture)
+            x = self._ffn(x, ffn, rows, rng)
+        x = layer_norm(x, w.dec_lnf.g, w.dec_lnf.b)
         # Tied output projection: logits = x @ tok_emb^T
-        return linear(x, self.p("tok_emb"), transpose_w=True)
+        return linear(x, w.tok_emb, transpose_w=True)
 
     # -- incremental decoding ----------------------------------------------
     #
@@ -334,62 +376,29 @@ class Seq2SeqModel:
     # call per row) and cross-attention is taken per query, so a row's
     # values never depend on which other rows share the step.
     #
-    # The helpers read weight arrays bound together with the op names
-    # their checks use (`_bind_*`). Each block binds its own per call;
-    # `start_decoding` binds the decoder once per decode onto the cache, so
-    # a step looks up no parameter and formats no name. The model keeps no
-    # binding, so none can go stale: each pass reads what `p` gives at its
-    # start, after any optimizer step or parameter swap, and on a
-    # quantized model the dequantized copies.
-
-    def _bind_linear(self, w: str, b: str) -> Linear:
-        return Linear(self.p(w).data, self.p(b).data, f"linear {w} output")
-
-    def _bind_ln(self, prefix: str) -> Norm:
-        return Norm(self.p(f"{prefix}.g").data, self.p(f"{prefix}.b").data,
-                    f"layer_norm {prefix} output")
-
-    def _bind_ffn(self, prefix: str) -> FFN:
-        return FFN(self._bind_linear(f"{prefix}.w1", f"{prefix}.b1"),
-                   self._bind_linear(f"{prefix}.w2", f"{prefix}.b2"),
-                   f"gelu {prefix} output")
-
-    def _bind_attention(self, prefix: str) -> Attention:
-        return Attention(*(self._bind_linear(f"{prefix}.w{n}",
-                                             f"{prefix}.b{n}")
-                           for n in "qkvo"), attention_names(prefix))
+    # The helpers read the blocks of the model's binding (`weights`), so a
+    # step looks up no parameter and formats no name.
 
     def start_decoding(self, encoded: list[tuple[Tensor, np.ndarray]]
                        ) -> DecoderCache:
         """Cache for decoding one BOS row per query. `encoded` holds each
         query's own `encode` output (encoder states (S, D), key mask);
         every decoder layer's cross-attention keys and values are computed
-        here, once per query, and the decoder's weights are bound."""
+        here, once per query."""
         cfg = self.config
-        layers = [DecoderLayer(self._bind_ln(f"dec{i}.ln1"),
-                               self._bind_attention(f"dec{i}.self"),
-                               self._bind_ln(f"dec{i}.ln2"),
-                               self._bind_attention(f"dec{i}.cross"),
-                               self._bind_ln(f"dec{i}.ln3"),
-                               self._bind_ffn(f"dec{i}.ffn"))
-                  for i in range(cfg.n_dec_layers)]
         cross = []
         for enc_out, key_mask in encoded:
             enc = source_rows(key_mask).pad(enc_out.data)
             kv = []
-            for layer in layers:
+            for _, (_, attn), _ in self.weights.dec:
                 k, v = (split_heads(_linear_np(enc, lin), cfg.n_heads)
-                        for lin in (layer.cross.k, layer.cross.v))
+                        for lin in (attn.k, attn.v))
                 kv.append((k.transpose(0, 1, 3, 2), v))
             mask = key_mask if np.any(key_mask) else None
             cross.append((kv, mask))
         empty = np.zeros((len(encoded), cfg.n_heads, 0, cfg.head_dim),
                          dtype=self.dtype)
-        weights = DecoderWeights(self.p("tok_emb").data,
-                                 self.p("dec_pos").data, layers,
-                                 self._bind_ln("dec_lnf"))
-        return DecoderCache(weights, cross,
-                            [(empty, empty)] * cfg.n_dec_layers,
+        return DecoderCache(cross, [(empty, empty)] * cfg.n_dec_layers,
                             [1] * len(encoded))
 
     def decode_step(self, cache: DecoderCache,
@@ -418,29 +427,27 @@ class Seq2SeqModel:
 
     def _decode_step_np(self, cache: DecoderCache,
                         tokens: np.ndarray) -> np.ndarray:
-        n_heads, w = self.config.n_heads, cache.weights
-        x = w.tok_emb[tokens][:, None, :] + w.dec_pos[cache.steps]
+        n_heads, w = self.config.n_heads, self.weights
+        x = w.tok_emb.data[tokens][:, None, :] + w.dec_pos.data[cache.steps]
         _op_check(x, "decoder embedding output")
-        for i, layer in enumerate(w.layers):
+        for i, ((ln1, attn), (ln2, cross), (ln3, ffn)) in enumerate(w.dec):
             a, cache.self_kv[i] = _self_attention_np(
-                _ln_np(x, layer.ln1), layer.self_attn, n_heads,
-                cache.self_kv[i])
+                _ln_np(x, ln1), attn, n_heads, cache.self_kv[i])
             x = _residual_np(x, a)
 
-            q = split_heads(_linear_np(_ln_np(x, layer.ln2), layer.cross.q),
-                            n_heads)
+            q = split_heads(_linear_np(_ln_np(x, ln2), cross.q), n_heads)
             parts, start = [], 0
             for n, (kv, mask) in zip(cache.counts, cache.cross):
                 kt, v = kv[i]
                 parts.append(attention_probs(q[start:start + n], kt, mask,
-                                             layer.cross.names) @ v)
+                                             cross.names) @ v)
                 start += n
             x = _residual_np(x, _linear_np(merge_heads(np.concatenate(parts)),
-                                           layer.cross.o))
+                                           cross.o))
 
-            x = _residual_np(x, _ffn_np(_ln_np(x, layer.ln3), layer.ffn)[0])
-        x = _ln_np(x, w.lnf)
-        logits = x @ w.tok_emb.T
+            x = _residual_np(x, _ffn_np(_ln_np(x, ln3), ffn)[0])
+        x = _ln_np(x, w.dec_lnf)
+        logits = x @ w.tok_emb.data.T
         _op_check(logits, "output projection")
         logp = log_softmax_forward(logits)[:, 0]
         _op_check(logp, "log_softmax output")
@@ -467,17 +474,16 @@ def source_rows(key_mask: np.ndarray) -> RowLayout:
 
 
 class Linear(NamedTuple):
-    """A projection x @ w + b bound for the plain-array passes, with the
-    name its output is checked under."""
-    w: np.ndarray
-    b: np.ndarray
+    """A projection x @ w + b, with the name its output is checked under."""
+    w: Tensor
+    b: Tensor
     name: str
 
 
 class Norm(NamedTuple):
     """A layer norm's gain and offset, and its output's check name."""
-    g: np.ndarray
-    b: np.ndarray
+    g: Tensor
+    b: Tensor
     name: str
 
 
@@ -495,20 +501,17 @@ class Attention(NamedTuple):
     names: tuple[str, str]  # `attention_probs`'s check names
 
 
-class DecoderLayer(NamedTuple):
-    ln1: Norm
-    self_attn: Attention
-    ln2: Norm
-    cross: Attention
-    ln3: Norm
-    ffn: FFN
-
-
-class DecoderWeights(NamedTuple):
-    tok_emb: np.ndarray
-    dec_pos: np.ndarray
-    layers: list[DecoderLayer]
-    lnf: Norm
+class Weights(NamedTuple):
+    """A model's parameters bound into its layers (`Seq2SeqModel.weights`):
+    each layer is a tuple of its (Norm, Attention or FFN) blocks in
+    `LAYER_BLOCKS` order."""
+    tok_emb: Tensor
+    enc_pos: Tensor
+    dec_pos: Tensor
+    enc: tuple
+    enc_lnf: Norm
+    dec: tuple
+    dec_lnf: Norm
 
 
 def _self_attention_np(h: np.ndarray, attn: Attention, n_heads: int,
@@ -531,21 +534,22 @@ def _ffn_np(h: np.ndarray, ffn: FFN):
     _op_check(f, ffn.name)
 
     def grad(g):
-        gf, gw2, gb2 = linear_backward(g, f, ffn.down.w)
-        gh, gw1, gb1 = linear_backward(gelu_backward(gf, u, t), h, ffn.up.w)
+        gf, gw2, gb2 = linear_backward(g, f, ffn.down.w.data)
+        gh, gw1, gb1 = linear_backward(gelu_backward(gf, u, t), h,
+                                       ffn.up.w.data)
         return gh, (gw1, gb1, gw2, gb2)
 
     return _linear_np(f, ffn.down), grad
 
 
 def _linear_np(x: np.ndarray, lin: Linear) -> np.ndarray:
-    out = x @ lin.w + lin.b
+    out = x @ lin.w.data + lin.b.data
     _op_check(out, lin.name)
     return out
 
 
 def _ln_np(x: np.ndarray, ln: Norm) -> np.ndarray:
-    out = layer_norm_forward(x, ln.g, ln.b)[0]
+    out = layer_norm_forward(x, ln.g.data, ln.b.data)[0]
     _op_check(out, ln.name)
     return out
 
@@ -559,11 +563,9 @@ def _residual_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @dataclass
 class DecoderCache:
     """Keys and values of an incremental decode (see
-    Seq2SeqModel.decode_step), and the decoder weights it binds
-    (`start_decoding`). Rows are grouped by query in query order: the k-th
-    live query owns the next `counts[k]` rows."""
+    Seq2SeqModel.decode_step). Rows are grouped by query in query order:
+    the k-th live query owns the next `counts[k]` rows."""
 
-    weights: DecoderWeights
     cross: list            # per live query: (per-layer (K^T, V), key mask)
     self_kv: list          # per layer: (K, V), each (rows, H, steps, dh)
     counts: list[int]

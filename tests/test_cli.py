@@ -2,6 +2,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codemix.bleu import bleu_corpus
@@ -524,6 +525,25 @@ class TestCorruptCheckpoint:
         assert run(["translate", "--checkpoint", str(ck), "--input",
                     str(inp), "--output", str(tmp_path / "out.txt")]) == 2
         assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_non_finite_weight_is_exit_two(self, checkpoint_dir, tmp_path,
+                                           capsys):
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_dir, ck)
+        offset = next(int(ln.split("\t")[3])
+                      for ln in read(ck / "manifest.tsv").splitlines()
+                      if ln.startswith("enc0.attn.wq\t"))
+        blob = bytearray((ck / "weights.bin").read_bytes())
+        blob[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        (ck / "weights.bin").write_bytes(bytes(blob))
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(ck), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        assert (_one_error_line(capsys)
+                == f"error: {ck}: tensor 'enc0.attn.wq' holds NaN or Inf\n")
         assert not (tmp_path / "out.txt").exists()
 
 

@@ -7,11 +7,12 @@ from codemix import train as train_mod
 from codemix.checkpoint import load_checkpoint
 from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
                              bench_latency, generate_pseudo_labels, kd_loss,
-                             quantize_model, train_student)
+                             train_student)
 from codemix.errors import DataError, TrainingDivergedError
 from codemix.numerics import (Tensor, finite_diff_grad_check, log_softmax,
                               make_rng)
-from codemix.quant import QuantizedSeq2Seq, dequantize, quantize_int8
+from codemix.quant import (QuantizedSeq2Seq, dequantize, quantize_int8,
+                           quantize_model)
 from codemix.seq2seq import (Seq2SeqConfig, beam_search_batch, encode_source,
                              init_model, translate_corpus)
 from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,

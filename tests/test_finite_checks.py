@@ -243,7 +243,7 @@ def test_decode_step_checks_its_output_and_the_scores(queries, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["f32", "int8"])
 def test_decode_step_looks_up_no_parameter(kind, monkeypatch):
-    # start_decoding binds the decoder's weights for the whole decode
+    # the first pass binds the model's weights; no later pass looks one up
     m = make_model(dropout=0.0)
     if kind == "int8":
         m = quantize_model(m)
@@ -261,6 +261,11 @@ def test_decode_step_looks_up_no_parameter(kind, monkeypatch):
         calls.clear()
         m.decode_step(cache, np.full(2, BOS))
         m.decode_step(cache, np.full(2, 5))
+        enc, mask = m.encode(SRC)
+        m.decode(enc, mask, DEC_IN)
+        m.start_decoding([m.encode(SRC[1:])])
+    enc, mask = m.encode(SRC)  # the tape passes too
+    m.decode(enc, mask, DEC_IN)
     assert calls == []
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codemix import quant
-from codemix.checkpoint import load_checkpoint
+from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import DataError, NonFiniteError, ShapeError
 from codemix.numerics import (AdamWState, finite_diff_grad_check, make_rng,
                               mul, no_grad, softmax, step_tensors, Tensor,
@@ -343,6 +343,8 @@ class TestBlockNodes:
         prefix, ln = {"self": ("dec0.self", "dec0.ln1"),
                       "cross": ("dec0.cross", "dec0.ln2"),
                       "ffn": ("dec0.ffn", "dec0.ln3")}[block]
+        # the bound (Norm, body) block whose parameters are `names`
+        blk = m.weights.dec[0][("self", "cross", "ffn").index(block)]
         # not the key bias: softmax ignores a shift shared by a row, so its
         # true gradient is 0 and central differences measure only noise
         names = [f"{ln}.g", f"{ln}.b"] + [
@@ -356,12 +358,12 @@ class TestBlockNodes:
         def loss(ps):
             rng = make_rng(62) if dropout else None
             if block == "self":
-                out = m._attend(ps["x"], prefix, ln, rows, causal, rng)
+                out = m._attend(ps["x"], blk, rows, causal, rng)
             elif block == "cross":
-                out = m._attend(ps["x"], prefix, ln, rows, key_mask, rng,
+                out = m._attend(ps["x"], blk, rows, key_mask, rng,
                                 (ps["k"], ps["v"]), src_rows)
             else:
-                out = m._ffn(ps["x"], prefix, ln, rows, rng)
+                out = m._ffn(ps["x"], blk, rows, rng)
             return tsum(mul(out, weight))
 
         err = finite_diff_grad_check(loss, params, epsilon=1e-6,
@@ -740,6 +742,35 @@ class TestCachedDecoder:
         beam_search(qm, [5, 6, EOS], beam=3, max_len=6)
         beam_search(qm, [7, EOS], beam=3, max_len=6)
         assert sorted(calls) == sorted(id(q) for q in qm.qparams.values())
+
+    def test_int8_default_model_dequantizes_on_its_first_pass(
+            self, monkeypatch, tmp_path):
+        calls = []
+        original = quant.dequantize
+
+        def counting(q):
+            calls.append(id(q))
+            return original(q)
+
+        monkeypatch.setattr(quant, "dequantize", counting)
+        cfg = Seq2SeqConfig(vocab=tiny_vocab(8))  # the default 2+2 sizes
+        quantized = quant.quantize_model(init_model(cfg, make_rng(23)))
+        save_checkpoint(quantized, tmp_path / "ck")
+        loaded = load_checkpoint(tmp_path / "ck")
+        assert calls == []
+        src = np.array([[5, 6, 7, EOS]])
+        dec_in = np.array([[BOS, 8, 9]])
+        for m in (quantized, loaded):
+            calls.clear()
+            beam_search(m, [5, 6, EOS], beam=3)
+            # Q, K, V, O, FFN up and down per encoder layer; self- and
+            # cross-attention's four and the FFN's two per decoder layer
+            assert len(calls) == len(m.qparams) == 2 * 6 + 2 * 10
+            beam_search(m, [7, EOS], beam=3)
+            m.forward(src, dec_in)
+            with no_grad():
+                m.start_decoding([m.encode(src)])
+            assert len(calls) == 32
 
 
 def random_padded_ids(rng, n_content, rows, width):

@@ -6,11 +6,11 @@ from codemix.augment import AugKind, combined_loss
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import (CheckpointError, DataError, ShapeError,
                             TrainingDivergedError)
-from codemix.numerics import make_rng
+from codemix.numerics import Tensor, make_rng, no_grad
 from codemix.quant import quantize_model
-from codemix.seq2seq import (Seq2SeqConfig, beam_search, encode_source,
-                             init_model)
-from codemix.text import (SynthTaskSpec, gen_clean_corpus,
+from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
+                             encode_source, init_model, make_batch)
+from codemix.text import (BOS, SynthTaskSpec, gen_clean_corpus,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import (StageConfig, TrainingConfig, config_from_items,
                            evaluate_loss, fit, train_stage1, train_stage2)
@@ -184,6 +184,45 @@ class TestInt8Training:
                 rngs=make_rng(0).spawn(3))
 
 
+class TestWeightsBinding:
+    """A model binds its parameter tensors on its first pass and keeps the
+    binding: optimizer steps and `restore` write the tensors in place, and
+    every later pass must see them as a freshly built model does."""
+
+    def test_passes_follow_fit_and_restore(self):
+        corpus, _ = gen_synthetic_corpus(SPEC, 24)
+        model = small_setup(seed=22)
+        vocab = model.config.vocab
+        batch = make_batch(vocab, [ex.source for ex in corpus[:4]],
+                           [ex.target for ex in corpus[:4]], 16)
+        src = encode_source(corpus[0].source, vocab)
+
+        def passes(m):
+            enc, mask = m.encode(batch["src"])
+            logits = m.decode(enc, mask, batch["dec_in"])
+            with no_grad():
+                cache = m.start_decoding([m.encode(np.asarray([src]))])
+                step = m.decode_step(cache, np.array([BOS]))
+            best = beam_search(m, src, beam=3, max_len=12)
+            return (enc.data.tobytes(), logits.data.tobytes(),
+                    step.tobytes(), best.ids, best.score, best.finished)
+
+        def rebuilt(m):
+            return Seq2SeqModel(m.config, {k: Tensor(t.data.copy())
+                                           for k, t in m.params.items()})
+
+        snap = model.snapshot()
+        assert passes(model) == passes(rebuilt(model))
+        fit(model, corpus, epochs=1, lr=1e-2, batch_size=8, kinds=(),
+            lam=0.0, label_smoothing=0.1, weight_decay=0.0,
+            rngs=make_rng(23).spawn(3))
+        assert not np.array_equal(model.params["dec0.ffn.w1"].data,
+                                  snap["dec0.ffn.w1"])
+        assert passes(model) == passes(rebuilt(model))
+        model.restore(snap)
+        assert passes(model) == passes(rebuilt(model))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model = small_setup(seed=12)
@@ -237,6 +276,22 @@ class TestCheckpoint:
         (tmp_path / "ck" / "weights.bin").write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=f"'{name}' holds -128"):
             load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_weight_names_tensor(self, value, tmp_path):
+        save_checkpoint(small_setup(seed=13), tmp_path / "ck")
+        rows = [ln.split("\t") for ln in
+                (tmp_path / "ck" / "manifest.tsv").read_text().splitlines()]
+        name, _, _, offset, _ = next(r for r in rows
+                                     if r[0] == "dec0.ffn.w2")
+        blob = bytearray((tmp_path / "ck" / "weights.bin").read_bytes())
+        at = int(offset) + 4 * 5  # the sixth float32 of the tensor
+        blob[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+        (tmp_path / "ck" / "weights.bin").write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert str(err.value) == (f"{tmp_path / 'ck'}: tensor '{name}' "
+                                  f"holds NaN or Inf")
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         model = small_setup(seed=14)
