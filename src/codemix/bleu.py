@@ -24,10 +24,6 @@ class BleuReport:
     matches: tuple[int, ...]          # clipped matches per order
     totals: tuple[int, ...]           # candidate n-gram counts per order
 
-    def recompute(self) -> float:
-        """BLEU from the stored fields (consistency invariant)."""
-        return _combine(self.precisions, self.totals, self.brevity_penalty)
-
     def records(self) -> list[dict[str, object]]:
         return [{
             "bleu": round(self.bleu, 4),

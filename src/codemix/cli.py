@@ -118,19 +118,21 @@ def _cmd_gen_corpus(args) -> int:
                          pseudo_label_error_rate=args.q,
                          min_len=args.min_len, max_len=args.max_words,
                          seed=args.seed)
+    # every corpus is generated, and its counts checked, before any write
+    train, test = gen_synthetic_corpus(spec, args.n_train, args.n_test)
+    clean = gen_clean_corpus(spec, args.n_clean) if args.n_clean else None
+    queries = (gen_langid_corpus(args.langid_n, seed=args.seed)
+               if args.langid_n else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train, test = gen_synthetic_corpus(spec, args.n_train, args.n_test)
     save_parallel_tsv(train, out / "train.tsv")
     save_parallel_tsv(test, out / "test.tsv")
     print(f"wrote {len(train)} noisy pairs to {out / 'train.tsv'}")
     print(f"wrote {len(test)} clean test pairs to {out / 'test.tsv'}")
-    if args.n_clean:
-        clean = gen_clean_corpus(spec, args.n_clean)
+    if clean is not None:
         save_parallel_tsv(clean, out / "clean.tsv")
         print(f"wrote {len(clean)} clean pairs to {out / 'clean.tsv'}")
-    if args.langid_n:
-        queries = gen_langid_corpus(args.langid_n, seed=args.seed)
+    if queries is not None:
         save_token_labels(queries, out / "langid.conll")
         print(f"wrote {len(queries)} labeled queries to {out / 'langid.conll'}")
     return 0

@@ -1,6 +1,6 @@
 """Code-mix query detection: a linear-chain CRF token labeler with character
-n-gram features, an averaged-embedding baseline classifier, and query-level
-aggregation (any HI token makes the query HINGLISH).
+n-gram features, and query-level aggregation (any HI token makes the query
+HINGLISH).
 
 The CRF is trained on the exact negative log-likelihood via the forward
 algorithm in log space, so a brute-force path enumeration can verify both
@@ -20,10 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .numerics import (AdamWState, Tensor, adamw_step, gather_rows, linear,
-                       log_softmax, make_rng, mul, step_tensors,
-                       take_along_last, tsum)
-from .text import _make_words, read_utf8
+from .numerics import AdamWState, adamw_step, make_rng
+from .text import _make_words, check_count, read_utf8
 
 LABELS = ("EN", "HI", "OT")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -147,17 +145,6 @@ def _forward(emis: np.ndarray, trans: np.ndarray, lens: np.ndarray
     return alpha, _logsumexp(alpha[:, -1], axis=1)
 
 
-def crf_log_partition(model: CRFModel, words: list[str]) -> float:
-    return float(_forward(model.emissions(model.feature_ids(words))[None],
-                          model.transitions, np.array([len(words)]))[1][0])
-
-
-def crf_path_score(model: CRFModel, words: list[str],
-                   labels: list[int]) -> float:
-    return _path_score(model.emissions(model.feature_ids(words)),
-                       model.transitions, labels)
-
-
 def _path_score(emis: np.ndarray, trans: np.ndarray,
                 labels: list[int]) -> float:
     """Emission and transition scores of one label path, summed left to
@@ -270,6 +257,9 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
     if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
         raise DataError(f"batch_size must be an integer >= 1, got "
                         f"{batch_size!r}")
+    if not (isinstance(l2, (int, float, np.integer, np.floating))
+            and 0 <= l2 < np.inf):
+        raise DataError(f"l2 must be a finite number >= 0, got {l2!r}")
     rng = rng or np.random.default_rng(0)
     feature_index: dict[str, int] = {}
     data = []
@@ -324,96 +314,6 @@ def aggregate_labels(labels: list[str]) -> QueryLanguage:
 
 def query_gold_language(query: LabeledQuery) -> QueryLanguage:
     return aggregate_labels([tok.label for tok in query])
-
-
-# ---------------------------------------------------------------------------
-# Averaged-embedding baseline
-# ---------------------------------------------------------------------------
-
-class AvgEmbeddingClassifier:
-    """Word embeddings averaged over the query, then a linear softmax over
-    the three query-level classes. Word order never affects the output:
-    ids are sorted before averaging, making permutation invariance exact."""
-
-    CLASSES = (QueryLanguage.ENGLISH, QueryLanguage.HINGLISH,
-               QueryLanguage.OTHER)
-
-    def __init__(self, word_index: dict[str, int], dim: int = 32):
-        self.word_index = word_index
-        self.dim = dim
-        self.params: dict[str, Tensor] = {}
-
-    def _ids(self, query: str) -> np.ndarray:
-        words = query.split()
-        if not words:
-            raise DataError("cannot classify an empty query")
-        unk = len(self.word_index)
-        ids = [self.word_index.get(w, unk) for w in words]
-        return np.asarray(sorted(ids), dtype=np.int64)
-
-    def _logits(self, queries: list[str]) -> Tensor:
-        embs = []
-        for q in queries:
-            ids = self._ids(q)
-            vecs = gather_rows(self.params["emb"], ids)
-            embs.append(mul(tsum(vecs, axis=0), 1.0 / len(ids)))
-        return linear(_stack(embs), self.params["w"], self.params["b"])
-
-    def classify(self, query: str) -> QueryLanguage:
-        logits = self._logits([query])
-        return self.CLASSES[int(np.argmax(logits.data[0]))]
-
-
-def _stack(tensors: list[Tensor]) -> Tensor:
-    """Stack 1-D tape tensors into a 2-D tensor (gradient flows to each)."""
-    from .numerics.tensor import _make
-    data = np.stack([t.data for t in tensors])
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate_grad(g[i])
-
-    return _make(data, tuple(tensors), backward, "stack")
-
-
-def baseline_avg_embedding_classifier(
-        corpus: list[LabeledQuery], dim: int = 32, epochs: int = 12,
-        lr: float = 0.05, batch_size: int = 32,
-        rng: np.random.Generator | None = None) -> AvgEmbeddingClassifier:
-    """Train the averaged-embedding baseline on query-level labels derived
-    from the token labels by the aggregation rule."""
-    if not corpus:
-        raise DataError("baseline classifier needs a non-empty corpus")
-    rng = rng or np.random.default_rng(0)
-    word_index: dict[str, int] = {}
-    for query in corpus:
-        for tok in query:
-            if tok.word not in word_index:
-                word_index[tok.word] = len(word_index)
-    clf = AvgEmbeddingClassifier(word_index, dim)
-    n_words = len(word_index) + 1  # + UNK row
-    clf.params = {
-        "emb": Tensor(rng.normal(0.0, 0.1, size=(n_words, dim)),
-                      requires_grad=True),
-        "w": Tensor(rng.normal(0.0, 0.1, size=(dim, 3)), requires_grad=True),
-        "b": Tensor(np.zeros(3), requires_grad=True),
-    }
-    texts = [" ".join(tok.word for tok in q) for q in corpus]
-    labels = np.asarray([clf.CLASSES.index(query_gold_language(q))
-                         for q in corpus], dtype=np.int64)
-    opt = AdamWState(lr=lr, weight_decay=0.0)
-    for _ in range(epochs):
-        order = rng.permutation(len(texts))
-        for start in range(0, len(texts), batch_size):
-            idxs = order[start:start + batch_size]
-            logits = clf._logits([texts[i] for i in idxs])
-            logp = log_softmax(logits, axis=-1)
-            gold = take_along_last(logp, labels[idxs])
-            loss = mul(tsum(gold), -1.0 / len(idxs))
-            loss.backward()
-            step_tensors(clf.params, opt)
-    return clf
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +434,7 @@ def gen_langid_corpus(n_queries: int, seed: int = 0, ambiguous_rate: float = 0.2
     word set that only context disambiguates; OT words carry digits. Label
     sequences follow a sticky Markov chain, so neighboring words are
     informative about ambiguous tokens."""
+    check_count("n_queries", n_queries)
     rng = make_rng(seed ^ 0x1A6B1D)
     taken: set[str] = set()
     en = _make_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)

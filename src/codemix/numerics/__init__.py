@@ -1,16 +1,14 @@
-"""Numeric substrate: tape tensors, AdamW, gradient checking, seeded RNG."""
+"""Numeric substrate: tape tensors, AdamW, seeded RNG."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import DataError
-from .gradcheck import finite_diff_grad_check
 from .optim import AdamWState, adamw_step, step_tensors
-from .tensor import (Tensor, add, as_tensor, attention, exp, gather_rows,
-                     gelu, grad_enabled, layer_norm, linear, log_softmax,
-                     matmul, mul, no_grad, reshape, softmax, take_along_last,
-                     tsum)
+from .tensor import (Tensor, add, as_tensor, exp, gather_rows, gelu,
+                     grad_enabled, layer_norm, linear, log_softmax, matmul,
+                     mul, no_grad, softmax, take_along_last, tsum)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -22,9 +20,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 __all__ = [
-    "AdamWState", "Tensor", "adamw_step", "add", "as_tensor", "attention",
-    "exp", "finite_diff_grad_check", "gather_rows",
-    "gelu", "grad_enabled", "layer_norm", "linear", "log_softmax", "make_rng",
-    "matmul", "mul", "no_grad", "reshape", "softmax", "step_tensors",
-    "take_along_last", "tsum",
+    "AdamWState", "Tensor", "adamw_step", "add", "as_tensor", "exp",
+    "gather_rows", "gelu", "grad_enabled", "layer_norm", "linear",
+    "log_softmax", "make_rng", "matmul", "mul", "no_grad", "softmax",
+    "step_tensors", "take_along_last", "tsum",
 ]

@@ -15,14 +15,17 @@ Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
 walks the tape in reverse topological order. Wrap inference code in
 `no_grad()` to skip tape construction entirely.
 
-Each op's forward and backward are plain-array helpers, written once
-(`layer_norm_forward`/`_backward`, `gelu_*`, `linear_backward`, `attend`:
-attention's output and gradient function); the tape ops wrap them, and so
-does each of the model's pre-norm residual blocks, one tape node with a
-hand-written backward. The model's tensors are packed rows (n, D), one
-row per real (non-PAD) position, so every position-wise op skips the
-padding; a `RowLayout` says where each row sits in its padded (B, T)
-block, and attention alone scatters the rows into padded blocks.
+The tape ops are `add`, `mul`, `matmul`, `tsum`, `exp`, `gelu`, `linear`,
+`softmax`, `log_softmax`, `layer_norm`, `gather_rows` and
+`take_along_last`. Forwards and backwards are plain-array helpers, written
+once (`layer_norm_forward`/`_backward`, `gelu_*`, `linear_backward`,
+`attend`: attention's output and gradient function); the tape ops wrap
+them, and so does each of the model's pre-norm residual blocks, one tape
+node with a hand-written backward (the only node that attends). The
+model's tensors are packed rows (n, D), one row per real (non-PAD)
+position, so every position-wise op skips the padding; a `RowLayout` says
+where each row sits in its padded (B, T) block, and attention alone
+scatters the rows into padded blocks.
 """
 
 from __future__ import annotations
@@ -260,17 +263,6 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.data.shape))
-
-    return _make(out, (a,), backward, "reshape")
-
-
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis)
@@ -485,24 +477,6 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_rows: RowLayout,
                                         @ (Q * scale))), gv)
 
     return q_rows.pack(merge_heads(used @ V)), grad
-
-
-def attention(q, k, v, q_rows: RowLayout, k_rows: RowLayout,
-              mask: np.ndarray | None, n_heads: int, what: str,
-              p: float = 0.0, rng: np.random.Generator | None = None,
-              capture: list | None = None) -> Tensor:
-    """`attend` as one tape node over the tensors q, k, v, its scores
-    checked under `attention_names(what)`."""
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    out, grad = attend(q.data, k.data, v.data, q_rows, k_rows, mask,
-                       n_heads, attention_names(what), p, rng, capture)
-
-    def backward(g):
-        for t, gt in zip((q, k, v), grad(g)):
-            if t.requires_grad:
-                t.accumulate_grad(gt)
-
-    return _make(out, (q, k, v), backward, f"attention {what}")
 
 
 def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:

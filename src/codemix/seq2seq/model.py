@@ -191,11 +191,6 @@ class Seq2SeqModel:
         for k, t in self.params.items():
             np.copyto(t.data, snap[k])
 
-    def astype(self, dtype) -> "Seq2SeqModel":
-        params = {k: Tensor(t.data.astype(dtype), requires_grad=True)
-                  for k, t in self.params.items()}
-        return Seq2SeqModel(self.config, params)
-
     # -- forward ----------------------------------------------------------
 
     def _block(self, x: Tensor, norm: Norm, body,

@@ -158,9 +158,11 @@ def save_parallel_tsv(corpus: Corpus, path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
-def shuffle_corpus(corpus: Corpus, rng: np.random.Generator) -> Corpus:
-    order = rng.permutation(len(corpus))
-    return [corpus[i] for i in order]
+def check_count(name: str, n) -> None:
+    """Raise DataError naming `name` unless the count `n` is an integer
+    >= 0."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise DataError(f"{name} must be an integer >= 0, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,7 @@ def gen_synthetic_corpus(spec: SynthTaskSpec, n_train: int,
     """
     if n_train <= 0:
         raise DataError("n_train must be positive")
+    check_count("n_test", n_test)
     lexicon = build_lexicon(spec)
     rng = make_rng(spec.seed)
     train = _gen_split(spec, n_train, lexicon, rng,
@@ -283,6 +286,7 @@ def gen_synthetic_corpus(spec: SynthTaskSpec, n_train: int,
 def gen_clean_corpus(spec: SynthTaskSpec, n: int, salt: int = 1) -> Corpus:
     """A clean-label corpus (q=0, CLEAN_MANUAL) drawn from the same task with
     an independent stream; stands in for manually tagged data."""
+    check_count("n", n)
     lexicon = build_lexicon(spec)
     rng = make_rng(spec.seed ^ (0xC1EA0 + salt))
     return _gen_split(spec, n, lexicon, rng, 0.0, Provenance.CLEAN_MANUAL)

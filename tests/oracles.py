@@ -9,6 +9,10 @@ the reference for the attention op, the forward on padded blocks
 (every position-wise op on every position, PAD included) is the
 reference for the model's packed rows, and CRF training that takes one
 query's gradient at a time is the reference for the batched gradient.
+
+The central-difference checker `finite_diff_grad_check` is the arbiter of
+every tape gradient, and the tape ops `reshape` and `attention`, which only
+the padded forward uses, live next to it.
 """
 
 from __future__ import annotations
@@ -19,11 +23,74 @@ from fractions import Fraction
 
 import numpy as np
 
+from codemix.errors import CodemixError
 from codemix.langid import (LABEL_INDEX, LABELS, N_LABELS, CRFModel,
                             extract_features)
-from codemix.numerics import AdamWState, adamw_step
+from codemix.numerics import AdamWState, Tensor, adamw_step
+from codemix.numerics.tensor import _make, as_tensor, attend, attention_names
 from codemix.seq2seq.model import Seq2SeqModel
 from codemix.text import BOS, EOS, PAD
+
+
+# ---------------------------------------------------------------------------
+# Gradients
+# ---------------------------------------------------------------------------
+
+def finite_diff_grad_check(loss_fn, params: dict[str, Tensor],
+                           epsilon: float = 1e-5,
+                           max_coords_per_tensor: int = 5,
+                           rng: np.random.Generator | None = None,
+                           denominator_floor: float = 1e-5) -> float:
+    """Max over sampled coordinates of
+    |analytic - central_difference| / max(|analytic|, |numeric|, floor).
+
+    Samples up to `max_coords_per_tensor` coordinates of each parameter.
+    `loss_fn` must be deterministic (checked with two forward passes) and
+    scalar-valued; parameters should be float64.
+
+    The denominator floor is the smallest gradient magnitude the comparison
+    treats as resolvable: central differences carry ~|loss| * 1e-16 / epsilon
+    of float64 noise, so coordinates with truly tiny gradients (for example
+    attention key biases, which are inert through the softmax) would otherwise
+    report pure measurement noise. A wrong analytic gradient on such a
+    coordinate still surfaces, because |analytic| itself then dominates the
+    denominator and the ratio approaches 1.
+    """
+    rng = rng or np.random.default_rng(0)
+    l1 = loss_fn(params).item()
+    l2 = loss_fn(params).item()
+    if l1 != l2:
+        raise CodemixError("loss_fn is not deterministic: two forward passes "
+                           f"disagree ({l1} vs {l2})")
+
+    for t in params.values():
+        t.zero_grad()
+    loss = loss_fn(params)
+    loss.backward()
+    analytic = {k: (t.grad.copy() if t.grad is not None else
+                    np.zeros_like(t.data))
+                for k, t in params.items()}
+
+    worst = 0.0
+    for name, t in params.items():
+        flat = t.data.reshape(-1)
+        n = flat.size
+        if n <= max_coords_per_tensor:
+            coords = np.arange(n)
+        else:
+            coords = rng.choice(n, size=max_coords_per_tensor, replace=False)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + epsilon
+            fp = loss_fn(params).item()
+            flat[c] = orig - epsilon
+            fm = loss_fn(params).item()
+            flat[c] = orig
+            numeric = (fp - fm) / (2.0 * epsilon)
+            a = analytic[name].reshape(-1)[c]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), denominator_floor)
+            worst = max(worst, rel)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +282,42 @@ def reference_attention(q, k, v, mask, n_heads: int, keep=None
 # Padded forward
 # ---------------------------------------------------------------------------
 
+def reshape(a, shape) -> Tensor:
+    """The tape op a.reshape(shape)."""
+    a = as_tensor(a)
+    out = a.data.reshape(shape)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g.reshape(a.data.shape))
+
+    return _make(out, (a,), backward, "reshape")
+
+
+def attention(q, k, v, q_rows, k_rows, mask, n_heads: int, what: str,
+              p: float = 0.0, rng=None, capture=None) -> Tensor:
+    """The package's `attend` as one tape node over the tensors q, k, v,
+    its scores checked under `attention_names(what)`."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    out, grad = attend(q.data, k.data, v.data, q_rows, k_rows, mask,
+                       n_heads, attention_names(what), p, rng, capture)
+
+    def backward(g):
+        for t, gt in zip((q, k, v), grad(g)):
+            if t.requires_grad:
+                t.accumulate_grad(gt)
+
+    return _make(out, (q, k, v), backward, f"attention {what}")
+
+
 def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
     """The teacher-forced forward on padded blocks: every position-wise op
     runs on the whole (B, T, D) block, PAD positions included, and each
     attention sees every position of its block (a dense layout). Dropout
     runs when a dropout stream `rng` is given, drawn in the model's order.
     Returns the logits (B, T, vocab) on the tape."""
-    from codemix.numerics import (add, attention, gather_rows, gelu,
-                                  layer_norm, linear, mul, reshape)
+    from codemix.numerics import (add, gather_rows, gelu, layer_norm,
+                                  linear, mul)
     from codemix.numerics.tensor import RowLayout
     from codemix.seq2seq.model import NEG_INF
     cfg, p = model.config, model.p

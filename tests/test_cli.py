@@ -714,6 +714,22 @@ class TestBadArguments:
         "train-langid-epochs-negative": (
             ["train-langid", "--conll", "{conll}", "--epochs", "-1",
              "--out", "{out}"], "train_crf needs epochs >= 1, got -1"),
+        "train-langid-l2-negative": (
+            ["train-langid", "--conll", "{conll}", "--l2", "-1",
+             "--out", "{out}"], "l2 must be a finite number >= 0, got -1.0"),
+        "train-langid-l2-nan": (
+            ["train-langid", "--conll", "{conll}", "--l2", "nan",
+             "--out", "{out}"], "l2 must be a finite number >= 0, got nan"),
+        "gen-corpus-negative-counts": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "10",
+             "--n-test", "-3", "--n-clean", "-2", "--langid-n", "-4"],
+            "n_test must be an integer >= 0, got -3"),
+        "gen-corpus-n-clean-negative": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "10",
+             "--n-clean", "-2"], "n must be an integer >= 0, got -2"),
+        "gen-corpus-langid-n-negative": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "10",
+             "--langid-n", "-4"], "n_queries must be an integer >= 0, got -4"),
         "analyze-xattn-epochs-0": (
             ["analyze-xattn", "--epochs", "0", "--report", "{out}"],
             "ae_xattn_experiment needs epochs >= 1, got 0"),

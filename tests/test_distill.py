@@ -9,8 +9,7 @@ from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
                              bench_latency, generate_pseudo_labels, kd_loss,
                              train_student)
 from codemix.errors import DataError, TrainingDivergedError
-from codemix.numerics import (Tensor, finite_diff_grad_check, log_softmax,
-                              make_rng)
+from codemix.numerics import Tensor, log_softmax, make_rng
 from codemix.quant import (QuantizedSeq2Seq, dequantize, quantize_int8,
                            quantize_model)
 from codemix.seq2seq import (Seq2SeqConfig, beam_search_batch, encode_source,
@@ -19,7 +18,8 @@ from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
 
-from oracles import js_reference, reference_train_student
+from oracles import (finite_diff_grad_check, js_reference,
+                     reference_train_student)
 
 TEACHER = (Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
            / "teacher")

@@ -8,6 +8,10 @@ No module in src/codemix reads a file with `.read_text(` or with `open(`
 in a read mode: `text.read_utf8` is the one text reader, so every bad
 file becomes a DataError naming its path.
 
+Every top-level function and class in src/codemix is named by some other
+src/codemix code, or stands in `NOT_CALLED_IN_SRC` with its reason: code
+that only tests use lives under tests/.
+
 No module in src/codemix imports `_assert_finite` by name: each finite
 check calls it through `numerics.tensor`, so a wrapper on that one module
 attribute (the benchmark's `numerics.finite_check` row) sees every check.
@@ -152,6 +156,81 @@ class TestUnusedImports:
         + [str(p.relative_to(ROOT)) for p in SCRIPTS])
     def test_no_unused_imports(self, path):
         assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Top-level src/codemix definitions that no src/codemix code names, and why
+# each stays in the package.
+NOT_CALLED_IN_SRC = {
+    "translate": "public API: translate one query",
+    "train_translit": "public API: train the transliteration model",
+    "crf_nll_grad": "looked up by perfbench/spans.py",
+    "forward_teacher_forced": "looked up by perfbench/workloads.py",
+    "matmul": "looked up by perfbench/spans.py (NUMERIC_OPS)",
+    "softmax": "looked up by perfbench/spans.py (NUMERIC_OPS)",
+    "gelu": "looked up by perfbench/spans.py (NUMERIC_OPS)",
+}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each top-level function or class in `sources`
+    (module path -> source) that no code names outside its own body. A
+    use is an `ast.Name` or a `from ... import` of the name; attributes do
+    not count (numpy's `.reshape` is not the tape op `reshape`), nor do the
+    imports of an `__init__.py`, which only re-export."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    defined, used = [], set()
+    for module, source in sources.items():
+        reexports = module.endswith("__init__.py")
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, kinds) else None
+            if own is not None:
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.ImportFrom) and not reexports:
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(n for n in names if n != own)
+    return [f"{module}: {name}" for module, name in defined
+            if name not in used]
+
+
+def _src_unreferenced() -> dict[str, str]:
+    """{`module: name` line: name} of the src/codemix definitions that no
+    src/codemix code names."""
+    found = unreferenced_definitions(
+        {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
+         for p in MODULES})
+    return {line: line.split(": ")[1] for line in found}
+
+
+class TestNoTestOnlyCode:
+    def test_scanner_finds_unreferenced_definitions(self):
+        sources = {
+            "a.py": ("import numpy as np\n"
+                     "def used(): return 1\n"
+                     "def unused(): return used()\n"
+                     "def recursive(n): return recursive(n - 1)\n"
+                     "def reshape(x): return x\n"
+                     "class Imported: pass\n"
+                     "np.zeros(4).reshape(2, 2)\n"),
+            "__init__.py": "from .a import unused, recursive, reshape\n",
+            "b.py": "from .a import Imported\n",
+        }
+        assert unreferenced_definitions(sources) == [
+            "a.py: unused", "a.py: recursive", "a.py: reshape"]
+
+    def test_allowlist_names_unreferenced_definitions(self):
+        # an entry whose definition is gone, or that src code now names,
+        # is stale and must go
+        names = set(_src_unreferenced().values())
+        assert sorted(set(NOT_CALLED_IN_SRC) - names) == []
+
+    def test_every_definition_is_used_in_src(self):
+        assert [line for line, name in _src_unreferenced().items()
+                if name not in NOT_CALLED_IN_SRC] == []
 
 
 def finite_check_imports(source: str) -> list[str]:

@@ -3,17 +3,29 @@ import pytest
 
 from codemix.errors import DataError, NonFiniteError
 from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
-                            aggregate_labels, baseline_avg_embedding_classifier,
-                            crf_batch_grad, crf_log_partition, crf_nll_grad,
-                            crf_path_score, detect_query_language, eval_prf,
+                            _forward, _path_score, aggregate_labels,
+                            crf_batch_grad, crf_nll_grad,
+                            detect_query_language, eval_prf,
                             extract_features,
                             gen_langid_corpus, load_crf, load_token_labels,
                             query_gold_language, save_crf, save_token_labels,
                             train_crf, viterbi, LABEL_INDEX, N_LABELS)
 from codemix.numerics import make_rng
 
+from baseline import baseline_avg_embedding_classifier
 from oracles import (crf_enumerate, reference_crf_nll_grad,
                      reference_train_crf)
+
+
+def crf_log_partition(model, words):
+    emis = model.emissions(model.feature_ids(words))
+    return float(_forward(emis[None], model.transitions,
+                          np.array([len(words)]))[1][0])
+
+
+def crf_path_score(model, words, labels):
+    return _path_score(model.emissions(model.feature_ids(words)),
+                       model.transitions, labels)
 
 
 def zero_crf(features=()):
@@ -359,12 +371,26 @@ class TestTrainCrf:
         with pytest.raises(DataError, match="epochs >= 1"):
             train_crf(separable_corpus(4), epochs=epochs)
 
-    @pytest.mark.parametrize("l2,lr", [(float("nan"), 0.05),
-                                       (1e-4, float("inf"))])
+    @pytest.mark.parametrize("l2,lr", [(1e-4, float("inf"))])
     def test_non_finite_step_stops_training(self, l2, lr):
         with pytest.raises(NonFiniteError, match="parameter 'weights'"):
             train_crf(separable_corpus(10), l2=l2, lr=lr, epochs=2,
                       rng=make_rng(4))
+
+    @pytest.mark.parametrize("l2", [-1.0, -1e-12, float("nan"),
+                                    float("inf"), "0.1", None])
+    def test_l2_must_be_finite_and_non_negative(self, l2, monkeypatch):
+        # checked before any step: the optimizer is never reached
+        monkeypatch.setattr("codemix.langid.adamw_step", None)
+        with pytest.raises(DataError,
+                           match="l2 must be a finite number >= 0"):
+            train_crf(separable_corpus(4), l2=l2, epochs=1)
+
+    @pytest.mark.parametrize("l2", [0, 0.0, np.float32(1e-3)])
+    def test_l2_zero_and_numpy_floats_accepted(self, l2):
+        model = train_crf(separable_corpus(4), l2=l2, epochs=1,
+                          rng=make_rng(5))
+        assert np.isfinite(model.weights).all()
 
 
 class TestAggregation:
@@ -484,6 +510,15 @@ class TestTokenLabelIO:
 
 
 class TestSyntheticBenchmark:
+    def test_zero_queries(self):
+        assert gen_langid_corpus(0) == []
+
+    @pytest.mark.parametrize("n", [-4, -1, 2.5, "3"])
+    def test_query_count_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(DataError,
+                           match="n_queries must be an integer >= 0"):
+            gen_langid_corpus(n)
+
     def test_deterministic(self):
         a = gen_langid_corpus(50, seed=9)
         b = gen_langid_corpus(50, seed=9)

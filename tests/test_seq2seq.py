@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from codemix import quant
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import DataError, NonFiniteError, ShapeError
-from codemix.numerics import (AdamWState, finite_diff_grad_check, make_rng,
-                              mul, no_grad, softmax, step_tensors, Tensor,
-                              tsum)
+from codemix.numerics import (AdamWState, make_rng, mul, no_grad, softmax,
+                              step_tensors, Tensor, tsum)
 from codemix.seq2seq import model as model_mod
 from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              encode_source, forward_teacher_forced,
@@ -23,11 +22,18 @@ from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
 from codemix.seq2seq.decode import MAX_BATCH, _top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
-from oracles import (exhaustive_best_sequence, reference_beam_search,
-                     reference_forward, reference_padded_ce,
-                     sequence_log_prob)
+from oracles import (exhaustive_best_sequence, finite_diff_grad_check,
+                     reference_beam_search, reference_forward,
+                     reference_padded_ce, sequence_log_prob)
 
 ARTIFACTS = Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
+
+
+def as_dtype(model, dtype):
+    """A copy of the float32 `model` with every parameter cast to `dtype`."""
+    params = {k: Tensor(t.data.astype(dtype), requires_grad=True)
+              for k, t in model.params.items()}
+    return model_mod.Seq2SeqModel(model.config, params)
 
 
 def tiny_vocab(n_content=4):
@@ -184,7 +190,7 @@ class TestLabelSmoothedCE:
             label_smoothed_ce(logits, np.full((2, 4), 5))
 
     def test_gradient_matches_finite_differences(self):
-        m = tiny_model(seed=11, d=8).astype(np.float64)
+        m = as_dtype(tiny_model(seed=11, d=8), np.float64)
         batch = make_batch(m.config.vocab, ["w0 w1", "w2"], ["w1 w0", "w3"],
                            m.config.max_len)
 
@@ -274,7 +280,7 @@ class TestPackedRows:
     def test_logits_match_reference_elsewhere(self, dtype):
         # float64 GEMMs and single-position (T = 1) products may round
         # differently with the row count
-        m = tiny_model(seed=30, n_content=6, layers=2).astype(dtype)
+        m = as_dtype(tiny_model(seed=30, n_content=6, layers=2), dtype)
         batch = padded_batch(6, 5, seed=31)
         for dec_in in (batch["dec_in"], batch["dec_in"][:, :1]):
             got = m.forward(batch["src"], dec_in)
@@ -286,7 +292,7 @@ class TestPackedRows:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_gradients_match_padded_reference(self, dtype, dropout):
         cfg = Seq2SeqConfig(vocab=tiny_vocab(40), dropout_prob=dropout)
-        m = init_model(cfg, make_rng(32)).astype(dtype)
+        m = as_dtype(init_model(cfg, make_rng(32)), dtype)
         batch = padded_batch(40, 12, seed=33)
         rng = (lambda: make_rng(35)) if dropout else (lambda: None)
         grads = []
@@ -324,7 +330,7 @@ class TestBlockNodes:
         cfg = Seq2SeqConfig(vocab=tiny_vocab(4), n_enc_layers=1,
                             n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
                             max_len=8, dropout_prob=dropout, init_std=0.4)
-        m = init_model(cfg, make_rng(60)).astype(np.float64)
+        m = as_dtype(init_model(cfg, make_rng(60)), np.float64)
         rows = model_mod.RowLayout(np.array([[1, 1, 1, 1], [1, 1, 1, 0]],
                                             bool))
         src = np.array([[5, 6, 7, 8, EOS], [5, 6, EOS, PAD, PAD]])
@@ -798,7 +804,7 @@ class TestPlainEncoder:
                             init_std=0.4)
         m = init_model(cfg, make_rng(40 + seed))
         if kind == "float64":
-            m = m.astype(np.float64)
+            m = as_dtype(m, np.float64)
         elif kind == "int8":
             m = quant.quantize_model(m)
         src = random_padded_ids(make_rng(seed), 9, 4, 3 + seed)
@@ -845,7 +851,7 @@ class TestPlainEncoder:
         m = tiny_model(seed=42, n_content=6, layers=2)
         want = np.float64 if kind == "float64" else np.float32
         if kind == "float64":
-            m = m.astype(np.float64)
+            m = as_dtype(m, np.float64)
         elif kind == "int8":
             m = quant.quantize_model(m)
         with no_grad():

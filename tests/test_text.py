@@ -8,8 +8,14 @@ from codemix.text import (BOS, EOS, MASK, PAD, UNK, UNK_TOKEN, ParallelExample,
                           build_vocab, decode, drop_interior_char, encode,
                           gen_clean_corpus, gen_synthetic_corpus,
                           load_parallel_tsv, save_parallel_tsv,
-                          shuffle_corpus, synthetic_vocab)
+                          synthetic_vocab)
 from codemix.numerics import make_rng
+
+
+def shuffle_corpus(corpus, rng):
+    """The corpus in the order of one permutation drawn from `rng`."""
+    order = rng.permutation(len(corpus))
+    return [corpus[i] for i in order]
 
 
 class TestVocab:
@@ -228,6 +234,19 @@ class TestSyntheticGenerator:
         key = lambda ex: (ex.source, ex.target)
         assert sorted(map(key, shuffled)) == sorted(map(key, train))
         assert [key(e) for e in shuffled] != [key(e) for e in train]
+
+    @pytest.mark.parametrize("n", [-3, -1, 1.5, "2"])
+    def test_counts_must_be_non_negative_integers(self, n):
+        spec = SynthTaskSpec(lexicon_size=10)
+        with pytest.raises(DataError, match="n_test must be an integer >= 0"):
+            gen_synthetic_corpus(spec, 5, n_test=n)
+        with pytest.raises(DataError, match="n must be an integer >= 0"):
+            gen_clean_corpus(spec, n)
+
+    def test_zero_counts_give_empty_splits(self):
+        spec = SynthTaskSpec(lexicon_size=10)
+        assert gen_synthetic_corpus(spec, 5, n_test=0)[1] == []
+        assert gen_clean_corpus(spec, 0) == []
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(DataError):
