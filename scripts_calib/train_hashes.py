@@ -13,10 +13,13 @@ the sha256 of the weights after each phase:
            the JS KD loss (train_student, default augmentation);
   crf      the CRF language detector's weights and transitions after
            train_crf (3 epochs, default batch size) on 120 queries of
-           gen_langid_corpus.
+           gen_langid_corpus;
+  detect   the Viterbi labels that CRF gives the next 200 queries of the
+           same corpus, held out from its training.
 
-Two trees train identically when they print the same four lines. BLAS is
-pinned to one thread, so the GEMMs split their work the same way on both.
+Two trees train and detect identically when they print the same five
+lines. BLAS is pinned to one thread, so the GEMMs split their work the
+same way on both.
 """
 import hashlib
 import os
@@ -32,7 +35,7 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 import numpy as np  # noqa: E402
 
 from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
-from codemix.langid import gen_langid_corpus, train_crf  # noqa: E402
+from codemix.langid import gen_langid_corpus, train_crf, viterbi  # noqa: E402
 from codemix.numerics import make_rng  # noqa: E402
 from codemix.seq2seq import Seq2SeqConfig, init_model  # noqa: E402
 from codemix.text import (SynthTaskSpec, gen_clean_corpus,  # noqa: E402
@@ -80,6 +83,11 @@ for kind in (KDKind.CE, KDKind.JS):
                                DistillConfig(epochs=2, batch_size=16))
     print(f"{kind.value:6s} {fingerprint(params(student))}", flush=True)
 
-crf = train_crf(gen_langid_corpus(120, seed=5), epochs=3, rng=make_rng(6))
+langid = gen_langid_corpus(320, seed=5)
+crf = train_crf(langid[:120], epochs=3, rng=make_rng(6))
 crf_arrays = {"weights": crf.weights, "transitions": crf.transitions}
 print(f"crf    {fingerprint(crf_arrays)}", flush=True)
+
+labels = "\n".join(" ".join(viterbi(crf, [tok.word for tok in query]))
+                   for query in langid[120:])
+print(f"detect {hashlib.sha256(labels.encode()).hexdigest()[:16]}", flush=True)

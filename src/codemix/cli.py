@@ -25,9 +25,9 @@ from .numerics import make_rng
 from .quant import quantize_model
 from .seq2seq import (Seq2SeqConfig, encode_source, init_model,
                       translate_corpus)
-from .text import (Provenance, SynthTaskSpec, build_vocab, gen_clean_corpus,
-                   gen_synthetic_corpus, load_parallel_tsv, read_utf8,
-                   save_parallel_tsv)
+from .text import (Provenance, SynthTaskSpec, build_vocab, check_count,
+                   gen_clean_corpus, gen_synthetic_corpus, load_parallel_tsv,
+                   read_utf8, save_parallel_tsv)
 from .train import (TrainingConfig, config_from_items, train_stage1,
                     train_stage2)
 from .translit import hybrid_transliterate, load_translit_dict
@@ -112,13 +112,17 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_corpus(args) -> int:
+    for flag, n in (("--n-train", args.n_train), ("--n-test", args.n_test),
+                    ("--n-clean", args.n_clean),
+                    ("--langid-n", args.langid_n)):
+        check_count(flag, n)
     spec = SynthTaskSpec(lexicon_size=args.lexicon_size,
                          code_mix_ratio=args.code_mix_ratio,
                          noise_char_drop_prob=args.noise,
                          pseudo_label_error_rate=args.q,
                          min_len=args.min_len, max_len=args.max_words,
                          seed=args.seed)
-    # every corpus is generated, and its counts checked, before any write
+    # every corpus is generated before any write
     train, test = gen_synthetic_corpus(spec, args.n_train, args.n_test)
     clean = gen_clean_corpus(spec, args.n_clean) if args.n_clean else None
     queries = (gen_langid_corpus(args.langid_n, seed=args.seed)

@@ -8,6 +8,12 @@ the partition function and Viterbi. Gradients are expected minus gold
 feature counts from forward-backward marginals, taken for a whole
 mini-batch in one pass (`crf_batch_grad`) and added up in the order of a
 per-query loop, bit for bit.
+
+`extract_features` states the feature template as strings. Feature strings
+become ids in `_query_ids`, which builds each word's features once and each
+(word, offset) id array once per memo: per corpus in `train_crf`, which
+assigns the ids, and per query in `CRFModel.feature_ids`, which looks them
+up. Everything after works on id arrays.
 """
 
 from __future__ import annotations
@@ -58,38 +64,67 @@ LabeledQuery = list[LabeledToken]
 _LEN_BUCKETS = ("1", "2", "3", "4", "5", "6+")
 
 
-def _word_features(word: str, offset: str) -> list[str]:
+def _word_features(word: str) -> list[str]:
     """Lowercased char n-grams (1..4, padded with ^/$ for n >= 2), length
-    bucket, digit flag, special-character flag."""
+    bucket, digit flag, special-character flag; sorted, de-duplicated and
+    without the window offset, which every feature of a word shares as a
+    prefix (so `offset + f` sorts in the same order)."""
     if word in (BOS_WORD, EOS_WORD):
-        return [f"{offset}:{word}"]
+        return [word]
     w = word.lower()
-    feats = [f"{offset}:1:{c}" for c in w]
+    feats = [f"1:{c}" for c in w]
     padded = "^" + w + "$"
     for n in (2, 3, 4):
-        feats += [f"{offset}:{n}:{padded[i:i + n]}"
-                  for i in range(len(padded) - n + 1)]
-    bucket = _LEN_BUCKETS[min(len(w), 6) - 1]
-    feats.append(f"{offset}:len:{bucket}")
+        feats += [f"{n}:{padded[i:i + n]}" for i in range(len(padded) - n + 1)]
+    feats.append(f"len:{_LEN_BUCKETS[min(len(w), 6) - 1]}")
     if any(c in "0123456789" for c in w):
-        feats.append(f"{offset}:digit")
+        feats.append("digit")
     if any(not c.isalnum() for c in w):
-        feats.append(f"{offset}:special")
+        feats.append("special")
     # Binary features: duplicates collapse to a single firing.
     return sorted(set(feats))
 
 
+# The context window: previous, current and next word, in feature order.
+_OFFSETS = ("-1:", "0:", "+1:")
+
+
 def extract_features(words: list[str], position: int) -> tuple[str, ...]:
     """Features of the context window (previous, current, next word), with
-    BOS/EOS dummies at the boundaries. Deterministic for a given input."""
+    BOS/EOS dummies at the boundaries. Deterministic for a given input.
+    This is the template as strings; `_query_ids` turns the same features
+    into ids one word at a time."""
     if not 0 <= position < len(words):
         raise DataError(f"position {position} out of range for {len(words)} words")
     prev_w = words[position - 1] if position > 0 else BOS_WORD
     next_w = words[position + 1] if position + 1 < len(words) else EOS_WORD
-    feats = (_word_features(prev_w, "-1")
-             + _word_features(words[position], "0")
-             + _word_features(next_w, "+1"))
-    return tuple(feats)
+    window = (prev_w, words[position], next_w)
+    return tuple(offset + f for offset, w in zip(_OFFSETS, window)
+                 for f in _word_features(w))
+
+
+def _query_ids(words: list[str], memo: dict, ids_of) -> list[np.ndarray]:
+    """Per position, the ids of `extract_features(words, t)` in its order:
+    the previous, current and next word's id arrays, concatenated.
+    `ids_of(names)` gives the ids of a list of feature strings (dropping any
+    it does not know). `memo` holds each word's `_word_features` and each
+    (word, offset) pair's id array, so with one memo a word's features are
+    built once and its ids at an offset looked up once."""
+    padded = [BOS_WORD, *words, EOS_WORD]
+    out = []
+    for t in range(len(words)):
+        window = []
+        for offset, w in zip(_OFFSETS, padded[t:t + 3]):
+            ids = memo.get((w, offset))
+            if ids is None:
+                feats = memo.get(w)
+                if feats is None:
+                    feats = memo[w] = _word_features(w)
+                ids = memo[(w, offset)] = np.array(
+                    ids_of([offset + f for f in feats]), dtype=np.int64)
+            window.append(ids)
+        out.append(np.concatenate(window))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +143,15 @@ class CRFModel:
 
     def feature_ids(self, words: list[str]) -> list[np.ndarray]:
         """Per position, the ids of the token's features that the index
-        holds (features it never saw are dropped). Feature strings become
-        ids here, and nowhere else once the index is built."""
+        holds (features it never saw are dropped). Once the index is built,
+        feature strings become ids here, through `_query_ids` with a memo
+        of this query's words."""
         index = self.feature_index
-        return [np.asarray([index[f] for f in extract_features(words, t)
-                            if f in index], dtype=np.int64)
-                for t in range(len(words))]
+
+        def known(names: list[str]) -> list[int]:
+            return [index[f] for f in names if f in index]
+
+        return _query_ids(words, {}, known)
 
     def emissions(self, ids: list[np.ndarray]) -> np.ndarray:
         """(len(ids), 3) emission scores of feature_ids, token by token."""
@@ -206,22 +244,25 @@ def crf_batch_grad(model: CRFModel, batch: list[tuple[list, list[int]]]
     diff[np.arange(len(diff)), gold[real]] -= 1.0
     counts = np.array([len(tok) for tok in tok_ids])
     query = np.repeat(np.repeat(np.arange(B), lens), counts)
-    pairs, per_query = _sum_by_key(np.concatenate(tok_ids) * B + query,
-                                   np.repeat(diff, counts, axis=0))
-    fids, rows = _sum_by_key(pairs // B, per_query)
+    pairs, at = np.unique(np.concatenate(tok_ids) * B + query,
+                          return_inverse=True)
+    per_query = _sum_rows(at, len(pairs), np.repeat(diff, counts, axis=0))
+    # pairs are sorted, so each feature's queries form one run
+    fids = pairs // B
+    first = np.diff(fids, prepend=-1) != 0
+    fids = fids[first]
+    rows = _sum_rows(np.cumsum(first) - 1, len(fids), per_query)
     nll = log_z - [_path_score(emis[b, :lens[b]], trans, labels)
                    for b, (_, labels) in enumerate(batch)]
     return nll, fids, rows, grad_trans.sum(axis=0)
 
 
-def _sum_by_key(keys: np.ndarray, values: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted unique keys, (n, 3) sums of each key's `values` rows), the
-    rows added in order to an exact zero, as np.bincount adds."""
-    uniq, at = np.unique(keys, return_inverse=True)
+def _sum_rows(at: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """(n, 3) sums of the `values` rows into output rows `at`, the rows
+    added in order to an exact zero, as np.bincount adds."""
     flat = (at[:, None] * N_LABELS + np.arange(N_LABELS)).ravel()
-    sums = np.bincount(flat, values.ravel(), minlength=len(uniq) * N_LABELS)
-    return uniq, sums.reshape(-1, N_LABELS)
+    return np.bincount(flat, values.ravel(),
+                       minlength=n * N_LABELS).reshape(-1, N_LABELS)
 
 
 def viterbi(model: CRFModel, words: list[str]) -> list[str]:
@@ -262,15 +303,16 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
         raise DataError(f"l2 must be a finite number >= 0, got {l2!r}")
     rng = rng or np.random.default_rng(0)
     feature_index: dict[str, int] = {}
+
+    def assign(names: list[str]) -> list[int]:  # ids in first-seen order
+        return [feature_index.setdefault(f, len(feature_index)) for f in names]
+
+    memo: dict = {}  # one for the corpus: each word's features built once
     data = []
     for i, query in enumerate(corpus):
         if not query:
             raise DataError(f"train_crf: query {i} has no words")
-        words = [tok.word for tok in query]
-        ids = [np.asarray([feature_index.setdefault(f, len(feature_index))
-                           for f in extract_features(words, t)],
-                          dtype=np.int64)
-               for t in range(len(words))]
+        ids = _query_ids([tok.word for tok in query], memo, assign)
         data.append((ids, [LABEL_INDEX[tok.label] for tok in query]))
     model = CRFModel(feature_index,
                      np.zeros((len(feature_index), N_LABELS)),
@@ -381,11 +423,25 @@ def save_crf(model: CRFModel, path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _read_feature_index(path, feats) -> dict[str, int]:
+    """Feature name -> row, for a file's list of distinct string names."""
+    if not isinstance(feats, list):
+        raise DataError(f"{path}: features must be a list of names")
+    index: dict[str, int] = {}
+    for f in feats:
+        if not isinstance(f, str):
+            raise DataError(f"{path}: feature name {f!r} is not a string")
+        if f in index:
+            raise DataError(f"{path}: feature {f!r} is listed twice")
+        index[f] = len(index)
+    return index
+
+
 def load_crf(path) -> CRFModel:
     try:
         payload = json.loads(read_utf8(path))
         feats = payload["features"]
-        model = CRFModel({f: i for i, f in enumerate(feats)},
+        model = CRFModel(_read_feature_index(path, feats),
                          np.asarray(payload["weights"], dtype=np.float64),
                          np.asarray(payload["transitions"], dtype=np.float64),
                          payload.get("template_version",

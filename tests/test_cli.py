@@ -236,7 +236,11 @@ class TestLangidCli:
         ("weights", [[float("nan"), 0.0, 0.0]], "non-finite"),
         ("transitions", [[0.0, float("inf"), 0.0]] + [[0.0] * 3] * 2,
          "non-finite"),
-    ], ids=["template_version", "transitions", "nan-weight", "inf-transition"])
+        ("features", ["0:1:a", "0:1:a"], "feature '0:1:a' is listed twice"),
+        ("features", [7], "feature name 7 is not a string"),
+        ("features", "0:1:a", "features must be a list"),
+    ], ids=["template_version", "transitions", "nan-weight", "inf-transition",
+            "duplicate-feature", "non-string-feature", "features-not-a-list"])
     def test_incompatible_crf_is_exit_two(self, field, value, message,
                                           tmp_path, capsys):
         payload = {"template_version": "ngram134-window3-v1",
@@ -720,16 +724,19 @@ class TestBadArguments:
         "train-langid-l2-nan": (
             ["train-langid", "--conll", "{conll}", "--l2", "nan",
              "--out", "{out}"], "l2 must be a finite number >= 0, got nan"),
+        "gen-corpus-n-train-negative": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "-1"],
+            "--n-train must be an integer >= 0, got -1"),
         "gen-corpus-negative-counts": (
             ["gen-corpus", "--out", "{out}", "--n-train", "10",
              "--n-test", "-3", "--n-clean", "-2", "--langid-n", "-4"],
-            "n_test must be an integer >= 0, got -3"),
+            "--n-test must be an integer >= 0, got -3"),
         "gen-corpus-n-clean-negative": (
             ["gen-corpus", "--out", "{out}", "--n-train", "10",
-             "--n-clean", "-2"], "n must be an integer >= 0, got -2"),
+             "--n-clean", "-2"], "--n-clean must be an integer >= 0, got -2"),
         "gen-corpus-langid-n-negative": (
             ["gen-corpus", "--out", "{out}", "--n-train", "10",
-             "--langid-n", "-4"], "n_queries must be an integer >= 0, got -4"),
+             "--langid-n", "-4"], "--langid-n must be an integer >= 0, got -4"),
         "analyze-xattn-epochs-0": (
             ["analyze-xattn", "--epochs", "0", "--report", "{out}"],
             "ae_xattn_experiment needs epochs >= 1, got 0"),

@@ -164,6 +164,9 @@ NOT_CALLED_IN_SRC = {
     "translate": "public API: translate one query",
     "train_translit": "public API: train the transliteration model",
     "crf_nll_grad": "looked up by perfbench/spans.py",
+    "extract_features": "the CRF template as strings: wrapped by "
+                        "perfbench/spans.py, the ids of tests/oracles.py's "
+                        "reference_train_crf are built from it",
     "forward_teacher_forced": "looked up by perfbench/workloads.py",
     "matmul": "looked up by perfbench/spans.py (NUMERIC_OPS)",
     "softmax": "looked up by perfbench/spans.py (NUMERIC_OPS)",

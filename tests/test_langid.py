@@ -3,7 +3,8 @@ import pytest
 
 from codemix.errors import DataError, NonFiniteError
 from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
-                            _forward, _path_score, aggregate_labels,
+                            _forward, _path_score, _word_features,
+                            aggregate_labels,
                             crf_batch_grad, crf_nll_grad,
                             detect_query_language, eval_prf,
                             extract_features,
@@ -90,6 +91,61 @@ class TestFeatures:
             extract_features(["a"], 1)
 
 
+def tokens(words, label="EN"):
+    return [LabeledToken(w, label) for w in words]
+
+
+class TestFeatureIds:
+    """The id path (`_query_ids`, built a word at a time) gives the ids of
+    the string template `extract_features`, position by position."""
+
+    CORPUS = [["kala", "juta", "kala", "kala"],  # a repeated word
+              ["TV", "tv", "4g"],                # case variants
+              ["<s>", "shoe", "</s>"],           # literal boundary words
+              ["wala"],                          # one word
+              ["mi-x", "TV", "juta"]]
+    # words the index never saw, next to ones it did
+    UNSEEN = [["zzq", "TV"], ["kala", "9-9x", "qq"], ["</s>"], ["xyzw"]]
+
+    @staticmethod
+    def template_ids(index, words):
+        return [[index[f] for f in extract_features(words, t) if f in index]
+                for t in range(len(words))]
+
+    def test_train_crf_ids_follow_the_template(self, monkeypatch):
+        import codemix.langid as langid
+        seen = []
+
+        def recorded(model, batch):
+            seen.extend(ids for ids, _ in batch)
+            return crf_batch_grad(model, batch)
+
+        monkeypatch.setattr(langid, "crf_batch_grad", recorded)
+        corpus = [tokens(q) for q in self.CORPUS]
+        model = train_crf(corpus, epochs=1, batch_size=1, rng=make_rng(3))
+        order = make_rng(3).permutation(len(corpus))
+        assert len(seen) == len(corpus)
+        for i, ids in zip(order, seen):
+            want = self.template_ids(model.feature_index, self.CORPUS[i])
+            assert [tok.tolist() for tok in ids] == want
+
+    def test_feature_ids_follow_the_template(self):
+        model = train_crf([tokens(q) for q in self.CORPUS], epochs=1,
+                          rng=make_rng(3))
+        for words in self.CORPUS + self.UNSEEN:
+            got = model.feature_ids(words)
+            assert all(tok.dtype == np.int64 for tok in got)
+            assert ([tok.tolist() for tok in got]
+                    == self.template_ids(model.feature_index, words))
+
+    def test_index_order_equals_reference(self):
+        corpus = [tokens(q) for q in self.CORPUS] + gen_langid_corpus(
+            30, seed=4)
+        fast = train_crf(corpus, epochs=1, rng=make_rng(5))
+        slow = reference_train_crf(corpus, epochs=1, rng=make_rng(5))
+        assert list(fast.feature_index) == list(slow.feature_index)
+
+
 class TestForwardAlgorithm:
     def test_zero_weights_single_token_log3(self):
         model = zero_crf()
@@ -168,23 +224,23 @@ class TestNllGrad:
         assert worst < 1e-5
 
     def test_features_extracted_once_per_token(self, monkeypatch):
-        """A whole train_crf run extracts each training token's features
-        once, whatever the epoch count."""
+        """A whole train_crf run builds each distinct word's features once
+        (the <s> and </s> boundary dummies count as words), whatever the
+        epoch count."""
         import codemix.langid as langid
-        corpus = separable_corpus(12)
-        once = [(tuple(t.word for t in q), i)
-                for q in corpus for i in range(len(q))]
+        corpus = separable_corpus(12) * 2  # every word at least twice
+        words = {t.word for q in corpus for t in q} | {"<s>", "</s>"}
         calls = []
 
-        def counted(ws, position):
-            calls.append((tuple(ws), position))
-            return extract_features(ws, position)
+        def counted(word):
+            calls.append(word)
+            return _word_features(word)
 
-        monkeypatch.setattr(langid, "extract_features", counted)
+        monkeypatch.setattr(langid, "_word_features", counted)
         for epochs in (1, 3):
             calls.clear()
             train_crf(corpus, epochs=epochs, rng=make_rng(13))
-            assert calls == once
+            assert sorted(calls) == sorted(words)
 
     def test_ids_and_rows_equal_dict_reference_exactly(self):
         rng = make_rng(15)
