@@ -1,0 +1,142 @@
+"""A/B timing of two source trees on one job, each run in its own process.
+
+    python3 scripts_calib/ab_jobs.py SRC_A SRC_B --job distill --reps 10
+
+SRC_A and SRC_B are directories holding a `codemix` package (for instance
+`src` and the `src` of a second checkout). Each rep runs the job once in a
+fresh process that imports codemix from SRC_A and once in one that imports
+it from SRC_B; the tree that goes first alternates from rep to rep. BLAS is
+pinned to one thread. A process sets the job up, runs it once to warm up,
+then times three more runs by its own CPU time (`time.process_time`) and
+reports the fastest: other load on a shared host slows a run, never speeds
+it up.
+
+Prints the two times of each pair, then each tree's median and how many
+pairs each tree won. Each job is one pass of the timed calls of a workload
+in perfbench/workloads.py of this checkout, set up by its class at the
+"full" size, without the output checks:
+
+  distill  every train_student job of Distill;
+  train    every job of Train: train_stage1 and train_stage2 of a fresh
+           model, then train_crf;
+  serve    every chunk of Serve: each query by beam search on its own,
+           then the chunk's translate_corpus batches (no CRF detection).
+
+--seed picks the inputs, as the benchmark's seed does.
+"""
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = ("distill", "train", "serve")
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+TIMED_RUNS = 3
+
+
+def make_job(name: str, seed: int):
+    """The job `name` on the inputs of `seed`, set up by the benchmark's
+    workload class at its "full" size: a function that runs it once."""
+    import workloads
+    from codemix.distill import KDKind, train_student
+    from codemix.langid import train_crf
+    from codemix.numerics import make_rng
+    from codemix.seq2seq import init_model, translate_corpus
+    w = {"distill": workloads.Distill, "train": workloads.Train,
+         "serve": workloads.Serve}[name](seed, "full")
+    w.setup(workloads.NullTracer)
+    if name == "distill":
+        def distill():
+            for j, (clean, pool) in enumerate(w.chunks):
+                train_student(w.student_config, w.teacher, clean, pool,
+                              KDKind.JS, make_rng(seed * 1000 + j), w.config)
+        return distill
+    if name == "train":
+        def train():
+            for j, ((noisy, clean), (crf_train, _)) in enumerate(
+                    zip(w.chunks, w.crf_chunks)):
+                job = seed * 1000 + j
+                w._train(init_model(w.model_config, make_rng(job)), noisy,
+                         clean, job)
+                train_crf(crf_train, epochs=w.size["crf_epochs"],
+                          rng=make_rng(job))
+        return train
+
+    def serve():
+        for chunk in w.chunks:
+            for query in chunk:
+                w._translate(query)
+            # the batches of Serve.cycle: the (b+1)-th, (b+1+n)-th, ...
+            # shortest queries of the chunk
+            by_length = sorted(chunk, key=lambda q: len(q.split()))
+            n = len(chunk) // workloads.BATCH
+            for b in range(n):
+                translate_corpus(w.model, by_length[b::n],
+                                 beam=workloads.BEAM)
+    return serve
+
+
+def child(src: str, job: str, seed: int) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import codemix
+    package = Path(codemix.__file__).resolve().parent
+    if package.parent != Path(src).resolve():
+        sys.exit(f"imported codemix from {package}, not {src}")
+    run = make_job(job, seed)
+    run()
+    times = []
+    for _ in range(TIMED_RUNS):
+        t0 = time.process_time()
+        run()
+        times.append(time.process_time() - t0)
+    print(f"{min(times) * 1e3:.3f}")
+
+
+def time_tree(src: str, job: str, seed: int) -> float:
+    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+    env.pop("PYTHONPATH", None)
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", src, "--job", job,
+         "--seed", str(seed)],
+        env=env, cwd=ROOT, check=True, capture_output=True, text=True)
+    return float(out.stdout.split()[-1])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("trees", nargs="*", metavar="SRC")
+    parser.add_argument("--job", choices=JOBS, required=True)
+    parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        child(args.child, args.job, args.seed)
+        return
+    if len(args.trees) != 2 or args.reps < 1:
+        parser.error("give two source trees and --reps >= 1")
+    times: dict[str, list[float]] = {"A": [], "B": []}
+    for rep in range(args.reps):
+        order = ("A", "B") if rep % 2 == 0 else ("B", "A")
+        for tree in order:
+            src = args.trees[0] if tree == "A" else args.trees[1]
+            times[tree].append(time_tree(src, args.job, args.seed))
+        a, b = times["A"][-1], times["B"][-1]
+        print(f"pair {rep + 1:2d} ({''.join(order)} order): A {a:9.1f} ms  "
+              f"B {b:9.1f} ms  B/A {b / a:.3f}", flush=True)
+    wins_a = sum(a < b for a, b in zip(times["A"], times["B"]))
+    wins_b = sum(b < a for a, b in zip(times["A"], times["B"]))
+    med_a, med_b = (statistics.median(times[t]) for t in "AB")
+    print(f"median: A {med_a:.1f} ms, B {med_b:.1f} ms "
+          f"({(med_b / med_a - 1) * 100:+.1f} %)")
+    print(f"pairs won: A {wins_a}, B {wins_b} of {args.reps}")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,23 +39,33 @@ class KDKind(enum.Enum):
     JS = "js"
 
 
+def _fits(ids: list[int], config: Seq2SeqConfig) -> bool:
+    """Whether a text's ids plus EOS (`encode_source`), or BOS plus its
+    ids (the decoder input), fit the model's max_len positions."""
+    return len(ids) <= config.max_len
+
+
 def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
                            beam: int = 3, max_len: int = 32
                            ) -> tuple[Corpus, list[int]]:
     """Beam-decode every source with the frozen teacher, as batches.
 
     Returns (pseudo-labeled examples with NOISY_PSEUDO provenance, indices
-    of skipped sources). A source is skipped when decoding fails to finish
-    or produces an empty target.
+    of skipped sources). A source is skipped when its encoder input (tokens
+    plus EOS) is longer than the teacher's max_len, which is not decoded,
+    or when decoding fails to finish or produces an empty target.
     """
     vocab = teacher.config.vocab
-    results = beam_search_batch(teacher, [encode_source(s, vocab)
-                                          for s in sources],
-                                beam=beam, max_len=max_len)
+    encoded = [encode_source(s, vocab) for s in sources]
+    fits = [i for i, ids in enumerate(encoded)
+            if _fits(ids, teacher.config)]
+    results = dict(zip(fits, beam_search_batch(
+        teacher, [encoded[i] for i in fits], beam=beam, max_len=max_len)))
     out: Corpus = []
     skipped: list[int] = []
-    for i, (src, result) in enumerate(zip(sources, results)):
-        if not result.finished or not result.ids:
+    for i, src in enumerate(sources):
+        result = results.get(i)
+        if result is None or not result.finished or not result.ids:
             skipped.append(i)
             continue
         out.append(ParallelExample(src, decode(result.ids, vocab),
@@ -64,9 +74,11 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
 
 
 def _xlogy_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    nz = x != 0
+    """x * log(y), +0.0 where x is 0 (whatever log(y) is there)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(nz, x * np.log(np.where(nz, y, 1.0)), 0.0)
+        r = x * np.log(y)
+    r[x == 0] = 0.0
+    return r
 
 
 def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
@@ -85,9 +97,9 @@ def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
 
     def backward(g):
         if s_probs.requires_grad:
-            nz = (s > 0) & (m > 0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(nz, np.log(np.where(nz, s / m, 1.0)), 0.0)
+                ratio = np.log(s / m)
+            ratio[~((s > 0) & (m > 0))] = 0.0
             s_probs.accumulate_grad(g * scale * ratio)
 
     return _make(np.asarray(value), (s_probs,), backward, "js divergence")
@@ -178,7 +190,9 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     batch, KD loss on a pseudo-labeled batch sampled from the
     teacher-labeled pool, combined as (1-lambda)(loss_s + loss_d) +
     lambda * loss_kd. Divergence rolls the student back to its last
-    epoch-end weights and raises TrainingDivergedError.
+    epoch-end weights and raises TrainingDivergedError. A pool source the
+    teacher skips, or whose pair is longer than the student's max_len,
+    counts in `DistillReport.skipped_sources`.
     """
     if not clean_corpus or not unlabeled_pool:
         raise DataError("train_student needs non-empty clean corpus and pool")
@@ -190,9 +204,16 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
                                              beam=beam,
                                              max_len=cfg.kd_max_len)
+    # a pair goes into the student's KD batches, so it must fit its max_len
+    labelled = len(pseudo)
+    pseudo = [ex for ex in pseudo
+              if _fits(encode_source(ex.source, vocab), student_config)
+              and _fits(encode_source(ex.target, vocab), student_config)]
     if not pseudo:
         raise DataError("teacher produced no usable pseudo-labels")
-    report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
+    report = DistillReport(kd_kind=kd_kind.value,
+                           skipped_sources=len(skipped) + labelled
+                           - len(pseudo))
 
     def kd_term(n_rows: int, loss_s: Tensor, loss_d: Tensor) -> Tensor:
         kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)

@@ -8,7 +8,7 @@ from ..errors import DataError
 from .optim import AdamWState, adamw_step, step_tensors
 from .tensor import (Tensor, add, as_tensor, exp, gather_rows, gelu,
                      grad_enabled, layer_norm, linear, log_softmax, matmul,
-                     mul, no_grad, softmax, take_along_last, tsum)
+                     mul, no_grad, softmax, tsum)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -23,5 +23,5 @@ __all__ = [
     "AdamWState", "Tensor", "adamw_step", "add", "as_tensor", "exp",
     "gather_rows", "gelu", "grad_enabled", "layer_norm", "linear",
     "log_softmax", "make_rng", "matmul", "mul", "no_grad", "softmax",
-    "step_tensors", "take_along_last", "tsum",
+    "step_tensors", "tsum",
 ]

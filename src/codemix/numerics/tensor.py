@@ -16,13 +16,14 @@ walks the tape in reverse topological order. Wrap inference code in
 `no_grad()` to skip tape construction entirely.
 
 The tape ops are `add`, `mul`, `matmul`, `tsum`, `exp`, `gelu`, `linear`,
-`softmax`, `log_softmax`, `layer_norm`, `gather_rows` and
-`take_along_last`. Forwards and backwards are plain-array helpers, written
-once (`layer_norm_forward`/`_backward`, `gelu_*`, `linear_backward`,
-`attend`: attention's output and gradient function); the tape ops wrap
-them, and so does each of the model's pre-norm residual blocks, one tape
-node with a hand-written backward (the only node that attends). The
-model's tensors are packed rows (n, D), one row per real (non-PAD)
+`softmax`, `log_softmax`, `layer_norm` and `gather_rows`. Forwards and
+backwards are plain-array helpers, written once (`layer_norm_forward`/
+`_backward`, `gelu_*`, `linear_backward`, `log_softmax_backward`,
+`scatter_rows`: a row gather's gradient, `attend`: attention's output and
+gradient function); the tape ops wrap them, and so do the model's
+embedding, its pre-norm residual blocks (the only nodes that attend) and
+the label-smoothed CE, each one tape node with a hand-written backward.
+The model's tensors are packed rows (n, D), one row per real (non-PAD)
 position, so every position-wise op skips the padding; a `RowLayout` says
 where each row sits in its padded (B, T) block, and attention alone
 scatters the rows into padded blocks.
@@ -332,7 +333,7 @@ def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
         out = out + b.data
 
     def backward(g):
-        gx, gw, gb = linear_backward(g, x.data, wd)
+        gx, gw, gb = linear_backward(g, x.data, wd, bias=b is not None)
         for t, gt in ((x, gx), (w, gw.T if transpose_w else gw), (b, gb)):
             if t is not None and t.requires_grad:
                 t.accumulate_grad(gt)
@@ -341,13 +342,15 @@ def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
     return _make(out, parents, backward, "linear")
 
 
-def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                    bias: bool = True
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The gradients (x, w, b) of x @ w + b given the output's gradient g,
-    each one 2-D GEMM or sum over x's rows."""
+    each one 2-D GEMM or sum over x's rows; b's is None without a bias."""
     g2 = g.reshape(-1, g.shape[-1])
     return ((g2 @ w.T).reshape(x.shape),
-            x.reshape(-1, x.shape[-1]).T @ g2, g2.sum(axis=0))
+            x.reshape(-1, x.shape[-1]).T @ g2,
+            g2.sum(axis=0) if bias else None)
 
 
 def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -486,14 +489,21 @@ def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def log_softmax_backward(g: np.ndarray, out: np.ndarray,
+                         axis: int = -1) -> np.ndarray:
+    """The input gradient of a log-softmax with output `out` given the
+    output's gradient g."""
+    p = np.exp(out)
+    return g - p * g.sum(axis=axis, keepdims=True)
+
+
 def log_softmax(logits, axis: int = -1) -> Tensor:
     a = as_tensor(logits)
     out = log_softmax_forward(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
-            p = np.exp(out)
-            a.accumulate_grad(g - p * g.sum(axis=axis, keepdims=True))
+            a.accumulate_grad(log_softmax_backward(g, out, axis))
 
     return _make(out, (a,), backward, "log_softmax")
 
@@ -539,6 +549,22 @@ def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
             g.sum(axis=red))
 
 
+def scatter_rows(g: np.ndarray, idx: np.ndarray,
+                 table: np.ndarray) -> np.ndarray:
+    """The gradient of the row gather `table[idx]` given its output's
+    gradient g (shape idx.shape + table.shape[1:]): zeros shaped like
+    `table` plus each row of g at its index, for non-negative indices of
+    any shape. One 1-D np.add.at over the flattened table, at
+    idx * d + arange(d) for rows of d entries: the additions of the 2-D
+    np.add.at(zeros, idx, g), in the same order, so the same bits, with
+    less work per index."""
+    out = np.zeros_like(table)
+    d = math.prod(table.shape[1:])
+    flat_idx = idx.reshape(-1, 1) * d + np.arange(d)
+    np.add.at(out.reshape(-1), flat_idx.reshape(-1), g.reshape(-1))
+    return out
+
+
 def gather_rows(table, idx) -> Tensor:
     """table[idx]: embedding lookup. idx is an integer array; the output has
     shape idx.shape + table.shape[1:]."""
@@ -553,22 +579,6 @@ def gather_rows(table, idx) -> Tensor:
             table.accumulate_grad(gt)
 
     return _make(out, (table,), backward, "gather_rows")
-
-
-def take_along_last(a, idx) -> Tensor:
-    """a[..., idx] picking one entry per row along the last axis."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            flat = ga.reshape(-1, ga.shape[-1])
-            np.add.at(flat, (np.arange(flat.shape[0]), idx.ravel()), g.ravel())
-            a.accumulate_grad(ga)
-
-    return _make(out, (a,), backward, "take_along_last")
 
 
 def dropout_mask(p: float, rng: np.random.Generator, rows: RowLayout,

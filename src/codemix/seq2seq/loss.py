@@ -1,11 +1,17 @@
-"""Label-smoothed cross-entropy over teacher-forced logits."""
+"""Label-smoothed cross-entropy over teacher-forced logits, as one tape node
+that does the float operations of the composed tape ops (log-softmax, gold
+pick, smoothing term, mean) in their order, so its values and gradients are
+theirs bit for bit. It checks the log-probabilities, as `log_softmax
+output`, and the loss."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import DataError
-from ..numerics import Tensor, add, log_softmax, mul, take_along_last, tsum
+from ..numerics import Tensor
+from ..numerics.tensor import (_make, _op_check, log_softmax_backward,
+                               log_softmax_forward)
 
 
 def label_smoothed_ce(logits: Tensor, target_ids,
@@ -26,10 +32,27 @@ def label_smoothed_ce(logits: Tensor, target_ids,
         raise DataError(f"targets shape {targets.shape} does not match logits "
                         f"{logits.shape}")
     vocab_size = logits.shape[-1]
-    logp = log_softmax(logits, axis=-1)
-    gold = take_along_last(logp, targets)
-    per_pos = mul(gold, -(1.0 - epsilon))
+    logp = log_softmax_forward(logits.data)
+    _op_check(logp, "log_softmax output")
+    # each constant in the logits' dtype, as a tape op's Python number is
+    gold_w = np.asarray(-(1.0 - epsilon), logp.dtype)
+    smooth_w = np.asarray(-(epsilon / vocab_size), logp.dtype)
+    mean_w = np.asarray(1.0 / targets.size, logp.dtype)
+    per_pos = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    per_pos = per_pos * gold_w
     if epsilon > 0.0:
-        per_pos = add(per_pos, mul(tsum(logp, axis=-1),
-                                   -(epsilon / vocab_size)))
-    return mul(tsum(per_pos), 1.0 / targets.size)
+        per_pos = per_pos + logp.sum(axis=-1) * smooth_w
+    loss = per_pos.sum() * mean_w
+
+    def backward(g):
+        # the gold scatter onto zeros, then the smoothing term: the order
+        # in which the composed loss's tape added them
+        g_pos = g * mean_w
+        g_logp = np.zeros_like(logp)
+        flat = g_logp.reshape(-1, vocab_size)
+        flat[np.arange(targets.size), targets.reshape(-1)] += g_pos * gold_w
+        if epsilon > 0.0:
+            g_logp += g_pos * smooth_w
+        logits.accumulate_grad(log_softmax_backward(g_logp, logp))
+
+    return _make(np.asarray(loss), (logits,), backward, "label_smoothed_ce")

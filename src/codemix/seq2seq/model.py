@@ -36,14 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DataError, ShapeError
-from ..numerics import (Tensor, add, gather_rows, grad_enabled, layer_norm,
-                        linear)
+from ..numerics import Tensor, grad_enabled, layer_norm, linear
 from ..numerics.tensor import (RowLayout, _make, _op_check, attend,
                                attention_names, attention_probs,
                                checked_pass, dropout_mask, gelu_backward,
                                gelu_forward, layer_norm_backward,
                                layer_norm_forward, linear_backward,
-                               log_softmax_forward, merge_heads, split_heads)
+                               log_softmax_forward, merge_heads,
+                               scatter_rows, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -272,11 +272,21 @@ class Seq2SeqModel:
                             f"max_len {self.config.max_len}")
         return RowLayout(ids != PAD)
 
-    def _embed(self, ids: np.ndarray, rows: RowLayout, pos: Tensor) -> Tensor:
-        """Token plus position embedding of each packed row."""
-        return add(gather_rows(self.weights.tok_emb,
-                               ids.reshape(-1)[rows.idx]),
-                   gather_rows(pos, rows.idx % ids.shape[1]))
+    def _embed(self, ids: np.ndarray, rows: RowLayout, pos: Tensor,
+               what: str) -> Tensor:
+        """Token plus position embedding of each packed row, as one tape
+        node `what` whose backward scatters its gradient into both tables
+        (`scatter_rows`)."""
+        tok = self.weights.tok_emb
+        tok_idx, pos_idx = ids.reshape(-1)[rows.idx], rows.idx % ids.shape[1]
+
+        def backward(g):
+            for t, idx in ((tok, tok_idx), (pos, pos_idx)):
+                if t.requires_grad:
+                    t.accumulate_grad(scatter_rows(g, idx, t.data))
+
+        return _make(tok.data[tok_idx] + pos.data[pos_idx], (tok, pos),
+                     backward, what)
 
     @staticmethod
     def _checked(run, what: str, rng=None, capture: list | None = None):
@@ -315,7 +325,7 @@ class Seq2SeqModel:
     def _encode(self, src_ids: np.ndarray, rows: RowLayout,
                 key_mask: np.ndarray, rng) -> Tensor:
         w = self.weights
-        x = self._embed(src_ids, rows, w.enc_pos)
+        x = self._embed(src_ids, rows, w.enc_pos, "encoder embedding")
         for attn, ffn in w.enc:
             x = self._attend(x, attn, rows, key_mask, rng)
             x = self._ffn(x, ffn, rows, rng)
@@ -350,7 +360,7 @@ class Seq2SeqModel:
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
         causal = causal[None, None, :, :]
         w = self.weights
-        x = self._embed(dec_in, rows, w.dec_pos)
+        x = self._embed(dec_in, rows, w.dec_pos, "decoder embedding")
         for attn, cross, ffn in w.dec:
             x = self._attend(x, attn, rows, causal, rng)
             # tape ops of their own: enc_out's gradient sums in tape order

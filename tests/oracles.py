@@ -12,7 +12,11 @@ query's gradient at a time is the reference for the batched gradient.
 
 The central-difference checker `finite_diff_grad_check` is the arbiter of
 every tape gradient, and the tape ops `reshape` and `attention`, which only
-the padded forward uses, live next to it.
+the padded forward uses, live next to it. The package's fused tape nodes
+(the embedding, the label-smoothed CE, the Jensen-Shannon node) are held
+bit for bit to the composed ops and masked arrays they replace, which are
+kept here: `take_along_last`, the embedding as two `gather_rows` (whose
+gradient is a 2-D `np.add.at`) and an add, and the masked x log y.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import numpy as np
 from codemix.errors import CodemixError
 from codemix.langid import (LABEL_INDEX, LABELS, N_LABELS, CRFModel,
                             extract_features)
-from codemix.numerics import AdamWState, Tensor, adamw_step
+from codemix.numerics import (AdamWState, Tensor, adamw_step, add,
+                              gather_rows, log_softmax, mul, tsum)
 from codemix.numerics.tensor import _make, as_tensor, attend, attention_names
 from codemix.seq2seq.model import Seq2SeqModel
 from codemix.text import BOS, EOS, PAD
@@ -316,8 +321,7 @@ def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
     attention sees every position of its block (a dense layout). Dropout
     runs when a dropout stream `rng` is given, drawn in the model's order.
     Returns the logits (B, T, vocab) on the tape."""
-    from codemix.numerics import (add, gather_rows, gelu, layer_norm,
-                                  linear, mul)
+    from codemix.numerics import gelu, layer_norm, linear
     from codemix.numerics.tensor import RowLayout
     from codemix.seq2seq.model import NEG_INF
     cfg, p = model.config, model.p
@@ -348,8 +352,8 @@ def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
         return linear(h, p(f"{pre}.w2"), p(f"{pre}.b2"))
 
     def embed(ids, pos):
-        return add(gather_rows(p("tok_emb"), ids),
-                   gather_rows(p(pos), np.arange(ids.shape[1])))
+        return reference_embed(p("tok_emb"), p(pos), ids,
+                               np.arange(ids.shape[1]))
 
     src = np.asarray(src_ids, dtype=np.int64)
     dec = np.asarray(dec_in, dtype=np.int64)
@@ -376,14 +380,80 @@ def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
 def reference_padded_ce(logits, labels: np.ndarray, epsilon: float):
     """Label-smoothed CE over padded (B, T, vocab) logits and (B, T) labels
     as a masked mean: a PAD label weighs 0, the rest 1 / (real count)."""
-    from codemix.numerics import (add, log_softmax, mul, take_along_last,
-                                  tsum)
     keep = (labels != PAD).astype(logits.dtype)
     logp = log_softmax(logits, axis=-1)
     per_pos = mul(take_along_last(logp, labels), -(1.0 - epsilon))
     per_pos = add(per_pos, mul(tsum(logp, axis=-1),
                                -(epsilon / logits.shape[-1])))
     return mul(tsum(mul(per_pos, keep)), 1.0 / float(keep.sum()))
+
+
+# ---------------------------------------------------------------------------
+# The composed ops of the fused tape nodes
+# ---------------------------------------------------------------------------
+
+def take_along_last(a, idx) -> Tensor:
+    """a[..., idx] picking one entry per row along the last axis."""
+    a = as_tensor(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            flat = ga.reshape(-1, ga.shape[-1])
+            np.add.at(flat, (np.arange(flat.shape[0]), idx.ravel()), g.ravel())
+            a.accumulate_grad(ga)
+
+    return _make(out, (a,), backward, "take_along_last")
+
+
+def reference_embed(tok, pos, tok_idx, pos_idx) -> Tensor:
+    """Token plus position embedding as three tape ops: two `gather_rows`
+    and an add."""
+    return add(gather_rows(tok, tok_idx), gather_rows(pos, pos_idx))
+
+
+def reference_label_smoothed_ce(logits, targets, epsilon: float) -> Tensor:
+    """The label-smoothed CE of (n, V) logits as composed tape ops, each
+    one checked: log-softmax, the gold pick, the smoothing term, the
+    mean."""
+    targets = np.asarray(targets, dtype=np.int64)
+    logp = log_softmax(logits, axis=-1)
+    per_pos = mul(take_along_last(logp, targets), -(1.0 - epsilon))
+    if epsilon > 0.0:
+        per_pos = add(per_pos, mul(tsum(logp, axis=-1),
+                                   -(epsilon / logits.shape[-1])))
+    return mul(tsum(per_pos), 1.0 / targets.size)
+
+
+def reference_xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * log(y), masked to 0 wherever x is 0."""
+    nz = x != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(nz, x * np.log(np.where(nz, y, 1.0)), 0.0)
+
+
+def reference_js_node(t_probs: np.ndarray, s_probs: Tensor,
+                      scale: float) -> Tensor:
+    """The Jensen-Shannon tape node on masked arrays throughout: the KL
+    terms by `reference_xlogy`, the gradient log(S / m) masked to 0 where
+    S or m is 0."""
+    s = s_probs.data
+    m = 0.5 * (t_probs + s)
+    kl_t = (reference_xlogy(t_probs, t_probs)
+            - reference_xlogy(t_probs, m)).sum()
+    kl_s = (reference_xlogy(s, s) - reference_xlogy(s, m)).sum()
+
+    def backward(g):
+        if s_probs.requires_grad:
+            nz = (s > 0) & (m > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(nz, np.log(np.where(nz, s / m, 1.0)), 0.0)
+            s_probs.accumulate_grad(g * scale * ratio)
+
+    return _make(np.asarray((kl_t + kl_s) * scale), (s_probs,), backward,
+                 "js divergence")
 
 
 # ---------------------------------------------------------------------------

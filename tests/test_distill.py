@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codemix import distill as distill_mod
 from codemix import train as train_mod
 from codemix.checkpoint import load_checkpoint
 from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
@@ -182,6 +183,51 @@ class TestPseudoLabels:
                                   KDKind.JS, make_rng(3),
                                   DistillConfig(epochs=1, kd_max_len=3))
         assert report.skipped_sources == len(skipped)
+
+    def test_sources_longer_than_the_teacher_are_skipped(self, monkeypatch):
+        # max_len 16 holds 15 tokens plus EOS; longer sources are skipped
+        # before decoding and the others decode as they would alone
+        teacher, corpus = overfit_teacher()
+        sources = [ex.source for ex in corpus]
+        words = " ".join(sources).split() * 3
+        pool = [sources[0], " ".join(words[:30]), sources[1],
+                " ".join(words[:16]), " ".join(words[:15])]
+        decoded = []
+
+        def recording(model, srcs, **kw):
+            decoded.extend(len(ids) for ids in srcs)
+            return beam_search_batch(model, srcs, **kw)
+
+        monkeypatch.setattr(distill_mod, "beam_search_batch", recording)
+        pseudo, skipped = generate_pseudo_labels(teacher, pool)
+        assert decoded == [len(sources[0].split()) + 1,
+                           len(sources[1].split()) + 1, 16]
+        assert skipped[:2] == [1, 3] and set(skipped) <= {1, 3, 4}
+        alone, _ = generate_pseudo_labels(teacher, sources[:2])
+        assert pseudo[:2] == alone
+
+        clean = [ParallelExample(ex.source, ex.target, Provenance.CLEAN_MANUAL)
+                 for ex in corpus]
+        student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
+                                    n_enc_layers=1, n_dec_layers=1,
+                                    d_model=16, n_heads=2, d_ff=32)
+        _, report = train_student(student_cfg, teacher, clean, pool,
+                                  KDKind.JS, make_rng(3),
+                                  DistillConfig(epochs=1))
+        assert report.skipped_sources == len(skipped)
+
+        # a student with max_len 8 (7 tokens): a pair the teacher labels
+        # but that is longer is skipped too, not a DataError mid-training
+        pool = sources[:2] + [" ".join(words[:8])]
+        pseudo, skipped = generate_pseudo_labels(teacher, pool)
+        too_long = sum(max(len(ex.source.split()), len(ex.target.split())) > 7
+                       for ex in pseudo)
+        assert too_long == 1 and not skipped
+        student_cfg.max_len = 8
+        _, report = train_student(student_cfg, teacher, clean, pool,
+                                  KDKind.JS, make_rng(3),
+                                  DistillConfig(epochs=1))
+        assert report.skipped_sources == 1
 
     def test_deterministic(self):
         teacher, corpus = overfit_teacher()

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from codemix.errors import NonFiniteError
-from codemix.numerics import make_rng, no_grad
+from codemix.numerics import Tensor, make_rng, no_grad
 from codemix.numerics import tensor as tensor_mod
 from codemix.quant import quantize_model
-from codemix.seq2seq import Seq2SeqConfig, init_model
+from codemix.seq2seq import Seq2SeqConfig, init_model, label_smoothed_ce
 from codemix.seq2seq import model as model_mod
 from codemix.text import BOS, EOS, PAD, Vocab
 
@@ -105,6 +105,8 @@ class Pass:
                 return m.decode(*self.enc, DEC_IN, self.rng,
                                 self.capture).data
         # the third decode_step: one query's row, or 3 rows of 2 queries
+        armed = self.injector.k, self.injector.value, self.injector.pos
+        self.injector.arm(None)
         with no_grad():
             if kind == "decode_step single":
                 self.cache = m.start_decoding(self.encoded[:1])
@@ -112,8 +114,6 @@ class Pass:
                 self.cache = m.start_decoding(self.encoded)
                 self.cache.reorder(np.array([0, 0, 1]), [2, 1])
             n = sum(self.cache.counts)
-            armed = self.injector.k, self.injector.value, self.injector.pos
-            self.injector.arm(None)
             m.decode_step(self.cache, np.full(n, BOS))
             m.decode_step(self.cache, np.full(n, 5))
             self.injector.arm(*armed)
@@ -286,3 +286,49 @@ def test_replay_names_the_pass_output_when_per_op_checks_find_nothing(
     with no_grad(), pytest.raises(NonFiniteError,
                                   match="non-finite values in encoder states"):
         m.encode(SRC)
+
+
+@pytest.mark.parametrize("name", ["dec0.cross.wk", "dec0.cross.wv",
+                                  "dec1.cross.wk", "dec1.cross.wv"])
+def test_start_decoding_names_each_projection(name):
+    # the first query's projection raises, named
+    m = make_model(dropout=0.0)
+    with no_grad():
+        encoded = [m.encode(SRC[1:, :n]) for n in (4, 2)]
+        m.params[name].data[0, 0] = np.nan
+        with pytest.raises(NonFiniteError,
+                           match=f"non-finite values in linear {name} output"):
+            m.start_decoding(encoded)
+
+
+@pytest.mark.parametrize("table,kind,what", [
+    ("tok_emb", "encode", "encoder embedding"),
+    ("enc_pos", "encode", "encoder embedding"),
+    ("tok_emb", "decode", "decoder embedding"),
+    ("dec_pos", "decode", "decoder embedding")])
+@pytest.mark.parametrize("grad", [False, True])
+def test_embedding_node_is_named(table, kind, what, grad):
+    # an Inf in a row or position the pass reads: encoder id 5 at position
+    # 0, decoder id 7 at position 1
+    m = make_model(dropout=0.0)
+    enc = m.encode(SRC) if kind == "decode" else None
+    row = {"tok_emb": 5 if kind == "encode" else 7, "enc_pos": 0,
+           "dec_pos": 1}[table]
+    m.params[table].data[row, 0] = np.inf
+    tape = contextlib.nullcontext() if grad else no_grad()
+    with tape, np.errstate(invalid="ignore"), pytest.raises(
+            NonFiniteError, match=f"non-finite values in {what} output"):
+        if kind == "encode":
+            m.encode(SRC)
+        else:
+            m.decode(*enc, DEC_IN)
+
+
+def test_label_smoothed_ce_names_the_log_probabilities():
+    # finite float32 logits whose log-softmax overflows to -inf
+    logits = Tensor(np.array([[3e38, -3e38, 0.0]], dtype=np.float32),
+                    requires_grad=True)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError,
+                          match="non-finite values in log_softmax output"):
+        label_smoothed_ce(logits, np.array([1]), 0.1)

@@ -171,6 +171,7 @@ NOT_CALLED_IN_SRC = {
     "matmul": "looked up by perfbench/spans.py (NUMERIC_OPS)",
     "softmax": "looked up by perfbench/spans.py (NUMERIC_OPS)",
     "gelu": "looked up by perfbench/spans.py (NUMERIC_OPS)",
+    "gather_rows": "looked up by perfbench/spans.py (NUMERIC_OPS)",
 }
 
 

@@ -6,13 +6,13 @@ from codemix.errors import (CodemixError, DataError, NonFiniteError,
 from codemix.numerics import (AdamWState, Tensor, adamw_step, add, exp,
                               gather_rows, gelu, layer_norm, linear,
                               log_softmax, make_rng, matmul, mul, no_grad,
-                              softmax, take_along_last, tsum)
+                              softmax, tsum)
 from codemix.numerics.tensor import (RowLayout, _assert_finite, dropout_mask,
                                      layer_norm_forward)
 from codemix.seq2seq.model import NEG_INF
 
 from oracles import (attention, finite_diff_grad_check, reference_attention,
-                     reshape)
+                     reshape, take_along_last)
 
 
 def rnd(shape, seed=0, scale=1.0):
