@@ -15,11 +15,14 @@ the sha256 of the weights after each phase:
            train_crf (3 epochs, default batch size) on 120 queries of
            gen_langid_corpus;
   detect   the Viterbi labels that CRF gives the next 200 queries of the
-           same corpus, held out from its training.
+           same corpus, held out from its training;
+  translit the hybrid_transliterate outputs of 12 four-word texts, most
+           words outside the dictionary, from a d32 char model trained
+           with train_translit on 40 letter-shift pairs.
 
-Two trees train and detect identically when they print the same five
-lines. BLAS is pinned to one thread, so the GEMMs split their work the
-same way on both.
+Two trees train, detect and transliterate identically when they print
+the same six lines. BLAS is pinned to one thread, so the GEMMs split
+their work the same way on both.
 """
 import hashlib
 import os
@@ -38,10 +41,13 @@ from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
 from codemix.langid import gen_langid_corpus, train_crf, viterbi  # noqa: E402
 from codemix.numerics import make_rng  # noqa: E402
 from codemix.seq2seq import Seq2SeqConfig, init_model  # noqa: E402
-from codemix.text import (SynthTaskSpec, gen_clean_corpus,  # noqa: E402
-                          gen_synthetic_corpus, synthetic_vocab)
+from codemix.text import (SynthTaskSpec, build_vocab,  # noqa: E402
+                          gen_clean_corpus, gen_synthetic_corpus,
+                          synthetic_vocab)
 from codemix.train import (StageConfig, TrainingConfig,  # noqa: E402
                            train_stage1, train_stage2)
+from codemix.translit import (TranslitDict, char_seq2seq_config,  # noqa: E402
+                              hybrid_transliterate, train_translit)
 
 
 def fingerprint(arrays: dict) -> str:
@@ -91,3 +97,19 @@ print(f"crf    {fingerprint(crf_arrays)}", flush=True)
 labels = "\n".join(" ".join(viterbi(crf, [tok.word for tok in query]))
                    for query in langid[120:])
 print(f"detect {hashlib.sha256(labels.encode()).hexdigest()[:16]}", flush=True)
+
+letters = "abcdefghijklm"
+shift = str.maketrans(letters, "nopqrstuvwxyz")
+word_rng = make_rng(8)
+words = ["".join(letters[int(i)] for i in word_rng.integers(13, size=n))
+         for n in word_rng.integers(2, 9, size=88)]
+pairs = [(w, w.translate(shift)) for w in words[:40]]
+tvocab = build_vocab([w for p in pairs for w in p], mode="char")
+tconfig = char_seq2seq_config(tvocab)
+tconfig.d_model, tconfig.d_ff = 32, 64
+tmodel = train_translit(pairs, config=tconfig, rng=make_rng(9), epochs=20,
+                        lr=2e-3, batch_size=16)
+tdict = TranslitDict(dict(pairs[:10]))
+texts = [" ".join(words[i:i + 4]) for i in range(0, 48, 4)]
+outs = "\n".join(hybrid_transliterate(t, tdict, tmodel) for t in texts)
+print(f"translit {hashlib.sha256(outs.encode()).hexdigest()[:16]}", flush=True)

@@ -90,21 +90,38 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _model_config(args, vocab) -> Seq2SeqConfig:
+def _model_config(args, vocab, max_len: int) -> Seq2SeqConfig:
     return Seq2SeqConfig(vocab=vocab, n_enc_layers=args.enc_layers,
                          n_dec_layers=args.dec_layers, d_model=args.d_model,
                          n_heads=args.heads, d_ff=args.d_ff,
-                         max_len=args.max_len, dropout_prob=args.dropout)
+                         max_len=max_len, dropout_prob=args.dropout)
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--enc-layers", type=int, default=2)
-    p.add_argument("--dec-layers", type=int, default=2)
+def _add_model_flags(p: argparse.ArgumentParser, layers: int) -> None:
+    p.add_argument("--enc-layers", type=int, default=layers)
+    p.add_argument("--dec-layers", type=int, default=layers)
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--max-len", type=int, default=32)
     p.add_argument("--dropout", type=float, default=0.1)
+
+
+def _check_length(text: str, config: Seq2SeqConfig) -> None:
+    """DataError unless the tokens + EOS (or BOS + tokens) fit the model."""
+    n = len(encode_source(text, config.vocab))
+    if n > config.max_len:
+        raise DataError(f"sequence length {n} exceeds max_len "
+                        f"{config.max_len}")
+
+
+def _check_pairs(path: str, corpus, config: Seq2SeqConfig) -> None:
+    """Every pair of `corpus`, loaded from `path`, fits the model."""
+    for lineno, ex in enumerate(corpus, start=1):
+        try:
+            _check_length(ex.source, config)
+            _check_length(ex.target, config)
+        except DataError as e:
+            raise DataError(f"{path}: line {lineno}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +179,10 @@ def _cmd_train(args) -> int:
         model = load_checkpoint(args.init_from)
     else:
         vocab = build_vocab(noisy + clean, mode="word", min_count=1)
-        model = init_model(_model_config(args, vocab), init_rng)
+        model = init_model(_model_config(args, vocab, args.max_len),
+                           init_rng)
+    for path, corpus in ((args.train_tsv, noisy), (args.clean_tsv, clean)):
+        _check_pairs(path, corpus, model.config)
     records = []
     if args.stage in ("stage1", "both"):
         rep = train_stage1(model, noisy, tcfg, s1_rng)
@@ -184,13 +204,9 @@ def _cmd_distill(args) -> int:
     teacher = load_checkpoint(args.teacher)
     clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL)
     pool = _read_lines(args.pool)
-    student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
-                                n_enc_layers=args.enc_layers,
-                                n_dec_layers=args.dec_layers,
-                                d_model=args.d_model, n_heads=args.heads,
-                                d_ff=args.d_ff,
-                                max_len=teacher.config.max_len,
-                                dropout_prob=args.dropout)
+    student_cfg = _model_config(args, teacher.config.vocab,
+                                teacher.config.max_len)
+    _check_pairs(args.clean_tsv, clean, student_cfg)
     student, report = train_student(student_cfg, teacher, clean, pool,
                                     KDKind(args.kd), make_rng(args.seed),
                                     dcfg, beam=args.beam)
@@ -208,15 +224,9 @@ def _cmd_distill(args) -> int:
 
 def _cmd_translate(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    limit = model.config.max_len
-
-    def check(query: str) -> None:
-        n = len(encode_source(query, model.config.vocab))
-        if n > limit:
-            raise DataError(f"sequence length {n} exceeds max_len {limit}")
-
     return _map_lines(args, lambda qs: translate_corpus(
-        model, qs, beam=args.beam, max_len=args.max_len), check)
+        model, qs, beam=args.beam, max_len=args.max_len),
+        lambda q: _check_length(q, model.config))
 
 
 def _cmd_detect_lang(args) -> int:
@@ -228,8 +238,14 @@ def _cmd_detect_lang(args) -> int:
 def _cmd_translit(args) -> int:
     tdict = load_translit_dict(args.dict)
     model = load_checkpoint(args.model) if args.model else None
+
+    def check(text: str) -> None:  # the words the model decodes
+        for word in text.split():
+            if model is not None and tdict.lookup(word) is None:
+                _check_length(word.lower(), model.config)
+
     return _map_lines(args, lambda ts: [
-        hybrid_transliterate(t, tdict, model) for t in ts])
+        hybrid_transliterate(t, tdict, model) for t in ts], check)
 
 
 def _cmd_eval_bleu(args) -> int:
@@ -263,10 +279,8 @@ def _cmd_bench_latency(args) -> int:
 
 
 def _cmd_analyze_xattn(args) -> int:
-    cfg = XAttnExperimentConfig()
-    cfg.n_dec_layers = args.dec_layers
-    cfg.epochs = args.epochs
-    cfg.n_train = args.n_train
+    cfg = XAttnExperimentConfig(n_dec_layers=args.dec_layers,
+                                epochs=args.epochs, n_train=args.n_train)
     curve = ae_xattn_experiment(cfg, args.seeds)
     for rec in curve.records():
         print(json.dumps(rec))
@@ -328,7 +342,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--init-from", help="checkpoint to continue from")
     p.add_argument("--report", help="write JSONL epoch records here")
-    _add_model_flags(p)
+    p.add_argument("--max-len", type=int, default=32)
+    _add_model_flags(p, layers=2)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("distill", help="distill a teacher into a student")
@@ -346,12 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quantize", action="store_true")
     p.add_argument("--report")
-    p.add_argument("--enc-layers", type=int, default=1)
-    p.add_argument("--dec-layers", type=int, default=1)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.1)
+    _add_model_flags(p, layers=1)
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("translate", help="translate queries")

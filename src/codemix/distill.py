@@ -39,12 +39,6 @@ class KDKind(enum.Enum):
     JS = "js"
 
 
-def _fits(ids: list[int], config: Seq2SeqConfig) -> bool:
-    """Whether a text's ids plus EOS (`encode_source`), or BOS plus its
-    ids (the decoder input), fit the model's max_len positions."""
-    return len(ids) <= config.max_len
-
-
 def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
                            beam: int = 3, max_len: int = 32
                            ) -> tuple[Corpus, list[int]]:
@@ -58,7 +52,7 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
     vocab = teacher.config.vocab
     encoded = [encode_source(s, vocab) for s in sources]
     fits = [i for i, ids in enumerate(encoded)
-            if _fits(ids, teacher.config)]
+            if len(ids) <= teacher.config.max_len]
     results = dict(zip(fits, beam_search_batch(
         teacher, [encoded[i] for i in fits], beam=beam, max_len=max_len)))
     out: Corpus = []
@@ -88,6 +82,8 @@ def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
     already-converged student is a true fixed point under Adam."""
     s = s_probs.data
     m = 0.5 * (t_probs + s)
+    # where one side is 0 and the other subnormal, m must not round to 0
+    np.maximum(m, np.finfo(m.dtype).smallest_subnormal, out=m)
     # Summing each KL term separately keeps the value exactly symmetric
     # in (T, S): scalar addition commutes where element-wise mixing of the
     # four terms would round differently.
@@ -99,7 +95,7 @@ def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
         if s_probs.requires_grad:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.log(s / m)
-            ratio[~((s > 0) & (m > 0))] = 0.0
+            ratio[~(s > 0)] = 0.0
             s_probs.accumulate_grad(g * scale * ratio)
 
     return _make(np.asarray(value), (s_probs,), backward, "js divergence")
@@ -204,11 +200,12 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
                                              beam=beam,
                                              max_len=cfg.kd_max_len)
-    # a pair goes into the student's KD batches, so it must fit its max_len
-    labelled = len(pseudo)
+    # a pair goes into the student's KD batches, so its tokens + EOS (or
+    # BOS + tokens) must fit the student's max_len
+    labelled, limit = len(pseudo), student_config.max_len
     pseudo = [ex for ex in pseudo
-              if _fits(encode_source(ex.source, vocab), student_config)
-              and _fits(encode_source(ex.target, vocab), student_config)]
+              if len(encode_source(ex.source, vocab)) <= limit
+              and len(encode_source(ex.target, vocab)) <= limit]
     if not pseudo:
         raise DataError("teacher produced no usable pseudo-labels")
     report = DistillReport(kd_kind=kd_kind.value,

@@ -3,7 +3,9 @@
 Scores are unnormalized sums of token log-probabilities (no length
 penalty). PAD and BOS are never emitted; EOS is allowed from the first
 step. Ties break toward the earlier-generated candidate, which makes
-beam size 1 reproduce greedy decoding exactly.
+beam size 1 reproduce greedy decoding exactly: the package decodes by
+beam search alone (transliteration with beam 1), and `greedy_decode` is
+kept as the independent reference loop that beam 1 must match.
 
 Each query is encoded once. Decoding then runs one row per live
 hypothesis through `Seq2SeqModel.decode_step`, which caches every layer's

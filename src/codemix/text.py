@@ -298,16 +298,11 @@ def all_word_forms(spec: SynthTaskSpec) -> list[str]:
     way an open subword vocabulary would."""
     lexicon = build_lexicon(spec)
     forms: list[str] = []
-    seen: set[str] = set()
-    for word in list(lexicon.keys()) + list(lexicon.values()):
-        variants = [word]
+    for word in [*lexicon, *lexicon.values()]:
+        forms.append(word)
         if spec.noise_char_drop_prob > 0 and len(word) > 2:
-            variants += [word[:i] + word[i + 1:] for i in range(1, len(word) - 1)]
-        for v in variants:
-            if v not in seen:
-                seen.add(v)
-                forms.append(v)
-    return forms
+            forms += [word[:i] + word[i + 1:] for i in range(1, len(word) - 1)]
+    return list(dict.fromkeys(forms))  # first occurrences, in order
 
 
 def synthetic_vocab(spec: SynthTaskSpec) -> Vocab:

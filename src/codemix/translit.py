@@ -1,16 +1,17 @@
 """Hybrid transliteration: dictionary lookup first, character-level
-transformer fallback decoded greedily for out-of-dictionary words."""
+transformer fallback for out-of-dictionary words, decoded greedily
+(`translate_corpus` with beam 1, one batch per text)."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .errors import DataError
 from .numerics import make_rng
-from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, greedy_decode, init_model)
-from .seq2seq.model import encode_source
-from .text import (ParallelExample, Provenance, Vocab, build_vocab, decode,
-                   read_utf8)
+from .seq2seq import Seq2SeqConfig, Seq2SeqModel, init_model, translate_corpus
+from .text import ParallelExample, Provenance, Vocab, build_vocab, read_utf8
 from .train import fit
 
 
@@ -64,29 +65,22 @@ def char_seq2seq_config(vocab: Vocab, max_len: int = 24) -> Seq2SeqConfig:
                          dropout_prob=0.0)
 
 
-def transliterate_word(model: Seq2SeqModel, word: str,
-                       max_len: int = 24) -> str:
-    vocab = model.config.vocab
-    ids = greedy_decode(model, encode_source(word, vocab), max_len=max_len)
-    return decode(ids, vocab)
-
-
 def hybrid_transliterate(text: str, tdict: TranslitDict,
                          model: Seq2SeqModel | None = None,
-                         decode_word=transliterate_word) -> str:
-    """Per word: use the dictionary mapping when present, otherwise greedy
-    decode the character model. Words are joined by single spaces."""
-    out = []
-    for word in text.split():
-        hit = tdict.lookup(word)
-        if hit is not None:
-            out.append(hit)
-        elif model is not None:
-            out.append(decode_word(model, word))
-        else:
-            raise DataError(f"word {word!r} not in the transliteration "
-                            f"dictionary and no fallback model was given")
-    return " ".join(out)
+                         decode_words=partial(translate_corpus, beam=1,
+                                              max_len=24)) -> str:
+    """Per word: use the dictionary mapping when present, otherwise the
+    model's output for the lowercased word, as the model trains on
+    lowercased pairs. Words are joined by single spaces."""
+    words = text.split()
+    hits = [tdict.lookup(word) for word in words]
+    oov = [w for w, hit in zip(words, hits) if hit is None]
+    if oov and model is None:
+        raise DataError(f"word {oov[0]!r} not in the transliteration "
+                        f"dictionary and no fallback model was given")
+    decoded = iter(decode_words(model, [w.lower() for w in oov]) if oov
+                   else ())
+    return " ".join(next(decoded) if hit is None else hit for hit in hits)
 
 
 def train_translit(word_pairs: list[tuple[str, str]],

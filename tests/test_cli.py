@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 from pathlib import Path
@@ -8,13 +9,17 @@ import pytest
 from codemix.bleu import bleu_corpus
 from codemix import cli
 from codemix.cli import main
-from codemix.distill import LatencyReport
+from codemix.distill import (DistillConfig, KDKind, LatencyReport,
+                             train_student)
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.langid import detect_query_language, load_crf
 from codemix.quant import QuantizedSeq2Seq, quantize_model
 from codemix.seq2seq import (beam_search, encode_source, greedy_decode,
                              translate, translate_corpus)
-from codemix.text import decode
+from codemix.numerics import make_rng
+from codemix.seq2seq import Seq2SeqConfig
+from codemix.text import decode, load_parallel_tsv
+from codemix.translit import train_translit
 
 from oracles import reference_beam_search
 
@@ -277,6 +282,40 @@ class TestTranslitCli:
         assert run(["translit", "--dict", str(d), "--input", str(inp),
                     "--output", "-"]) == 2
 
+    def test_over_long_oov_word_names_its_line(self, tmp_path, capsys):
+        # the char model's max_len is 24: a 30-letter word needs 31 ids;
+        # a dictionary word is not decoded, so its length does not count
+        save_checkpoint(train_translit([("kala", "kaala")], epochs=0),
+                        tmp_path / "model")
+        d, inp = tmp_path / "d.tsv", tmp_path / "in.txt"
+        d.write_text("juta\tjoota\n" + "a" * 30 + "\tlong\n",
+                     encoding="utf-8")
+        inp.write_text("juta " + "a" * 30 + "\n\nkala K" + "a" * 29 + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        rc = run(["translit", "--dict", str(d), "--model",
+                  str(tmp_path / "model"), "--input", str(inp),
+                  "--output", str(out)])
+        assert rc == 2
+        assert _one_error_line(capsys) == (
+            "error: line 3: sequence length 31 exceeds max_len 24\n")
+        assert not out.exists()
+
+
+# Pairs too long for a max_len-32 model, with the length that counts:
+# source tokens + EOS, or BOS + target tokens.
+LONG_PAIRS = [(" ".join(["kala"] * 40) + "\tkala", 41),
+              ("kala\t" + " ".join(["kala"] * 32), 33)]
+
+
+def _with_last_line(tsv, pair: str, tmp_path):
+    """A copy of `tsv` with `pair` appended, and the number of its line."""
+    lines = read(tsv).splitlines() + [pair]
+    out = tmp_path / "pairs.tsv"
+    out.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+    return out, len(lines)
+
 
 class TestTrainCli:
     def test_same_seed_byte_identical_checkpoints(self, corpus_dir,
@@ -365,6 +404,25 @@ class TestTrainCli:
     def test_stage1_requires_train_tsv(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "ck"),
                     "--stage", "stage1"]) == 1
+
+    @pytest.mark.parametrize("pair,n", LONG_PAIRS, ids=["source", "target"])
+    def test_over_long_pair_is_named_before_training(
+            self, pair, n, corpus_dir, tmp_path, capsys, monkeypatch):
+        clean, lines = _with_last_line(corpus_dir / "clean.tsv", pair,
+                                       tmp_path)
+        stage1 = []
+        monkeypatch.setattr(cli, "train_stage1",
+                            lambda *a: stage1.append(a))
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--clean-tsv", str(clean), "--out", str(tmp_path / "out")]
+                 + TINY_MODEL)
+        assert rc == 2
+        assert _one_error_line(capsys) == (
+            f"error: {clean}: line {lines}: sequence length {n} exceeds "
+            f"max_len 32\n")
+        assert stage1 == []
+        assert not (tmp_path / "out").exists()
 
 
 TINY_MODEL = ["--d-model", "16", "--d-ff", "32", "--heads", "2"]
@@ -558,7 +616,107 @@ def _teacher_queries(n: int) -> list[str]:
     return [q for q in sorted(reference) if reference[q]["f32"]][:n]
 
 
+def _options(command: str) -> dict[str, tuple]:
+    """Each option of a subcommand's parser: its dest, default, type,
+    whether it is required, its choices and nargs."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[-1]: (a.dest, a.default, a.type, a.required,
+                                   a.choices, a.nargs)
+            for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _model_options(layers: int) -> dict[str, tuple]:
+    return {"--enc-layers": ("enc_layers", layers, int, False, None, None),
+            "--dec-layers": ("dec_layers", layers, int, False, None, None),
+            "--d-model": ("d_model", 64, int, False, None, None),
+            "--heads": ("heads", 4, int, False, None, None),
+            "--d-ff": ("d_ff", 256, int, False, None, None),
+            "--dropout": ("dropout", 0.1, float, False, None, None)}
+
+
+class TestModelFlags:
+    def test_train_options(self):
+        assert _options("train") == {
+            "--train-tsv": ("train_tsv", None, None, False, None, None),
+            "--clean-tsv": ("clean_tsv", None, None, False, None, None),
+            "--out": ("out", None, None, True, None, None),
+            "--stage": ("stage", "both", None, False,
+                        ("stage1", "stage2", "both"), None),
+            "--config": ("config", None, None, False, None, None),
+            "--seed": ("seed", None, int, False, None, None),
+            "--init-from": ("init_from", None, None, False, None, None),
+            "--report": ("report", None, None, False, None, None),
+            "--max-len": ("max_len", 32, int, False, None, None),
+            **_model_options(layers=2)}
+
+    def test_distill_options(self):
+        # no --max-len: the student takes the teacher's
+        assert _options("distill") == {
+            "--teacher": ("teacher", None, None, True, None, None),
+            "--clean-tsv": ("clean_tsv", None, None, True, None, None),
+            "--pool": ("pool", None, None, True, None, None),
+            "--kd": ("kd", "js", None, False, ("ce", "js"), None),
+            "--out": ("out", None, None, True, None, None),
+            "--epochs": ("epochs", 4, int, False, None, None),
+            "--lr": ("lr", 1e-3, float, False, None, None),
+            "--batch-size": ("batch_size", 64, int, False, None, None),
+            "--lam": ("lam", 0.5, float, False, None, None),
+            "--beam": ("beam", 3, int, False, None, None),
+            "--seed": ("seed", 0, int, False, None, None),
+            "--quantize": ("quantize", False, None, False, None, 0),
+            "--report": ("report", None, None, False, None, None),
+            **_model_options(layers=1)}
+
+
 class TestDistillCli:
+    def test_student_is_the_flags_model(self, tmp_path):
+        """The checkpoint equals, byte for byte, the student that
+        train_student trains from the flags' config written out by hand."""
+        queries = _teacher_queries(12)
+        pool, clean = tmp_path / "pool.txt", tmp_path / "clean.tsv"
+        pool.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        clean.write_text("".join(f"{q}\t{q}\n" for q in queries),
+                         encoding="utf-8")
+        assert run(["distill", "--teacher", str(TEACHER), "--clean-tsv",
+                    str(clean), "--pool", str(pool), "--out",
+                    str(tmp_path / "cli"), "--epochs", "1", "--seed", "3",
+                    "--dropout", "0.2"] + TINY_MODEL) == 0
+        teacher = load_checkpoint(TEACHER)
+        config = Seq2SeqConfig(vocab=teacher.config.vocab, n_enc_layers=1,
+                               n_dec_layers=1, d_model=16, n_heads=2,
+                               d_ff=32, max_len=teacher.config.max_len,
+                               dropout_prob=0.2)
+        student, _ = train_student(
+            config, teacher, load_parallel_tsv(clean), queries, KDKind.JS, make_rng(3), DistillConfig(epochs=1))
+        save_checkpoint(student, tmp_path / "api")
+        for f in ("weights.bin", "manifest.tsv", "config.txt", "vocab.txt"):
+            assert (tmp_path / "cli" / f).read_bytes() == \
+                   (tmp_path / "api" / f).read_bytes()
+
+    @pytest.mark.parametrize("pair,n", LONG_PAIRS, ids=["source", "target"])
+    def test_over_long_clean_pair_is_named_before_training(
+            self, pair, n, tmp_path, capsys, monkeypatch):
+        queries = _teacher_queries(12)
+        pool = tmp_path / "pool.txt"
+        pool.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        tsv = tmp_path / "q.tsv"
+        tsv.write_text("".join(f"{q}\t{q}\n" for q in queries),
+                       encoding="utf-8")
+        clean, lines = _with_last_line(tsv, pair, tmp_path)
+        trained = []
+        monkeypatch.setattr(cli, "train_student",
+                            lambda *a, **k: trained.append(a))
+        capsys.readouterr()
+        rc = run(["distill", "--teacher", str(TEACHER), "--clean-tsv",
+                  str(clean), "--pool", str(pool),
+                  "--out", str(tmp_path / "student")] + TINY_MODEL)
+        assert rc == 2
+        assert _one_error_line(capsys) == (
+            f"error: {clean}: line {lines}: sequence length {n} exceeds "
+            f"max_len 32\n")
+        assert trained == []
+        assert not (tmp_path / "student").exists()
     @pytest.mark.parametrize("quantize", [False, True],
                              ids=["float32", "int8"])
     def test_writes_a_student_that_translates(self, quantize, tmp_path,

@@ -190,6 +190,26 @@ def test_js_node_matches_masked(dtype, zeros):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("side", ["teacher", "student"])
+def test_js_node_is_finite_where_m_underflows(dtype, side):
+    # one side 0 and the other the smallest subnormal, so (T + S) / 2
+    # rounds to 0; the entry adds nothing to the value or the gradient,
+    # as when both sides are 0 there
+    t, s = probs_with_zeros(dtype, 8)
+    at = (1, 3) if side == "teacher" else (3, 8)   # the other side is 0
+
+    def js(value):
+        tt, ss = t.copy(), s.copy()
+        (tt if side == "teacher" else ss)[at] = value
+        return run(lambda p: _js_node(tt, p["s"], 0.2), {"s": ss}, dtype,
+                   1.0)
+
+    got, zero = js(np.finfo(dtype).smallest_subnormal), js(0)
+    assert np.isfinite(got[0]) and np.isfinite(got[1]["s"]).all()
+    assert same(got[0], zero[0]) and same(got[1]["s"], zero[1]["s"])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_js_node_through_exp_matches_masked(dtype):
     # student probabilities as exp(log S): log S of -800 underflows to 0
     t, _ = probs_with_zeros(dtype, 9)

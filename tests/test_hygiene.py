@@ -172,6 +172,8 @@ NOT_CALLED_IN_SRC = {
     "softmax": "looked up by perfbench/spans.py (NUMERIC_OPS)",
     "gelu": "looked up by perfbench/spans.py (NUMERIC_OPS)",
     "gather_rows": "looked up by perfbench/spans.py (NUMERIC_OPS)",
+    "greedy_decode": "perfbench/workloads.py beam=1 check; reference of "
+                     "the beam-1 tests",
 }
 
 

@@ -3,10 +3,24 @@ import pytest
 
 from codemix.errors import DataError
 from codemix.numerics import make_rng
+from codemix.seq2seq import encode_source, greedy_decode, init_model
 from codemix.translit import (TranslitDict, char_seq2seq_config,
                               hybrid_transliterate, load_translit_dict,
-                              train_translit, transliterate_word)
-from codemix.text import build_vocab
+                              train_translit)
+from codemix.text import build_vocab, decode
+
+
+def greedy_word(model, word: str) -> str:
+    """The reference fallback: the per-word greedy decode of the lowercased
+    word, with transliteration's 24-token limit."""
+    vocab = model.config.vocab
+    return decode(greedy_decode(model, encode_source(word.lower(), vocab),
+                                max_len=24), vocab)
+
+
+def fallback(model, word: str) -> str:
+    """`hybrid_transliterate`'s model output for one word (no dictionary)."""
+    return hybrid_transliterate(word, TranslitDict(), model)
 
 
 class TestDict:
@@ -67,12 +81,12 @@ class TestHybrid:
         d = TranslitDict({"juta": "joota", "kala": "kaala"})
         calls = []
 
-        def spy(model, word):
-            calls.append(word)
-            return word
+        def spy(model, words):
+            calls.append(words)
+            return words
 
         out = hybrid_transliterate("juta kala juta", d, model=object(),
-                                   decode_word=spy)
+                                   decode_words=spy)
         assert out == "joota kaala joota"
         assert calls == []  # dictionary path only
 
@@ -80,14 +94,14 @@ class TestHybrid:
         d = TranslitDict({"juta": "joota"})
         calls = []
 
-        def spy(model, word):
-            calls.append(word)
-            return word.upper()
+        def spy(model, words):
+            calls.append(words)
+            return [w.upper() for w in words]
 
-        out = hybrid_transliterate("juta zzz juta yyy", d, model=object(),
-                                   decode_word=spy)
+        out = hybrid_transliterate("juta zzz Juta YyY", d, model=object(),
+                                   decode_words=spy)
         assert out == "joota ZZZ joota YYY"
-        assert calls == ["zzz", "yyy"]
+        assert calls == [["zzz", "yyy"]]  # lowercased, as the model trains
 
     def test_empty_input_empty_output(self):
         d = TranslitDict({"a": "b"})
@@ -97,6 +111,47 @@ class TestHybrid:
         d = TranslitDict({"juta": "joota"})
         with pytest.raises(DataError, match="zzz"):
             hybrid_transliterate("juta zzz", d)
+
+
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
+def scaled_char_model(seed: int):
+    """An untrained `char_seq2seq_config` model with every weight scaled by
+    20: its greedy outputs are long and differ from word to word, and some
+    run to the 23-step limit."""
+    vocab = build_vocab([ALPHABET], mode="char")
+    model = init_model(char_seq2seq_config(vocab), make_rng(seed))
+    for p in model.params.values():
+        p.data *= 20
+    return model
+
+
+class TestFallbackDecode:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_word_greedy_oracle(self, seed):
+        model = scaled_char_model(seed)
+        rng = make_rng(100 + seed)
+        words = ["".join(ALPHABET[int(i)] for i in rng.integers(26, size=n))
+                 for n in rng.integers(1, 13, size=40)]
+        words = [w.capitalize() if i % 3 == 0 else w
+                 for i, w in enumerate(words)]
+        tdict = TranslitDict({w.lower(): "x" + w.lower()
+                              for w in words[::7]})
+        want = [tdict.lookup(w) or greedy_word(model, w) for w in words]
+        for start in range(0, len(words), 5):  # several OOV words per text
+            text = " ".join(words[start:start + 5])
+            assert hybrid_transliterate(text, tdict, model) == " ".join(
+                want[start:start + 5])
+        vocab = model.config.vocab
+        steps = [len(greedy_decode(model, encode_source(w.lower(), vocab),
+                                   max_len=24))
+                 for w in words if tdict.lookup(w) is None]
+        assert 0 < steps.count(23) < len(steps)
+
+    def test_uppercase_word_decodes_as_lowercase(self):
+        model = scaled_char_model(0)
+        assert fallback(model, "Kala") == fallback(model, "kala")
 
 
 def scrambled(pairs, seed):
@@ -123,7 +178,7 @@ def held_out_cipher_scores(scramble: bool) -> tuple[int, float]:
     cfg.d_model, cfg.d_ff, cfg.dropout_prob = 64, 128, 0.2
     model = train_translit(train, config=cfg, rng=make_rng(62), epochs=200,
                            lr=2e-3, batch_size=16)
-    outs = [transliterate_word(model, w) for w, _ in test]
+    outs = [fallback(model, w) for w, _ in test]
     chars = sum(a == b for o, (_, t) in zip(outs, test) for a, b in zip(o, t))
     total = sum(max(len(o), len(t)) for o, (_, t) in zip(outs, test))
     return sum(o == t for o, (_, t) in zip(outs, test)), chars / total
@@ -149,7 +204,7 @@ class TestTrainTranslit:
         pairs = [("a", "n"), ("b", "o"), ("c", "p"), ("d", "q")]
         model = train_translit(pairs, rng=make_rng(63), epochs=150, lr=2e-3)
         for w, t in pairs:
-            assert transliterate_word(model, w) == t
+            assert fallback(model, w) == t
 
     def test_oov_word_after_overfit(self):
         pairs = cipher_pairs(10, seed=64)
@@ -165,7 +220,7 @@ class TestTrainTranslit:
         model = train_translit(pairs, rng=make_rng(67), epochs=60, lr=1e-3)
         vocab_chars = set("".join(model.config.vocab.id_to_token[5:]))
         for w, _ in cipher_pairs(10, seed=68):
-            out = transliterate_word(model, w)
+            out = fallback(model, w)
             assert set(out) <= vocab_chars | {" "}
 
     def test_deterministic(self):
