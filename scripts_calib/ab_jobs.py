@@ -19,6 +19,9 @@ in perfbench/workloads.py of this checkout, set up by its class at the
   distill  every train_student job of Distill;
   train    every job of Train: train_stage1 and train_stage2 of a fresh
            model, then train_crf;
+  crf      the train_crf of every job of Train alone, so that a change to
+           the CRF is not lost in the seconds of seq2seq training of
+           `train`;
   serve    every chunk of Serve: each query by beam search on its own,
            then the chunk's translate_corpus batches (no CRF detection).
 
@@ -33,7 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-JOBS = ("distill", "train", "serve")
+JOBS = ("distill", "train", "crf", "serve")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIMED_RUNS = 3
 
@@ -47,7 +50,7 @@ def make_job(name: str, seed: int):
     from codemix.numerics import make_rng
     from codemix.seq2seq import init_model, translate_corpus
     w = {"distill": workloads.Distill, "train": workloads.Train,
-         "serve": workloads.Serve}[name](seed, "full")
+         "crf": workloads.Train, "serve": workloads.Serve}[name](seed, "full")
     w.setup(workloads.NullTracer)
     if name == "distill":
         def distill():
@@ -65,6 +68,12 @@ def make_job(name: str, seed: int):
                 train_crf(crf_train, epochs=w.size["crf_epochs"],
                           rng=make_rng(job))
         return train
+    if name == "crf":
+        def crf():
+            for j, (crf_train, _) in enumerate(w.crf_chunks):
+                train_crf(crf_train, epochs=w.size["crf_epochs"],
+                          rng=make_rng(seed * 1000 + j))
+        return crf
 
     def serve():
         for chunk in w.chunks:

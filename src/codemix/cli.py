@@ -239,9 +239,12 @@ def _cmd_translit(args) -> int:
     tdict = load_translit_dict(args.dict)
     model = load_checkpoint(args.model) if args.model else None
 
-    def check(text: str) -> None:  # the words the model decodes
+    def check(text: str) -> None:  # the words the dictionary lacks
+        if model is None:
+            hybrid_transliterate(text, tdict)  # raises on the first of them
+            return
         for word in text.split():
-            if model is not None and tdict.lookup(word) is None:
+            if tdict.lookup(word) is None:
                 _check_length(word.lower(), model.config)
 
     return _map_lines(args, lambda ts: [

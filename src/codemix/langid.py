@@ -14,6 +14,16 @@ become ids in `_query_ids`, which builds each word's features once and each
 (word, offset) id array once per memo: per corpus in `train_crf`, which
 assigns the ids, and per query in `CRFModel.feature_ids`, which looks them
 up. Everything after works on id arrays.
+
+Emissions are one gather: the tokens' id arrays side by side in a padded
+(k, tokens) matrix (`_padded`), whose padding rows are set to -0.0, the
+exact additive identity, so the gathered rows summed over k give each
+token's emissions as its ids alone would. `train_crf` builds, once per
+corpus, everything a mini-batch takes from it (`_Corpus`): that matrix for
+all its tokens, the gold labels, and per query its distinct feature ids and
+the bincount slot of each (token, feature id) entry. A batch then sums its
+emission gradient with one bincount per query and adds the queries' rows
+into the dense gradient in batch order with one `np.add.at`.
 """
 
 from __future__ import annotations
@@ -106,10 +116,11 @@ def extract_features(words: list[str], position: int) -> tuple[str, ...]:
 def _query_ids(words: list[str], memo: dict, ids_of) -> list[np.ndarray]:
     """Per position, the ids of `extract_features(words, t)` in its order:
     the previous, current and next word's id arrays, concatenated.
-    `ids_of(names)` gives the ids of a list of feature strings (dropping any
-    it does not know). `memo` holds each word's `_word_features` and each
-    (word, offset) pair's id array, so with one memo a word's features are
-    built once and its ids at an offset looked up once."""
+    `ids_of(offset, feats)` gives the ids of the features `offset + f` of a
+    word's `feats` (dropping any it does not know). `memo` holds each
+    word's `_word_features` and each (word, offset) pair's id array, so with
+    one memo a word's features are built once and its ids at an offset
+    looked up once."""
     padded = [BOS_WORD, *words, EOS_WORD]
     out = []
     for t in range(len(words)):
@@ -120,8 +131,8 @@ def _query_ids(words: list[str], memo: dict, ids_of) -> list[np.ndarray]:
                 feats = memo.get(w)
                 if feats is None:
                     feats = memo[w] = _word_features(w)
-                ids = memo[(w, offset)] = np.array(
-                    ids_of([offset + f for f in feats]), dtype=np.int64)
+                ids = memo[(w, offset)] = np.array(ids_of(offset, feats),
+                                                   dtype=np.int64)
             window.append(ids)
         out.append(np.concatenate(window))
     return out
@@ -148,19 +159,41 @@ class CRFModel:
         of this query's words."""
         index = self.feature_index
 
-        def known(names: list[str]) -> list[int]:
+        def known(offset: str, feats: list[str]) -> list[int]:
+            names = [offset + f for f in feats]
             return [index[f] for f in names if f in index]
 
         return _query_ids(words, {}, known)
 
     def emissions(self, ids: list[np.ndarray]) -> np.ndarray:
-        """(len(ids), 3) emission scores of feature_ids, token by token."""
-        out = np.zeros((len(ids), N_LABELS))
-        for t, tok_ids in enumerate(ids):
-            if tok_ids.size:
-                # take: the same rows as weights[tok_ids], gathered faster
-                out[t] = self.weights.take(tok_ids, axis=0).sum(axis=0)
-        return out
+        """(len(ids), 3) emission scores of feature_ids: each token's
+        weight rows summed in order, all tokens in one padded gather."""
+        return _emission_sums(self.weights, *_padded(ids))
+
+
+def _padded(tokens: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(k, len(tokens)) matrix whose column t holds tokens[t]'s ids, then
+    0s, and the (k, len(tokens), 3) mask of those padding 0s, repeated per
+    label; k is the largest id count."""
+    k = max(map(len, tokens), default=0)
+    feats = np.zeros((k, len(tokens)), dtype=np.int64)
+    pad = np.ones((k, len(tokens), N_LABELS), dtype=bool)
+    for t, ids in enumerate(tokens):
+        feats[:len(ids), t] = ids
+        pad[:len(ids), t] = False
+    return feats, pad
+
+
+def _emission_sums(weights: np.ndarray, feats: np.ndarray, pad: np.ndarray
+                   ) -> np.ndarray:
+    """(n, 3): per column of the `_padded` feats, its ids' weight rows
+    summed over the leading axis in order. The padding's rows are set to
+    -0.0, the exact additive identity, so a column sums bit for bit as
+    `weights.take(ids, axis=0).sum(axis=0)` of its ids alone, and a column
+    of no ids to +0.0."""
+    rows = weights.take(feats, axis=0)
+    rows[pad] = -0.0
+    return rows.sum(axis=0)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -168,101 +201,143 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _forward(emis: np.ndarray, trans: np.ndarray, lens: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward algorithm in log space over queries padded to one length:
-    (alpha (B, T, 3), log Z (B,)). A query's last real alpha is carried
-    through its padding, so log Z is read at the last column."""
-    if not lens.all():
-        raise DataError("the CRF needs at least one word per query")
-    alpha = np.zeros_like(emis)
+def _forward_backward(emis: np.ndarray, trans: np.ndarray,
+                      lens: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward and backward algorithms in log space over queries padded to
+    one length: (alpha (B, T, 3), beta (B, T, 3), log Z (B,)). Alpha past a
+    query's last word is finite and unused, so log Z is read at the last
+    word; beta is 0 from the last word on."""
+    B, T = emis.shape[:2]
+    alpha = np.empty_like(emis)
     alpha[:, 0] = emis[:, 0]
-    for t in range(1, emis.shape[1]):
-        step = _logsumexp(alpha[:, t - 1, :, None] + trans, 1) + emis[:, t]
-        alpha[:, t] = np.where((t < lens)[:, None], step, alpha[:, t - 1])
-    return alpha, _logsumexp(alpha[:, -1], axis=1)
+    for t in range(1, T):
+        alpha[:, t] = (_logsumexp(alpha[:, t - 1, :, None] + trans, 1)
+                       + emis[:, t])
+    inner = (np.arange(T) < lens[:, None] - 1)[:, :, None]
+    beta = np.zeros_like(emis)
+    for t in range(T - 2, -1, -1):
+        step = _logsumexp(trans + (emis[:, t + 1] + beta[:, t + 1])[:, None],
+                          2)
+        beta[:, t] = np.where(inner[:, t], step, 0.0)
+    return alpha, beta, _logsumexp(alpha[np.arange(B), lens - 1], 1)
 
 
-def _path_score(emis: np.ndarray, trans: np.ndarray,
-                labels: list[int]) -> float:
-    """Emission and transition scores of one label path, summed left to
-    right."""
-    score = float(emis[0, labels[0]])
-    for t in range(1, len(emis)):
-        score += float(trans[labels[t - 1], labels[t]])
-        score += float(emis[t, labels[t]])
-    return score
+def _runs(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """`values` cut into consecutive runs of counts[0], counts[1], ...
+    items (views)."""
+    ends = np.cumsum(counts).tolist()
+    return [values[end - n:end] for end, n in zip(ends, counts.tolist())]
+
+
+class _Corpus:
+    """What a mini-batch of CRF queries needs, built once per corpus from
+    its (feature_ids, gold label indices) pairs.
+
+    All tokens, query by query: the `_padded` feature-id matrix `feats`
+    and its padding mask `pad`, each token's id count and gold label. Per query: its columns of
+    `feats`; the bincount slots (id times 3 plus label) of its distinct
+    feature ids, ascending; and for each (token, feature id) entry, in
+    token order, the entry's token and the slots of its distinct id, both
+    counted within the query."""
+
+    def __init__(self, queries: list[tuple[list[np.ndarray], list[int]]]):
+        self.lens = np.array([len(ids) for ids, _ in queries])
+        if not self.lens.all():
+            raise DataError("the CRF needs at least one word per query")
+        tokens = [tok for ids, _ in queries for tok in ids]
+        self.feats, self.pad = _padded(tokens)
+        self.counts = np.array([len(tok) for tok in tokens])
+        self.gold = np.array([g for _, labels in queries for g in labels])
+        self.columns = _runs(np.arange(len(tokens)), self.lens)
+        query = np.repeat(np.arange(len(queries)), self.lens)
+        token = np.repeat(np.arange(len(tokens))
+                          - (np.cumsum(self.lens) - self.lens)[query],
+                          self.counts)
+        query = np.repeat(query, self.counts)
+        fids = np.concatenate(tokens)
+        n = int(fids.max(initial=0)) + 1
+        keys, distinct = np.unique(query * n + fids, return_inverse=True)
+        n_distinct = np.bincount(keys // n, minlength=len(queries))
+        distinct -= (np.cumsum(n_distinct) - n_distinct)[query]
+        label = np.arange(N_LABELS)
+        self.distinct_slots = _runs(
+            ((keys % n)[:, None] * N_LABELS + label).ravel(),
+            N_LABELS * n_distinct)
+        n_entries = np.bincount(query, minlength=len(queries))
+        self.entry_token = _runs(token, n_entries)
+        self.entry_slots = _runs((distinct[:, None] * N_LABELS + label).ravel(),
+                                 N_LABELS * n_entries)
 
 
 def crf_nll_grad(model: CRFModel, ids: list[np.ndarray], gold: list[int]
                  ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """NLL = log Z - score(gold path) of one query, given its feature_ids
-    and gold label indices, and the NLL's gradient: `crf_batch_grad` of a
-    batch of one, with the NLL as a float."""
-    nll, fids, rows, grad_trans = crf_batch_grad(model, [(ids, gold)])
-    return float(nll[0]), fids, rows, grad_trans
+    and gold label indices, and the NLL's gradient as (feature ids (n,),
+    ascending, their emission gradient rows (n, 3), transition gradient
+    (3, 3)): `crf_batch_grad` of a batch of one."""
+    corpus = _Corpus([(ids, gold)])
+    nll, grad_w, grad_trans = crf_batch_grad(model, corpus, np.array([0]))
+    fids = corpus.distinct_slots[0][::N_LABELS] // N_LABELS
+    return float(nll[0]), fids, grad_w[fids], grad_trans
 
 
-def crf_batch_grad(model: CRFModel, batch: list[tuple[list, list[int]]]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query NLL of a batch of (feature_ids, gold label indices) and
-    the gradient of their sum, in one forward-backward pass over the
-    queries padded to the longest: (nll (B,), feature ids (n,), their
-    emission gradient rows (n, 3), transition gradient (3, 3)), bit-equal
-    to adding up the queries' gradients one at a time in batch order."""
-    lens = np.array([len(ids) for ids, _ in batch])
-    B, T = len(batch), int(lens.max())
+def crf_batch_grad(model: CRFModel, corpus: _Corpus, idxs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-query NLL of the queries `idxs` of a `_Corpus` and the gradient
+    of their sum, in one forward-backward pass over the queries padded to
+    the longest: (nll (B,), emission gradient (n_features, 3), transition
+    gradient (3, 3)), bit-equal to adding up the queries' gradients one at
+    a time in batch order."""
+    lens, order = corpus.lens[idxs], idxs.tolist()
+    B, T = len(lens), int(lens.max())
     real = np.arange(T) < lens[:, None]
-    tok_ids = [tok for ids, _ in batch for tok in ids]
-    emis = np.zeros((B, T, N_LABELS))
-    emis[real] = model.emissions(tok_ids)
+    # the batch's tokens, query by query, as columns of corpus.feats
+    cols = np.concatenate([corpus.columns[i] for i in order])
+    k = corpus.counts[cols].max()
+    emis = np.full((B, T, N_LABELS), -0.0)
+    emis[real] = _emission_sums(model.weights,
+                                corpus.feats[:k].take(cols, axis=1),
+                                corpus.pad[:k].take(cols, axis=1))
     gold = np.zeros((B, T), dtype=np.int64)
-    gold[real] = np.concatenate([labels for _, labels in batch])
+    gold[real] = corpus.gold[cols]
     trans = model.transitions
-    alpha, log_z = _forward(emis, trans, lens)
+    alpha, beta, log_z = _forward_backward(emis, trans, lens)
 
-    beta = np.zeros_like(emis)
-    for t in range(T - 2, -1, -1):
-        step = _logsumexp(trans + (emis[:, t + 1] + beta[:, t + 1])[:, None],
-                          axis=2)
-        beta[:, t] = np.where((t < lens - 1)[:, None], step, 0.0)
-
-    # Expected minus gold pair counts, interleaved by position; padding adds 0.
+    # Expected minus gold pair counts, interleaved by position; the padding
+    # adds -0.0 and subtracts 0.0 at the label pair (0, 0).
     pair = np.exp(alpha[:, :-1, :, None] + trans
                   + (emis[:, 1:] + beta[:, 1:])[:, :, None]
                   - log_z[:, None, None, None])
-    pair[~real[:, 1:]] = 0.0
+    pair[~real[:, 1:]] = -0.0
+    on = real[:, 1:].astype(np.float64)
+    rows = np.arange(B)
     grad_trans = np.zeros((B, N_LABELS, N_LABELS))
     for t in range(T - 1):
         grad_trans += pair[:, t]
-        on = np.flatnonzero(t + 1 < lens)
-        grad_trans[on, gold[on, t], gold[on, t + 1]] -= 1.0
+        grad_trans[rows, gold[:, t], gold[:, t + 1]] -= on[:, t]
 
-    # Token marginals minus gold indicators at the real positions, summed
-    # per (feature, query), then per feature in query order.
+    # Token marginals minus gold indicators, summed per query and distinct
+    # feature in one bincount each, then per feature in batch order.
     diff = np.exp(alpha + beta - log_z[:, None, None])[real]
     diff[np.arange(len(diff)), gold[real]] -= 1.0
-    counts = np.array([len(tok) for tok in tok_ids])
-    query = np.repeat(np.repeat(np.arange(B), lens), counts)
-    pairs, at = np.unique(np.concatenate(tok_ids) * B + query,
-                          return_inverse=True)
-    per_query = _sum_rows(at, len(pairs), np.repeat(diff, counts, axis=0))
-    # pairs are sorted, so each feature's queries form one run
-    fids = pairs // B
-    first = np.diff(fids, prepend=-1) != 0
-    fids = fids[first]
-    rows = _sum_rows(np.cumsum(first) - 1, len(fids), per_query)
-    nll = log_z - [_path_score(emis[b, :lens[b]], trans, labels)
-                   for b, (_, labels) in enumerate(batch)]
-    return nll, fids, rows, grad_trans.sum(axis=0)
+    sums, at = [], 0
+    for i, n in zip(order, lens.tolist()):
+        sums.append(np.bincount(corpus.entry_slots[i],
+                                diff[at:at + n][corpus.entry_token[i]].ravel()))
+        at += n
+    grad_w = np.zeros(model.weights.shape)
+    np.add.at(grad_w.reshape(-1),
+              np.concatenate([corpus.distinct_slots[i] for i in order]),
+              np.concatenate(sums))
 
-
-def _sum_rows(at: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
-    """(n, 3) sums of the `values` rows into output rows `at`, the rows
-    added in order to an exact zero, as np.bincount adds."""
-    flat = (at[:, None] * N_LABELS + np.arange(N_LABELS)).ravel()
-    return np.bincount(flat, values.ravel(),
-                       minlength=n * N_LABELS).reshape(-1, N_LABELS)
+    # The gold path scores, summed left to right; the padding adds -0.0.
+    emis_gold = emis[rows[:, None], np.arange(T), gold]
+    trans_gold = np.where(real[:, 1:], trans[gold[:, :-1], gold[:, 1:]], -0.0)
+    score = emis_gold[:, 0]
+    for t in range(1, T):
+        score = score + trans_gold[:, t - 1] + emis_gold[:, t]
+    return log_z - score, grad_w, grad_trans.sum(axis=0)
 
 
 def viterbi(model: CRFModel, words: list[str]) -> list[str]:
@@ -304,8 +379,15 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
     rng = rng or np.random.default_rng(0)
     feature_index: dict[str, int] = {}
 
-    def assign(names: list[str]) -> list[int]:  # ids in first-seen order
-        return [feature_index.setdefault(f, len(feature_index)) for f in names]
+    by_offset: dict[str, dict[str, int]] = {o: {} for o in _OFFSETS}
+
+    def assign(offset: str, feats: list[str]) -> list[int]:
+        """Ids in first-seen order; a feature's name is built once."""
+        ids = by_offset[offset]
+        for f in feats:
+            if f not in ids:
+                ids[f] = feature_index[offset + f] = len(feature_index)
+        return [ids[f] for f in feats]
 
     memo: dict = {}  # one for the corpus: each word's features built once
     data = []
@@ -314,6 +396,7 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
             raise DataError(f"train_crf: query {i} has no words")
         ids = _query_ids([tok.word for tok in query], memo, assign)
         data.append((ids, [LABEL_INDEX[tok.label] for tok in query]))
+    arrays = _Corpus(data)
     model = CRFModel(feature_index,
                      np.zeros((len(feature_index), N_LABELS)),
                      np.zeros((N_LABELS, N_LABELS)))
@@ -323,9 +406,7 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
         order = rng.permutation(len(corpus))
         for start in range(0, len(corpus), batch_size):
             idxs = order[start:start + batch_size]
-            _, fids, rows, gt = crf_batch_grad(model, [data[i] for i in idxs])
-            gw = np.zeros_like(model.weights)
-            gw[fids] = rows
+            _, gw, gt = crf_batch_grad(model, arrays, idxs)
             scale = 1.0 / len(idxs)
             gw *= scale
             gt *= scale
@@ -446,7 +527,7 @@ def load_crf(path) -> CRFModel:
                          np.asarray(payload["transitions"], dtype=np.float64),
                          payload.get("template_version",
                                      FEATURE_TEMPLATE_VERSION))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: corrupt CRF model file: {e}") from None
     if model.template_version != FEATURE_TEMPLATE_VERSION:
         raise DataError(f"{path}: feature template "

@@ -7,8 +7,9 @@ that re-runs the full-prefix decoder for each hypothesis is kept here as
 the reference for the cached, batched decoder, a float64 per-head loop is
 the reference for the attention op, the forward on padded blocks
 (every position-wise op on every position, PAD included) is the
-reference for the model's packed rows, and CRF training that takes one
-query's gradient at a time is the reference for the batched gradient.
+reference for the model's packed rows, CRF training that takes one
+query's gradient at a time is the reference for the batched gradient, and
+a per-token emission loop is the reference for the CRF's padded gather.
 
 The central-difference checker `finite_diff_grad_check` is the arbiter of
 every tape gradient, and the tape ops `reshape` and `attention`, which only
@@ -164,19 +165,43 @@ def crf_enumerate(model, words: list[str]) -> tuple[float, list[str], float]:
     return float(log_z), [LABELS[i] for i in best_path], float(best_score)
 
 
+def reference_emissions(weights: np.ndarray, ids: list[np.ndarray]
+                        ) -> np.ndarray:
+    """(len(ids), 3) emission scores token by token, as `CRFModel.emissions`
+    took them before its padded gather: each token's weight rows summed
+    with `take(...).sum(axis=0)`, a token with no ids a row of +0.0."""
+    out = np.zeros((len(ids), N_LABELS))
+    for t, tok_ids in enumerate(ids):
+        if tok_ids.size:
+            out[t] = weights.take(tok_ids, axis=0).sum(axis=0)
+    return out
+
+
+def reference_path_score(emis: np.ndarray, trans: np.ndarray,
+                         labels) -> float:
+    """Emission and transition scores of one label path, summed left to
+    right in Python floats."""
+    score = float(emis[0, labels[0]])
+    for t in range(1, len(emis)):
+        score += float(trans[labels[t - 1], labels[t]])
+        score += float(emis[t, labels[t]])
+    return score
+
+
 def reference_crf_nll_grad(model, ids: list[np.ndarray], gold: list[int]
                            ) -> tuple[float, dict[int, np.ndarray], np.ndarray]:
     """The per-feature dict gradient that `crf_nll_grad` replaced: (nll,
-    {feature id: (3,) gradient}, transition gradient). Each feature's
-    vector is a copy of its first position's term, to which the later
-    positions' terms are added one by one."""
+    {feature id: (3,) gradient}, transition gradient), on
+    `reference_emissions`. Each feature's vector is a copy of its first
+    position's term, to which the later positions' terms are added one by
+    one."""
     def logsumexp(a, axis):
         m = a.max(axis=axis, keepdims=True)
         return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
                 ).squeeze(axis)
 
     L = len(ids)
-    emis = model.emissions(ids)
+    emis = reference_emissions(model.weights, ids)
     trans = model.transitions
     alpha = np.zeros((L, N_LABELS))
     alpha[0] = emis[0]
@@ -204,11 +229,8 @@ def reference_crf_nll_grad(model, ids: list[np.ndarray], gold: list[int]
                 grad_feats[int(fid)] = diff.copy()
             else:
                 acc += diff
-    score = float(emis[0, gold[0]])
-    for t in range(1, L):
-        score += float(trans[gold[t - 1], gold[t]])
-        score += float(emis[t, gold[t]])
-    return log_z - score, grad_feats, grad_trans
+    nll = log_z - reference_path_score(emis, trans, gold)
+    return nll, grad_feats, grad_trans
 
 
 def reference_train_crf(corpus, l2: float = 1e-4, epochs: int = 8,

@@ -244,8 +244,12 @@ class TestLangidCli:
         ("features", ["0:1:a", "0:1:a"], "feature '0:1:a' is listed twice"),
         ("features", [7], "feature name 7 is not a string"),
         ("features", "0:1:a", "features must be a list"),
+        ("weights", [[10 ** 400, 0.0, 0.0]], "corrupt CRF model file"),
+        ("transitions", [[0.0, -10 ** 400, 0.0]] + [[0.0] * 3] * 2,
+         "corrupt CRF model file"),
     ], ids=["template_version", "transitions", "nan-weight", "inf-transition",
-            "duplicate-feature", "non-string-feature", "features-not-a-list"])
+            "duplicate-feature", "non-string-feature", "features-not-a-list",
+            "huge-int-weight", "huge-int-transition"])
     def test_incompatible_crf_is_exit_two(self, field, value, message,
                                           tmp_path, capsys):
         payload = {"template_version": "ngram134-window3-v1",
@@ -281,6 +285,19 @@ class TestTranslitCli:
         inp.write_text("zzz\n", encoding="utf-8")
         assert run(["translit", "--dict", str(d), "--input", str(inp),
                     "--output", "-"]) == 2
+
+    def test_oov_without_model_names_its_line(self, tmp_path, capsys):
+        d, inp = tmp_path / "d.tsv", tmp_path / "in.txt"
+        d.write_text("juta\tjoota\nkala\tkaala\n", encoding="utf-8")
+        inp.write_text("kala\n\njuta zzz\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run(["translit", "--dict", str(d), "--input", str(inp),
+                    "--output", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            "error: line 3: word 'zzz' not in the transliteration dictionary "
+            "and no fallback model was given\n")
+        assert not out.exists()
 
     def test_over_long_oov_word_names_its_line(self, tmp_path, capsys):
         # the char model's max_len is 24: a 30-letter word needs 31 ids;

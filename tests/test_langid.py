@@ -3,8 +3,8 @@ import pytest
 
 from codemix.errors import DataError, NonFiniteError
 from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
-                            _forward, _path_score, _word_features,
-                            aggregate_labels,
+                            _Corpus, _emission_sums, _forward_backward,
+                            _padded, _word_features, aggregate_labels,
                             crf_batch_grad, crf_nll_grad,
                             detect_query_language, eval_prf,
                             extract_features,
@@ -15,18 +15,19 @@ from codemix.numerics import make_rng
 
 from baseline import baseline_avg_embedding_classifier
 from oracles import (crf_enumerate, reference_crf_nll_grad,
+                     reference_emissions, reference_path_score,
                      reference_train_crf)
 
 
 def crf_log_partition(model, words):
     emis = model.emissions(model.feature_ids(words))
-    return float(_forward(emis[None], model.transitions,
-                          np.array([len(words)]))[1][0])
+    return float(_forward_backward(emis[None], model.transitions,
+                                   np.array([len(words)]))[2][0])
 
 
 def crf_path_score(model, words, labels):
-    return _path_score(model.emissions(model.feature_ids(words)),
-                       model.transitions, labels)
+    return reference_path_score(model.emissions(model.feature_ids(words)),
+                                model.transitions, labels)
 
 
 def zero_crf(features=()):
@@ -113,21 +114,30 @@ class TestFeatureIds:
                 for t in range(len(words))]
 
     def test_train_crf_ids_follow_the_template(self, monkeypatch):
+        """The padded matrix train_crf's batches gather from holds each
+        query's template ids column by column, then padding."""
         import codemix.langid as langid
         seen = []
 
-        def recorded(model, batch):
-            seen.extend(ids for ids, _ in batch)
-            return crf_batch_grad(model, batch)
+        def recorded(model, corpus, idxs):
+            for i in idxs:
+                cols = corpus.columns[i]
+                n = corpus.counts[cols]
+                pad = corpus.pad[:, cols]
+                assert all(pad[c:, t].all() and not pad[:c, t].any()
+                           for t, c in enumerate(n))
+                seen.append((i, [corpus.feats[:c, col].tolist()
+                                 for col, c in zip(cols, n)]))
+            return crf_batch_grad(model, corpus, idxs)
 
         monkeypatch.setattr(langid, "crf_batch_grad", recorded)
         corpus = [tokens(q) for q in self.CORPUS]
         model = train_crf(corpus, epochs=1, batch_size=1, rng=make_rng(3))
         order = make_rng(3).permutation(len(corpus))
-        assert len(seen) == len(corpus)
-        for i, ids in zip(order, seen):
-            want = self.template_ids(model.feature_index, self.CORPUS[i])
-            assert [tok.tolist() for tok in ids] == want
+        assert [i for i, _ in seen] == order.tolist()
+        for i, ids in seen:
+            assert ids == self.template_ids(model.feature_index,
+                                            self.CORPUS[i])
 
     def test_feature_ids_follow_the_template(self):
         model = train_crf([tokens(q) for q in self.CORPUS], epochs=1,
@@ -144,6 +154,88 @@ class TestFeatureIds:
         fast = train_crf(corpus, epochs=1, rng=make_rng(5))
         slow = reference_train_crf(corpus, epochs=1, rng=make_rng(5))
         assert list(fast.feature_index) == list(slow.feature_index)
+
+
+class TestEmissions:
+    """`CRFModel.emissions` and the batches of `crf_batch_grad` sum every
+    token's weight rows in one gather from a padded id matrix. Each row
+    must equal the per-token loop of `reference_emissions` byte for byte,
+    and the batch gradient the reference gradient built on it."""
+
+    @staticmethod
+    def check(model, queries):
+        """Emissions of each query, the padded gather of all their tokens
+        at once, and the batch gradient of all the queries, each against
+        the reference."""
+        for ids in queries:
+            got = model.emissions(ids)
+            assert got.tobytes() == reference_emissions(model.weights,
+                                                        ids).tobytes()
+        data = [(ids, [t % N_LABELS for t in range(len(ids))])
+                for ids in queries]
+        corpus = _Corpus(data)
+        cols = np.concatenate(corpus.columns)
+        got = _emission_sums(model.weights, corpus.feats[:, cols],
+                             corpus.pad[:, cols])
+        want = np.concatenate([reference_emissions(model.weights, ids)
+                               for ids in queries])
+        assert got.tobytes() == want.tobytes()
+        nll, grad_w, grad_trans = crf_batch_grad(model, corpus,
+                                                 np.arange(len(data)))
+        gw = np.zeros_like(model.weights)
+        gt = np.zeros_like(model.transitions)
+        for b, (ids, gold) in enumerate(data):
+            ref_nll, ref_feats, ref_trans = reference_crf_nll_grad(model, ids,
+                                                                   gold)
+            assert nll[b] == ref_nll
+            for fid, row in ref_feats.items():
+                gw[fid] += row
+            gt += ref_trans
+        assert grad_w.tobytes() == gw.tobytes()
+        assert grad_trans.tobytes() == gt.tobytes()
+
+    def test_token_without_known_features_is_a_positive_zero_row(self):
+        model = random_crf([["kala"]], seed=5)
+        ids = model.feature_ids(["zzq", "xyz", "qq"])
+        assert ids[1].size == 0  # no word of its window was indexed
+        row = model.emissions(ids)[1]
+        assert row.tobytes() == np.zeros(N_LABELS).tobytes()  # not -0.0
+        self.check(model, [ids, model.feature_ids(["kala", "xyz"])])
+
+    def test_one_token_query(self):
+        model = random_crf([["kala", "juta"]], seed=6)
+        self.check(model, [model.feature_ids(["juta"])])
+        self.check(model, [model.feature_ids(["juta"]),
+                           model.feature_ids(["kala", "juta", "kala"])])
+
+    def test_batch_of_one_query(self):
+        model = random_crf([["kala", "juta", "4g"]], seed=7)
+        for words in (["kala"], ["kala", "juta", "4g", "kala"]):
+            self.check(model, [model.feature_ids(words)])
+
+    def test_weights_holding_negative_zero(self):
+        words = ["kala", "juta", "4g", "mi-x"]
+        model = random_crf([words], seed=8)
+        rng = make_rng(9)
+        model.weights[rng.random(model.weights.shape) < 0.3] = -0.0
+        # every feature of "juta"'s window: its row sums -0.0 terms only
+        model.weights[model.feature_ids(words)[1]] = -0.0
+        model.transitions[0, 1] = -0.0
+        self.check(model, [model.feature_ids(words),
+                           model.feature_ids(["juta"]),
+                           model.feature_ids(["4g", "zzq", "kala"])])
+
+    def test_random_tokens_bitwise(self):
+        """2,000 tokens of 0-40 random ids, some repeated, on weights
+        with exact zeros of both signs."""
+        rng = make_rng(10)
+        weights = rng.normal(0, 1, size=(300, N_LABELS))
+        weights[rng.random(weights.shape) < 0.1] = -0.0
+        weights[rng.random(weights.shape) < 0.1] = 0.0
+        toks = [rng.integers(0, 300, size=int(rng.integers(0, 41)))
+                for _ in range(2000)]
+        got = _emission_sums(weights, *_padded(toks))
+        assert got.tobytes() == reference_emissions(weights, toks).tobytes()
 
 
 class TestForwardAlgorithm:
@@ -265,41 +357,41 @@ class TestNllGrad:
 
     def test_batch_grad_equals_summed_reference_exactly(self):
         """Mixed lengths 1-7, tokens with few or no known ids, batches of
-        one: the batch's rows and transition gradient are the queries'
-        reference gradients added one by one in batch order."""
+        one, batches drawn in shuffled order from a larger corpus: the
+        batch's gradient is the queries' reference gradients added one by
+        one in batch order to zero arrays."""
         rng = make_rng(16)
         pool = ["kala", "juta", "shoe", "red", "4g", "mi-x", "wala"]
         for trial in range(25):
             queries = [[pool[int(rng.integers(len(pool)))]
                         for _ in range(int(rng.integers(1, 8)))]
-                       for _ in range(1 + trial % 9)]
+                       for _ in range(2 + trial % 9)]
             # index only part of the words: later tokens lose ids
             model = random_crf([q[:1 + trial % 3] for q in queries],
                                seed=300 + trial)
-            batch = [(model.feature_ids(q),
-                      [int(rng.integers(N_LABELS)) for _ in q])
-                     for q in queries]
-            nll, fids, rows, grad_trans = crf_batch_grad(model, batch)
+            data = [(model.feature_ids(q),
+                     [int(rng.integers(N_LABELS)) for _ in q])
+                    for q in queries]
+            idxs = rng.permutation(len(data))[:1 + trial % len(data)]
+            nll, grad_w, grad_trans = crf_batch_grad(model, _Corpus(data),
+                                                     idxs)
             gw = np.zeros_like(model.weights)
             gt = np.zeros_like(model.transitions)
-            for b, (ids, gold) in enumerate(batch):
+            for b, i in enumerate(idxs):
                 ref_nll, ref_feats, ref_trans = reference_crf_nll_grad(
-                    model, ids, gold)
+                    model, *data[i])
                 assert nll[b] == ref_nll
                 for fid, row in ref_feats.items():
                     gw[fid] += row
                 gt += ref_trans
-            want = sorted({int(f) for ids, _ in batch for tok in ids
-                           for f in tok})
-            assert fids.tolist() == want
-            assert np.array_equal(rows, gw[want])
-            assert np.array_equal(grad_trans, gt)
+            assert grad_w.tobytes() == gw.tobytes()
+            assert grad_trans.tobytes() == gt.tobytes()
 
     def test_batch_grad_rejects_an_empty_query(self):
         model = random_crf([["kala"]], seed=1)
         with pytest.raises(DataError, match="at least one word"):
-            crf_batch_grad(model, [(model.feature_ids(["kala"]), [0]),
-                                   ([], [])])
+            crf_batch_grad(model, _Corpus([(model.feature_ids(["kala"]), [0]),
+                                           ([], [])]), np.arange(2))
 
     def test_nll_is_partition_minus_gold_path_exactly(self):
         words = ["kala", "shoe", "4g", "juta", "wala"]
@@ -562,6 +654,19 @@ class TestTokenLabelIO:
                      '{"features": 5, "weights": [], "transitions": []}'):
             (tmp_path / "crf.json").write_text(text, encoding="utf-8")
             with pytest.raises(DataError):
+                load_crf(tmp_path / "crf.json")
+
+    def test_integer_too_large_for_a_float_is_a_data_error(self, tmp_path):
+        """JSON integers have no size limit; one past the float range is a
+        corrupt file, not an OverflowError."""
+        huge = "1" + "0" * 400
+        for weights, transitions in (
+                (f"[[{huge}, 0, 0]]", "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]"),
+                ("[[0, 0, 0]]", f"[[0, 0, 0], [0, -{huge}, 0], [0, 0, 0]]")):
+            (tmp_path / "crf.json").write_text(
+                '{"features": ["0:1:a"], "weights": ' + weights
+                + ', "transitions": ' + transitions + '}', encoding="utf-8")
+            with pytest.raises(DataError, match="corrupt CRF model file"):
                 load_crf(tmp_path / "crf.json")
 
 
