@@ -18,15 +18,20 @@ the sha256 of the weights after each phase:
            same corpus, held out from its training;
   translit the hybrid_transliterate outputs of 12 four-word texts, most
            words outside the dictionary, from a d32 char model trained
-           with train_translit on 40 letter-shift pairs.
+           with train_translit on 40 letter-shift pairs;
+  int8     the manifest.tsv and weights.bin that save_checkpoint writes
+           for quantize_model of the stages model, then the beam-3 ids
+           that int8 model and its load_checkpoint copy give 40 held-out
+           queries of gen_clean_corpus.
 
-Two trees train, detect and transliterate identically when they print
-the same six lines. BLAS is pinned to one thread, so the GEMMs split
+Two trees train, detect, transliterate and quantize identically when they
+print the same seven lines. BLAS is pinned to one thread, so the GEMMs split
 their work the same way on both.
 """
 import hashlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 if len(sys.argv) != 2:
@@ -37,10 +42,13 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 
 import numpy as np  # noqa: E402
 
+from codemix.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
 from codemix.langid import gen_langid_corpus, train_crf, viterbi  # noqa: E402
 from codemix.numerics import make_rng  # noqa: E402
-from codemix.seq2seq import Seq2SeqConfig, init_model  # noqa: E402
+from codemix.quant import quantize_model  # noqa: E402
+from codemix.seq2seq import (Seq2SeqConfig, beam_search_batch,  # noqa: E402
+                             encode_source, init_model)
 from codemix.text import (SynthTaskSpec, build_vocab,  # noqa: E402
                           gen_clean_corpus, gen_synthetic_corpus,
                           synthetic_vocab)
@@ -113,3 +121,17 @@ tdict = TranslitDict(dict(pairs[:10]))
 texts = [" ".join(words[i:i + 4]) for i in range(0, 48, 4)]
 outs = "\n".join(hybrid_transliterate(t, tdict, tmodel) for t in texts)
 print(f"translit {hashlib.sha256(outs.encode()).hexdigest()[:16]}", flush=True)
+
+int8 = quantize_model(model)
+held_out = [encode_source(ex.source, vocab)
+            for ex in gen_clean_corpus(spec, 40, salt=11)]
+h = hashlib.sha256()
+with tempfile.TemporaryDirectory() as tmp:
+    save_checkpoint(int8, tmp)
+    for fname in ("manifest.tsv", "weights.bin"):
+        h.update((Path(tmp) / fname).read_bytes())
+    loaded = load_checkpoint(tmp)
+for m in (int8, loaded):
+    h.update(repr([r.ids for r in beam_search_batch(m, held_out,
+                                                    beam=3)]).encode())
+print(f"int8   {h.hexdigest()[:16]}", flush=True)

@@ -112,6 +112,9 @@ def ae_xattn_experiment(config: XAttnExperimentConfig,
     every epoch."""
     if not seeds:
         raise DataError("ae_xattn_experiment needs at least one seed")
+    if not isinstance(config.epochs, (int, np.integer)):
+        raise DataError(f"ae_xattn_experiment needs an integer epochs, "
+                        f"got {config.epochs!r}")
     if config.epochs < 1:
         raise DataError(f"ae_xattn_experiment needs epochs >= 1, "
                         f"got {config.epochs}")

@@ -5,11 +5,12 @@
   manifest.tsv  name <TAB> dtype <TAB> shape <TAB> byte offset <TAB> scale
   weights.bin   raw little-endian payload blob
 
-f32 payloads round-trip byte-exactly. Quantized models add i8 entries with
-a per-tensor scale column. Loading rejects, with CheckpointError, a scale
-that is not a finite number > 0, an int8 payload byte of -128 (quantization
-clamps to [-127, 127]), an int8 entry for a tensor quantization keeps in
-float32, a tensor listed twice and bytes after the last tensor.
+Payloads round-trip byte-exactly: float32 parameters as f32 entries, the
+stored `QuantizedTensor`s of an int8 model (`quant`) as i8 entries with a
+scale column. Loading rejects, with CheckpointError, a scale that is not a
+finite number > 0, an int8 payload byte of -128 (quantization clamps to
+[-127, 127]), an int8 entry for a tensor quantization keeps in float32, a
+tensor listed twice and bytes after the last tensor.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import CheckpointError, DataError, ShapeError
 from .numerics import Tensor
-from .quant import QuantizedSeq2Seq, QuantizedTensor, _quantizable
+from .quant import QuantizedTensor, _quantizable
 from .seq2seq.model import Seq2SeqConfig, Seq2SeqModel, _param_shapes
 from .text import Vocab, read_utf8
 
@@ -54,7 +55,7 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
     cfg = model.config
 
     items: dict[str, object] = {"format": _FORMAT}
-    items["quantized"] = int(isinstance(model, QuantizedSeq2Seq))
+    items["quantized"] = int(model.quantized)
     items.update(cfg.scalar_items())
     _write_kv(path / "config.txt", items)
 
@@ -64,11 +65,11 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
     manifest_lines = []
     blob = bytearray()
     for name, _, _ in _param_shapes(cfg):
-        if isinstance(model, QuantizedSeq2Seq) and name in model.qparams:
-            q = model.qparams[name]
-            arr, dtype, scale = q.payload, "i8", repr(float(q.scale))
+        t = model.params[name]
+        if isinstance(t, QuantizedTensor):
+            arr, dtype, scale = t.payload, "i8", repr(float(t.scale))
         else:
-            arr = model.params[name].data.astype("<f4")
+            arr = t.data.astype("<f4")
             dtype, scale = "f32", ""
         shape_s = "x".join(str(s) for s in arr.shape)
         manifest_lines.append(f"{name}\t{dtype}\t{shape_s}\t{len(blob)}\t{scale}\n")
@@ -114,7 +115,7 @@ def _parse_scale(path: Path, name: str, scale_s: str) -> np.float32:
 
 
 def load_checkpoint(path):
-    """Load a Seq2SeqModel (or QuantizedSeq2Seq) saved by save_checkpoint."""
+    """Load a Seq2SeqModel, float32 or int8, saved by save_checkpoint."""
     path = Path(path)
     for fname in ("config.txt", "vocab.txt", "manifest.tsv", "weights.bin"):
         if not (path / fname).exists():
@@ -136,8 +137,7 @@ def load_checkpoint(path):
 
     expected = {name: shape for name, shape, _ in _param_shapes(cfg)}
     blob = (path / "weights.bin").read_bytes()
-    params: dict[str, Tensor] = {}
-    qparams: dict[str, QuantizedTensor] = {}
+    params: dict[str, Tensor | QuantizedTensor] = {}
     seen = set()
     end = 0
     for name, dtype, shape, offset, scale_s in _parse_manifest(path / "manifest.tsv"):
@@ -165,8 +165,8 @@ def load_checkpoint(path):
             if np.any(arr == -128):
                 raise CheckpointError(f"{path}: int8 tensor '{name}' holds "
                                       f"-128, which quantization never writes")
-            qparams[name] = QuantizedTensor(arr.copy(),
-                                            _parse_scale(path, name, scale_s))
+            params[name] = QuantizedTensor(arr.copy(),
+                                           _parse_scale(path, name, scale_s))
         else:
             arr = arr.astype(np.float32)
             if not np.isfinite(arr).all():
@@ -181,6 +181,4 @@ def load_checkpoint(path):
     if missing:
         raise CheckpointError(f"{path}: manifest missing tensors: "
                               f"{sorted(missing)}")
-    if qparams:
-        return QuantizedSeq2Seq(cfg, params, qparams)
     return Seq2SeqModel(cfg, params)

@@ -137,7 +137,7 @@ class DistillConfig:
     kd_max_len: int = 32
 
     def __post_init__(self):
-        check_loop_sizes(self)
+        check_loop_sizes(self.epochs, self.batch_size)
         LossWeights(self.lam)  # lambda must be in [0, 1]
 
 

@@ -1,9 +1,10 @@
-"""Symmetric per-tensor int8 weight quantization.
+"""Symmetric per-tensor int8 weights: a storage format of `Seq2SeqModel`.
 
 Only 2-D attention/FFN weight matrices are quantized; embeddings, biases
-and layer norms stay float32. A quantized model exposes the same forward
-API as its float parent: each weight is dequantized to float32 on the
-model's first pass, which binds the float32 copies for every later pass.
+and layer norms stay float32. An int8 model's `params` hold a
+`QuantizedTensor` in place of each quantized weight, and its first pass,
+which binds `Seq2SeqModel.weights`, dequantizes each one to float32 once.
+An int8 model is inference only.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .numerics import Tensor
 from .seq2seq.model import Seq2SeqModel
 
@@ -22,6 +24,11 @@ _F32_ONLY = ("tok_emb", "enc_pos", "dec_pos")
 class QuantizedTensor:
     payload: np.ndarray          # int8, original shape
     scale: np.float32            # positive; dequant = payload * scale
+
+    def dequantized(self) -> Tensor:
+        """The float32 weight. `dequantize` is looked up by name at each
+        call, so a wrapper set on `quant.dequantize` sees every call."""
+        return Tensor(dequantize(self))
 
 
 def quantize_int8(tensor) -> QuantizedTensor:
@@ -46,33 +53,11 @@ def _quantizable(name: str, shape: tuple[int, ...]) -> bool:
     return name not in _F32_ONLY and len(shape) == 2
 
 
-class QuantizedSeq2Seq(Seq2SeqModel):
-    """Seq2SeqModel whose weight matrices are stored as int8 + scale. Each
-    is dequantized on the model's first pass, whose binding
-    (`Seq2SeqModel.weights`) keeps the float32 tensors, so loading and
-    quantizing stay cheap and each weight is dequantized once. Inference
-    only."""
-
-    def __init__(self, config, params: dict[str, Tensor],
-                 qparams: dict[str, QuantizedTensor]):
-        super().__init__(config, params)
-        self.qparams = qparams
-
-    def p(self, name: str) -> Tensor:
-        q = self.qparams.get(name)
-        return self.params[name] if q is None else Tensor(dequantize(q))
-
-    @property
-    def model_id(self) -> str:
-        return super().model_id + "-int8"
-
-
-def quantize_model(model: Seq2SeqModel) -> QuantizedSeq2Seq:
-    params: dict[str, Tensor] = {}
-    qparams: dict[str, QuantizedTensor] = {}
-    for name, t in model.params.items():
-        if _quantizable(name, t.data.shape):
-            qparams[name] = quantize_int8(t)
-        else:
-            params[name] = Tensor(t.data.astype(np.float32).copy())
-    return QuantizedSeq2Seq(model.config, params, qparams)
+def quantize_model(model: Seq2SeqModel) -> Seq2SeqModel:
+    """An int8 copy of a float model; other parameters are copied."""
+    if model.quantized:
+        raise DataError("model is already int8-quantized")
+    return Seq2SeqModel(model.config, {
+        name: quantize_int8(t) if _quantizable(name, t.data.shape)
+        else Tensor(t.data.astype(np.float32))
+        for name, t in model.params.items()})

@@ -40,9 +40,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..errors import DataError
 from ..numerics import no_grad
-from ..text import BOS, EOS, PAD, decode as decode_ids
+from ..text import BOS, EOS, PAD, check_count, decode as decode_ids
 from .model import Seq2SeqModel, encode_source
 
 # Queries decoded together at most; bounds the cache on large inputs.
@@ -57,8 +56,7 @@ class BeamResult:
 
 
 def _max_steps(model: Seq2SeqModel, max_len: int) -> int:
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
+    check_count("max_len", max_len, least=1)
     # The BOS-prefixed decoder input must stay within the model's max_len.
     return min(max_len, model.config.max_len - 1)
 
@@ -138,8 +136,7 @@ def beam_search_batch(model: Seq2SeqModel, sources, beam: int = 3,
                       max_len: int = 32) -> list[BeamResult]:
     """`beam_search` of every source, decoded MAX_BATCH queries at a time;
     each result equals that source's own `beam_search` result."""
-    if beam < 1:
-        raise DataError(f"beam must be >= 1, got {beam}")
+    check_count("beam", beam, least=1)
     steps = _max_steps(model, max_len)
     out: list[BeamResult] = []
     for start in range(0, len(sources), MAX_BATCH):

@@ -141,26 +141,27 @@ class Seq2SeqModel:
     pass binds and the model keeps. It holds the parameter Tensors, not
     their arrays, and no code replaces a tensor: the optimizer, `restore`
     and the gradient checks write `.data` in place, and a pass reads
-    `.data` as it runs, so the binding never goes stale."""
+    `.data` as it runs, so the binding never goes stale. An int8 model
+    (`quant`) binds the float32 copy of each stored `QuantizedTensor`."""
 
-    def __init__(self, config: Seq2SeqConfig, params: dict[str, Tensor]):
+    def __init__(self, config: Seq2SeqConfig, params: dict):
         self.config = config
         self.params = params
-
-    # The binding's parameter lookup; the quantized variant overrides it.
-    def p(self, name: str) -> Tensor:
-        return self.params[name]
 
     @cached_property
     def weights(self) -> Weights:
         """The parameters bound into the layers of `LAYER_BLOCKS`, each
         block with the names its ops' checks use; built by the first pass,
-        which calls `p` once per parameter."""
+        which looks each parameter up once and dequantizes an int8 one."""
+        def get(name: str) -> Tensor:
+            t = self.params[name]
+            return t if isinstance(t, Tensor) else t.dequantized()
+
         def lin(w: str, b: str) -> Linear:
-            return Linear(self.p(w), self.p(b), f"linear {w} output")
+            return Linear(get(w), get(b), f"linear {w} output")
 
         def norm(prefix: str) -> Norm:
-            return Norm(self.p(f"{prefix}.g"), self.p(f"{prefix}.b"),
+            return Norm(get(f"{prefix}.g"), get(f"{prefix}.b"),
                         f"layer_norm {prefix} output")
 
         def body(prefix: str) -> Attention | FFN:
@@ -175,14 +176,20 @@ class Seq2SeqModel:
             return tuple(tuple((norm(ln), body(b)) for ln, b in layer)
                          for layer in _layer_blocks(self.config, side))
 
-        return Weights(self.p("tok_emb"), self.p("enc_pos"), self.p("dec_pos"),
+        return Weights(get("tok_emb"), get("enc_pos"), get("dec_pos"),
                        layers("enc"), norm("enc_lnf"), layers("dec"),
                        norm("dec_lnf"))
 
     @property
+    def quantized(self) -> bool:
+        """True for an int8 model: some weight is stored quantized."""
+        return not all(isinstance(t, Tensor) for t in self.params.values())
+
+    @property
     def model_id(self) -> str:
         c = self.config
-        return f"seq2seq-{c.n_enc_layers}x{c.n_dec_layers}-d{c.d_model}"
+        return (f"seq2seq-{c.n_enc_layers}x{c.n_dec_layers}-d{c.d_model}"
+                + ("-int8" if self.quantized else ""))
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self.params.items()}
@@ -469,7 +476,7 @@ class Seq2SeqModel:
 
     @property
     def dtype(self):
-        return self.params["tok_emb"].dtype
+        return self.weights.tok_emb.dtype
 
 
 def source_rows(key_mask: np.ndarray) -> RowLayout:

@@ -158,11 +158,11 @@ def save_parallel_tsv(corpus: Corpus, path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
-def check_count(name: str, n) -> None:
+def check_count(name: str, n, least: int = 0) -> None:
     """Raise DataError naming `name` unless the count `n` is an integer
-    >= 0."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise DataError(f"{name} must be an integer >= 0, got {n!r}")
+    >= `least`."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise DataError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 # ---------------------------------------------------------------------------

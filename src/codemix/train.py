@@ -22,22 +22,18 @@ import numpy as np
 from .augment import AugKind, LossWeights, combined_loss, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
 from .numerics import AdamWState, Tensor, add, no_grad, step_tensors
-from .quant import QuantizedSeq2Seq
 from .seq2seq import Seq2SeqModel, label_smoothed_ce, make_batch, pad_batch
-from .text import Corpus, Provenance
+from .text import Corpus, Provenance, check_count
 
 DEFAULT_STAGE1_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER, AugKind.MASK)
 DEFAULT_STAGE2_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER)
 
 
-def check_loop_sizes(cfg) -> None:
+def check_loop_sizes(epochs, batch_size) -> None:
     """A training loop's `epochs` must be an integer >= 0 and its
-    `batch_size` an integer >= 1 (StageConfig, DistillConfig)."""
-    for name, least in (("epochs", 0), ("batch_size", 1)):
-        n = getattr(cfg, name)
-        if not (isinstance(n, (int, np.integer)) and n >= least):
-            raise DataError(f"{name} must be an integer >= {least}, "
-                            f"got {n!r}")
+    `batch_size` an integer >= 1 (fit, StageConfig, DistillConfig)."""
+    check_count("epochs", epochs)
+    check_count("batch_size", batch_size, least=1)
 
 
 @dataclass
@@ -50,7 +46,7 @@ class StageConfig:
     val_fraction: float = 0.1    # stage 2 only
 
     def __post_init__(self):
-        check_loop_sizes(self)
+        check_loop_sizes(self.epochs, self.batch_size)
         if not 0.0 < self.val_fraction < 1.0:
             raise DataError("val_fraction must be in (0, 1)")
         if self.patience < 1:
@@ -213,14 +209,15 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
     truthy value stops training early. Divergence (non-finite loss) rolls the
     model back to the last epoch-end snapshot and raises
-    TrainingDivergedError. An int8 model (`QuantizedSeq2Seq`) is inference
-    only and raises DataError.
+    TrainingDivergedError. An int8 model (`Seq2SeqModel.quantized`) is
+    inference only and raises DataError.
     """
-    if isinstance(model, QuantizedSeq2Seq):
+    if model.quantized:
         raise DataError("cannot train an int8-quantized model; train the "
                         "float32 model and quantize it afterwards")
     if not corpus:
         raise DataError("cannot train on an empty corpus")
+    check_loop_sizes(epochs, batch_size)
     vocab = model.config.vocab
     weights = LossWeights(lam)
     use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)

@@ -346,8 +346,13 @@ def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
     from codemix.numerics import gelu, layer_norm, linear
     from codemix.numerics.tensor import RowLayout
     from codemix.seq2seq.model import NEG_INF
-    cfg, p = model.config, model.p
+    from codemix.quant import QuantizedTensor, dequantize
+    cfg = model.config
     drop_p = 0.0 if rng is None else cfg.dropout_prob
+
+    def p(name):  # an int8 weight as its float32 dequantization
+        t = model.params[name]
+        return Tensor(dequantize(t)) if isinstance(t, QuantizedTensor) else t
 
     def ln(x, pre):
         return layer_norm(x, p(f"{pre}.g"), p(f"{pre}.b"))

@@ -8,16 +8,17 @@ import pytest
 
 from codemix.bleu import bleu_corpus
 from codemix import cli
+from codemix import distill as distill_mod
 from codemix.cli import main
 from codemix.distill import (DistillConfig, KDKind, LatencyReport,
                              train_student)
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.langid import detect_query_language, load_crf
-from codemix.quant import QuantizedSeq2Seq, quantize_model
+from codemix.quant import quantize_model
 from codemix.seq2seq import (beam_search, encode_source, greedy_decode,
                              translate, translate_corpus)
 from codemix.numerics import make_rng
-from codemix.seq2seq import Seq2SeqConfig
+from codemix.seq2seq import Seq2SeqConfig, Seq2SeqModel
 from codemix.text import decode, load_parallel_tsv
 from codemix.translit import train_translit
 
@@ -759,7 +760,7 @@ class TestDistillCli:
             f"student checkpoint written to {student}"]
 
         model = load_checkpoint(student)
-        assert isinstance(model, QuantizedSeq2Seq) == quantize
+        assert type(model) is Seq2SeqModel and model.quantized == quantize
         assert model.model_id == "seq2seq-1x1-d16" + ("-int8" if quantize
                                                       else "")
         inp, got = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -769,6 +770,48 @@ class TestDistillCli:
                     str(inp), "--output", str(got)]) == 0
         assert read(got).splitlines() == [translate(model, q)
                                           for q in queries[:4]]
+
+    def test_int8_teacher_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # the pseudo-labels are the int8 teacher's own translations, and a
+        # second run with the same seed writes the same bytes
+        teacher = tmp_path / "teacher"
+        save_checkpoint(quantize_model(load_checkpoint(TEACHER)), teacher)
+        queries = _teacher_queries(12)
+        pool, clean = tmp_path / "pool.txt", tmp_path / "clean.tsv"
+        pool.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        clean.write_text("".join(f"{q}\t{q}\n" for q in queries),
+                         encoding="utf-8")
+        labelled = []
+        real = distill_mod.generate_pseudo_labels
+
+        def spy(model, sources, **kw):
+            out = real(model, sources, **kw)
+            labelled.append((model, out[0]))
+            return out
+
+        monkeypatch.setattr(distill_mod, "generate_pseudo_labels", spy)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(["distill", "--teacher", str(teacher), "--clean-tsv",
+                        str(clean), "--pool", str(pool), "--out",
+                        str(out / "student"), "--report",
+                        str(out / "report.jsonl"), "--epochs", "2",
+                        "--seed", "4"] + TINY_MODEL) == 0
+        capsys.readouterr()
+        for model, pseudo in labelled:
+            assert model.model_id.endswith("-int8") and pseudo
+            assert [ex.target for ex in pseudo] == translate_corpus(
+                load_checkpoint(teacher), [ex.source for ex in pseudo])
+        records = [json.loads(ln) for ln in
+                   read(outs[0] / "report.jsonl").splitlines()]
+        assert len(records) == 2
+        assert all(np.isfinite(r[k]) for r in records
+                   for k in ("loss_s", "loss_d", "loss_kd"))
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                       if p.is_file())
+        assert len(files) == 5
+        for f in files:
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
     def test_no_usable_pseudo_labels_is_exit_two(self, tmp_path, capsys):
         # the committed teacher translates this query to nothing
@@ -870,14 +913,16 @@ class TestBadArguments:
     CASES = {
         "translate-max-len-0": (
             ["translate", "--checkpoint", "{ck}", "--input", "{queries}",
-             "--output", "{out}", "--max-len", "0"], "max_len must be >= 1"),
+             "--output", "{out}", "--max-len", "0"],
+            "max_len must be an integer >= 1"),
         "translate-blank-input-max-len-0": (
             ["translate", "--checkpoint", "{ck}", "--input", "{blank}",
-             "--output", "{out}", "--max-len", "0"], "max_len must be >= 1"),
+             "--output", "{out}", "--max-len", "0"],
+            "max_len must be an integer >= 1"),
         "bench-latency-max-len-negative": (
             ["bench-latency", "--checkpoint", "{ck}", "--queries",
              "{queries}", "--max-len", "-1", "--report", "{out}"],
-            "max_len must be >= 1"),
+            "max_len must be an integer >= 1"),
         "train-seed-negative": (
             ["train", "--train-tsv", "{train}", "--stage", "stage1",
              "--seed", "-1", "--out", "{out}"] + TINY_MODEL,

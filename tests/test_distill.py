@@ -5,16 +5,16 @@ import pytest
 
 from codemix import distill as distill_mod
 from codemix import train as train_mod
-from codemix.checkpoint import load_checkpoint
+from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
                              bench_latency, generate_pseudo_labels, kd_loss,
                              train_student)
 from codemix.errors import DataError, TrainingDivergedError
 from codemix.numerics import Tensor, log_softmax, make_rng
-from codemix.quant import (QuantizedSeq2Seq, dequantize, quantize_int8,
+from codemix.quant import (QuantizedTensor, dequantize, quantize_int8,
                            quantize_model)
-from codemix.seq2seq import (Seq2SeqConfig, beam_search_batch, encode_source,
-                             init_model, translate_corpus)
+from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search_batch,
+                             encode_source, init_model, translate_corpus)
 from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
@@ -260,17 +260,18 @@ class TestQuantization:
     def test_error_bound_over_model_tensors(self):
         model, _ = overfit_teacher()
         qmodel = quantize_model(model)
-        assert isinstance(qmodel, QuantizedSeq2Seq)
-        for name, q in qmodel.qparams.items():
+        assert type(qmodel) is Seq2SeqModel and qmodel.quantized
+        for name, q in qmodel.params.items():
+            if not isinstance(q, QuantizedTensor):
+                continue
             err = np.abs(dequantize(q) - model.params[name].data).max()
             assert err <= q.scale / 2 + 1e-9, name
 
     def test_embeddings_stay_float(self):
         model, _ = overfit_teacher()
         qmodel = quantize_model(model)
-        assert "tok_emb" in qmodel.params
-        assert "tok_emb" not in qmodel.qparams
-        assert "enc0.attn.wq" in qmodel.qparams
+        assert isinstance(qmodel.params["tok_emb"], Tensor)
+        assert isinstance(qmodel.params["enc0.attn.wq"], QuantizedTensor)
 
     def test_quantized_model_id(self):
         model, _ = overfit_teacher()
@@ -301,6 +302,40 @@ class TestTrainStudent:
                                   initial_student=clone)
         assert report.steps
         assert all(abs(s.loss_kd) < 1e-5 for s in report.steps)
+
+    def test_int8_teacher(self, tmp_path, monkeypatch):
+        # the pseudo-labels are the int8 teacher's own translations, the
+        # losses stay finite, and a second seeded run writes the same bytes
+        teacher, clean, pool = self._setup()
+        qteacher = quantize_model(teacher)
+        labelled = []
+        real = distill_mod.generate_pseudo_labels
+
+        def spy(model, sources, **kw):
+            assert model is qteacher
+            out = real(model, sources, **kw)
+            labelled.append(out[0])
+            return out
+
+        monkeypatch.setattr(distill_mod, "generate_pseudo_labels", spy)
+        student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
+                                    n_enc_layers=1, n_dec_layers=1,
+                                    d_model=16, n_heads=2, d_ff=32,
+                                    max_len=16)
+        for out in ("a", "b"):
+            student, report = train_student(
+                student_cfg, qteacher, clean, pool, KDKind.JS, make_rng(17),
+                DistillConfig(epochs=2, batch_size=6))
+            assert report.steps and all(
+                np.isfinite([s.loss_s, s.loss_d, s.loss_kd]).all()
+                for s in report.steps)
+            save_checkpoint(student, tmp_path / out)
+        assert labelled[0] and labelled[0] == labelled[1]
+        assert [ex.target for ex in labelled[0]] == translate_corpus(
+            qteacher, [ex.source for ex in labelled[0]])
+        for f in ("config.txt", "vocab.txt", "manifest.tsv", "weights.bin"):
+            assert (tmp_path / "a" / f).read_bytes() == \
+                   (tmp_path / "b" / f).read_bytes(), f
 
     def test_clone_teacher_js_stays_zero(self):
         teacher, clean, pool = self._setup()

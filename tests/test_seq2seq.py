@@ -451,12 +451,27 @@ class TestBeam:
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_max_len_below_one_rejected(self, max_len):
         m = tiny_model()
-        with pytest.raises(DataError, match="max_len must be >= 1"):
+        message = "max_len must be an integer >= 1"
+        with pytest.raises(DataError, match=message):
             beam_search_batch(m, [], max_len=max_len)
-        with pytest.raises(DataError, match="max_len must be >= 1"):
+        with pytest.raises(DataError, match=message):
             beam_search(m, [5, 2], max_len=max_len)
-        with pytest.raises(DataError, match="max_len must be >= 1"):
+        with pytest.raises(DataError, match=message):
             greedy_decode(m, [5, 2], max_len=max_len)
+
+    @pytest.mark.parametrize("arg", ["beam", "max_len"])
+    def test_non_integer_beam_or_max_len_rejected(self, arg):
+        m = tiny_model()
+        calls = {"beam_search": lambda kw: beam_search(m, [5, 2], **kw),
+                 "beam_search_batch":
+                     lambda kw: beam_search_batch(m, [[5, 2]], **kw),
+                 "translate": lambda kw: translate(m, "w0 w1", **kw),
+                 "translate_corpus":
+                     lambda kw: translate_corpus(m, ["w0", "w1"], **kw)}
+        for name, call in calls.items():
+            with pytest.raises(DataError, match=f"{arg} must be an integer "
+                                                f">= 1, got 2.5"):
+                call({arg: 2.5})
 
 
 # Log-probabilities with many exact ties and -inf entries.
@@ -747,7 +762,8 @@ class TestCachedDecoder:
         assert calls == []
         beam_search(qm, [5, 6, EOS], beam=3, max_len=6)
         beam_search(qm, [7, EOS], beam=3, max_len=6)
-        assert sorted(calls) == sorted(id(q) for q in qm.qparams.values())
+        assert sorted(calls) == sorted(id(q) for q in qm.params.values()
+                                       if isinstance(q, quant.QuantizedTensor))
 
     def test_int8_default_model_dequantizes_on_its_first_pass(
             self, monkeypatch, tmp_path):
@@ -771,7 +787,9 @@ class TestCachedDecoder:
             beam_search(m, [5, 6, EOS], beam=3)
             # Q, K, V, O, FFN up and down per encoder layer; self- and
             # cross-attention's four and the FFN's two per decoder layer
-            assert len(calls) == len(m.qparams) == 2 * 6 + 2 * 10
+            stored = [q for q in m.params.values()
+                      if isinstance(q, quant.QuantizedTensor)]
+            assert len(calls) == len(stored) == 2 * 6 + 2 * 10
             beam_search(m, [7, EOS], beam=3)
             m.forward(src, dec_in)
             with no_grad():

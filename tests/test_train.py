@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from codemix import train as train_mod
+from codemix.analysis import XAttnExperimentConfig, ae_xattn_experiment
 from codemix.augment import AugKind, combined_loss
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import (CheckpointError, DataError, ShapeError,
                             TrainingDivergedError)
+from codemix.langid import gen_langid_corpus, train_crf
 from codemix.numerics import Tensor, make_rng, no_grad
 from codemix.quant import quantize_model
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
@@ -14,6 +18,7 @@ from codemix.text import (BOS, SynthTaskSpec, gen_clean_corpus,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import (StageConfig, TrainingConfig, config_from_items,
                            evaluate_loss, fit, train_stage1, train_stage2)
+from codemix.translit import train_translit
 
 
 SPEC = SynthTaskSpec(lexicon_size=12, code_mix_ratio=0.2,
@@ -175,6 +180,25 @@ class TestStage2:
 
 
 class TestInt8Training:
+    def test_int8_is_a_storage_format_of_the_one_model_class(self, tmp_path):
+        model = quantize_model(small_setup(seed=16))
+        save_checkpoint(model, tmp_path / "ck")
+        corpus, _ = gen_synthetic_corpus(SPEC, 16)
+        for m in (model, load_checkpoint(tmp_path / "ck")):
+            assert type(m) is Seq2SeqModel and m.quantized
+            assert m.model_id.endswith("-int8")
+            with pytest.raises(DataError, match="cannot train an int8"):
+                fit(m, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
+                    lam=0.5, label_smoothing=0.1, weight_decay=0.0,
+                    rngs=make_rng(0).spawn(3))
+
+    def test_quantizing_an_int8_model_is_a_data_error(self, tmp_path):
+        model = quantize_model(small_setup(seed=16))
+        save_checkpoint(model, tmp_path / "ck")
+        for m in (model, load_checkpoint(tmp_path / "ck")):
+            with pytest.raises(DataError, match="already int8-quantized"):
+                quantize_model(m)
+
     def test_fit_rejects_int8_model(self):
         model = quantize_model(small_setup(seed=16))
         corpus, _ = gen_synthetic_corpus(SPEC, 16)
@@ -417,3 +441,47 @@ class TestExtraLossHook:
             lam=0.5, label_smoothing=0.1, weight_decay=0.0,
             rngs=make_rng(21).spawn(3), extra_loss=hook)
         assert hook_dtypes == step_dtypes == [np.float32] * 3
+
+
+def _fit_small(**sizes):
+    corpus, _ = gen_synthetic_corpus(SPEC, 8)
+    fit(small_setup(seed=24), corpus, lr=1e-3, kinds=(), lam=0.0,
+        label_smoothing=0.1, weight_decay=0.0, rngs=make_rng(25).spawn(3),
+        **sizes)
+
+
+def _xattn(epochs=1, batch_size=8):
+    config = XAttnExperimentConfig(n_train=8, n_val=4, n_enc_layers=1,
+                                   n_dec_layers=1, d_model=16, d_ff=16,
+                                   epochs=epochs, batch_size=batch_size)
+    ae_xattn_experiment(config, seeds=[0])
+
+
+PAIRS = [("kala", "kaala"), ("juta", "joota")]
+# A loop size no loop can run: (the call, its error). Each is checked where
+# the loop runs, so callers that pass the size straight through get it too.
+LOOP_SIZE_CASES = {
+    "fit-epochs-negative": (lambda: _fit_small(epochs=-1, batch_size=4),
+                            "epochs must be an integer >= 0, got -1"),
+    "fit-batch-size-float": (lambda: _fit_small(epochs=1, batch_size=2.0),
+                             "batch_size must be an integer >= 1, got 2.0"),
+    "translit-batch-size-0": (lambda: train_translit(PAIRS, batch_size=0),
+                              "batch_size must be an integer >= 1, got 0"),
+    "translit-epochs-float": (lambda: train_translit(PAIRS, epochs=2.5),
+                              "epochs must be an integer >= 0, got 2.5"),
+    "xattn-batch-size-0": (lambda: _xattn(batch_size=0),
+                           "batch_size must be an integer >= 1, got 0"),
+    "xattn-epochs-float": (lambda: _xattn(epochs=2.5),
+                           "ae_xattn_experiment needs an integer epochs, "
+                           "got 2.5"),
+    "crf-epochs-float": (lambda: train_crf(gen_langid_corpus(6, seed=0),
+                                           epochs=2.5),
+                         "train_crf needs an integer epochs, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_SIZE_CASES))
+def test_loop_size_is_a_data_error_naming_it(case):
+    call, message = LOOP_SIZE_CASES[case]
+    with pytest.raises(DataError, match=re.escape(message)):
+        call()
