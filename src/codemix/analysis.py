@@ -18,7 +18,8 @@ from .augment import AugKind
 from .errors import DataError, ShapeError
 from .numerics import make_rng, no_grad
 from .seq2seq import Seq2SeqConfig, Seq2SeqModel, init_model, make_batch
-from .text import SynthTaskSpec, gen_synthetic_corpus, synthetic_vocab
+from .text import (SynthTaskSpec, check_count, gen_synthetic_corpus,
+                   synthetic_vocab)
 from .train import fit
 
 
@@ -112,12 +113,7 @@ def ae_xattn_experiment(config: XAttnExperimentConfig,
     every epoch."""
     if not seeds:
         raise DataError("ae_xattn_experiment needs at least one seed")
-    if not isinstance(config.epochs, (int, np.integer)):
-        raise DataError(f"ae_xattn_experiment needs an integer epochs, "
-                        f"got {config.epochs!r}")
-    if config.epochs < 1:
-        raise DataError(f"ae_xattn_experiment needs epochs >= 1, "
-                        f"got {config.epochs}")
+    check_count("epochs", config.epochs, least=1)
     vocab = synthetic_vocab(config.task)
     train_corpus, val_corpus = gen_synthetic_corpus(
         config.task, config.n_train, config.n_val)

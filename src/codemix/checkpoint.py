@@ -5,12 +5,11 @@
   manifest.tsv  name <TAB> dtype <TAB> shape <TAB> byte offset <TAB> scale
   weights.bin   raw little-endian payload blob
 
-Payloads round-trip byte-exactly: float32 parameters as f32 entries, the
-stored `QuantizedTensor`s of an int8 model (`quant`) as i8 entries with a
-scale column. Loading rejects, with CheckpointError, a scale that is not a
-finite number > 0, an int8 payload byte of -128 (quantization clamps to
-[-127, 127]), an int8 entry for a tensor quantization keeps in float32, a
-tensor listed twice and bytes after the last tensor.
+f32 payloads round-trip byte-exactly; an int8 model's `QuantizedTensor`s are
+i8 entries with a scale column. Loading rejects, with CheckpointError, a
+scale that is not a finite number > 0, an int8 payload byte of -128
+(quantization clamps to [-127, 127]), an int8 entry for a tensor quantization
+keeps in float32, a tensor listed twice and bytes after the last tensor.
 """
 
 from __future__ import annotations

@@ -368,10 +368,7 @@ def train_crf(corpus: list[LabeledQuery], l2: float = 1e-4, epochs: int = 8,
     one pass that also turns every query into its feature_ids."""
     if not corpus:
         raise DataError("train_crf needs a non-empty corpus")
-    if not isinstance(epochs, (int, np.integer)):
-        raise DataError(f"train_crf needs an integer epochs, got {epochs!r}")
-    if epochs < 1:
-        raise DataError(f"train_crf needs epochs >= 1, got {epochs}")
+    check_count("epochs", epochs, least=1)
     check_count("batch_size", batch_size, least=1)
     if not (isinstance(l2, (int, float, np.integer, np.floating))
             and 0 <= l2 < np.inf):

@@ -1,10 +1,9 @@
 """Symmetric per-tensor int8 weights: a storage format of `Seq2SeqModel`.
 
 Only 2-D attention/FFN weight matrices are quantized; embeddings, biases
-and layer norms stay float32. An int8 model's `params` hold a
-`QuantizedTensor` in place of each quantized weight, and its first pass,
-which binds `Seq2SeqModel.weights`, dequantizes each one to float32 once.
-An int8 model is inference only.
+and layer norms stay float32. An int8 model, inference only, holds a
+`QuantizedTensor` in `params` in place of each quantized weight; its first
+pass, which binds `Seq2SeqModel.weights`, dequantizes each to float32 once.
 """
 
 from __future__ import annotations

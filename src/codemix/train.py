@@ -36,6 +36,13 @@ def check_loop_sizes(epochs, batch_size) -> None:
     check_count("batch_size", batch_size, least=1)
 
 
+def check_trainable(model: Seq2SeqModel) -> None:
+    """An int8 model (`Seq2SeqModel.quantized`) is inference only."""
+    if model.quantized:
+        raise DataError("cannot train an int8-quantized model; train the "
+                        "float32 model and quantize it afterwards")
+
+
 @dataclass
 class StageConfig:
     epochs: int = 5
@@ -208,13 +215,10 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
 
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
     truthy value stops training early. Divergence (non-finite loss) rolls the
-    model back to the last epoch-end snapshot and raises
-    TrainingDivergedError. An int8 model (`Seq2SeqModel.quantized`) is
-    inference only and raises DataError.
+    model back to the last epoch-end snapshot and raises TrainingDivergedError.
+    An int8 model is inference only: `check_trainable` raises DataError.
     """
-    if model.quantized:
-        raise DataError("cannot train an int8-quantized model; train the "
-                        "float32 model and quantize it afterwards")
+    check_trainable(model)
     if not corpus:
         raise DataError("cannot train on an empty corpus")
     check_loop_sizes(epochs, batch_size)
@@ -311,6 +315,7 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
     validation loss has not improved for `patience` consecutive epochs, and
     return (in place) the best-validation checkpoint, which may be the
     untrained epoch-0 model."""
+    check_trainable(model)
     if any(ex.provenance is not Provenance.CLEAN_MANUAL for ex in clean_corpus):
         raise DataError("train_stage2 expects CLEAN_MANUAL provenance "
                         "for every example")

@@ -108,5 +108,5 @@ class TestExperiment:
     def test_requires_an_epoch(self, epochs):
         cfg = XAttnExperimentConfig()
         cfg.epochs = epochs
-        with pytest.raises(DataError, match="epochs >= 1"):
+        with pytest.raises(DataError, match="epochs must be an integer >= 1"):
             ae_xattn_experiment(cfg, seeds=[0])

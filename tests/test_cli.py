@@ -365,13 +365,15 @@ class TestTrainCli:
                                    tmp_path, capsys):
         ck = tmp_path / "int8"
         save_checkpoint(quantize_model(load_checkpoint(checkpoint_dir)), ck)
-        capsys.readouterr()
-        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
-                  "--stage", "stage1", "--init-from", str(ck),
-                  "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "int8" in _one_error_line(capsys)
-        assert not (tmp_path / "out").exists()
+        for stage in ("stage1", "stage2", "both"):
+            capsys.readouterr()
+            rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                      "--clean-tsv", str(corpus_dir / "clean.tsv"),
+                      "--stage", stage, "--init-from", str(ck),
+                      "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert "int8" in _one_error_line(capsys)
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--heads", "0", "n_heads"), ("--d-model", "-4", "d_model"),
@@ -937,7 +939,7 @@ class TestBadArguments:
             "seed must be an integer >= 0, got -3"),
         "train-langid-epochs-negative": (
             ["train-langid", "--conll", "{conll}", "--epochs", "-1",
-             "--out", "{out}"], "train_crf needs epochs >= 1, got -1"),
+             "--out", "{out}"], "epochs must be an integer >= 1, got -1"),
         "train-langid-l2-negative": (
             ["train-langid", "--conll", "{conll}", "--l2", "-1",
              "--out", "{out}"], "l2 must be a finite number >= 0, got -1.0"),
@@ -959,7 +961,7 @@ class TestBadArguments:
              "--langid-n", "-4"], "--langid-n must be an integer >= 0, got -4"),
         "analyze-xattn-epochs-0": (
             ["analyze-xattn", "--epochs", "0", "--report", "{out}"],
-            "ae_xattn_experiment needs epochs >= 1, got 0"),
+            "epochs must be an integer >= 1, got 0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -516,7 +516,7 @@ class TestTrainCrf:
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
-        with pytest.raises(DataError, match="epochs >= 1"):
+        with pytest.raises(DataError, match="epochs must be an integer >= 1"):
             train_crf(separable_corpus(4), epochs=epochs)
 
     @pytest.mark.parametrize("l2,lr", [(1e-4, float("inf"))])

@@ -192,6 +192,12 @@ class TestInt8Training:
                     lam=0.5, label_smoothing=0.1, weight_decay=0.0,
                     rngs=make_rng(0).spawn(3))
 
+    def test_train_stage2_rejects_int8_model(self):
+        model = quantize_model(small_setup(seed=16))
+        with pytest.raises(DataError, match="cannot train an int8"):
+            train_stage2(model, gen_clean_corpus(SPEC, 20), TrainingConfig(),
+                         make_rng(0))
+
     def test_quantizing_an_int8_model_is_a_data_error(self, tmp_path):
         model = quantize_model(small_setup(seed=16))
         save_checkpoint(model, tmp_path / "ck")
@@ -472,11 +478,10 @@ LOOP_SIZE_CASES = {
     "xattn-batch-size-0": (lambda: _xattn(batch_size=0),
                            "batch_size must be an integer >= 1, got 0"),
     "xattn-epochs-float": (lambda: _xattn(epochs=2.5),
-                           "ae_xattn_experiment needs an integer epochs, "
-                           "got 2.5"),
+                           "epochs must be an integer >= 1, got 2.5"),
     "crf-epochs-float": (lambda: train_crf(gen_langid_corpus(6, seed=0),
                                            epochs=2.5),
-                         "train_crf needs an integer epochs, got 2.5"),
+                         "epochs must be an integer >= 1, got 2.5"),
 }
 
 
