@@ -11,8 +11,11 @@ then times three more runs by its own CPU time (`time.process_time`) and
 reports the fastest: other load on a shared host slows a run, never speeds
 it up.
 
-Prints the two times of each pair, then each tree's median and how many
-pairs each tree won. Each job is one pass of the timed calls of a workload
+Each process also reports its peak RSS (`ru_maxrss`, over its whole life:
+imports, set-up and all four runs) and its minor page faults over the three
+timed runs, so that a change to memory shows its page-fault cost in the same
+pairs. Prints the two times, peaks and fault counts of each pair, then each
+tree's medians and how many pairs each tree won on time. Each job is one pass of the timed calls of a workload
 in perfbench/workloads.py of this checkout, set up by its class at the
 "full" size, without the output checks:
 
@@ -29,6 +32,7 @@ in perfbench/workloads.py of this checkout, set up by its class at the
 """
 import argparse
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -99,21 +103,28 @@ def child(src: str, job: str, seed: int) -> None:
     run = make_job(job, seed)
     run()
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(TIMED_RUNS):
         t0 = time.process_time()
         run()
         times.append(time.process_time() - t0)
-    print(f"{min(times) * 1e3:.3f}")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in KiB on Linux
+    print(f"{min(times) * 1e3:.3f} {usage.ru_maxrss / 1024:.1f} "
+          f"{usage.ru_minflt - faults}")
 
 
-def time_tree(src: str, job: str, seed: int) -> float:
+def time_tree(src: str, job: str, seed: int) -> tuple[float, float, int]:
+    """The tree's (fastest run in ms, peak RSS in MB, minor page faults
+    over the timed runs), from one fresh process."""
     env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
     env.pop("PYTHONPATH", None)
     out = subprocess.run(
         [sys.executable, __file__, "--child", src, "--job", job,
          "--seed", str(seed)],
         env=env, cwd=ROOT, check=True, capture_output=True, text=True)
-    return float(out.stdout.split()[-1])
+    ms, rss, faults = out.stdout.split()[-3:]
+    return float(ms), float(rss), int(faults)
 
 
 def main() -> None:
@@ -130,21 +141,28 @@ def main() -> None:
         return
     if len(args.trees) != 2 or args.reps < 1:
         parser.error("give two source trees and --reps >= 1")
-    times: dict[str, list[float]] = {"A": [], "B": []}
+    runs: dict[str, list[tuple[float, float, int]]] = {"A": [], "B": []}
     for rep in range(args.reps):
         order = ("A", "B") if rep % 2 == 0 else ("B", "A")
         for tree in order:
             src = args.trees[0] if tree == "A" else args.trees[1]
-            times[tree].append(time_tree(src, args.job, args.seed))
-        a, b = times["A"][-1], times["B"][-1]
+            runs[tree].append(time_tree(src, args.job, args.seed))
+        (a, rss_a, flt_a), (b, rss_b, flt_b) = runs["A"][-1], runs["B"][-1]
         print(f"pair {rep + 1:2d} ({''.join(order)} order): A {a:9.1f} ms  "
-              f"B {b:9.1f} ms  B/A {b / a:.3f}", flush=True)
+              f"B {b:9.1f} ms  B/A {b / a:.3f}  peak RSS A {rss_a:.1f} "
+              f"B {rss_b:.1f} MB  minor faults A {flt_a} B {flt_b}",
+              flush=True)
+    times = {t: [r[0] for r in runs[t]] for t in "AB"}
     wins_a = sum(a < b for a, b in zip(times["A"], times["B"]))
     wins_b = sum(b < a for a, b in zip(times["A"], times["B"]))
-    med_a, med_b = (statistics.median(times[t]) for t in "AB")
-    print(f"median: A {med_a:.1f} ms, B {med_b:.1f} ms "
-          f"({(med_b / med_a - 1) * 100:+.1f} %)")
-    print(f"pairs won: A {wins_a}, B {wins_b} of {args.reps}")
+    for i, (what, unit) in enumerate((("time", " ms"), ("peak RSS", " MB"),
+                                      ("minor faults", ""))):
+        med_a, med_b = (statistics.median(r[i] for r in runs[t])
+                        for t in "AB")
+        change = f"{(med_b / med_a - 1) * 100:+.1f} %" if med_a else "n/a"
+        print(f"median {what}: A {med_a:.1f}{unit}, B {med_b:.1f}{unit} "
+              f"({change})")
+    print(f"pairs won on time: A {wins_a}, B {wins_b} of {args.reps}")
 
 
 if __name__ == "__main__":

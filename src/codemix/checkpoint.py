@@ -9,7 +9,10 @@ f32 payloads round-trip byte-exactly; an int8 model's `QuantizedTensor`s are
 i8 entries with a scale column. Loading rejects, with CheckpointError, a
 scale that is not a finite number > 0, an int8 payload byte of -128
 (quantization clamps to [-127, 127]), an int8 entry for a tensor quantization
-keeps in float32, a tensor listed twice and bytes after the last tensor.
+keeps in float32, a tensor listed twice, more layers in config.txt than
+manifest.tsv has tensors, and byte ranges that are not back to back in
+manifest order from byte 0 to the end of weights.bin (a gap, an overlap or
+trailing bytes).
 """
 
 from __future__ import annotations
@@ -134,16 +137,27 @@ def load_checkpoint(path):
     except (ValueError, DataError) as e:
         raise CheckpointError(f"{path}: bad config.txt: {e}") from None
 
+    rows = _parse_manifest(path / "manifest.tsv")
+    layers = cfg.n_enc_layers + cfg.n_dec_layers
+    if layers > len(rows):  # each layer has tensors of its own
+        raise CheckpointError(f"{path}: config.txt has {layers} layers, "
+                              f"manifest.tsv only {len(rows)} tensors")
     expected = {name: shape for name, shape, _ in _param_shapes(cfg)}
-    blob = (path / "weights.bin").read_bytes()
-    params: dict[str, Tensor | QuantizedTensor] = {}
     seen = set()
-    end = 0
-    for name, dtype, shape, offset, scale_s in _parse_manifest(path / "manifest.tsv"):
+    for name, *_ in rows:
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor '{name}'")
         if name in seen:
             raise CheckpointError(f"{path}: tensor '{name}' listed twice")
+        seen.add(name)
+    missing = set(expected) - seen
+    if missing:
+        raise CheckpointError(f"{path}: manifest missing tensors: "
+                              f"{sorted(missing)}")
+    blob = (path / "weights.bin").read_bytes()
+    params: dict[str, Tensor | QuantizedTensor] = {}
+    end = 0  # where the previous tensor's bytes end
+    for name, dtype, shape, offset, scale_s in rows:
         if shape != expected[name]:
             raise ShapeError(f"{path}: tensor '{name}' has shape {shape}, "
                              f"config implies {expected[name]}")
@@ -151,15 +165,18 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: tensor '{name}' is int8, but "
                                   f"quantization keeps it float32")
         np_dtype = _DTYPES[dtype]
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * np_dtype.itemsize
-        if offset < 0 or offset + nbytes > len(blob):
+        count = math.prod(shape)
+        if offset != end:
+            raise CheckpointError(f"{path}: tensor '{name}' starts at byte "
+                                  f"{offset}, not at {end}, where the "
+                                  f"tensor before it ends")
+        end = offset + count * np_dtype.itemsize
+        if end > len(blob):
             raise CheckpointError(f"{path}: truncated container: tensor "
                                   f"'{name}' needs bytes [{offset}, "
-                                  f"{offset + nbytes}) of {len(blob)}")
+                                  f"{end}) of {len(blob)}")
         arr = np.frombuffer(blob, dtype=np_dtype, count=count,
                             offset=offset).reshape(shape)
-        end = max(end, offset + nbytes)
         if dtype == "i8":
             if np.any(arr == -128):
                 raise CheckpointError(f"{path}: int8 tensor '{name}' holds "
@@ -172,12 +189,7 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: tensor '{name}' holds NaN "
                                       f"or Inf")
             params[name] = Tensor(arr, requires_grad=True, what=None)
-        seen.add(name)
     if len(blob) > end:
         raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes "
                               f"after the last tensor in weights.bin")
-    missing = set(expected) - seen
-    if missing:
-        raise CheckpointError(f"{path}: manifest missing tensors: "
-                              f"{sorted(missing)}")
     return Seq2SeqModel(cfg, params)

@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import XAttnExperimentConfig, ae_xattn_experiment
 from .bleu import bleu_corpus
@@ -441,7 +443,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return args.func(args)
+        # NaN and Inf raise NonFiniteError naming the op; NumPy's warnings
+        # about them would print more lines before the one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

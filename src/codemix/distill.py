@@ -22,7 +22,7 @@ import numpy as np
 
 from .augment import AugKind, LossWeights
 from .errors import DataError
-from .numerics import Tensor, exp, log_softmax, mul, no_grad, tsum
+from .numerics import Tensor, check_rate, exp, log_softmax, mul, no_grad, tsum
 from .numerics.tensor import _make
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
@@ -138,6 +138,8 @@ class DistillConfig:
 
     def __post_init__(self):
         check_loop_sizes(self.epochs, self.batch_size)
+        check_rate("lr", self.lr, positive=True)
+        check_rate("weight_decay", self.weight_decay)
         LossWeights(self.lam)  # lambda must be in [0, 1]
 
 

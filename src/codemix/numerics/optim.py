@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import DataError, ShapeError
 from . import tensor
 from .tensor import Tensor
 
@@ -23,6 +23,19 @@ class AdamWState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_rate("lr", self.lr, positive=True)
+        check_rate("weight_decay", self.weight_decay)
+
+
+def check_rate(name: str, value, positive: bool = False) -> None:
+    """DataError naming `name` unless `value` is > 0 (`positive`) or >= 0:
+    a learning rate <= 0 or a negative weight decay runs gradient ascent.
+    NaN and +Inf pass; the step's finite check rejects what they write."""
+    if value < 0 or (positive and value == 0):
+        raise DataError(f"{name} must be {'> 0' if positive else '>= 0'}, "
+                        f"got {value!r}")
 
 
 def adamw_step(params: dict[str, np.ndarray | Tensor],

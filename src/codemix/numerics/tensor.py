@@ -12,8 +12,12 @@ finite, the pass runs again on the same inputs with every op checked, and
 the error names the op, as it would with per-op checks throughout.
 
 Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
-walks the tape in reverse topological order. Wrap inference code in
-`no_grad()` to skip tape construction entirely.
+walks the tape in reverse topological order and frees it as it goes: once a
+node's backward has run, the node drops its closure (the arrays it saved),
+its parents and its gradient, so a step's activations are released during
+its own backward. Only leaves (parameters and inputs) keep `.grad`, and a
+second backward through a freed node raises CodemixError. Wrap inference
+code in `no_grad()` to skip tape construction entirely.
 
 The tape ops are `add`, `mul`, `matmul`, `tsum`, `exp`, `gelu`, `linear`,
 `softmax`, `log_softmax`, `layer_norm` and `gather_rows`. Forwards and
@@ -37,7 +41,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..errors import NonFiniteError, ShapeError
+from ..errors import CodemixError, NonFiniteError, ShapeError
 
 _grad_enabled = True
 _op_checks = True  # False only during a model pass's first run
@@ -146,7 +150,12 @@ class Tensor:
             self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Reverse-mode sweep seeding this (scalar) tensor's gradient."""
+        """Reverse-mode sweep seeding this (scalar) tensor's gradient.
+
+        The graph is freed as it is walked: each non-leaf node, once its
+        backward has run, loses its closure, its parents and its `.grad`.
+        Leaves keep `.grad`; a second backward through a freed node raises
+        CodemixError."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without an explicit gradient "
@@ -168,13 +177,23 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its .grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _freed, (), None
 
     def __repr__(self):
         return (f"Tensor(shape={self.shape}, dtype={self.data.dtype}, "
                 f"requires_grad={self.requires_grad})")
+
+
+def _freed(grad: np.ndarray) -> None:
+    """The backward of a node that an earlier backward() has freed."""
+    raise CodemixError("backward() through a graph that an earlier "
+                       "backward() freed; run the forward again")
 
 
 def as_tensor(x) -> Tensor:

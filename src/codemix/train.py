@@ -21,7 +21,8 @@ import numpy as np
 
 from .augment import AugKind, LossWeights, combined_loss, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
-from .numerics import AdamWState, Tensor, add, no_grad, step_tensors
+from .numerics import (AdamWState, Tensor, add, check_rate, no_grad,
+                       step_tensors)
 from .seq2seq import Seq2SeqModel, label_smoothed_ce, make_batch, pad_batch
 from .text import Corpus, Provenance, check_count
 
@@ -54,6 +55,7 @@ class StageConfig:
 
     def __post_init__(self):
         check_loop_sizes(self.epochs, self.batch_size)
+        check_rate("lr", self.lr, positive=True)
         if not 0.0 < self.val_fraction < 1.0:
             raise DataError("val_fraction must be in (0, 1)")
         if self.patience < 1:
@@ -73,6 +75,9 @@ class TrainingConfig:
     # The learning rates the reference setup quotes (5e-6 / 1e-5) target
     # 139M+ parameter warm-started models; training this package's small
     # models from scratch needs roughly 3e-4 (both recorded in reports).
+
+    def __post_init__(self):
+        check_rate("weight_decay", self.weight_decay)
 
     def items(self) -> dict[str, object]:
         return {

@@ -408,7 +408,9 @@ class TestTrainCli:
     @pytest.mark.parametrize("line,message", [
         ("stage1.batch_size = 0", "stage1: batch_size must be an integer"),
         ("stage2.epochs = -1", "stage2: epochs must be an integer >= 0"),
-        ("stage1.epochs = x", "stage1.epochs = 'x'")])
+        ("stage1.epochs = x", "stage1.epochs = 'x'"),
+        ("stage1.lr = -0.01", "stage1: lr must be > 0, got -0.01"),
+        ("weight_decay = -1", "weight_decay must be >= 0, got -1.0")])
     def test_bad_loop_config_is_exit_two(self, line, message, corpus_dir,
                                          tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -937,6 +939,10 @@ class TestBadArguments:
             ["distill", "--teacher", "{teacher}", "--clean-tsv", "{clean}",
              "--pool", "{queries}", "--seed", "-3", "--out", "{out}"],
             "seed must be an integer >= 0, got -3"),
+        "distill-lr-negative": (
+            ["distill", "--teacher", "{teacher}", "--clean-tsv", "{clean}",
+             "--pool", "{queries}", "--lr", "-0.5", "--out", "{out}"],
+            "lr must be > 0, got -0.5"),
         "train-langid-epochs-negative": (
             ["train-langid", "--conll", "{conll}", "--epochs", "-1",
              "--out", "{out}"], "epochs must be an integer >= 1, got -1"),

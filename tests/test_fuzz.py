@@ -1,32 +1,42 @@
-"""Byte- and line-level fuzzing of the CRF-side file readers.
+"""Byte- and line-level fuzzing of the file readers.
 
-A CRF model file (as `save_crf` writes it, and indented) and a CoNLL label
-file are mutated: truncated, a bit flipped, a NUL, a BOM or invalid UTF-8
-inserted, a line duplicated or dropped, a number replaced by NaN, Inf, -0,
-1e309 or a 40-digit integer. Each mutant goes through `load_crf` or
-`load_token_labels`, and through `codemix detect-lang` or `codemix
-train-langid`. A mutant may load, or raise a `CodemixError`, which the CLI
-reports as exit code 2 with one line on stderr; nothing else (a traceback,
-another exception) is allowed. A CRF file detects queries exactly when it
-loads; a label file that loads may still hold no query to train on.
-Hypothesis runs derandomized with a fixed example budget, so the same
-mutants run every time.
+A CRF model file (as `save_crf` writes it, and indented), a CoNLL label
+file and each of the four files of a seq2seq checkpoint (f32 and int8) are
+mutated: truncated, a bit flipped, a NUL, a BOM or invalid UTF-8 inserted, a
+line duplicated or dropped, a number replaced by NaN, Inf, -0, 1e309 or a
+40-digit integer. Each mutant goes through `load_crf`, `load_token_labels`
+or `load_checkpoint`, and through `codemix detect-lang`, `codemix
+train-langid` or `codemix translate`. A mutant may load, or raise a
+`CodemixError`, which the CLI reports as exit code 2 with one line on
+stderr; nothing else (a traceback, another exception) is allowed. A CRF
+file detects queries exactly when it loads, and a checkpoint translates
+through the CLI exactly when it loads and translates through the API; a
+label file that loads may still hold no query to train on. Hypothesis runs
+derandomized with a fixed example budget, so the same mutants run every
+time.
 """
 
 import contextlib
 import io
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from codemix import checkpoint
+from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.cli import main
-from codemix.errors import CodemixError
+from codemix.errors import CheckpointError, CodemixError
 from codemix.langid import (gen_langid_corpus, load_crf, load_token_labels,
                             save_crf, save_token_labels, train_crf)
 from codemix.numerics import make_rng
+from codemix.quant import quantize_model
+from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
+from codemix.seq2seq.model import _param_shapes
+from codemix.text import SynthTaskSpec, synthetic_vocab
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None,
                 database=None,
@@ -88,11 +98,16 @@ def api_outcome(load, path) -> bool:
 
 
 def cli_outcome(argv) -> bool:
-    """True on exit code 0; on exit code 2 stderr must be one error line."""
+    """True on exit code 0; on exit code 2 stderr must be one error line.
+    A warning (NumPy's overflow warnings, say) would be more stderr lines
+    in a real run, so none may be issued."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(argv)
+    assert not caught, [str(w.message) for w in caught]
     assert rc in (0, 2), err.getvalue()
     if rc == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
@@ -145,3 +160,118 @@ def test_conll_file_mutants(conll_file, tmp_path, mutation):
                           "1", "--out", str(tmp_path / "crf.json")])
     # a file that loads may still not train (an empty one holds no query)
     assert loads or not trains
+
+
+CHECKPOINT_FILES = ("config.txt", "vocab.txt", "manifest.tsv", "weights.bin")
+MAX_LAYERS = 1000  # far above any checkpoint written here
+
+
+def _guarded_param_shapes(cfg):
+    """`_param_shapes`, refusing a layer count that would exhaust memory
+    listing shapes, so a loader that does not reject it fails the test."""
+    layers = cfg.n_enc_layers + cfg.n_dec_layers
+    assert layers <= MAX_LAYERS, f"listing the shapes of {layers} layers"
+    return _param_shapes(cfg)
+
+
+@pytest.fixture(autouse=True)
+def guard_layer_count(monkeypatch):
+    monkeypatch.setattr(checkpoint, "_param_shapes", _guarded_param_shapes)
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """The files of a tiny f32 checkpoint and of its int8 copy, by name."""
+    vocab = synthetic_vocab(SynthTaskSpec(lexicon_size=4, seed=5))
+    model = init_model(Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
+                                     n_dec_layers=1, d_model=8, n_heads=2,
+                                     d_ff=8, max_len=8, dropout_prob=0.0),
+                       make_rng(4))
+    out = []
+    for m in (model, quantize_model(model)):
+        path = tmp_path_factory.mktemp("ck")
+        save_checkpoint(m, path)
+        out.append({f: (path / f).read_bytes() for f in CHECKPOINT_FILES})
+    return out
+
+
+def translate_outcomes(files: dict[str, bytes], tmp_path) -> bool:
+    """Write the checkpoint `files` and translate one query through the API
+    and through `codemix translate`: True if both succeed, False if both
+    raise a CodemixError (exit code 2)."""
+    path = tmp_path / "ck"
+    path.mkdir(exist_ok=True)  # one per Hypothesis run; examples rewrite it
+    for name, data in files.items():
+        (path / name).write_bytes(data)
+    queries = tmp_path / "q.txt"
+    queries.write_text("kaka tuto\n", encoding="utf-8")
+    cli = cli_outcome(["translate", "--checkpoint", str(path), "--input",
+                       str(queries), "--output", str(tmp_path / "out.txt")])
+    api = api_outcome(lambda p: translate_corpus(load_checkpoint(p),
+                                                 ["kaka tuto"]), path)
+    assert cli == api
+    return api
+
+
+# "number" mutations: config.txt's numbers are quantized, n_enc_layers,
+# n_dec_layers, ...; manifest.tsv's are each line's first dimension and
+# offset (and an int8 line's scale), so 3 is enc_pos's offset in the f32
+# file, whose bytes start at 1312
+@FUZZ
+@given(which=st.integers(0, 1), name=st.sampled_from(CHECKPOINT_FILES),
+       mutation=MUTATIONS)
+@example(which=0, name="config.txt", mutation=("number", 1, NUMBERS[-1]))
+@example(which=1, name="config.txt", mutation=("number", 2, HUGE))
+@example(which=0, name="manifest.tsv", mutation=("number", 3, b"0"))
+# enc_pos[0, 0] times 2**128: finite, but the first layer norm overflows
+@example(which=0, name="weights.bin", mutation=("flip", 1312 + 3, 6))
+def test_checkpoint_file_mutants(checkpoints, tmp_path, which, name,
+                                 mutation):
+    files = dict(checkpoints[which])
+    files[name] = mutate(files[name], mutation)
+    translate_outcomes(files, tmp_path)
+
+
+def _edit_offsets(files, edit, grow: int = 0) -> None:
+    """Replace manifest.tsv's byte offsets by `edit(offsets)` and append
+    `grow` zero bytes to weights.bin."""
+    rows = [ln.split(b"\t") for ln in files["manifest.tsv"].splitlines()]
+    for r, offset in zip(rows, edit([int(r[3]) for r in rows])):
+        r[3] = b"%d" % offset
+    files["manifest.tsv"] = b"".join(b"\t".join(r) + b"\n" for r in rows)
+    files["weights.bin"] += b"\0" * grow
+
+
+def _set_config(files, key: str, value: int) -> None:
+    files["config.txt"] = re.sub(rf"(?m)^{key} = .*$".encode(),
+                                 f"{key} = {value}".encode(),
+                                 files["config.txt"])
+
+
+# each edit of a checkpoint's files -> the start of the error it must raise
+LAYOUT_CASES = {
+    # enc_pos over tok_emb's first rows: the bytes it owned are never read
+    "overlap": (lambda f: _edit_offsets(f, lambda o: [o[0], 0, *o[2:]]),
+                "tensor 'enc_pos' starts at byte 0, not at "),
+    "gap": (lambda f: _edit_offsets(
+        f, lambda o: [o[0], *(x + 4 for x in o[1:])], grow=4),
+        "tensor 'enc_pos' starts at byte "),
+    "first-not-at-byte-0": (lambda f: _edit_offsets(
+        f, lambda o: [x + 4 for x in o], grow=4),
+        "tensor 'tok_emb' starts at byte 4, not at 0"),
+    "huge-layer-count": (lambda f: _set_config(f, "n_enc_layers", 10 ** 39),
+                         f"config.txt has {10 ** 39 + 1} layers"),
+    "layers-above-tensors": (lambda f: _set_config(f, "n_dec_layers", 100),
+                             "config.txt has 101 layers, manifest.tsv only"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+@pytest.mark.parametrize("which", [0, 1], ids=["f32", "int8"])
+def test_checkpoint_layout_is_checked(checkpoints, tmp_path, case, which):
+    edit, message = LAYOUT_CASES[case]
+    files = dict(checkpoints[which])
+    edit(files)
+    assert not translate_outcomes(files, tmp_path)  # exit 2 on the CLI
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(tmp_path / "ck")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from codemix import train as train_mod
 from codemix.analysis import XAttnExperimentConfig, ae_xattn_experiment
 from codemix.augment import AugKind, combined_loss
 from codemix.checkpoint import load_checkpoint, save_checkpoint
-from codemix.errors import (CheckpointError, DataError, ShapeError,
-                            TrainingDivergedError)
+from codemix.distill import DistillConfig
+from codemix.errors import (CheckpointError, CodemixError, DataError,
+                            ShapeError, TrainingDivergedError)
 from codemix.langid import gen_langid_corpus, train_crf
 from codemix.numerics import Tensor, make_rng, no_grad
 from codemix.quant import quantize_model
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
-                             encode_source, init_model, make_batch)
+                             encode_source, init_model, label_smoothed_ce,
+                             make_batch)
 from codemix.text import (BOS, SynthTaskSpec, gen_clean_corpus,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import (StageConfig, TrainingConfig, config_from_items,
@@ -253,6 +256,53 @@ class TestWeightsBinding:
         assert passes(model) == passes(rebuilt(model))
 
 
+class TestFreedTape:
+    """backward() frees the graph as it walks it, so a training step holds
+    one step's activations, never two."""
+
+    def test_backward_frees_every_node_it_reached(self):
+        model = small_setup(seed=30)
+        corpus, _ = gen_synthetic_corpus(SPEC, 6)
+        batch = make_batch(model.config.vocab, [ex.source for ex in corpus],
+                           [ex.target for ex in corpus], model.config.max_len)
+        loss = label_smoothed_ce(model.forward(batch["src"], batch["dec_in"]),
+                                 batch["labels"], 0.1)
+        reached, stack = {}, [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in reached:
+                reached[id(t)] = t
+                stack.extend(t._parents)
+        inner = [t for t in reached.values() if t._parents]
+        assert len(inner) > 5
+        assert all(id(p) in reached for p in model.params.values())
+        loss.backward()
+        for t in inner:
+            assert t._parents == () and t.grad is None
+            assert t._backward.__closure__ is None  # no saved arrays
+        assert all(p.grad is not None and p.grad.shape == p.shape
+                   for p in model.params.values())
+        with pytest.raises(CodemixError, match="freed"):
+            loss.backward()
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        corpus, _ = gen_synthetic_corpus(SPEC, 32)
+
+        def peak(epochs):  # one step per epoch
+            model = small_setup(seed=31)
+            tracemalloc.start()
+            try:
+                fit(model, corpus, epochs=epochs, lr=1e-3, batch_size=32,
+                    kinds=(AugKind.AUTOENCODER,), lam=0.5,
+                    label_smoothing=0.1, weight_decay=0.01,
+                    rngs=make_rng(32).spawn(3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.3 * peak(1)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model = small_setup(seed=12)
@@ -488,5 +538,59 @@ LOOP_SIZE_CASES = {
 @pytest.mark.parametrize("case", sorted(LOOP_SIZE_CASES))
 def test_loop_size_is_a_data_error_naming_it(case):
     call, message = LOOP_SIZE_CASES[case]
+    with pytest.raises(DataError, match=re.escape(message)):
+        call()
+
+
+def _fit_steps(lr=1e-3, weight_decay=0.0):
+    """Fit a small model for one epoch; the weights must be unchanged if
+    fit raises."""
+    corpus, _ = gen_synthetic_corpus(SPEC, 8)
+    model = small_setup(seed=26)
+    before = {k: t.data.copy() for k, t in model.params.items()}
+    try:
+        fit(model, corpus, epochs=1, lr=lr, batch_size=4, kinds=(),
+            lam=0.0, label_smoothing=0.1, weight_decay=weight_decay,
+            rngs=make_rng(27).spawn(3))
+    finally:
+        assert all(np.array_equal(t.data, before[k])
+                   for k, t in model.params.items())
+
+
+# A learning rate <= 0 or a negative weight decay runs gradient ascent:
+# (the call, its error), raised before the first step. NaN and +Inf take the
+# after-the-step path (test_non_finite_step_rolls_back_and_raises).
+STEP_SIZE_CASES = {
+    "stage-lr-negative": (lambda: StageConfig(lr=-0.01),
+                          "lr must be > 0, got -0.01"),
+    "stage-lr-0": (lambda: StageConfig(lr=0.0), "lr must be > 0, got 0.0"),
+    "config-file-stage1-lr": (
+        lambda: config_from_items({"stage1.lr": "-0.01"}),
+        "training config stage1: lr must be > 0, got -0.01"),
+    "config-weight-decay-negative": (
+        lambda: TrainingConfig(weight_decay=-1),
+        "weight_decay must be >= 0, got -1"),
+    "config-file-weight-decay": (
+        lambda: config_from_items({"weight_decay": "-1"}),
+        "weight_decay must be >= 0, got -1.0"),
+    "distill-lr-negative": (lambda: DistillConfig(lr=-0.5),
+                            "lr must be > 0, got -0.5"),
+    "distill-weight-decay-negative": (
+        lambda: DistillConfig(weight_decay=-1e-3),
+        "weight_decay must be >= 0, got -0.001"),
+    "fit-lr-minus-inf": (lambda: _fit_steps(lr=-np.inf),
+                         "lr must be > 0, got -inf"),
+    "fit-lr-0": (lambda: _fit_steps(lr=0), "lr must be > 0, got 0"),
+    "fit-weight-decay-negative": (lambda: _fit_steps(weight_decay=-0.5),
+                                  "weight_decay must be >= 0, got -0.5"),
+    "crf-lr-negative": (lambda: train_crf(gen_langid_corpus(6, seed=0),
+                                          epochs=1, lr=-0.05),
+                        "lr must be > 0, got -0.05"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_SIZE_CASES))
+def test_step_size_is_a_data_error_naming_it(case):
+    call, message = STEP_SIZE_CASES[case]
     with pytest.raises(DataError, match=re.escape(message)):
         call()
