@@ -15,9 +15,14 @@ Each process also reports its peak RSS (`ru_maxrss`, over its whole life:
 imports, set-up and all four runs) and its minor page faults over the three
 timed runs, so that a change to memory shows its page-fault cost in the same
 pairs. Prints the two times, peaks and fault counts of each pair, then each
-tree's medians and how many pairs each tree won on time. Each job is one pass of the timed calls of a workload
-in perfbench/workloads.py of this checkout, set up by its class at the
-"full" size, without the output checks:
+tree's quartiles of the three, then one verdict per quantity on whether
+SRC_B (the change) may claim it lower than SRC_A (the parent): B must be
+lower in at least nine tenths of the pairs, ties counting for neither, and
+the medians must differ by more than A's interquartile range.
+
+Each job is one pass of the timed calls of a workload in
+perfbench/workloads.py of this checkout, set up by its class at the "full"
+size, without the output checks:
 
   distill  every train_student job of Distill;
   train    every job of Train: train_stage1 and train_stage2 of a fresh
@@ -43,6 +48,32 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = ("distill", "train", "crf", "serve")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIMED_RUNS = 3
+# (name, unit, decimals) of each number a process reports
+QUANTITIES = (("time", " ms", 1), ("peak RSS", " MB", 1),
+              ("minor faults", "", 0))
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, the median and the third quartile of `values`,
+    interpolated linearly between the sorted values (numpy.percentile's
+    default)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def claim(parent: list[float], change: list[float]
+          ) -> tuple[bool, int, float, float]:
+    """Whether paired runs let the change claim a lower value than the
+    parent: (claimable, pairs the change is lower in, the parent's median
+    minus the change's, the parent's interquartile range). Claimable means
+    lower in at least nine tenths of the pairs, a tie counting for
+    neither, and a median gap larger than that range."""
+    wins = sum(b < a for a, b in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    gap = median - statistics.median(change)
+    return 10 * wins >= 9 * len(parent) and gap > q3 - q1, wins, gap, q3 - q1
 
 
 def make_job(name: str, seed: int):
@@ -152,17 +183,18 @@ def main() -> None:
               f"B {b:9.1f} ms  B/A {b / a:.3f}  peak RSS A {rss_a:.1f} "
               f"B {rss_b:.1f} MB  minor faults A {flt_a} B {flt_b}",
               flush=True)
-    times = {t: [r[0] for r in runs[t]] for t in "AB"}
-    wins_a = sum(a < b for a, b in zip(times["A"], times["B"]))
-    wins_b = sum(b < a for a, b in zip(times["A"], times["B"]))
-    for i, (what, unit) in enumerate((("time", " ms"), ("peak RSS", " MB"),
-                                      ("minor faults", ""))):
-        med_a, med_b = (statistics.median(r[i] for r in runs[t])
-                        for t in "AB")
+    for i, (what, unit, n) in enumerate(QUANTITIES):
+        a, b = ([r[i] for r in runs[t]] for t in "AB")
+        (a1, med_a, a3), (b1, med_b, b3) = quartiles(a), quartiles(b)
         change = f"{(med_b / med_a - 1) * 100:+.1f} %" if med_a else "n/a"
-        print(f"median {what}: A {med_a:.1f}{unit}, B {med_b:.1f}{unit} "
-              f"({change})")
-    print(f"pairs won on time: A {wins_a}, B {wins_b} of {args.reps}")
+        print(f"{what}: A {a1:.{n}f} / {med_a:.{n}f} / {a3:.{n}f}{unit}, "
+              f"B {b1:.{n}f} / {med_b:.{n}f} / {b3:.{n}f}{unit} (quartiles; "
+              f"median {change})")
+    for i, (what, unit, n) in enumerate(QUANTITIES):
+        ok, wins, gap, iqr = claim(*([r[i] for r in runs[t]] for t in "AB"))
+        print(f"verdict {what}: B lower in {wins} of {args.reps} pairs, "
+              f"median gap {gap:.{n}f}{unit} against A's IQR "
+              f"{iqr:.{n}f}{unit}: {'claimable' if ok else 'not claimable'}")
 
 
 if __name__ == "__main__":

@@ -35,13 +35,19 @@ def min_head_identity_error(c_heads: np.ndarray) -> float:
 
 def xattn_identity_error(model: Seq2SeqModel, batch, layer: int) -> float:
     """Mean over examples of min over heads of ||C - I||_F at one decoder
-    layer. `batch` is a list of texts (fed autoencoder-style, input=output)
-    or of (source, target) pairs.
+    layer (`xattn_identity_errors`)."""
+    if not 0 <= layer < model.config.n_dec_layers:
+        raise DataError(f"decoder layer {layer} out of range")
+    return xattn_identity_errors(model, batch)[layer]
+
+
+def xattn_identity_errors(model: Seq2SeqModel, batch) -> list[float]:
+    """Each decoder layer's mean over examples of min over heads of
+    ||C - I||_F, from one forward pass. `batch` is a list of texts (fed
+    autoencoder-style, input=output) or of (source, target) pairs.
 
     Raises when source/target token counts differ (non-square C).
     """
-    if not 0 <= layer < model.config.n_dec_layers:
-        raise DataError(f"decoder layer {layer} out of range")
     if not batch:
         raise DataError("xattn_identity_error needs a non-empty batch")
     pairs = [(b, b) if isinstance(b, str) else tuple(b) for b in batch]
@@ -62,11 +68,13 @@ def xattn_identity_error(model: Seq2SeqModel, batch, layer: int) -> float:
     capture: list[np.ndarray] = []
     with no_grad():
         model.forward(arrays["src"], arrays["dec_in"], capture=capture)
-    attn = capture[layer]  # (B, H, T, S)
-    errors = [min_head_identity_error(attn[i, :, :n, :n])
-              for i, n in enumerate(lens)]
-    # fsum makes the mean exactly invariant to batch order.
-    return math.fsum(errors) / len(errors)
+    out = []
+    for attn in capture:  # (B, H, T, S), one per decoder layer
+        errors = [min_head_identity_error(attn[i, :, :n, :n])
+                  for i, n in enumerate(lens)]
+        # fsum makes the mean exactly invariant to batch order.
+        out.append(math.fsum(errors) / len(errors))
+    return out
 
 
 @dataclass
@@ -130,8 +138,7 @@ def ae_xattn_experiment(config: XAttnExperimentConfig,
         grid = np.zeros((config.n_dec_layers, config.epochs))
 
         def after_epoch(m, epoch, report):
-            for lay in range(config.n_dec_layers):
-                grid[lay, epoch - 1] = xattn_identity_error(m, val_texts, lay)
+            grid[:, epoch - 1] = xattn_identity_errors(m, val_texts)
             return False
 
         fit(model, train_corpus, epochs=config.epochs, lr=config.lr,

@@ -171,9 +171,10 @@ def _cmd_train(args) -> int:
         if args.train_tsv else []
     clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL) \
         if args.clean_tsv else []
-    if args.stage in ("stage1", "both") and not noisy:
+    # an empty file is a DataError of the stage that trains on it
+    if args.stage in ("stage1", "both") and not args.train_tsv:
         raise UsageError("--train-tsv is required for stage1 training")
-    if args.stage in ("stage2", "both") and not clean:
+    if args.stage in ("stage2", "both") and not args.clean_tsv:
         raise UsageError("--clean-tsv is required for stage2 training")
     rng = make_rng(tcfg.seed)
     init_rng, s1_rng, s2_rng = rng.spawn(3)

@@ -473,9 +473,13 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_rows: RowLayout,
     probability is then exactly 0, so real rows never read padding. The
     scores are checked under `names` (`attention_probs`). p > 0 adds
     inverted dropout; `capture` gets the (B, H, T, S) weights before it.
-    The gradient scales after its matmuls, dq = (gs K) * scale and
-    dk = gs^T (Q * scale): moving the scale changes float32 rounding and
-    weights."""
+
+    The gradient function keeps the padded Q, K, V, the probabilities and,
+    under dropout, the boolean keep mask (`inverted_dropout`); it rebuilds
+    the float mask and the dropped probabilities from them with the
+    forward's ops, so their bits are the forward's. It scales after its
+    matmuls, dq = (gs K) * scale and dk = gs^T (Q * scale): moving the
+    scale changes float32 rounding and weights."""
     Q = split_heads(q_rows.pad(q), n_heads)
     K, V = (split_heads(k_rows.pad(t), n_heads) for t in (k, v))
     probs = attention_probs(Q, K.transpose(0, 1, 3, 2), mask, names)
@@ -483,16 +487,20 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_rows: RowLayout,
         capture.append(probs)
     used, keep = probs, None
     if p > 0:
-        keep = (rng.random(probs.shape) >= p).astype(probs.dtype) / (1.0 - p)
-        used = probs * keep
+        keep = rng.random(probs.shape) >= p
+        used = probs * inverted_dropout(keep, p, probs.dtype)
     scale = 1.0 / math.sqrt(Q.shape[-1])
 
     def grad(g):
+        used, drop = probs, None
+        if keep is not None:  # the forward's mask and weights, rebuilt
+            drop = inverted_dropout(keep, p, probs.dtype)
+            used = probs * drop
         G = split_heads(q_rows.pad(g), n_heads)
         gv = k_rows.pack(merge_heads(np.swapaxes(used, -1, -2) @ G))
         gu = G @ np.swapaxes(V, -1, -2)
-        if keep is not None:
-            gu = gu * keep
+        if drop is not None:
+            gu = gu * drop
         gs = probs * (gu - (probs * gu).sum(axis=-1, keepdims=True))
         return (q_rows.pack(merge_heads((gs @ K) * scale)),
                 k_rows.pack(merge_heads(np.swapaxes(gs, -1, -2)
@@ -600,6 +608,14 @@ def gather_rows(table, idx) -> Tensor:
     return _make(out, (table,), backward, "gather_rows")
 
 
+def inverted_dropout(keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """The inverted-dropout mask of the boolean array `keep`: 1 / (1 - p)
+    in `dtype` where it is True, 0 where it is False. A tape node keeps
+    `keep`, one byte an entry, and its backward rebuilds the mask with
+    this same division, so the bits are the forward's."""
+    return keep.astype(dtype) / (1.0 - p)
+
+
 def dropout_mask(p: float, rng: np.random.Generator, rows: RowLayout,
                  x: np.ndarray) -> np.ndarray:
     """The inverted-dropout mask (0 or 1 / (1 - p), in x's dtype) of packed
@@ -607,4 +623,4 @@ def dropout_mask(p: float, rng: np.random.Generator, rows: RowLayout,
     (B, T, D) and its real rows are kept, so a stream gives each real
     position the mask it gives that position of the padded block."""
     u = rows.pack(rng.random((*rows.shape, x.shape[-1])))
-    return (u >= p).astype(x.dtype) / (1.0 - p)
+    return inverted_dropout(u >= p, p, x.dtype)

@@ -25,6 +25,14 @@ whose backward is written by hand; with gradients off a block is its plain
 forward and one Tensor. Every pass, the cached decoder's included, reads
 the parameters through one binding (`Seq2SeqModel.weights`) of the layers
 that `LAYER_BLOCKS` describes.
+
+A block's tape node keeps for backward only what backward cannot rebuild
+cheaply and exactly: its layer norm's normalized input and 1 / sigma,
+attention's padded Q, K, V, probabilities and context (W_o's input), the
+GELU's input and tanh term, and each dropout mask as booleans. Backward
+rebuilds the rest (the pre-norm output h, the float dropout masks,
+attention's dropped probabilities, the GELU's output) with the forward's
+own ops on the same arrays, so every gradient keeps its bits.
 """
 
 from __future__ import annotations
@@ -40,10 +48,10 @@ from ..numerics import Tensor, grad_enabled, layer_norm, linear
 from ..numerics.tensor import (RowLayout, _make, _op_check, attend,
                                attention_names, attention_probs,
                                checked_pass, dropout_mask, gelu_backward,
-                               gelu_forward, layer_norm_backward,
-                               layer_norm_forward, linear_backward,
-                               log_softmax_forward, merge_heads,
-                               scatter_rows, split_heads)
+                               gelu_forward, inverted_dropout,
+                               layer_norm_backward, layer_norm_forward,
+                               linear_backward, log_softmax_forward,
+                               merge_heads, scatter_rows, split_heads)
 from ..text import BOS, EOS, PAD, Vocab, encode
 
 NEG_INF = -1e9  # additive attention mask; finite so tensors stay finite
@@ -206,23 +214,31 @@ class Seq2SeqModel:
         """The pre-norm residual block x + dropout(body(LN(x))) on packed
         rows at `rows`, LN being `norm`, as one tape node. `body(h)`
         returns its output and the function taking that output's gradient
-        to (h's gradient, the gradients of the weights and biases of
+        and h to (h's gradient, the gradients of the weights and biases of
         `linears` and of the tensors `extra`, in that order). The dropout
-        mask is drawn after whatever `body` draws."""
+        mask is drawn after whatever `body` draws.
+
+        For backward the node keeps the layer norm's xhat and 1 / sigma
+        and the dropout mask as booleans. It rebuilds h as
+        `layer_norm_forward` computes it, xhat * gain + bias, and the float
+        mask with `inverted_dropout`: the same ops on the same arrays, so
+        the same bits, while the tape holds neither."""
         h, xhat, inv = layer_norm_forward(x.data, norm.g.data, norm.b.data)
         _op_check(h, norm.name)
         y, body_grad = body(h)
-        keep = None
-        if rng is not None and self.config.dropout_prob > 0:
-            keep = dropout_mask(self.config.dropout_prob, rng, rows, y)
+        p, keep = self.config.dropout_prob, None
+        if rng is not None and p > 0:
+            keep = dropout_mask(p, rng, rows, y)
             y = y * keep
+            keep = keep > 0
         # walked last to first: V, then K, before x, as on the per-op tape
         parents = () if not grad_enabled() else (
             x, norm.g, norm.b, *(t for lin in linears for t in lin[:2]),
             *extra)
 
         def backward(g):
-            gh, grads = body_grad(g if keep is None else g * keep)
+            gy = g if keep is None else g * inverted_dropout(keep, p, g.dtype)
+            gh, grads = body_grad(gy, xhat * norm.g.data + norm.b.data)
             gx, gg, gb = layer_norm_backward(gh, norm.g.data, xhat, inv)
             for t, gt in zip(parents, (g + gx, gg, gb, *grads)):
                 if t.requires_grad:
@@ -248,7 +264,7 @@ class Seq2SeqModel:
                                    self.config.n_heads, attn.names, p, rng,
                                    capture)
 
-            def grad(g):
+            def grad(g, h):
                 gctx, gwo, gbo = linear_backward(g, ctx, attn.o.w.data)
                 gq, gk, gv = ctx_grad(gctx)
                 gh, gwq, gbq = linear_backward(gq, h, attn.q.w.data)
@@ -539,13 +555,16 @@ def _self_attention_np(h: np.ndarray, attn: Attention, n_heads: int,
 
 
 def _ffn_np(h: np.ndarray, ffn: FFN):
-    """FFN(h), and the function taking its gradient to (h's gradient,
-    the gradients (w1, b1, w2, b2))."""
+    """FFN(h), and the function taking its gradient and h to (h's
+    gradient, the gradients (w1, b1, w2, b2)). That function keeps the
+    GELU's input u and tanh term t, and rebuilds its output from them as
+    `gelu_forward` computes it."""
     u = _linear_np(h, ffn.up)
     f, t = gelu_forward(u)
     _op_check(f, ffn.name)
 
-    def grad(g):
+    def grad(g, h):
+        f = 0.5 * u * (1.0 + t)
         gf, gw2, gb2 = linear_backward(g, f, ffn.down.w.data)
         gh, gw1, gb1 = linear_backward(gelu_backward(gf, u, t), h,
                                        ffn.up.w.data)

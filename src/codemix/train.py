@@ -329,7 +329,12 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
                         "validation split")
     split_rng, fit_rng = rng.spawn(2)
     order = split_rng.permutation(len(clean_corpus))
-    n_val = max(1, int(round(config.stage2.val_fraction * len(clean_corpus))))
+    n = len(clean_corpus)
+    n_val = max(1, int(round(config.stage2.val_fraction * n)))
+    if n_val >= n:
+        raise DataError(f"stage2.val_fraction {config.stage2.val_fraction} "
+                        f"holds out {n_val} of {n} clean pairs for "
+                        f"validation, leaving none to train on")
     val = [clean_corpus[i] for i in order[:n_val]]
     tr = [clean_corpus[i] for i in order[n_val:]]
 

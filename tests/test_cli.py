@@ -423,6 +423,22 @@ class TestTrainCli:
         assert message in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_split_leaving_no_training_pair_is_exit_two(self, corpus_dir,
+                                                        tmp_path, capsys):
+        clean = tmp_path / "clean.tsv"
+        clean.write_text("".join(ln + "\n" for ln in read(
+            corpus_dir / "clean.tsv").splitlines()[:20]), encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage2.val_fraction = 0.99\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["train", "--clean-tsv", str(clean), "--stage", "stage2",
+                  "--config", str(cfg), "--out", str(tmp_path / "out")]
+                 + TINY_MODEL)
+        assert rc == 2
+        assert ("stage2.val_fraction 0.99 holds out 20 of 20 clean pairs"
+                in _one_error_line(capsys))
+        assert not (tmp_path / "out").exists()
+
     def test_stage1_requires_train_tsv(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "ck"),
                     "--stage", "stage1"]) == 1

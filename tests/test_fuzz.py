@@ -1,19 +1,24 @@
 """Byte- and line-level fuzzing of the file readers.
 
 A CRF model file (as `save_crf` writes it, and indented), a CoNLL label
-file and each of the four files of a seq2seq checkpoint (f32 and int8) are
+file, each of the four files of a seq2seq checkpoint (f32 and int8), a
+parallel TSV, a transliteration dictionary and a training config file are
 mutated: truncated, a bit flipped, a NUL, a BOM or invalid UTF-8 inserted, a
 line duplicated or dropped, a number replaced by NaN, Inf, -0, 1e309 or a
-40-digit integer. Each mutant goes through `load_crf`, `load_token_labels`
-or `load_checkpoint`, and through `codemix detect-lang`, `codemix
-train-langid` or `codemix translate`. A mutant may load, or raise a
-`CodemixError`, which the CLI reports as exit code 2 with one line on
-stderr; nothing else (a traceback, another exception) is allowed. A CRF
-file detects queries exactly when it loads, and a checkpoint translates
-through the CLI exactly when it loads and translates through the API; a
-label file that loads may still hold no query to train on. Hypothesis runs
-derandomized with a fixed example budget, so the same mutants run every
-time.
+40-digit integer. Each mutant goes through its API reader (`load_crf`,
+`load_token_labels`, `load_checkpoint`, `load_parallel_tsv`,
+`load_translit_dict`, `read_kv` plus `config_from_items`) and through the
+CLI command that reads it (`codemix detect-lang`, `train-langid`,
+`translate`, `train --clean-tsv`, `translit --dict`, `train --config`). A
+mutant may load, or raise a `CodemixError`, which the CLI reports as exit
+code 2 with one line on stderr; nothing else (a traceback, another
+exception) is allowed. A CRF file detects queries exactly when it loads, a
+checkpoint translates through the CLI exactly when it loads and translates
+through the API, a parallel TSV trains exactly when it loads with the ten
+pairs stage 2 needs, and a dictionary transliterates exactly when it loads
+and holds every word of the input; a label file or a config that loads may
+still not train. Hypothesis runs derandomized with a fixed example budget,
+so the same mutants run every time.
 """
 
 import contextlib
@@ -27,7 +32,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from codemix import checkpoint
-from codemix.checkpoint import load_checkpoint, save_checkpoint
+from codemix import train as train_mod
+from codemix.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from codemix.cli import main
 from codemix.errors import CheckpointError, CodemixError
 from codemix.langid import (gen_langid_corpus, load_crf, load_token_labels,
@@ -36,7 +42,11 @@ from codemix.numerics import make_rng
 from codemix.quant import quantize_model
 from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from codemix.seq2seq.model import _param_shapes
-from codemix.text import SynthTaskSpec, synthetic_vocab
+from codemix.text import (Provenance, SynthTaskSpec, gen_clean_corpus,
+                          load_parallel_tsv, save_parallel_tsv,
+                          synthetic_vocab)
+from codemix.train import TrainingConfig, config_from_items
+from codemix.translit import load_translit_dict
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None,
                 database=None,
@@ -275,3 +285,106 @@ def test_checkpoint_layout_is_checked(checkpoints, tmp_path, case, which):
     assert not translate_outcomes(files, tmp_path)  # exit 2 on the CLI
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(tmp_path / "ck")
+
+
+# `codemix train` on a tiny model, stage 2 only: the clean pairs of a
+# --clean-tsv and, with --config, the training config
+TINY_TRAIN = ["train", "--stage", "stage2", "--enc-layers", "1",
+              "--dec-layers", "1", "--d-model", "8", "--heads", "2",
+              "--d-ff", "8", "--max-len", "16"]
+MAX_EPOCHS = 2  # the most epochs a fuzzed training run takes
+
+
+@pytest.fixture
+def capped_epochs(monkeypatch):
+    """Training runs at most MAX_EPOCHS epochs, so a config whose epoch
+    count a mutation made huge still finishes."""
+    fit = train_mod.fit
+
+    def capped(*args, epochs, **kwargs):
+        return fit(*args, epochs=min(epochs, MAX_EPOCHS), **kwargs)
+
+    monkeypatch.setattr(train_mod, "fit", capped)
+
+
+SPEC = SynthTaskSpec(lexicon_size=6, seed=7)
+
+
+@pytest.fixture(scope="module")
+def clean_tsv(tmp_path_factory):
+    """A parallel TSV of 12 clean pairs, and a pair with numbers."""
+    path = tmp_path_factory.mktemp("tsv") / "clean.tsv"
+    save_parallel_tsv(gen_clean_corpus(SPEC, 12), path)
+    with open(path, "a", encoding="utf-8") as out:
+        out.write("size 10 kala\tsize 10 black\n")
+    return path.read_bytes()
+
+
+@FUZZ
+@given(mutation=MUTATIONS)
+@example(mutation=("truncate", 0, None))  # an empty file: exit 2, not 1
+def test_parallel_tsv_mutants(clean_tsv, capped_epochs, tmp_path, mutation):
+    path = tmp_path / "clean.tsv"
+    path.write_bytes(mutate(clean_tsv, mutation))
+    try:
+        pairs = len(load_parallel_tsv(path, Provenance.CLEAN_MANUAL))
+    except CodemixError:
+        pairs = 0
+    trains = cli_outcome(TINY_TRAIN + ["--clean-tsv", str(path), "--out",
+                                       str(tmp_path / "ck")])
+    assert trains == (pairs >= 10)  # stage 2 needs 10 pairs
+
+
+DICT_WORDS = {"kala": "काला", "juta": "जूता", "Pani": "पानी", "do": "दो",
+              "10": "१०"}
+
+
+@pytest.fixture(scope="module")
+def translit_dict():
+    return "".join(f"{w}\t{t}\n" for w, t in DICT_WORDS.items()).encode()
+
+
+@FUZZ
+@given(mutation=MUTATIONS)
+@example(mutation=("insert", 0, b"\xef\xbb\xbf"))  # a BOM before "kala"
+def test_translit_dict_mutants(translit_dict, tmp_path, mutation):
+    path = tmp_path / "dict.tsv"
+    path.write_bytes(mutate(translit_dict, mutation))
+    words = "kala juta 10", "PANI do"
+    queries = tmp_path / "q.txt"
+    queries.write_text("\n".join(words) + "\n", encoding="utf-8")
+    try:
+        tdict = load_translit_dict(path)
+    except CodemixError:
+        tdict = None
+    covered = tdict is not None and all(
+        tdict.lookup(w) is not None for text in words for w in text.split())
+    assert cli_outcome(["translit", "--dict", str(path), "--input",
+                        str(queries), "--output",
+                        str(tmp_path / "out.txt")]) == covered
+
+
+@pytest.fixture(scope="module")
+def train_config():
+    """Every key of a training config, stage 2 set to one quick epoch."""
+    items = {**TrainingConfig().items(), "stage2.epochs": 1,
+             "stage2.batch_size": 8, "stage2.patience": 1}
+    return "".join(f"{k} = {v}\n" for k, v in items.items()).encode()
+
+
+# "number" mutations: 0 is stage1.epochs, 3 stage2.epochs
+@FUZZ
+@given(mutation=MUTATIONS)
+@example(mutation=("number", 3, NUMBERS[-1]))  # capped by capped_epochs
+def test_train_config_mutants(train_config, clean_tsv, capped_epochs,
+                              tmp_path, mutation):
+    path = tmp_path / "train.cfg"
+    path.write_bytes(mutate(train_config, mutation))
+    clean = tmp_path / "clean.tsv"
+    clean.write_bytes(clean_tsv)
+    loads = api_outcome(lambda p: config_from_items(read_kv(p)), path)
+    trains = cli_outcome(TINY_TRAIN + ["--clean-tsv", str(clean),
+                                       "--config", str(path), "--out",
+                                       str(tmp_path / "ck")])
+    # a config that loads may still not train (an infinite learning rate)
+    assert loads or not trains

@@ -13,6 +13,7 @@ from codemix.errors import (CheckpointError, CodemixError, DataError,
                             ShapeError, TrainingDivergedError)
 from codemix.langid import gen_langid_corpus, train_crf
 from codemix.numerics import Tensor, make_rng, no_grad
+from codemix.numerics.tensor import gelu_forward, layer_norm_forward
 from codemix.quant import quantize_model
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                              encode_source, init_model, label_smoothed_ce,
@@ -130,6 +131,19 @@ class TestStage2:
         clean = gen_clean_corpus(SPEC, 5)
         with pytest.raises(DataError):
             train_stage2(model, clean, TrainingConfig(), make_rng(0))
+
+    def test_split_leaving_no_training_pair_names_its_cause(self,
+                                                            monkeypatch):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluated before the split was checked")
+
+        monkeypatch.setattr(train_mod, "evaluate_loss", evaluate)
+        cfg = TrainingConfig()
+        cfg.stage2 = StageConfig(val_fraction=0.99)
+        with pytest.raises(DataError, match=re.escape(
+                "stage2.val_fraction 0.99 holds out 20 of 20 clean pairs")):
+            train_stage2(small_setup(), gen_clean_corpus(SPEC, 20), cfg,
+                         make_rng(0))
 
     def test_returns_argmin_checkpoint(self):
         clean = gen_clean_corpus(SPEC, 80)
@@ -301,6 +315,91 @@ class TestFreedTape:
                 tracemalloc.stop()
 
         assert peak(4) <= 1.3 * peak(1)
+
+
+def held_arrays(fn) -> list[np.ndarray]:
+    """The arrays a backward closure holds, directly or through the
+    closures and tuples it holds; a Tensor's own array does not count."""
+    out, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, tuple):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(c.cell_contents for c in obj.__closure__)
+    return out
+
+
+class TestLeanTape:
+    """A training step's tape keeps what each backward needs in its
+    smallest exact form: dropout masks as booleans, and no array that
+    backward rebuilds (a float mask, attention's dropped probabilities,
+    an FFN's GELU output, a block's pre-norm h)."""
+
+    P = 0.3
+
+    def tape(self):
+        vocab = synthetic_vocab(SPEC)
+        cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1, n_dec_layers=2,
+                            d_model=16, n_heads=2, d_ff=24, max_len=16,
+                            dropout_prob=self.P)
+        model = init_model(cfg, make_rng(40))
+        rng = make_rng(42)
+        for name, t in model.params.items():  # so that h != xhat
+            if name.endswith((".g", ".b")):
+                t.data += rng.normal(0.0, 0.1, t.shape).astype(t.dtype)
+        corpus, _ = gen_synthetic_corpus(SPEC, 6)
+        batch = make_batch(vocab, [ex.source for ex in corpus],
+                           [ex.target for ex in corpus], cfg.max_len)
+        assert (batch["src"] == 0).any()  # padded rows: not dense
+        loss = label_smoothed_ce(
+            model.forward(batch["src"], batch["dec_in"], rng=make_rng(41)),
+            batch["labels"], 0.1)
+        nodes, stack = {}, [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                stack.extend(t._parents)
+        return cfg, [t for t in nodes.values() if t._backward is not None]
+
+    def test_masks_are_bool_and_rebuilt_arrays_are_not_kept(self):
+        cfg, nodes = self.tape()
+        blocks = [t for t in nodes if t._backward.__qualname__.startswith(
+            "Seq2SeqModel._block")]
+        assert len(blocks) == 2 * cfg.n_enc_layers + 3 * cfg.n_dec_layers
+        held = [a for t in nodes for a in held_arrays(t._backward)]
+        floats = [a for a in held if a.dtype.kind == "f"]
+        scale = np.float32(1.0) / np.float32(1.0 - self.P)
+
+        # one boolean mask per block's residual dropout and per attention
+        masks = [a for a in held if a.dtype == bool]
+        float_masks = [a for a in floats
+                       if set(np.unique(a)) <= {0.0, scale}]
+        assert not float_masks
+        assert len(masks) == len(blocks) + (cfg.n_enc_layers
+                                            + 2 * cfg.n_dec_layers)
+
+        def kept(value):
+            return any(a.shape == value.shape and np.array_equal(a, value)
+                       for a in floats)
+
+        for x, g, b in (t._parents[:3] for t in blocks):
+            h = layer_norm_forward(x.data, g.data, b.data)[0]
+            assert not kept(h), "a block's pre-norm h"
+        for u in [a for a in floats if a.ndim and a.shape[-1] == cfg.d_ff]:
+            assert not kept(gelu_forward(u)[0]), "an FFN's GELU output"
+        drops = float_masks + [m.astype(np.float32) / (1.0 - self.P)
+                               for m in masks]
+        for probs in [a for a in floats if a.ndim == 4]:
+            for drop in drops:
+                if drop.shape == probs.shape:
+                    assert not kept(probs * drop), "attention's dropped probs"
 
 
 class TestCheckpoint:
@@ -504,6 +603,24 @@ def _fit_small(**sizes):
     fit(small_setup(seed=24), corpus, lr=1e-3, kinds=(), lam=0.0,
         label_smoothing=0.1, weight_decay=0.0, rngs=make_rng(25).spawn(3),
         **sizes)
+
+
+class TestXAttnExperiment:
+    def test_one_forward_per_epoch_for_every_layer(self, monkeypatch):
+        forward, captures = Seq2SeqModel.forward, []
+
+        def spy(self, src_ids, dec_in, rng=None, capture=None):
+            if capture is not None:
+                captures.append(capture)
+            return forward(self, src_ids, dec_in, rng, capture)
+
+        monkeypatch.setattr(Seq2SeqModel, "forward", spy)
+        config = XAttnExperimentConfig(n_train=16, n_val=4, n_enc_layers=1,
+                                       n_dec_layers=3, d_model=16, d_ff=16,
+                                       epochs=2, batch_size=8)
+        curve = ae_xattn_experiment(config, seeds=[0])
+        assert curve.errors.shape == (3, 2)
+        assert [len(c) for c in captures] == [3, 3]  # one pass an epoch
 
 
 def _xattn(epochs=1, batch_size=8):
