@@ -145,16 +145,26 @@ def child(src: str, job: str, seed: int) -> None:
           f"{usage.ru_minflt - faults}")
 
 
+def run_fresh(argv: list[str]) -> str:
+    """The stdout of `python argv...`, run in a fresh process from the
+    repository root with BLAS pinned to one thread and no PYTHONPATH, so
+    that it imports only what its arguments choose. A failed run exits
+    with its stderr."""
+    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+    env.pop("PYTHONPATH", None)
+    out = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
+                         capture_output=True, text=True)
+    if out.returncode:
+        sys.exit(f"{' '.join(argv)} exited {out.returncode}:\n{out.stderr}")
+    return out.stdout
+
+
 def time_tree(src: str, job: str, seed: int) -> tuple[float, float, int]:
     """The tree's (fastest run in ms, peak RSS in MB, minor page faults
     over the timed runs), from one fresh process."""
-    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
-    env.pop("PYTHONPATH", None)
-    out = subprocess.run(
-        [sys.executable, __file__, "--child", src, "--job", job,
-         "--seed", str(seed)],
-        env=env, cwd=ROOT, check=True, capture_output=True, text=True)
-    ms, rss, faults = out.stdout.split()[-3:]
+    out = run_fresh([__file__, "--child", src, "--job", job,
+                     "--seed", str(seed)])
+    ms, rss, faults = out.split()[-3:]
     return float(ms), float(rss), int(faults)
 
 

@@ -1,9 +1,15 @@
-"""Data augmentation transforms and the combined training loss.
+"""Data augmentation transforms.
 
 Four transforms: MASK, AUTOENCODER and PERMUTE operate target-to-target
 (teach the model to reproduce/de-noise target text); DROPCHAR corrupts the
 source and keeps the translation target. One kind is chosen uniformly per
 batch and applied to examples sampled with replacement.
+
+An augmented batch's loss loss_d joins the supervised loss loss_s in
+`train.fit`'s objective (1 - lambda) * loss_s + lambda * loss_d. No tape
+node forms that sum: loss_s's backward runs first, seeded with
+1 - lambda, then loss_d's, seeded with lambda, the order in which a walk
+of the summed loss reached them, so the gradients keep its bits.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .numerics import Tensor, add, mul
 from .text import (MASK_TOKEN, Corpus, ParallelExample, Vocab,
                    drop_interior_char, encode)
 
@@ -25,17 +30,6 @@ class AugKind(enum.Enum):
     MASK = "mask"
     DROPCHAR = "dropchar"
     PERMUTE = "permute"
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Mixing weight for supervised vs. augmentation loss."""
-
-    lam: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise DataError(f"lambda must be in [0, 1], got {self.lam}")
 
 
 @dataclass
@@ -105,13 +99,6 @@ _TRANSFORMS = {
 def apply_augmentation(kind: AugKind, example: ParallelExample,
                        rng: np.random.Generator) -> tuple[str, str]:
     return _TRANSFORMS[kind](example, rng)
-
-
-def combined_loss(loss_s: Tensor, loss_d: Tensor,
-                  weights: LossWeights) -> Tensor:
-    """(1 - lambda) * supervised + lambda * augmentation loss on the tape;
-    the gradient flows through both terms."""
-    return add(mul(loss_s, 1.0 - weights.lam), mul(loss_d, weights.lam))
 
 
 def sample_augmented_batch(corpus: Corpus, kinds, batch_size: int,

@@ -4,11 +4,15 @@ plus single-threaded latency benchmarking.
 The teacher is frozen: it pseudo-labels a pool of unlabeled sources once
 (beam search), and per student step its teacher-forced output distribution
 over a pseudo-labeled batch is matched by the student under the CE or JS
-loss, both computed by `kd_loss`. The student trains in the shared loop
-`train.fit`, which takes the KD loss through its `extra_loss` hook and
-minimizes
+loss, both computed by `kd_loss`, one tape node. The student trains in
+the shared loop `train.fit`, which takes the KD loss through its
+`extra_loss` hook and minimizes
     (1 - lambda) * (loss_s + loss_d) + lambda * loss_kd
-with lambda = 0.5 by default.
+with lambda = 0.5 by default. No tape node forms that sum: `fit` runs each
+term's backward in turn, loss_s, loss_d, then loss_kd, each seeded with
+its weight, which is the order a walk of the summed loss reached them in,
+so every parameter's gradient adds up in the same order and keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -20,15 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugKind, LossWeights
+from .augment import AugKind
 from .errors import DataError
-from .numerics import Tensor, check_rate, exp, log_softmax, mul, no_grad, tsum
+from .numerics import Tensor, check_rate, log_softmax, no_grad
 from .numerics.tensor import _make
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
 from .seq2seq.model import encode_source
 from .text import Corpus, ParallelExample, Provenance, decode
-from .train import DEFAULT_STAGE2_KINDS, check_loop_sizes, fit
+from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
+                    check_loss_settings, fit)
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
@@ -75,32 +80,6 @@ def _xlogy_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def _js_node(t_probs: np.ndarray, s_probs: Tensor, scale: float) -> Tensor:
-    """Fused JS tape node: D_KL(T||m) + D_KL(S||m) summed and scaled, with
-    gradient d/dS = scale * log(S / m). The single-expression backward makes
-    the gradient exactly zero wherever S equals T bitwise, so an
-    already-converged student is a true fixed point under Adam."""
-    s = s_probs.data
-    m = 0.5 * (t_probs + s)
-    # where one side is 0 and the other subnormal, m must not round to 0
-    np.maximum(m, np.finfo(m.dtype).smallest_subnormal, out=m)
-    # Summing each KL term separately keeps the value exactly symmetric
-    # in (T, S): scalar addition commutes where element-wise mixing of the
-    # four terms would round differently.
-    kl_t = (_xlogy_np(t_probs, t_probs) - _xlogy_np(t_probs, m)).sum()
-    kl_s = (_xlogy_np(s, s) - _xlogy_np(s, m)).sum()
-    value = (kl_t + kl_s) * scale
-
-    def backward(g):
-        if s_probs.requires_grad:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.log(s / m)
-            ratio[~(s > 0)] = 0.0
-            s_probs.accumulate_grad(g * scale * ratio)
-
-    return _make(np.asarray(value), (s_probs,), backward, "js divergence")
-
-
 def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
             student_logp: Tensor) -> Tensor:
     """The KD loss between teacher probabilities T (a constant array) and
@@ -113,16 +92,54 @@ def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
     probabilities cannot poison the loss.
     JS: D_KL(T || m) + D_KL(S || m) with m = (T + S) / 2 and S = exp(log S);
     symmetric, bounded by 2 ln 2, zero iff T == S, and its gradient with
-    respect to S is log(S / m) (zero at exact zeros).
+    respect to S is log(S / m) (zero at exact zeros), so it is exactly zero
+    wherever S equals T bitwise: a converged student is a true fixed point
+    under Adam.
+
+    Either kind is one tape node whose backward writes log S's gradient.
+    It does the float operations of the composed tape ops it replaces in
+    their order (CE: T * log S, the sum, the scale -1 / n; JS: exp, then
+    the divergence and log(S / m) scaled by 1 / n, then the product with
+    S), so its value and gradient carry their bits.
     """
     if teacher_probs.shape != student_logp.shape:
         raise DataError(f"teacher/student distribution shapes differ: "
                         f"{teacher_probs.shape} vs {student_logp.shape}")
+    logp = student_logp.data
     n_pos = len(teacher_probs)
     if kind is KDKind.CE:
-        return mul(tsum(mul(Tensor(teacher_probs), student_logp)),
-                   -1.0 / n_pos)
-    return _js_node(teacher_probs, exp(student_logp), 1.0 / n_pos)
+        prod = teacher_probs * logp
+        # the scale in the product's dtype, as a tape op's Python number is
+        w = np.asarray(-1.0 / n_pos, prod.dtype)
+        value = prod.sum() * w
+
+        def grad(g):
+            return (g * w) * teacher_probs
+    else:
+        s, scale = np.exp(logp), 1.0 / n_pos
+        m = 0.5 * (teacher_probs + s)
+        # where one side is 0 and the other subnormal, m must not round to 0
+        np.maximum(m, np.finfo(m.dtype).smallest_subnormal, out=m)
+        # Summing each KL term separately keeps the value exactly symmetric
+        # in (T, S): scalar addition commutes where element-wise mixing of
+        # the four terms would round differently.
+        kl_t = (_xlogy_np(teacher_probs, teacher_probs)
+                - _xlogy_np(teacher_probs, m)).sum()
+        kl_s = (_xlogy_np(s, s) - _xlogy_np(s, m)).sum()
+        value = (kl_t + kl_s) * scale
+
+        def grad(g):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.log(s / m)
+            ratio[~(s > 0)] = 0.0
+            # S's gradient, held in S's dtype, then through S = exp(log S)
+            return np.asarray(g * scale * ratio, s.dtype) * s
+
+    def backward(g):
+        if student_logp.requires_grad:
+            student_logp.accumulate_grad(grad(g))
+
+    return _make(np.asarray(value), (student_logp,), backward, "kd_loss")
 
 
 @dataclass
@@ -140,7 +157,7 @@ class DistillConfig:
         check_loop_sizes(self.epochs, self.batch_size)
         check_rate("lr", self.lr, positive=True)
         check_rate("weight_decay", self.weight_decay)
-        LossWeights(self.lam)  # lambda must be in [0, 1]
+        check_loss_settings(self.lam, self.label_smoothing)
 
 
 @dataclass
@@ -214,7 +231,8 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
                            skipped_sources=len(skipped) + labelled
                            - len(pseudo))
 
-    def kd_term(n_rows: int, loss_s: Tensor, loss_d: Tensor) -> Tensor:
+    def kd_term(n_rows: int, loss_s: Tensor,
+                loss_d: Tensor | None) -> Tensor:
         kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)
         kd_rows = [pseudo[int(i)] for i in kd_idx]
         kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
@@ -222,8 +240,9 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
                               student_config.max_len)
         loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
                                  drop_rng)
-        report.steps.append(StepTrace(loss_s.item(), loss_d.item(),
-                                      loss_kd.item()))
+        report.steps.append(StepTrace(
+            loss_s.item(), 0.0 if loss_d is None else loss_d.item(),
+            loss_kd.item()))
         return loss_kd
 
     recorded = 0  # steps of the epochs already recorded

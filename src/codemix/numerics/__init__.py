@@ -6,9 +6,9 @@ import numpy as np
 
 from ..errors import DataError
 from .optim import AdamWState, adamw_step, check_rate, step_tensors
-from .tensor import (Tensor, add, as_tensor, exp, gather_rows, gelu,
-                     grad_enabled, layer_norm, linear, log_softmax, matmul,
-                     mul, no_grad, softmax, tsum)
+from .tensor import (Tensor, as_tensor, gather_rows, gelu, grad_enabled,
+                     layer_norm, linear, log_softmax, matmul, no_grad,
+                     softmax)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -20,8 +20,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 __all__ = [
-    "AdamWState", "Tensor", "adamw_step", "add", "as_tensor", "check_rate",
-    "exp", "gather_rows", "gelu", "grad_enabled", "layer_norm", "linear",
-    "log_softmax", "make_rng", "matmul", "mul", "no_grad", "softmax",
-    "step_tensors", "tsum",
+    "AdamWState", "Tensor", "adamw_step", "as_tensor", "check_rate",
+    "gather_rows", "gelu", "grad_enabled", "layer_norm", "linear",
+    "log_softmax", "make_rng", "matmul", "no_grad", "softmax",
+    "step_tensors",
 ]

@@ -19,14 +19,18 @@ its own backward. Only leaves (parameters and inputs) keep `.grad`, and a
 second backward through a freed node raises CodemixError. Wrap inference
 code in `no_grad()` to skip tape construction entirely.
 
-The tape ops are `add`, `mul`, `matmul`, `tsum`, `exp`, `gelu`, `linear`,
-`softmax`, `log_softmax`, `layer_norm` and `gather_rows`. Forwards and
-backwards are plain-array helpers, written once (`layer_norm_forward`/
-`_backward`, `gelu_*`, `linear_backward`, `log_softmax_backward`,
-`scatter_rows`: a row gather's gradient, `attend`: attention's output and
-gradient function); the tape ops wrap them, and so do the model's
-embedding, its pre-norm residual blocks (the only nodes that attend) and
-the label-smoothed CE, each one tape node with a hand-written backward.
+The tape ops are `matmul`, `gelu`, `linear`, `softmax`, `log_softmax`,
+`layer_norm` and `gather_rows`; the package has no elementwise arithmetic
+on the tape (the tests keep `add`, `mul`, `tsum` and `exp` as the
+references of the fused nodes). Forwards and backwards are plain-array
+helpers, written once (`layer_norm_forward`/`_backward`, `gelu_*`,
+`linear_backward`, `log_softmax_backward`, `scatter_rows`: a row gather's
+gradient, `attend`: attention's output and gradient function); the tape
+ops wrap them, and so do the model's embedding, its pre-norm residual
+blocks (the only nodes that attend), the label-smoothed CE and the KD loss
+(`distill.kd_loss`), each one tape node with a hand-written backward. A
+training objective with several terms is no node either: each term's
+`backward` is seeded with its weight (`train.fit`).
 The model's tensors are packed rows (n, D), one row per real (non-PAD)
 position, so every position-wise op skips the padding; a `RowLayout` says
 where each row sits in its padded (B, T) block, and attention alone
@@ -229,45 +233,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands of an elementwise op as tensors. A Python number
-    becomes a 0-d array of the other operand's dtype, which is how NumPy
-    (NEP 50) computes it anyway, so float32 stays float32."""
-    if isinstance(a, (int, float)):
-        b = as_tensor(b)
-        return Tensor(np.asarray(a, b.dtype)), b
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return a, Tensor(np.asarray(b, a.dtype))
-    return a, as_tensor(b)
-
-
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
-
-    return _make(out, (a, b), backward, "add")
-
-
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out, (a, b), backward, "mul")
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
@@ -281,31 +246,6 @@ def matmul(a, b) -> Tensor:
             b.accumulate_grad(_unbroadcast(gb, b.data.shape))
 
     return _make(out, (a, b), backward, "matmul")
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(out, (a,), backward, "tsum")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * out)
-
-    return _make(out, (a,), backward, "exp")
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)

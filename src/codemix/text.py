@@ -120,16 +120,25 @@ def decode(ids, vocab: Vocab) -> str:
     return vocab.detokenize(toks)
 
 
+def decode_utf8(data: bytes, name) -> str:
+    """Text input `data` decoded as strict UTF-8, without the byte-order
+    mark it may start with. Bytes that are not valid UTF-8 raise DataError
+    naming the input `name` (a path, or "<stdin>")."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{name}: not valid UTF-8: {e}") from None
+
+
 def read_utf8(path) -> str:
-    """The whole file decoded as UTF-8. A file that cannot be read or is
-    not valid UTF-8 raises DataError naming the path."""
+    """The whole file as `decode_utf8` decodes it. A file that cannot be
+    read raises DataError naming the path."""
     path = Path(path)
     try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8: {e}") from None
+        data = path.read_bytes()
     except OSError as e:
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
+    return decode_utf8(data, path)
 
 
 def load_parallel_tsv(path, provenance: Provenance = Provenance.CLEAN_MANUAL) -> Corpus:

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import AugKind, LossWeights, combined_loss, sample_augmented_batch
+from .augment import AugKind, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
-from .numerics import (AdamWState, Tensor, add, check_rate, no_grad,
-                       step_tensors)
+from .numerics import AdamWState, check_rate, no_grad, step_tensors
 from .seq2seq import Seq2SeqModel, label_smoothed_ce, make_batch, pad_batch
 from .text import Corpus, Provenance, check_count
 
@@ -35,6 +34,17 @@ def check_loop_sizes(epochs, batch_size) -> None:
     `batch_size` an integer >= 1 (fit, StageConfig, DistillConfig)."""
     check_count("epochs", epochs)
     check_count("batch_size", batch_size, least=1)
+
+
+def check_loss_settings(lam, label_smoothing) -> None:
+    """The objective's settings: the weight `lambda` must be in [0, 1] and
+    `label_smoothing` in [0, 1); NaN is in neither (TrainingConfig,
+    DistillConfig, fit)."""
+    if not 0.0 <= lam <= 1.0:
+        raise DataError(f"lambda must be in [0, 1], got {lam}")
+    if not 0.0 <= label_smoothing < 1.0:
+        raise DataError(f"label_smoothing must be in [0, 1), got "
+                        f"{label_smoothing}")
 
 
 def check_trainable(model: Seq2SeqModel) -> None:
@@ -67,7 +77,7 @@ class TrainingConfig:
     stage1: StageConfig = field(default_factory=StageConfig)
     stage2: StageConfig = field(default_factory=lambda: StageConfig(
         epochs=30, kinds=DEFAULT_STAGE2_KINDS))
-    lam: float = 0.5             # augmentation weight in the combined loss
+    lam: float = 0.5             # augmentation weight in the objective
     label_smoothing: float = 0.1
     weight_decay: float = 0.01
     seed: int = 0
@@ -78,6 +88,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         check_rate("weight_decay", self.weight_decay)
+        check_loss_settings(self.lam, self.label_smoothing)
 
     def items(self) -> dict[str, object]:
         return {
@@ -204,19 +215,25 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
         val_corpus: Corpus | None = None,
         on_epoch_end=None, extra_loss=None, stage: str = "fit") -> TrainReport:
     """Shared training loop: per supervised batch, optionally sample one
-    augmented batch and combine the losses with weight lambda.
+    augmented batch and weigh the losses with lambda.
 
     `rngs` are the (data order, augmentation, dropout) streams; callers pass
     `rng.spawn(3)` or streams of their own.
 
+    Without `extra_loss` a step minimizes
+        (1 - lambda) * loss_s + lambda * loss_d
+    and skips augmentation at lambda == 0 (the objective is then loss_s).
     `extra_loss(n_rows, loss_s, loss_d)` adds a third term: it runs after the
-    supervised and augmentation forwards of each step (`loss_d` is a zero
-    tensor when no augmented batch was drawn) and returns a scalar tensor
-    `loss_x`; the step then minimizes
+    supervised and augmentation forwards of each step (`loss_d` is None when
+    no augmented batch was drawn) and returns a scalar tensor `loss_x` of
+    its own graph (the backwards of loss_s and loss_d free theirs); the step
+    then minimizes
         (1 - lambda) * (loss_s + loss_d) + lambda * loss_x
-    and augmentation runs whenever `kinds` is non-empty. Without the hook
-    the loss is (1 - lambda) * loss_s + lambda * loss_d, and augmentation is
-    skipped at lambda == 0.
+    and augmentation runs whenever `kinds` is non-empty. No tape node forms
+    the sum: each term runs its own backward, seeded with its weight, in
+    the order loss_s, loss_d, loss_x. A walk of the summed loss reached the
+    terms in that order, so each parameter's gradient adds the terms'
+    parts in the same order and keeps its bits.
 
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
     truthy value stops training early. Divergence (non-finite loss) rolls the
@@ -227,8 +244,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     if not corpus:
         raise DataError("cannot train on an empty corpus")
     check_loop_sizes(epochs, batch_size)
+    check_loss_settings(lam, label_smoothing)
     vocab = model.config.vocab
-    weights = LossWeights(lam)
     use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
     data_rng, aug_rng, drop_rng = rngs
     opt = AdamWState(lr=lr, weight_decay=weight_decay)
@@ -260,16 +277,18 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                     loss_d = label_smoothed_ce(alogits, abatch["labels"],
                                                label_smoothing)
                     aug_losses.setdefault(aug.kind.value, []).append(loss_d.item())
+                # s, d, x: the order in which a walk of the summed loss
+                # added into the shared parameters; it keeps their bits
                 if extra_loss is not None:
-                    if loss_d is None:
-                        loss_d = Tensor(np.zeros((), model.dtype))
-                    loss_x = extra_loss(len(rows), loss_s, loss_d)
-                    loss = combined_loss(add(loss_s, loss_d), loss_x, weights)
+                    terms = ((loss_s, 1.0 - lam), (loss_d, 1.0 - lam),
+                             (extra_loss(len(rows), loss_s, loss_d), lam))
                 elif loss_d is not None:
-                    loss = combined_loss(loss_s, loss_d, weights)
+                    terms = ((loss_s, 1.0 - lam), (loss_d, lam))
                 else:
-                    loss = loss_s
-                loss.backward()
+                    terms = ((loss_s, 1.0),)
+                for term, weight in terms:
+                    if term is not None:
+                        term.backward(np.asarray(weight, model.dtype))
                 step_tensors(model.params, opt)
                 losses.append(loss_s.item())
         except NonFiniteError as e:
@@ -338,7 +357,8 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
     val = [clean_corpus[i] for i in order[:n_val]]
     tr = [clean_corpus[i] for i in order[n_val:]]
 
-    epoch0_loss = evaluate_loss(model, val, config.label_smoothing)
+    epoch0_loss = evaluate_loss(model, val, config.label_smoothing,
+                                config.stage2.batch_size)
     best = {"loss": epoch0_loss, "snap": model.snapshot(), "epoch": 0,
             "since": 0}
 

@@ -9,10 +9,10 @@ import numpy as np
 from codemix.errors import DataError
 from codemix.langid import LabeledQuery, QueryLanguage, query_gold_language
 from codemix.numerics import (AdamWState, Tensor, gather_rows, linear,
-                              log_softmax, mul, step_tensors, tsum)
+                              log_softmax, step_tensors)
 from codemix.numerics.tensor import _make
 
-from oracles import take_along_last
+from oracles import mul, take_along_last, tsum
 
 
 class AvgEmbeddingClassifier:

@@ -13,11 +13,16 @@ a per-token emission loop is the reference for the CRF's padded gather.
 
 The central-difference checker `finite_diff_grad_check` is the arbiter of
 every tape gradient, and the tape ops `reshape` and `attention`, which only
-the padded forward uses, live next to it. The package's fused tape nodes
-(the embedding, the label-smoothed CE, the Jensen-Shannon node) are held
-bit for bit to the composed ops and masked arrays they replace, which are
-kept here: `take_along_last`, the embedding as two `gather_rows` (whose
-gradient is a 2-D `np.add.at`) and an add, and the masked x log y.
+the padded forward uses, live next to it, as do the elementwise tape ops
+`add`, `mul`, `tsum` and `exp`, which the package does not use: they
+compose the gradient checks' losses and the reference loops. The
+package's fused tape nodes (the embedding, the label-smoothed CE, the KD
+loss) are held bit for bit to the composed ops and masked arrays they
+replace, which are kept here: `take_along_last`, the embedding as two
+`gather_rows` (whose gradient is a 2-D `np.add.at`) and an add, the CE
+KD loss as `mul`, `tsum` and `mul`, and the JS KD loss as `exp` and a
+node on masked x log y. `train.fit`'s per-term backward is held to one
+backward of the loss its terms compose (`reference_train_student`).
 """
 
 from __future__ import annotations
@@ -31,11 +36,80 @@ import numpy as np
 from codemix.errors import CodemixError
 from codemix.langid import (LABEL_INDEX, LABELS, N_LABELS, CRFModel,
                             extract_features)
-from codemix.numerics import (AdamWState, Tensor, adamw_step, add,
-                              gather_rows, log_softmax, mul, tsum)
-from codemix.numerics.tensor import _make, as_tensor, attend, attention_names
+from codemix.numerics import (AdamWState, Tensor, adamw_step, gather_rows,
+                              log_softmax)
+from codemix.numerics.tensor import (_make, _unbroadcast, as_tensor, attend,
+                                     attention_names)
 from codemix.seq2seq.model import Seq2SeqModel
 from codemix.text import BOS, EOS, PAD
+
+
+# ---------------------------------------------------------------------------
+# Elementwise tape ops
+# ---------------------------------------------------------------------------
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of an elementwise op as tensors. A Python number
+    becomes a 0-d array of the other operand's dtype, which is how NumPy
+    (NEP 50) computes it anyway, so float32 stays float32."""
+    if isinstance(a, (int, float)):
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, b.dtype)), b
+    a = as_tensor(a)
+    if isinstance(b, (int, float)):
+        return a, Tensor(np.asarray(b, a.dtype))
+    return a, as_tensor(b)
+
+
+def add(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    out = a.data + b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+
+    return _make(out, (a, b), backward, "add")
+
+
+def mul(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    out = a.data * b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+
+    return _make(out, (a, b), backward, "mul")
+
+
+def tsum(a, axis=None) -> Tensor:
+    a = as_tensor(a)
+    out = a.data.sum(axis=axis)
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+
+    return _make(out, (a,), backward, "tsum")
+
+
+def exp(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.exp(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * out)
+
+    return _make(out, (a,), backward, "exp")
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +557,19 @@ def reference_js_node(t_probs: np.ndarray, s_probs: Tensor,
                  "js divergence")
 
 
+def reference_kd_loss(kind, teacher_probs: np.ndarray,
+                      student_logp: Tensor) -> Tensor:
+    """`distill.kd_loss` as composed tape ops: CE as the scaled sum of
+    T * log S, JS as `reference_js_node` on exp(log S), each mean over the
+    positions."""
+    from codemix.distill import KDKind
+    n_pos = len(teacher_probs)
+    if kind is KDKind.CE:
+        return mul(tsum(mul(Tensor(teacher_probs), student_logp)),
+                   -1.0 / n_pos)
+    return reference_js_node(teacher_probs, exp(student_logp), 1.0 / n_pos)
+
+
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
@@ -618,8 +705,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
     from codemix.distill import (DistillConfig, DistillReport, StepTrace,
                                  _kd_batch_loss, generate_pseudo_labels)
     from codemix.errors import NonFiniteError, TrainingDivergedError
-    from codemix.numerics import (AdamWState, Tensor, add, mul,
-                                  step_tensors)
+    from codemix.numerics import AdamWState, Tensor, step_tensors
     from codemix.seq2seq import (init_model, label_smoothed_ce, make_batch,
                                  pad_batch)
     cfg = config or DistillConfig()

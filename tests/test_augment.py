@@ -2,14 +2,17 @@ from collections import Counter
 
 import pytest
 
-from codemix.augment import (AugKind, LossWeights, aug_autoencoder,
-                             aug_dropchar, aug_mask, aug_permute,
-                             combined_loss, sample_augmented_batch)
+from codemix.augment import (AugKind, aug_autoencoder, aug_dropchar,
+                             aug_mask, aug_permute, sample_augmented_batch)
 from codemix.errors import DataError
-from codemix.numerics import Tensor, make_rng, mul, tsum
-from codemix.text import MASK_TOKEN, ParallelExample, build_vocab
+from codemix.numerics import AdamWState, make_rng, step_tensors
+from codemix.seq2seq import (Seq2SeqConfig, init_model, label_smoothed_ce,
+                             make_batch, pad_batch)
+from codemix.text import (MASK_TOKEN, ParallelExample, SynthTaskSpec,
+                          build_vocab, gen_synthetic_corpus, synthetic_vocab)
+from codemix.train import fit
 
-from oracles import finite_diff_grad_check
+from oracles import add, mul
 
 
 def ex(source="juta bina dori", target="shoe without lace"):
@@ -122,38 +125,58 @@ class TestPermute:
         assert chi2 < 20.52  # 5 dof, alpha = 0.001
 
 
-class TestCombinedLoss:
-    @staticmethod
-    def value(loss_s, loss_d, weights):
-        return combined_loss(Tensor(loss_s), Tensor(loss_d), weights).item()
+KINDS = (AugKind.AUTOENCODER, AugKind.DROPCHAR, AugKind.MASK)
 
-    def test_lambda_extremes_and_midpoint(self):
-        assert self.value(2.0, 4.0, LossWeights(0.0)) == 2.0
-        assert self.value(2.0, 4.0, LossWeights(1.0)) == 4.0
-        assert self.value(2.0, 4.0, LossWeights(0.5)) == 3.0
 
-    def test_linear_in_each_argument(self):
-        w = LossWeights(0.3)
-        base = self.value(1.0, 1.0, w)
-        assert self.value(2.0, 1.0, w) - base == pytest.approx(0.7)
-        assert self.value(1.0, 2.0, w) - base == pytest.approx(0.3)
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_lambda_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            LossWeights(1.5)
 
-    def test_gradient_flows_through_both_terms(self):
-        c = Tensor(make_rng(3).standard_normal((4,)))
+class TestObjective:
+    """`fit` runs each term's backward on its own, seeded with its weight;
+    its step must be the one of a single backward of the composed loss
+    (1 - lambda) * loss_s + lambda * loss_d, then AdamW."""
 
-        def loss_fn(params):
-            loss_s = tsum(mul(params["a"], params["a"]))
-            loss_d = tsum(mul(params["b"], c))
-            return combined_loss(loss_s, loss_d, LossWeights(0.4))
+    SPEC = SynthTaskSpec(lexicon_size=8, seed=3)
 
-        params = {"a": Tensor(make_rng(4).standard_normal(4), requires_grad=True),
-                  "b": Tensor(make_rng(5).standard_normal(4), requires_grad=True)}
-        err = finite_diff_grad_check(loss_fn, params, epsilon=1e-6)
-        assert err < 1e-8
+    def model(self):
+        cfg = Seq2SeqConfig(vocab=synthetic_vocab(self.SPEC), n_enc_layers=1,
+                            n_dec_layers=1, d_model=16, n_heads=2, d_ff=32,
+                            max_len=16, dropout_prob=0.1)
+        return init_model(cfg, make_rng(4))
+
+    def composed_step(self, corpus, lam, rngs):
+        """One step over the whole corpus, written out: fit's batching and
+        streams, one backward of the composed loss, one AdamW step."""
+        model = self.model()
+        data_rng, aug_rng, drop_rng = rngs
+        vocab, max_len = model.config.vocab, model.config.max_len
+        rows = [corpus[i] for i in data_rng.permutation(len(corpus))]
+        batch = make_batch(vocab, [ex.source for ex in rows],
+                           [ex.target for ex in rows], max_len)
+        loss_s = label_smoothed_ce(
+            model.forward(batch["src"], batch["dec_in"], rng=drop_rng),
+            batch["labels"], 0.1)
+        aug = sample_augmented_batch(corpus, KINDS, len(rows), aug_rng,
+                                     vocab)
+        abatch = pad_batch(aug.inputs, aug.outputs, max_len)
+        loss_d = label_smoothed_ce(
+            model.forward(abatch["src"], abatch["dec_in"], rng=drop_rng),
+            abatch["labels"], 0.1)
+        add(mul(loss_s, 1.0 - lam), mul(loss_d, lam)).backward()
+        step_tensors(model.params, AdamWState(lr=1e-3, weight_decay=0.01))
+        return model
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_one_fit_step_matches_the_composed_loss(self, lam):
+        corpus, _ = gen_synthetic_corpus(self.SPEC, 8)
+        got = self.model()
+        fit(got, corpus, epochs=1, lr=1e-3, batch_size=len(corpus),
+            kinds=KINDS, lam=lam, label_smoothing=0.1, weight_decay=0.01,
+            rngs=make_rng(5).spawn(3))
+        want = self.composed_step(corpus, lam, make_rng(5).spawn(3))
+        for name, t in want.params.items():
+            assert same_bytes(got.params[name].data, t.data), name
 
 
 class TestSampleBatch:

@@ -1,6 +1,8 @@
 import argparse
+import io
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1112,3 +1114,76 @@ class TestAnalyzeXattnCli:
             (0, 1), (0, 2), (1, 1), (1, 2)]
         assert all(r["error"] > 0 for r in records)
         assert read(report).splitlines() == out
+
+
+class TestLineBoundaries:
+    """A line ends at LF (less one CR) only: U+0085, U+2028, a vertical
+    tab and the other characters str.splitlines() breaks at stay inside
+    their line, so output line i still answers input line i."""
+
+    def _map(self, argv, text, tmp_path) -> list[str]:
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text(text, encoding="utf-8", newline="")
+        assert run(argv + ["--input", str(inp), "--output", str(out)]) == 0
+        return read(out).split("\n")[:-1]
+
+    def test_translate(self, corpus_dir, checkpoint_dir, tmp_path):
+        srcs = [ln.split("\t")[0] for ln in
+                read(corpus_dir / "test.tsv").splitlines()[:2]]
+        first = srcs[0].replace(" ", "\x85", 1)
+        got = self._map(["translate", "--checkpoint", str(checkpoint_dir),
+                         "--max-len", "12"],
+                        f"{first}\r\n{srcs[1]} \n", tmp_path)
+        assert got == translate_corpus(load_checkpoint(checkpoint_dir),
+                                       [first, srcs[1] + " "],
+                                       max_len=12)
+
+    def test_detect_lang(self, tmp_path):
+        queries = ["radata\x85zipaxu", "kala\x0cjuta\x1e"]
+        got = self._map(["detect-lang", "--model", str(CRF)],
+                        "".join(q + "\n" for q in queries), tmp_path)
+        model = load_crf(CRF)
+        assert got == [detect_query_language(model, q).value
+                       for q in queries]
+
+    def test_eval_bleu(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("a b\x0bc d\n", encoding="utf-8")
+        b.write_text("a b c d\n", encoding="utf-8")
+        assert run(["eval-bleu", "--candidates", str(a), "--references",
+                    str(b)]) == 0
+        assert "BLEU = 100.00" in capsys.readouterr().out
+
+
+CRF = TEACHER.parent / "crf.json"
+
+
+class TestStdin:
+    """Standard input is decoded as files are: strict UTF-8 whatever the
+    locale says, without a leading byte-order mark."""
+
+    def _cli(self, argv, data: bytes, monkeypatch, capsys):
+        # surrogateescape is what Python gives stdin under a POSIX locale
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        capsys.readouterr()
+        rc = run(argv)
+        return rc, capsys.readouterr()
+
+    def test_invalid_utf8_is_exit_two_naming_stdin(self, monkeypatch,
+                                                    capsys):
+        rc, out = self._cli(["detect-lang", "--model", str(CRF)],
+                            b"kala\xff juta\n", monkeypatch, capsys)
+        assert rc == 2 and out.out == ""
+        assert out.err.startswith("error: <stdin>: not valid UTF-8")
+        assert len(out.err.splitlines()) == 1
+
+    def test_byte_order_mark_is_dropped(self, monkeypatch, capsys,
+                                        tmp_path):
+        d = tmp_path / "d.tsv"
+        d.write_text("juta\tjoota\nkala\tkaala\n", encoding="utf-8")
+        rc, out = self._cli(["translit", "--dict", str(d)],
+                            "\ufeffkala juta\njuta\n".encode(),
+                            monkeypatch, capsys)
+        assert (rc, out.out, out.err) == (0, "kaala joota\njoota\n", "")

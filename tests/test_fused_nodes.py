@@ -1,8 +1,8 @@
 """The fused tape nodes against the composed ops they replace, bit for bit.
 
 The row gather's flat scatter (`scatter_rows`, against a 2-D np.add.at),
-the model's embedding node, the label-smoothed CE node and the
-Jensen-Shannon node each do the float operations of the ops in
+the model's embedding node, the label-smoothed CE node and the KD loss
+node (CE and Jensen-Shannon) each do the float operations of the ops in
 `tests/oracles.py` in the same order, so their values and gradients must
 carry the same bytes, in float32 and float64, with repeated indices, with
 and without label smoothing, and with zeros in the teacher and student
@@ -12,15 +12,15 @@ probabilities.
 import numpy as np
 import pytest
 
-from codemix.distill import _js_node, _xlogy_np
-from codemix.numerics import Tensor, exp, make_rng, mul
+from codemix.distill import KDKind, _xlogy_np, kd_loss
+from codemix.numerics import Tensor, make_rng
 from codemix.numerics.tensor import scatter_rows
 from codemix.seq2seq import (Seq2SeqConfig, init_model, label_smoothed_ce,
                              pad_batch)
 from codemix.seq2seq import model as model_mod
 from codemix.text import Vocab
 
-from oracles import (reference_embed, reference_js_node,
+from oracles import (mul, reference_embed, reference_kd_loss,
                      reference_label_smoothed_ce, reference_xlogy)
 
 DTYPES = [np.float32, np.float64]
@@ -175,18 +175,42 @@ def test_xlogy_matches_masked(dtype, zeros):
         assert same(_xlogy_np(x, y), reference_xlogy(x, y))
 
 
+def kd_both(kind, t, logp, dtype, upstream=1.0, grad0=0.25):
+    """`kd_loss` and its composed reference on teacher probabilities t and
+    a leaf of student log-probabilities: ((value, grads), (value, grads))."""
+    return tuple(run(lambda p: fn(kind, t, p["l"]), {"l": logp}, dtype,
+                     upstream, grad0) for fn in (kd_loss, reference_kd_loss))
+
+
+def log_of(s):
+    """Student log-probabilities whose exp is s: -800 where s is 0, which
+    exp underflows to exactly 0 in float32 and float64."""
+    with np.errstate(divide="ignore"):
+        return np.where(s == 0, s.dtype.type(-800.0), np.log(s))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("upstream", [1.0, -0.37, 0.0])
+def test_ce_kd_loss_matches_composed_ops(dtype, upstream):
+    # an upstream gradient of 0 makes signed zeros, which must match too
+    t, s = probs_with_zeros(dtype, 11)
+    got, want = kd_both(KDKind.CE, t, log_of(np.where(s == 0, 0.5, s)),
+                        dtype, upstream,
+                        None if upstream == 0.0 else 0.25)
+    assert same(got[0], want[0]) and same(got[1]["l"], want[1]["l"])
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("zeros", ["none", "teacher", "student", "both"])
 def test_js_node_matches_masked(dtype, zeros):
+    # the JS KD loss against exp and the node on masked arrays
     t, s = probs_with_zeros(dtype, 8)
     if zeros in ("none", "student"):
         t = np.where(t == 0, dtype(0.5), t)
     if zeros in ("none", "teacher"):
         s = np.where(s == 0, dtype(0.5), s)
-    got = run(lambda p: _js_node(t, p["s"], 0.2), {"s": s}, dtype, 1.0)
-    want = run(lambda p: reference_js_node(t, p["s"], 0.2), {"s": s}, dtype,
-               1.0)
-    assert same(got[0], want[0]) and same(got[1]["s"], want[1]["s"])
+    got, want = kd_both(KDKind.JS, t, log_of(s), dtype)
+    assert same(got[0], want[0]) and same(got[1]["l"], want[1]["l"])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -201,12 +225,14 @@ def test_js_node_is_finite_where_m_underflows(dtype, side):
     def js(value):
         tt, ss = t.copy(), s.copy()
         (tt if side == "teacher" else ss)[at] = value
-        return run(lambda p: _js_node(tt, p["s"], 0.2), {"s": ss}, dtype,
-                   1.0)
+        logp = log_of(ss)
+        assert same(np.exp(logp)[at], ss[at])
+        return run(lambda p: kd_loss(KDKind.JS, tt, p["l"]), {"l": logp},
+                   dtype, 1.0)
 
     got, zero = js(np.finfo(dtype).smallest_subnormal), js(0)
-    assert np.isfinite(got[0]) and np.isfinite(got[1]["s"]).all()
-    assert same(got[0], zero[0]) and same(got[1]["s"], zero[1]["s"])
+    assert np.isfinite(got[0]) and np.isfinite(got[1]["l"]).all()
+    assert same(got[0], zero[0]) and same(got[1]["l"], zero[1]["l"])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -215,8 +241,5 @@ def test_js_node_through_exp_matches_masked(dtype):
     t, _ = probs_with_zeros(dtype, 9)
     logp = np.log(make_rng(10).dirichlet(np.ones(9), size=5)).astype(dtype)
     logp[2, :4] = -800.0
-    got = run(lambda p: _js_node(t, exp(p["l"]), 0.2), {"l": logp}, dtype,
-              1.0)
-    want = run(lambda p: reference_js_node(t, exp(p["l"]), 0.2),
-               {"l": logp}, dtype, 1.0)
+    got, want = kd_both(KDKind.JS, t, logp, dtype)
     assert same(got[0], want[0]) and same(got[1]["l"], want[1]["l"])

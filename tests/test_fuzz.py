@@ -18,7 +18,9 @@ through the API, a parallel TSV trains exactly when it loads with the ten
 pairs stage 2 needs, and a dictionary transliterates exactly when it loads
 and holds every word of the input; a label file or a config that loads may
 still not train. Hypothesis runs derandomized with a fixed example budget,
-so the same mutants run every time.
+so the same mutants run every time; each slice also runs a byte-order mark
+before its file, and every reader must load such a file as the file
+without it.
 """
 
 import contextlib
@@ -57,13 +59,14 @@ NUMBERS = [b"NaN", b"Infinity", b"-Infinity", b"nan", b"inf", b"-0",
 # a number that starts a JSON value or a CoNLL line, not one inside a name
 NUMBER = re.compile(rb"(?<![^\[,\s])-?\d+(\.\d+)?([eE][-+]?\d+)?")
 HUGE = b"1" + b"0" * 400  # an integer no float holds
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark
 
 MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(min_value=0), st.none()),
     st.tuples(st.just("flip"), st.integers(min_value=0),
               st.integers(0, 7)),
     st.tuples(st.just("insert"), st.integers(min_value=0),
-              st.sampled_from([b"\x00", b"\xef\xbb\xbf", b"\xff",
+              st.sampled_from([b"\x00", BOM, b"\xff",
                                b"\xc3\x28", b"\xed\xa0\x80"])),
     st.tuples(st.just("duplicate-line"), st.integers(min_value=0),
               st.none()),
@@ -149,6 +152,7 @@ def conll_file(tmp_path_factory):
 @given(which=st.integers(0, 1), mutation=MUTATIONS)
 @example(which=0, mutation=("number", 0, HUGE))     # the first weight
 @example(which=0, mutation=("number", -1, b"-" + HUGE))  # a transition
+@example(which=0, mutation=("insert", 0, BOM))
 def test_crf_file_mutants(crf_files, tmp_path, which, mutation):
     path = tmp_path / "crf.json"
     path.write_bytes(mutate(crf_files[which], mutation))
@@ -162,6 +166,7 @@ def test_crf_file_mutants(crf_files, tmp_path, which, mutation):
 
 @FUZZ
 @given(mutation=MUTATIONS)
+@example(mutation=("insert", 0, BOM))
 def test_conll_file_mutants(conll_file, tmp_path, mutation):
     path = tmp_path / "q.conll"
     path.write_bytes(mutate(conll_file, mutation))
@@ -235,6 +240,7 @@ def translate_outcomes(files: dict[str, bytes], tmp_path) -> bool:
 @example(which=0, name="manifest.tsv", mutation=("number", 3, b"0"))
 # enc_pos[0, 0] times 2**128: finite, but the first layer norm overflows
 @example(which=0, name="weights.bin", mutation=("flip", 1312 + 3, 6))
+@example(which=1, name="manifest.tsv", mutation=("insert", 0, BOM))
 def test_checkpoint_file_mutants(checkpoints, tmp_path, which, name,
                                  mutation):
     files = dict(checkpoints[which])
@@ -323,6 +329,7 @@ def clean_tsv(tmp_path_factory):
 @FUZZ
 @given(mutation=MUTATIONS)
 @example(mutation=("truncate", 0, None))  # an empty file: exit 2, not 1
+@example(mutation=("insert", 0, BOM))
 def test_parallel_tsv_mutants(clean_tsv, capped_epochs, tmp_path, mutation):
     path = tmp_path / "clean.tsv"
     path.write_bytes(mutate(clean_tsv, mutation))
@@ -346,7 +353,7 @@ def translit_dict():
 
 @FUZZ
 @given(mutation=MUTATIONS)
-@example(mutation=("insert", 0, b"\xef\xbb\xbf"))  # a BOM before "kala"
+@example(mutation=("insert", 0, BOM))  # a BOM before "kala"
 def test_translit_dict_mutants(translit_dict, tmp_path, mutation):
     path = tmp_path / "dict.tsv"
     path.write_bytes(mutate(translit_dict, mutation))
@@ -376,6 +383,7 @@ def train_config():
 @FUZZ
 @given(mutation=MUTATIONS)
 @example(mutation=("number", 3, NUMBERS[-1]))  # capped by capped_epochs
+@example(mutation=("insert", 0, BOM))
 def test_train_config_mutants(train_config, clean_tsv, capped_epochs,
                               tmp_path, mutation):
     path = tmp_path / "train.cfg"
@@ -388,3 +396,53 @@ def test_train_config_mutants(train_config, clean_tsv, capped_epochs,
                                        str(tmp_path / "ck")])
     # a config that loads may still not train (an infinite learning rate)
     assert loads or not trains
+
+
+def _resaved_crf(d):
+    save_crf(load_crf(d / "crf.json"), d / "again.json")
+    return (d / "again.json").read_bytes()
+
+
+def _resaved_checkpoint(d):
+    save_checkpoint(load_checkpoint(d / "ck"), d / "again")
+    return {f: (d / "again" / f).read_bytes() for f in CHECKPOINT_FILES}
+
+
+def _checkpoint_files(request):
+    return {f"ck/{name}": data
+            for name, data in request.getfixturevalue("checkpoints")[0].items()}
+
+
+# each reader -> (its files, by path, from the fixtures; the file a BOM is
+# put before; what the loaded files compare by)
+BOM_CASES = {
+    "crf": (lambda r: {"crf.json": r.getfixturevalue("crf_files")[0]},
+            "crf.json", _resaved_crf),
+    "conll": (lambda r: {"q.conll": r.getfixturevalue("conll_file")},
+              "q.conll", lambda d: load_token_labels(d / "q.conll")),
+    **{f"checkpoint-{name}": (_checkpoint_files, f"ck/{name}",
+                              _resaved_checkpoint)
+       for name in ("config.txt", "vocab.txt", "manifest.tsv")},
+    "parallel-tsv": (lambda r: {"clean.tsv": r.getfixturevalue("clean_tsv")},
+                     "clean.tsv", lambda d: load_parallel_tsv(d / "clean.tsv")),
+    "translit-dict": (
+        lambda r: {"dict.tsv": r.getfixturevalue("translit_dict")},
+        "dict.tsv", lambda d: load_translit_dict(d / "dict.tsv").pairs),
+    "train-config": (
+        lambda r: {"train.cfg": r.getfixturevalue("train_config")},
+        "train.cfg", lambda d: config_from_items(read_kv(d / "train.cfg"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_CASES))
+def test_byte_order_mark_loads_as_the_file_without_it(case, request,
+                                                      tmp_path):
+    files, bom_file, loaded = BOM_CASES[case]
+    got = []
+    for prefix in (b"", BOM):
+        d = tmp_path / ("bom" if prefix else "plain")
+        for rel, data in files(request).items():
+            (d / rel).parent.mkdir(parents=True, exist_ok=True)
+            (d / rel).write_bytes(prefix + data if rel == bom_file else data)
+        got.append(loaded(d))
+    assert got[0] == got[1]

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from codemix import quant
 from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.errors import DataError, NonFiniteError, ShapeError
-from codemix.numerics import (AdamWState, make_rng, mul, no_grad, softmax,
-                              step_tensors, Tensor, tsum)
+from codemix.numerics import (AdamWState, make_rng, no_grad, softmax,
+                              step_tensors, Tensor)
 from codemix.seq2seq import model as model_mod
 from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              encode_source, forward_teacher_forced,
@@ -22,9 +22,9 @@ from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
 from codemix.seq2seq.decode import MAX_BATCH, _top_k
 from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
 
-from oracles import (exhaustive_best_sequence, finite_diff_grad_check,
+from oracles import (exhaustive_best_sequence, finite_diff_grad_check, mul,
                      reference_beam_search, reference_forward,
-                     reference_padded_ce, sequence_log_prob)
+                     reference_padded_ce, sequence_log_prob, tsum)
 
 ARTIFACTS = Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
 

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 
 from codemix import train as train_mod
 from codemix.analysis import XAttnExperimentConfig, ae_xattn_experiment
-from codemix.augment import AugKind, combined_loss
+from codemix.augment import AugKind
 from codemix.checkpoint import load_checkpoint, save_checkpoint
-from codemix.distill import DistillConfig
+from codemix.distill import DistillConfig, KDKind, _kd_batch_loss
 from codemix.errors import (CheckpointError, CodemixError, DataError,
                             ShapeError, TrainingDivergedError)
 from codemix.langid import gen_langid_corpus, train_crf
 from codemix.numerics import Tensor, make_rng, no_grad
+from codemix.numerics import tensor as tensor_mod
 from codemix.numerics.tensor import gelu_forward, layer_norm_forward
 from codemix.quant import quantize_model
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
@@ -144,6 +146,23 @@ class TestStage2:
                 "stage2.val_fraction 0.99 holds out 20 of 20 clean pairs")):
             train_stage2(small_setup(), gen_clean_corpus(SPEC, 20), cfg,
                          make_rng(0))
+
+    def test_every_validation_loss_uses_the_stage_batch_size(self,
+                                                            monkeypatch):
+        # epoch 0's loss and every later epoch's are compared, so they are
+        # taken at one batching
+        evaluate, sizes = train_mod.evaluate_loss, []
+
+        def spy(model, corpus, label_smoothing, batch_size=64):
+            sizes.append(batch_size)
+            return evaluate(model, corpus, label_smoothing, batch_size)
+
+        monkeypatch.setattr(train_mod, "evaluate_loss", spy)
+        cfg = TrainingConfig()
+        cfg.stage2 = StageConfig(epochs=2, lr=1e-3, batch_size=16, kinds=())
+        train_stage2(small_setup(seed=7), gen_clean_corpus(SPEC, 40), cfg,
+                     make_rng(9))
+        assert sizes == [16] * 3
 
     def test_returns_argmin_checkpoint(self):
         clean = gen_clean_corpus(SPEC, 80)
@@ -576,26 +595,54 @@ class TestEvaluateLoss:
 
 
 class TestExtraLossHook:
-    def test_zero_augmentation_loss_keeps_the_model_dtype(self, monkeypatch):
+    def test_hook_gets_no_augmentation_loss_without_kinds(self):
         # a hook and no augmentation kinds, as distillation with kinds=()
         model = small_setup(seed=20)
         corpus, _ = gen_synthetic_corpus(SPEC, 24)
-        hook_dtypes, step_dtypes = [], []
+        batch = make_batch(model.config.vocab,
+                           [ex.source for ex in corpus[:4]],
+                           [ex.target for ex in corpus[:4]],
+                           model.config.max_len)
+        seen = []
 
         def hook(n_rows, loss_s, loss_d):
-            hook_dtypes.append(loss_d.dtype)
-            return loss_s
+            seen.append(loss_d)
+            return label_smoothed_ce(
+                model.forward(batch["src"], batch["dec_in"]),
+                batch["labels"], 0.1)
 
-        def combined(a, b, weights):
-            out = combined_loss(a, b, weights)
-            step_dtypes.append(out.dtype)
-            return out
-
-        monkeypatch.setattr(train_mod, "combined_loss", combined)
         fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
             lam=0.5, label_smoothing=0.1, weight_decay=0.0,
             rngs=make_rng(21).spawn(3), extra_loss=hook)
-        assert hook_dtypes == step_dtypes == [np.float32] * 3
+        assert seen == [None] * 3
+
+    @pytest.mark.parametrize("kind", list(KDKind))
+    def test_step_builds_no_elementwise_node(self, kind, monkeypatch):
+        # the objective and the KD loss are no composed tape arithmetic:
+        # each term seeds its own backward, and KD is one node
+        make, ops = tensor_mod._make, []
+
+        def spy(data, parents, backward, op):
+            ops.append(op)
+            return make(data, parents, backward, op)
+
+        for mod in list(sys.modules.values()):
+            if (mod.__name__.startswith("codemix")
+                    and getattr(mod, "_make", None) is make):
+                monkeypatch.setattr(mod, "_make", spy)
+        student, teacher = small_setup(seed=22), small_setup(seed=23)
+        corpus, _ = gen_synthetic_corpus(SPEC, 8)
+        batch = make_batch(student.config.vocab,
+                           [ex.source for ex in corpus],
+                           [ex.target for ex in corpus],
+                           student.config.max_len)
+        fit(student, corpus, epochs=1, lr=1e-3, batch_size=8,
+            kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
+            weight_decay=0.0, rngs=make_rng(24).spawn(3),
+            extra_loss=lambda n, s, d: _kd_batch_loss(student, teacher,
+                                                      batch, kind, None))
+        assert {"label_smoothed_ce", "kd_loss"} <= set(ops)
+        assert set(ops) & {"add", "mul", "tsum", "exp"} == set()
 
 
 def _fit_small(**sizes):
@@ -709,5 +756,46 @@ STEP_SIZE_CASES = {
 @pytest.mark.parametrize("case", sorted(STEP_SIZE_CASES))
 def test_step_size_is_a_data_error_naming_it(case):
     call, message = STEP_SIZE_CASES[case]
+    with pytest.raises(DataError, match=re.escape(message)):
+        call()
+
+
+def _fit_lam(lam):
+    corpus, _ = gen_synthetic_corpus(SPEC, 8)
+    fit(small_setup(seed=28), corpus, epochs=1, lr=1e-3, batch_size=4,
+        kinds=(AugKind.AUTOENCODER,), lam=lam, label_smoothing=0.1,
+        weight_decay=0.0, rngs=make_rng(29).spawn(3))
+
+
+# An objective weight outside its range: (the call, its error), raised when
+# the config is built, before any corpus is read or model built.
+LOSS_SETTING_CASES = {
+    "config-lambda-above-1": (lambda: TrainingConfig(lam=1.5),
+                              "lambda must be in [0, 1], got 1.5"),
+    "config-lambda-nan": (lambda: TrainingConfig(lam=float("nan")),
+                          "lambda must be in [0, 1], got nan"),
+    "config-file-lambda": (lambda: config_from_items({"lambda": "1.5"}),
+                           "lambda must be in [0, 1], got 1.5"),
+    "config-label-smoothing-1": (
+        lambda: TrainingConfig(label_smoothing=1.0),
+        "label_smoothing must be in [0, 1), got 1.0"),
+    "config-file-label-smoothing": (
+        lambda: config_from_items({"label_smoothing": "-0.1"}),
+        "label_smoothing must be in [0, 1), got -0.1"),
+    "distill-lambda-negative": (lambda: DistillConfig(lam=-0.1),
+                                "lambda must be in [0, 1], got -0.1"),
+    "distill-label-smoothing-nan": (
+        lambda: DistillConfig(label_smoothing=float("nan")),
+        "label_smoothing must be in [0, 1), got nan"),
+    "fit-lambda-above-1": (lambda: _fit_lam(1.5),
+                           "lambda must be in [0, 1], got 1.5"),
+    "fit-lambda-negative": (lambda: _fit_lam(-0.25),
+                            "lambda must be in [0, 1], got -0.25"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSS_SETTING_CASES))
+def test_loss_setting_is_a_data_error_naming_it(case):
+    call, message = LOSS_SETTING_CASES[case]
     with pytest.raises(DataError, match=re.escape(message)):
         call()
