@@ -22,11 +22,14 @@ the sha256 of the weights after each phase:
   int8     the manifest.tsv and weights.bin that save_checkpoint writes
            for quantize_model of the stages model, then the beam-3 ids
            that int8 model and its load_checkpoint copy give 40 held-out
-           queries of gen_clean_corpus.
+           queries of gen_clean_corpus;
+  xattn    the per-layer, per-epoch identity errors of ae_xattn_experiment
+           (200 training pairs, 2 decoder layers, 2 epochs, seed 0), which
+           covers the experiment's fixed settings.
 
-Two trees train, detect, transliterate and quantize identically when they
-print the same seven lines. BLAS is pinned to one thread, so the GEMMs split
-their work the same way on both.
+Two trees train, detect, transliterate, quantize and run the cross-attention
+experiment identically when they print the same eight lines. BLAS is pinned
+to one thread, so the GEMMs split their work the same way on both.
 """
 import hashlib
 import os
@@ -42,6 +45,8 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 
 import numpy as np  # noqa: E402
 
+from codemix.analysis import (XAttnExperimentConfig,  # noqa: E402
+                              ae_xattn_experiment)
 from codemix.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
 from codemix.langid import gen_langid_corpus, train_crf, viterbi  # noqa: E402
@@ -135,3 +140,8 @@ for m in (int8, loaded):
     h.update(repr([r.ids for r in beam_search_batch(m, held_out,
                                                     beam=3)]).encode())
 print(f"int8   {h.hexdigest()[:16]}", flush=True)
+
+curve = ae_xattn_experiment(
+    XAttnExperimentConfig(n_train=200, n_dec_layers=2, epochs=2), [0])
+print(f"xattn  {hashlib.sha256(curve.errors.tobytes()).hexdigest()[:16]}",
+      flush=True)

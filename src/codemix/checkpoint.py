@@ -7,12 +7,14 @@
 
 f32 payloads round-trip byte-exactly; an int8 model's `QuantizedTensor`s are
 i8 entries with a scale column. Loading rejects, with CheckpointError, a
-scale that is not a finite number > 0, an int8 payload byte of -128
-(quantization clamps to [-127, 127]), an int8 entry for a tensor quantization
-keeps in float32, a tensor listed twice, more layers in config.txt than
-manifest.tsv has tensors, and byte ranges that are not back to back in
-manifest order from byte 0 to the end of weights.bin (a gap, an overlap or
-trailing bytes).
+config.txt without `quantized` (1 exactly when manifest.tsv lists an i8
+entry, else 0) or `vocab_mode` ("word" or "char"), a vocab.txt that lists a
+token twice or whose last line has no newline, a scale that is not a finite
+number > 0, an int8 payload byte of -128 (quantization clamps to
+[-127, 127]), an int8 entry for a tensor quantization keeps in float32, a
+tensor listed twice, more layers in config.txt than manifest.tsv has
+tensors, and byte ranges that are not back to back in manifest order from
+byte 0 to the end of weights.bin (a gap, an overlap or trailing bytes).
 """
 
 from __future__ import annotations
@@ -116,6 +118,23 @@ def _parse_scale(path: Path, name: str, scale_s: str) -> np.float32:
     return scale32
 
 
+def _read_tokens(path: Path) -> list[str]:
+    """vocab.txt's tokens, one a line in id order, each line ending in a
+    newline."""
+    text = read_utf8(path / "vocab.txt")
+    if text and not text.endswith("\n"):
+        raise CheckpointError(f"{path}: vocab.txt does not end in a newline, "
+                              f"so its last token may be cut short")
+    tokens = text.split("\n")[:-1]
+    first: dict[str, int] = {}
+    for lineno, token in enumerate(tokens, 1):
+        if first.setdefault(token, lineno) != lineno:
+            raise CheckpointError(f"{path}: vocab.txt repeats token "
+                                  f"{token!r} (lines {first[token]} and "
+                                  f"{lineno})")
+    return tokens
+
+
 def load_checkpoint(path):
     """Load a Seq2SeqModel, float32 or int8, saved by save_checkpoint."""
     path = Path(path)
@@ -126,10 +145,10 @@ def load_checkpoint(path):
     if kv.get("format") != _FORMAT:
         raise CheckpointError(f"{path}: unknown checkpoint format "
                               f"{kv.get('format')!r}")
-    tokens = read_utf8(path / "vocab.txt").split("\n")[:-1]
-    vocab = Vocab(tokens, mode=kv.get("vocab_mode", "word"))
+    tokens = _read_tokens(path)
     try:
-        cfg = Seq2SeqConfig(vocab=vocab, **{
+        quantized = kv["quantized"]
+        cfg = Seq2SeqConfig(vocab=Vocab(tokens, mode=kv["vocab_mode"]), **{
             f.name: (int if f.type == "int" else float)(kv[f.name])
             for f in fields(Seq2SeqConfig) if f.name != "vocab"})
     except KeyError as e:
@@ -192,4 +211,11 @@ def load_checkpoint(path):
     if len(blob) > end:
         raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes "
                               f"after the last tensor in weights.bin")
-    return Seq2SeqModel(cfg, params)
+    model = Seq2SeqModel(cfg, params)
+    if quantized != str(int(model.quantized)):
+        raise CheckpointError(
+            f"{path}: config.txt has quantized = {quantized}, but "
+            + ("manifest.tsv lists int8 tensors, so it must be 1"
+               if model.quantized else
+               "manifest.tsv lists no int8 tensor, so it must be 0"))
+    return model

@@ -189,7 +189,7 @@ def _cmd_train(args) -> int:
     if args.init_from:
         model = load_checkpoint(args.init_from)
     else:
-        vocab = build_vocab(noisy + clean, mode="word", min_count=1)
+        vocab = build_vocab(noisy + clean, mode="word")
         model = init_model(_model_config(args, vocab, args.max_len),
                            init_rng)
     for path, corpus in ((args.train_tsv, noisy), (args.clean_tsv, clean)):

@@ -37,6 +37,7 @@ from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
+KD_MAX_LEN = 32  # the pseudo-labelling beam's step limit
 
 
 class KDKind(enum.Enum):
@@ -151,7 +152,6 @@ class DistillConfig:
     label_smoothing: float = 0.1
     weight_decay: float = 0.01
     kinds: tuple[AugKind, ...] = DEFAULT_STAGE2_KINDS
-    kd_max_len: int = 32
 
     def __post_init__(self):
         check_loop_sizes(self.epochs, self.batch_size)
@@ -187,9 +187,9 @@ def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
         # exp(log_softmax) rather than softmax: bitwise-identical to the
         # student's probability path, so a student that equals the teacher
         # sees an exactly-zero KD loss and gradient.
-        t_probs = np.exp(log_softmax(t_logits, axis=-1).data)
+        t_probs = np.exp(log_softmax(t_logits).data)
     s_logits = student.forward(batch["src"], batch["dec_in"], rng=train_rng)
-    return kd_loss(kd_kind, t_probs, log_softmax(s_logits, axis=-1))
+    return kd_loss(kd_kind, t_probs, log_softmax(s_logits))
 
 
 def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
@@ -218,7 +218,7 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
 
     pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
                                              beam=beam,
-                                             max_len=cfg.kd_max_len)
+                                             max_len=KD_MAX_LEN)
     # a pair goes into the student's KD batches, so its tokens + EOS (or
     # BOS + tokens) must fit the student's max_len
     labelled, limit = len(pseudo), student_config.max_len

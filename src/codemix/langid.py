@@ -440,13 +440,13 @@ def query_gold_language(query: LabeledQuery) -> QueryLanguage:
 # Evaluation and IO
 # ---------------------------------------------------------------------------
 
-def eval_prf(predictions: list[QueryLanguage], gold: list[QueryLanguage],
-             positive: QueryLanguage = QueryLanguage.HINGLISH
+def eval_prf(predictions: list[QueryLanguage], gold: list[QueryLanguage]
              ) -> tuple[float, float, float]:
-    """Precision/recall/F1 on the positive class. Zero predicted positives
-    gives precision 0 (and F1 0)."""
+    """Precision/recall/F1 on the positive class, HINGLISH. Zero predicted
+    positives gives precision 0 (and F1 0)."""
     if len(predictions) != len(gold):
         raise DataError("predictions and gold differ in length")
+    positive = QueryLanguage.HINGLISH
     tp = sum(1 for p, g in zip(predictions, gold)
              if p is positive and g is positive)
     fp = sum(1 for p, g in zip(predictions, gold)
@@ -561,13 +561,12 @@ _STICKY = np.array([
 ])
 
 
-def gen_langid_corpus(n_queries: int, seed: int = 0, ambiguous_rate: float = 0.25,
-                      min_len: int = 2, max_len: int = 6
-                      ) -> list[LabeledQuery]:
+def gen_langid_corpus(n_queries: int, seed: int = 0) -> list[LabeledQuery]:
     """Two toy languages with disjoint alphabets plus a shared (ambiguous)
     word set that only context disambiguates; OT words carry digits. Label
     sequences follow a sticky Markov chain, so neighboring words are
-    informative about ambiguous tokens."""
+    informative about ambiguous tokens. Queries are 2 to 6 words long, and
+    a non-OT word is drawn from the shared set with probability 0.25."""
     check_count("n_queries", n_queries)
     rng = make_rng(seed ^ 0x1A6B1D)
     taken: set[str] = set()
@@ -578,13 +577,13 @@ def gen_langid_corpus(n_queries: int, seed: int = 0, ambiguous_rate: float = 0.2
 
     queries: list[LabeledQuery] = []
     for _ in range(n_queries):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(2, 7))
         state = int(rng.choice(3, p=_START_P))
         toks: LabeledQuery = []
         for _ in range(length):
             if state == 2:
                 word = ot[int(rng.integers(len(ot)))]
-            elif rng.random() < ambiguous_rate:
+            elif rng.random() < 0.25:
                 word = shared[int(rng.integers(len(shared)))]
             elif state == 0:
                 word = en[int(rng.integers(len(en)))]

@@ -16,9 +16,6 @@ class AdamWState:
     """Per-parameter first/second moments plus the step counter."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -43,14 +40,14 @@ def adamw_step(params: dict[str, np.ndarray | Tensor],
                state: AdamWState) -> AdamWState:
     """One AdamW update, in place on the parameter arrays.
 
-    p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)
-    Missing gradients are treated as zero (decay still applies). A NaN or
-    Inf in an updated parameter (from a non-finite lr, weight decay or
-    gradient) raises NonFiniteError naming it; parameters earlier in
-    `params` have been updated by then.
+    p -= lr * (mhat / (sqrt(vhat) + 1e-8) + weight_decay * p), with
+    beta1 = 0.9 and beta2 = 0.999. Missing gradients are treated as zero
+    (decay still applies). A NaN or Inf in an updated parameter (from a
+    non-finite lr, weight decay or gradient) raises NonFiniteError naming
+    it; parameters earlier in `params` have been updated by then.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = 0.9, 0.999
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -69,7 +66,7 @@ def adamw_step(params: dict[str, np.ndarray | Tensor],
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
         if state.weight_decay:
             update = update + state.weight_decay * arr
         arr -= state.lr * update

@@ -312,20 +312,21 @@ def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
             g2.sum(axis=0) if bias else None)
 
 
-def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax of a plain array (max subtraction)."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of a plain array over its last axis (max
+    subtraction)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(logits, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtraction along `axis`)."""
+def softmax(logits) -> Tensor:
+    """Numerically stable softmax over the last axis (max subtraction)."""
     a = as_tensor(logits)
-    out = softmax_forward(a.data, axis)
+    out = softmax_forward(a.data)
 
     def backward(g):
         if a.requires_grad:
-            dot = (out * g).sum(axis=axis, keepdims=True)
+            dot = (out * g).sum(axis=-1, keepdims=True)
             a.accumulate_grad(out * (g - dot))
 
     return _make(out, (a,), backward, "softmax")
@@ -449,50 +450,50 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_rows: RowLayout,
     return q_rows.pack(merge_heads(used @ V)), grad
 
 
-def log_softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(softmax(x)) of a plain array. Every entry is <= 0: the shifted
-    maximum is exactly 0, so the log-sum-exp is at least log(1) = 0."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax_forward(x: np.ndarray) -> np.ndarray:
+    """log(softmax(x)) of a plain array over its last axis. Every entry is
+    <= 0: the shifted maximum is exactly 0, so the log-sum-exp is at least
+    log(1) = 0."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def log_softmax_backward(g: np.ndarray, out: np.ndarray,
-                         axis: int = -1) -> np.ndarray:
+def log_softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The input gradient of a log-softmax with output `out` given the
     output's gradient g."""
     p = np.exp(out)
-    return g - p * g.sum(axis=axis, keepdims=True)
+    return g - p * g.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits, axis: int = -1) -> Tensor:
+def log_softmax(logits) -> Tensor:
     a = as_tensor(logits)
-    out = log_softmax_forward(a.data, axis)
+    out = log_softmax_forward(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(log_softmax_backward(g, out, axis))
+            a.accumulate_grad(log_softmax_backward(g, out))
 
     return _make(out, (a,), backward, "log_softmax")
 
 
-def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                       eps: float = 1e-5
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer normalization of a plain array over its last axis:
-    (output, normalized input, 1 / sigma); the last two feed the gradient."""
+    """Layer normalization of a plain array over its last axis, with
+    variance epsilon 1e-5: (output, normalized input, 1 / sigma); the last
+    two feed the gradient."""
     # add.reduce / n: .mean() bit for bit, without its Python wrapper
     n = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-                        + eps)
+                        + 1e-5)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Layer normalization over the last axis: gain * (x - mu) / sigma + bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
 
     def backward(g):
         for t, gt in zip((x, gain, bias),

@@ -40,6 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..errors import DataError
 from ..numerics import no_grad
 from ..text import BOS, EOS, PAD, check_count, decode as decode_ids
 from .model import Seq2SeqModel, encode_source
@@ -102,8 +103,13 @@ def _step(model: Seq2SeqModel, cache, tokens: list[int]) -> np.ndarray:
 
 
 def _start(model: Seq2SeqModel, sources):
-    return model.start_decoding(
-        [model.encode(np.asarray([src], dtype=np.int64)) for src in sources])
+    """The decoder cache of `sources`, each encoded alone. A source with no
+    token but PAD would leave cross-attention no key: DataError."""
+    arrays = [np.asarray([src], dtype=np.int64) for src in sources]
+    for a in arrays:
+        if not np.any(a != PAD):
+            raise DataError(f"source {a[0].tolist()} has no token but PAD")
+    return model.start_decoding([model.encode(a)[0] for a in arrays])
 
 
 def greedy_decode(model: Seq2SeqModel, src_ids, max_len: int = 32) -> list[int]:

@@ -407,27 +407,26 @@ class Seq2SeqModel:
     # The helpers read the blocks of the model's binding (`weights`), so a
     # step looks up no parameter and formats no name.
 
-    def start_decoding(self, encoded: list[tuple[Tensor, np.ndarray]]
-                       ) -> DecoderCache:
-        """Cache for decoding one BOS row per query. `encoded` holds each
-        query's own `encode` output (encoder states (S, D), key mask);
-        every decoder layer's cross-attention keys and values are computed
-        here, once per query."""
+    def start_decoding(self, states: list[Tensor]) -> DecoderCache:
+        """Cache for decoding one BOS row per query. `states` holds each
+        query's encoder states (S, D), from `encode` of that query alone:
+        its real positions only, so no key is padding. Every decoder
+        layer's cross-attention keys and values are computed here, once
+        per query."""
         cfg = self.config
         cross = []
-        for enc_out, key_mask in encoded:
-            enc = source_rows(key_mask).pad(enc_out.data)
+        for enc_out in states:
+            enc = enc_out.data[None]
             kv = []
             for _, (_, attn), _ in self.weights.dec:
                 k, v = (split_heads(_linear_np(enc, lin), cfg.n_heads)
                         for lin in (attn.k, attn.v))
                 kv.append((k.transpose(0, 1, 3, 2), v))
-            mask = key_mask if np.any(key_mask) else None
-            cross.append((kv, mask))
-        empty = np.zeros((len(encoded), cfg.n_heads, 0, cfg.head_dim),
+            cross.append(kv)
+        empty = np.zeros((len(states), cfg.n_heads, 0, cfg.head_dim),
                          dtype=self.dtype)
         return DecoderCache(cross, [(empty, empty)] * cfg.n_dec_layers,
-                            [1] * len(encoded))
+                            [1] * len(states))
 
     def decode_step(self, cache: DecoderCache,
                     tokens: np.ndarray) -> np.ndarray:
@@ -465,9 +464,9 @@ class Seq2SeqModel:
 
             q = split_heads(_linear_np(_ln_np(x, ln2), cross.q), n_heads)
             parts, start = [], 0
-            for n, (kv, mask) in zip(cache.counts, cache.cross):
+            for n, kv in zip(cache.counts, cache.cross):
                 kt, v = kv[i]
-                parts.append(attention_probs(q[start:start + n], kt, mask,
+                parts.append(attention_probs(q[start:start + n], kt, None,
                                              cross.names) @ v)
                 start += n
             x = _residual_np(x, _linear_np(merge_heads(np.concatenate(parts)),
@@ -597,7 +596,7 @@ class DecoderCache:
     Seq2SeqModel.decode_step). Rows are grouped by query in query order:
     the k-th live query owns the next `counts[k]` rows."""
 
-    cross: list            # per live query: (per-layer (K^T, V), key mask)
+    cross: list            # per live query: per-layer (K^T, V)
     self_kv: list          # per layer: (K, V), each (rows, H, steps, dh)
     counts: list[int]
     steps: int = 0

@@ -87,9 +87,9 @@ def _iter_texts(corpus) -> list[str]:
     return texts
 
 
-def build_vocab(corpus, mode: str = "word", min_count: int = 1) -> Vocab:
-    """Frequency-then-lexicographic vocabulary over a corpus of texts or
-    parallel examples. Tokens below min_count fall back to UNK."""
+def build_vocab(corpus, mode: str = "word") -> Vocab:
+    """Frequency-then-lexicographic vocabulary of every token in a corpus
+    of texts or parallel examples."""
     texts = _iter_texts(corpus)
     if not texts:
         raise DataError("cannot build a vocabulary from an empty corpus")
@@ -99,15 +99,17 @@ def build_vocab(corpus, mode: str = "word", min_count: int = 1) -> Vocab:
             counts.update(text.split())
         else:
             counts.update(text)
-    kept = [(tok, c) for tok, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
+    kept = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
     return Vocab([tok for tok, _ in kept], mode=mode)
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:
-    """Token ids for a text. OOV tokens map to UNK; no BOS/EOS are added."""
-    unk = vocab.token_to_id[UNK_TOKEN]
-    return [vocab.token_to_id.get(tok, unk) for tok in vocab.tokenize(text)]
+    """Token ids for a text. OOV tokens map to UNK, and so do `<pad>`, `<s>`
+    and `</s>`, so text cannot spell a control id; `<mask>` keeps its id,
+    as `aug_mask` writes it into texts. No BOS/EOS are added."""
+    get = vocab.token_to_id.get
+    return [i if (i := get(tok, UNK)) > EOS else UNK
+            for tok in vocab.tokenize(text)]
 
 
 def decode(ids, vocab: Vocab) -> str:
@@ -316,4 +318,4 @@ def all_word_forms(spec: SynthTaskSpec) -> list[str]:
 
 def synthetic_vocab(spec: SynthTaskSpec) -> Vocab:
     """Word vocabulary covering every form the generator can produce."""
-    return build_vocab(all_word_forms(spec), mode="word", min_count=1)
+    return build_vocab(all_word_forms(spec), mode="word")

@@ -56,12 +56,13 @@ def load_translit_dict(path) -> TranslitDict:
     return d
 
 
-def char_seq2seq_config(vocab: Vocab, max_len: int = 24) -> Seq2SeqConfig:
-    """The character-level fallback model: 2+2 layers, 4 heads, hidden 128."""
+def char_seq2seq_config(vocab: Vocab) -> Seq2SeqConfig:
+    """The character-level fallback model: 2+2 layers, 4 heads, hidden 128,
+    up to 24 characters per word."""
     if vocab.mode != "char":
         raise DataError("transliteration model needs a char-level vocab")
     return Seq2SeqConfig(vocab=vocab, n_enc_layers=2, n_dec_layers=2,
-                         d_model=128, n_heads=4, d_ff=256, max_len=max_len,
+                         d_model=128, n_heads=4, d_ff=256, max_len=24,
                          dropout_prob=0.0)
 
 
@@ -96,7 +97,7 @@ def train_translit(word_pairs: list[tuple[str, str]],
     corpus = [ParallelExample(w.lower(), t.lower(), Provenance.CLEAN_MANUAL)
               for w, t in word_pairs]
     if config is None:
-        vocab = build_vocab(corpus, mode="char", min_count=1)
+        vocab = build_vocab(corpus, mode="char")
         config = char_seq2seq_config(vocab)
     init_rng, fit_rng = rng.spawn(2)
     model = init_model(config, init_rng)

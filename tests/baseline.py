@@ -92,7 +92,7 @@ def baseline_avg_embedding_classifier(
         for start in range(0, len(texts), batch_size):
             idxs = order[start:start + batch_size]
             logits = clf._logits([texts[i] for i in idxs])
-            logp = log_softmax(logits, axis=-1)
+            logp = log_softmax(logits)
             gold = take_along_last(logp, labels[idxs])
             loss = mul(tsum(gold), -1.0 / len(idxs))
             loss.backward()

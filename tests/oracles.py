@@ -482,7 +482,7 @@ def reference_padded_ce(logits, labels: np.ndarray, epsilon: float):
     """Label-smoothed CE over padded (B, T, vocab) logits and (B, T) labels
     as a masked mean: a PAD label weighs 0, the rest 1 / (real count)."""
     keep = (labels != PAD).astype(logits.dtype)
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     per_pos = mul(take_along_last(logp, labels), -(1.0 - epsilon))
     per_pos = add(per_pos, mul(tsum(logp, axis=-1),
                                -(epsilon / logits.shape[-1])))
@@ -520,7 +520,7 @@ def reference_label_smoothed_ce(logits, targets, epsilon: float) -> Tensor:
     one checked: log-softmax, the gold pick, the smoothing term, the
     mean."""
     targets = np.asarray(targets, dtype=np.int64)
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     per_pos = mul(take_along_last(logp, targets), -(1.0 - epsilon))
     if epsilon > 0.0:
         per_pos = add(per_pos, mul(tsum(logp, axis=-1),
@@ -574,11 +574,11 @@ def reference_kd_loss(kind, teacher_probs: np.ndarray,
 # Decoding
 # ---------------------------------------------------------------------------
 
-def sequence_log_prob(model: Seq2SeqModel, enc_out, key_mask,
+def sequence_log_prob(model: Seq2SeqModel, enc_out,
                       tokens: list[int]) -> float:
     """Sum of token log-probabilities along a hypothesis, accumulated the
     same way the decoder does (one cached decoder step per token)."""
-    cache = model.start_decoding([(enc_out, key_mask)])
+    cache = model.start_decoding([enc_out])
     prev = BOS
     total = 0.0
     for tok in tokens:
@@ -648,19 +648,18 @@ def exhaustive_best_sequence(model: Seq2SeqModel, src_ids,
     content = [t for t in range(vocab_size) if t not in (PAD, BOS, EOS)]
     with no_grad():
         src = np.asarray([src_ids], dtype=np.int64)
-        enc_out, key_mask = model.encode(src)
+        enc_out = model.encode(src)[0]
         finished: list[tuple[float, list[int]]] = []
         unfinished: list[tuple[float, list[int]]] = []
         for length in range(0, max_len):
             # sequences of `length` content tokens followed by EOS
             for combo in itertools.product(content, repeat=length):
                 seq = list(combo)
-                score = sequence_log_prob(model, enc_out, key_mask,
-                                          seq + [EOS])
+                score = sequence_log_prob(model, enc_out, seq + [EOS])
                 finished.append((score, seq))
         for combo in itertools.product(content, repeat=max_len):
             seq = list(combo)
-            score = sequence_log_prob(model, enc_out, key_mask, seq)
+            score = sequence_log_prob(model, enc_out, seq)
             unfinished.append((score, seq))
     if finished:
         best = max(finished, key=lambda x: x[0])
@@ -702,8 +701,9 @@ def reference_train_student(student_config, teacher, clean_corpus,
     before it became train.fit plus a KD term: the same five RNG streams,
     batching, augmentation, KD sampling and AdamW steps, written out."""
     from codemix.augment import sample_augmented_batch
-    from codemix.distill import (DistillConfig, DistillReport, StepTrace,
-                                 _kd_batch_loss, generate_pseudo_labels)
+    from codemix.distill import (KD_MAX_LEN, DistillConfig, DistillReport,
+                                 StepTrace, _kd_batch_loss,
+                                 generate_pseudo_labels)
     from codemix.errors import NonFiniteError, TrainingDivergedError
     from codemix.numerics import AdamWState, Tensor, step_tensors
     from codemix.seq2seq import (init_model, label_smoothed_ce, make_batch,
@@ -714,7 +714,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
     vocab = student_config.vocab
     pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
                                              beam=beam,
-                                             max_len=cfg.kd_max_len)
+                                             max_len=KD_MAX_LEN)
     report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
     opt = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     snapshot = student.snapshot()

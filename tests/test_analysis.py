@@ -72,27 +72,20 @@ class TestXattnIdentityError:
 
 class TestExperiment:
     def test_untrained_error_positive_all_layers(self):
-        cfg = XAttnExperimentConfig(
-            task=SynthTaskSpec(lexicon_size=12, seed=3),
-            n_train=40, n_val=10, n_dec_layers=3, d_model=16, n_heads=2,
-            d_ff=32, epochs=0)
-        vocab = synthetic_vocab(cfg.task)
+        task = SynthTaskSpec(lexicon_size=12, seed=3)
+        vocab = synthetic_vocab(task)
         mcfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=2, n_dec_layers=3,
                              d_model=16, n_heads=2, d_ff=32, max_len=16,
                              dropout_prob=0.0)
         model = init_model(mcfg, make_rng(6))
         from codemix.text import gen_synthetic_corpus
-        _, val = gen_synthetic_corpus(cfg.task, 10, 10)
+        _, val = gen_synthetic_corpus(task, 10, 10)
         for layer in range(3):
             e = xattn_identity_error(model, [ex.target for ex in val], layer)
             assert e > 0
 
     def test_curve_shape_and_records(self):
-        cfg = XAttnExperimentConfig(
-            task=SynthTaskSpec(lexicon_size=12, noise_char_drop_prob=0.0,
-                               seed=4),
-            n_train=60, n_val=12, n_dec_layers=2, n_enc_layers=1,
-            d_model=16, n_heads=2, d_ff=32, epochs=2, batch_size=16)
+        cfg = XAttnExperimentConfig(n_train=60, n_dec_layers=2, epochs=2)
         curve = ae_xattn_experiment(cfg, seeds=[0])
         assert curve.errors.shape == (2, 2)
         assert np.all(curve.errors > 0)

@@ -109,7 +109,7 @@ class TestKdLossJs:
 
         def loss_fn(params):
             return kd_loss(KDKind.JS, t,
-                           log_softmax(params["logits"], axis=-1))
+                           log_softmax(params["logits"]))
 
         params = {"logits": Tensor(make_rng(12).standard_normal((3, 5)),
                                    requires_grad=True)}
@@ -158,7 +158,7 @@ class TestPseudoLabels:
         pseudo, skipped = generate_pseudo_labels(teacher, [])
         assert pseudo == [] and skipped == []
 
-    def test_unfinished_and_empty_decodes_are_skipped(self):
+    def test_unfinished_and_empty_decodes_are_skipped(self, monkeypatch):
         # read-only committed teacher: "beboero" translates to nothing, and
         # three decoder steps finish two-word outputs but not longer ones
         teacher = load_checkpoint(TEACHER)
@@ -179,9 +179,10 @@ class TestPseudoLabels:
         student_cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
                                     n_dec_layers=1, d_model=16, n_heads=2,
                                     d_ff=32)
+        monkeypatch.setattr(distill_mod, "KD_MAX_LEN", 3)
         _, report = train_student(student_cfg, teacher, clean, sources,
                                   KDKind.JS, make_rng(3),
-                                  DistillConfig(epochs=1, kd_max_len=3))
+                                  DistillConfig(epochs=1))
         assert report.skipped_sources == len(skipped)
 
     def test_sources_longer_than_the_teacher_are_skipped(self, monkeypatch):

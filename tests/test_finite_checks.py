@@ -88,7 +88,7 @@ class Pass:
         self.rng = self.capture = self.cache = None
         with no_grad():
             self.enc = model.encode(SRC)
-            self.encoded = [model.encode(SRC[1:, :n]) for n in (4, 2)]
+            self.encoded = [model.encode(SRC[1:, :n])[0] for n in (4, 2)]
 
     def run(self):
         m, kind = self.m, self.kind
@@ -227,7 +227,7 @@ def test_decode_step_checks_its_output_and_the_scores(queries, monkeypatch):
 
     monkeypatch.setattr(tensor_mod, "_assert_finite", counting)
     with no_grad():
-        cache = m.start_decoding([m.encode(SRC[1:, :n])
+        cache = m.start_decoding([m.encode(SRC[1:, :n])[0]
                                   for n in (4, 2)[:queries]])
         if queries == 2:
             cache.reorder(np.array([0, 0, 1]), [2, 1])
@@ -256,14 +256,14 @@ def test_decode_step_looks_up_no_parameter(kind):
 
     m.params = Counting(m.params)
     with no_grad():
-        cache = m.start_decoding([m.encode(SRC[1:, :n]) for n in (4, 2)])
+        cache = m.start_decoding([m.encode(SRC[1:, :n])[0] for n in (4, 2)])
         assert calls
         calls.clear()
         m.decode_step(cache, np.full(2, BOS))
         m.decode_step(cache, np.full(2, 5))
         enc, mask = m.encode(SRC)
         m.decode(enc, mask, DEC_IN)
-        m.start_decoding([m.encode(SRC[1:])])
+        m.start_decoding([m.encode(SRC[1:])[0]])
     enc, mask = m.encode(SRC)  # the tape passes too
     m.decode(enc, mask, DEC_IN)
     assert calls == []
@@ -294,7 +294,7 @@ def test_start_decoding_names_each_projection(name):
     # the first query's projection raises, named
     m = make_model(dropout=0.0)
     with no_grad():
-        encoded = [m.encode(SRC[1:, :n]) for n in (4, 2)]
+        encoded = [m.encode(SRC[1:, :n])[0] for n in (4, 2)]
         m.params[name].data[0, 0] = np.nan
         with pytest.raises(NonFiniteError,
                            match=f"non-finite values in linear {name} output"):

@@ -241,6 +241,14 @@ def translate_outcomes(files: dict[str, bytes], tmp_path) -> bool:
 # enc_pos[0, 0] times 2**128: finite, but the first layer norm overflows
 @example(which=0, name="weights.bin", mutation=("flip", 1312 + 3, 6))
 @example(which=1, name="manifest.tsv", mutation=("insert", 0, BOM))
+@example(which=0, name="config.txt", mutation=("number", 0, b"1"))  # quantized
+@example(which=1, name="config.txt", mutation=("number", 0, b"0"))
+@example(which=0, name="config.txt", mutation=("number", 0, b"2"))
+@example(which=0, name="config.txt", mutation=("drop-line", 1, None))
+@example(which=0, name="config.txt", mutation=("drop-line", -1, None))  # mode
+@example(which=0, name="config.txt", mutation=("insert", -2, b"s"))  # words
+@example(which=0, name="vocab.txt", mutation=("truncate", -2, None))  # no \n
+@example(which=0, name="vocab.txt", mutation=("duplicate-line", 5, None))
 def test_checkpoint_file_mutants(checkpoints, tmp_path, which, name,
                                  mutation):
     files = dict(checkpoints[which])
@@ -258,10 +266,25 @@ def _edit_offsets(files, edit, grow: int = 0) -> None:
     files["weights.bin"] += b"\0" * grow
 
 
-def _set_config(files, key: str, value: int) -> None:
+def _set_config(files, key: str, value) -> None:
     files["config.txt"] = re.sub(rf"(?m)^{key} = .*$".encode(),
                                  f"{key} = {value}".encode(),
                                  files["config.txt"])
+
+
+def _drop_config(files, key: str) -> None:
+    files["config.txt"] = re.sub(rf"(?m)^{key} = .*\n".encode(), b"",
+                                 files["config.txt"])
+
+
+def _flip_quantized(files) -> None:
+    """config.txt's `quantized` set to disagree with manifest.tsv."""
+    int8 = b"\ti8\t" in files["manifest.tsv"]
+    _set_config(files, "quantized", int(not int8))
+
+
+def _repeat_last_token(files) -> None:
+    files["vocab.txt"] += files["vocab.txt"].splitlines(keepends=True)[-1]
 
 
 # each edit of a checkpoint's files -> the start of the error it must raise
@@ -279,6 +302,20 @@ LAYOUT_CASES = {
                          f"config.txt has {10 ** 39 + 1} layers"),
     "layers-above-tensors": (lambda f: _set_config(f, "n_dec_layers", 100),
                              "config.txt has 101 layers, manifest.tsv only"),
+    "quantized-disagrees": (_flip_quantized, ", so it must be "),
+    "quantized-not-0-or-1": (lambda f: _set_config(f, "quantized", 2),
+                             "config.txt has quantized = 2, but manifest"),
+    "quantized-missing": (lambda f: _drop_config(f, "quantized"),
+                          "config.txt missing key 'quantized'"),
+    "vocab-mode-missing": (lambda f: _drop_config(f, "vocab_mode"),
+                           "config.txt missing key 'vocab_mode'"),
+    "vocab-mode-unknown": (lambda f: _set_config(f, "vocab_mode", "words"),
+                           "bad config.txt: unknown vocab mode: 'words'"),
+    "vocab-token-repeated": (_repeat_last_token,
+                             "vocab.txt repeats token "),
+    "vocab-last-newline-missing": (
+        lambda f: f.update({"vocab.txt": f["vocab.txt"][:-1]}),
+        "vocab.txt does not end in a newline"),
 }
 
 

@@ -20,7 +20,7 @@ from codemix.seq2seq import (Seq2SeqConfig, beam_search, beam_search_batch,
                              make_batch, pad_batch, translate,
                              translate_corpus)
 from codemix.seq2seq.decode import MAX_BATCH, _top_k
-from codemix.text import BOS, EOS, PAD, Vocab, build_vocab
+from codemix.text import BOS, EOS, MASK, PAD, UNK, Vocab, build_vocab
 
 from oracles import (exhaustive_best_sequence, finite_diff_grad_check, mul,
                      reference_beam_search, reference_forward,
@@ -156,7 +156,7 @@ class TestLabelSmoothedCE:
         logits = Tensor(rng.standard_normal((6, 9)))
         targets = rng.integers(5, 9, size=6)
         ls = label_smoothed_ce(logits, targets, 0.0).item()
-        p = softmax(logits, axis=-1).data
+        p = softmax(logits).data
         ce = -np.mean(np.log(p[np.arange(6), targets]))
         assert abs(ls - ce) < 1e-6
 
@@ -175,7 +175,7 @@ class TestLabelSmoothedCE:
         eps = 0.1
         ls = label_smoothed_ce(logits64, targets, eps).item()
         ce = label_smoothed_ce(logits64, targets, 0.0).item()
-        logp = np.log(softmax(logits64, axis=-1).data)
+        logp = np.log(softmax(logits64).data)
         uniform_ce = -np.mean(logp.mean(axis=-1))
         assert abs(ls - ((1 - eps) * ce + eps * uniform_ce)) < 1e-10
 
@@ -224,6 +224,16 @@ class TestPadBatch:
         # one label per non-PAD decoder position, in row-major (b, t) order
         assert batch["labels"].tolist() == [6, 7, 8, EOS, EOS, 9, EOS]
         assert set(batch) == {"src", "dec_in", "labels"}
+
+    def test_special_tokens_in_text_are_unk(self):
+        # a TSV pair spelling </s> or <pad> trains on UNK there, so EOS ends
+        # the labels and PAD marks only padding; <mask> is what aug_mask
+        # writes, so it keeps its id
+        vocab = tiny_vocab(4)
+        batch = make_batch(vocab, ["w0 <pad> w1", "<s> w2 <mask>"],
+                           ["w2 </s> w3", "w1"], max_len=8)
+        assert batch["src"].tolist() == [[5, UNK, 6, EOS], [UNK, 7, MASK, EOS]]
+        assert batch["labels"].tolist() == [7, UNK, 8, EOS, 6, EOS]
 
 
 def padded_batch(n_content, n, seed, max_words=6):
@@ -427,8 +437,8 @@ class TestBeam:
             g = greedy_decode(m, src, max_len=3)
             b = beam_search(m, src, beam=3, max_len=3)
             if b.ids != g:
-                enc_out, key_mask = m.encode(np.array([src]))
-                g_score = sequence_log_prob(m, enc_out, key_mask, g + [EOS])
+                enc_out = m.encode(np.array([src]))[0]
+                g_score = sequence_log_prob(m, enc_out, g + [EOS])
                 assert b.score > g_score
                 found = True
                 break
@@ -472,6 +482,12 @@ class TestBeam:
             with pytest.raises(DataError, match=f"{arg} must be an integer "
                                                 f">= 1, got 2.5"):
                 call({arg: 2.5})
+
+    @pytest.mark.parametrize("src", [[], [PAD], [PAD, PAD]])
+    def test_source_without_a_real_token_rejected(self, src):
+        # cross-attention would have no key to attend to
+        with pytest.raises(DataError, match="has no token but PAD"):
+            beam_search(tiny_model(), src)
 
 
 # Log-probabilities with many exact ties and -inf entries.
@@ -654,7 +670,7 @@ class TestCachedDecoder:
     def test_step_rows_equal_rows_stepped_alone(self):
         m = tiny_model(seed=20, n_content=6, layers=2, d=16)
         sources = [[5, 6, 7, EOS], [8, EOS], [9, 10, EOS]]
-        encoded = [m.encode(np.asarray([s])) for s in sources]
+        encoded = [m.encode(np.asarray([s]))[0] for s in sources]
         # Rows after one BOS step: 2 of query 0, 1 of query 1, 3 of query 2.
         parents, counts = [0, 0, 1, 2, 2, 2], [2, 1, 3]
         tokens = np.array([5, 7, 6, 9, 10, 5])
@@ -671,7 +687,7 @@ class TestCachedDecoder:
     def test_step_past_max_len_rejected(self):
         m = tiny_model(seed=3, max_len=3)
         with no_grad():
-            cache = m.start_decoding([m.encode(np.array([[5, EOS]]))])
+            cache = m.start_decoding([m.encode(np.array([[5, EOS]]))[0]])
             for tok in (BOS, 5, 6):
                 m.decode_step(cache, np.array([tok]))
             with pytest.raises(DataError, match="position 3 exceeds max_len"):
@@ -793,7 +809,7 @@ class TestCachedDecoder:
             beam_search(m, [7, EOS], beam=3)
             m.forward(src, dec_in)
             with no_grad():
-                m.start_decoding([m.encode(src)])
+                m.start_decoding([m.encode(src)[0]])
             assert len(calls) == 32
 
 
@@ -875,13 +891,13 @@ class TestPlainEncoder:
         with no_grad():
             encoded = [m.encode(np.array([s]))
                        for s in ([5, 6, EOS], [7, EOS, PAD])]
-            cache = m.start_decoding(encoded)
+            cache = m.start_decoding([e for e, _ in encoded])
             m.decode_step(cache, np.full(2, BOS))
             logp = m.decode_step(cache, np.array([5, 8]))
         assert [(e.dtype, k.dtype) for e, k in encoded] == [(want, want)] * 2
         assert logp.dtype == want
         cached = [a for kv in cache.self_kv for a in kv]
-        cached += [a for layers, _ in cache.cross for kv in layers
+        cached += [a for layers in cache.cross for kv in layers
                    for a in kv]
         assert len(cached) == 12
         assert [a.dtype for a in cached] == [want] * 12
@@ -906,6 +922,16 @@ class TestCommittedTeacherOutputs:
         changed = [q for q, r in zip(queries, results)
                    if r.ids != reference[q][kind]]
         assert changed == []
+
+
+class TestCommittedTeacherSpecialTokens:
+    def test_pad_in_a_query_translates_as_unk(self):
+        # a dropped PAD row used to join the words around it
+        model = load_checkpoint(ARTIFACTS / "teacher")
+        unk = translate(model, "bbogero <unk> bco bebgero")
+        assert unk == "cesefohe tohone boco bebogero"
+        for token in ("<pad>", "<s>", "</s>"):
+            assert translate(model, f"bbogero {token} bco bebgero") == unk
 
 
 class TestOverfitSanity:

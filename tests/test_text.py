@@ -25,14 +25,9 @@ class TestVocab:
         assert v.id_to_token[UNK] == "<unk>"
 
     def test_min_count_one_keeps_both(self):
-        v = build_vocab(["a b", "a"], mode="word", min_count=1)
+        v = build_vocab(["a b", "a"], mode="word")
         assert "a" in v.token_to_id and "b" in v.token_to_id
         assert len(v) == 7
-
-    def test_min_count_two_drops_rare(self):
-        v = build_vocab(["a b", "a"], mode="word", min_count=2)
-        assert "a" in v.token_to_id and "b" not in v.token_to_id
-        assert encode("b", v) == [UNK]
 
     def test_identical_corpus_identical_ids(self):
         texts = ["red shoe", "blue shoe", "shoe laces"]

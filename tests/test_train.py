@@ -267,7 +267,7 @@ class TestWeightsBinding:
             enc, mask = m.encode(batch["src"])
             logits = m.decode(enc, mask, batch["dec_in"])
             with no_grad():
-                cache = m.start_decoding([m.encode(np.asarray([src]))])
+                cache = m.start_decoding([m.encode(np.asarray([src]))[0]])
                 step = m.decode_step(cache, np.array([BOS]))
             best = beam_search(m, src, beam=3, max_len=12)
             return (enc.data.tobytes(), logits.data.tobytes(),
@@ -662,18 +662,14 @@ class TestXAttnExperiment:
             return forward(self, src_ids, dec_in, rng, capture)
 
         monkeypatch.setattr(Seq2SeqModel, "forward", spy)
-        config = XAttnExperimentConfig(n_train=16, n_val=4, n_enc_layers=1,
-                                       n_dec_layers=3, d_model=16, d_ff=16,
-                                       epochs=2, batch_size=8)
+        config = XAttnExperimentConfig(n_train=16, n_dec_layers=3, epochs=2)
         curve = ae_xattn_experiment(config, seeds=[0])
         assert curve.errors.shape == (3, 2)
         assert [len(c) for c in captures] == [3, 3]  # one pass an epoch
 
 
-def _xattn(epochs=1, batch_size=8):
-    config = XAttnExperimentConfig(n_train=8, n_val=4, n_enc_layers=1,
-                                   n_dec_layers=1, d_model=16, d_ff=16,
-                                   epochs=epochs, batch_size=batch_size)
+def _xattn(epochs=1):
+    config = XAttnExperimentConfig(n_train=8, n_dec_layers=1, epochs=epochs)
     ae_xattn_experiment(config, seeds=[0])
 
 
@@ -689,8 +685,6 @@ LOOP_SIZE_CASES = {
                               "batch_size must be an integer >= 1, got 0"),
     "translit-epochs-float": (lambda: train_translit(PAIRS, epochs=2.5),
                               "epochs must be an integer >= 0, got 2.5"),
-    "xattn-batch-size-0": (lambda: _xattn(batch_size=0),
-                           "batch_size must be an integer >= 1, got 0"),
     "xattn-epochs-float": (lambda: _xattn(epochs=2.5),
                            "epochs must be an integer >= 1, got 2.5"),
     "crf-epochs-float": (lambda: train_crf(gen_langid_corpus(6, seed=0),
