@@ -42,14 +42,18 @@ def _write_kv(path: Path, items: dict[str, object]) -> None:
 
 def read_kv(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CheckpointError(f"{path}: bad key-value line {lineno}: {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if first.setdefault(k, lineno) != lineno:
+            raise CheckpointError(f"{path}: key {k!r} repeats (lines "
+                                  f"{first[k]} and {lineno})")
+        out[k] = v
     return out
 
 

@@ -249,6 +249,10 @@ def _cmd_detect_lang(args) -> int:
 def _cmd_translit(args) -> int:
     tdict = load_translit_dict(args.dict)
     model = load_checkpoint(args.model) if args.model else None
+    if model is not None and model.config.vocab.mode != "char":
+        raise DataError(f"{args.model}: a {model.config.vocab.mode}-level "
+                        f"model cannot spell out-of-dictionary words; "
+                        f"transliteration needs a char-level one")
 
     def check(text: str) -> None:  # the words the dictionary lacks
         if model is None:

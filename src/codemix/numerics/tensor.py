@@ -9,7 +9,9 @@ output: NaN and Inf propagate through every op the passes use, save a
 -Inf attention score, which softmax turns into probability 0, so
 `attention_probs` always checks its scores. When a pass's output is not
 finite, the pass runs again on the same inputs with every op checked, and
-the error names the op, as it would with per-op checks throughout.
+the error names the op, as it would with per-op checks throughout. Until
+its check passes a pass changes nothing but its dropout stream (no cache,
+no capture list), so the replay puts back only the stream.
 
 Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
 walks the tape in reverse topological order and frees it as it goes: once a
@@ -81,18 +83,19 @@ def _op_check(arr: np.ndarray, what: str) -> None:
         _assert_finite(arr, what)
 
 
-def checked_pass(run: Callable[[], object], what: str,
-                 reset: Callable[[], None]):
+def checked_pass(run: Callable[[], object], what: str, rng=None):
     """Run the model pass `run()`, whose result is a Tensor or an array,
     and check the result once, with the ops inside unchecked but for the
-    attention scores (`attention_probs`).
+    attention scores (`attention_probs`). A pass changes nothing of its
+    caller's but the dropout stream `rng` until this check passes.
 
-    If the result holds NaN or Inf, or a score check fails, `reset()`
-    undoes what the run changed (a dropout stream's state, a cache, a
-    capture list) and the pass runs again on the same inputs with every op
-    checked, so the NonFiniteError names the first op that made a NaN or
-    Inf. If that run raises nothing, the first run's error is raised."""
+    If the result holds NaN or Inf, or a score check fails, the stream is
+    put back to its state before the run and the pass runs again on the
+    same inputs with every op checked, drawing the same masks, so the
+    NonFiniteError names the first op that made a NaN or Inf. If that run
+    raises nothing, the first run's error is raised."""
     global _op_checks
+    state = None if rng is None else rng.bit_generator.state
     outer, _op_checks = _op_checks, False
     try:
         out = run()
@@ -100,7 +103,8 @@ def checked_pass(run: Callable[[], object], what: str,
         return out
     except NonFiniteError:
         _op_checks = outer
-        reset()
+        if rng is not None:
+            rng.bit_generator.state = state
         run()
         raise
     finally:

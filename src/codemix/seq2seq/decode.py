@@ -109,7 +109,7 @@ def _start(model: Seq2SeqModel, sources):
     for a in arrays:
         if not np.any(a != PAD):
             raise DataError(f"source {a[0].tolist()} has no token but PAD")
-    return model.start_decoding([model.encode(a)[0] for a in arrays])
+    return model.start_decoding([model.encode(a) for a in arrays])
 
 
 def greedy_decode(model: Seq2SeqModel, src_ids, max_len: int = 32) -> list[int]:

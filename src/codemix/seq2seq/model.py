@@ -311,75 +311,58 @@ class Seq2SeqModel:
         return _make(tok.data[tok_idx] + pos.data[pos_idx], (tok, pos),
                      backward, what)
 
-    @staticmethod
-    def _checked(run, what: str, rng=None, capture: list | None = None):
-        """`checked_pass(run, what)` for a pass that may draw from the
-        dropout stream `rng` and append to `capture`: a replay starts from
-        the stream's state and the list's length before the pass, so it
-        draws the same masks and adds each weight array once."""
-        state = None if rng is None else rng.bit_generator.state
-        n = None if capture is None else len(capture)
+    def _key_mask(self, ids: np.ndarray) -> np.ndarray:
+        """The additive key mask (B, 1, 1, S) of a padded id array."""
+        mask = np.where(ids == PAD, NEG_INF, 0.0)
+        return mask[:, None, None, :].astype(self.dtype)
 
-        def reset():
-            if rng is not None:
-                rng.bit_generator.state = state
-            if capture is not None:
-                del capture[n:]
-
-        return checked_pass(run, what, reset)
-
-    def encode(self, src_ids: np.ndarray,
-               rng=None) -> tuple[Tensor, np.ndarray]:
-        """Returns (encoder states, additive key mask (B,1,1,S)): the states
-        are the packed rows (n_src, D) of the real source positions, which
-        the key mask's zeros mark (`source_rows`). Dropout runs when a
-        dropout stream `rng` is given. A model pass: the states are checked
-        once, and NaN or Inf in them replays the pass with every op
-        checked, so the NonFiniteError names the op."""
+    def encode(self, src_ids: np.ndarray, rng=None) -> Tensor:
+        """The encoder states: the packed rows (n_src, D) of the real
+        (non-PAD) source positions. Dropout runs when a dropout stream
+        `rng` is given. A model pass: the states are checked once, and NaN
+        or Inf in them replays the pass with every op checked, so the
+        NonFiniteError names the op."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        rows = self._rows(src_ids)
-        key_mask = np.where(src_ids == PAD, NEG_INF, 0.0)
-        key_mask = key_mask[:, None, None, :].astype(self.dtype)
-        states = self._checked(
-            lambda: self._encode(src_ids, rows, key_mask, rng),
-            "encoder states", rng)
-        return states, key_mask
+        return checked_pass(lambda: self._encode(src_ids, rng),
+                            "encoder states", rng)
 
-    def _encode(self, src_ids: np.ndarray, rows: RowLayout,
-                key_mask: np.ndarray, rng) -> Tensor:
-        w = self.weights
+    def _encode(self, src_ids: np.ndarray, rng) -> Tensor:
+        w, rows = self.weights, self._rows(src_ids)
+        key_mask = self._key_mask(src_ids)
         x = self._embed(src_ids, rows, w.enc_pos, "encoder embedding")
         for attn, ffn in w.enc:
             x = self._attend(x, attn, rows, key_mask, rng)
             x = self._ffn(x, ffn, rows, rng)
         return layer_norm(x, w.enc_lnf.g, w.enc_lnf.b)
 
-    def decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
+    def decode(self, enc_out: Tensor, src_ids: np.ndarray,
                dec_in: np.ndarray, rng=None,
                capture: list | None = None) -> Tensor:
         """Teacher-forced decoder pass over the padded decoder input
-        (B, T), given `encode`'s output; returns the logits of the real
-        (non-PAD) decoder positions, (n_dec, vocab) in row-major (b, t)
-        order, which `pad_batch`'s labels follow. Dropout runs when a
-        dropout stream `rng` is given. A `capture` list gets each layer's
-        row-stochastic cross-attention weights (B, heads, decoder
-        positions, encoder positions), before dropout; only the real rows
-        and columns carry meaning. A model pass, like `encode`: the logits
-        are checked once, and a replay names the op that made a NaN or Inf
-        (it starts from the dropout stream's state before the pass and
-        leaves one weight array per layer in `capture`)."""
+        (B, T), given `encode`'s states of the padded source `src_ids`;
+        returns the logits of the real (non-PAD) decoder positions,
+        (n_dec, vocab) in row-major (b, t) order, which `pad_batch`'s labels
+        follow. Dropout runs when a dropout stream `rng` is given. A
+        `capture` list gets each layer's row-stochastic cross-attention
+        weights (B, heads, decoder positions, encoder positions), before
+        dropout; only the real rows and columns carry meaning. A model
+        pass, like `encode`, which extends `capture` once its check
+        passes."""
+        src_ids = np.asarray(src_ids, dtype=np.int64)
         dec_in = np.asarray(dec_in, dtype=np.int64)
-        rows = self._rows(dec_in)
-        return self._checked(
-            lambda: self._decode(enc_out, enc_key_mask, dec_in, rows, rng,
-                                 capture),
-            "decoder logits", rng, capture)
+        weights = None if capture is None else []
+        logits = checked_pass(
+            lambda: self._decode(enc_out, src_ids, dec_in, rng, weights),
+            "decoder logits", rng)
+        if capture is not None:
+            capture.extend(weights)
+        return logits
 
-    def _decode(self, enc_out: Tensor, enc_key_mask: np.ndarray,
-                dec_in: np.ndarray, rows: RowLayout, rng,
-                capture: list | None) -> Tensor:
+    def _decode(self, enc_out: Tensor, src_ids: np.ndarray,
+                dec_in: np.ndarray, rng, capture: list | None) -> Tensor:
         T = dec_in.shape[1]
-        src_rows = source_rows(enc_key_mask)
+        rows, src_rows = self._rows(dec_in), self._rows(src_ids)
+        key_mask = self._key_mask(src_ids)
         causal = np.triu(np.full((T, T), NEG_INF, dtype=self.dtype), k=1)
         causal = causal[None, None, :, :]
         w = self.weights
@@ -389,7 +372,7 @@ class Seq2SeqModel:
             # tape ops of their own: enc_out's gradient sums in tape order
             kv = tuple(linear(enc_out, lin.w, lin.b)
                        for lin in (cross[1].k, cross[1].v))
-            x = self._attend(x, cross, rows, enc_key_mask, rng, kv, src_rows,
+            x = self._attend(x, cross, rows, key_mask, rng, kv, src_rows,
                              capture)
             x = self._ffn(x, ffn, rows, rng)
         x = layer_norm(x, w.dec_lnf.g, w.dec_lnf.b)
@@ -431,35 +414,32 @@ class Seq2SeqModel:
     def decode_step(self, cache: DecoderCache,
                     tokens: np.ndarray) -> np.ndarray:
         """Feed each row its latest token (BOS first) and return the rows'
-        next-token log-probabilities (N, vocab). Appends the step's
-        self-attention keys and values to the cache. A model pass: the
-        log-probabilities are checked once, and NaN or Inf in them puts the
-        cache's self-attention keys and values back and replays the step
-        with every op checked, so the NonFiniteError names the op; the
-        cache's step count advances only on success."""
+        next-token log-probabilities (N, vocab). A model pass: the
+        log-probabilities are checked once, and NaN or Inf in them replays
+        the step with every op checked, so the NonFiniteError names the op.
+        Only once the check passes does the cache take the step's
+        self-attention keys and values and advance its step count."""
         cfg = self.config
         t = cache.steps
         if t >= cfg.max_len:
             raise DataError(f"decoder position {t} exceeds max_len "
                             f"{cfg.max_len}")
-        self_kv = list(cache.self_kv)
-
-        def reset():
-            cache.self_kv[:] = self_kv
-
-        logp = checked_pass(lambda: self._decode_step_np(cache, tokens),
-                            "decoder log-probabilities", reset)
-        cache.steps += 1
+        self_kv = []  # per layer: the cache's keys and values and the step's
+        logp = checked_pass(
+            lambda: self._decode_step_np(cache, tokens, self_kv),
+            "decoder log-probabilities")
+        cache.self_kv, cache.steps = self_kv, t + 1
         return logp
 
-    def _decode_step_np(self, cache: DecoderCache,
-                        tokens: np.ndarray) -> np.ndarray:
+    def _decode_step_np(self, cache: DecoderCache, tokens: np.ndarray,
+                        self_kv: list) -> np.ndarray:
         n_heads, w = self.config.n_heads, self.weights
         x = w.tok_emb.data[tokens][:, None, :] + w.dec_pos.data[cache.steps]
         _op_check(x, "decoder embedding output")
         for i, ((ln1, attn), (ln2, cross), (ln3, ffn)) in enumerate(w.dec):
-            a, cache.self_kv[i] = _self_attention_np(
-                _ln_np(x, ln1), attn, n_heads, cache.self_kv[i])
+            a, kv = _self_attention_np(_ln_np(x, ln1), attn, n_heads,
+                                       cache.self_kv[i])
+            self_kv.append(kv)
             x = _residual_np(x, a)
 
             q = split_heads(_linear_np(_ln_np(x, ln2), cross.q), n_heads)
@@ -486,18 +466,12 @@ class Seq2SeqModel:
         positions, (n_dec, vocab) in row-major (b, t) order. Dropout runs
         in both when a dropout stream `rng` is given; a `capture` list gets
         the decoder's cross-attention weights, one array per layer."""
-        enc_out, key_mask = self.encode(src_ids, rng)
-        return self.decode(enc_out, key_mask, dec_in, rng, capture)
+        return self.decode(self.encode(src_ids, rng), src_ids, dec_in, rng,
+                           capture)
 
     @property
     def dtype(self):
         return self.weights.tok_emb.dtype
-
-
-def source_rows(key_mask: np.ndarray) -> RowLayout:
-    """The real source positions of `encode`'s key mask (B, 1, 1, S): the
-    layout of its packed encoder states."""
-    return RowLayout(key_mask[:, 0, 0, :] == 0)
 
 
 class Linear(NamedTuple):
@@ -594,7 +568,8 @@ def _residual_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class DecoderCache:
     """Keys and values of an incremental decode (see
     Seq2SeqModel.decode_step). Rows are grouped by query in query order:
-    the k-th live query owns the next `counts[k]` rows."""
+    the k-th live query owns the next `counts[k]` rows. A step replaces
+    `self_kv` and advances `steps` only once its output passes its check."""
 
     cross: list            # per live query: per-layer (K^T, V)
     self_kv: list          # per layer: (K, V), each (rows, H, steps, dh)

@@ -588,12 +588,12 @@ def sequence_log_prob(model: Seq2SeqModel, enc_out,
     return total
 
 
-def _full_prefix_log_probs(model: Seq2SeqModel, enc_out, key_mask,
+def _full_prefix_log_probs(model: Seq2SeqModel, enc_out, src,
                            dec_prefix: list[int]) -> np.ndarray:
     """Next-token log-probabilities from a teacher-forced decoder pass over
     the whole prefix (no cache)."""
     dec_in = np.asarray([dec_prefix], dtype=np.int64)
-    logits = model.decode(enc_out, key_mask, dec_in).data[-1]
+    logits = model.decode(enc_out, src, dec_in).data[-1]
     shifted = logits - logits.max()
     return shifted - np.log(np.exp(shifted).sum())
 
@@ -608,14 +608,15 @@ def reference_beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
     ban = np.zeros(len(model.config.vocab))
     ban[PAD] = ban[BOS] = -np.inf
     with no_grad():
-        enc_out, key_mask = model.encode(np.asarray([src_ids], dtype=np.int64))
+        src = np.asarray([src_ids], dtype=np.int64)
+        enc_out = model.encode(src)
         active: list[tuple[float, list[int]]] = [(0.0, [])]
         finished: list[tuple[float, list[int]]] = []
         for _ in range(min(max_len, model.config.max_len - 1)):
             scores: list[float] = []
             cands: list[tuple[int, int]] = []  # (active index, token)
             for hi, (score, ids) in enumerate(active):
-                lp = _full_prefix_log_probs(model, enc_out, key_mask,
+                lp = _full_prefix_log_probs(model, enc_out, src,
                                             [BOS] + ids) + ban
                 for tok in np.argsort(-lp, kind="stable")[:beam]:
                     if np.isfinite(lp[tok]):
@@ -648,7 +649,7 @@ def exhaustive_best_sequence(model: Seq2SeqModel, src_ids,
     content = [t for t in range(vocab_size) if t not in (PAD, BOS, EOS)]
     with no_grad():
         src = np.asarray([src_ids], dtype=np.int64)
-        enc_out = model.encode(src)[0]
+        enc_out = model.encode(src)
         finished: list[tuple[float, list[int]]] = []
         unfinished: list[tuple[float, list[int]]] = []
         for length in range(0, max_len):

@@ -322,6 +322,22 @@ class TestTranslitCli:
             "error: line 3: sequence length 31 exceeds max_len 24\n")
         assert not out.exists()
 
+    def test_word_level_model_is_exit_two(self, tmp_path, capsys):
+        # a word-level model cannot spell a word the dictionary lacks, so
+        # it must not stand in for a char-level one and print nothing
+        d, inp = tmp_path / "d.tsv", tmp_path / "in.txt"
+        d.write_text("kala\tkaala\n", encoding="utf-8")
+        inp.write_text("bbogero bco kala\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run(["translit", "--dict", str(d), "--model", str(TEACHER),
+                    "--input", str(inp), "--output", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {TEACHER}: a word-level model cannot spell "
+            f"out-of-dictionary words; transliteration needs a char-level "
+            f"one\n")
+        assert not out.exists()
+
 
 # Pairs too long for a max_len-32 model, with the length that counts:
 # source tokens + EOS, or BOS + target tokens.
@@ -362,6 +378,20 @@ class TestTrainCli:
                   "--out", str(tmp_path / "ck"), "--config", str(cfg),
                   "--stage", "stage1"])
         assert rc == 2
+
+    def test_repeated_config_key_is_exit_two(self, corpus_dir, tmp_path,
+                                             capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage1.epochs = 1\nseed = 3\nstage1.epochs = 2\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--stage", "stage1", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")] + TINY_MODEL)
+        assert rc == 2
+        assert _one_error_line(capsys) == (
+            f"error: {cfg}: key 'stage1.epochs' repeats (lines 1 and 3)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_int8_init_is_exit_two(self, corpus_dir, checkpoint_dir,
                                    tmp_path, capsys):

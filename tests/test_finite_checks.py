@@ -7,7 +7,7 @@ replaces: a sweep writes NaN, +Inf or -Inf into the output of each check
 site of each pass, in turn, and the pass must raise the NonFiniteError that
 per-op checking raises for the same injection, and leave the dropout
 stream, the capture list and the decoder cache as per-op checking leaves
-them.
+them. A failed pass changes no cache and no capture list of its caller's.
 """
 
 import contextlib
@@ -88,7 +88,7 @@ class Pass:
         self.rng = self.capture = self.cache = None
         with no_grad():
             self.enc = model.encode(SRC)
-            self.encoded = [model.encode(SRC[1:, :n])[0] for n in (4, 2)]
+            self.encoded = [model.encode(SRC[1:, :n]) for n in (4, 2)]
 
     def run(self):
         m, kind = self.m, self.kind
@@ -96,13 +96,13 @@ class Pass:
         self.capture = []
         if kind == "encode plain":
             with no_grad():
-                return m.encode(SRC)[0].data
+                return m.encode(SRC).data
         if kind == "encode tape":
-            return m.encode(SRC, self.rng)[0].data
+            return m.encode(SRC, self.rng).data
         if kind in ("decode tape", "decode no_grad"):
             with (contextlib.nullcontext() if kind == "decode tape"
                   else no_grad()):
-                return m.decode(*self.enc, DEC_IN, self.rng,
+                return m.decode(self.enc, SRC, DEC_IN, self.rng,
                                 self.capture).data
         # the third decode_step: one query's row, or 3 rows of 2 queries
         armed = self.injector.k, self.injector.value, self.injector.pos
@@ -140,7 +140,7 @@ def outcome(p: Pass):
 def per_op(monkeypatch):
     """Per-op checking throughout: a pass runs once, every op checked."""
     monkeypatch.setattr(model_mod, "checked_pass",
-                        lambda run, what, reset=None: run())
+                        lambda run, what, rng=None: run())
 
 
 KINDS = [("encode plain", False), ("encode tape", False),
@@ -227,7 +227,7 @@ def test_decode_step_checks_its_output_and_the_scores(queries, monkeypatch):
 
     monkeypatch.setattr(tensor_mod, "_assert_finite", counting)
     with no_grad():
-        cache = m.start_decoding([m.encode(SRC[1:, :n])[0]
+        cache = m.start_decoding([m.encode(SRC[1:, :n])
                                   for n in (4, 2)[:queries]])
         if queries == 2:
             cache.reorder(np.array([0, 0, 1]), [2, 1])
@@ -256,16 +256,14 @@ def test_decode_step_looks_up_no_parameter(kind):
 
     m.params = Counting(m.params)
     with no_grad():
-        cache = m.start_decoding([m.encode(SRC[1:, :n])[0] for n in (4, 2)])
+        cache = m.start_decoding([m.encode(SRC[1:, :n]) for n in (4, 2)])
         assert calls
         calls.clear()
         m.decode_step(cache, np.full(2, BOS))
         m.decode_step(cache, np.full(2, 5))
-        enc, mask = m.encode(SRC)
-        m.decode(enc, mask, DEC_IN)
-        m.start_decoding([m.encode(SRC[1:])[0]])
-    enc, mask = m.encode(SRC)  # the tape passes too
-    m.decode(enc, mask, DEC_IN)
+        m.decode(m.encode(SRC), SRC, DEC_IN)
+        m.start_decoding([m.encode(SRC[1:])])
+    m.decode(m.encode(SRC), SRC, DEC_IN)  # the tape passes too
     assert calls == []
 
 
@@ -288,13 +286,58 @@ def test_replay_names_the_pass_output_when_per_op_checks_find_nothing(
         m.encode(SRC)
 
 
+def test_failed_decode_step_leaves_its_cache_as_it_was():
+    # the NaN comes after every layer's self-attention, so the failed step
+    # has computed each layer's new keys and values
+    m = make_model(dropout=0.0)
+    w = m.params["dec1.ffn.w2"].data
+    with no_grad():
+        encoded = [m.encode(SRC[1:, :n]) for n in (4, 2)]
+        cache, twin = m.start_decoding(encoded), m.start_decoding(encoded)
+        for c in (cache, twin):
+            m.decode_step(c, np.full(2, BOS))
+        arrays = [a for kv in cache.self_kv for a in kv]
+        copies = [a.copy() for a in arrays]
+        saved, w[0, 0] = w[0, 0], np.nan
+        with pytest.raises(NonFiniteError,
+                           match="non-finite values in linear dec1.ffn.w2"):
+            m.decode_step(cache, np.full(2, 5))
+        after = [a for kv in cache.self_kv for a in kv]
+        assert all(a is b for a, b in zip(after, arrays, strict=True))
+        assert all(np.array_equal(a, c) for a, c in zip(after, copies))
+        assert cache.steps == 1
+        w[0, 0] = saved
+        for token in (5, 6):
+            got = m.decode_step(cache, np.full(2, token))
+            assert got.tobytes() == m.decode_step(
+                twin, np.full(2, token)).tobytes()
+        assert cache.steps == twin.steps == 3
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_failed_decode_leaves_its_capture_list_as_it_was(dropout):
+    m = make_model(dropout=dropout)
+    enc = m.encode(SRC)
+    w = m.params["dec1.ffn.w2"].data
+    saved, w[0, 0] = w[0, 0], np.nan
+    capture = ["earlier"]
+    rng = make_rng(11) if dropout else None
+    with pytest.raises(NonFiniteError,
+                       match="non-finite values in linear dec1.ffn.w2"):
+        m.decode(enc, SRC, DEC_IN, rng, capture)
+    assert capture == ["earlier"]
+    w[0, 0] = saved
+    m.decode(enc, SRC, DEC_IN, rng, capture)
+    assert capture[0] == "earlier" and len(capture) == 3  # one per layer
+
+
 @pytest.mark.parametrize("name", ["dec0.cross.wk", "dec0.cross.wv",
                                   "dec1.cross.wk", "dec1.cross.wv"])
 def test_start_decoding_names_each_projection(name):
     # the first query's projection raises, named
     m = make_model(dropout=0.0)
     with no_grad():
-        encoded = [m.encode(SRC[1:, :n])[0] for n in (4, 2)]
+        encoded = [m.encode(SRC[1:, :n]) for n in (4, 2)]
         m.params[name].data[0, 0] = np.nan
         with pytest.raises(NonFiniteError,
                            match=f"non-finite values in linear {name} output"):
@@ -321,7 +364,7 @@ def test_embedding_node_is_named(table, kind, what, grad):
         if kind == "encode":
             m.encode(SRC)
         else:
-            m.decode(*enc, DEC_IN)
+            m.decode(enc, SRC, DEC_IN)
 
 
 def test_label_smoothed_ce_names_the_log_probabilities():

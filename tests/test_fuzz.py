@@ -311,6 +311,10 @@ LAYOUT_CASES = {
                            "config.txt missing key 'vocab_mode'"),
     "vocab-mode-unknown": (lambda f: _set_config(f, "vocab_mode", "words"),
                            "bad config.txt: unknown vocab mode: 'words'"),
+    "config-key-repeated": (
+        lambda f: f.update({"config.txt": f["config.txt"]
+                            + b"dropout_prob = 0.3\n"}),
+        "config.txt: key 'dropout_prob' repeats (lines 9 and 12)"),
     "vocab-token-repeated": (_repeat_last_token,
                              "vocab.txt repeats token "),
     "vocab-last-newline-missing": (

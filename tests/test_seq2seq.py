@@ -346,7 +346,7 @@ class TestBlockNodes:
         src = np.array([[5, 6, 7, 8, EOS], [5, 6, EOS, PAD, PAD]])
         key_mask = np.where(src == PAD, model_mod.NEG_INF, 0.0)
         key_mask = key_mask[:, None, None, :]
-        src_rows = model_mod.source_rows(key_mask)
+        src_rows = model_mod.RowLayout(src != PAD)
         causal = np.triu(np.full((4, 4), model_mod.NEG_INF), k=1)[None, None]
         data = make_rng(61)
         params = {"x": Tensor(data.standard_normal((7, 8)),
@@ -437,7 +437,7 @@ class TestBeam:
             g = greedy_decode(m, src, max_len=3)
             b = beam_search(m, src, beam=3, max_len=3)
             if b.ids != g:
-                enc_out = m.encode(np.array([src]))[0]
+                enc_out = m.encode(np.array([src]))
                 g_score = sequence_log_prob(m, enc_out, g + [EOS])
                 assert b.score > g_score
                 found = True
@@ -555,7 +555,7 @@ class PrefixTableModel:
         self.prefixes: set[tuple[int, ...]] = set()  # every row decoded
 
     def encode(self, src):
-        return None, None
+        return None
 
     def start_decoding(self, encoded):
         return PrefixTableModel.Cache([() for _ in encoded])
@@ -568,7 +568,7 @@ class PrefixTableModel:
         return np.array([self.table.get(p, self.default)
                          for p in cache.prefixes])
 
-    def decode(self, enc_out, key_mask, dec_in):
+    def decode(self, enc_out, src, dec_in):
         """Teacher-forced logits for the full-prefix reference: the last
         position's are the table's log-probabilities of the prefix."""
         prefix = tuple(int(t) for t in dec_in[0, 1:])
@@ -670,7 +670,7 @@ class TestCachedDecoder:
     def test_step_rows_equal_rows_stepped_alone(self):
         m = tiny_model(seed=20, n_content=6, layers=2, d=16)
         sources = [[5, 6, 7, EOS], [8, EOS], [9, 10, EOS]]
-        encoded = [m.encode(np.asarray([s]))[0] for s in sources]
+        encoded = [m.encode(np.asarray([s])) for s in sources]
         # Rows after one BOS step: 2 of query 0, 1 of query 1, 3 of query 2.
         parents, counts = [0, 0, 1, 2, 2, 2], [2, 1, 3]
         tokens = np.array([5, 7, 6, 9, 10, 5])
@@ -687,7 +687,7 @@ class TestCachedDecoder:
     def test_step_past_max_len_rejected(self):
         m = tiny_model(seed=3, max_len=3)
         with no_grad():
-            cache = m.start_decoding([m.encode(np.array([[5, EOS]]))[0]])
+            cache = m.start_decoding([m.encode(np.array([[5, EOS]]))])
             for tok in (BOS, 5, 6):
                 m.decode_step(cache, np.array([tok]))
             with pytest.raises(DataError, match="position 3 exceeds max_len"):
@@ -809,7 +809,7 @@ class TestCachedDecoder:
             beam_search(m, [7, EOS], beam=3)
             m.forward(src, dec_in)
             with no_grad():
-                m.start_decoding([m.encode(src)[0]])
+                m.start_decoding([m.encode(src)])
             assert len(calls) == 32
 
 
@@ -855,12 +855,11 @@ class TestPlainEncoder:
         passes = []
         for grad in (contextlib.nullcontext, no_grad):
             with grad():
-                enc, mask = m.encode(src)
-                passes.append((enc, mask, m.decode(enc, mask, dec_in)))
-        (tape_enc, tape_mask, tape), (enc, mask, out) = passes
+                enc = m.encode(src)
+                passes.append((enc, m.decode(enc, src, dec_in)))
+        (tape_enc, tape), (enc, out) = passes
         assert out.dtype == enc.dtype == m.dtype
         assert np.array_equal(enc.data, tape_enc.data)
-        assert np.array_equal(mask, tape_mask)
         assert np.array_equal(out.data, tape.data)
         n = 5 * layers  # 2 blocks per encoder layer, 3 per decoder layer
         assert len(blocks) == 2 * n
@@ -891,10 +890,10 @@ class TestPlainEncoder:
         with no_grad():
             encoded = [m.encode(np.array([s]))
                        for s in ([5, 6, EOS], [7, EOS, PAD])]
-            cache = m.start_decoding([e for e, _ in encoded])
+            cache = m.start_decoding(encoded)
             m.decode_step(cache, np.full(2, BOS))
             logp = m.decode_step(cache, np.array([5, 8]))
-        assert [(e.dtype, k.dtype) for e, k in encoded] == [(want, want)] * 2
+        assert [e.dtype for e in encoded] == [want] * 2
         assert logp.dtype == want
         cached = [a for kv in cache.self_kv for a in kv]
         cached += [a for layers in cache.cross for kv in layers

@@ -264,10 +264,10 @@ class TestWeightsBinding:
         src = encode_source(corpus[0].source, vocab)
 
         def passes(m):
-            enc, mask = m.encode(batch["src"])
-            logits = m.decode(enc, mask, batch["dec_in"])
+            enc = m.encode(batch["src"])
+            logits = m.decode(enc, batch["src"], batch["dec_in"])
             with no_grad():
-                cache = m.start_decoding([m.encode(np.asarray([src]))[0]])
+                cache = m.start_decoding([m.encode(np.asarray([src]))])
                 step = m.decode_step(cache, np.array([BOS]))
             best = beam_search(m, src, beam=3, max_len=12)
             return (enc.data.tobytes(), logits.data.tobytes(),
