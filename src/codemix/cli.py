@@ -141,7 +141,7 @@ def _check_pairs(path: str, corpus, config: Seq2SeqConfig) -> None:
 def _cmd_gen_corpus(args) -> int:
     for flag, n in (("--n-train", args.n_train), ("--n-test", args.n_test),
                     ("--n-clean", args.n_clean),
-                    ("--langid-n", args.langid_n)):
+                    ("--langid-n", args.langid_n), ("--seed", args.seed)):
         check_count(flag, n)
     spec = SynthTaskSpec(lexicon_size=args.lexicon_size,
                          code_mix_ratio=args.code_mix_ratio,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -554,11 +555,21 @@ _SHARED_CONSONANTS = "dkmrt"
 _SHARED_VOWELS = "ai"
 
 _START_P = (0.50, 0.38, 0.12)          # EN, HI, OT
-_STICKY = np.array([
-    [0.78, 0.16, 0.06],
-    [0.18, 0.76, 0.06],
-    [0.40, 0.40, 0.20],
-])
+_STICKY = (
+    (0.78, 0.16, 0.06),
+    (0.18, 0.76, 0.06),
+    (0.40, 0.40, 0.20),
+)
+
+
+def _choice_cdf(p) -> list[float]:
+    """The table that NumPy's `Generator.choice(len(p), p=p)` searches:
+    the float64 cumulative sum of `p` divided by its last entry. The label
+    `bisect_right(table, rng.random())` is then the one that choice draws,
+    from the same single `random()` of the stream."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def gen_langid_corpus(n_queries: int, seed: int = 0) -> list[LabeledQuery]:
@@ -566,30 +577,41 @@ def gen_langid_corpus(n_queries: int, seed: int = 0) -> list[LabeledQuery]:
     word set that only context disambiguates; OT words carry digits. Label
     sequences follow a sticky Markov chain, so neighboring words are
     informative about ambiguous tokens. Queries are 2 to 6 words long, and
-    a non-OT word is drawn from the shared set with probability 0.25."""
+    a non-OT word is drawn from the shared set with probability 0.25.
+
+    Each start and transition label is drawn by inverse-transform sampling:
+    one `rng.random()` bisected (`bisect_right`) into the row's cumulative
+    table from `_choice_cdf`. That is what `rng.choice(3, p=row)` computes,
+    with the same one draw from the stream, so the corpus is the one a
+    `choice` per label gives, bit for bit, without its per-call cost."""
     check_count("n_queries", n_queries)
+    check_count("seed", seed)
     rng = make_rng(seed ^ 0x1A6B1D)
+    random, integers = rng.random, rng.integers
     taken: set[str] = set()
     en = _make_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)
     hi = _make_words(rng, 150, _HI_CONSONANTS, _HI_VOWELS, taken)
     shared = _make_words(rng, 40, _SHARED_CONSONANTS, _SHARED_VOWELS, taken)
-    ot = [f"{rng.integers(1, 512)}{rng.choice(list('gxk'))}" for _ in range(60)]
+    # integers(3) is the draw choice(list("gxk")) makes
+    ot = [f"{integers(1, 512)}{'gxk'[int(integers(3))]}" for _ in range(60)]
+    start_cdf = _choice_cdf(_START_P)
+    next_cdf = [_choice_cdf(row) for row in _STICKY]
 
     queries: list[LabeledQuery] = []
     for _ in range(n_queries):
-        length = int(rng.integers(2, 7))
-        state = int(rng.choice(3, p=_START_P))
+        length = int(integers(2, 7))
+        state = bisect_right(start_cdf, random())
         toks: LabeledQuery = []
         for _ in range(length):
             if state == 2:
-                word = ot[int(rng.integers(len(ot)))]
-            elif rng.random() < 0.25:
-                word = shared[int(rng.integers(len(shared)))]
+                word = ot[int(integers(len(ot)))]
+            elif random() < 0.25:
+                word = shared[int(integers(len(shared)))]
             elif state == 0:
-                word = en[int(rng.integers(len(en)))]
+                word = en[int(integers(len(en)))]
             else:
-                word = hi[int(rng.integers(len(hi)))]
+                word = hi[int(integers(len(hi)))]
             toks.append(LabeledToken(word, LABELS[state]))
-            state = int(rng.choice(3, p=_STICKY[state]))
+            state = bisect_right(next_cdf[state], random())
         queries.append(toks)
     return queries

@@ -186,6 +186,10 @@ _SRC_CONSONANTS = "jkpqvxz"
 _SRC_VOWELS = "aiu"
 _TGT_CONSONANTS = "bcdfghlmnrst"
 _TGT_VOWELS = "eo"
+# `_make_words` spells words of 2 to 4 syllables; the source alphabet has
+# fewer syllables than the target's, so it runs out of words first.
+_MAX_LEXICON_SIZE = sum((len(_SRC_CONSONANTS) * len(_SRC_VOWELS)) ** n
+                       for n in (2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,11 @@ class SynthTaskSpec:
                 raise DataError(f"{name} must be in [0, 1], got {v}")
         if self.lexicon_size < 2:
             raise DataError("lexicon_size must be at least 2")
+        if self.lexicon_size > _MAX_LEXICON_SIZE:
+            raise DataError(f"lexicon_size must be at most {_MAX_LEXICON_SIZE}, "
+                            f"the number of words of 2 to 4 syllables the "
+                            f"source alphabet spells; got {self.lexicon_size}")
+        check_count("seed", self.seed)
         if not 1 <= self.min_len <= self.max_len:
             raise DataError("need 1 <= min_len <= max_len")
 
@@ -250,22 +259,22 @@ def _gen_split(spec: SynthTaskSpec, n: int, lexicon: dict[str, str],
     src_words = list(lexicon.keys())
     tgt_words = list(lexicon.values())
     k = len(src_words)
+    random, integers = rng.random, rng.integers
     out: Corpus = []
     for _ in range(n):
-        length = int(rng.integers(spec.min_len, spec.max_len + 1))
-        idxs = rng.integers(0, k, size=length)
+        length = int(integers(spec.min_len, spec.max_len + 1))
         pristine = []
         noisy_src = []
         target = []
-        for i in idxs:
-            word = tgt_words[i] if rng.random() < spec.code_mix_ratio else src_words[i]
+        for i in integers(0, k, size=length).tolist():
+            word = tgt_words[i] if random() < spec.code_mix_ratio else src_words[i]
             pristine.append(word)
-            if rng.random() < spec.noise_char_drop_prob:
+            if random() < spec.noise_char_drop_prob:
                 word = drop_interior_char(word, rng)
             noisy_src.append(word)
             t = tgt_words[i]
-            if error_rate > 0.0 and rng.random() < error_rate:
-                wrong = int(rng.integers(0, k - 1))
+            if error_rate > 0.0 and random() < error_rate:
+                wrong = int(integers(0, k - 1))
                 if wrong >= i:
                     wrong += 1
                 t = tgt_words[wrong]

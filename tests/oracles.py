@@ -23,6 +23,14 @@ replace, which are kept here: `take_along_last`, the embedding as two
 KD loss as `mul`, `tsum` and `mul`, and the JS KD loss as `exp` and a
 node on masked x log y. `train.fit`'s per-term backward is held to one
 backward of the loss its terms compose (`reference_train_student`).
+
+The corpus generators as they were written first, with a
+`Generator.choice` per Markov label and a NumPy-integer index per word,
+are the reference for the generators that bisect a cumulative table and
+index with Python ints (`reference_gen_langid_corpus`,
+`reference_gen_split`). `rng_drawing(u)` builds a PCG64 stream whose next
+`random()` is exactly `u`, so a table can be checked against `choice` at
+its own entries, where sampling would never land.
 """
 
 from __future__ import annotations
@@ -34,14 +42,18 @@ from fractions import Fraction
 import numpy as np
 
 from codemix.errors import CodemixError
-from codemix.langid import (LABEL_INDEX, LABELS, N_LABELS, CRFModel,
+from codemix.langid import (_EN_CONSONANTS, _EN_VOWELS, _HI_CONSONANTS,
+                            _HI_VOWELS, _SHARED_CONSONANTS, _SHARED_VOWELS,
+                            _START_P, _STICKY, LABEL_INDEX, LABELS, N_LABELS,
+                            CRFModel, LabeledQuery, LabeledToken,
                             extract_features)
 from codemix.numerics import (AdamWState, Tensor, adamw_step, gather_rows,
-                              log_softmax)
+                              log_softmax, make_rng)
 from codemix.numerics.tensor import (_make, _unbroadcast, as_tensor, attend,
                                      attention_names)
 from codemix.seq2seq.model import Seq2SeqModel
-from codemix.text import BOS, EOS, PAD
+from codemix.text import (BOS, EOS, PAD, Corpus, ParallelExample,
+                          _make_words, drop_interior_char)
 
 
 # ---------------------------------------------------------------------------
@@ -769,3 +781,96 @@ def reference_train_student(student_config, teacher, clean_corpus,
             "loss_kd": float(np.mean([s.loss_kd for s in epoch_steps])),
         })
     return student, report
+
+
+# ---------------------------------------------------------------------------
+# Corpus generators
+# ---------------------------------------------------------------------------
+
+def reference_gen_langid_corpus(n_queries: int, seed: int = 0
+                                ) -> list[LabeledQuery]:
+    """`langid.gen_langid_corpus` with one `rng.choice(3, p=row)` per
+    start and transition label and `rng.choice(list("gxk"))` per OT word."""
+    rng = make_rng(seed ^ 0x1A6B1D)
+    taken: set[str] = set()
+    en = _make_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)
+    hi = _make_words(rng, 150, _HI_CONSONANTS, _HI_VOWELS, taken)
+    shared = _make_words(rng, 40, _SHARED_CONSONANTS, _SHARED_VOWELS, taken)
+    ot = [f"{rng.integers(1, 512)}{rng.choice(list('gxk'))}" for _ in range(60)]
+
+    queries: list[LabeledQuery] = []
+    for _ in range(n_queries):
+        length = int(rng.integers(2, 7))
+        state = int(rng.choice(3, p=_START_P))
+        toks: LabeledQuery = []
+        for _ in range(length):
+            if state == 2:
+                word = ot[int(rng.integers(len(ot)))]
+            elif rng.random() < 0.25:
+                word = shared[int(rng.integers(len(shared)))]
+            elif state == 0:
+                word = en[int(rng.integers(len(en)))]
+            else:
+                word = hi[int(rng.integers(len(hi)))]
+            toks.append(LabeledToken(word, LABELS[state]))
+            state = int(rng.choice(3, p=_STICKY[state]))
+        queries.append(toks)
+    return queries
+
+
+def reference_gen_split(spec, n: int, lexicon: dict[str, str], rng,
+                        error_rate: float, provenance) -> Corpus:
+    """`text._gen_split` indexing the word lists with the NumPy integers
+    of one `rng.integers(0, k, size=length)` per sentence."""
+    src_words = list(lexicon.keys())
+    tgt_words = list(lexicon.values())
+    k = len(src_words)
+    out: Corpus = []
+    for _ in range(n):
+        length = int(rng.integers(spec.min_len, spec.max_len + 1))
+        idxs = rng.integers(0, k, size=length)
+        pristine = []
+        noisy_src = []
+        target = []
+        for i in idxs:
+            word = tgt_words[i] if rng.random() < spec.code_mix_ratio else src_words[i]
+            pristine.append(word)
+            if rng.random() < spec.noise_char_drop_prob:
+                word = drop_interior_char(word, rng)
+            noisy_src.append(word)
+            t = tgt_words[i]
+            if error_rate > 0.0 and rng.random() < error_rate:
+                wrong = int(rng.integers(0, k - 1))
+                if wrong >= i:
+                    wrong += 1
+                t = tgt_words[wrong]
+            target.append(t)
+        out.append(ParallelExample(" ".join(noisy_src), " ".join(target),
+                                   provenance, " ".join(pristine)))
+    return out
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MOD128 = 1 << 128
+
+
+def rng_drawing(u: float) -> np.random.Generator:
+    """A PCG64 Generator whose next `random()` returns exactly `u`, a
+    multiple of 2**-53 in [0, 1).
+
+    `random()` is the top 53 bits of the next 64-bit output times 2**-53.
+    PCG64 steps its 128-bit LCG state (state * mult + inc) and outputs the
+    XSL-RR permutation of the new state: the high half XOR the low half,
+    rotated right by the high half's top 6 bits. A new state whose high
+    half is 0 therefore outputs its low half unchanged, so the state to
+    set is one LCG step before that."""
+    if not (0.0 <= u < 1.0 and (u * 2**53).is_integer()):
+        raise ValueError(f"random() cannot return {u!r}")
+    after = int(u * 2**53) << 11
+    bits = np.random.PCG64(0)
+    inc = bits.state["state"]["inc"]
+    before = (after - inc) * pow(_PCG64_MULT, -1, _MOD128) % _MOD128
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": before, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)

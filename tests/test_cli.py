@@ -1013,6 +1013,14 @@ class TestBadArguments:
         "gen-corpus-langid-n-negative": (
             ["gen-corpus", "--out", "{out}", "--n-train", "10",
              "--langid-n", "-4"], "--langid-n must be an integer >= 0, got -4"),
+        "gen-corpus-seed-negative": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "10",
+             "--langid-n", "5", "--seed", "-3"],
+            "--seed must be an integer >= 0, got -3"),
+        "gen-corpus-lexicon-beyond-alphabet": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "10",
+             "--lexicon-size", "250000"],
+            "lexicon_size must be at most 204183"),
         "analyze-xattn-epochs-0": (
             ["analyze-xattn", "--epochs", "0", "--report", "{out}"],
             "epochs must be an integer >= 1, got 0"),

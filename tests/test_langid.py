@@ -1,10 +1,16 @@
+import bisect
+import itertools
+import re
+
 import numpy as np
 import pytest
 
+from codemix import langid
 from codemix.errors import DataError, NonFiniteError
-from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
-                            _Corpus, _emission_sums, _forward_backward,
-                            _padded, _word_features, aggregate_labels,
+from codemix.langid import (_START_P, _STICKY, CRFModel, LabeledToken,
+                            QueryLanguage, _Corpus, _choice_cdf,
+                            _emission_sums, _forward_backward, _padded,
+                            _word_features, aggregate_labels,
                             crf_batch_grad, crf_nll_grad,
                             detect_query_language, eval_prf,
                             extract_features,
@@ -13,10 +19,31 @@ from codemix.langid import (CRFModel, LabeledToken, QueryLanguage,
                             train_crf, viterbi, LABEL_INDEX, N_LABELS)
 from codemix.numerics import make_rng
 
+import oracles
 from baseline import baseline_avg_embedding_classifier
 from oracles import (crf_enumerate, reference_crf_nll_grad,
-                     reference_emissions, reference_path_score,
-                     reference_train_crf)
+                     reference_emissions, reference_gen_langid_corpus,
+                     reference_path_score, reference_train_crf, rng_drawing)
+
+
+class ScriptedStream:
+    """A stand-in for a generator's stream: `random()` returns the values
+    of `script` in turn, cycling, and `integers` and `choice(a)` come from
+    a real stream. `choice(a, p=p)` is NumPy's own choice on a stream
+    whose next `random()` is the next script value."""
+
+    def __init__(self, script, seed: int):
+        rng = make_rng(seed)
+        self.integers, self._choice = rng.integers, rng.choice
+        self._next = itertools.cycle(script).__next__
+
+    def random(self) -> float:
+        return self._next()
+
+    def choice(self, a, p=None):
+        if p is None:
+            return self._choice(a)
+        return rng_drawing(self._next()).choice(a, p=p)
 
 
 def crf_log_partition(model, words):
@@ -679,6 +706,69 @@ class TestSyntheticBenchmark:
         with pytest.raises(DataError,
                            match="n_queries must be an integer >= 0"):
             gen_langid_corpus(n)
+
+    @pytest.mark.parametrize("seed", [-3, -1, 1.5, "2"])
+    def test_seed_checked_as_given(self, seed):
+        """The caller's seed is checked, not the stream seed derived from
+        it."""
+        with pytest.raises(DataError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}") + "$"):
+            gen_langid_corpus(5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2208, 2**40])
+    def test_matches_reference_generator(self, seed):
+        """Bisecting the cumulative tables draws the labels, and every
+        other value, that a `choice` per label drew."""
+        for n in (0, 1, 37, 3500):
+            assert gen_langid_corpus(n, seed=seed) == \
+                reference_gen_langid_corpus(n, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2208])
+    def test_shorter_corpus_is_a_prefix(self, seed):
+        longest = gen_langid_corpus(400, seed=seed)
+        for n in (0, 1, 37, 399):
+            assert gen_langid_corpus(n, seed=seed) == longest[:n]
+
+    @pytest.mark.parametrize("p", [
+        _START_P, *_STICKY,
+        # cumulative sums that end off 1.0, so the division shows
+        (0.5, 0.5 - 4e-9, 0.0), (0.25, 0.25, 0.5 + 1e-9),
+        (0.1, 0.2, 0.7), (1 / 3, 1 / 3, 1 / 3)])
+    def test_cdf_bisects_to_what_choice_draws(self, p):
+        """At every entry of the table, divided or not, and the doubles
+        either side, the bisected label is `Generator.choice`'s draw for
+        the same `random()`. Sampling would not land on an entry."""
+        table = _choice_cdf(p)
+        raw = np.cumsum(np.asarray(p, dtype=np.float64))
+        points = {0.0, 1.0 - 2**-53}
+        for c in (*table, *raw.tolist()):
+            points |= {np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)}
+        points = sorted(float(u) for u in points
+                        if 0.0 <= u < 1.0 and (u * 2**53).is_integer())
+        assert set(points) & set(table[:-1])  # an entry below 1 is drawn
+        for u in points:
+            assert rng_drawing(u).random() == u
+            assert bisect.bisect_right(table, u) == \
+                rng_drawing(u).choice(len(p), p=p), u
+
+    def test_labels_drawn_on_table_entries_match_choice(self, monkeypatch):
+        """With every `random()` on an entry of a label table, or on the
+        double either side of one, the generator draws the labels that
+        `choice` draws: a draw on an entry takes the label above it."""
+        tables = [_choice_cdf(p) for p in (_START_P, *_STICKY)]
+        script = sorted({float(u) for c in itertools.chain(*tables)
+                         for u in (np.nextafter(c, 0.0), c,
+                                   np.nextafter(c, 1.0))
+                         if 0.0 <= u < 1.0 and (u * 2**53).is_integer()})
+        assert {0.5, 0.78, 0.8, 0.88} <= set(script)
+
+        def corpus(gen, module):
+            monkeypatch.setattr(module, "make_rng",
+                                lambda seed: ScriptedStream(script, seed))
+            return gen(300, seed=4)
+        got = corpus(gen_langid_corpus, langid)
+        assert {t.label for q in got for t in q} == {"EN", "HI", "OT"}
+        assert got == corpus(reference_gen_langid_corpus, oracles)
 
     def test_deterministic(self):
         a = gen_langid_corpus(50, seed=9)

@@ -1,7 +1,12 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codemix import text
 from codemix.errors import DataError
 from codemix.text import (BOS, EOS, MASK, PAD, UNK, UNK_TOKEN, ParallelExample,
                           Provenance, SynthTaskSpec, build_lexicon,
@@ -10,6 +15,18 @@ from codemix.text import (BOS, EOS, MASK, PAD, UNK, UNK_TOKEN, ParallelExample,
                           load_parallel_tsv, save_parallel_tsv,
                           synthetic_vocab)
 from codemix.numerics import make_rng
+
+from oracles import reference_gen_split
+
+
+def benchmark_task() -> SynthTaskSpec:
+    """`TASK` of perfbench/inputs.py, the task every benchmark input and
+    the committed teacher come from."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TASK
 
 
 def shuffle_corpus(corpus, rng):
@@ -242,6 +259,37 @@ class TestSyntheticGenerator:
         spec = SynthTaskSpec(lexicon_size=10)
         assert gen_synthetic_corpus(spec, 5, n_test=0)[1] == []
         assert gen_clean_corpus(spec, 0) == []
+
+    @pytest.mark.parametrize("spec", [
+        benchmark_task(), SynthTaskSpec(),
+        SynthTaskSpec(lexicon_size=2, noise_char_drop_prob=1.0,
+                      pseudo_label_error_rate=1.0, min_len=1, seed=3)],
+        ids=["benchmark", "default", "edge"])
+    def test_matches_reference_generator(self, spec, monkeypatch):
+        """Python-int word indices and bound draw methods give the corpora
+        that NumPy-integer indices gave, bit for bit."""
+        def corpora():
+            return (gen_synthetic_corpus(spec, 300, 50),
+                    gen_clean_corpus(spec, 120), gen_clean_corpus(spec, 1, 7))
+        got = corpora()
+        monkeypatch.setattr(text, "_gen_split", reference_gen_split)
+        assert got == corpora()
+
+    def test_lexicon_larger_than_the_alphabet_spells_refused(self):
+        """7 consonants x 3 vowels in 2 to 4 syllables spell 21**2 + 21**3
+        + 21**4 source words; one more could never be generated."""
+        assert SynthTaskSpec(lexicon_size=204_183).lexicon_size == 204_183
+        with pytest.raises(DataError, match="lexicon_size must be at most "
+                                            "204183.*got 204184"):
+            SynthTaskSpec(lexicon_size=204_184)
+
+    @pytest.mark.parametrize("seed", [-3, -1, 2.5, "2"])
+    def test_seed_checked_as_given(self, seed):
+        """The spec's own seed is checked, before any stream seed is
+        derived from it."""
+        with pytest.raises(DataError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}") + "$"):
+            SynthTaskSpec(seed=seed)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(DataError):
