@@ -26,6 +26,15 @@ from oracles import (crf_enumerate, reference_crf_nll_grad,
                      reference_path_score, reference_train_crf, rng_drawing)
 
 
+def drawable_near(values) -> list[float]:
+    """Each of `values` and the doubles either side of it that `random()`
+    can return (multiples of 2**-53 in [0, 1)), sorted."""
+    near = {float(u) for c in values
+            for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))}
+    return sorted(u for u in near
+                  if 0.0 <= u < 1.0 and (u * 2**53).is_integer())
+
+
 class ScriptedStream:
     """A stand-in for a generator's stream: `random()` returns the values
     of `script` in turn, cycling, and `integers` and `choice(a)` come from
@@ -739,12 +748,8 @@ class TestSyntheticBenchmark:
         either side, the bisected label is `Generator.choice`'s draw for
         the same `random()`. Sampling would not land on an entry."""
         table = _choice_cdf(p)
-        raw = np.cumsum(np.asarray(p, dtype=np.float64))
-        points = {0.0, 1.0 - 2**-53}
-        for c in (*table, *raw.tolist()):
-            points |= {np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)}
-        points = sorted(float(u) for u in points
-                        if 0.0 <= u < 1.0 and (u * 2**53).is_integer())
+        raw = np.cumsum(np.asarray(p, dtype=np.float64)).tolist()
+        points = drawable_near([0.0, *table, *raw])
         assert set(points) & set(table[:-1])  # an entry below 1 is drawn
         for u in points:
             assert rng_drawing(u).random() == u
@@ -755,11 +760,8 @@ class TestSyntheticBenchmark:
         """With every `random()` on an entry of a label table, or on the
         double either side of one, the generator draws the labels that
         `choice` draws: a draw on an entry takes the label above it."""
-        tables = [_choice_cdf(p) for p in (_START_P, *_STICKY)]
-        script = sorted({float(u) for c in itertools.chain(*tables)
-                         for u in (np.nextafter(c, 0.0), c,
-                                   np.nextafter(c, 1.0))
-                         if 0.0 <= u < 1.0 and (u * 2**53).is_integer()})
+        script = drawable_near(itertools.chain.from_iterable(
+            _choice_cdf(p) for p in (_START_P, *_STICKY)))
         assert {0.5, 0.78, 0.8, 0.88} <= set(script)
 
         def corpus(gen, module):
