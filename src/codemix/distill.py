@@ -97,7 +97,7 @@ def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
     wherever S equals T bitwise: a converged student is a true fixed point
     under Adam.
 
-    Either kind is one tape node whose backward writes log S's gradient.
+    Either kind is one tape node whose backward returns log S's gradient.
     It does the float operations of the composed tape ops it replaces in
     their order (CE: T * log S, the sum, the scale -1 / n; JS: exp, then
     the divergence and log(S / m) scaled by 1 / n, then the product with
@@ -114,8 +114,8 @@ def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
         w = np.asarray(-1.0 / n_pos, prod.dtype)
         value = prod.sum() * w
 
-        def grad(g):
-            return (g * w) * teacher_probs
+        def backward(g):
+            return ((g * w) * teacher_probs,)
     else:
         s, scale = np.exp(logp), 1.0 / n_pos
         m = 0.5 * (teacher_probs + s)
@@ -129,16 +129,12 @@ def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
         kl_s = (_xlogy_np(s, s) - _xlogy_np(s, m)).sum()
         value = (kl_t + kl_s) * scale
 
-        def grad(g):
+        def backward(g):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.log(s / m)
             ratio[~(s > 0)] = 0.0
             # S's gradient, held in S's dtype, then through S = exp(log S)
-            return np.asarray(g * scale * ratio, s.dtype) * s
-
-    def backward(g):
-        if student_logp.requires_grad:
-            student_logp.accumulate_grad(grad(g))
+            return (np.asarray(g * scale * ratio, s.dtype) * s,)
 
     return _make(np.asarray(value), (student_logp,), backward, "kd_loss")
 

@@ -13,13 +13,17 @@ the error names the op, as it would with per-op checks throughout. Until
 its check passes a pass changes nothing but its dropout stream (no cache,
 no capture list), so the replay puts back only the stream.
 
-Gradients are accumulated into `Tensor.grad` by `Tensor.backward()`, which
-walks the tape in reverse topological order and frees it as it goes: once a
-node's backward has run, the node drops its closure (the arrays it saved),
-its parents and its gradient, so a step's activations are released during
-its own backward. Only leaves (parameters and inputs) keep `.grad`, and a
-second backward through a freed node raises CodemixError. Wrap inference
-code in `no_grad()` to skip tape construction entirely.
+A tape node's backward is a pure function: it takes the node's gradient
+and returns one gradient per parent, in parent order, and writes nothing.
+`Tensor.backward()` is the one place that accumulates gradients: it walks
+the tape in reverse topological order and adds each returned gradient into
+`.grad` of each parent that requires one (a wrong gradient count raises).
+It frees the tape as it goes: once a node's backward has run, the node
+drops its closure (the arrays it saved), its parents and its gradient, so
+a step's activations are released during its own backward. Only leaves
+(parameters and inputs) keep `.grad`, and a second backward through a freed
+node raises CodemixError. Wrap inference code in `no_grad()` to skip tape
+construction entirely.
 
 The tape ops are `matmul`, `gelu`, `linear`, `softmax`, `log_softmax`,
 `layer_norm` and `gather_rows`; the package has no elementwise arithmetic
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -129,7 +133,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -190,7 +194,10 @@ class Tensor:
             if node._backward is None:
                 continue  # a leaf keeps its .grad
             if node.grad is not None:
-                node._backward(node.grad)
+                for p, gp in zip(node._parents, node._backward(node.grad),
+                                 strict=True):
+                    if p.requires_grad:
+                        p.accumulate_grad(gp)
             node._backward, node._parents, node.grad = _freed, (), None
 
     def __repr__(self):
@@ -208,15 +215,19 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor],
-          backward: Callable[[np.ndarray], None], op: str) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...],
+          backward: Callable[[np.ndarray], tuple], op: str) -> Tensor:
     """The output of tape op `op`. Outside a model pass's first run a NaN
-    or Inf in it raises NonFiniteError naming the op (`_op_check`)."""
+    or Inf in it raises NonFiniteError naming the op (`_op_check`).
+
+    `backward` is a pure function: given the output's gradient g it
+    returns one gradient per parent, in `parents` order, each shaped like
+    its parent, and writes nothing. `Tensor.backward` alone adds them into
+    the parents that require a gradient."""
     _op_check(data, f"{op} output")
     out = Tensor(data, what=None)
     if not _grad_enabled:
         return out
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -242,12 +253,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.data.shape))
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out, (a, b), backward, "matmul")
 
@@ -275,8 +282,7 @@ def gelu(a) -> Tensor:
     out, t = gelu_forward(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(gelu_backward(g, a.data, t))
+        return (gelu_backward(g, a.data, t),)
 
     return _make(out, (a,), backward, "gelu")
 
@@ -297,9 +303,8 @@ def linear(x, w, b=None, transpose_w: bool = False) -> Tensor:
 
     def backward(g):
         gx, gw, gb = linear_backward(g, x.data, wd, bias=b is not None)
-        for t, gt in ((x, gx), (w, gw.T if transpose_w else gw), (b, gb)):
-            if t is not None and t.requires_grad:
-                t.accumulate_grad(gt)
+        gw = gw.T if transpose_w else gw
+        return (gx, gw) if b is None else (gx, gw, gb)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, backward, "linear")
@@ -329,9 +334,7 @@ def softmax(logits) -> Tensor:
     out = softmax_forward(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            dot = (out * g).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out * (g - dot))
+        return (out * (g - (out * g).sum(axis=-1, keepdims=True)),)
 
     return _make(out, (a,), backward, "softmax")
 
@@ -474,8 +477,7 @@ def log_softmax(logits) -> Tensor:
     out = log_softmax_forward(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(log_softmax_backward(g, out))
+        return (log_softmax_backward(g, out),)
 
     return _make(out, (a,), backward, "log_softmax")
 
@@ -500,10 +502,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
 
     def backward(g):
-        for t, gt in zip((x, gain, bias),
-                         layer_norm_backward(g, gain.data, xhat, inv)):
-            if t.requires_grad:
-                t.accumulate_grad(gt)
+        return layer_norm_backward(g, gain.data, xhat, inv)
 
     return _make(out, (x, gain, bias), backward, "layer_norm")
 
@@ -545,10 +544,9 @@ def gather_rows(table, idx) -> Tensor:
     out = table.data[idx]
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            table.accumulate_grad(gt)
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return (gt,)
 
     return _make(out, (table,), backward, "gather_rows")
 

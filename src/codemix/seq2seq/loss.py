@@ -53,6 +53,6 @@ def label_smoothed_ce(logits: Tensor, target_ids,
         flat[np.arange(targets.size), targets.reshape(-1)] += g_pos * gold_w
         if epsilon > 0.0:
             g_logp += g_pos * smooth_w
-        logits.accumulate_grad(log_softmax_backward(g_logp, logp))
+        return (log_softmax_backward(g_logp, logp),)
 
     return _make(np.asarray(loss), (logits,), backward, "label_smoothed_ce")

@@ -240,9 +240,7 @@ class Seq2SeqModel:
             gy = g if keep is None else g * inverted_dropout(keep, p, g.dtype)
             gh, grads = body_grad(gy, xhat * norm.g.data + norm.b.data)
             gx, gg, gb = layer_norm_backward(gh, norm.g.data, xhat, inv)
-            for t, gt in zip(parents, (g + gx, gg, gb, *grads)):
-                if t.requires_grad:
-                    t.accumulate_grad(gt)
+            return (g + gx, gg, gb, *grads)
 
         return _make(x.data + y, parents, backward, "residual add")
 
@@ -298,15 +296,14 @@ class Seq2SeqModel:
     def _embed(self, ids: np.ndarray, rows: RowLayout, pos: Tensor,
                what: str) -> Tensor:
         """Token plus position embedding of each packed row, as one tape
-        node `what` whose backward scatters its gradient into both tables
+        node `what` whose backward scatters its gradient onto each table
         (`scatter_rows`)."""
         tok = self.weights.tok_emb
         tok_idx, pos_idx = ids.reshape(-1)[rows.idx], rows.idx % ids.shape[1]
 
         def backward(g):
-            for t, idx in ((tok, tok_idx), (pos, pos_idx)):
-                if t.requires_grad:
-                    t.accumulate_grad(scatter_rows(g, idx, t.data))
+            return (scatter_rows(g, tok_idx, tok.data),
+                    scatter_rows(g, pos_idx, pos.data))
 
         return _make(tok.data[tok_idx] + pos.data[pos_idx], (tok, pos),
                      backward, what)

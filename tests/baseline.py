@@ -54,9 +54,7 @@ def _stack(tensors: list[Tensor]) -> Tensor:
     data = np.stack([t.data for t in tensors])
 
     def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate_grad(g[i])
+        return tuple(g)
 
     return _make(data, tuple(tensors), backward, "stack")
 

@@ -78,10 +78,7 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _make(out, (a, b), backward, "add")
 
@@ -91,10 +88,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape),
+                _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), backward, "mul")
 
@@ -104,11 +99,9 @@ def tsum(a, axis=None) -> Tensor:
     out = a.data.sum(axis=axis)
 
     def backward(g):
-        if not a.requires_grad:
-            return
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+        return (np.broadcast_to(g, a.data.shape),)
 
     return _make(out, (a,), backward, "tsum")
 
@@ -118,8 +111,7 @@ def exp(a) -> Tensor:
     out = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * out)
+        return (g * out,)
 
     return _make(out, (a,), backward, "exp")
 
@@ -401,8 +393,7 @@ def reshape(a, shape) -> Tensor:
     out = a.data.reshape(shape)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _make(out, (a,), backward, "reshape")
 
@@ -415,12 +406,7 @@ def attention(q, k, v, q_rows, k_rows, mask, n_heads: int, what: str,
     out, grad = attend(q.data, k.data, v.data, q_rows, k_rows, mask,
                        n_heads, attention_names(what), p, rng, capture)
 
-    def backward(g):
-        for t, gt in zip((q, k, v), grad(g)):
-            if t.requires_grad:
-                t.accumulate_grad(gt)
-
-    return _make(out, (q, k, v), backward, f"attention {what}")
+    return _make(out, (q, k, v), grad, f"attention {what}")
 
 
 def reference_forward(model: Seq2SeqModel, src_ids, dec_in, rng=None):
@@ -512,11 +498,10 @@ def take_along_last(a, idx) -> Tensor:
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            flat = ga.reshape(-1, ga.shape[-1])
-            np.add.at(flat, (np.arange(flat.shape[0]), idx.ravel()), g.ravel())
-            a.accumulate_grad(ga)
+        ga = np.zeros_like(a.data)
+        flat = ga.reshape(-1, ga.shape[-1])
+        np.add.at(flat, (np.arange(flat.shape[0]), idx.ravel()), g.ravel())
+        return (ga,)
 
     return _make(out, (a,), backward, "take_along_last")
 
@@ -559,11 +544,10 @@ def reference_js_node(t_probs: np.ndarray, s_probs: Tensor,
     kl_s = (reference_xlogy(s, s) - reference_xlogy(s, m)).sum()
 
     def backward(g):
-        if s_probs.requires_grad:
-            nz = (s > 0) & (m > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(nz, np.log(np.where(nz, s / m, 1.0)), 0.0)
-            s_probs.accumulate_grad(g * scale * ratio)
+        nz = (s > 0) & (m > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(nz, np.log(np.where(nz, s / m, 1.0)), 0.0)
+        return (g * scale * ratio,)
 
     return _make(np.asarray((kl_t + kl_s) * scale), (s_probs,), backward,
                  "js divergence")
