@@ -25,14 +25,15 @@ from .langid import (detect_query_language, eval_prf, gen_langid_corpus,
                      save_crf, save_token_labels, train_crf)
 from .numerics import make_rng
 from .quant import quantize_model
-from .seq2seq import (Seq2SeqConfig, encode_source, init_model,
+from .seq2seq import (Seq2SeqConfig, check_length, init_model,
                       translate_corpus)
 from .text import (Provenance, SynthTaskSpec, build_vocab, check_count,
                    decode_utf8, gen_clean_corpus, gen_synthetic_corpus,
                    load_parallel_tsv, read_utf8, save_parallel_tsv)
 from .train import (TrainingConfig, config_from_items, train_stage1,
                     train_stage2)
-from .translit import hybrid_transliterate, load_translit_dict
+from .translit import (check_translit_model, hybrid_transliterate,
+                       load_translit_dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +92,14 @@ def _write_records(path: str | None, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _print_records(path: str | None, records: list[dict]) -> None:
+    """Print each record as a JSON line, then write them all to `path`
+    (--report) when it is given."""
+    for rec in records:
+        print(json.dumps(rec))
+    _write_records(path, records)
+
+
 def _int_list(text: str) -> list[int]:
     """A comma-separated list of integers (argparse type)."""
     try:
@@ -116,20 +125,12 @@ def _add_model_flags(p: argparse.ArgumentParser, layers: int) -> None:
     p.add_argument("--dropout", type=float, default=0.1)
 
 
-def _check_length(text: str, config: Seq2SeqConfig) -> None:
-    """DataError unless the tokens + EOS (or BOS + tokens) fit the model."""
-    n = len(encode_source(text, config.vocab))
-    if n > config.max_len:
-        raise DataError(f"sequence length {n} exceeds max_len "
-                        f"{config.max_len}")
-
-
 def _check_pairs(path: str, corpus, config: Seq2SeqConfig) -> None:
     """Every pair of `corpus`, loaded from `path`, fits the model."""
     for lineno, ex in enumerate(corpus, start=1):
         try:
-            _check_length(ex.source, config)
-            _check_length(ex.target, config)
+            check_length(ex.source, config)
+            check_length(ex.target, config)
         except DataError as e:
             raise DataError(f"{path}: line {lineno}: {e}") from None
 
@@ -202,9 +203,7 @@ def _cmd_train(args) -> int:
         rep = train_stage2(model, clean, tcfg, s2_rng)
         records += rep.records()
     save_checkpoint(model, args.out)
-    for rec in records:
-        print(json.dumps(rec))
-    _write_records(args.report, records)
+    _print_records(args.report, records)
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -226,9 +225,7 @@ def _cmd_distill(args) -> int:
     save_checkpoint(student, args.out)
     records = [{"epoch": i + 1, **{k: round(v, 6) for k, v in m.items()}}
                for i, m in enumerate(report.epoch_means)]
-    for rec in records:
-        print(json.dumps(rec))
-    _write_records(args.report, records)
+    _print_records(args.report, records)
     print(f"student checkpoint written to {args.out}")
     return 0
 
@@ -237,7 +234,7 @@ def _cmd_translate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     return _map_lines(args, lambda qs: translate_corpus(
         model, qs, beam=args.beam, max_len=args.max_len),
-        lambda q: _check_length(q, model.config))
+        lambda q: check_length(q, model.config))
 
 
 def _cmd_detect_lang(args) -> int:
@@ -249,10 +246,11 @@ def _cmd_detect_lang(args) -> int:
 def _cmd_translit(args) -> int:
     tdict = load_translit_dict(args.dict)
     model = load_checkpoint(args.model) if args.model else None
-    if model is not None and model.config.vocab.mode != "char":
-        raise DataError(f"{args.model}: a {model.config.vocab.mode}-level "
-                        f"model cannot spell out-of-dictionary words; "
-                        f"transliteration needs a char-level one")
+    if model is not None:
+        try:
+            check_translit_model(model)
+        except DataError as e:
+            raise DataError(f"{args.model}: {e}") from None
 
     def check(text: str) -> None:  # the words the dictionary lacks
         if model is None:
@@ -260,7 +258,7 @@ def _cmd_translit(args) -> int:
             return
         for word in text.split():
             if tdict.lookup(word) is None:
-                _check_length(word.lower(), model.config)
+                check_length(word.lower(), model.config)
 
     return _map_lines(args, lambda ts: [
         hybrid_transliterate(t, tdict, model) for t in ts], check)
@@ -300,9 +298,7 @@ def _cmd_analyze_xattn(args) -> int:
     cfg = XAttnExperimentConfig(n_dec_layers=args.dec_layers,
                                 epochs=args.epochs, n_train=args.n_train)
     curve = ae_xattn_experiment(cfg, args.seeds)
-    for rec in curve.records():
-        print(json.dumps(rec))
-    _write_records(args.report, curve.records())
+    _print_records(args.report, curve.records())
     return 0
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from ..errors import DataError
 from ..numerics import no_grad
 from ..text import BOS, EOS, PAD, check_count, decode as decode_ids
-from .model import Seq2SeqModel, encode_source
+from .model import Seq2SeqModel, check_id_count, encode_source
 
 # Queries decoded together at most; bounds the cache on large inputs.
 MAX_BATCH = 32
@@ -141,9 +141,16 @@ def beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
 def beam_search_batch(model: Seq2SeqModel, sources, beam: int = 3,
                       max_len: int = 32) -> list[BeamResult]:
     """`beam_search` of every source, decoded MAX_BATCH queries at a time;
-    each result equals that source's own `beam_search` result."""
+    each result equals that source's own `beam_search` result. A source
+    longer than the model's max_len is a DataError naming its index,
+    raised before any decoding."""
     check_count("beam", beam, least=1)
     steps = _max_steps(model, max_len)
+    for i, src in enumerate(sources):
+        try:
+            check_id_count(len(src), model.config)
+        except DataError as e:
+            raise DataError(f"source {i}: {e}") from None
     out: list[BeamResult] = []
     for start in range(0, len(sources), MAX_BATCH):
         out.extend(_beam_batch(model, sources[start:start + MAX_BATCH],

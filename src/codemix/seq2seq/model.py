@@ -288,9 +288,7 @@ class Seq2SeqModel:
 
     def _rows(self, ids: np.ndarray) -> RowLayout:
         """The real (non-PAD) positions of a padded (B, T) id array."""
-        if ids.shape[1] > self.config.max_len:
-            raise DataError(f"sequence length {ids.shape[1]} exceeds "
-                            f"max_len {self.config.max_len}")
+        check_id_count(ids.shape[1], self.config)
         return RowLayout(ids != PAD)
 
     def _embed(self, ids: np.ndarray, rows: RowLayout, pos: Tensor,
@@ -618,6 +616,20 @@ def forward_teacher_forced(model: Seq2SeqModel, src_ids, tgt_ids,
 def encode_source(text: str, vocab: Vocab) -> list[int]:
     """Encoder input ids for a text: tokens + EOS."""
     return encode(text, vocab) + [EOS]
+
+
+def check_length(text: str, config: Seq2SeqConfig) -> None:
+    """DataError unless the text's tokens + EOS (or BOS + tokens) fit the
+    model (`check_id_count`)."""
+    check_id_count(len(encode_source(text, config.vocab)), config)
+
+
+def check_id_count(n: int, config: Seq2SeqConfig) -> None:
+    """DataError unless a sequence of n ids (tokens + EOS, or BOS +
+    tokens) fits the model: n <= `config.max_len`."""
+    if n > config.max_len:
+        raise DataError(f"sequence length {n} exceeds max_len "
+                        f"{config.max_len}")
 
 
 def pad_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]],

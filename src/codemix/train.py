@@ -22,7 +22,8 @@ import numpy as np
 from .augment import AugKind, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
 from .numerics import AdamWState, check_rate, no_grad, step_tensors
-from .seq2seq import Seq2SeqModel, label_smoothed_ce, make_batch, pad_batch
+from .seq2seq import (Seq2SeqModel, check_length, label_smoothed_ce,
+                      make_batch, pad_batch)
 from .text import Corpus, Provenance, check_count
 
 DEFAULT_STAGE1_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER, AugKind.MASK)
@@ -84,7 +85,7 @@ class TrainingConfig:
 
     # The learning rates the reference setup quotes (5e-6 / 1e-5) target
     # 139M+ parameter warm-started models; training this package's small
-    # models from scratch needs roughly 3e-4 (both recorded in reports).
+    # models from scratch needs roughly 3e-4.
 
     def __post_init__(self):
         check_rate("weight_decay", self.weight_decay)
@@ -238,13 +239,21 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
     truthy value stops training early. Divergence (non-finite loss) rolls the
     model back to the last epoch-end snapshot and raises TrainingDivergedError.
-    An int8 model is inference only: `check_trainable` raises DataError.
+    An int8 model is inference only: `check_trainable` raises DataError. So
+    is a pair that does not fit the model (`check_length`), checked before
+    the first step; the error names the pair's index.
     """
     check_trainable(model)
     if not corpus:
         raise DataError("cannot train on an empty corpus")
     check_loop_sizes(epochs, batch_size)
     check_loss_settings(lam, label_smoothing)
+    for i, ex in enumerate(corpus):
+        try:
+            check_length(ex.source, model.config)
+            check_length(ex.target, model.config)
+        except DataError as e:
+            raise DataError(f"pair {i}: {e}") from None
     vocab = model.config.vocab
     use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
     data_rng, aug_rng, drop_rng = rngs
@@ -321,15 +330,12 @@ def train_stage1(model: Seq2SeqModel, noisy_corpus: Corpus,
     if any(ex.provenance is not Provenance.NOISY_PSEUDO for ex in noisy_corpus):
         raise DataError("train_stage1 expects NOISY_PSEUDO provenance "
                         "for every example")
-    report = fit(model, noisy_corpus, epochs=config.stage1.epochs,
-                 lr=config.stage1.lr, batch_size=config.stage1.batch_size,
-                 kinds=config.stage1.kinds, lam=config.lam,
-                 label_smoothing=config.label_smoothing,
-                 weight_decay=config.weight_decay, rngs=rng.spawn(3),
-                 stage="stage1")
-    report.notes["reference_lr"] = "5e-6 (warm-started large models)"
-    report.notes["lr"] = config.stage1.lr
-    return report
+    return fit(model, noisy_corpus, epochs=config.stage1.epochs,
+               lr=config.stage1.lr, batch_size=config.stage1.batch_size,
+               kinds=config.stage1.kinds, lam=config.lam,
+               label_smoothing=config.label_smoothing,
+               weight_decay=config.weight_decay, rngs=rng.spawn(3),
+               stage="stage1")
 
 
 def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,

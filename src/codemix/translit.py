@@ -66,13 +66,25 @@ def char_seq2seq_config(vocab: Vocab) -> Seq2SeqConfig:
                          dropout_prob=0.0)
 
 
+def check_translit_model(model: Seq2SeqModel) -> None:
+    """DataError unless `model` is char-level: a word-level model cannot
+    spell a word the dictionary lacks."""
+    if model.config.vocab.mode != "char":
+        raise DataError(f"a {model.config.vocab.mode}-level model cannot "
+                        f"spell out-of-dictionary words; transliteration "
+                        f"needs a char-level one")
+
+
 def hybrid_transliterate(text: str, tdict: TranslitDict,
                          model: Seq2SeqModel | None = None,
                          decode_words=partial(translate_corpus, beam=1,
                                               max_len=24)) -> str:
     """Per word: use the dictionary mapping when present, otherwise the
     model's output for the lowercased word, as the model trains on
-    lowercased pairs. Words are joined by single spaces."""
+    lowercased pairs. Words are joined by single spaces. A model that is
+    not char-level is a DataError (`check_translit_model`)."""
+    if model is not None:
+        check_translit_model(model)
     words = text.split()
     hits = [tdict.lookup(word) for word in words]
     oov = [w for w, hit in zip(words, hits) if hit is None]

@@ -15,7 +15,9 @@ The central-difference checker `finite_diff_grad_check` is the arbiter of
 every tape gradient, and the tape ops `reshape` and `attention`, which only
 the padded forward uses, live next to it, as do the elementwise tape ops
 `add`, `mul`, `tsum` and `exp`, which the package does not use: they
-compose the gradient checks' losses and the reference loops. The
+compose the gradient checks' losses and the reference loops. Like the
+package's, their backwards return their parents' gradients and write none
+(`check_pure_backward` holds every tape op to that). The
 package's fused tape nodes (the embedding, the label-smoothed CE, the KD
 loss) are held bit for bit to the composed ops and masked arrays they
 replace, which are kept here: `take_along_last`, the embedding as two
@@ -175,6 +177,43 @@ def finite_diff_grad_check(loss_fn, params: dict[str, Tensor],
             rel = abs(a - numeric) / max(abs(a), abs(numeric), denominator_floor)
             worst = max(worst, rel)
     return worst
+
+
+def tape_nodes(*roots: Tensor) -> list[Tensor]:
+    """Every tensor the roots reach through their parents, each once."""
+    nodes, stack = {}, list(roots)
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    return list(nodes.values())
+
+
+def check_pure_backward(nodes: list[Tensor], seed: int = 0) -> set[str]:
+    """Hold every backward on the tape `nodes` (leaves included) to the
+    contract of `numerics.tensor._make`: called on a random gradient, it
+    returns one gradient per parent, shaped like that parent, and leaves
+    every tensor's `.grad` (each first set to a random array) as it was.
+    Returns the qualified names of the backwards called."""
+    rng = np.random.default_rng(seed)
+    for t in nodes:
+        t.grad = np.asarray(rng.standard_normal(t.shape), t.dtype)
+    before = [(t, t.grad, t.grad.copy()) for t in nodes]
+    names = set()
+    for t in nodes:
+        if t._backward is None:
+            continue
+        name = t._backward.__qualname__
+        names.add(name)
+        grads = t._backward(np.asarray(rng.standard_normal(t.shape),
+                                       t.dtype))
+        assert len(grads) == len(t._parents), name
+        for p, g in zip(t._parents, grads):
+            assert np.shape(g) == p.shape, name
+    for t, grad, copy in before:
+        assert t.grad is grad and np.array_equal(grad, copy)
+    return names
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ No module in src/codemix imports `_assert_finite` by name: each finite
 check calls it through `numerics.tensor`, so a wrapper on that one module
 attribute (the benchmark's `numerics.finite_check` row) sees every check.
 
+Only the `Tensor` class calls `.accumulate_grad(` (in src/codemix, tests/
+and scripts_calib/): a tape node's backward returns its parents'
+gradients, and `Tensor.backward` alone adds them in.
+
 Every name that the benchmark's tracer (perfbench/spans.py) wraps must
 exist, and the benchmark's workloads (perfbench/workloads.py) must import
 and score a model and run their tiny training and distillation jobs with
@@ -263,6 +267,45 @@ class TestFiniteChecksThroughTheModule:
                              ids=[str(p.relative_to(SRC)) for p in MODULES])
     def test_no_by_name_import(self, path):
         assert finite_check_imports(path.read_text(encoding="utf-8")) == []
+
+
+def grad_accumulations(source: str) -> list[str]:
+    """`line: accumulate_grad` for each `.accumulate_grad(` call outside a
+    top-level class `Tensor`."""
+    return [f"{node.lineno}: accumulate_grad"
+            for top in ast.parse(source).body
+            if not (isinstance(top, ast.ClassDef) and top.name == "Tensor")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "accumulate_grad"]
+
+
+class TestGradientsAccumulateInTensor:
+    def test_scanner_finds_calls_outside_tensor(self):
+        src = ("class Tensor:\n"
+               "    def backward(self, g):\n"
+               "        self.accumulate_grad(g)\n"
+               "def op(a):\n"
+               "    def backward(g):\n"
+               "        a.accumulate_grad(g)\n"
+               "    return backward\n"
+               "class Other:\n"
+               "    def f(self, t, g):\n"
+               "        t.accumulate_grad(g)\n"
+               "x.accumulate_grad(1)\n"
+               "accumulate_grad(x)\n"
+               "name = 'accumulate_grad('\n")
+        assert grad_accumulations(src) == ["6: accumulate_grad",
+                                           "10: accumulate_grad",
+                                           "11: accumulate_grad"]
+
+    @pytest.mark.parametrize(
+        "path", MODULES + SCRIPTS,
+        ids=[str(p.relative_to(SRC)) for p in MODULES]
+        + [str(p.relative_to(ROOT)) for p in SCRIPTS])
+    def test_only_tensor_accumulates(self, path):
+        assert grad_accumulations(path.read_text(encoding="utf-8")) == []
 
 
 def _perfbench_module(name: str, monkeypatch):

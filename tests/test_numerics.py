@@ -6,12 +6,15 @@ from codemix.errors import (CodemixError, DataError, NonFiniteError,
 from codemix.numerics import (AdamWState, Tensor, adamw_step, gather_rows,
                               gelu, layer_norm, linear, log_softmax,
                               make_rng, matmul, no_grad, softmax)
-from codemix.numerics.tensor import (RowLayout, _assert_finite, dropout_mask,
-                                     layer_norm_forward)
+from codemix.numerics.tensor import (RowLayout, _assert_finite, _make,
+                                     dropout_mask, layer_norm_forward)
 from codemix.seq2seq.model import NEG_INF
 
-from oracles import (add, attention, exp, finite_diff_grad_check, mul,
-                     reference_attention, reshape, take_along_last, tsum)
+from baseline import _stack
+from oracles import (add, attention, check_pure_backward, exp,
+                     finite_diff_grad_check, mul, reference_attention,
+                     reference_js_node, reshape, take_along_last, tape_nodes,
+                     tsum)
 
 
 def rnd(shape, seed=0, scale=1.0):
@@ -121,6 +124,42 @@ class TestTensorBasics:
         loss = tsum(add(mul(t, t), t))  # d/dt (t^2 + t) = 2t + 1 = 5
         loss.backward()
         assert np.allclose(t.grad, [5.0])
+
+    def test_backward_adds_only_into_parents_that_require_a_gradient(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        c = Tensor(np.array([3.0, 4.0]))
+        out = _make(a.data + c.data, (a, c), lambda g: (2.0 * g, 3.0 * g),
+                    "probe")
+        tsum(out).backward()
+        assert np.array_equal(a.grad, [2.0, 2.0]) and c.grad is None
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wrong_gradient_count_raises(self, n):
+        a, c = (Tensor(rnd((2,)), requires_grad=True) for _ in range(2))
+        out = _make(a.data + c.data, (a, c), lambda g: (g,) * n, "probe")
+        with pytest.raises(ValueError):
+            tsum(out).backward()
+
+    def test_every_op_returns_one_gradient_per_parent(self):
+        # each tape op here and in the tests' oracles, on one tape
+        x, w, b, g, table = (Tensor(rnd(s, seed=i), requires_grad=True)
+                             for i, s in enumerate([(3, 4), (4, 4), (4,),
+                                                    (4,), (6, 4)]))
+        rows = RowLayout(np.ones((1, 3), dtype=bool))
+        h = gelu(matmul(gather_rows(table, [[0, 2], [1, 5]]), w))
+        lp = log_softmax(linear(x, table, transpose_w=True))
+        probs = softmax(layer_norm(linear(x, w, b), g, b))
+        roots = [h, take_along_last(lp, [0, 5, 2]),
+                 reference_js_node(np.full((3, 4), 0.25), probs, 1.0 / 3),
+                 exp(reshape(add(mul(x, 2.0), 1.0), (12,))),
+                 attention(x, x, x, rows, rows, None, 2, "x"),
+                 tsum(_stack([tsum(x, axis=0), b]))]
+        names = check_pure_backward(tape_nodes(*roots))
+        assert {n.split(".<locals>")[0] for n in names} == {
+            "matmul", "gelu", "linear", "softmax", "log_softmax",
+            "layer_norm", "gather_rows", "take_along_last",
+            "reference_js_node", "exp", "reshape", "add", "mul", "tsum",
+            "_stack", "attend"}
 
 
 class TestPrimitiveGradients:

@@ -483,6 +483,21 @@ class TestBeam:
                                                 f">= 1, got 2.5"):
                 call({arg: 2.5})
 
+    def test_over_long_source_named_before_any_decoding(self, monkeypatch):
+        # a full chunk that fits, then a source of 21 ids: the error names
+        # its index, and no chunk is decoded first
+        m = tiny_model(seed=15, max_len=8)
+        starts = []
+        monkeypatch.setattr(m, "start_decoding",
+                            lambda states: starts.append(states))
+        texts = ["w0 w1 w2"] * MAX_BATCH + ["w0 " * 20]
+        with pytest.raises(DataError, match=rf"^source {MAX_BATCH}: sequence "
+                                            r"length 21 exceeds max_len 8$"):
+            translate_corpus(m, texts)
+        with pytest.raises(DataError, match="^source 1: sequence length 21"):
+            translate_corpus(m, ["w0 w0 w0", "w0 " * 20])
+        assert starts == []
+
     @pytest.mark.parametrize("src", [[], [PAD], [PAD, PAD]])
     def test_source_without_a_real_token_rejected(self, src):
         # cross-attention would have no key to attend to

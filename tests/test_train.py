@@ -20,11 +20,14 @@ from codemix.quant import quantize_model
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                              encode_source, init_model, label_smoothed_ce,
                              make_batch)
-from codemix.text import (BOS, SynthTaskSpec, gen_clean_corpus,
-                          gen_synthetic_corpus, synthetic_vocab)
+from codemix.text import (BOS, ParallelExample, SynthTaskSpec, Vocab,
+                          gen_clean_corpus, gen_synthetic_corpus,
+                          synthetic_vocab)
 from codemix.train import (StageConfig, TrainingConfig, config_from_items,
                            evaluate_loss, fit, train_stage1, train_stage2)
 from codemix.translit import train_translit
+
+from oracles import check_pure_backward, tape_nodes
 
 
 SPEC = SynthTaskSpec(lexicon_size=12, code_mix_ratio=0.2,
@@ -300,13 +303,8 @@ class TestFreedTape:
                            [ex.target for ex in corpus], model.config.max_len)
         loss = label_smoothed_ce(model.forward(batch["src"], batch["dec_in"]),
                                  batch["labels"], 0.1)
-        reached, stack = {}, [loss]
-        while stack:
-            t = stack.pop()
-            if id(t) not in reached:
-                reached[id(t)] = t
-                stack.extend(t._parents)
-        inner = [t for t in reached.values() if t._parents]
+        reached = {id(t) for t in tape_nodes(loss)}
+        inner = [t for t in tape_nodes(loss) if t._parents]
         assert len(inner) > 5
         assert all(id(p) in reached for p in model.params.values())
         loss.backward()
@@ -379,13 +377,7 @@ class TestLeanTape:
         loss = label_smoothed_ce(
             model.forward(batch["src"], batch["dec_in"], rng=make_rng(41)),
             batch["labels"], 0.1)
-        nodes, stack = {}, [loss]
-        while stack:
-            t = stack.pop()
-            if id(t) not in nodes:
-                nodes[id(t)] = t
-                stack.extend(t._parents)
-        return cfg, [t for t in nodes.values() if t._backward is not None]
+        return cfg, [t for t in tape_nodes(loss) if t._backward is not None]
 
     def test_masks_are_bool_and_rebuilt_arrays_are_not_kept(self):
         cfg, nodes = self.tape()
@@ -419,6 +411,32 @@ class TestLeanTape:
             for drop in drops:
                 if drop.shape == probs.shape:
                     assert not kept(probs * drop), "attention's dropped probs"
+
+
+class TestPureBackward:
+    """Every backward on a training step's tape returns its parents'
+    gradients and writes none: `Tensor.backward` alone adds them in."""
+
+    def test_every_node_returns_one_gradient_per_parent(self):
+        vocab = synthetic_vocab(SPEC)
+        cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1, n_dec_layers=1,
+                            d_model=16, n_heads=2, d_ff=24, max_len=16,
+                            dropout_prob=0.2)
+        student, teacher = (init_model(cfg, make_rng(s)) for s in (50, 51))
+        corpus, _ = gen_synthetic_corpus(SPEC, 6)
+        batch = make_batch(vocab, [ex.source for ex in corpus],
+                           [ex.target for ex in corpus], cfg.max_len)
+        rng = make_rng(52)
+        # the supervised term and both KD terms of a distillation step
+        roots = [label_smoothed_ce(student.forward(batch["src"],
+                                                   batch["dec_in"], rng=rng),
+                                   batch["labels"], 0.1)]
+        roots += [_kd_batch_loss(student, teacher, batch, kind, rng)
+                  for kind in KDKind]
+        names = check_pure_backward(tape_nodes(*roots))
+        assert {n.split(".<locals>")[0] for n in names} == {
+            "Seq2SeqModel._embed", "Seq2SeqModel._block", "linear",
+            "layer_norm", "log_softmax", "label_smoothed_ce", "kd_loss"}
 
 
 class TestCheckpoint:
@@ -566,6 +584,28 @@ class TestConfigFile:
     def test_empty_kinds_spelled_none(self):
         back = config_from_items({"stage1.kinds": "none"})
         assert back.stage1.kinds == ()
+
+
+class TestOverLongPair:
+    def test_fit_names_the_pair_before_any_step(self):
+        # a d8 1+1 model of max_len 4: 8 pairs that fit, then one whose
+        # source is 5 words, 6 ids with EOS
+        words = [f"w{i}" for i in range(5)]
+        cfg = Seq2SeqConfig(vocab=Vocab(words), n_enc_layers=1,
+                            n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
+                            max_len=4)
+        model = init_model(cfg, make_rng(60))
+        corpus = [ParallelExample(" ".join(words[:1 + i % 3]), words[i % 5])
+                  for i in range(8)]
+        corpus.append(ParallelExample(" ".join(words), words[0]))
+        snap = model.snapshot()
+        with pytest.raises(DataError, match="^pair 8: sequence length 6 "
+                                            "exceeds max_len 4$"):
+            fit(model, corpus, epochs=1, lr=1e-2, batch_size=2, kinds=(),
+                lam=0.0, label_smoothing=0.1, weight_decay=0.0,
+                rngs=make_rng(61).spawn(3))
+        assert all(np.array_equal(t.data, snap[k])
+                   for k, t in model.params.items())
 
 
 class TestEvaluateLoss:

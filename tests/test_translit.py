@@ -3,7 +3,8 @@ import pytest
 
 from codemix.errors import DataError
 from codemix.numerics import make_rng
-from codemix.seq2seq import encode_source, greedy_decode, init_model
+from codemix.seq2seq import (Seq2SeqConfig, encode_source, greedy_decode,
+                             init_model)
 from codemix.translit import (TranslitDict, char_seq2seq_config,
                               hybrid_transliterate, load_translit_dict,
                               train_translit)
@@ -85,7 +86,8 @@ class TestHybrid:
             calls.append(words)
             return words
 
-        out = hybrid_transliterate("juta kala juta", d, model=object(),
+        out = hybrid_transliterate("juta kala juta", d,
+                                   model=scaled_char_model(0),
                                    decode_words=spy)
         assert out == "joota kaala joota"
         assert calls == []  # dictionary path only
@@ -98,7 +100,8 @@ class TestHybrid:
             calls.append(words)
             return [w.upper() for w in words]
 
-        out = hybrid_transliterate("juta zzz Juta YyY", d, model=object(),
+        out = hybrid_transliterate("juta zzz Juta YyY", d,
+                                   model=scaled_char_model(0),
                                    decode_words=spy)
         assert out == "joota ZZZ joota YYY"
         assert calls == [["zzz", "yyy"]]  # lowercased, as the model trains
@@ -106,6 +109,20 @@ class TestHybrid:
     def test_empty_input_empty_output(self):
         d = TranslitDict({"a": "b"})
         assert hybrid_transliterate("", d) == ""
+
+    def test_word_level_model_rejected(self):
+        # a word-level model would spell an OOV word as vocabulary words
+        vocab = build_vocab(["dil pyaar love"])
+        model = init_model(Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
+                                         n_dec_layers=1, d_model=8,
+                                         n_heads=2, d_ff=16, max_len=8),
+                           make_rng(0))
+        d = TranslitDict({"pyaar": "pyar"})
+        with pytest.raises(DataError, match="^a word-level model cannot "
+                                            "spell out-of-dictionary words"):
+            hybrid_transliterate("dil pyaar", d, model)
+        with pytest.raises(DataError, match="word-level"):
+            hybrid_transliterate("pyaar", d, model)  # no OOV word either
 
     def test_oov_without_model_rejected(self):
         d = TranslitDict({"juta": "joota"})
