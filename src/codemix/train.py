@@ -22,8 +22,8 @@ import numpy as np
 from .augment import AugKind, sample_augmented_batch
 from .errors import DataError, NonFiniteError, TrainingDivergedError
 from .numerics import AdamWState, check_rate, no_grad, step_tensors
-from .seq2seq import (Seq2SeqModel, check_length, label_smoothed_ce,
-                      make_batch, pad_batch)
+from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, check_length,
+                      label_smoothed_ce, make_batch, pad_batch)
 from .text import Corpus, Provenance, check_count
 
 DEFAULT_STAGE1_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER, AugKind.MASK)
@@ -53,6 +53,17 @@ def check_trainable(model: Seq2SeqModel) -> None:
     if model.quantized:
         raise DataError("cannot train an int8-quantized model; train the "
                         "float32 model and quantize it afterwards")
+
+
+def check_pairs(corpus: Corpus, config: Seq2SeqConfig) -> None:
+    """DataError naming, by its index, the first pair of `corpus` whose
+    source or target does not fit the model (`check_length`)."""
+    for i, ex in enumerate(corpus):
+        try:
+            check_length(ex.source, config)
+            check_length(ex.target, config)
+        except DataError as e:
+            raise DataError(f"pair {i}: {e}") from None
 
 
 @dataclass
@@ -240,20 +251,15 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     truthy value stops training early. Divergence (non-finite loss) rolls the
     model back to the last epoch-end snapshot and raises TrainingDivergedError.
     An int8 model is inference only: `check_trainable` raises DataError. So
-    is a pair that does not fit the model (`check_length`), checked before
-    the first step; the error names the pair's index.
+    does a pair that does not fit the model (`check_pairs`), before the
+    first step.
     """
     check_trainable(model)
     if not corpus:
         raise DataError("cannot train on an empty corpus")
     check_loop_sizes(epochs, batch_size)
     check_loss_settings(lam, label_smoothing)
-    for i, ex in enumerate(corpus):
-        try:
-            check_length(ex.source, model.config)
-            check_length(ex.target, model.config)
-        except DataError as e:
-            raise DataError(f"pair {i}: {e}") from None
+    check_pairs(corpus, model.config)
     vocab = model.config.vocab
     use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
     data_rng, aug_rng, drop_rng = rngs
@@ -352,6 +358,7 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
     if len(clean_corpus) < 10:
         raise DataError("stage 2 needs at least 10 examples for a "
                         "validation split")
+    check_pairs(clean_corpus, model.config)  # indices before the split
     split_rng, fit_rng = rng.spawn(2)
     order = split_rng.permutation(len(clean_corpus))
     n = len(clean_corpus)

@@ -607,6 +607,21 @@ class TestOverLongPair:
         assert all(np.array_equal(t.data, snap[k])
                    for k, t in model.params.items())
 
+    def test_stage2_names_the_pair_by_its_index_in_the_clean_corpus(self):
+        # the pair lands in the shuffled training split; the error names
+        # its place in the corpus the caller gave
+        words = [f"w{i}" for i in range(5)]
+        cfg = Seq2SeqConfig(vocab=Vocab(words), n_enc_layers=1,
+                            n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
+                            max_len=4)
+        model = init_model(cfg, make_rng(62))
+        clean = [ParallelExample("w0 w1", "w2")] * 19
+        clean.append(ParallelExample(" ".join(words), "w0"))
+        tcfg = TrainingConfig(stage2=StageConfig(epochs=1, batch_size=4,
+                                                 val_fraction=0.5))
+        with pytest.raises(DataError, match="^pair 19: sequence length 6 "):
+            train_stage2(model, clean, tcfg, make_rng(1))
+
 
 class TestEvaluateLoss:
     def test_deterministic_and_positive(self):
