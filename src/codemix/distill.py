@@ -33,7 +33,7 @@ from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
 from .seq2seq.model import encode_source
 from .text import Corpus, ParallelExample, Provenance, decode
 from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
-                    check_loss_settings, fit)
+                    check_loss_settings, check_pairs, fit)
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
@@ -207,6 +207,7 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     """
     if not clean_corpus or not unlabeled_pool:
         raise DataError("train_student needs non-empty clean corpus and pool")
+    check_pairs(clean_corpus, student_config)  # before pseudo-labelling
     cfg = config or DistillConfig()
     init_rng, data_rng, aug_rng, kd_rng, drop_rng = rng.spawn(5)
     student = initial_student or init_model(student_config, init_rng)

@@ -427,6 +427,24 @@ class TestTrainStudent:
                           make_rng(0))
 
 
+    def test_over_long_clean_pair_refused_before_pseudo_labelling(
+            self, monkeypatch):
+        teacher = load_checkpoint(TEACHER)
+        vocab = teacher.config.vocab
+        student_cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
+                                    n_dec_layers=1, d_model=8, n_heads=2,
+                                    d_ff=16, max_len=8)
+        words = vocab.id_to_token[5:14]
+        clean = [ParallelExample(" ".join(words[:3]), words[0])] * 3
+        clean.append(ParallelExample(" ".join(words), words[0]))
+        monkeypatch.setattr(distill_mod, "generate_pseudo_labels",
+                            lambda *a, **k: pytest.fail("pseudo-labelled"))
+        with pytest.raises(DataError, match="^pair 3: sequence length 10 "
+                                            "exceeds max_len 8$"):
+            train_student(student_cfg, teacher, clean, [words[0]],
+                          KDKind.JS, make_rng(0))
+
+
 class TestTrainStudentMatchesReference:
     """train_student is train.fit plus a KD term; with the same seed it must
     take exactly the steps of the stand-alone distillation loop."""

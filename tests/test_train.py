@@ -303,8 +303,9 @@ class TestFreedTape:
                            [ex.target for ex in corpus], model.config.max_len)
         loss = label_smoothed_ce(model.forward(batch["src"], batch["dec_in"]),
                                  batch["labels"], 0.1)
-        reached = {id(t) for t in tape_nodes(loss)}
-        inner = [t for t in tape_nodes(loss) if t._parents]
+        nodes = tape_nodes(loss)
+        reached = {id(t) for t in nodes}
+        inner = [t for t in nodes if t._parents]
         assert len(inner) > 5
         assert all(id(p) in reached for p in model.params.values())
         loss.backward()
@@ -587,14 +588,19 @@ class TestConfigFile:
 
 
 class TestOverLongPair:
-    def test_fit_names_the_pair_before_any_step(self):
-        # a d8 1+1 model of max_len 4: 8 pairs that fit, then one whose
-        # source is 5 words, 6 ids with EOS
-        words = [f"w{i}" for i in range(5)]
-        cfg = Seq2SeqConfig(vocab=Vocab(words), n_enc_layers=1,
+    WORDS = [f"w{i}" for i in range(5)]
+
+    def model(self, seed):
+        """A d8 1+1 model of max_len 4: the five words as one source are 6
+        ids with EOS."""
+        cfg = Seq2SeqConfig(vocab=Vocab(self.WORDS), n_enc_layers=1,
                             n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
                             max_len=4)
-        model = init_model(cfg, make_rng(60))
+        return init_model(cfg, make_rng(seed))
+
+    def test_fit_names_the_pair_before_any_step(self):
+        # 8 pairs that fit, then the over-long one
+        model, words = self.model(60), self.WORDS
         corpus = [ParallelExample(" ".join(words[:1 + i % 3]), words[i % 5])
                   for i in range(8)]
         corpus.append(ParallelExample(" ".join(words), words[0]))
@@ -610,13 +616,9 @@ class TestOverLongPair:
     def test_stage2_names_the_pair_by_its_index_in_the_clean_corpus(self):
         # the pair lands in the shuffled training split; the error names
         # its place in the corpus the caller gave
-        words = [f"w{i}" for i in range(5)]
-        cfg = Seq2SeqConfig(vocab=Vocab(words), n_enc_layers=1,
-                            n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
-                            max_len=4)
-        model = init_model(cfg, make_rng(62))
+        model = self.model(62)
         clean = [ParallelExample("w0 w1", "w2")] * 19
-        clean.append(ParallelExample(" ".join(words), "w0"))
+        clean.append(ParallelExample(" ".join(self.WORDS), "w0"))
         tcfg = TrainingConfig(stage2=StageConfig(epochs=1, batch_size=4,
                                                  val_fraction=0.5))
         with pytest.raises(DataError, match="^pair 19: sequence length 6 "):
