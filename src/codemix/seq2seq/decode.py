@@ -43,7 +43,8 @@ import numpy as np
 from ..errors import DataError
 from ..numerics import no_grad
 from ..text import BOS, EOS, PAD, check_count, decode as decode_ids
-from .model import Seq2SeqModel, check_id_count, encode_source
+from .model import (Seq2SeqModel, check_id_count, check_length,
+                    encode_source)
 
 # Queries decoded together at most; bounds the cache on large inputs.
 MAX_BATCH = 32
@@ -135,6 +136,7 @@ def beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
     max_len steps the best unfinished hypothesis is returned with
     finished=False.
     """
+    check_id_count(len(src_ids), model.config)  # named without an index
     return beam_search_batch(model, [src_ids], beam=beam, max_len=max_len)[0]
 
 
@@ -224,6 +226,7 @@ def _best(finished, active) -> BeamResult:
 def translate(model: Seq2SeqModel, text: str, beam: int = 3,
               max_len: int = 32) -> str:
     """Encode, decode with beam search, and detokenize."""
+    check_length(text, model.config)  # named without an index
     return translate_corpus(model, [text], beam=beam, max_len=max_len)[0]
 
 

@@ -496,6 +496,8 @@ class TestBeam:
             translate_corpus(m, texts)
         with pytest.raises(DataError, match="^source 1: sequence length 21"):
             translate_corpus(m, ["w0 w0 w0", "w0 " * 20])
+        with pytest.raises(DataError, match="^sequence length 21 exceeds"):
+            translate(m, "w0 " * 20)  # one source: no index
         assert starts == []
 
     @pytest.mark.parametrize("src", [[], [PAD], [PAD, PAD]])
