@@ -63,8 +63,7 @@ def xattn_identity_errors(model: Seq2SeqModel, batch) -> list[float]:
                 f"cross-attention matrix is not square: {n_src} source vs "
                 f"{n_tgt} target tokens for {src!r}")
         lens.append(n_src + 1)  # + EOS on the encoder, + BOS on the decoder
-    arrays = make_batch(vocab, [p[0] for p in pairs], [p[1] for p in pairs],
-                        model.config.max_len)
+    arrays = make_batch(vocab, [p[0] for p in pairs], [p[1] for p in pairs])
     capture: list[np.ndarray] = []
     with no_grad():
         model.forward(arrays["src"], arrays["dec_in"], capture=capture)

@@ -30,8 +30,8 @@ from .seq2seq import (Seq2SeqConfig, check_length, init_model,
 from .text import (Provenance, SynthTaskSpec, build_vocab, check_count,
                    decode_utf8, gen_clean_corpus, gen_synthetic_corpus,
                    load_parallel_tsv, read_utf8, save_parallel_tsv)
-from .train import (TrainingConfig, config_from_items, train_stage1,
-                    train_stage2)
+from .train import (TrainingConfig, check_pairs, config_from_items,
+                    train_stage1, train_stage2)
 from .translit import (check_translit_model, hybrid_transliterate,
                        load_translit_dict)
 
@@ -125,16 +125,6 @@ def _add_model_flags(p: argparse.ArgumentParser, layers: int) -> None:
     p.add_argument("--dropout", type=float, default=0.1)
 
 
-def _check_pairs(path: str, corpus, config: Seq2SeqConfig) -> None:
-    """Every pair of `corpus`, loaded from `path`, fits the model."""
-    for lineno, ex in enumerate(corpus, start=1):
-        try:
-            check_length(ex.source, config)
-            check_length(ex.target, config)
-        except DataError as e:
-            raise DataError(f"{path}: line {lineno}: {e}") from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -194,7 +184,7 @@ def _cmd_train(args) -> int:
         model = init_model(_model_config(args, vocab, args.max_len),
                            init_rng)
     for path, corpus in ((args.train_tsv, noisy), (args.clean_tsv, clean)):
-        _check_pairs(path, corpus, model.config)
+        check_pairs(corpus, model.config, path)
     records = []
     if args.stage in ("stage1", "both"):
         rep = train_stage1(model, noisy, tcfg, s1_rng)
@@ -216,7 +206,7 @@ def _cmd_distill(args) -> int:
     pool = _read_lines(args.pool)
     student_cfg = _model_config(args, teacher.config.vocab,
                                 teacher.config.max_len)
-    _check_pairs(args.clean_tsv, clean, student_cfg)
+    check_pairs(clean, student_cfg, args.clean_tsv)
     student, report = train_student(student_cfg, teacher, clean, pool,
                                     KDKind(args.kd), make_rng(args.seed),
                                     dcfg, beam=args.beam)

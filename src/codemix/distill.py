@@ -30,7 +30,7 @@ from .numerics import Tensor, check_rate, log_softmax, no_grad
 from .numerics.tensor import _make
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
-from .seq2seq.model import encode_source
+from .seq2seq.model import encode_source, id_count_fits
 from .text import Corpus, ParallelExample, Provenance, decode
 from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
                     check_loss_settings, check_pairs, fit)
@@ -52,13 +52,13 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
 
     Returns (pseudo-labeled examples with NOISY_PSEUDO provenance, indices
     of skipped sources). A source is skipped when its encoder input (tokens
-    plus EOS) is longer than the teacher's max_len, which is not decoded,
-    or when decoding fails to finish or produces an empty target.
+    plus EOS) does not fit the teacher (`id_count_fits`), which is not
+    decoded, or when decoding fails to finish or produces an empty target.
     """
     vocab = teacher.config.vocab
     encoded = [encode_source(s, vocab) for s in sources]
     fits = [i for i, ids in enumerate(encoded)
-            if len(ids) <= teacher.config.max_len]
+            if id_count_fits(len(ids), teacher.config)]
     results = dict(zip(fits, beam_search_batch(
         teacher, [encoded[i] for i in fits], beam=beam, max_len=max_len)))
     out: Corpus = []
@@ -201,40 +201,36 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     batch, KD loss on a pseudo-labeled batch sampled from the
     teacher-labeled pool, combined as (1-lambda)(loss_s + loss_d) +
     lambda * loss_kd. Divergence rolls the student back to its last
-    epoch-end weights and raises TrainingDivergedError. A pool source the
-    teacher skips, or whose pair is longer than the student's max_len,
+    epoch-end weights and raises TrainingDivergedError. A clean pair that
+    does not fit the student that trains is a DataError (`check_pairs`); a
+    pool source the teacher skips, or whose pair does not fit that student,
     counts in `DistillReport.skipped_sources`.
     """
     if not clean_corpus or not unlabeled_pool:
         raise DataError("train_student needs non-empty clean corpus and pool")
-    check_pairs(clean_corpus, student_config)  # before pseudo-labelling
     cfg = config or DistillConfig()
     init_rng, data_rng, aug_rng, kd_rng, drop_rng = rng.spawn(5)
     student = initial_student or init_model(student_config, init_rng)
-    vocab = student_config.vocab
+    check_pairs(clean_corpus, student.config)  # before pseudo-labelling
+    vocab = student.config.vocab
 
-    pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
-                                             beam=beam,
-                                             max_len=KD_MAX_LEN)
-    # a pair goes into the student's KD batches, so its tokens + EOS (or
-    # BOS + tokens) must fit the student's max_len
-    labelled, limit = len(pseudo), student_config.max_len
-    pseudo = [ex for ex in pseudo
-              if len(encode_source(ex.source, vocab)) <= limit
-              and len(encode_source(ex.target, vocab)) <= limit]
+    pseudo, _ = generate_pseudo_labels(teacher, unlabeled_pool, beam=beam,
+                                       max_len=KD_MAX_LEN)
+    # a pair must fit the student, whose KD batches it goes into
+    pseudo = [ex for ex in pseudo if all(
+        id_count_fits(len(encode_source(text, vocab)), student.config)
+        for text in (ex.source, ex.target))]
     if not pseudo:
         raise DataError("teacher produced no usable pseudo-labels")
     report = DistillReport(kd_kind=kd_kind.value,
-                           skipped_sources=len(skipped) + labelled
-                           - len(pseudo))
+                           skipped_sources=len(unlabeled_pool) - len(pseudo))
 
     def kd_term(n_rows: int, loss_s: Tensor,
                 loss_d: Tensor | None) -> Tensor:
         kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)
         kd_rows = [pseudo[int(i)] for i in kd_idx]
         kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
-                              [ex.target for ex in kd_rows],
-                              student_config.max_len)
+                              [ex.target for ex in kd_rows])
         loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
                                  drop_rng)
         report.steps.append(StepTrace(

@@ -4,10 +4,15 @@ Conventions used everywhere in the package:
   encoder input   = source tokens + EOS (+ PAD)
   decoder input   = BOS + target tokens (+ PAD)
   decoder labels  = target tokens + EOS, one per real decoder position
+  length rule     = n ids (an input above, or its first positions) fit a
+                    model when n <= `config.max_len` (`id_count_fits`)
 
 With equal source/target token counts (the autoencoder augmentation) this
 makes cross-attention matrices square, which the attention analysis relies
 on. Pre-norm residual blocks are used for stable from-scratch training.
+Every model pass checks its ids by the length rule (`check_id_count`)
+before any op, and a caller that filters or names pairs asks the rule of
+the model that will run them.
 
 Batches are padded (B, T) id arrays, but the model runs on packed rows:
 every real (non-PAD) position is one row of an (n, D) array, in row-major
@@ -414,11 +419,8 @@ class Seq2SeqModel:
         the step with every op checked, so the NonFiniteError names the op.
         Only once the check passes does the cache take the step's
         self-attention keys and values and advance its step count."""
-        cfg = self.config
         t = cache.steps
-        if t >= cfg.max_len:
-            raise DataError(f"decoder position {t} exceeds max_len "
-                            f"{cfg.max_len}")
+        check_id_count(t + 1, self.config)  # positions 0..t of the input
         self_kv = []  # per layer: the cache's keys and values and the step's
         logp = checked_pass(
             lambda: self._decode_step_np(cache, tokens, self_kv),
@@ -624,17 +626,23 @@ def check_length(text: str, config: Seq2SeqConfig) -> None:
     check_id_count(len(encode_source(text, config.vocab)), config)
 
 
+def id_count_fits(n: int, config: Seq2SeqConfig) -> bool:
+    """Whether a sequence of n ids (tokens + EOS, or BOS + tokens) fits
+    the model: n <= `config.max_len`, the package's one length rule."""
+    return n <= config.max_len
+
+
 def check_id_count(n: int, config: Seq2SeqConfig) -> None:
-    """DataError unless a sequence of n ids (tokens + EOS, or BOS +
-    tokens) fits the model: n <= `config.max_len`."""
-    if n > config.max_len:
+    """DataError unless n ids fit the model (`id_count_fits`)."""
+    if not id_count_fits(n, config):
         raise DataError(f"sequence length {n} exceeds max_len "
                         f"{config.max_len}")
 
 
-def pad_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]],
-              max_len: int) -> dict[str, np.ndarray]:
-    """Pad plain (BOS/EOS-free) id sequences into training arrays.
+def pad_batch(src_seqs: list[list[int]],
+              tgt_seqs: list[list[int]]) -> dict[str, np.ndarray]:
+    """Pad plain (BOS/EOS-free) id sequences into training arrays, whose
+    length the pass of the model that runs them checks.
 
     src     = tokens + EOS + PAD...   (B, S)
     dec_in  = BOS + tokens + PAD...   (B, T)
@@ -646,8 +654,6 @@ def pad_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]],
         raise ShapeError("sources and targets differ in length")
     S = max(len(x) + 1 for x in src_seqs)
     T = max(len(x) + 1 for x in tgt_seqs)
-    if S > max_len or T > max_len:
-        raise DataError(f"batch length (src {S}, tgt {T}) exceeds max_len {max_len}")
     B = len(src_seqs)
     src = np.full((B, S), PAD, dtype=np.int64)
     dec_in = np.full((B, T), PAD, dtype=np.int64)
@@ -663,8 +669,9 @@ def pad_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]],
             "labels": np.asarray(labels, dtype=np.int64)}
 
 
-def make_batch(vocab: Vocab, sources: list[str], targets: list[str],
-               max_len: int) -> dict[str, np.ndarray]:
-    """Encode raw texts and pad them into training arrays (see pad_batch)."""
+def make_batch(vocab: Vocab, sources: list[str],
+               targets: list[str]) -> dict[str, np.ndarray]:
+    """Encode raw texts and pad them into training arrays (pad_batch),
+    whose length the pass of the model that runs them checks."""
     return pad_batch([encode(s, vocab) for s in sources],
-                     [encode(t, vocab) for t in targets], max_len)
+                     [encode(t, vocab) for t in targets])

@@ -55,15 +55,18 @@ def check_trainable(model: Seq2SeqModel) -> None:
                         "float32 model and quantize it afterwards")
 
 
-def check_pairs(corpus: Corpus, config: Seq2SeqConfig) -> None:
-    """DataError naming, by its index, the first pair of `corpus` whose
-    source or target does not fit the model (`check_length`)."""
+def check_pairs(corpus: Corpus, config: Seq2SeqConfig,
+                path: str | None = None) -> None:
+    """DataError naming the first pair of `corpus` whose source or target
+    does not fit the model (`check_length`) as `pair i`, or as `path: line
+    i + 1` for a corpus that `load_parallel_tsv` read from `path`."""
     for i, ex in enumerate(corpus):
         try:
             check_length(ex.source, config)
             check_length(ex.target, config)
         except DataError as e:
-            raise DataError(f"pair {i}: {e}") from None
+            label = f"pair {i}" if path is None else f"{path}: line {i + 1}"
+            raise DataError(f"{label}: {e}") from None
 
 
 @dataclass
@@ -201,16 +204,18 @@ def _batches(n: int, batch_size: int):
 def evaluate_loss(model: Seq2SeqModel, corpus: Corpus, label_smoothing: float,
                   batch_size: int = 64) -> float:
     """Mean label-smoothed CE per target token (EOS included), dropout
-    disabled."""
+    disabled. A pair that does not fit the model (`check_pairs`) or a
+    `batch_size` below 1 is a DataError before the first batch."""
     if not corpus:
         raise DataError("cannot evaluate on an empty corpus")
+    check_count("batch_size", batch_size, least=1)
+    check_pairs(corpus, model.config)
     vocab = model.config.vocab
     total, n_tokens = 0.0, 0
     with no_grad():
         for idxs in _batches(len(corpus), batch_size):
             batch = make_batch(vocab, [corpus[i].source for i in idxs],
-                               [corpus[i].target for i in idxs],
-                               model.config.max_len)
+                               [corpus[i].target for i in idxs])
             logits = model.forward(batch["src"], batch["dec_in"])
             loss = label_smoothed_ce(logits, batch["labels"], label_smoothing)
             k = len(batch["labels"])
@@ -275,8 +280,7 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
             for idxs in _batches(len(corpus), batch_size):
                 rows = [corpus[order[i]] for i in idxs]
                 batch = make_batch(vocab, [ex.source for ex in rows],
-                                   [ex.target for ex in rows],
-                                   model.config.max_len)
+                                   [ex.target for ex in rows])
                 logits = model.forward(batch["src"], batch["dec_in"],
                                        rng=drop_rng)
                 loss_s = label_smoothed_ce(logits, batch["labels"],
@@ -285,8 +289,7 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                 if use_aug:
                     aug = sample_augmented_batch(corpus, kinds, len(rows),
                                                  aug_rng, vocab)
-                    abatch = pad_batch(aug.inputs, aug.outputs,
-                                       model.config.max_len)
+                    abatch = pad_batch(aug.inputs, aug.outputs)
                     alogits = model.forward(abatch["src"], abatch["dec_in"],
                                             rng=drop_rng)
                     loss_d = label_smoothed_ce(alogits, abatch["labels"],

@@ -762,8 +762,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
                 rows = [clean_corpus[i]
                         for i in order[start:start + cfg.batch_size]]
                 batch = make_batch(vocab, [ex.source for ex in rows],
-                                   [ex.target for ex in rows],
-                                   student_config.max_len)
+                                   [ex.target for ex in rows])
                 logits = student.forward(batch["src"], batch["dec_in"],
                                          rng=drop_rng)
                 loss_s = label_smoothed_ce(logits, batch["labels"],
@@ -771,8 +770,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
                 if cfg.kinds:
                     aug = sample_augmented_batch(clean_corpus, cfg.kinds,
                                                  len(rows), aug_rng, vocab)
-                    abatch = pad_batch(aug.inputs, aug.outputs,
-                                       student_config.max_len)
+                    abatch = pad_batch(aug.inputs, aug.outputs)
                     alogits = student.forward(abatch["src"],
                                               abatch["dec_in"],
                                               rng=drop_rng)
@@ -783,8 +781,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
                 kd_idx = kd_rng.integers(0, len(pseudo), size=len(rows))
                 kd_rows = [pseudo[int(i)] for i in kd_idx]
                 kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
-                                      [ex.target for ex in kd_rows],
-                                      student_config.max_len)
+                                      [ex.target for ex in kd_rows])
                 loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
                                          drop_rng)
                 loss = add(mul(add(loss_s, loss_d), 1.0 - cfg.lam),

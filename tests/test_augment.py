@@ -150,16 +150,16 @@ class TestObjective:
         streams, one backward of the composed loss, one AdamW step."""
         model = self.model()
         data_rng, aug_rng, drop_rng = rngs
-        vocab, max_len = model.config.vocab, model.config.max_len
+        vocab = model.config.vocab
         rows = [corpus[i] for i in data_rng.permutation(len(corpus))]
         batch = make_batch(vocab, [ex.source for ex in rows],
-                           [ex.target for ex in rows], max_len)
+                           [ex.target for ex in rows])
         loss_s = label_smoothed_ce(
             model.forward(batch["src"], batch["dec_in"], rng=drop_rng),
             batch["labels"], 0.1)
         aug = sample_augmented_batch(corpus, KINDS, len(rows), aug_rng,
                                      vocab)
-        abatch = pad_batch(aug.inputs, aug.outputs, max_len)
+        abatch = pad_batch(aug.inputs, aug.outputs)
         loss_d = label_smoothed_ce(
             model.forward(abatch["src"], abatch["dec_in"], rng=drop_rng),
             abatch["labels"], 0.1)

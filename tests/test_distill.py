@@ -344,8 +344,7 @@ class TestTrainStudent:
         from codemix.seq2seq import make_batch
         batch = make_batch(teacher.config.vocab,
                            [ex.source for ex in clean],
-                           [ex.target for ex in clean],
-                           teacher.config.max_len)
+                           [ex.target for ex in clean])
         loss = _kd_batch_loss(teacher, teacher, batch, KDKind.JS, None)
         assert abs(loss.item()) < 1e-9
 
@@ -443,6 +442,39 @@ class TestTrainStudent:
                                             "exceeds max_len 8$"):
             train_student(student_cfg, teacher, clean, [words[0]],
                           KDKind.JS, make_rng(0))
+
+
+    def test_initial_student_max_len_decides_the_skipped_pairs(
+            self, monkeypatch):
+        # the student that trains has max_len 5, the config 32: the 6-word
+        # source (7 ids with EOS) is skipped, not run in a KD batch
+        teacher = load_checkpoint(TEACHER)
+        vocab = teacher.config.vocab
+        words = vocab.id_to_token[5:11]
+
+        def cfg(max_len):
+            return Seq2SeqConfig(vocab=vocab, n_enc_layers=1, n_dec_layers=1,
+                                 d_model=8, n_heads=2, d_ff=16,
+                                 max_len=max_len)
+
+        student = init_model(cfg(5), make_rng(21))
+        clean = [ParallelExample(" ".join(words[:2]), words[0])] * 4
+        pool = [" ".join(words[:2]), " ".join(words[:3]), " ".join(words)]
+        seen = []
+        real = distill_mod.make_batch
+
+        def spy(vocab, sources, *rest):
+            seen.extend(sources)
+            return real(vocab, sources, *rest)
+
+        monkeypatch.setattr(distill_mod, "make_batch", spy)
+        trained, report = train_student(
+            cfg(32), teacher, clean, pool, KDKind.JS, make_rng(22),
+            DistillConfig(epochs=2, batch_size=4), initial_student=student)
+        assert trained is student
+        assert report.skipped_sources == 1
+        assert len(report.steps) == 2
+        assert set(seen) == set(pool[:2])
 
 
 class TestTrainStudentMatchesReference:

@@ -83,7 +83,7 @@ TGTS = [[6, 6, 8], [5], [9, 5, 9, 9]]
 @pytest.mark.parametrize("side", ["src", "dec_in"])
 def test_embedding_node_matches_three_ops(dtype, side):
     m = small_model(dtype)
-    ids = pad_batch(SRCS, TGTS, 8)[side]
+    ids = pad_batch(SRCS, TGTS)[side]
     rows = m._rows(ids)
     pos = "enc_pos" if side == "src" else "dec_pos"
     w = m.weights
@@ -126,7 +126,7 @@ def test_training_step_matches_composed_ops(dtype, epsilon, monkeypatch):
     # the whole model: encoder and decoder embeddings and the tied output
     # projection add into tok_emb's gradient in the order the composed ops
     # did, with dropout on
-    batch = pad_batch(SRCS, TGTS, 8)
+    batch = pad_batch(SRCS, TGTS)
 
     def grads(ce):
         m = small_model(dtype, dropout=0.2)

@@ -20,6 +20,11 @@ Only the `Tensor` class calls `.accumulate_grad(` (in src/codemix, tests/
 and scripts_calib/): a tape node's backward returns its parents'
 gradients, and `Tensor.backward` alone adds them in.
 
+Only `seq2seq.model.id_count_fits` compares a length with `max_len` in
+src/codemix: a comparison with an attribute `.max_len` or a name
+`max_len` anywhere else copies the one length rule. `SynthTaskSpec`'s
+`max_len` is a word count, another quantity, and is exempt.
+
 Every name that the benchmark's tracer (perfbench/spans.py) wraps must
 exist, and the benchmark's workloads (perfbench/workloads.py) must import
 and score a model and run their tiny training and distillation jobs with
@@ -306,6 +311,57 @@ class TestGradientsAccumulateInTensor:
         + [str(p.relative_to(ROOT)) for p in SCRIPTS])
     def test_only_tensor_accumulates(self, path):
         assert grad_accumulations(path.read_text(encoding="utf-8")) == []
+
+
+def max_len_comparisons(source: str) -> list[str]:
+    """For each comparison with an attribute `.max_len` or a name
+    `max_len` among its operands, the qualified name of the function or
+    class around it (`Class.method`, or `-` at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Compare) and any(
+                    getattr(n, "attr", getattr(n, "id", None)) == "max_len"
+                    for n in ast.walk(child)
+                    if isinstance(n, (ast.Attribute, ast.Name))):
+                found.append(".".join(scope) or "-")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+# Comparisons with a `max_len` that is not a model's, and what it is.
+MAX_LEN_EXEMPT = {
+    "text.py: SynthTaskSpec.__post_init__": "a query's word count",
+}
+
+
+class TestOneLengthRule:
+    def test_scanner_finds_comparisons(self):
+        src = ("def rule(n, config):\n"
+               "    return n <= config.max_len\n"
+               "class Batch:\n"
+               "    def check(self, S, max_len):\n"
+               "        if S > max_len or len(self.ids) + 1 > self.max_len:\n"
+               "            pass\n"
+               "ok = [x for x in xs if len(x) <= cfg.max_len - 1]\n"
+               "n = min(max_len, cfg.max_len)\n"
+               "limit = cfg.max_len\n")
+        assert max_len_comparisons(src) == ["rule", "Batch.check",
+                                            "Batch.check", "-"]
+
+    def test_only_the_rule_compares_with_max_len(self):
+        found = [f"{p.relative_to(SRC)}: {where}" for p in MODULES
+                 for where in max_len_comparisons(
+                     p.read_text(encoding="utf-8"))]
+        assert sorted(set(MAX_LEN_EXEMPT) - set(found)) == []  # not stale
+        assert [f for f in found if f not in MAX_LEN_EXEMPT] == [
+            "seq2seq/model.py: id_count_fits"]
 
 
 def _perfbench_module(name: str, monkeypatch):

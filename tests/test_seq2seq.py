@@ -191,8 +191,7 @@ class TestLabelSmoothedCE:
 
     def test_gradient_matches_finite_differences(self):
         m = as_dtype(tiny_model(seed=11, d=8), np.float64)
-        batch = make_batch(m.config.vocab, ["w0 w1", "w2"], ["w1 w0", "w3"],
-                           m.config.max_len)
+        batch = make_batch(m.config.vocab, ["w0 w1", "w2"], ["w1 w0", "w3"])
 
         def loss_fn(params):
             logits = m.forward(batch["src"], batch["dec_in"])
@@ -206,18 +205,21 @@ class TestLabelSmoothedCE:
 class TestPadBatch:
     def test_sources_and_targets_must_pair_up(self):
         with pytest.raises(ShapeError, match="differ in length"):
-            pad_batch([[5], [6]], [[5]], max_len=8)
+            pad_batch([[5], [6]], [[5]])
 
     @pytest.mark.parametrize("src,tgt", [([5] * 8, [5]), ([5], [5] * 8)],
                              ids=["source", "target"])
     def test_over_long_batch_rejected(self, src, tgt):
-        # + EOS on the source, + BOS on the decoder input: 9 > 8
-        with pytest.raises(DataError, match="exceeds max_len 8"):
-            pad_batch([src], [tgt], max_len=8)
+        # + EOS on the source, + BOS on the decoder input: 9 > 8. The
+        # arrays fit no model in particular; the model pass checks them.
+        batch = pad_batch([src], [tgt])
+        m = tiny_model(seed=2, max_len=8)
+        with pytest.raises(DataError, match="^sequence length 9 exceeds "
+                                            "max_len 8$"):
+            m.forward(batch["src"], batch["dec_in"])
 
     def test_labels_are_the_real_decoder_rows(self):
-        batch = pad_batch([[5, 6], [7], [8, 9, 5]], [[6, 7, 8], [], [9]],
-                          max_len=8)
+        batch = pad_batch([[5, 6], [7], [8, 9, 5]], [[6, 7, 8], [], [9]])
         assert batch["dec_in"].tolist() == [[BOS, 6, 7, 8], [BOS, PAD, PAD,
                                                              PAD],
                                             [BOS, 9, PAD, PAD]]
@@ -231,7 +233,7 @@ class TestPadBatch:
         # writes, so it keeps its id
         vocab = tiny_vocab(4)
         batch = make_batch(vocab, ["w0 <pad> w1", "<s> w2 <mask>"],
-                           ["w2 </s> w3", "w1"], max_len=8)
+                           ["w2 </s> w3", "w1"])
         assert batch["src"].tolist() == [[5, UNK, 6, EOS], [UNK, 7, MASK, EOS]]
         assert batch["labels"].tolist() == [7, UNK, 8, EOS, 6, EOS]
 
@@ -243,8 +245,7 @@ def padded_batch(n_content, n, seed, max_words=6):
     texts = [" ".join(f"w{i}" for i in rng.integers(
         0, n_content, size=int(rng.integers(1, max_words + 1))))
         for _ in range(2 * n)]
-    return make_batch(tiny_vocab(n_content), texts[:n], texts[n:],
-                      max_words + 1)
+    return make_batch(tiny_vocab(n_content), texts[:n], texts[n:])
 
 
 def padded_labels(batch) -> np.ndarray:
@@ -274,8 +275,7 @@ class TestPackedRows:
         vocab = model.config.vocab
         queries = sorted(reference)[::12]
         batch = pad_batch([encode_source(q, vocab)[:-1] for q in queries],
-                          [reference[q]["f32"] for q in queries],
-                          model.config.max_len)
+                          [reference[q]["f32"] for q in queries])
         real = batch["dec_in"] != PAD
         assert 0.3 < real.mean() < 0.9 and (batch["src"] == PAD).any()
         rng = (lambda: make_rng(34)) if grad == "dropout" else (lambda: None)
@@ -669,8 +669,7 @@ class TestCachedDecoder:
 
         before = decoded(m)
         if update == "adamw step":
-            batch = make_batch(vocab, texts, ["w2 w1", "w4"],
-                               m.config.max_len)
+            batch = make_batch(vocab, texts, ["w2 w1", "w4"])
             label_smoothed_ce(m.forward(batch["src"], batch["dec_in"]),
                               batch["labels"]).backward()
             step_tensors(m.params, AdamWState(lr=1e-2))
@@ -707,7 +706,9 @@ class TestCachedDecoder:
             cache = m.start_decoding([m.encode(np.array([[5, EOS]]))])
             for tok in (BOS, 5, 6):
                 m.decode_step(cache, np.array([tok]))
-            with pytest.raises(DataError, match="position 3 exceeds max_len"):
+            # position 3 would make the decoder input 4 ids long
+            with pytest.raises(DataError, match="^sequence length 4 exceeds "
+                                                "max_len 3$"):
                 m.decode_step(cache, np.array([7]))
 
     def test_non_finite_weight_names_the_op(self):
@@ -961,7 +962,7 @@ class TestOverfitSanity:
         pairs = [(f"w{i} w{(i+1) % 6}", f"w{(i+2) % 6} w{i}")
                  for i in range(6)] * 17  # ~100 examples
         batch = make_batch(vocab, [p[0] for p in pairs],
-                           [p[1] for p in pairs], cfg.max_len)
+                           [p[1] for p in pairs])
         opt = AdamWState(lr=1e-3)
         first = None
         for step in range(50):

@@ -263,7 +263,7 @@ class TestWeightsBinding:
         model = small_setup(seed=22)
         vocab = model.config.vocab
         batch = make_batch(vocab, [ex.source for ex in corpus[:4]],
-                           [ex.target for ex in corpus[:4]], 16)
+                           [ex.target for ex in corpus[:4]])
         src = encode_source(corpus[0].source, vocab)
 
         def passes(m):
@@ -300,7 +300,7 @@ class TestFreedTape:
         model = small_setup(seed=30)
         corpus, _ = gen_synthetic_corpus(SPEC, 6)
         batch = make_batch(model.config.vocab, [ex.source for ex in corpus],
-                           [ex.target for ex in corpus], model.config.max_len)
+                           [ex.target for ex in corpus])
         loss = label_smoothed_ce(model.forward(batch["src"], batch["dec_in"]),
                                  batch["labels"], 0.1)
         nodes = tape_nodes(loss)
@@ -373,7 +373,7 @@ class TestLeanTape:
                 t.data += rng.normal(0.0, 0.1, t.shape).astype(t.dtype)
         corpus, _ = gen_synthetic_corpus(SPEC, 6)
         batch = make_batch(vocab, [ex.source for ex in corpus],
-                           [ex.target for ex in corpus], cfg.max_len)
+                           [ex.target for ex in corpus])
         assert (batch["src"] == 0).any()  # padded rows: not dense
         loss = label_smoothed_ce(
             model.forward(batch["src"], batch["dec_in"], rng=make_rng(41)),
@@ -426,7 +426,7 @@ class TestPureBackward:
         student, teacher = (init_model(cfg, make_rng(s)) for s in (50, 51))
         corpus, _ = gen_synthetic_corpus(SPEC, 6)
         batch = make_batch(vocab, [ex.source for ex in corpus],
-                           [ex.target for ex in corpus], cfg.max_len)
+                           [ex.target for ex in corpus])
         rng = make_rng(52)
         # the supervised term and both KD terms of a distillation step
         roots = [label_smoothed_ce(student.forward(batch["src"],
@@ -624,6 +624,20 @@ class TestOverLongPair:
         with pytest.raises(DataError, match="^pair 19: sequence length 6 "):
             train_stage2(model, clean, tcfg, make_rng(1))
 
+    def test_evaluate_loss_names_the_pair_before_any_forward(
+            self, monkeypatch):
+        # 70 pairs that fit, then the over-long one: a whole batch of 64
+        # would run before a batch check reached it
+        model, words = self.model(63), self.WORDS
+        corpus = [ParallelExample(words[i % 5], words[(i + 1) % 5])
+                  for i in range(70)]
+        corpus.append(ParallelExample(" ".join(words), words[0]))
+        monkeypatch.setattr(Seq2SeqModel, "forward",
+                            lambda *a, **k: pytest.fail("forward ran"))
+        with pytest.raises(DataError, match="^pair 70: sequence length 6 "
+                                            "exceeds max_len 4$"):
+            evaluate_loss(model, corpus, 0.1)
+
 
 class TestEvaluateLoss:
     def test_deterministic_and_positive(self):
@@ -636,6 +650,13 @@ class TestEvaluateLoss:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             evaluate_loss(small_setup(), [], 0.1)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+    def test_batch_size_checked(self, batch_size):
+        clean = gen_clean_corpus(SPEC, 3)
+        with pytest.raises(DataError, match="^batch_size must be an integer "
+                                            ">= 1, got "):
+            evaluate_loss(small_setup(), clean, 0.1, batch_size=batch_size)
 
     def test_token_weighted_mean_for_any_batch_size(self):
         model = small_setup(seed=19)
@@ -658,8 +679,7 @@ class TestExtraLossHook:
         corpus, _ = gen_synthetic_corpus(SPEC, 24)
         batch = make_batch(model.config.vocab,
                            [ex.source for ex in corpus[:4]],
-                           [ex.target for ex in corpus[:4]],
-                           model.config.max_len)
+                           [ex.target for ex in corpus[:4]])
         seen = []
 
         def hook(n_rows, loss_s, loss_d):
@@ -691,8 +711,7 @@ class TestExtraLossHook:
         corpus, _ = gen_synthetic_corpus(SPEC, 8)
         batch = make_batch(student.config.vocab,
                            [ex.source for ex in corpus],
-                           [ex.target for ex in corpus],
-                           student.config.max_len)
+                           [ex.target for ex in corpus])
         fit(student, corpus, epochs=1, lr=1e-3, batch_size=8,
             kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
             weight_decay=0.0, rngs=make_rng(24).spawn(3),
