@@ -5,16 +5,16 @@
   manifest.tsv  name <TAB> dtype <TAB> shape <TAB> byte offset <TAB> scale
   weights.bin   raw little-endian payload blob
 
-f32 payloads round-trip byte-exactly; an int8 model's `QuantizedTensor`s are
-i8 entries with a scale column. Loading rejects, with CheckpointError, a
-config.txt without `quantized` (1 exactly when manifest.tsv lists an i8
-entry, else 0) or `vocab_mode` ("word" or "char"), a vocab.txt that lists a
-token twice or whose last line has no newline, a scale that is not a finite
-number > 0, an int8 payload byte of -128 (quantization clamps to
-[-127, 127]), an int8 entry for a tensor quantization keeps in float32, a
-tensor listed twice, more layers in config.txt than manifest.tsv has
-tensors, and byte ranges that are not back to back in manifest order from
-byte 0 to the end of weights.bin (a gap, an overlap or trailing bytes).
+f32 payloads round-trip byte-exactly; an int8 model's `QuantizedTensor`s are i8
+entries with a scale column. Loading rejects, with CheckpointError, a
+config.txt without `quantized` (1 exactly when manifest.tsv lists an i8 entry,
+else 0) or `vocab_mode` ("word" or "char"), a vocab.txt that lists a token
+twice or whose last line has no newline, a scale on an f32 entry, an i8 scale
+that is not a finite number > 0, an int8 payload byte of -128 (quantization
+clamps to [-127, 127]), an int8 entry for a tensor quantization keeps in
+float32, a tensor listed twice, more layers in config.txt than manifest.tsv has
+tensors, and byte ranges that are not back to back in manifest order from byte
+0 to the end of weights.bin (a gap, an overlap or trailing bytes).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import CheckpointError, DataError, ShapeError
 from .numerics import Tensor
 from .quant import QuantizedTensor, _quantizable
 from .seq2seq.model import Seq2SeqConfig, Seq2SeqModel, _param_shapes
-from .text import Vocab, read_utf8
+from .text import Vocab, read_utf8, split_lines
 
 _FORMAT = "seq2seq-checkpoint-v1"
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("int8")}
@@ -41,9 +41,10 @@ def _write_kv(path: Path, items: dict[str, object]) -> None:
 
 
 def read_kv(path: Path) -> dict[str, str]:
+    """`key = value` lines (`split_lines`), `#` comments; a key once."""
     out: dict[str, str] = {}
     first: dict[str, int] = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -87,8 +88,9 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
 
 
 def _parse_manifest(path: Path):
+    """manifest.tsv's rows, one a line (`split_lines`)."""
     rows = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), 1):
         parts = line.split("\t")
         if len(parts) != 5:
             raise CheckpointError(f"{path}: bad manifest line {lineno}: {line!r}")
@@ -96,6 +98,8 @@ def _parse_manifest(path: Path):
         if dtype not in _DTYPES:
             raise CheckpointError(f"{path}: unknown dtype {dtype!r} for tensor "
                                   f"'{name}'")
+        if dtype == "f32" and scale_s:
+            raise CheckpointError(f"{path}: f32 tensor '{name}' has scale {scale_s!r}")
         try:
             shape = tuple(int(s) for s in shape_s.split("x"))
             offset = int(offset_s)
@@ -123,8 +127,8 @@ def _parse_scale(path: Path, name: str, scale_s: str) -> np.float32:
 
 
 def _read_tokens(path: Path) -> list[str]:
-    """vocab.txt's tokens, one a line in id order, each line ending in a
-    newline."""
+    """vocab.txt's tokens, one a line in id order, each line ending in
+    LF. Not cut by `split_lines`: a token may hold a CR."""
     text = read_utf8(path / "vocab.txt")
     if text and not text.endswith("\n"):
         raise CheckpointError(f"{path}: vocab.txt does not end in a newline, "

@@ -29,7 +29,8 @@ from .seq2seq import (Seq2SeqConfig, check_length, init_model,
                       translate_corpus)
 from .text import (Provenance, SynthTaskSpec, build_vocab, check_count,
                    decode_utf8, gen_clean_corpus, gen_synthetic_corpus,
-                   load_parallel_tsv, read_utf8, save_parallel_tsv)
+                   load_parallel_tsv, read_utf8, save_parallel_tsv,
+                   split_lines)
 from .train import (TrainingConfig, check_pairs, config_from_items,
                     train_stage1, train_stage2)
 from .translit import (check_translit_model, hybrid_transliterate,
@@ -43,17 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_lines(spec: str, keep_blank: bool = False) -> list[str]:
     """The lines of a file, or of stdin for "-", both decoded by
-    `decode_utf8`; blank lines are skipped unless `keep_blank`. A line
-    ends at LF only, less one trailing CR: str.splitlines() would also
-    break it at U+0085, U+2028, a vertical tab and others, and output line
-    i would no longer answer input line i."""
+    `decode_utf8` and cut by `split_lines`; blank lines are skipped unless
+    `keep_blank`."""
     text = (decode_utf8(sys.stdin.buffer.read(), "<stdin>") if spec == "-"
             else read_utf8(spec))
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # trailing newline
-    return [ln.removesuffix("\r") for ln in lines
-            if keep_blank or ln.strip()]
+    return [ln for ln in split_lines(text) if keep_blank or ln.strip()]
 
 
 def _write_lines(spec: str, lines: list[str]) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError
 from .numerics import AdamWState, adamw_step, make_rng
-from .text import _make_words, check_count, read_utf8
+from .text import _make_words, check_count, read_utf8, split_lines
 
 LABELS = ("EN", "HI", "OT")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -151,7 +151,6 @@ class CRFModel:
     feature_index: dict[str, int]
     weights: np.ndarray        # (n_features, 3) emission weights
     transitions: np.ndarray    # (3, 3) [from, to]
-    template_version: str = FEATURE_TEMPLATE_VERSION
 
     def feature_ids(self, words: list[str]) -> list[np.ndarray]:
         """Per position, the ids of the token's features that the index
@@ -462,12 +461,11 @@ def eval_prf(predictions: list[QueryLanguage], gold: list[QueryLanguage]
 
 
 def load_token_labels(path) -> list[LabeledQuery]:
-    """CoNLL-style file: `token<TAB>label` lines, blank line between
-    queries, labels in {EN, HI, OT}; LF or CRLF endings."""
+    """CoNLL-style file: `token<TAB>label` lines (`split_lines`), a blank
+    line between queries, labels in {EN, HI, OT}."""
     queries: list[LabeledQuery] = []
     current: LabeledQuery = []
-    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
-        line = line.removesuffix("\r")
+    for lineno, line in enumerate(split_lines(read_utf8(path)), start=1):
         if not line.strip():
             if current:
                 queries.append(current)
@@ -494,7 +492,7 @@ def save_token_labels(queries: list[LabeledQuery], path) -> None:
 def save_crf(model: CRFModel, path) -> None:
     """JSON serialization of the sparse CRF."""
     payload = {
-        "template_version": model.template_version,
+        "template_version": FEATURE_TEMPLATE_VERSION,
         "features": list(model.feature_index.keys()),
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
@@ -522,15 +520,13 @@ def load_crf(path) -> CRFModel:
         feats = payload["features"]
         model = CRFModel(_read_feature_index(path, feats),
                          np.asarray(payload["weights"], dtype=np.float64),
-                         np.asarray(payload["transitions"], dtype=np.float64),
-                         payload.get("template_version",
-                                     FEATURE_TEMPLATE_VERSION))
+                         np.asarray(payload["transitions"], dtype=np.float64))
+        version = payload["template_version"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: corrupt CRF model file: {e}") from None
-    if model.template_version != FEATURE_TEMPLATE_VERSION:
-        raise DataError(f"{path}: feature template "
-                        f"{model.template_version!r}, this build extracts "
-                        f"{FEATURE_TEMPLATE_VERSION!r}")
+    if version != FEATURE_TEMPLATE_VERSION:
+        raise DataError(f"{path}: feature template {version!r}, this build "
+                        f"extracts {FEATURE_TEMPLATE_VERSION!r}")
     if model.weights.shape != (len(feats), N_LABELS):
         raise DataError(f"{path}: weight matrix shape mismatch")
     if model.transitions.shape != (N_LABELS, N_LABELS):

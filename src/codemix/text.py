@@ -1,5 +1,5 @@
-"""Vocabulary, tokenization, parallel-corpus IO, and the synthetic code-mix
-benchmark that stands in for real query data.
+"""Vocabulary, tokenization, text input's one line rule (`split_lines`),
+parallel-corpus IO, and the synthetic code-mix stand-in for real queries.
 
 The synthetic task: a bijective lexicon maps toy-source words to target
 words. A source sentence mixes toy-source words with their target-language
@@ -143,17 +143,23 @@ def read_utf8(path) -> str:
     return decode_utf8(data, path)
 
 
+def split_lines(text: str) -> list[str]:
+    """The one line rule, which every text reader cuts by: a line ends at LF
+    only, less one trailing CR, and a final LF ends the last line. Unlike
+    str.splitlines(), U+0085, U+2028, a vertical tab and the like end no
+    line, so line i of a file is the line i that errors and outputs name."""
+    lines = text.removesuffix("\n").split("\n") if text else []
+    return [ln.removesuffix("\r") for ln in lines]
+
+
 def load_parallel_tsv(path, provenance: Provenance = Provenance.CLEAN_MANUAL) -> Corpus:
-    """One `source<TAB>target` pair per line, UTF-8, LF endings.
+    """One `source<TAB>target` pair per line (`split_lines`), UTF-8.
 
     Blank or tab-malformed lines are rejected with their 1-based line number.
     An empty file is a valid empty corpus.
     """
-    lines = read_utf8(path).split("\n")
-    if lines[-1] == "":
-        lines.pop()  # trailing newline
     corpus: Corpus = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), start=1):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise DataError(f"{path}: malformed line {lineno}: expected "

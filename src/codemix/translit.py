@@ -11,7 +11,8 @@ import numpy as np
 from .errors import DataError
 from .numerics import make_rng
 from .seq2seq import Seq2SeqConfig, Seq2SeqModel, init_model, translate_corpus
-from .text import ParallelExample, Provenance, Vocab, build_vocab, read_utf8
+from .text import (ParallelExample, Provenance, Vocab, build_vocab, read_utf8,
+                   split_lines)
 from .train import fit
 
 
@@ -41,9 +42,9 @@ class TranslitDict:
 
 
 def load_translit_dict(path) -> TranslitDict:
-    """TSV file: `word<TAB>transliteration` per line, UTF-8."""
+    """UTF-8 TSV: `word<TAB>transliteration` per line (`split_lines`)."""
     d = TranslitDict()
-    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -268,6 +268,23 @@ class TestLangidCli:
                     str(inp), "--output", str(tmp_path / "out.txt")]) == 2
         assert message in _one_error_line(capsys)
 
+    def test_crf_without_template_version_is_exit_two(self, tmp_path,
+                                                      capsys):
+        """The committed CRF less its `template_version` stands for a file
+        from before the feature template was versioned."""
+        payload = json.loads(read(TEACHER.parent / "crf.json"))
+        del payload["template_version"]
+        crf = tmp_path / "crf.json"
+        crf.write_text(json.dumps(payload), encoding="utf-8")
+        inp = tmp_path / "q.txt"
+        inp.write_text("radata zipaxu\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["detect-lang", "--model", str(crf), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {crf}: corrupt CRF model file: 'template_version'\n")
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestTranslitCli:
     def test_dict_only_pipeline(self, tmp_path):
@@ -543,7 +560,8 @@ class TestBadInputFiles:
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("café kala\tjuta\n".encode("latin-1"))
         crf = tmp_path / "crf.json"
-        crf.write_text(json.dumps({"features": ["0:1:a"],
+        crf.write_text(json.dumps({"template_version": "ngram134-window3-v1",
+                                   "features": ["0:1:a"],
                                    "weights": [[0.0, 0.0, 0.0]],
                                    "transitions": [[0.0] * 3] * 3}),
                        encoding="utf-8")

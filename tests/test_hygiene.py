@@ -20,6 +20,10 @@ Only the `Tensor` class calls `.accumulate_grad(` (in src/codemix, tests/
 and scripts_calib/): a tape node's backward returns its parents'
 gradients, and `Tensor.backward` alone adds them in.
 
+Only `text.split_lines` cuts text into lines in src/codemix: no other code
+calls `.splitlines(` or `.split("\\n")`, so every text input ends a line at
+LF only. `checkpoint._read_tokens` is exempt, with its reason.
+
 Only `seq2seq.model.id_count_fits` compares a length with `max_len` in
 src/codemix: a comparison with an attribute `.max_len` or a name
 `max_len` anywhere else copies the one length rule. `SynthTaskSpec`'s
@@ -313,10 +317,10 @@ class TestGradientsAccumulateInTensor:
         assert grad_accumulations(path.read_text(encoding="utf-8")) == []
 
 
-def max_len_comparisons(source: str) -> list[str]:
-    """For each comparison with an attribute `.max_len` or a name
-    `max_len` among its operands, the qualified name of the function or
-    class around it (`Class.method`, or `-` at module level)."""
+def _scopes_of(source: str, match) -> list[str]:
+    """For each node of `source` that `match` accepts, the qualified name
+    of the function or class around it (`Class.method`, or `-` at module
+    level)."""
     found = []
 
     def visit(node, scope):
@@ -324,15 +328,25 @@ def max_len_comparisons(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Compare) and any(
-                    getattr(n, "attr", getattr(n, "id", None)) == "max_len"
-                    for n in ast.walk(child)
-                    if isinstance(n, (ast.Attribute, ast.Name))):
+            if match(child):
                 found.append(".".join(scope) or "-")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def _compares_max_len(node) -> bool:
+    """A comparison with an attribute `.max_len` or a name `max_len` among
+    its operands."""
+    return isinstance(node, ast.Compare) and any(
+        getattr(n, "attr", getattr(n, "id", None)) == "max_len"
+        for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name)))
+
+
+def max_len_comparisons(source: str) -> list[str]:
+    """Where (`_scopes_of`) each comparison with a `max_len` is."""
+    return _scopes_of(source, _compares_max_len)
 
 
 # Comparisons with a `max_len` that is not a model's, and what it is.
@@ -362,6 +376,49 @@ class TestOneLengthRule:
         assert sorted(set(MAX_LEN_EXEMPT) - set(found)) == []  # not stale
         assert [f for f in found if f not in MAX_LEN_EXEMPT] == [
             "seq2seq/model.py: id_count_fits"]
+
+
+def _splits_lines(node) -> bool:
+    """A call of `.splitlines(`, or of `.split(` with "\\n" as its separator
+    (by position or as `sep=`)."""
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return False
+    seps = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
+    return node.func.attr == "splitlines" or node.func.attr == "split" and any(
+        isinstance(s, ast.Constant) and s.value == "\n" for s in seps)
+
+
+def line_splits(source: str) -> list[str]:
+    """Where (`_scopes_of`) each `.splitlines(` or `.split("\\n")` call is."""
+    return _scopes_of(source, _splits_lines)
+
+
+# Line splits that are not the line rule's, and why.
+LINE_SPLIT_EXEMPT = {
+    "checkpoint.py: _read_tokens": "a vocab.txt token may hold a CR, and "
+                                   "the file must end in LF, so its tokens "
+                                   "are the LF-split pieces before the last",
+}
+
+
+class TestOneLineRule:
+    def test_scanner_finds_line_splits(self):
+        src = ("def rule(text):\n"
+               "    return text.split('\\n')\n"
+               "class Reader:\n"
+               "    def read(self, text):\n"
+               "        return [ln for ln in text.splitlines() if ln]\n"
+               "head, _ = s.split(sep='\\n', maxsplit=1)\n"
+               "words, cells = s.split(), s.split('\\t')\n")
+        assert line_splits(src) == ["rule", "Reader.read", "-"]
+
+    def test_only_split_lines_splits_lines(self):
+        found = [f"{p.relative_to(SRC)}: {where}" for p in MODULES
+                 for where in line_splits(p.read_text(encoding="utf-8"))]
+        assert sorted(set(LINE_SPLIT_EXEMPT) - set(found)) == []  # not stale
+        assert [f for f in found if f not in LINE_SPLIT_EXEMPT] == [
+            "text.py: split_lines"]
 
 
 def _perfbench_module(name: str, monkeypatch):

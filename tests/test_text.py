@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codemix import text
+from codemix.checkpoint import load_checkpoint, read_kv, save_checkpoint
+from codemix.cli import _read_lines
 from codemix.errors import DataError
+from codemix.langid import load_token_labels
+from codemix.quant import quantize_model
+from codemix.seq2seq import Seq2SeqConfig, init_model
 from codemix.text import (BOS, EOS, MASK, PAD, UNK, UNK_TOKEN, ParallelExample,
-                          Provenance, SynthTaskSpec, build_lexicon,
+                          Provenance, SynthTaskSpec, Vocab, build_lexicon,
                           build_vocab, decode, drop_interior_char, encode,
                           gen_clean_corpus, gen_synthetic_corpus,
-                          load_parallel_tsv, save_parallel_tsv,
+                          load_parallel_tsv, save_parallel_tsv, split_lines,
                           synthetic_vocab)
+from codemix.translit import load_translit_dict
 from codemix.numerics import make_rng
 
 from oracles import reference_gen_split
@@ -139,6 +145,80 @@ class TestParallelTsv:
         save_parallel_tsv(corpus, p)
         back = load_parallel_tsv(p)
         assert back[0].source == "juta wala" and back[0].target == "shoe"
+
+
+class TestSplitLines:
+    @pytest.mark.parametrize("text,lines", [
+        ("", []), ("a", ["a"]), ("a\n", ["a"]), ("a\r\n", ["a"]),
+        ("a\n\n", ["a", ""]), ("a\rb\n", ["a\rb"]),
+        ("a\u2028b\n", ["a\u2028b"])],
+        ids=["empty", "no-lf", "lf", "crlf", "blank-last", "mid-cr", "u2028"])
+    def test_cases(self, text, lines):
+        assert split_lines(text) == lines
+
+    # a line that ends in CR loses it, so none is drawn
+    @given(st.lists(st.text().map(lambda s: s.replace("\n", "").rstrip("\r")),
+                    max_size=5))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_written_lines_read_back(self, lines):
+        assert split_lines("".join(ln + "\n" for ln in lines)) == lines
+
+
+def _line_file(text):
+    """A case's writer: `text` in the file `f`, its one line file."""
+    def write(d):
+        (d / "f").write_text(text, encoding="utf-8")
+        return ["f"]
+    return write
+
+
+def _int8_checkpoint(d):
+    """A tiny int8 checkpoint in d/ck. Its line files are config.txt and
+    manifest.tsv: vocab.txt is not cut by lines, since a token may hold a
+    CR."""
+    cfg = Seq2SeqConfig(vocab=Vocab(["kala", "juta"]), n_enc_layers=1,
+                        n_dec_layers=1, d_model=8, n_heads=2, d_ff=16,
+                        max_len=8)
+    save_checkpoint(quantize_model(init_model(cfg, make_rng(0))), d / "ck")
+    return ["ck/config.txt", "ck/manifest.tsv"]
+
+
+def _resaved_checkpoint(d):
+    save_checkpoint(load_checkpoint(d / "ck"), d / "again")
+    return {f.name: f.read_bytes() for f in sorted((d / "again").iterdir())}
+
+
+# each line reader -> (writes its LF files into a directory and names the
+# ones read as lines; what the loaded files compare by)
+LINE_READERS = {
+    "parallel-tsv": (_line_file("kala juta\tblack shoe\npani\twater\n"),
+                     lambda d: load_parallel_tsv(d / "f")),
+    "conll": (_line_file("kala\tHI\njuta\tHI\n\nshoe\tEN\n"),
+              lambda d: load_token_labels(d / "f")),
+    "translit-dict": (_line_file("kala\tkaala\n\njuta\tjoota\n"),
+                      lambda d: load_translit_dict(d / "f").pairs),
+    "config": (_line_file("# stage 2\n\nstage2.patience = 7\n"),
+               lambda d: read_kv(d / "f")),
+    "checkpoint": (_int8_checkpoint, _resaved_checkpoint),
+    "cli-input": (_line_file("kala juta\n\npani\n"),
+                  lambda d: _read_lines(str(d / "f"), keep_blank=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_READERS))
+def test_crlf_file_loads_as_its_lf_file(case, tmp_path):
+    write, load = LINE_READERS[case]
+    got = []
+    for crlf in (False, True):
+        d = tmp_path / ("crlf" if crlf else "lf")
+        d.mkdir()
+        for name in write(d):
+            data = (d / name).read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data
+            if crlf:
+                (d / name).write_bytes(data.replace(b"\n", b"\r\n"))
+        got.append(load(d))
+    assert got[0] and got[0] == got[1]
 
 
 class TestDropInteriorChar:

@@ -8,7 +8,7 @@ import pytest
 from codemix import train as train_mod
 from codemix.analysis import XAttnExperimentConfig, ae_xattn_experiment
 from codemix.augment import AugKind
-from codemix.checkpoint import load_checkpoint, save_checkpoint
+from codemix.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from codemix.distill import DistillConfig, KDKind, _kd_batch_loss
 from codemix.errors import (CheckpointError, CodemixError, DataError,
                             ShapeError, TrainingDivergedError)
@@ -544,6 +544,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope")
 
+    # a form feed ends no line, so it too is the first row's scale
+    @pytest.mark.parametrize("scale", ["junk", "\x0c"])
+    def test_scale_on_float32_tensor_names_it(self, scale, tmp_path):
+        save_checkpoint(small_setup(seed=16), tmp_path / "ck")
+        mf = tmp_path / "ck" / "manifest.tsv"
+        first, rest = mf.read_text(encoding="utf-8").split("\n", 1)
+        assert first.startswith("tok_emb\tf32\t") and first.endswith("\t")
+        mf.write_text(first + scale + "\n" + rest, encoding="utf-8")
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert str(err.value) == (f"{mf}: f32 tensor 'tok_emb' has scale "
+                                  f"{scale!r}")
+
 
 class TestConfigFile:
     def test_round_trip_items(self):
@@ -585,6 +598,23 @@ class TestConfigFile:
     def test_empty_kinds_spelled_none(self):
         back = config_from_items({"stage1.kinds": "none"})
         assert back.stage1.kinds == ()
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x0b", "\x0c", "\x1c",
+                                     "\x85"])
+    def test_only_lf_ends_a_comment(self, sep, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text(f"# was{sep}stage2.patience = 7\n", encoding="utf-8")
+        assert read_kv(path) == {}
+        assert (config_from_items(read_kv(path)).stage2.patience
+                == TrainingConfig().stage2.patience)
+
+    def test_bad_line_numbered_by_lf(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("stage1.epochs = 2\x0c\nnot a kv line\n",
+                        encoding="utf-8")
+        with pytest.raises(CheckpointError,
+                           match="bad key-value line 2: 'not a kv line'$"):
+            read_kv(path)
 
 
 class TestOverLongPair:
