@@ -12,10 +12,11 @@ reports the fastest: other load on a shared host slows a run, never speeds
 it up.
 
 Each process also reports its peak RSS (`ru_maxrss`, over its whole life:
-imports, set-up and all four runs) and its minor page faults over the three
-timed runs, so that a change to memory shows its page-fault cost in the same
-pairs. Prints the two times, peaks and fault counts of each pair, then each
-tree's quartiles of the three, then one verdict per quantity on whether
+imports, set-up and all four runs), and its minor page faults and its system
+CPU seconds (`ru_stime`) over the three timed runs, so that a change to
+memory shows its page-fault and kernel cost in the same pairs. Prints the
+two times, peaks, fault counts and system seconds of each pair, then each
+tree's quartiles of the four, then one verdict per quantity on whether
 SRC_B (the change) may claim it lower than SRC_A (the parent): B must be
 lower in at least nine tenths of the pairs, ties counting for neither, and
 the medians must differ by more than A's interquartile range.
@@ -50,7 +51,7 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIMED_RUNS = 3
 # (name, unit, decimals) of each number a process reports
 QUANTITIES = (("time", " ms", 1), ("peak RSS", " MB", 1),
-              ("minor faults", "", 0))
+              ("minor faults", "", 0), ("system time", " s", 3))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -134,7 +135,7 @@ def child(src: str, job: str, seed: int) -> None:
     run = make_job(job, seed)
     run()
     times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_SELF)
     for _ in range(TIMED_RUNS):
         t0 = time.process_time()
         run()
@@ -142,7 +143,8 @@ def child(src: str, job: str, seed: int) -> None:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is in KiB on Linux
     print(f"{min(times) * 1e3:.3f} {usage.ru_maxrss / 1024:.1f} "
-          f"{usage.ru_minflt - faults}")
+          f"{usage.ru_minflt - before.ru_minflt} "
+          f"{usage.ru_stime - before.ru_stime:.3f}")
 
 
 def run_fresh(argv: list[str]) -> str:
@@ -159,13 +161,34 @@ def run_fresh(argv: list[str]) -> str:
     return out.stdout
 
 
-def time_tree(src: str, job: str, seed: int) -> tuple[float, float, int]:
+def time_tree(src: str, job: str, seed: int
+              ) -> tuple[float, float, int, float]:
     """The tree's (fastest run in ms, peak RSS in MB, minor page faults
-    over the timed runs), from one fresh process."""
+    and system CPU seconds over the timed runs), from one fresh process."""
     out = run_fresh([__file__, "--child", src, "--job", job,
                      "--seed", str(seed)])
-    ms, rss, faults = out.split()[-3:]
-    return float(ms), float(rss), int(faults)
+    ms, rss, faults, sys_s = out.split()[-4:]
+    return float(ms), float(rss), int(faults), float(sys_s)
+
+
+def summary(runs: dict[str, list[tuple]]) -> list[str]:
+    """The quartiles of each quantity of QUANTITIES over the runs of
+    trees "A" and "B", then the verdict of `claim` on each."""
+    lines = []
+    for i, (what, unit, n) in enumerate(QUANTITIES):
+        a, b = ([r[i] for r in runs[t]] for t in "AB")
+        (a1, med_a, a3), (b1, med_b, b3) = quartiles(a), quartiles(b)
+        change = f"{(med_b / med_a - 1) * 100:+.1f} %" if med_a else "n/a"
+        lines.append(f"{what}: A {a1:.{n}f} / {med_a:.{n}f} / {a3:.{n}f}"
+                     f"{unit}, B {b1:.{n}f} / {med_b:.{n}f} / {b3:.{n}f}"
+                     f"{unit} (quartiles; median {change})")
+    for i, (what, unit, n) in enumerate(QUANTITIES):
+        ok, wins, gap, iqr = claim(*([r[i] for r in runs[t]] for t in "AB"))
+        lines.append(f"verdict {what}: B lower in {wins} of "
+                     f"{len(runs['A'])} pairs, median gap {gap:.{n}f}{unit} "
+                     f"against A's IQR {iqr:.{n}f}{unit}: "
+                     f"{'claimable' if ok else 'not claimable'}")
+    return lines
 
 
 def main() -> None:
@@ -182,29 +205,19 @@ def main() -> None:
         return
     if len(args.trees) != 2 or args.reps < 1:
         parser.error("give two source trees and --reps >= 1")
-    runs: dict[str, list[tuple[float, float, int]]] = {"A": [], "B": []}
+    runs: dict[str, list[tuple]] = {"A": [], "B": []}
     for rep in range(args.reps):
         order = ("A", "B") if rep % 2 == 0 else ("B", "A")
         for tree in order:
             src = args.trees[0] if tree == "A" else args.trees[1]
             runs[tree].append(time_tree(src, args.job, args.seed))
-        (a, rss_a, flt_a), (b, rss_b, flt_b) = runs["A"][-1], runs["B"][-1]
+        (a, rss_a, flt_a, sys_a), (b, rss_b, flt_b, sys_b) = (
+            runs["A"][-1], runs["B"][-1])
         print(f"pair {rep + 1:2d} ({''.join(order)} order): A {a:9.1f} ms  "
               f"B {b:9.1f} ms  B/A {b / a:.3f}  peak RSS A {rss_a:.1f} "
-              f"B {rss_b:.1f} MB  minor faults A {flt_a} B {flt_b}",
-              flush=True)
-    for i, (what, unit, n) in enumerate(QUANTITIES):
-        a, b = ([r[i] for r in runs[t]] for t in "AB")
-        (a1, med_a, a3), (b1, med_b, b3) = quartiles(a), quartiles(b)
-        change = f"{(med_b / med_a - 1) * 100:+.1f} %" if med_a else "n/a"
-        print(f"{what}: A {a1:.{n}f} / {med_a:.{n}f} / {a3:.{n}f}{unit}, "
-              f"B {b1:.{n}f} / {med_b:.{n}f} / {b3:.{n}f}{unit} (quartiles; "
-              f"median {change})")
-    for i, (what, unit, n) in enumerate(QUANTITIES):
-        ok, wins, gap, iqr = claim(*([r[i] for r in runs[t]] for t in "AB"))
-        print(f"verdict {what}: B lower in {wins} of {args.reps} pairs, "
-              f"median gap {gap:.{n}f}{unit} against A's IQR "
-              f"{iqr:.{n}f}{unit}: {'claimable' if ok else 'not claimable'}")
+              f"B {rss_b:.1f} MB  minor faults A {flt_a} B {flt_b}  "
+              f"system A {sys_a:.3f} B {sys_b:.3f} s", flush=True)
+    print("\n".join(summary(runs)))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@
 f32 payloads round-trip byte-exactly; an int8 model's `QuantizedTensor`s are i8
 entries with a scale column. Loading rejects, with CheckpointError, a
 config.txt without `quantized` (1 exactly when manifest.tsv lists an i8 entry,
-else 0) or `vocab_mode` ("word" or "char"), a vocab.txt that lists a token
+else 0) or `vocab_mode` ("word" or "char"), a vocab.txt whose first lines
+are not the special tokens in id order (a CRLF file), that lists a token
 twice or whose last line has no newline, a scale on an f32 entry, an i8 scale
 that is not a finite number > 0, an int8 payload byte of -128 (quantization
 clamps to [-127, 127]), an int8 entry for a tensor quantization keeps in
@@ -29,7 +30,7 @@ from .errors import CheckpointError, DataError, ShapeError
 from .numerics import Tensor
 from .quant import QuantizedTensor, _quantizable
 from .seq2seq.model import Seq2SeqConfig, Seq2SeqModel, _param_shapes
-from .text import Vocab, read_utf8, split_lines
+from .text import SPECIAL_TOKENS, Vocab, read_utf8, split_lines
 
 _FORMAT = "seq2seq-checkpoint-v1"
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("int8")}
@@ -128,12 +129,18 @@ def _parse_scale(path: Path, name: str, scale_s: str) -> np.float32:
 
 def _read_tokens(path: Path) -> list[str]:
     """vocab.txt's tokens, one a line in id order, each line ending in
-    LF. Not cut by `split_lines`: a token may hold a CR."""
+    LF, the first lines spelling `SPECIAL_TOKENS`. Not cut by
+    `split_lines`: a token may hold a CR."""
     text = read_utf8(path / "vocab.txt")
     if text and not text.endswith("\n"):
         raise CheckpointError(f"{path}: vocab.txt does not end in a newline, "
                               f"so its last token may be cut short")
     tokens = text.split("\n")[:-1]
+    for i, special in enumerate(SPECIAL_TOKENS):  # as save_checkpoint wrote
+        if tokens[i:i + 1] != [special]:
+            got = repr(tokens[i]) if i < len(tokens) else "missing"
+            raise CheckpointError(f"{path}: vocab.txt line {i + 1} is {got}, "
+                                  f"not the special token {special!r}")
     first: dict[str, int] = {}
     for lineno, token in enumerate(tokens, 1):
         if first.setdefault(token, lineno) != lineno:

@@ -59,19 +59,27 @@ def _write_lines(spec: str, lines: list[str]) -> None:
         Path(spec).write_text(text, encoding="utf-8")
 
 
+def _check_lines(lines: list[str], check, where: str = "") -> None:
+    """`check(line)` on every non-blank line, which raises a DataError for
+    a line the command cannot take; the error then names the line
+    (1-based), after `where`."""
+    for i, line in enumerate(lines):
+        if line.strip():
+            try:
+                check(line)
+            except DataError as e:
+                raise DataError(f"{where}line {i + 1}: {e}") from None
+
+
 def _map_lines(args, fn, check=None) -> int:
     """One line of args.output per line of args.input: fn maps the list of
     non-blank input lines to their outputs; a blank line is not passed to
     fn and gets an empty output line, so output line i answers input i.
-    `check(line)`, when given, raises a DataError for a line fn cannot
-    take, before fn runs; the error then names the line (1-based)."""
+    `check`, when given, runs on the lines before fn (`_check_lines`)."""
     lines = _read_lines(args.input, keep_blank=True)
+    if check:
+        _check_lines(lines, check)
     idx = [i for i, ln in enumerate(lines) if ln.strip()]
-    for i in idx if check else ():
-        try:
-            check(lines[i])
-        except DataError as e:
-            raise DataError(f"line {i + 1}: {e}") from None
     out = [""] * len(lines)
     for i, res in zip(idx, fn([lines[i] for i in idx])):
         out[i] = res
@@ -266,7 +274,10 @@ def _cmd_eval_bleu(args) -> int:
 
 def _cmd_bench_latency(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    queries = _read_lines(args.queries)
+    lines = _read_lines(args.queries, keep_blank=True)
+    _check_lines(lines, lambda q: check_length(q, model.config),
+                 f"{args.queries}: ")
+    queries = [ln for ln in lines if ln.strip()]
     rep = bench_latency(model, queries, warmup=args.warmup,
                         samples=args.samples, beam=args.beam,
                         max_len=args.max_len)

@@ -2,11 +2,11 @@
 plus single-threaded latency benchmarking.
 
 The teacher is frozen: it pseudo-labels a pool of unlabeled sources once
-(beam search), and per student step its teacher-forced output distribution
-over a pseudo-labeled batch is matched by the student under the CE or JS
-loss, both computed by `kd_loss`, one tape node. The student trains in
-the shared loop `train.fit`, which takes the KD loss through its
-`extra_loss` hook and minimizes
+(beam search), and one pass without a tape keeps its distribution over
+each usable pair's decoder positions, which the student matches per step
+under the CE or JS loss, both computed by `kd_loss`, one tape node. The
+student trains in the shared loop `train.fit`, which takes the KD loss
+through its `extra_loss` hook and minimizes
     (1 - lambda) * (loss_s + loss_d) + lambda * loss_kd
 with lambda = 0.5 by default. No tape node forms that sum: `fit` runs each
 term's backward in turn, loss_s, loss_d, then loss_kd, each seeded with
@@ -30,8 +30,9 @@ from .numerics import Tensor, check_rate, log_softmax, no_grad
 from .numerics.tensor import _make
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
-from .seq2seq.model import encode_source, id_count_fits
-from .text import Corpus, ParallelExample, Provenance, decode
+from .seq2seq.model import check_id_count, encode_source, id_count_fits
+from .text import (PAD, Corpus, ParallelExample, Provenance, Vocab,
+                   decode)
 from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
                     check_loss_settings, check_pairs, fit)
 
@@ -156,6 +157,22 @@ class DistillConfig:
         check_loss_settings(self.lam, self.label_smoothing)
 
 
+def _check_same_vocab(who: str, vocab: Vocab, teacher_vocab: Vocab) -> None:
+    """DataError unless `who` reads ids as the teacher does: the teacher
+    runs the pseudo-labels' ids in the student's vocabulary."""
+    if vocab.mode != teacher_vocab.mode:
+        raise DataError(f"{who} vocab mode {vocab.mode!r} is not the "
+                        f"teacher's {teacher_vocab.mode!r}")
+    if len(vocab) != len(teacher_vocab):
+        raise DataError(f"{who} vocabulary has {len(vocab)} tokens, the "
+                        f"teacher's {len(teacher_vocab)}")
+    for i, (tok, t_tok) in enumerate(zip(vocab.id_to_token,
+                                         teacher_vocab.id_to_token)):
+        if tok != t_tok:
+            raise DataError(f"{who} vocabulary spells id {i} {tok!r}, the "
+                            f"teacher's {t_tok!r}")
+
+
 @dataclass
 class StepTrace:
     loss_s: float
@@ -171,23 +188,6 @@ class DistillReport:
     skipped_sources: int = 0
 
 
-def _kd_batch_loss(student: Seq2SeqModel, teacher: Seq2SeqModel,
-                   batch: dict[str, np.ndarray], kd_kind: KDKind,
-                   train_rng) -> Tensor:
-    """`kd_loss` on a pseudo-labeled batch: both models run teacher-forced
-    on the same inputs, the teacher without a tape (its probabilities are a
-    constant), over the batch's real (non-PAD) decoder positions.
-    """
-    with no_grad():
-        t_logits = teacher.forward(batch["src"], batch["dec_in"])
-        # exp(log_softmax) rather than softmax: bitwise-identical to the
-        # student's probability path, so a student that equals the teacher
-        # sees an exactly-zero KD loss and gradient.
-        t_probs = np.exp(log_softmax(t_logits).data)
-    s_logits = student.forward(batch["src"], batch["dec_in"], rng=train_rng)
-    return kd_loss(kd_kind, t_probs, log_softmax(s_logits))
-
-
 def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
                   clean_corpus: Corpus, unlabeled_pool: list[str],
                   kd_kind: KDKind, rng: np.random.Generator,
@@ -198,21 +198,26 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     `initial_student` trained in place when given).
 
     Per step of `train.fit`: supervised + augmentation losses on a clean
-    batch, KD loss on a pseudo-labeled batch sampled from the
-    teacher-labeled pool, combined as (1-lambda)(loss_s + loss_d) +
-    lambda * loss_kd. Divergence rolls the student back to its last
-    epoch-end weights and raises TrainingDivergedError. A clean pair that
-    does not fit the student that trains is a DataError (`check_pairs`); a
-    pool source the teacher skips, or whose pair does not fit that student,
-    counts in `DistillReport.skipped_sources`.
+    batch, KD loss of the student on a pseudo-labeled batch sampled from
+    the pool against the teacher's probabilities (kept for the whole pool
+    from one pass, so memory grows with it), combined as (1-lambda)(loss_s
+    + loss_d) + lambda * loss_kd. Divergence rolls the student back to its
+    last epoch-end weights and raises TrainingDivergedError. A student
+    whose vocabulary is not the teacher's, or a clean pair that does not
+    fit the student that trains, is a DataError (`check_pairs`), raised
+    before pseudo-labelling; a pool source the teacher skips, or whose
+    pair does not fit that student, counts in
+    `DistillReport.skipped_sources`.
     """
     if not clean_corpus or not unlabeled_pool:
         raise DataError("train_student needs non-empty clean corpus and pool")
     cfg = config or DistillConfig()
     init_rng, data_rng, aug_rng, kd_rng, drop_rng = rng.spawn(5)
     student = initial_student or init_model(student_config, init_rng)
-    check_pairs(clean_corpus, student.config)  # before pseudo-labelling
     vocab = student.config.vocab
+    _check_same_vocab("initial_student" if initial_student else "student",
+                      vocab, teacher.config.vocab)
+    check_pairs(clean_corpus, student.config)
 
     pseudo, _ = generate_pseudo_labels(teacher, unlabeled_pool, beam=beam,
                                        max_len=KD_MAX_LEN)
@@ -225,14 +230,30 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     report = DistillReport(kd_kind=kd_kind.value,
                            skipped_sources=len(unlabeled_pool) - len(pseudo))
 
+    table: list[np.ndarray] = []  # pair i's teacher rows, 4 B x vocab each
+    with no_grad():
+        for start in range(0, len(pseudo), cfg.batch_size):
+            chunk = pseudo[start:start + cfg.batch_size]
+            batch = make_batch(vocab, [ex.source for ex in chunk],
+                               [ex.target for ex in chunk])
+            t_logits = teacher.forward(batch["src"], batch["dec_in"])
+            # exp(log_softmax) rather than softmax: bitwise-identical to the
+            # student's probability path, so a student that equals the
+            # teacher sees an exactly-zero KD loss and gradient.
+            t_probs = np.exp(log_softmax(t_logits).data)
+            positions = np.count_nonzero(batch["dec_in"] != PAD, axis=1)
+            table += np.split(t_probs, np.cumsum(positions)[:-1])
+
     def kd_term(n_rows: int, loss_s: Tensor,
                 loss_d: Tensor | None) -> Tensor:
         kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)
         kd_rows = [pseudo[int(i)] for i in kd_idx]
         kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
                               [ex.target for ex in kd_rows])
-        loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
-                                 drop_rng)
+        s_logits = student.forward(kd_batch["src"], kd_batch["dec_in"],
+                                   rng=drop_rng)
+        loss_kd = kd_loss(kd_kind, np.concatenate([table[i] for i in kd_idx]),
+                          log_softmax(s_logits))
         report.steps.append(StepTrace(
             loss_s.item(), 0.0 if loss_d is None else loss_d.item(),
             loss_kd.item()))
@@ -280,7 +301,8 @@ def bench_latency(model: Seq2SeqModel, queries: list[str], warmup: int = 10,
                   max_len: int = 32) -> LatencyReport:
     """Single-threaded per-query beam-search decode timing; p50/p95 from
     the empirical distribution. Queries are cycled when samples exceeds
-    the query count."""
+    the query count. A query longer than the model's max_len is a
+    DataError naming its index, raised before the warm-up."""
     if samples < 200:
         raise DataError("bench_latency needs at least 200 samples")
     if warmup < 10:
@@ -289,6 +311,11 @@ def bench_latency(model: Seq2SeqModel, queries: list[str], warmup: int = 10,
         raise DataError("bench_latency needs at least one query")
     vocab = model.config.vocab
     encoded = [encode_source(q, vocab) for q in queries]
+    for i, ids in enumerate(encoded):
+        try:
+            check_id_count(len(ids), model.config)
+        except DataError as e:
+            raise DataError(f"query {i}: {e}") from None
     for i in range(warmup):
         beam_search(model, encoded[i % len(encoded)], beam=beam,
                     max_len=max_len)

@@ -730,20 +730,36 @@ def js_reference(t: np.ndarray, s: np.ndarray) -> float:
 # Distillation
 # ---------------------------------------------------------------------------
 
+def teacher_probs(teacher, batch) -> np.ndarray:
+    """The teacher's probabilities over a batch's real decoder positions,
+    from a pass without a tape, as `distill.train_student` keeps them."""
+    from codemix.numerics import log_softmax, no_grad
+    with no_grad():
+        return np.exp(log_softmax(
+            teacher.forward(batch["src"], batch["dec_in"])).data)
+
+
 def reference_train_student(student_config, teacher, clean_corpus,
                             unlabeled_pool, kd_kind, rng, config=None,
                             beam: int = 3, initial_student=None):
     """Distillation as its own training loop, the way train_student ran
     before it became train.fit plus a KD term: the same five RNG streams,
-    batching, augmentation, KD sampling and AdamW steps, written out."""
+    batching, augmentation, KD sampling and AdamW steps, written out.
+
+    The teacher's probabilities come from one teacher-forced pass per
+    `batch_size` pseudo-labeled pairs, each pair's rows found by its target
+    length, and a KD batch stacks its pairs' rows. The chunks must be
+    train_student's: a product over other rows may differ in its last bit.
+    """
     from codemix.augment import sample_augmented_batch
     from codemix.distill import (KD_MAX_LEN, DistillConfig, DistillReport,
-                                 StepTrace, _kd_batch_loss,
-                                 generate_pseudo_labels)
+                                 StepTrace, generate_pseudo_labels, kd_loss)
     from codemix.errors import NonFiniteError, TrainingDivergedError
-    from codemix.numerics import AdamWState, Tensor, step_tensors
+    from codemix.numerics import (AdamWState, Tensor, log_softmax,
+                                  step_tensors)
     from codemix.seq2seq import (init_model, label_smoothed_ce, make_batch,
                                  pad_batch)
+    from codemix.text import encode
     cfg = config or DistillConfig()
     init_rng, data_rng, aug_rng, kd_rng, drop_rng = rng.spawn(5)
     student = initial_student or init_model(student_config, init_rng)
@@ -752,6 +768,17 @@ def reference_train_student(student_config, teacher, clean_corpus,
                                              beam=beam,
                                              max_len=KD_MAX_LEN)
     report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
+    table = []
+    for start in range(0, len(pseudo), cfg.batch_size):
+        chunk = pseudo[start:start + cfg.batch_size]
+        batch = make_batch(vocab, [ex.source for ex in chunk],
+                           [ex.target for ex in chunk])
+        probs = teacher_probs(teacher, batch)
+        for ex in chunk:
+            n = len(encode(ex.target, vocab)) + 1  # BOS + target tokens
+            table.append(probs[:n])
+            probs = probs[n:]
+        assert len(probs) == 0
     opt = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     snapshot = student.snapshot()
     for epoch in range(cfg.epochs):
@@ -782,8 +809,11 @@ def reference_train_student(student_config, teacher, clean_corpus,
                 kd_rows = [pseudo[int(i)] for i in kd_idx]
                 kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
                                       [ex.target for ex in kd_rows])
-                loss_kd = _kd_batch_loss(student, teacher, kd_batch, kd_kind,
-                                         drop_rng)
+                kd_logits = student.forward(kd_batch["src"],
+                                            kd_batch["dec_in"], rng=drop_rng)
+                loss_kd = kd_loss(kd_kind,
+                                  np.concatenate([table[i] for i in kd_idx]),
+                                  log_softmax(kd_logits))
                 loss = add(mul(add(loss_s, loss_d), 1.0 - cfg.lam),
                            mul(loss_kd, cfg.lam))
                 loss.backward()

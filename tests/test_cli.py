@@ -590,6 +590,22 @@ class TestBadInputFiles:
         err = _one_error_line(capsys)
         assert fname in err and "not valid UTF-8" in err
 
+    def test_crlf_vocab_is_exit_two_naming_the_line(self, tmp_path, capsys):
+        # CRLF line ends leave a CR in every token, so the first line does
+        # not spell <pad>: the error shows the CR, not a shape mismatch
+        ck = tmp_path / "ck"
+        shutil.copytree(TEACHER, ck)
+        vocab = ck / "vocab.txt"
+        vocab.write_bytes(vocab.read_bytes().replace(b"\n", b"\r\n"))
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(ck), "--input",
+                    str(inp), "--output", str(tmp_path / "out.txt")]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {ck}: vocab.txt line 1 is '<pad>\\r', not the special "
+            f"token '<pad>'\n")
+
     @pytest.mark.parametrize("key,value", [("n_heads", "0"),
                                            ("d_model", "sixty-four"),
                                            ("dropout_prob", "2.0")])
@@ -1155,6 +1171,22 @@ class TestBenchLatencyCli:
         assert (rec["p50_ms"], rec["p95_ms"]) == (0.635, 1.235)
         assert line == ("model=m p50=0.64ms p95=1.24ms "
                         "(200 samples, hardware: hw)")
+
+
+    def test_over_long_query_names_its_file_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # line 2 is blank, line 4 holds 40 words: 41 ids with EOS > 32
+        queries = tmp_path / "q.txt"
+        queries.write_text("kala juta\n\nred shoe\n"
+                           + " ".join(["kala"] * 40) + "\n", encoding="utf-8")
+        monkeypatch.setattr(distill_mod, "beam_search",
+                            lambda *a, **k: pytest.fail("decoded"))
+        capsys.readouterr()
+        assert run(["bench-latency", "--checkpoint", str(TEACHER),
+                    "--queries", str(queries)]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {queries}: line 4: sequence length 41 exceeds "
+            f"max_len 32\n")
 
 
 class TestAnalyzeXattnCli:

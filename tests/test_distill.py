@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,17 +12,18 @@ from codemix.distill import (JS_UPPER_BOUND, DistillConfig, KDKind,
                              bench_latency, generate_pseudo_labels, kd_loss,
                              train_student)
 from codemix.errors import DataError, TrainingDivergedError
-from codemix.numerics import Tensor, log_softmax, make_rng
+from codemix.numerics import Tensor, grad_enabled, log_softmax, make_rng
 from codemix.quant import (QuantizedTensor, dequantize, quantize_int8,
                            quantize_model)
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search_batch,
-                             encode_source, init_model, translate_corpus)
-from codemix.text import (ParallelExample, Provenance, SynthTaskSpec,
+                             encode_source, init_model, make_batch,
+                             translate_corpus)
+from codemix.text import (ParallelExample, Provenance, SynthTaskSpec, Vocab,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
 
 from oracles import (finite_diff_grad_check, js_reference,
-                     reference_train_student)
+                     reference_train_student, teacher_probs)
 
 TEACHER = (Path(__file__).resolve().parents[1] / "perfbench" / "artifacts"
            / "teacher")
@@ -340,13 +343,79 @@ class TestTrainStudent:
 
     def test_clone_teacher_js_stays_zero(self):
         teacher, clean, pool = self._setup()
-        from codemix.distill import _kd_batch_loss
-        from codemix.seq2seq import make_batch
         batch = make_batch(teacher.config.vocab,
                            [ex.source for ex in clean],
                            [ex.target for ex in clean])
-        loss = _kd_batch_loss(teacher, teacher, batch, KDKind.JS, None)
+        loss = kd_loss(KDKind.JS, teacher_probs(teacher, batch), log_softmax(
+            teacher.forward(batch["src"], batch["dec_in"])))
         assert abs(loss.item()) < 1e-9
+
+    @staticmethod
+    def _student_cfg(teacher):
+        return Seq2SeqConfig(vocab=teacher.config.vocab, n_enc_layers=1,
+                             n_dec_layers=1, d_model=16, n_heads=2, d_ff=32,
+                             max_len=16)
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 12, 64])
+    def test_teacher_runs_once_per_chunk_of_pairs_before_fit(
+            self, monkeypatch, batch_size):
+        teacher, clean, pool = self._setup()
+        calls, at_fit = [], []
+        forward, fit = teacher.forward, distill_mod.fit
+
+        def spy_forward(*args, **kwargs):
+            calls.append(grad_enabled())
+            return forward(*args, **kwargs)
+
+        def spy_fit(*args, **kwargs):
+            at_fit.append(len(calls))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(teacher, "forward", spy_forward)
+        monkeypatch.setattr(distill_mod, "fit", spy_fit)
+        for seed in (30, 31):
+            _, report = train_student(
+                self._student_cfg(teacher), teacher, clean, pool, KDKind.JS,
+                make_rng(seed), DistillConfig(epochs=2, batch_size=batch_size))
+            assert report.steps
+        passes = math.ceil((len(pool) - report.skipped_sources) / batch_size)
+        # each call's passes all come before fit, none during its steps
+        assert at_fit == [passes, 2 * passes]
+        assert calls == [False] * (2 * passes)
+
+    def test_kd_targets_are_each_pairs_own_teacher_rows(self, monkeypatch):
+        teacher, clean, pool = self._setup()
+        vocab = teacher.config.vocab
+        batches, kd_targets = [], []
+        real_batch, real_kd = distill_mod.make_batch, distill_mod.kd_loss
+
+        def spy_batch(vocab, sources, targets):
+            batches.append(list(zip(sources, targets)))
+            return real_batch(vocab, sources, targets)
+
+        def spy_kd(kind, t_probs, s_logp):
+            kd_targets.append((batches[-1], t_probs))
+            return real_kd(kind, t_probs, s_logp)
+
+        monkeypatch.setattr(distill_mod, "make_batch", spy_batch)
+        monkeypatch.setattr(distill_mod, "kd_loss", spy_kd)
+        train_student(self._student_cfg(teacher), teacher, clean, pool,
+                      KDKind.JS, make_rng(32),
+                      DistillConfig(epochs=2, batch_size=5))
+        seen: dict[tuple[str, str], list[np.ndarray]] = {}
+        for pairs, probs in kd_targets:
+            for src, tgt in pairs:
+                n = len(encode_source(tgt, vocab))  # BOS + target tokens
+                rows, probs = probs[:n], probs[n:]
+                alone = teacher_probs(teacher, make_batch(vocab, [src],
+                                                          [tgt]))
+                np.testing.assert_allclose(rows, alone, rtol=0, atol=1e-6)
+                seen.setdefault((src, tgt), []).append(rows)
+            assert len(probs) == 0
+        # a pair's rows do not depend on the pairs that share its batch
+        assert max(len(r) for r in seen.values()) > 1
+        for pair, rows in seen.items():
+            assert all(np.array_equal(r, rows[0]) for r in rows), pair
 
     def test_epoch_means_follow_the_batches_fit_cuts(self, monkeypatch):
         # one row, then batches of batch_size: 12 rows in batches of 5 make
@@ -444,6 +513,30 @@ class TestTrainStudent:
                           KDKind.JS, make_rng(0))
 
 
+    @pytest.mark.parametrize("change,message", [
+        # the same 29 tokens in another order: same size, other ids
+        (lambda toks: (toks[::-1], "word"),
+         r"^student vocabulary spells id 5 '\S+', the teacher's '\S+'$"),
+        (lambda toks: (toks[:-1], "word"),
+         "^student vocabulary has 28 tokens, the teacher's 29$"),
+        (lambda toks: (toks, "char"),
+         "^student vocab mode 'char' is not the teacher's 'word'$"),
+    ], ids=["reordered", "smaller", "char-mode"])
+    def test_student_vocab_must_be_the_teachers(self, monkeypatch, change,
+                                                message):
+        teacher, clean, pool = self._setup()
+        tokens, mode = change(teacher.config.vocab.id_to_token[5:])
+        cfg = replace(self._student_cfg(teacher), vocab=Vocab(tokens, mode))
+        monkeypatch.setattr(distill_mod, "generate_pseudo_labels",
+                            lambda *a, **k: pytest.fail("pseudo-labelled"))
+        with pytest.raises(DataError, match=message):
+            train_student(cfg, teacher, clean, pool, KDKind.JS, make_rng(0))
+        student = init_model(cfg, make_rng(1))
+        with pytest.raises(DataError, match=message.replace(
+                "^student", "^initial_student")):
+            train_student(self._student_cfg(teacher), teacher, clean, pool,
+                          KDKind.JS, make_rng(0), initial_student=student)
+
     def test_initial_student_max_len_decides_the_skipped_pairs(
             self, monkeypatch):
         # the student that trains has max_len 5, the config 32: the 6-word
@@ -481,11 +574,8 @@ class TestTrainStudentMatchesReference:
     """train_student is train.fit plus a KD term; with the same seed it must
     take exactly the steps of the stand-alone distillation loop."""
 
-    @pytest.mark.parametrize("kd_kind", [KDKind.JS, KDKind.CE])
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("kinds", [(), DistillConfig().kinds],
-                             ids=["no_aug", "default_aug"])
-    def test_equal_to_reference_loop(self, kd_kind, lam, kinds):
+    @staticmethod
+    def _check(kd_kind, lam, kinds, batch_size):
         teacher, corpus = overfit_teacher(pairs=12)
         clean = [ParallelExample(ex.source, ex.target,
                                  Provenance.CLEAN_MANUAL) for ex in corpus]
@@ -494,19 +584,33 @@ class TestTrainStudentMatchesReference:
                                     n_enc_layers=1, n_dec_layers=1,
                                     d_model=16, n_heads=2, d_ff=32,
                                     max_len=16, dropout_prob=0.1)
-        cfg = DistillConfig(epochs=2, lr=1e-3, batch_size=5, lam=lam,
-                            kinds=kinds)
+        cfg = DistillConfig(epochs=2, lr=1e-3, batch_size=batch_size,
+                            lam=lam, kinds=kinds)
         got_model, got = train_student(student_cfg, teacher, clean, pool,
                                        kd_kind, make_rng(41), cfg)
         ref_model, ref = reference_train_student(
             student_cfg, teacher, clean, pool, kd_kind, make_rng(41), cfg)
-        assert len(got.steps) == 2 * 3
+        assert len(got.steps) == 2 * math.ceil(12 / batch_size)
         assert got.steps == ref.steps
         assert got.epoch_means == ref.epoch_means
         assert got.skipped_sources == ref.skipped_sources
         assert got.kd_kind == ref.kd_kind
         for name, t in ref_model.params.items():
             assert np.array_equal(got_model.params[name].data, t.data), name
+
+    @pytest.mark.parametrize("kd_kind", [KDKind.JS, KDKind.CE])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kinds", [(), DistillConfig().kinds],
+                             ids=["no_aug", "default_aug"])
+    def test_equal_to_reference_loop(self, kd_kind, lam, kinds):
+        self._check(kd_kind, lam, kinds, batch_size=5)
+
+    # 1: every KD batch holds one row; 3, 4 and 6: batch sizes at which a
+    # teacher pass per KD batch moved a step's loss_kd by 1 ulp, so the
+    # reference must build its table in train_student's chunks
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 6])
+    def test_equal_to_reference_at_other_batch_sizes(self, batch_size):
+        self._check(KDKind.JS, 0.5, DistillConfig().kinds, batch_size)
 
 
 class TestLatency:
@@ -529,3 +633,15 @@ class TestLatency:
             bench_latency(model, queries, warmup=5, samples=200)
         with pytest.raises(DataError):
             bench_latency(model, [], warmup=10, samples=200)
+
+    def test_over_long_query_named_before_the_warm_up(self, monkeypatch):
+        # max_len 16: 15 words and EOS fit, 16 words and EOS do not
+        model, corpus = overfit_teacher()
+        word = corpus[0].source.split()[0]
+        queries = [corpus[0].source, " ".join([word] * 15),
+                   " ".join([word] * 16)]
+        monkeypatch.setattr(distill_mod, "beam_search",
+                            lambda *a, **k: pytest.fail("decoded"))
+        with pytest.raises(DataError, match="^query 2: sequence length 17 "
+                                            "exceeds max_len 16$"):
+            bench_latency(model, queries, warmup=10, samples=200)

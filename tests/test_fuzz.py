@@ -320,6 +320,13 @@ LAYOUT_CASES = {
     "vocab-last-newline-missing": (
         lambda f: f.update({"vocab.txt": f["vocab.txt"][:-1]}),
         "vocab.txt does not end in a newline"),
+    "vocab-special-token-missing": (
+        lambda f: f.update({"vocab.txt": b"<pad>\n<s>\n</s>\n"}),
+        "vocab.txt line 4 is missing, not the special token '<unk>'"),
+    "vocab-special-token-moved": (
+        lambda f: f.update({"vocab.txt": f["vocab.txt"].replace(
+            b"<unk>\n<mask>\n", b"<mask>\n<unk>\n")}),
+        "vocab.txt line 4 is '<mask>', not the special token '<unk>'"),
 }
 
 

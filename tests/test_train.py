@@ -9,11 +9,11 @@ from codemix import train as train_mod
 from codemix.analysis import XAttnExperimentConfig, ae_xattn_experiment
 from codemix.augment import AugKind
 from codemix.checkpoint import load_checkpoint, read_kv, save_checkpoint
-from codemix.distill import DistillConfig, KDKind, _kd_batch_loss
+from codemix.distill import DistillConfig, KDKind, kd_loss
 from codemix.errors import (CheckpointError, CodemixError, DataError,
                             ShapeError, TrainingDivergedError)
 from codemix.langid import gen_langid_corpus, train_crf
-from codemix.numerics import Tensor, make_rng, no_grad
+from codemix.numerics import Tensor, log_softmax, make_rng, no_grad
 from codemix.numerics import tensor as tensor_mod
 from codemix.numerics.tensor import gelu_forward, layer_norm_forward
 from codemix.quant import quantize_model
@@ -27,7 +27,7 @@ from codemix.train import (StageConfig, TrainingConfig, config_from_items,
                            evaluate_loss, fit, train_stage1, train_stage2)
 from codemix.translit import train_translit
 
-from oracles import check_pure_backward, tape_nodes
+from oracles import check_pure_backward, tape_nodes, teacher_probs
 
 
 SPEC = SynthTaskSpec(lexicon_size=12, code_mix_ratio=0.2,
@@ -432,8 +432,9 @@ class TestPureBackward:
         roots = [label_smoothed_ce(student.forward(batch["src"],
                                                    batch["dec_in"], rng=rng),
                                    batch["labels"], 0.1)]
-        roots += [_kd_batch_loss(student, teacher, batch, kind, rng)
-                  for kind in KDKind]
+        t_probs = teacher_probs(teacher, batch)
+        roots += [kd_loss(kind, t_probs, log_softmax(student.forward(
+            batch["src"], batch["dec_in"], rng=rng))) for kind in KDKind]
         names = check_pure_backward(tape_nodes(*roots))
         assert {n.split(".<locals>")[0] for n in names} == {
             "Seq2SeqModel._embed", "Seq2SeqModel._block", "linear",
@@ -742,11 +743,12 @@ class TestExtraLossHook:
         batch = make_batch(student.config.vocab,
                            [ex.source for ex in corpus],
                            [ex.target for ex in corpus])
+        t_probs = teacher_probs(teacher, batch)
         fit(student, corpus, epochs=1, lr=1e-3, batch_size=8,
             kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
             weight_decay=0.0, rngs=make_rng(24).spawn(3),
-            extra_loss=lambda n, s, d: _kd_batch_loss(student, teacher,
-                                                      batch, kind, None))
+            extra_loss=lambda n, s, d: kd_loss(kind, t_probs, log_softmax(
+                student.forward(batch["src"], batch["dec_in"]))))
         assert {"label_smoothed_ce", "kd_loss"} <= set(ops)
         assert set(ops) & {"add", "mul", "tsum", "exp"} == set()
 
