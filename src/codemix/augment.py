@@ -7,9 +7,10 @@ batch and applied to examples sampled with replacement.
 
 An augmented batch's loss loss_d joins the supervised loss loss_s in
 `train.fit`'s objective (1 - lambda) * loss_s + lambda * loss_d. No tape
-node forms that sum: loss_s's backward runs first, seeded with
-1 - lambda, then loss_d's, seeded with lambda, the order in which a walk
-of the summed loss reached them, so the gradients keep its bits.
+node forms that sum: loss_s's backward, seeded with 1 - lambda, runs
+before the augmented batch's forward, then loss_d's, seeded with lambda.
+That is the order in which a walk of the summed loss reached them, so the
+gradients keep its bits, and a step holds one term's graph at a time.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ student trains in the shared loop `train.fit`, which takes the KD loss
 through its `extra_loss` hook and minimizes
     (1 - lambda) * (loss_s + loss_d) + lambda * loss_kd
 with lambda = 0.5 by default. No tape node forms that sum: `fit` runs each
-term's backward in turn, loss_s, loss_d, then loss_kd, each seeded with
-its weight, which is the order a walk of the summed loss reached them in,
-so every parameter's gradient adds up in the same order and keeps its
-bits.
+term's backward right after its forward, loss_s, loss_d, then loss_kd,
+each seeded with its weight, so a step holds one term's graph at a time.
+That is the order a walk of the summed loss reached them in, so every
+parameter's gradient adds up in the same order and keeps its bits. The KD
+term runs last and gets the other two terms' values as floats.
 """
 
 from __future__ import annotations
@@ -244,8 +245,7 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
             positions = np.count_nonzero(batch["dec_in"] != PAD, axis=1)
             table += np.split(t_probs, np.cumsum(positions)[:-1])
 
-    def kd_term(n_rows: int, loss_s: Tensor,
-                loss_d: Tensor | None) -> Tensor:
+    def kd_term(n_rows: int, loss_s: float, loss_d: float | None) -> Tensor:
         kd_idx = kd_rng.integers(0, len(pseudo), size=n_rows)
         kd_rows = [pseudo[int(i)] for i in kd_idx]
         kd_batch = make_batch(vocab, [ex.source for ex in kd_rows],
@@ -255,8 +255,7 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
         loss_kd = kd_loss(kd_kind, np.concatenate([table[i] for i in kd_idx]),
                           log_softmax(s_logits))
         report.steps.append(StepTrace(
-            loss_s.item(), 0.0 if loss_d is None else loss_d.item(),
-            loss_kd.item()))
+            loss_s, 0.0 if loss_d is None else loss_d, loss_kd.item()))
         return loss_kd
 
     recorded = 0  # steps of the epochs already recorded

@@ -243,20 +243,23 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
         (1 - lambda) * loss_s + lambda * loss_d
     and skips augmentation at lambda == 0 (the objective is then loss_s).
     `extra_loss(n_rows, loss_s, loss_d)` adds a third term: it runs after the
-    supervised and augmentation forwards of each step (`loss_d` is None when
-    no augmented batch was drawn) and returns a scalar tensor `loss_x` of
-    its own graph (the backwards of loss_s and loss_d free theirs); the step
-    then minimizes
+    supervised and augmentation terms of each step, gets their values as
+    floats (`loss_d` is None when no augmented batch was drawn) and returns
+    a scalar tensor `loss_x` of its own graph; the step then minimizes
         (1 - lambda) * (loss_s + loss_d) + lambda * loss_x
     and augmentation runs whenever `kinds` is non-empty. No tape node forms
-    the sum: each term runs its own backward, seeded with its weight, in
-    the order loss_s, loss_d, loss_x. A walk of the summed loss reached the
-    terms in that order, so each parameter's gradient adds the terms'
-    parts in the same order and keeps its bits.
+    the sum: each term runs its backward, seeded with its weight, right
+    after its forward, so a step holds one term's graph at a time. The
+    terms share no activations, and a forward reads the weights only, so
+    this is the step of the summed loss: the dropout, augmentation and
+    hook streams are drawn in the same order, and each parameter's
+    gradient adds the parts of loss_s, loss_d and loss_x in the order a
+    walk of the sum reached them, keeping its bits.
 
     `on_epoch_end(model, epoch, report)` runs after each epoch; returning a
-    truthy value stops training early. Divergence (non-finite loss) rolls the
-    model back to the last epoch-end snapshot and raises TrainingDivergedError.
+    truthy value stops training early. Divergence (non-finite loss) clears
+    every parameter's gradient, rolls the model back to the last epoch-end
+    snapshot and raises TrainingDivergedError.
     An int8 model is inference only: `check_trainable` raises DataError. So
     does a pair that does not fit the model (`check_pairs`), before the
     first step.
@@ -269,6 +272,11 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     check_pairs(corpus, model.config)
     vocab = model.config.vocab
     use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
+    # each term's weight in the objective seeds its backward
+    w_s = 1.0 - lam if use_aug or extra_loss is not None else 1.0
+    w_d = 1.0 - lam if extra_loss is not None else lam
+    seed_s, seed_d, seed_x = (np.asarray(w, model.dtype)
+                              for w in (w_s, w_d, lam))
     data_rng, aug_rng, drop_rng = rngs
     opt = AdamWState(lr=lr, weight_decay=weight_decay)
     report = TrainReport(stage=stage)
@@ -283,35 +291,32 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                 rows = [corpus[order[i]] for i in idxs]
                 batch = make_batch(vocab, [ex.source for ex in rows],
                                    [ex.target for ex in rows])
-                logits = model.forward(batch["src"], batch["dec_in"],
-                                       rng=drop_rng)
-                loss_s = label_smoothed_ce(logits, batch["labels"],
-                                           label_smoothing)
-                loss_d = None
+                # no logits local: it would keep an (n, V) array alive
+                # through the next term's forward
+                term = label_smoothed_ce(
+                    model.forward(batch["src"], batch["dec_in"],
+                                  rng=drop_rng),
+                    batch["labels"], label_smoothing)
+                term.backward(seed_s)
+                loss_s, loss_d = term.item(), None
                 if use_aug:
                     aug = sample_augmented_batch(corpus, kinds, len(rows),
                                                  aug_rng, vocab)
                     abatch = pad_batch(aug.inputs, aug.outputs)
-                    alogits = model.forward(abatch["src"], abatch["dec_in"],
-                                            rng=drop_rng)
-                    loss_d = label_smoothed_ce(alogits, abatch["labels"],
-                                               label_smoothing)
-                    aug_losses.setdefault(aug.kind.value, []).append(loss_d.item())
-                # s, d, x: the order in which a walk of the summed loss
-                # added into the shared parameters; it keeps their bits
+                    term = label_smoothed_ce(
+                        model.forward(abatch["src"], abatch["dec_in"],
+                                      rng=drop_rng),
+                        abatch["labels"], label_smoothing)
+                    term.backward(seed_d)
+                    loss_d = term.item()
+                    aug_losses.setdefault(aug.kind.value, []).append(loss_d)
                 if extra_loss is not None:
-                    terms = ((loss_s, 1.0 - lam), (loss_d, 1.0 - lam),
-                             (extra_loss(len(rows), loss_s, loss_d), lam))
-                elif loss_d is not None:
-                    terms = ((loss_s, 1.0 - lam), (loss_d, lam))
-                else:
-                    terms = ((loss_s, 1.0),)
-                for term, weight in terms:
-                    if term is not None:
-                        term.backward(np.asarray(weight, model.dtype))
+                    extra_loss(len(rows), loss_s, loss_d).backward(seed_x)
                 step_tensors(model.params, opt)
-                losses.append(loss_s.item())
+                losses.append(loss_s)
         except NonFiniteError as e:
+            for t in model.params.values():  # a term's backward may have run
+                t.zero_grad()
             model.restore(snapshot)
             raise TrainingDivergedError(
                 f"{stage} epoch {epoch}: {e}; model rolled back to the "

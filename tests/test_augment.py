@@ -133,9 +133,10 @@ def same_bytes(a, b) -> bool:
 
 
 class TestObjective:
-    """`fit` runs each term's backward on its own, seeded with its weight;
-    its step must be the one of a single backward of the composed loss
-    (1 - lambda) * loss_s + lambda * loss_d, then AdamW."""
+    """`fit` runs each term's backward right after its forward, seeded
+    with its weight; its steps must be the ones of a single backward of
+    the composed loss (1 - lambda) * loss_s + lambda * loss_d after both
+    forwards, then AdamW."""
 
     SPEC = SynthTaskSpec(lexicon_size=8, seed=3)
 
@@ -145,36 +146,43 @@ class TestObjective:
                             max_len=16, dropout_prob=0.1)
         return init_model(cfg, make_rng(4))
 
-    def composed_step(self, corpus, lam, rngs):
-        """One step over the whole corpus, written out: fit's batching and
-        streams, one backward of the composed loss, one AdamW step."""
+    def composed_steps(self, corpus, lam, batch_size, rngs):
+        """One epoch, written out: fit's batching and streams, and per
+        step both forwards, one backward of the composed loss and one
+        AdamW step."""
         model = self.model()
         data_rng, aug_rng, drop_rng = rngs
         vocab = model.config.vocab
-        rows = [corpus[i] for i in data_rng.permutation(len(corpus))]
-        batch = make_batch(vocab, [ex.source for ex in rows],
-                           [ex.target for ex in rows])
-        loss_s = label_smoothed_ce(
-            model.forward(batch["src"], batch["dec_in"], rng=drop_rng),
-            batch["labels"], 0.1)
-        aug = sample_augmented_batch(corpus, KINDS, len(rows), aug_rng,
-                                     vocab)
-        abatch = pad_batch(aug.inputs, aug.outputs)
-        loss_d = label_smoothed_ce(
-            model.forward(abatch["src"], abatch["dec_in"], rng=drop_rng),
-            abatch["labels"], 0.1)
-        add(mul(loss_s, 1.0 - lam), mul(loss_d, lam)).backward()
-        step_tensors(model.params, AdamWState(lr=1e-3, weight_decay=0.01))
+        opt = AdamWState(lr=1e-3, weight_decay=0.01)
+        order = data_rng.permutation(len(corpus))
+        for start in range(0, len(corpus), batch_size):
+            rows = [corpus[i] for i in order[start:start + batch_size]]
+            batch = make_batch(vocab, [ex.source for ex in rows],
+                               [ex.target for ex in rows])
+            loss_s = label_smoothed_ce(
+                model.forward(batch["src"], batch["dec_in"], rng=drop_rng),
+                batch["labels"], 0.1)
+            aug = sample_augmented_batch(corpus, KINDS, len(rows), aug_rng,
+                                         vocab)
+            abatch = pad_batch(aug.inputs, aug.outputs)
+            loss_d = label_smoothed_ce(
+                model.forward(abatch["src"], abatch["dec_in"], rng=drop_rng),
+                abatch["labels"], 0.1)
+            add(mul(loss_s, 1.0 - lam), mul(loss_d, lam)).backward()
+            step_tensors(model.params, opt)
         return model
 
     @pytest.mark.parametrize("lam", [0.3, 1.0])
     def test_one_fit_step_matches_the_composed_loss(self, lam):
+        # two steps with dropout on: the streams cross a step boundary
         corpus, _ = gen_synthetic_corpus(self.SPEC, 8)
+        batch_size = len(corpus) // 2
         got = self.model()
-        fit(got, corpus, epochs=1, lr=1e-3, batch_size=len(corpus),
+        fit(got, corpus, epochs=1, lr=1e-3, batch_size=batch_size,
             kinds=KINDS, lam=lam, label_smoothing=0.1, weight_decay=0.01,
             rngs=make_rng(5).spawn(3))
-        want = self.composed_step(corpus, lam, make_rng(5).spawn(3))
+        want = self.composed_steps(corpus, lam, batch_size,
+                                   make_rng(5).spawn(3))
         for name, t in want.params.items():
             assert same_bytes(got.params[name].data, t.data), name
 

@@ -11,7 +11,8 @@ from codemix.augment import AugKind
 from codemix.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from codemix.distill import DistillConfig, KDKind, kd_loss
 from codemix.errors import (CheckpointError, CodemixError, DataError,
-                            ShapeError, TrainingDivergedError)
+                            NonFiniteError, ShapeError,
+                            TrainingDivergedError)
 from codemix.langid import gen_langid_corpus, train_crf
 from codemix.numerics import Tensor, log_softmax, make_rng, no_grad
 from codemix.numerics import tensor as tensor_mod
@@ -112,6 +113,31 @@ class TestStage1:
         assert all(np.array_equal(model.params[k].data, before[k])
                    for k in before)
         assert all(t.grad is None for t in model.params.values())
+
+    def test_divergence_after_a_terms_backward_leaves_no_gradient(
+            self, monkeypatch):
+        # the augmented forward fails after loss_s's backward filled .grad;
+        # a caller that trains the restored model again must start clean
+        ce, calls = train_mod.label_smoothed_ce, []
+
+        def failing_ce(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NonFiniteError("label_smoothed_ce output is not finite")
+            return ce(*args)
+
+        monkeypatch.setattr(train_mod, "label_smoothed_ce", failing_ce)
+        corpus, _ = gen_synthetic_corpus(SPEC, 16)
+        model = small_setup(seed=6)
+        before = model.snapshot()
+        with pytest.raises(TrainingDivergedError, match="rolled back"):
+            fit(model, corpus, epochs=1, lr=1e-3, batch_size=16,
+                kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
+                weight_decay=0.0, rngs=make_rng(8).spawn(3))
+        assert len(calls) == 2
+        assert all(t.grad is None for t in model.params.values())
+        assert all(np.array_equal(model.params[k].data, before[k])
+                   for k in before)
 
     def test_report_has_aug_means(self):
         corpus, _ = gen_synthetic_corpus(SPEC, 80)
@@ -293,8 +319,9 @@ class TestWeightsBinding:
 
 
 class TestFreedTape:
-    """backward() frees the graph as it walks it, so a training step holds
-    one step's activations, never two."""
+    """backward() frees the graph as it walks it, and `fit` runs each loss
+    term's backward right after its forward, so a training step holds one
+    term's graph at a time: never two steps' activations, nor two terms'."""
 
     def test_backward_frees_every_node_it_reached(self):
         model = small_setup(seed=30)
@@ -317,22 +344,72 @@ class TestFreedTape:
         with pytest.raises(CodemixError, match="freed"):
             loss.backward()
 
-    def test_peak_memory_does_not_grow_with_steps(self):
+    @staticmethod
+    def peak(epochs, kinds):
+        """tracemalloc's peak over `fit` on 32 pairs at batch size 32, so
+        one step per epoch."""
         corpus, _ = gen_synthetic_corpus(SPEC, 32)
+        model = small_setup(seed=31)
+        tracemalloc.start()
+        try:
+            fit(model, corpus, epochs=epochs, lr=1e-3, batch_size=32,
+                kinds=kinds, lam=0.5, label_smoothing=0.1, weight_decay=0.01,
+                rngs=make_rng(32).spawn(3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def peak(epochs):  # one step per epoch
-            model = small_setup(seed=31)
-            tracemalloc.start()
-            try:
-                fit(model, corpus, epochs=epochs, lr=1e-3, batch_size=32,
-                    kinds=(AugKind.AUTOENCODER,), lam=0.5,
-                    label_smoothing=0.1, weight_decay=0.01,
-                    rngs=make_rng(32).spawn(3))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_peak_memory_does_not_grow_with_steps(self):
+        kinds = (AugKind.AUTOENCODER,)
+        assert self.peak(4, kinds) <= 1.3 * self.peak(1, kinds)
 
-        assert peak(4) <= 1.3 * peak(1)
+    def test_an_augmented_term_adds_little_to_a_steps_peak(self):
+        # the augmented term's graph is built after the supervised one is
+        # freed, so a step's peak is about one term's (a step that held
+        # both graphs read 1.7 times the supervised step's)
+        assert self.peak(1, (AugKind.AUTOENCODER,)) <= 1.25 * self.peak(1, ())
+
+
+class TestTermOrder:
+    """Each loss term's backward runs right after its forward."""
+
+    def calls(self, monkeypatch, model, **fit_kwargs):
+        forward, backward, calls = Seq2SeqModel.forward, Tensor.backward, []
+
+        def spy_forward(self, *args, **kwargs):
+            calls.append("F")
+            return forward(self, *args, **kwargs)
+
+        def spy_backward(self, *args, **kwargs):
+            calls.append("B")
+            return backward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Seq2SeqModel, "forward", spy_forward)
+        monkeypatch.setattr(Tensor, "backward", spy_backward)
+        corpus, _ = gen_synthetic_corpus(SPEC, 8)
+        fit(model, corpus, epochs=1, lr=1e-3, batch_size=4,
+            kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
+            weight_decay=0.0, rngs=make_rng(34).spawn(3), **fit_kwargs)
+        return "".join(calls)
+
+    def test_augmentation_alternates_forward_and_backward(self,
+                                                          monkeypatch):
+        assert self.calls(monkeypatch, small_setup(seed=33)) == "FBFB" * 2
+
+    def test_a_hook_term_runs_after_both_backwards(self, monkeypatch):
+        student, teacher = small_setup(seed=35), small_setup(seed=36)
+        corpus, _ = gen_synthetic_corpus(SPEC, 4)
+        batch = make_batch(student.config.vocab,
+                           [ex.source for ex in corpus],
+                           [ex.target for ex in corpus])
+        t_probs = teacher_probs(teacher, batch)
+
+        def hook(n_rows, loss_s, loss_d):
+            return kd_loss(KDKind.JS, t_probs, log_softmax(
+                student.forward(batch["src"], batch["dec_in"])))
+
+        assert self.calls(monkeypatch, student,
+                          extra_loss=hook) == "FBFBFB" * 2  # two steps
 
 
 def held_arrays(fn) -> list[np.ndarray]:
@@ -704,8 +781,9 @@ class TestEvaluateLoss:
 
 
 class TestExtraLossHook:
-    def test_hook_gets_no_augmentation_loss_without_kinds(self):
-        # a hook and no augmentation kinds, as distillation with kinds=()
+    def hook_args(self, kinds):
+        """The types of loss_s and loss_d that the hook gets at each step:
+        their graphs are freed by then, so they come as floats."""
         model = small_setup(seed=20)
         corpus, _ = gen_synthetic_corpus(SPEC, 24)
         batch = make_batch(model.config.vocab,
@@ -714,15 +792,22 @@ class TestExtraLossHook:
         seen = []
 
         def hook(n_rows, loss_s, loss_d):
-            seen.append(loss_d)
+            seen.append((type(loss_s), type(loss_d)))
             return label_smoothed_ce(
                 model.forward(batch["src"], batch["dec_in"]),
                 batch["labels"], 0.1)
 
-        fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
+        fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=kinds,
             lam=0.5, label_smoothing=0.1, weight_decay=0.0,
             rngs=make_rng(21).spawn(3), extra_loss=hook)
-        assert seen == [None] * 3
+        return seen
+
+    def test_hook_gets_no_augmentation_loss_without_kinds(self):
+        # a hook and no augmentation kinds, as distillation with kinds=()
+        assert self.hook_args(()) == [(float, type(None))] * 3
+
+    def test_hook_gets_the_other_terms_values_as_floats(self):
+        assert self.hook_args((AugKind.MASK,)) == [(float, float)] * 3
 
     @pytest.mark.parametrize("kind", list(KDKind))
     def test_step_builds_no_elementwise_node(self, kind, monkeypatch):
