@@ -20,9 +20,10 @@ from .bleu import bleu_corpus
 from .checkpoint import load_checkpoint, read_kv, save_checkpoint
 from .distill import DistillConfig, KDKind, bench_latency, train_student
 from .errors import CodemixError, DataError, UsageError
-from .langid import (detect_query_language, eval_prf, gen_langid_corpus,
-                     load_crf, load_token_labels, query_gold_language,
-                     save_crf, save_token_labels, train_crf)
+from .langid import (LabeledQuery, detect_query_language, eval_prf,
+                     gen_langid_corpus, load_crf, load_token_labels,
+                     query_gold_language, save_crf, save_token_labels,
+                     train_crf)
 from .numerics import make_rng
 from .quant import quantize_model
 from .seq2seq import (Seq2SeqConfig, check_length, init_model,
@@ -112,20 +113,31 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _model_config(args, vocab, max_len: int) -> Seq2SeqConfig:
-    return Seq2SeqConfig(vocab=vocab, n_enc_layers=args.enc_layers,
-                         n_dec_layers=args.dec_layers, d_model=args.d_model,
-                         n_heads=args.heads, d_ff=args.d_ff,
-                         max_len=max_len, dropout_prob=args.dropout)
+# Each model flag's dest and the Seq2SeqConfig field it sets.
+_MODEL_FLAGS = {"enc_layers": "n_enc_layers", "dec_layers": "n_dec_layers",
+                "d_model": "d_model", "heads": "n_heads", "d_ff": "d_ff",
+                "max_len": "max_len", "dropout": "dropout_prob"}
 
 
-def _add_model_flags(p: argparse.ArgumentParser, layers: int) -> None:
+def _model_config(args, vocab, **fixed) -> Seq2SeqConfig:
+    """The model flags' config, with the `fixed` fields that the command's
+    flags do not set; a flag not given takes Seq2SeqConfig's default."""
+    given = {field: getattr(args, dest) for dest, field in _MODEL_FLAGS.items()
+             if getattr(args, dest, None) is not None}
+    return Seq2SeqConfig(vocab=vocab, **given, **fixed)
+
+
+def _add_model_flags(p: argparse.ArgumentParser,
+                     layers: int | None = None) -> None:
+    """The model flags but --max-len. Each defaults to None, which leaves
+    its field at Seq2SeqConfig's default, but the layer counts default to
+    `layers` when it is given."""
     p.add_argument("--enc-layers", type=int, default=layers)
     p.add_argument("--dec-layers", type=int, default=layers)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--d-model", type=int)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--d-ff", type=int)
+    p.add_argument("--dropout", type=float)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +145,8 @@ def _add_model_flags(p: argparse.ArgumentParser, layers: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_corpus(args) -> int:
-    for flag, n in (("--n-train", args.n_train), ("--n-test", args.n_test),
-                    ("--n-clean", args.n_clean),
+    check_count("--n-train", args.n_train, least=1)
+    for flag, n in (("--n-test", args.n_test), ("--n-clean", args.n_clean),
                     ("--langid-n", args.langid_n), ("--seed", args.seed)):
         check_count(flag, n)
     spec = SynthTaskSpec(lexicon_size=args.lexicon_size,
@@ -164,6 +176,11 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    for dest in _MODEL_FLAGS:
+        if args.init_from and getattr(args, dest) is not None:
+            raise UsageError(f"--{dest.replace('_', '-')} cannot be given "
+                             f"with --init-from, whose checkpoint sets the "
+                             f"model")
     tcfg = TrainingConfig()
     if args.config:
         tcfg = config_from_items(read_kv(Path(args.config)))
@@ -184,8 +201,7 @@ def _cmd_train(args) -> int:
         model = load_checkpoint(args.init_from)
     else:
         vocab = build_vocab(noisy + clean, mode="word")
-        model = init_model(_model_config(args, vocab, args.max_len),
-                           init_rng)
+        model = init_model(_model_config(args, vocab), init_rng)
     for path, corpus in ((args.train_tsv, noisy), (args.clean_tsv, clean)):
         check_pairs(corpus, model.config, path)
     records = []
@@ -208,7 +224,7 @@ def _cmd_distill(args) -> int:
     clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL)
     pool = _read_lines(args.pool)
     student_cfg = _model_config(args, teacher.config.vocab,
-                                teacher.config.max_len)
+                                max_len=teacher.config.max_len)
     check_pairs(clean, student_cfg, args.clean_tsv)
     student, report = train_student(student_cfg, teacher, clean, pool,
                                     KDKind(args.kd), make_rng(args.seed),
@@ -298,15 +314,25 @@ def _cmd_analyze_xattn(args) -> int:
     return 0
 
 
+def _load_queries(path: str) -> list[LabeledQuery]:
+    """The labeled queries of a CoNLL file; a file with none is a DataError
+    naming it."""
+    queries = load_token_labels(path)
+    if not queries:
+        raise DataError(f"{path}: no labeled queries")
+    return queries
+
+
 def _cmd_train_langid(args) -> int:
-    queries = load_token_labels(args.conll)
+    # both files are read before training, so a bad one writes no model
+    queries = _load_queries(args.conll)
+    test = _load_queries(args.eval_conll) if args.eval_conll else None
     crf = train_crf(queries, l2=args.l2, epochs=args.epochs,
                     rng=make_rng(args.seed))
     save_crf(crf, args.out)
     print(f"CRF model written to {args.out} "
           f"({len(crf.feature_index)} features)")
-    if args.eval_conll:
-        test = load_token_labels(args.eval_conll)
+    if test is not None:
         preds = [detect_query_language(crf, " ".join(t.word for t in q))
                  for q in test]
         gold = [query_gold_language(q) for q in test]
@@ -317,6 +343,10 @@ def _cmd_train_langid(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+_DECODE_MAX_LEN_HELP = ("most tokens to decode per query (default: the "
+                        "model's own limit, its max_len - 1)")
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="codemix",
@@ -352,8 +382,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--init-from", help="checkpoint to continue from")
     p.add_argument("--report", help="write JSONL epoch records here")
-    p.add_argument("--max-len", type=int, default=32)
-    _add_model_flags(p, layers=2)
+    p.add_argument("--max-len", type=int)
+    _add_model_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("distill", help="distill a teacher into a student")
@@ -379,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", default="-")
     p.add_argument("--output", default="-")
     p.add_argument("--beam", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--max-len", type=int, help=_DECODE_MAX_LEN_HELP)
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("detect-lang", help="label query language")
@@ -409,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--beam", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--max-len", type=int, help=_DECODE_MAX_LEN_HELP)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_bench_latency)
 

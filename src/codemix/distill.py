@@ -35,11 +35,10 @@ from .seq2seq.model import check_id_count, encode_source, id_count_fits
 from .text import (PAD, Corpus, ParallelExample, Provenance, Vocab,
                    decode)
 from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
-                    check_loss_settings, check_pairs, fit)
+                    check_loss_settings, check_pairs, check_trainable, fit)
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
-KD_MAX_LEN = 32  # the pseudo-labelling beam's step limit
 
 
 class KDKind(enum.Enum):
@@ -48,9 +47,10 @@ class KDKind(enum.Enum):
 
 
 def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
-                           beam: int = 3, max_len: int = 32
+                           beam: int = 3, max_len: int | None = None
                            ) -> tuple[Corpus, list[int]]:
-    """Beam-decode every source with the frozen teacher, as batches.
+    """Beam-decode every source with the frozen teacher, as batches, to the
+    teacher's own step limit (or `max_len` tokens when that is lower).
 
     Returns (pseudo-labeled examples with NOISY_PSEUDO provenance, indices
     of skipped sources). A source is skipped when its encoder input (tokens
@@ -204,11 +204,12 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     from one pass, so memory grows with it), combined as (1-lambda)(loss_s
     + loss_d) + lambda * loss_kd. Divergence rolls the student back to its
     last epoch-end weights and raises TrainingDivergedError. A student
-    whose vocabulary is not the teacher's, or a clean pair that does not
-    fit the student that trains, is a DataError (`check_pairs`), raised
-    before pseudo-labelling; a pool source the teacher skips, or whose
-    pair does not fit that student, counts in
-    `DistillReport.skipped_sources`.
+    whose vocabulary is not the teacher's, an int8 `initial_student`
+    (`check_trainable`), or a clean pair that does not fit the student
+    that trains (`check_pairs`) is a DataError raised before
+    pseudo-labelling, which decodes to the teacher's own step limit; a
+    pool source the teacher skips, or whose pair does not fit that
+    student, counts in `DistillReport.skipped_sources`.
     """
     if not clean_corpus or not unlabeled_pool:
         raise DataError("train_student needs non-empty clean corpus and pool")
@@ -218,10 +219,10 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     vocab = student.config.vocab
     _check_same_vocab("initial_student" if initial_student else "student",
                       vocab, teacher.config.vocab)
+    check_trainable(student)
     check_pairs(clean_corpus, student.config)
 
-    pseudo, _ = generate_pseudo_labels(teacher, unlabeled_pool, beam=beam,
-                                       max_len=KD_MAX_LEN)
+    pseudo, _ = generate_pseudo_labels(teacher, unlabeled_pool, beam=beam)
     # a pair must fit the student, whose KD batches it goes into
     pseudo = [ex for ex in pseudo if all(
         id_count_fits(len(encode_source(text, vocab)), student.config)
@@ -297,8 +298,9 @@ class LatencyReport:
 
 def bench_latency(model: Seq2SeqModel, queries: list[str], warmup: int = 10,
                   samples: int = 200, beam: int = 3,
-                  max_len: int = 32) -> LatencyReport:
-    """Single-threaded per-query beam-search decode timing; p50/p95 from
+                  max_len: int | None = None) -> LatencyReport:
+    """Single-threaded per-query beam-search decode timing, to the model's
+    own step limit (or `max_len` tokens when that is lower); p50/p95 from
     the empirical distribution. Queries are cycled when samples exceeds
     the query count. A query longer than the model's max_len is a
     DataError naming its index, raised before the warm-up."""

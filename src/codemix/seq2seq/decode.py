@@ -29,7 +29,9 @@ A hypothesis that emits EOS moves from the active to the finished set. A
 query stops when no active hypothesis is left, or when its best finished
 score is at least every active score: log-probabilities are <= 0, so no
 active hypothesis can then overtake it and the result is the one decoding
-to the step limit would give.
+to the step limit would give. The step limit is the model's own,
+`config.max_len - 1` tokens, the most a BOS-prefixed target can hold; a
+caller's `max_len` can only lower it (`_max_steps`).
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ class BeamResult:
     finished: bool          # False when no hypothesis emitted EOS in time
 
 
-def _max_steps(model: Seq2SeqModel, max_len: int) -> int:
-    check_count("max_len", max_len, least=1)
-    # The BOS-prefixed decoder input must stay within the model's max_len.
-    return min(max_len, model.config.max_len - 1)
+def _max_steps(model: Seq2SeqModel, max_len: int | None) -> int:
+    """The most tokens a decode may emit: the model's own limit,
+    `config.max_len - 1`, which a BOS-prefixed target can hold
+    (`id_count_fits`), or a caller's `max_len` >= 1 below it."""
+    if max_len is not None:
+        check_count("max_len", max_len, least=1)
+    return min(max_len or model.config.max_len, model.config.max_len - 1)
 
 
 def _top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +118,10 @@ def _start(model: Seq2SeqModel, sources):
     return model.start_decoding([model.encode(a) for a in arrays])
 
 
-def greedy_decode(model: Seq2SeqModel, src_ids, max_len: int = 32) -> list[int]:
-    """Argmax token at each step until EOS or max_len tokens."""
+def greedy_decode(model: Seq2SeqModel, src_ids,
+                  max_len: int | None = None) -> list[int]:
+    """Argmax token at each step until EOS or the step limit: the model's
+    own, or `max_len` tokens when that is lower (`_max_steps`)."""
     steps = _max_steps(model, max_len)
     with no_grad():
         cache = _start(model, [src_ids])
@@ -129,11 +136,12 @@ def greedy_decode(model: Seq2SeqModel, src_ids, max_len: int = 32) -> list[int]:
 
 
 def beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
-                max_len: int = 32) -> BeamResult:
+                max_len: int | None = None) -> BeamResult:
     """Best EOS-terminated hypothesis by summed log-probability.
 
     Finished hypotheses leave the active beam. If nothing finishes within
-    max_len steps the best unfinished hypothesis is returned with
+    the step limit (`_max_steps`: the model's own, or `max_len` when that
+    is lower) the best unfinished hypothesis is returned with
     finished=False.
     """
     check_id_count(len(src_ids), model.config)  # named without an index
@@ -141,7 +149,7 @@ def beam_search(model: Seq2SeqModel, src_ids, beam: int = 3,
 
 
 def beam_search_batch(model: Seq2SeqModel, sources, beam: int = 3,
-                      max_len: int = 32) -> list[BeamResult]:
+                      max_len: int | None = None) -> list[BeamResult]:
     """`beam_search` of every source, decoded MAX_BATCH queries at a time;
     each result equals that source's own `beam_search` result. A source
     longer than the model's max_len is a DataError naming its index,
@@ -224,14 +232,15 @@ def _best(finished, active) -> BeamResult:
 
 
 def translate(model: Seq2SeqModel, text: str, beam: int = 3,
-              max_len: int = 32) -> str:
-    """Encode, decode with beam search, and detokenize."""
+              max_len: int | None = None) -> str:
+    """Encode, decode with beam search to the model's own step limit (or
+    `max_len` tokens when that is lower), and detokenize."""
     check_length(text, model.config)  # named without an index
     return translate_corpus(model, [text], beam=beam, max_len=max_len)[0]
 
 
 def translate_corpus(model: Seq2SeqModel, texts: list[str], beam: int = 3,
-                     max_len: int = 32) -> list[str]:
+                     max_len: int | None = None) -> list[str]:
     """`translate` of every text, decoded as batches (beam_search_batch)."""
     vocab = model.config.vocab
     results = beam_search_batch(model, [encode_source(t, vocab)

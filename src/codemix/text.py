@@ -298,8 +298,7 @@ def gen_synthetic_corpus(spec: SynthTaskSpec, n_train: int,
     NOISY_PSEUDO provenance; the test split has error rate 0 and CLEAN_MANUAL
     provenance. Both share the code-mix and character-noise settings.
     """
-    if n_train <= 0:
-        raise DataError("n_train must be positive")
+    check_count("n_train", n_train, least=1)
     check_count("n_test", n_test)
     lexicon = build_lexicon(spec)
     rng = make_rng(spec.seed)

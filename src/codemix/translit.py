@@ -1,6 +1,7 @@
 """Hybrid transliteration: dictionary lookup first, character-level
 transformer fallback for out-of-dictionary words, decoded greedily
-(`translate_corpus` with beam 1, one batch per text)."""
+(`translate_corpus` with beam 1, one batch per text) to the model's own
+step limit, so a model spells words as long as its `max_len` holds."""
 
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def load_translit_dict(path) -> TranslitDict:
 
 def char_seq2seq_config(vocab: Vocab) -> Seq2SeqConfig:
     """The character-level fallback model: 2+2 layers, 4 heads, hidden 128,
-    up to 24 characters per word."""
+    max_len 24, so it reads and spells words of up to 23 characters."""
     if vocab.mode != "char":
         raise DataError("transliteration model needs a char-level vocab")
     return Seq2SeqConfig(vocab=vocab, n_enc_layers=2, n_dec_layers=2,
@@ -78,8 +79,8 @@ def check_translit_model(model: Seq2SeqModel) -> None:
 
 def hybrid_transliterate(text: str, tdict: TranslitDict,
                          model: Seq2SeqModel | None = None,
-                         decode_words=partial(translate_corpus, beam=1,
-                                              max_len=24)) -> str:
+                         decode_words=partial(translate_corpus, beam=1)
+                         ) -> str:
     """Per word: use the dictionary mapping when present, otherwise the
     model's output for the lowercased word, as the model trains on
     lowercased pairs. Words are joined by single spaces. A model that is

@@ -6,6 +6,9 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402 (after the thread pins)
+import pytest  # noqa: E402
+
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
 
@@ -21,3 +24,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for _, line in _ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def eos_banned(monkeypatch):
+    """Every model's `decode_step` gives EOS, UNK and MASK no probability,
+    so each decode runs to its step limit and emits content tokens alone.
+    Returns the list of each call's row count, in call order."""
+    from codemix.seq2seq.model import Seq2SeqModel
+    from codemix.text import EOS, MASK, UNK
+    step, rows = Seq2SeqModel.decode_step, []
+
+    def banned(self, cache, tokens):
+        lp = step(self, cache, tokens)
+        lp[:, [EOS, UNK, MASK]] = -np.inf
+        rows.append(len(tokens))
+        return lp
+
+    monkeypatch.setattr(Seq2SeqModel, "decode_step", banned)
+    return rows

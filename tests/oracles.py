@@ -752,8 +752,8 @@ def reference_train_student(student_config, teacher, clean_corpus,
     train_student's: a product over other rows may differ in its last bit.
     """
     from codemix.augment import sample_augmented_batch
-    from codemix.distill import (KD_MAX_LEN, DistillConfig, DistillReport,
-                                 StepTrace, generate_pseudo_labels, kd_loss)
+    from codemix.distill import (DistillConfig, DistillReport, StepTrace,
+                                 generate_pseudo_labels, kd_loss)
     from codemix.errors import NonFiniteError, TrainingDivergedError
     from codemix.numerics import (AdamWState, Tensor, log_softmax,
                                   step_tensors)
@@ -765,8 +765,7 @@ def reference_train_student(student_config, teacher, clean_corpus,
     student = initial_student or init_model(student_config, init_rng)
     vocab = student_config.vocab
     pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
-                                             beam=beam,
-                                             max_len=KD_MAX_LEN)
+                                             beam=beam)
     report = DistillReport(kd_kind=kd_kind.value, skipped_sources=len(skipped))
     table = []
     for start in range(0, len(pseudo), cfg.batch_size):

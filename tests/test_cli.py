@@ -3,6 +3,7 @@ import io
 import json
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,11 @@ from codemix.checkpoint import load_checkpoint, save_checkpoint
 from codemix.langid import detect_query_language, load_crf
 from codemix.quant import quantize_model
 from codemix.seq2seq import (beam_search, encode_source, greedy_decode,
-                             translate, translate_corpus)
+                             init_model, translate, translate_corpus)
 from codemix.numerics import make_rng
 from codemix.seq2seq import Seq2SeqConfig, Seq2SeqModel
-from codemix.text import decode, load_parallel_tsv
-from codemix.translit import train_translit
+from codemix.text import build_vocab, decode, load_parallel_tsv
+from codemix.translit import char_seq2seq_config, train_translit
 
 from oracles import reference_beam_search
 
@@ -110,6 +111,26 @@ class TestGenCorpus:
 
 
 class TestTranslate:
+    def test_decodes_to_the_models_limit(self, corpus_dir, tmp_path,
+                                         eos_banned):
+        # nothing finishes: a max_len 48 model emits 47 words a query
+        ck = tmp_path / "ck48"
+        vocab = load_checkpoint(TEACHER).config.vocab
+        save_checkpoint(init_model(Seq2SeqConfig(
+            vocab=vocab, n_enc_layers=1, n_dec_layers=1, d_model=16,
+            n_heads=2, d_ff=32, max_len=48), make_rng(3)), ck)
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text(f"{vocab.id_to_token[5]}\n\n"
+                       f"{vocab.id_to_token[6]} {vocab.id_to_token[7]}\n",
+                       encoding="utf-8")
+        argv = ["translate", "--checkpoint", str(ck), "--input", str(inp),
+                "--output", str(out)]
+        for extra, words in (([], 47), (["--max-len", "5"], 5),
+                             (["--max-len", "60"], 47)):
+            assert run(argv + extra) == 0
+            assert [len(ln.split()) for ln in
+                    read(out).splitlines()] == [words, 0, words]
+
     def test_beam_one_equals_greedy(self, corpus_dir, checkpoint_dir,
                                     tmp_path, capsys):
         model = load_checkpoint(checkpoint_dir)
@@ -229,6 +250,21 @@ class TestLangidCli:
         assert rc == 0
         assert read(out).strip() in {"english", "hinglish", "other"}
 
+    @pytest.mark.parametrize("which", ["--conll", "--eval-conll"])
+    def test_empty_conll_is_exit_two_and_writes_no_model(
+            self, which, corpus_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.conll"
+        empty.write_bytes(b"")
+        conll = str(corpus_dir / "langid.conll")
+        argv = ["train-langid", "--conll", conll, "--eval-conll", conll,
+                "--epochs", "1", "--out", str(tmp_path / "crf.json")]
+        argv[argv.index(which) + 1] = str(empty)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {empty}: no labeled queries\n")
+        assert not (tmp_path / "crf.json").exists()
+
     def test_crlf_conll_trains_the_same_crf(self, corpus_dir, tmp_path):
         lf, crlf = corpus_dir / "langid.conll", tmp_path / "crlf.conll"
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
@@ -287,6 +323,23 @@ class TestLangidCli:
 
 
 class TestTranslitCli:
+    def test_spells_as_many_letters_as_the_model_holds(self, tmp_path,
+                                                       eos_banned):
+        # a max_len 40 char model spells 39 letters for an unknown word
+        vocab = build_vocab(["abcdefghijklmnopqrstuvwxyz"], mode="char")
+        ck = tmp_path / "ck"
+        save_checkpoint(init_model(replace(char_seq2seq_config(vocab),
+                                           max_len=40), make_rng(4)), ck)
+        d, inp = tmp_path / "d.tsv", tmp_path / "in.txt"
+        out = tmp_path / "out.txt"
+        d.write_text("juta\tjoota\n", encoding="utf-8")
+        inp.write_text("juta abcdefghijklmnopqrstuvwxyzabcd\n",
+                       encoding="utf-8")
+        assert run(["translit", "--dict", str(d), "--model", str(ck),
+                    "--input", str(inp), "--output", str(out)]) == 0
+        known, spelled = read(out).split()
+        assert known == "joota" and len(spelled) == 39
+
     def test_dict_only_pipeline(self, tmp_path):
         d = tmp_path / "d.tsv"
         d.write_text("juta\tjoota\nkala\tkaala\n", encoding="utf-8")
@@ -387,6 +440,44 @@ class TestTrainCli:
         for f in ("weights.bin", "manifest.tsv", "config.txt", "vocab.txt"):
             assert (tmp_path / "a" / f).read_bytes() == \
                    (tmp_path / "b" / f).read_bytes()
+
+    def test_fresh_model_takes_the_config_defaults(self, corpus_dir,
+                                                   tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage1.epochs = 1\n", encoding="utf-8")
+        assert run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                    "--stage", "stage1", "--config", str(cfg),
+                    "--out", str(tmp_path / "ck")]) == 0
+        config = load_checkpoint(tmp_path / "ck").config
+        assert config.scalar_items() == Seq2SeqConfig(
+            vocab=config.vocab).scalar_items()
+
+    def test_init_from_keeps_the_checkpoints_config(
+            self, corpus_dir, checkpoint_dir, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stage1.epochs = 1\n", encoding="utf-8")
+        assert run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                    "--stage", "stage1", "--config", str(cfg),
+                    "--init-from", str(checkpoint_dir),
+                    "--out", str(tmp_path / "ck")]) == 0
+        assert (load_checkpoint(tmp_path / "ck").config.scalar_items()
+                == load_checkpoint(checkpoint_dir).config.scalar_items())
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--enc-layers", "3"), ("--dec-layers", "1"), ("--d-model", "128"),
+        ("--heads", "8"), ("--d-ff", "64"), ("--max-len", "64"),
+        ("--dropout", "0.5")])
+    def test_model_flag_with_init_from_is_exit_one(
+            self, flag, value, corpus_dir, checkpoint_dir, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--stage", "stage1", "--init-from", str(checkpoint_dir),
+                  "--out", str(tmp_path / "out"), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {flag} cannot be given with "
+                       f"--init-from, whose checkpoint sets the model\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_key_is_data_error(self, corpus_dir, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -730,13 +821,14 @@ def _options(command: str) -> dict[str, tuple]:
             for a in sub.choices[command]._actions if a.dest != "help"}
 
 
-def _model_options(layers: int) -> dict[str, tuple]:
+def _model_options(layers: int | None) -> dict[str, tuple]:
+    # None: the field takes Seq2SeqConfig's default
     return {"--enc-layers": ("enc_layers", layers, int, False, None, None),
             "--dec-layers": ("dec_layers", layers, int, False, None, None),
-            "--d-model": ("d_model", 64, int, False, None, None),
-            "--heads": ("heads", 4, int, False, None, None),
-            "--d-ff": ("d_ff", 256, int, False, None, None),
-            "--dropout": ("dropout", 0.1, float, False, None, None)}
+            "--d-model": ("d_model", None, int, False, None, None),
+            "--heads": ("heads", None, int, False, None, None),
+            "--d-ff": ("d_ff", None, int, False, None, None),
+            "--dropout": ("dropout", None, float, False, None, None)}
 
 
 class TestModelFlags:
@@ -751,8 +843,8 @@ class TestModelFlags:
             "--seed": ("seed", None, int, False, None, None),
             "--init-from": ("init_from", None, None, False, None, None),
             "--report": ("report", None, None, False, None, None),
-            "--max-len": ("max_len", 32, int, False, None, None),
-            **_model_options(layers=2)}
+            "--max-len": ("max_len", None, int, False, None, None),
+            **_model_options(layers=None)}
 
     def test_distill_options(self):
         # no --max-len: the student takes the teacher's
@@ -1036,7 +1128,10 @@ class TestBadArguments:
              "--out", "{out}"], "l2 must be a finite number >= 0, got nan"),
         "gen-corpus-n-train-negative": (
             ["gen-corpus", "--out", "{out}", "--n-train", "-1"],
-            "--n-train must be an integer >= 0, got -1"),
+            "--n-train must be an integer >= 1, got -1"),
+        "gen-corpus-n-train-zero": (
+            ["gen-corpus", "--out", "{out}", "--n-train", "0"],
+            "--n-train must be an integer >= 1, got 0"),
         "gen-corpus-negative-counts": (
             ["gen-corpus", "--out", "{out}", "--n-train", "10",
              "--n-test", "-3", "--n-clean", "-2", "--langid-n", "-4"],

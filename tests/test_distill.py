@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,18 @@ class TestPseudoLabels:
         assert [p.target for p in pseudo] == [ex.target for ex in corpus]
         assert all(p.provenance is Provenance.NOISY_PSEUDO for p in pseudo)
 
+    @pytest.mark.parametrize("max_len,steps", [(None, 47), (5, 5)])
+    def test_decodes_to_the_teachers_limit(self, max_len, steps,
+                                           eos_banned):
+        # nothing finishes, so every source decodes to the step limit
+        teacher = init_model(Seq2SeqConfig(
+            vocab=Vocab(["a", "b"]), n_enc_layers=1, n_dec_layers=1,
+            d_model=8, n_heads=2, d_ff=16, max_len=48), make_rng(2))
+        pseudo, skipped = generate_pseudo_labels(teacher, ["a b"], beam=1,
+                                                 max_len=max_len)
+        assert (pseudo, skipped) == ([], [0])
+        assert eos_banned == [1] * steps
+
     def test_empty_source_list(self):
         teacher, _ = overfit_teacher()
         pseudo, skipped = generate_pseudo_labels(teacher, [])
@@ -182,7 +195,8 @@ class TestPseudoLabels:
         student_cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
                                     n_dec_layers=1, d_model=16, n_heads=2,
                                     d_ff=32)
-        monkeypatch.setattr(distill_mod, "KD_MAX_LEN", 3)
+        monkeypatch.setattr(distill_mod, "generate_pseudo_labels",
+                            partial(generate_pseudo_labels, max_len=3))
         _, report = train_student(student_cfg, teacher, clean, sources,
                                   KDKind.JS, make_rng(3),
                                   DistillConfig(epochs=1))
@@ -534,6 +548,17 @@ class TestTrainStudent:
         student = init_model(cfg, make_rng(1))
         with pytest.raises(DataError, match=message.replace(
                 "^student", "^initial_student")):
+            train_student(self._student_cfg(teacher), teacher, clean, pool,
+                          KDKind.JS, make_rng(0), initial_student=student)
+
+    def test_int8_initial_student_refused_before_pseudo_labelling(
+            self, monkeypatch):
+        teacher, clean, pool = self._setup()
+        student = quantize_model(init_model(self._student_cfg(teacher),
+                                            make_rng(1)))
+        monkeypatch.setattr(distill_mod, "generate_pseudo_labels",
+                            lambda *a, **k: pytest.fail("pseudo-labelled"))
+        with pytest.raises(DataError, match="^cannot train an int8"):
             train_student(self._student_cfg(teacher), teacher, clean, pool,
                           KDKind.JS, make_rng(0), initial_student=student)
 

@@ -27,7 +27,13 @@ LF only. `checkpoint._read_tokens` is exempt, with its reason.
 Only `seq2seq.model.id_count_fits` compares a length with `max_len` in
 src/codemix: a comparison with an attribute `.max_len` or a name
 `max_len` anywhere else copies the one length rule. `SynthTaskSpec`'s
-`max_len` is a word count, another quantity, and is exempt.
+`max_len` is a word count, another quantity, and is exempt. An identity
+test against None (`max_len is None`) is not a length comparison.
+
+No function in src/codemix gives a `max_len` parameter an integer default:
+a decode's step limit is the model's own (`decode._max_steps`), and a
+number written beside the model's `max_len` is a copy that can cut a
+longer model short.
 
 Every name that the benchmark's tracer (perfbench/spans.py) wraps must
 exist, and the benchmark's workloads (perfbench/workloads.py) must import
@@ -336,10 +342,18 @@ def _scopes_of(source: str, match) -> list[str]:
     return found
 
 
+def _is_none_test(node: ast.Compare) -> bool:
+    """`x is None` or `x is not None`: an identity test, not a length
+    comparison."""
+    return (len(node.ops) == 1 and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and any(isinstance(n, ast.Constant) and n.value is None
+                    for n in (node.left, *node.comparators)))
+
+
 def _compares_max_len(node) -> bool:
     """A comparison with an attribute `.max_len` or a name `max_len` among
-    its operands."""
-    return isinstance(node, ast.Compare) and any(
+    its operands, but an identity test against None."""
+    return isinstance(node, ast.Compare) and not _is_none_test(node) and any(
         getattr(n, "attr", getattr(n, "id", None)) == "max_len"
         for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name)))
 
@@ -365,9 +379,17 @@ class TestOneLengthRule:
                "            pass\n"
                "ok = [x for x in xs if len(x) <= cfg.max_len - 1]\n"
                "n = min(max_len, cfg.max_len)\n"
-               "limit = cfg.max_len\n")
+               "limit = cfg.max_len\n"
+               "def steps(max_len=None):\n"
+               "    if max_len is None or cfg.max_len is not None:\n"
+               "        pass\n"
+               "    if max_len is None or max_len > 3:\n"
+               "        pass\n"
+               "    if max_len is cfg.max_len or None is not max_len:\n"
+               "        pass\n")
         assert max_len_comparisons(src) == ["rule", "Batch.check",
-                                            "Batch.check", "-"]
+                                            "Batch.check", "-", "steps",
+                                            "steps"]
 
     def test_only_the_rule_compares_with_max_len(self):
         found = [f"{p.relative_to(SRC)}: {where}" for p in MODULES
@@ -376,6 +398,51 @@ class TestOneLengthRule:
         assert sorted(set(MAX_LEN_EXEMPT) - set(found)) == []  # not stale
         assert [f for f in found if f not in MAX_LEN_EXEMPT] == [
             "seq2seq/model.py: id_count_fits"]
+
+
+def int_max_len_defaults(source: str) -> list[str]:
+    """`line: function` for each parameter `max_len` (positional or
+    keyword-only, of a function or lambda) whose default is an integer
+    literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        params = (list(zip(positional[len(positional) - len(a.defaults):],
+                           a.defaults))
+                  + list(zip(a.kwonlyargs, a.kw_defaults)))
+        for arg, default in params:
+            try:
+                value = ast.literal_eval(default) if default else None
+            except ValueError:
+                continue
+            if arg.arg == "max_len" and type(value) is int:
+                found.append(f"{node.lineno}: "
+                             f"{getattr(node, 'name', 'lambda')}")
+    return found
+
+
+class TestNoDecodeLimitCopies:
+    def test_scanner_finds_integer_defaults(self):
+        src = ("def a(model, max_len: int = 32): pass\n"
+               "def b(model, *, beam=3, max_len=-1): pass\n"
+               "def c(model, max_len: int | None = None): pass\n"
+               "def d(model, max_len=LIMIT, n=4): pass\n"
+               "f = lambda m, max_len=24: m\n"
+               "class K:\n"
+               "    max_len: int = 6\n"
+               "    def e(self, max_len=2.5, min_len=1): pass\n"
+               "    def g(self, x, max_len=False): pass\n"
+               "def h(model, max_len: int): pass\n")
+        assert int_max_len_defaults(src) == ["1: a", "2: b", "5: lambda"]
+
+    @pytest.mark.parametrize("path", MODULES,
+                             ids=[str(p.relative_to(SRC)) for p in MODULES])
+    def test_no_integer_max_len_default(self, path):
+        assert int_max_len_defaults(path.read_text(encoding="utf-8")) == []
 
 
 def _splits_lines(node) -> bool:

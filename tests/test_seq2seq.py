@@ -507,6 +507,36 @@ class TestBeam:
             beam_search(tiny_model(), src)
 
 
+class TestStepLimit:
+    """With no `max_len`, a decode runs to the model's own limit, max_len -
+    1 tokens; a `max_len` given can only lower it."""
+
+    @pytest.mark.parametrize("model_len", [8, 32, 48])
+    def test_decodes_run_to_the_models_limit(self, model_len, eos_banned):
+        m = tiny_model(seed=16, max_len=model_len)
+        want = model_len - 1
+        assert len(greedy_decode(m, [5, 6, EOS])) == want
+        res = beam_search(m, [5, 6, EOS])
+        assert (len(res.ids), res.finished) == (want, False)
+        assert [len(r.ids) for r in beam_search_batch(
+            m, [[5, EOS], [6, 7, EOS]], beam=2)] == [want, want]
+        outs = translate_corpus(m, ["w0 w1", "w2"]) + [translate(m, "w3")]
+        assert [len(out.split()) for out in outs] == [want] * 3
+
+    def test_one_step_per_token(self, eos_banned):
+        greedy_decode(tiny_model(seed=16, max_len=48), [5, EOS])
+        assert eos_banned == [1] * 47
+
+    @pytest.mark.parametrize("max_len,want", [(1, 1), (5, 5), (32, 32),
+                                              (47, 47), (48, 47), (500, 47)])
+    def test_a_given_max_len_only_caps(self, max_len, want, eos_banned):
+        m = tiny_model(seed=16, max_len=48)
+        assert len(greedy_decode(m, [5, EOS], max_len=max_len)) == want
+        assert len(beam_search(m, [5, EOS], max_len=max_len).ids) == want
+        out = translate_corpus(m, ["w0"], beam=2, max_len=max_len)[0]
+        assert len(out.split()) == want
+
+
 # Log-probabilities with many exact ties and -inf entries.
 LOG_PROBS = st.one_of(st.sampled_from([0.0, -0.5, -1.0, -3.0, -np.inf]),
                       st.floats(-30.0, 0.0))

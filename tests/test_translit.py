@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from codemix.text import build_vocab, decode
 
 def greedy_word(model, word: str) -> str:
     """The reference fallback: the per-word greedy decode of the lowercased
-    word, with transliteration's 24-token limit."""
+    word, to the model's own step limit."""
     vocab = model.config.vocab
-    return decode(greedy_decode(model, encode_source(word.lower(), vocab),
-                                max_len=24), vocab)
+    return decode(greedy_decode(model, encode_source(word.lower(), vocab)),
+                  vocab)
 
 
 def fallback(model, word: str) -> str:
@@ -161,10 +163,19 @@ class TestFallbackDecode:
             assert hybrid_transliterate(text, tdict, model) == " ".join(
                 want[start:start + 5])
         vocab = model.config.vocab
-        steps = [len(greedy_decode(model, encode_source(w.lower(), vocab),
-                                   max_len=24))
+        steps = [len(greedy_decode(model, encode_source(w.lower(), vocab)))
                  for w in words if tdict.lookup(w) is None]
         assert 0 < steps.count(23) < len(steps)
+
+    @pytest.mark.parametrize("model_len", [16, 24, 40])
+    def test_spells_as_many_letters_as_the_model_holds(self, model_len,
+                                                       eos_banned):
+        cfg = replace(char_seq2seq_config(build_vocab([ALPHABET],
+                                                      mode="char")),
+                      max_len=model_len)
+        model = init_model(cfg, make_rng(5))
+        word = (ALPHABET * 2)[:model_len - 1]  # the longest it reads
+        assert len(fallback(model, word)) == model_len - 1
 
     def test_uppercase_word_decodes_as_lowercase(self):
         model = scaled_char_model(0)
