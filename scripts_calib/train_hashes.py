@@ -23,9 +23,10 @@ the sha256 of the weights after each phase:
            for quantize_model of the stages model, then the beam-3 ids
            that int8 model and its load_checkpoint copy give 40 held-out
            queries of gen_clean_corpus;
-  xattn    the per-layer, per-epoch identity errors of ae_xattn_experiment
-           (200 training pairs, 2 decoder layers, 2 epochs, seed 0), which
-           covers the experiment's fixed settings.
+  xattn    the per-layer, per-epoch identity errors of xattn_experiment in
+           scripts_calib/xattn_rows.py (seed 0, 200 training pairs, 2
+           decoder layers, 2 epochs), which covers the experiment's fixed
+           settings.
 
 Two trees train, detect, transliterate, quantize and run the cross-attention
 experiment identically when they print the same eight lines. BLAS is pinned
@@ -45,8 +46,6 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 
 import numpy as np  # noqa: E402
 
-from codemix.analysis import (XAttnExperimentConfig,  # noqa: E402
-                              ae_xattn_experiment)
 from codemix.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from codemix.distill import DistillConfig, KDKind, train_student  # noqa: E402
 from codemix.langid import gen_langid_corpus, train_crf, viterbi  # noqa: E402
@@ -61,6 +60,7 @@ from codemix.train import (StageConfig, TrainingConfig,  # noqa: E402
                            train_stage1, train_stage2)
 from codemix.translit import (TranslitDict, char_seq2seq_config,  # noqa: E402
                               hybrid_transliterate, train_translit)
+from xattn_rows import xattn_experiment  # noqa: E402
 
 
 def fingerprint(arrays: dict) -> str:
@@ -141,7 +141,5 @@ for m in (int8, loaded):
                                                     beam=3)]).encode())
 print(f"int8   {h.hexdigest()[:16]}", flush=True)
 
-curve = ae_xattn_experiment(
-    XAttnExperimentConfig(n_train=200, n_dec_layers=2, epochs=2), [0])
-print(f"xattn  {hashlib.sha256(curve.errors.tobytes()).hexdigest()[:16]}",
-      flush=True)
+grid, _ = xattn_experiment(0, n_train=200, n_dec_layers=2, epochs=2)
+print(f"xattn  {hashlib.sha256(grid.tobytes()).hexdigest()[:16]}", flush=True)

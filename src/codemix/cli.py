@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/model error.
 Subcommands: gen-corpus, train, distill, translate, detect-lang, translit,
-eval-bleu, bench-latency, analyze-xattn, train-langid.
+eval-bleu, bench-latency, train-langid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import XAttnExperimentConfig, ae_xattn_experiment
 from .bleu import bleu_corpus
 from .checkpoint import load_checkpoint, read_kv, save_checkpoint
 from .distill import DistillConfig, KDKind, bench_latency, train_student
@@ -104,15 +103,6 @@ def _print_records(path: str | None, records: list[dict]) -> None:
     _write_records(path, records)
 
 
-def _int_list(text: str) -> list[int]:
-    """A comma-separated list of integers (argparse type)."""
-    try:
-        return [int(s) for s in text.split(",") if s]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-
-
 # Each model flag's dest and the Seq2SeqConfig field it sets.
 _MODEL_FLAGS = {"enc_layers": "n_enc_layers", "dec_layers": "n_dec_layers",
                 "d_model": "d_model", "heads": "n_heads", "d_ff": "d_ff",
@@ -190,11 +180,15 @@ def _cmd_train(args) -> int:
         if args.train_tsv else []
     clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL) \
         if args.clean_tsv else []
-    # an empty file is a DataError of the stage that trains on it
-    if args.stage in ("stage1", "both") and not args.train_tsv:
-        raise UsageError("--train-tsv is required for stage1 training")
-    if args.stage in ("stage2", "both") and not args.clean_tsv:
-        raise UsageError("--clean-tsv is required for stage2 training")
+    for flag, path, pairs, stage in (
+            ("--train-tsv", args.train_tsv, noisy, "stage1"),
+            ("--clean-tsv", args.clean_tsv, clean, "stage2")):
+        if args.stage not in (stage, "both"):
+            continue
+        if not path:
+            raise UsageError(f"{flag} is required for {stage} training")
+        if not pairs:  # named here, before any model is built or trained
+            raise DataError(f"{flag} {path}: no pairs to train on")
     rng = make_rng(tcfg.seed)
     init_rng, s1_rng, s2_rng = rng.spawn(3)
     if args.init_from:
@@ -303,14 +297,6 @@ def _cmd_bench_latency(args) -> int:
           f"p95={rec['p95_ms']:.2f}ms ({rec['n_samples']} samples, "
           f"hardware: {rec['hardware']})")
     _write_records(args.report, records)
-    return 0
-
-
-def _cmd_analyze_xattn(args) -> int:
-    cfg = XAttnExperimentConfig(n_dec_layers=args.dec_layers,
-                                epochs=args.epochs, n_train=args.n_train)
-    curve = ae_xattn_experiment(cfg, args.seeds)
-    _print_records(args.report, curve.records())
     return 0
 
 
@@ -442,15 +428,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, help=_DECODE_MAX_LEN_HELP)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_bench_latency)
-
-    p = sub.add_parser("analyze-xattn", help="autoencoder cross-attention "
-                       "identity-error curves")
-    p.add_argument("--seeds", type=_int_list, default="0")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--dec-layers", type=int, default=4)
-    p.add_argument("--n-train", type=int, default=3000)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_analyze_xattn)
 
     p = sub.add_parser("train-langid", help="train the CRF language "
                        "detector")

@@ -8,10 +8,10 @@ them to `fit`, so configurations that skip augmentation consume exactly the
 same data and dropout streams as ones that weight it at zero.
 
 `fit` is the one training loop of the package: two-stage training,
-transliteration, the cross-attention analysis and distillation all step
-through it. Distillation adds its KD term through `fit`'s `extra_loss`
-hook: a forward of the student alone, matched to teacher probabilities
-that were computed before the first step.
+transliteration and distillation all step through it. Distillation adds
+its KD term through `fit`'s `extra_loss` hook: a forward of the student
+alone, matched to teacher probabilities that were computed before the
+first step.
 """
 
 from __future__ import annotations

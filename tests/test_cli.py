@@ -83,10 +83,6 @@ class TestExitCodes:
                   str(tmp_path / "ck"), "--stage", "stage1"])
         assert rc == 2
 
-    def test_bad_seed_list_is_usage_error(self, capsys):
-        assert run(["analyze-xattn", "--seeds", "a,b"]) == 1
-        assert "--seeds" in capsys.readouterr().err
-
     def test_missing_checkpoint_is_exit_two(self, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_text("a b\n", encoding="utf-8")
@@ -577,6 +573,22 @@ class TestTrainCli:
         assert rc == 2
         assert ("stage2.val_fraction 0.99 holds out 20 of 20 clean pairs"
                 in _one_error_line(capsys))
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_clean_tsv_is_named_before_any_training(
+            self, tmp_path, capsys, monkeypatch):
+        train, clean = tmp_path / "train.tsv", tmp_path / "clean.tsv"
+        train.write_text("kala juta\tblack shoe\n", encoding="utf-8")
+        clean.write_bytes(b"")
+        monkeypatch.setattr(cli, "build_vocab", lambda *a, **k: pytest.fail(
+            "a vocabulary was built"))
+        monkeypatch.setattr(cli, "train_stage1", lambda *a: pytest.fail(
+            "stage 1 trained"))
+        capsys.readouterr()
+        assert run(["train", "--train-tsv", str(train), "--clean-tsv",
+                    str(clean), "--out", str(tmp_path / "out")]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: --clean-tsv {clean}: no pairs to train on\n")
         assert not (tmp_path / "out").exists()
 
     def test_stage1_requires_train_tsv(self, tmp_path):
@@ -1087,7 +1099,8 @@ class TestBadArguments:
 
     # {ck} a trained checkpoint, {queries} two queries around a blank line,
     # {blank} only a blank line, {seedcfg} a training config with seed = -1,
-    # {clean} a clean corpus for the committed teacher, {out} the output
+    # {clean} a clean corpus for the committed teacher, {empty} an empty
+    # file, {out} the output
     CASES = {
         "translate-max-len-0": (
             ["translate", "--checkpoint", "{ck}", "--input", "{queries}",
@@ -1150,9 +1163,18 @@ class TestBadArguments:
             ["gen-corpus", "--out", "{out}", "--n-train", "10",
              "--lexicon-size", "250000"],
             "lexicon_size must be at most 204183"),
-        "analyze-xattn-epochs-0": (
-            ["analyze-xattn", "--epochs", "0", "--report", "{out}"],
-            "epochs must be an integer >= 1, got 0"),
+        "train-empty-train-tsv": (
+            ["train", "--train-tsv", "{empty}", "--stage", "stage1",
+             "--out", "{out}"] + TINY_MODEL,
+            "--train-tsv {empty}: no pairs to train on"),
+        "train-init-from-empty-train-tsv": (
+            ["train", "--init-from", "{ck}", "--train-tsv", "{empty}",
+             "--stage", "stage1", "--out", "{out}"],
+            "--train-tsv {empty}: no pairs to train on"),
+        "train-empty-clean-tsv": (
+            ["train", "--train-tsv", "{clean}", "--clean-tsv", "{empty}",
+             "--stage", "both", "--out", "{out}"] + TINY_MODEL,
+            "--clean-tsv {empty}: no pairs to train on"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1164,17 +1186,18 @@ class TestBadArguments:
         seedcfg, clean = tmp_path / "seed.cfg", tmp_path / "clean.tsv"
         seedcfg.write_text("stage1.epochs = 1\nseed = -1\n", encoding="utf-8")
         clean.write_text("kala juta\tblack shoe\n", encoding="utf-8")
+        empty = tmp_path / "empty.tsv"
+        empty.write_bytes(b"")
         paths = {"ck": checkpoint_dir, "queries": queries, "blank": blank,
                  "seedcfg": seedcfg, "clean": clean, "teacher": TEACHER,
-                 "train": corpus_dir / "train.tsv",
+                 "empty": empty, "train": corpus_dir / "train.tsv",
                  "conll": corpus_dir / "langid.conll",
                  "out": tmp_path / "out"}
+        fill = {k: str(v) for k, v in paths.items()}
         argv, message = self.CASES[case]
-        argv = [a.format(**{k: str(v) for k, v in paths.items()})
-                for a in argv]
         capsys.readouterr()
-        assert run(argv) == 2
-        assert message in _one_error_line(capsys)
+        assert run([a.format(**fill) for a in argv]) == 2
+        assert message.format(**fill) in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
 
@@ -1282,21 +1305,6 @@ class TestBenchLatencyCli:
         assert _one_error_line(capsys) == (
             f"error: {queries}: line 4: sequence length 41 exceeds "
             f"max_len 32\n")
-
-
-class TestAnalyzeXattnCli:
-    def test_prints_layer_epoch_records(self, tmp_path, capsys):
-        report = tmp_path / "xattn.jsonl"
-        capsys.readouterr()
-        assert run(["analyze-xattn", "--seeds", "0", "--epochs", "2",
-                    "--dec-layers", "2", "--n-train", "64",
-                    "--report", str(report)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        records = [json.loads(ln) for ln in out]
-        assert [(r["layer"], r["epoch"]) for r in records] == [
-            (0, 1), (0, 2), (1, 1), (1, 2)]
-        assert all(r["error"] > 0 for r in records)
-        assert read(report).splitlines() == out
 
 
 class TestLineBoundaries:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from codemix import train as train_mod
-from codemix.analysis import XAttnExperimentConfig, ae_xattn_experiment
 from codemix.augment import AugKind
 from codemix.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from codemix.distill import DistillConfig, KDKind, kd_loss
@@ -845,27 +844,6 @@ def _fit_small(**sizes):
         **sizes)
 
 
-class TestXAttnExperiment:
-    def test_one_forward_per_epoch_for_every_layer(self, monkeypatch):
-        forward, captures = Seq2SeqModel.forward, []
-
-        def spy(self, src_ids, dec_in, rng=None, capture=None):
-            if capture is not None:
-                captures.append(capture)
-            return forward(self, src_ids, dec_in, rng, capture)
-
-        monkeypatch.setattr(Seq2SeqModel, "forward", spy)
-        config = XAttnExperimentConfig(n_train=16, n_dec_layers=3, epochs=2)
-        curve = ae_xattn_experiment(config, seeds=[0])
-        assert curve.errors.shape == (3, 2)
-        assert [len(c) for c in captures] == [3, 3]  # one pass an epoch
-
-
-def _xattn(epochs=1):
-    config = XAttnExperimentConfig(n_train=8, n_dec_layers=1, epochs=epochs)
-    ae_xattn_experiment(config, seeds=[0])
-
-
 PAIRS = [("kala", "kaala"), ("juta", "joota")]
 # A loop size no loop can run: (the call, its error). Each is checked where
 # the loop runs, so callers that pass the size straight through get it too.
@@ -878,8 +856,6 @@ LOOP_SIZE_CASES = {
                               "batch_size must be an integer >= 1, got 0"),
     "translit-epochs-float": (lambda: train_translit(PAIRS, epochs=2.5),
                               "epochs must be an integer >= 0, got 2.5"),
-    "xattn-epochs-float": (lambda: _xattn(epochs=2.5),
-                           "epochs must be an integer >= 1, got 2.5"),
     "crf-epochs-float": (lambda: train_crf(gen_langid_corpus(6, seed=0),
                                            epochs=2.5),
                          "epochs must be an integer >= 1, got 2.5"),
