@@ -12,14 +12,14 @@ reports the fastest: other load on a shared host slows a run, never speeds
 it up.
 
 Each process also reports its peak RSS (`ru_maxrss`, over its whole life:
-imports, set-up and all four runs), and its minor page faults and its system
-CPU seconds (`ru_stime`) over the three timed runs, so that a change to
-memory shows its page-fault and kernel cost in the same pairs. Prints the
-two times, peaks, fault counts and system seconds of each pair, then each
-tree's quartiles of the four, then one verdict per quantity on whether
-SRC_B (the change) may claim it lower than SRC_A (the parent): B must be
-lower in at least nine tenths of the pairs, ties counting for neither, and
-the medians must differ by more than A's interquartile range.
+imports, set-up and all four runs) and its system CPU seconds (`ru_stime`)
+over the three timed runs, so that a change to memory shows its kernel cost
+in the same pairs. Prints the two times, peaks and system seconds of each
+pair, then each tree's quartiles of the three, then one verdict per
+quantity on whether SRC_B (the change) may claim it lower than SRC_A (the
+parent): B must be lower in at least nine tenths of the pairs, ties
+counting for neither, and the medians must differ by more than A's
+interquartile range.
 
 Each job is one pass of the timed calls of a workload in
 perfbench/workloads.py of this checkout, set up by its class at the "full"
@@ -51,7 +51,7 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIMED_RUNS = 3
 # (name, unit, decimals) of each number a process reports
 QUANTITIES = (("time", " ms", 1), ("peak RSS", " MB", 1),
-              ("minor faults", "", 0), ("system time", " s", 3))
+              ("system time", " s", 3))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -143,7 +143,6 @@ def child(src: str, job: str, seed: int) -> None:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is in KiB on Linux
     print(f"{min(times) * 1e3:.3f} {usage.ru_maxrss / 1024:.1f} "
-          f"{usage.ru_minflt - before.ru_minflt} "
           f"{usage.ru_stime - before.ru_stime:.3f}")
 
 
@@ -161,14 +160,13 @@ def run_fresh(argv: list[str]) -> str:
     return out.stdout
 
 
-def time_tree(src: str, job: str, seed: int
-              ) -> tuple[float, float, int, float]:
-    """The tree's (fastest run in ms, peak RSS in MB, minor page faults
-    and system CPU seconds over the timed runs), from one fresh process."""
+def time_tree(src: str, job: str, seed: int) -> tuple[float, float, float]:
+    """The tree's (fastest run in ms, peak RSS in MB, system CPU seconds
+    over the timed runs), from one fresh process."""
     out = run_fresh([__file__, "--child", src, "--job", job,
                      "--seed", str(seed)])
-    ms, rss, faults, sys_s = out.split()[-4:]
-    return float(ms), float(rss), int(faults), float(sys_s)
+    ms, rss, sys_s = out.split()[-3:]
+    return float(ms), float(rss), float(sys_s)
 
 
 def summary(runs: dict[str, list[tuple]]) -> list[str]:
@@ -211,12 +209,11 @@ def main() -> None:
         for tree in order:
             src = args.trees[0] if tree == "A" else args.trees[1]
             runs[tree].append(time_tree(src, args.job, args.seed))
-        (a, rss_a, flt_a, sys_a), (b, rss_b, flt_b, sys_b) = (
-            runs["A"][-1], runs["B"][-1])
+        (a, rss_a, sys_a), (b, rss_b, sys_b) = runs["A"][-1], runs["B"][-1]
         print(f"pair {rep + 1:2d} ({''.join(order)} order): A {a:9.1f} ms  "
               f"B {b:9.1f} ms  B/A {b / a:.3f}  peak RSS A {rss_a:.1f} "
-              f"B {rss_b:.1f} MB  minor faults A {flt_a} B {flt_b}  "
-              f"system A {sys_a:.3f} B {sys_b:.3f} s", flush=True)
+              f"B {rss_b:.1f} MB  system A {sys_a:.3f} B {sys_b:.3f} s",
+              flush=True)
     print("\n".join(summary(runs)))
 
 

@@ -27,10 +27,9 @@ from .numerics import make_rng
 from .quant import quantize_model
 from .seq2seq import (Seq2SeqConfig, check_length, init_model,
                       translate_corpus)
-from .text import (Provenance, SynthTaskSpec, build_vocab, check_count,
-                   decode_utf8, gen_clean_corpus, gen_synthetic_corpus,
-                   load_parallel_tsv, read_utf8, save_parallel_tsv,
-                   split_lines)
+from .text import (SynthTaskSpec, build_vocab, check_count, decode_utf8,
+                   gen_clean_corpus, gen_synthetic_corpus, load_parallel_tsv,
+                   read_utf8, save_parallel_tsv, split_lines)
 from .train import (TrainingConfig, check_pairs, config_from_items,
                     train_stage1, train_stage2)
 from .translit import (check_translit_model, hybrid_transliterate,
@@ -49,6 +48,14 @@ def _read_lines(spec: str, keep_blank: bool = False) -> list[str]:
     text = (decode_utf8(sys.stdin.buffer.read(), "<stdin>") if spec == "-"
             else read_utf8(spec))
     return [ln for ln in split_lines(text) if keep_blank or ln.strip()]
+
+
+def _check_nonempty(flag: str, spec: str, items: list, what: str) -> None:
+    """DataError naming `flag` and its file (`<stdin>` for "-") when the
+    file gave no `what` to train on, before any model is loaded or built."""
+    if not items:
+        name = "<stdin>" if spec == "-" else spec
+        raise DataError(f"{flag} {name}: no {what} to train on")
 
 
 def _write_lines(spec: str, lines: list[str]) -> None:
@@ -176,10 +183,8 @@ def _cmd_train(args) -> int:
         tcfg = config_from_items(read_kv(Path(args.config)))
     if args.seed is not None:
         tcfg.seed = args.seed
-    noisy = load_parallel_tsv(args.train_tsv, Provenance.NOISY_PSEUDO) \
-        if args.train_tsv else []
-    clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL) \
-        if args.clean_tsv else []
+    noisy = load_parallel_tsv(args.train_tsv) if args.train_tsv else []
+    clean = load_parallel_tsv(args.clean_tsv) if args.clean_tsv else []
     for flag, path, pairs, stage in (
             ("--train-tsv", args.train_tsv, noisy, "stage1"),
             ("--clean-tsv", args.clean_tsv, clean, "stage2")):
@@ -187,8 +192,7 @@ def _cmd_train(args) -> int:
             continue
         if not path:
             raise UsageError(f"{flag} is required for {stage} training")
-        if not pairs:  # named here, before any model is built or trained
-            raise DataError(f"{flag} {path}: no pairs to train on")
+        _check_nonempty(flag, path, pairs, "pairs")
     rng = make_rng(tcfg.seed)
     init_rng, s1_rng, s2_rng = rng.spawn(3)
     if args.init_from:
@@ -214,9 +218,11 @@ def _cmd_train(args) -> int:
 def _cmd_distill(args) -> int:
     dcfg = DistillConfig(epochs=args.epochs, lr=args.lr,
                          batch_size=args.batch_size, lam=args.lam)
-    teacher = load_checkpoint(args.teacher)
-    clean = load_parallel_tsv(args.clean_tsv, Provenance.CLEAN_MANUAL)
+    clean = load_parallel_tsv(args.clean_tsv)
     pool = _read_lines(args.pool)
+    _check_nonempty("--clean-tsv", args.clean_tsv, clean, "pairs")
+    _check_nonempty("--pool", args.pool, pool, "queries")
+    teacher = load_checkpoint(args.teacher)
     student_cfg = _model_config(args, teacher.config.vocab,
                                 max_len=teacher.config.max_len)
     check_pairs(clean, student_cfg, args.clean_tsv)

@@ -32,8 +32,7 @@ from .numerics.tensor import _make
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
 from .seq2seq.model import check_id_count, encode_source, id_count_fits
-from .text import (PAD, Corpus, ParallelExample, Provenance, Vocab,
-                   decode)
+from .text import PAD, Corpus, ParallelExample, Vocab, decode
 from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
                     check_loss_settings, check_pairs, check_trainable, fit)
 
@@ -52,10 +51,10 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
     """Beam-decode every source with the frozen teacher, as batches, to the
     teacher's own step limit (or `max_len` tokens when that is lower).
 
-    Returns (pseudo-labeled examples with NOISY_PSEUDO provenance, indices
-    of skipped sources). A source is skipped when its encoder input (tokens
-    plus EOS) does not fit the teacher (`id_count_fits`), which is not
-    decoded, or when decoding fails to finish or produces an empty target.
+    Returns (the pseudo-labeled pairs, indices of skipped sources). A source
+    is skipped when its encoder input (tokens plus EOS) does not fit the
+    teacher (`id_count_fits`), which is not decoded, or when decoding fails
+    to finish or produces an empty target.
     """
     vocab = teacher.config.vocab
     encoded = [encode_source(s, vocab) for s in sources]
@@ -70,8 +69,7 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
         if result is None or not result.finished or not result.ids:
             skipped.append(i)
             continue
-        out.append(ParallelExample(src, decode(result.ids, vocab),
-                                   Provenance.NOISY_PSEUDO))
+        out.append(ParallelExample(src, decode(result.ids, vocab)))
     return out, skipped
 
 
@@ -211,8 +209,10 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     pool source the teacher skips, or whose pair does not fit that
     student, counts in `DistillReport.skipped_sources`.
     """
-    if not clean_corpus or not unlabeled_pool:
-        raise DataError("train_student needs non-empty clean corpus and pool")
+    for name, items in (("clean_corpus", clean_corpus),
+                        ("unlabeled_pool", unlabeled_pool)):
+        if not items:
+            raise DataError(f"train_student: {name} is empty")
     cfg = config or DistillConfig()
     init_rng, data_rng, aug_rng, kd_rng, drop_rng = rng.spawn(5)
     student = initial_student or init_model(student_config, init_rng)

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import DataError
 from .numerics import AdamWState, adamw_step, make_rng
-from .text import _make_words, check_count, read_utf8, split_lines
+from .text import (_SRC_CONSONANTS, _SRC_VOWELS, _TGT_CONSONANTS, _TGT_VOWELS,
+                   _make_words, check_count, read_utf8, split_lines)
 
 LABELS = ("EN", "HI", "OT")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -543,10 +544,6 @@ def load_crf(path) -> CRFModel:
 # Synthetic token-labeled benchmark
 # ---------------------------------------------------------------------------
 
-_EN_CONSONANTS = "bcdfghlmnrst"
-_EN_VOWELS = "eo"
-_HI_CONSONANTS = "jkpqvxz"
-_HI_VOWELS = "aiu"
 _SHARED_CONSONANTS = "dkmrt"
 _SHARED_VOWELS = "ai"
 
@@ -569,7 +566,8 @@ def _choice_cdf(p) -> list[float]:
 
 
 def gen_langid_corpus(n_queries: int, seed: int = 0) -> list[LabeledQuery]:
-    """Two toy languages with disjoint alphabets plus a shared (ambiguous)
+    """Two toy languages with disjoint alphabets (EN spells with `text`'s
+    target alphabet, HI with its source alphabet) plus a shared (ambiguous)
     word set that only context disambiguates; OT words carry digits. Label
     sequences follow a sticky Markov chain, so neighboring words are
     informative about ambiguous tokens. Queries are 2 to 6 words long, and
@@ -585,8 +583,8 @@ def gen_langid_corpus(n_queries: int, seed: int = 0) -> list[LabeledQuery]:
     rng = make_rng(seed ^ 0x1A6B1D)
     random, integers = rng.random, rng.integers
     taken: set[str] = set()
-    en = _make_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)
-    hi = _make_words(rng, 150, _HI_CONSONANTS, _HI_VOWELS, taken)
+    en = _make_words(rng, 150, _TGT_CONSONANTS, _TGT_VOWELS, taken)
+    hi = _make_words(rng, 150, _SRC_CONSONANTS, _SRC_VOWELS, taken)
     shared = _make_words(rng, 40, _SHARED_CONSONANTS, _SHARED_VOWELS, taken)
     # integers(3) is the draw choice(list("gxk")) makes
     ot = [f"{integers(1, 512)}{'gxk'[int(integers(3))]}" for _ in range(60)]

@@ -20,10 +20,11 @@ int8 model decodes in float32, a float64 model in float64.
 Selection. Each row proposes its `beam` most likely tokens, ties going to
 the lower token id, with their log-probabilities (`_top_k`): `beam` rounds
 of row-wise argmax, each reading the log-probability it picks, cost less
-than sorting the vocabulary. A query's candidates are enumerated in
-(hypothesis, rank) order, those with a non-finite score are dropped, and
-the rest are stable-sorted by score, so equal scores keep that order;
-the first `beam` survive.
+than sorting the vocabulary; a round that finds no finite entry left picks
+a -inf. A query's candidates are enumerated in (hypothesis, rank) order,
+those with a non-finite score (every -inf pick) are dropped, and the rest
+are stable-sorted by score, so equal scores keep that order; the first
+`beam` survive.
 
 A hypothesis that emits EOS moves from the active to the finished set. A
 query stops when no active hypothesis is left, or when its best finished
@@ -69,15 +70,13 @@ def _max_steps(model: Seq2SeqModel, max_len: int | None) -> int:
 
 
 def _top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k largest entries, best first with ties to the lower id
-    (the order of the stable argsort of `-lp`), and their values, by k
-    rounds of row-wise argmax: argmax returns the lowest id among tied
-    maxima, and each pick is set to -inf before the next round. Rows where
-    a round picks -inf or NaN, where a round can pick an id again, and
-    k >= the row length, take the full stable sort."""
+    """Each row's k largest entries, best first with ties to the lower id,
+    and their values, by k rounds of row-wise argmax: argmax returns the
+    lowest id among tied maxima, and each pick is set to -inf before the
+    next round. A row's finite picks are the finite prefix of the stable
+    argsort of `-lp`, in its order; its other picks have the value -inf.
+    `lp` holds no NaN: `decode_step`'s checked pass raises on one."""
     n, width = lp.shape
-    if k >= width:
-        return _sorted_top_k(lp, k)
     work = lp.copy()
     flat = work.reshape(-1)                     # a view of work
     offsets = np.arange(n) * width
@@ -88,16 +87,7 @@ def _top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         at = pick + offsets
         vals[:, j] = flat[at]
         flat[at] = -np.inf
-    ok = vals > -np.inf
-    if not ok.all():
-        bad = np.flatnonzero(~ok.all(axis=1))
-        top[bad], vals[bad] = _sorted_top_k(lp[bad], k)
     return top, vals
-
-
-def _sorted_top_k(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    top = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
-    return top, np.take_along_axis(lp, top, axis=-1)
 
 
 def _step(model: Seq2SeqModel, cache, tokens: list[int]) -> np.ndarray:

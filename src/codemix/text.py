@@ -6,11 +6,12 @@ words. A source sentence mixes toy-source words with their target-language
 equivalents (code-mix), words may lose one interior character (spell noise),
 and training targets may be corrupted by substituting a wrong lexicon word
 (noisy pseudo-labels). The held-out test split always has clean labels.
+A corpus is its pairs alone: which corpus trains which stage is the
+caller's choice of function.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,16 +27,10 @@ PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN, MASK_TOKEN = (
 SPECIAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN, MASK_TOKEN)
 
 
-class Provenance(enum.Enum):
-    NOISY_PSEUDO = "noisy_pseudo"
-    CLEAN_MANUAL = "clean_manual"
-
-
 @dataclass
 class ParallelExample:
     source: str
     target: str
-    provenance: Provenance = Provenance.CLEAN_MANUAL
     # Pre-noise source, kept for generator debugging/verification only.
     pristine_source: str | None = None
 
@@ -152,7 +147,7 @@ def split_lines(text: str) -> list[str]:
     return [ln.removesuffix("\r") for ln in lines]
 
 
-def load_parallel_tsv(path, provenance: Provenance = Provenance.CLEAN_MANUAL) -> Corpus:
+def load_parallel_tsv(path) -> Corpus:
     """One `source<TAB>target` pair per line (`split_lines`), UTF-8.
 
     Blank or tab-malformed lines are rejected with their 1-based line number.
@@ -164,8 +159,7 @@ def load_parallel_tsv(path, provenance: Provenance = Provenance.CLEAN_MANUAL) ->
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise DataError(f"{path}: malformed line {lineno}: expected "
                             f"'source<TAB>target', got {line!r}")
-        corpus.append(ParallelExample(parts[0].strip(), parts[1].strip(),
-                                      provenance))
+        corpus.append(ParallelExample(parts[0].strip(), parts[1].strip()))
     return corpus
 
 
@@ -260,8 +254,7 @@ def drop_interior_char(word: str, rng: np.random.Generator) -> str:
 
 
 def _gen_split(spec: SynthTaskSpec, n: int, lexicon: dict[str, str],
-               rng: np.random.Generator, error_rate: float,
-               provenance: Provenance) -> Corpus:
+               rng: np.random.Generator, error_rate: float) -> Corpus:
     src_words = list(lexicon.keys())
     tgt_words = list(lexicon.values())
     k = len(src_words)
@@ -286,7 +279,7 @@ def _gen_split(spec: SynthTaskSpec, n: int, lexicon: dict[str, str],
                 t = tgt_words[wrong]
             target.append(t)
         out.append(ParallelExample(" ".join(noisy_src), " ".join(target),
-                                   provenance, " ".join(pristine)))
+                                   " ".join(pristine)))
     return out
 
 
@@ -294,27 +287,27 @@ def gen_synthetic_corpus(spec: SynthTaskSpec, n_train: int,
                          n_test: int = 0) -> tuple[Corpus, Corpus]:
     """Generate (noisy training corpus, clean test split).
 
-    Training targets carry pseudo-label noise at the spec's error rate and
-    NOISY_PSEUDO provenance; the test split has error rate 0 and CLEAN_MANUAL
-    provenance. Both share the code-mix and character-noise settings.
+    Training targets carry pseudo-label noise at the spec's error rate; the
+    test split has error rate 0. Both share the code-mix and character-noise
+    settings.
     """
     check_count("n_train", n_train, least=1)
     check_count("n_test", n_test)
     lexicon = build_lexicon(spec)
     rng = make_rng(spec.seed)
     train = _gen_split(spec, n_train, lexicon, rng,
-                       spec.pseudo_label_error_rate, Provenance.NOISY_PSEUDO)
-    test = _gen_split(spec, n_test, lexicon, rng, 0.0, Provenance.CLEAN_MANUAL)
+                       spec.pseudo_label_error_rate)
+    test = _gen_split(spec, n_test, lexicon, rng, 0.0)
     return train, test
 
 
 def gen_clean_corpus(spec: SynthTaskSpec, n: int, salt: int = 1) -> Corpus:
-    """A clean-label corpus (q=0, CLEAN_MANUAL) drawn from the same task with
-    an independent stream; stands in for manually tagged data."""
+    """A clean-label corpus (error rate 0) drawn from the same task with an
+    independent stream; stands in for manually tagged data."""
     check_count("n", n)
     lexicon = build_lexicon(spec)
     rng = make_rng(spec.seed ^ (0xC1EA0 + salt))
-    return _gen_split(spec, n, lexicon, rng, 0.0, Provenance.CLEAN_MANUAL)
+    return _gen_split(spec, n, lexicon, rng, 0.0)
 
 
 def all_word_forms(spec: SynthTaskSpec) -> list[str]:

@@ -26,7 +26,7 @@ from .errors import DataError, NonFiniteError, TrainingDivergedError
 from .numerics import AdamWState, check_rate, no_grad, step_tensors
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, check_length,
                       label_smoothed_ce, make_batch, pad_batch)
-from .text import Corpus, Provenance, check_count
+from .text import Corpus, check_count
 
 DEFAULT_STAGE1_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER, AugKind.MASK)
 DEFAULT_STAGE2_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER)
@@ -342,10 +342,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
 def train_stage1(model: Seq2SeqModel, noisy_corpus: Corpus,
                  config: TrainingConfig,
                  rng: np.random.Generator) -> TrainReport:
-    """Fixed-epoch training on the noisy pseudo-labeled corpus."""
-    if any(ex.provenance is not Provenance.NOISY_PSEUDO for ex in noisy_corpus):
-        raise DataError("train_stage1 expects NOISY_PSEUDO provenance "
-                        "for every example")
+    """Fixed-epoch `fit` with stage 1's recipe on whatever corpus the
+    caller gives: in the paper's pipeline the noisy pseudo-labeled one."""
     return fit(model, noisy_corpus, epochs=config.stage1.epochs,
                lr=config.stage1.lr, batch_size=config.stage1.batch_size,
                kinds=config.stage1.kinds, lam=config.lam,
@@ -362,9 +360,6 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
     return (in place) the best-validation checkpoint, which may be the
     untrained epoch-0 model."""
     check_trainable(model)
-    if any(ex.provenance is not Provenance.CLEAN_MANUAL for ex in clean_corpus):
-        raise DataError("train_stage2 expects CLEAN_MANUAL provenance "
-                        "for every example")
     if len(clean_corpus) < 10:
         raise DataError("stage 2 needs at least 10 examples for a "
                         "validation split")

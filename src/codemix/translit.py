@@ -12,8 +12,7 @@ import numpy as np
 from .errors import DataError
 from .numerics import make_rng
 from .seq2seq import Seq2SeqConfig, Seq2SeqModel, init_model, translate_corpus
-from .text import (ParallelExample, Provenance, Vocab, build_vocab, read_utf8,
-                   split_lines)
+from .text import ParallelExample, Vocab, build_vocab, read_utf8, split_lines
 from .train import fit
 
 
@@ -108,8 +107,7 @@ def train_translit(word_pairs: list[tuple[str, str]],
     if not word_pairs:
         raise DataError("train_translit needs a non-empty pair list")
     rng = rng or make_rng(0)
-    corpus = [ParallelExample(w.lower(), t.lower(), Provenance.CLEAN_MANUAL)
-              for w, t in word_pairs]
+    corpus = [ParallelExample(w.lower(), t.lower()) for w, t in word_pairs]
     if config is None:
         vocab = build_vocab(corpus, mode="char")
         config = char_seq2seq_config(vocab)

@@ -44,9 +44,8 @@ from fractions import Fraction
 import numpy as np
 
 from codemix.errors import CodemixError
-from codemix.langid import (_EN_CONSONANTS, _EN_VOWELS, _HI_CONSONANTS,
-                            _HI_VOWELS, _SHARED_CONSONANTS, _SHARED_VOWELS,
-                            _START_P, _STICKY, LABEL_INDEX, LABELS, N_LABELS,
+from codemix.langid import (_SHARED_CONSONANTS, _SHARED_VOWELS, _START_P,
+                            _STICKY, LABEL_INDEX, LABELS, N_LABELS,
                             CRFModel, LabeledQuery, LabeledToken,
                             extract_features)
 from codemix.numerics import (AdamWState, Tensor, adamw_step, gather_rows,
@@ -54,7 +53,8 @@ from codemix.numerics import (AdamWState, Tensor, adamw_step, gather_rows,
 from codemix.numerics.tensor import (_make, _unbroadcast, as_tensor, attend,
                                      attention_names)
 from codemix.seq2seq.model import Seq2SeqModel
-from codemix.text import (BOS, EOS, PAD, Corpus, ParallelExample,
+from codemix.text import (_SRC_CONSONANTS, _SRC_VOWELS, _TGT_CONSONANTS,
+                          _TGT_VOWELS, BOS, EOS, PAD, Corpus, ParallelExample,
                           _make_words, drop_interior_char)
 
 
@@ -842,8 +842,8 @@ def reference_gen_langid_corpus(n_queries: int, seed: int = 0
     start and transition label and `rng.choice(list("gxk"))` per OT word."""
     rng = make_rng(seed ^ 0x1A6B1D)
     taken: set[str] = set()
-    en = _make_words(rng, 150, _EN_CONSONANTS, _EN_VOWELS, taken)
-    hi = _make_words(rng, 150, _HI_CONSONANTS, _HI_VOWELS, taken)
+    en = _make_words(rng, 150, _TGT_CONSONANTS, _TGT_VOWELS, taken)
+    hi = _make_words(rng, 150, _SRC_CONSONANTS, _SRC_VOWELS, taken)
     shared = _make_words(rng, 40, _SHARED_CONSONANTS, _SHARED_VOWELS, taken)
     ot = [f"{rng.integers(1, 512)}{rng.choice(list('gxk'))}" for _ in range(60)]
 
@@ -868,7 +868,7 @@ def reference_gen_langid_corpus(n_queries: int, seed: int = 0
 
 
 def reference_gen_split(spec, n: int, lexicon: dict[str, str], rng,
-                        error_rate: float, provenance) -> Corpus:
+                        error_rate: float) -> Corpus:
     """`text._gen_split` indexing the word lists with the NumPy integers
     of one `rng.integers(0, k, size=length)` per sentence."""
     src_words = list(lexicon.keys())
@@ -895,7 +895,7 @@ def reference_gen_split(spec, n: int, lexicon: dict[str, str], rng,
                 t = tgt_words[wrong]
             target.append(t)
         out.append(ParallelExample(" ".join(noisy_src), " ".join(target),
-                                   provenance, " ".join(pristine)))
+                                   " ".join(pristine)))
     return out
 
 

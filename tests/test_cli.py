@@ -1175,6 +1175,14 @@ class TestBadArguments:
             ["train", "--train-tsv", "{clean}", "--clean-tsv", "{empty}",
              "--stage", "both", "--out", "{out}"] + TINY_MODEL,
             "--clean-tsv {empty}: no pairs to train on"),
+        "distill-empty-clean-tsv": (
+            ["distill", "--teacher", "{teacher}", "--clean-tsv", "{empty}",
+             "--pool", "{queries}", "--out", "{out}"],
+            "--clean-tsv {empty}: no pairs to train on"),
+        "distill-blank-pool": (
+            ["distill", "--teacher", "{teacher}", "--clean-tsv", "{clean}",
+             "--pool", "{blank}", "--out", "{out}"],
+            "--pool {blank}: no queries to train on"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1369,6 +1377,20 @@ class TestStdin:
         assert rc == 2 and out.out == ""
         assert out.err.startswith("error: <stdin>: not valid UTF-8")
         assert len(out.err.splitlines()) == 1
+
+    def test_blank_pool_is_named_before_the_teacher_loads(
+            self, monkeypatch, capsys, tmp_path):
+        clean = tmp_path / "clean.tsv"
+        clean.write_text("kala juta\tblack shoe\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *a: pytest.fail(
+            "the teacher was loaded"))
+        rc, out = self._cli(["distill", "--teacher", str(TEACHER),
+                             "--clean-tsv", str(clean), "--pool", "-",
+                             "--out", str(tmp_path / "out")],
+                            b" \n\n", monkeypatch, capsys)
+        assert rc == 2 and out.out == ""
+        assert out.err == "error: --pool <stdin>: no queries to train on\n"
+        assert not (tmp_path / "out").exists()
 
     def test_byte_order_mark_is_dropped(self, monkeypatch, capsys,
                                         tmp_path):

@@ -19,7 +19,7 @@ from codemix.quant import (QuantizedTensor, dequantize, quantize_int8,
 from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search_batch,
                              encode_source, init_model, make_batch,
                              translate_corpus)
-from codemix.text import (ParallelExample, Provenance, SynthTaskSpec, Vocab,
+from codemix.text import (ParallelExample, SynthTaskSpec, Vocab,
                           gen_synthetic_corpus, synthetic_vocab)
 from codemix.train import StageConfig, TrainingConfig, train_stage1
 
@@ -155,7 +155,7 @@ class TestPseudoLabels:
             teacher, [ex.source for ex in corpus])
         assert not skipped
         assert [p.target for p in pseudo] == [ex.target for ex in corpus]
-        assert all(p.provenance is Provenance.NOISY_PSEUDO for p in pseudo)
+        assert [p.source for p in pseudo] == [ex.source for ex in corpus]
 
     @pytest.mark.parametrize("max_len,steps", [(None, 47), (5, 5)])
     def test_decodes_to_the_teachers_limit(self, max_len, steps,
@@ -190,8 +190,7 @@ class TestPseudoLabels:
         assert skipped == sorted(unfinished + empty)
         assert len(pseudo) == len(sources) - len(skipped) > 0
 
-        clean = [ParallelExample(s, s, Provenance.CLEAN_MANUAL)
-                 for s in sources]
+        clean = [ParallelExample(s, s) for s in sources]
         student_cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
                                     n_dec_layers=1, d_model=16, n_heads=2,
                                     d_ff=32)
@@ -224,8 +223,7 @@ class TestPseudoLabels:
         alone, _ = generate_pseudo_labels(teacher, sources[:2])
         assert pseudo[:2] == alone
 
-        clean = [ParallelExample(ex.source, ex.target, Provenance.CLEAN_MANUAL)
-                 for ex in corpus]
+        clean = [ParallelExample(ex.source, ex.target) for ex in corpus]
         student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
                                     n_enc_layers=1, n_dec_layers=1,
                                     d_model=16, n_heads=2, d_ff=32)
@@ -299,8 +297,7 @@ class TestQuantization:
 class TestTrainStudent:
     def _setup(self):
         teacher, corpus = overfit_teacher(pairs=12)
-        clean = [ParallelExample(ex.source, ex.target,
-                                 Provenance.CLEAN_MANUAL) for ex in corpus]
+        clean = [ParallelExample(ex.source, ex.target) for ex in corpus]
         pool = [ex.source for ex in corpus]
         return teacher, clean, pool
 
@@ -501,10 +498,10 @@ class TestTrainStudent:
 
     def test_empty_inputs_rejected(self):
         teacher, clean, pool = self._setup()
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="clean_corpus is empty"):
             train_student(teacher.config, teacher, [], pool, KDKind.JS,
                           make_rng(0))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="unlabeled_pool is empty"):
             train_student(teacher.config, teacher, clean, [], KDKind.JS,
                           make_rng(0))
 
@@ -602,8 +599,7 @@ class TestTrainStudentMatchesReference:
     @staticmethod
     def _check(kd_kind, lam, kinds, batch_size):
         teacher, corpus = overfit_teacher(pairs=12)
-        clean = [ParallelExample(ex.source, ex.target,
-                                 Provenance.CLEAN_MANUAL) for ex in corpus]
+        clean = [ParallelExample(ex.source, ex.target) for ex in corpus]
         pool = [ex.source for ex in corpus]
         student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
                                     n_enc_layers=1, n_dec_layers=1,

@@ -44,9 +44,8 @@ from codemix.numerics import make_rng
 from codemix.quant import quantize_model
 from codemix.seq2seq import Seq2SeqConfig, init_model, translate_corpus
 from codemix.seq2seq.model import _param_shapes
-from codemix.text import (Provenance, SynthTaskSpec, gen_clean_corpus,
-                          load_parallel_tsv, save_parallel_tsv,
-                          synthetic_vocab)
+from codemix.text import (SynthTaskSpec, gen_clean_corpus, load_parallel_tsv,
+                          save_parallel_tsv, synthetic_vocab)
 from codemix.train import TrainingConfig, config_from_items
 from codemix.translit import load_translit_dict
 
@@ -382,7 +381,7 @@ def test_parallel_tsv_mutants(clean_tsv, capped_epochs, tmp_path, mutation):
     path = tmp_path / "clean.tsv"
     path.write_bytes(mutate(clean_tsv, mutation))
     try:
-        pairs = len(load_parallel_tsv(path, Provenance.CLEAN_MANUAL))
+        pairs = len(load_parallel_tsv(path))
     except CodemixError:
         pairs = 0
     trains = cli_outcome(TINY_TRAIN + ["--clean-tsv", str(path), "--out",

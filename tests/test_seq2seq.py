@@ -552,15 +552,27 @@ def log_prob_rows(draw):
     return lp, draw(st.integers(1, width + 1))
 
 
+def assert_top_k(lp, k):
+    """Each row's finite picks are the finite prefix of the full stable
+    argsort, in its order, with their values; every other pick is -inf."""
+    top, vals = _top_k(lp, k)
+    assert top.shape == vals.shape == (len(lp), k)
+    order = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
+    for row, ids, got, got_vals in zip(lp, order, top, vals):
+        want = [i for i in ids if np.isfinite(row[i])]
+        assert got[:len(want)].tolist() == want
+        assert np.array_equal(got_vals[:len(want)], row[want])
+        assert (got_vals[len(want):] == -np.inf).all()
+
+
 class TestTopK:
-    """_top_k must pick what the full stable argsort picks, in its order."""
+    """_top_k's finite picks are what the full stable argsort picks first,
+    in its order; a pick beyond a row's finite entries reads -inf."""
 
     @settings(max_examples=400, deadline=None)
     @given(log_prob_rows())
     def test_equals_full_stable_argsort(self, case):
-        lp, k = case
-        want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
-        assert np.array_equal(_top_k(lp, k)[0], want)
+        assert_top_k(*case)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows,k", [
@@ -580,8 +592,7 @@ class TestTopK:
             "round-repeats-after-inf", "k1-wide-tied-max"])
     def test_named_cases(self, rows, k, dtype):
         lp = np.array(rows, dtype=dtype)
-        want = np.argsort(-lp, axis=-1, kind="stable")[:, :k]
-        assert np.array_equal(_top_k(lp, k)[0], want)
+        assert_top_k(lp, k)
         if k == 1:
             assert np.array_equal(_top_k(lp, k)[0][:, 0],
                                   np.argmax(lp, axis=1))

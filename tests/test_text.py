@@ -14,7 +14,7 @@ from codemix.langid import load_token_labels
 from codemix.quant import quantize_model
 from codemix.seq2seq import Seq2SeqConfig, init_model
 from codemix.text import (BOS, EOS, MASK, PAD, UNK, UNK_TOKEN, ParallelExample,
-                          Provenance, SynthTaskSpec, Vocab, build_lexicon,
+                          SynthTaskSpec, Vocab, build_lexicon,
                           build_vocab, decode, drop_interior_char, encode,
                           gen_clean_corpus, gen_synthetic_corpus,
                           load_parallel_tsv, save_parallel_tsv, split_lines,
@@ -140,7 +140,7 @@ class TestParallelTsv:
             load_parallel_tsv(tmp_path)
 
     def test_round_trip(self, tmp_path):
-        corpus = [ParallelExample("juta wala", "shoe", Provenance.CLEAN_MANUAL)]
+        corpus = [ParallelExample("juta wala", "shoe")]
         p = tmp_path / "c.tsv"
         save_parallel_tsv(corpus, p)
         back = load_parallel_tsv(p)
@@ -273,11 +273,10 @@ class TestSyntheticGenerator:
         _, test = gen_synthetic_corpus(spec, 10, 60)
         assert test, "test split missing"
         for ex in test:
-            assert ex.provenance is Provenance.CLEAN_MANUAL
             assert [full[w] for w in ex.pristine_source.split()] == \
                 ex.target.split()
 
-    def test_train_split_provenance_and_noise_rate(self):
+    def test_train_split_noise_rate(self):
         spec = SynthTaskSpec(lexicon_size=15, code_mix_ratio=0.0,
                              noise_char_drop_prob=0.0,
                              pseudo_label_error_rate=0.3, seed=2)
@@ -285,7 +284,6 @@ class TestSyntheticGenerator:
         train, _ = gen_synthetic_corpus(spec, 400)
         n_words = n_wrong = 0
         for ex in train:
-            assert ex.provenance is Provenance.NOISY_PSEUDO
             for w, t in zip(ex.pristine_source.split(), ex.target.split()):
                 n_words += 1
                 n_wrong += (lex[w] != t)
@@ -316,7 +314,11 @@ class TestSyntheticGenerator:
         spec = SynthTaskSpec(lexicon_size=20, seed=6)
         train, _ = gen_synthetic_corpus(spec, 50)
         clean = gen_clean_corpus(spec, 50)
-        assert all(ex.provenance is Provenance.CLEAN_MANUAL for ex in clean)
+        lex = build_lexicon(spec)
+        full = {**lex, **{t: t for t in lex.values()}}
+        for ex in clean:  # clean labels: the lexicon image of the source
+            assert [full[w] for w in ex.pristine_source.split()] == \
+                ex.target.split()
         assert [e.source for e in clean] != [e.source for e in train]
 
     def test_shuffle_is_permutation(self):

@@ -49,11 +49,21 @@ def weights_equal(a, b):
 
 
 class TestStage1:
-    def test_provenance_enforced(self):
-        model = small_setup()
-        clean = gen_clean_corpus(SPEC, 20)
-        with pytest.raises(DataError):
-            train_stage1(model, clean, TrainingConfig(), make_rng(0))
+    def test_clean_corpus_trains_as_fit_does(self):
+        # the stage is the recipe alone: any corpus trains, bit for bit as
+        # `fit` with stage 1's settings and the same three streams
+        clean = gen_clean_corpus(SPEC, 40)
+        cfg = TrainingConfig()
+        cfg.stage1 = StageConfig(epochs=2, lr=1e-3, batch_size=16)
+        m_a, m_b = small_setup(seed=4), small_setup(seed=4)
+        train_stage1(m_a, clean, cfg, make_rng(6))
+        fit(m_b, clean, epochs=2, lr=1e-3, batch_size=16,
+            kinds=cfg.stage1.kinds, lam=cfg.lam,
+            label_smoothing=cfg.label_smoothing,
+            weight_decay=cfg.weight_decay, rngs=make_rng(6).spawn(3),
+            stage="stage1")
+        assert weights_equal(m_a, m_b)
+        assert not weights_equal(m_a, small_setup(seed=4))
 
     def test_lambda_zero_equals_no_kinds_run(self):
         corpus, _ = gen_synthetic_corpus(SPEC, 120)
@@ -150,11 +160,13 @@ class TestStage1:
 
 
 class TestStage2:
-    def test_provenance_enforced(self):
-        model = small_setup()
+    def test_noisy_corpus_trains(self):
         noisy, _ = gen_synthetic_corpus(SPEC, 30)
-        with pytest.raises(DataError):
-            train_stage2(model, noisy, TrainingConfig(), make_rng(0))
+        cfg = TrainingConfig()
+        cfg.stage2 = StageConfig(epochs=2, lr=1e-3, batch_size=8)
+        report = train_stage2(small_setup(), noisy, cfg, make_rng(0))
+        assert [e.epoch for e in report.epochs] == [1, 2]
+        assert all(np.isfinite(e.val_loss) for e in report.epochs)
 
     def test_small_corpus_rejected(self):
         model = small_setup()
