@@ -1,11 +1,11 @@
 """Cross-attention identity error, the measure of the autoencoder
 augmentation's experiment.
 
-For an input=output batch the cross-attention matrices are square; per
-example and per head we take the Frobenius norm of (C - I), minimize over
-heads, and average over the batch. Tracking this error per decoder layer
-across training epochs shows whether any head is converging toward an
-identity alignment (language-model-like behavior). The experiment that
+The batch is texts, each fed as input and output, so every cross-attention
+matrix is square; per example and per head we take ||C - I||_F, minimize
+over heads, and average over the batch. Tracking this error per decoder
+layer across training epochs shows whether any head is converging toward
+an identity alignment (language-model-like behavior). The experiment that
 trains and tracks it, one seed at a time, is `scripts_calib/xattn_rows.py`.
 """
 
@@ -30,29 +30,20 @@ def min_head_identity_error(c_heads: np.ndarray) -> float:
     return float(per_head.min())
 
 
-def xattn_identity_errors(model: Seq2SeqModel, batch) -> list[float]:
+def xattn_identity_errors(model: Seq2SeqModel, texts) -> list[float]:
     """Each decoder layer's mean over examples of min over heads of
-    ||C - I||_F, from one forward pass. `batch` is a list of texts (fed
-    autoencoder-style, input=output) or of (source, target) pairs.
-
-    Raises when source/target token counts differ (non-square C).
-    """
-    if not batch:
+    ||C - I||_F, from one forward pass of the texts fed autoencoder-style
+    (input = output), so every matrix is square."""
+    if not texts:
         raise DataError("xattn_identity_errors needs a non-empty batch")
-    pairs = [(b, b) if isinstance(b, str) else tuple(b) for b in batch]
     vocab = model.config.vocab
     lens = []
-    for src, tgt in pairs:
-        n_src = len(vocab.tokenize(src))
-        n_tgt = len(vocab.tokenize(tgt))
-        if n_src == 0:
-            raise DataError(f"empty text in attention batch: {src!r}")
-        if n_src != n_tgt:
-            raise ShapeError(
-                f"cross-attention matrix is not square: {n_src} source vs "
-                f"{n_tgt} target tokens for {src!r}")
-        lens.append(n_src + 1)  # + EOS on the encoder, + BOS on the decoder
-    arrays = make_batch(vocab, [p[0] for p in pairs], [p[1] for p in pairs])
+    for text in texts:
+        n = len(vocab.tokenize(text))
+        if n == 0:
+            raise DataError(f"empty text in attention batch: {text!r}")
+        lens.append(n + 1)  # + EOS on the encoder, + BOS on the decoder
+    arrays = make_batch(vocab, texts, texts)
     capture: list[np.ndarray] = []
     with no_grad():
         model.forward(arrays["src"], arrays["dec_in"], capture=capture)

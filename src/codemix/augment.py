@@ -2,8 +2,8 @@
 
 Four transforms: MASK, AUTOENCODER and PERMUTE operate target-to-target
 (teach the model to reproduce/de-noise target text); DROPCHAR corrupts the
-source and keeps the translation target. One kind is chosen uniformly per
-batch and applied to examples sampled with replacement.
+source and keeps the translation target. `sample_augmented_batch` draws
+one kind per batch and applies it to examples sampled with replacement.
 
 An augmented batch's loss loss_d joins the supervised loss loss_s in
 `train.fit`'s objective (1 - lambda) * loss_s + lambda * loss_d. No tape
@@ -97,11 +97,6 @@ _TRANSFORMS = {
 }
 
 
-def apply_augmentation(kind: AugKind, example: ParallelExample,
-                       rng: np.random.Generator) -> tuple[str, str]:
-    return _TRANSFORMS[kind](example, rng)
-
-
 def sample_augmented_batch(corpus: Corpus, kinds, batch_size: int,
                            rng: np.random.Generator,
                            vocab: Vocab) -> AugmentedBatch:
@@ -113,10 +108,11 @@ def sample_augmented_batch(corpus: Corpus, kinds, batch_size: int,
     if not corpus:
         raise DataError("sample_augmented_batch needs a non-empty corpus")
     kind = kinds[int(rng.integers(len(kinds)))]
+    transform = _TRANSFORMS[kind]
     idxs = rng.integers(0, len(corpus), size=batch_size)
     inputs, outputs = [], []
     for i in idxs:
-        inp, out = apply_augmentation(kind, corpus[int(i)], rng)
+        inp, out = transform(corpus[int(i)], rng)
         inputs.append(encode(inp, vocab))
         outputs.append(encode(out, vocab))
     return AugmentedBatch(inputs, outputs, kind)

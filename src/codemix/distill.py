@@ -46,10 +46,9 @@ class KDKind(enum.Enum):
 
 
 def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
-                           beam: int = 3, max_len: int | None = None
-                           ) -> tuple[Corpus, list[int]]:
+                           beam: int = 3) -> tuple[Corpus, list[int]]:
     """Beam-decode every source with the frozen teacher, as batches, to the
-    teacher's own step limit (or `max_len` tokens when that is lower).
+    teacher's own step limit.
 
     Returns (the pseudo-labeled pairs, indices of skipped sources). A source
     is skipped when its encoder input (tokens plus EOS) does not fit the
@@ -61,7 +60,7 @@ def generate_pseudo_labels(teacher: Seq2SeqModel, sources: list[str],
     fits = [i for i, ids in enumerate(encoded)
             if id_count_fits(len(ids), teacher.config)]
     results = dict(zip(fits, beam_search_batch(
-        teacher, [encoded[i] for i in fits], beam=beam, max_len=max_len)))
+        teacher, [encoded[i] for i in fits], beam=beam)))
     out: Corpus = []
     skipped: list[int] = []
     for i, src in enumerate(sources):

@@ -599,19 +599,17 @@ def init_model(config: Seq2SeqConfig, rng: np.random.Generator,
     return Seq2SeqModel(config, params)
 
 
-def forward_teacher_forced(model: Seq2SeqModel, src_ids, tgt_ids,
-                           capture_attn: bool = False):
+def forward_teacher_forced(model: Seq2SeqModel, src_ids, tgt_ids):
     """Single-example teacher-forced pass.
 
     `src_ids` is the full encoder input and `tgt_ids` the full decoder input
     (callers BOS-prefix the target themselves; labels are the EOS-suffixed
     target). Returns logits of shape (len(tgt_ids), vocab) for a PAD-free
-    decoder input, plus the per-layer cross-attention list of `forward`
-    when `capture_attn`, else None.
+    decoder input, and the per-layer cross-attention list of `forward`.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     tgt = np.asarray([tgt_ids], dtype=np.int64)
-    capture = [] if capture_attn else None
+    capture: list = []
     return model.forward(src, tgt, capture=capture), capture
 
 

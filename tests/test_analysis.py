@@ -49,16 +49,6 @@ class TestXattnIdentityError:
         b = xattn_identity_errors(m, list(reversed(batch)))[1]
         assert a == b
 
-    def test_non_square_pair_rejected(self):
-        m = small_model(seed=3)
-        with pytest.raises(ShapeError, match="square"):
-            xattn_identity_errors(m, [("w0 w1 w2", "w0 w1")])
-
-    def test_pairs_with_equal_lengths_accepted(self):
-        m = small_model(seed=4)
-        e = xattn_identity_errors(m, [("w0 w1", "w2 w3")])[0]
-        assert e >= 0
-
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError):
             xattn_identity_errors(small_model(), [])

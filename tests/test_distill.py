@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -157,36 +156,39 @@ class TestPseudoLabels:
         assert [p.target for p in pseudo] == [ex.target for ex in corpus]
         assert [p.source for p in pseudo] == [ex.source for ex in corpus]
 
-    @pytest.mark.parametrize("max_len,steps", [(None, 47), (5, 5)])
-    def test_decodes_to_the_teachers_limit(self, max_len, steps,
-                                           eos_banned):
+    def test_decodes_to_the_teachers_limit(self, eos_banned):
         # nothing finishes, so every source decodes to the step limit
         teacher = init_model(Seq2SeqConfig(
             vocab=Vocab(["a", "b"]), n_enc_layers=1, n_dec_layers=1,
             d_model=8, n_heads=2, d_ff=16, max_len=48), make_rng(2))
-        pseudo, skipped = generate_pseudo_labels(teacher, ["a b"], beam=1,
-                                                 max_len=max_len)
+        pseudo, skipped = generate_pseudo_labels(teacher, ["a b"], beam=1)
         assert (pseudo, skipped) == ([], [0])
-        assert eos_banned == [1] * steps
+        assert eos_banned == [1] * 47
 
     def test_empty_source_list(self):
         teacher, _ = overfit_teacher()
         pseudo, skipped = generate_pseudo_labels(teacher, [])
         assert pseudo == [] and skipped == []
 
-    def test_unfinished_and_empty_decodes_are_skipped(self, monkeypatch):
-        # read-only committed teacher: "beboero" translates to nothing, and
-        # three decoder steps finish two-word outputs but not longer ones
-        teacher = load_checkpoint(TEACHER)
+    def test_unfinished_and_empty_decodes_are_skipped(self):
+        # the read-only committed teacher cut to max_len 4, the first four
+        # rows of its position tables: "beboero" translates to nothing, and
+        # its own limit of three decoder steps finishes two-word outputs
+        # but not longer ones
+        full = load_checkpoint(TEACHER)
+        params = dict(full.params)
+        for name in ("enc_pos", "dec_pos"):
+            params[name] = Tensor(full.params[name].data[:4])
+        teacher = Seq2SeqModel(replace(full.config, max_len=4), params)
         vocab = teacher.config.vocab
         sources = ["beboero", "bere vpu", "bebogero fece jijaja",
                    "heheho xuqiku", "befone soro reso"]
         results = beam_search_batch(
-            teacher, [encode_source(s, vocab) for s in sources], max_len=3)
+            teacher, [encode_source(s, vocab) for s in sources])
         unfinished = [i for i, r in enumerate(results) if not r.finished]
         empty = [i for i, r in enumerate(results) if r.finished and not r.ids]
         assert unfinished and empty
-        pseudo, skipped = generate_pseudo_labels(teacher, sources, max_len=3)
+        pseudo, skipped = generate_pseudo_labels(teacher, sources)
         assert skipped == sorted(unfinished + empty)
         assert len(pseudo) == len(sources) - len(skipped) > 0
 
@@ -194,8 +196,6 @@ class TestPseudoLabels:
         student_cfg = Seq2SeqConfig(vocab=vocab, n_enc_layers=1,
                                     n_dec_layers=1, d_model=16, n_heads=2,
                                     d_ff=32)
-        monkeypatch.setattr(distill_mod, "generate_pseudo_labels",
-                            partial(generate_pseudo_labels, max_len=3))
         _, report = train_student(student_cfg, teacher, clean, sources,
                                   KDKind.JS, make_rng(3),
                                   DistillConfig(epochs=1))

@@ -12,6 +12,13 @@ Every top-level function and class in src/codemix is named by some other
 src/codemix code, or stands in `NOT_CALLED_IN_SRC` with its reason: code
 that only tests use lives under tests/.
 
+Every defaulted parameter of a function or method in src/codemix is set by
+some call of its name (a class's, for an `__init__`) in src/, perfbench/ or
+scripts_calib/, by keyword, by position or through `*args` or `**kwargs`,
+or stands in `NOT_SET_OUTSIDE_TESTS` with its reason: an option that only
+tests set is a constant. Dataclass fields are out of scope, since config
+files and checkpoints set them by name through `replace(**...)`.
+
 No module in src/codemix imports `_assert_finite` by name: each finite
 check calls it through `numerics.tensor`, so a wrapper on that one module
 attribute (the benchmark's `numerics.finite_check` row) sees every check.
@@ -262,6 +269,129 @@ class TestNoTestOnlyCode:
     def test_every_definition_is_used_in_src(self):
         assert [line for line, name in _src_unreferenced().items()
                 if name not in NOT_CALLED_IN_SRC] == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position) for each parameter with a default of a
+    function or method in `source`. The callee is the name a call uses: the
+    function's, or the class's for an `__init__`. The position is the
+    parameter's index among a call's positional arguments, after `self` or
+    `cls` for a method, and None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            a = child.args
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in child.decorator_list)
+            bound = int(cls is not None and not static)
+            callee = cls if cls and child.name == "__init__" else child.name
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            found.extend((callee, arg.arg, i - bound)
+                         for i, arg in enumerate(positional) if i >= first)
+            found.extend((callee, arg.arg, None)
+                         for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+            visit(child, None)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether `call` passes `parameter`: by keyword, at `position`, or
+    through `*args` or `**kwargs`."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, parameter) for kw in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """`module: callee(parameter)` for each defaulted parameter of `sources`
+    (module path -> source) that no call of its callee's name, a plain name
+    or an attribute, in the `callers` sources sets (`_sets`)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", 0))
+                calls.setdefault(name, []).append(node)
+    return [f"{module}: {callee}({parameter})"
+            for module, source in sources.items()
+            for callee, parameter, position in defaulted_parameters(source)
+            if not any(_sets(call, parameter, position)
+                       for call in calls.get(callee, []))]
+
+
+def census(found: list[str], allowed) -> tuple[list[str], list[str]]:
+    """(the `found` parameters that `allowed` lacks, the `allowed` entries
+    that are not found, which are stale and must go)."""
+    return ([f for f in found if f not in allowed],
+            sorted(set(allowed) - set(found)))
+
+
+# Defaulted parameters of src/codemix that no call in src/, perfbench/ or
+# scripts_calib/ sets, and why each stays.
+NOT_SET_OUTSIDE_TESTS = {
+    "cli.py: main(argv)": "the entry point: the console script passes none, "
+                          "tests pass their arguments",
+    "langid.py: train_crf(lr)": "tests reach it through reference_train_crf",
+    "langid.py: train_crf(batch_size)": "tests reach it through "
+                                        "reference_train_crf",
+    "distill.py: train_student(initial_student)": "tests reach it through "
+                                                  "reference_train_student",
+    "seq2seq/model.py: init_model(dtype)": "float64 gradient checks",
+    "translit.py: hybrid_transliterate(decode_words)": "tests substitute a "
+                                                       "reference decoder",
+    "seq2seq/decode.py: greedy_decode(max_len)": "the beam-1 reference for "
+                                                 "beam_search's max_len",
+    "seq2seq/decode.py: translate(beam)": "the one-text form of "
+                                          "translate_corpus, whose beam the "
+                                          "CLI sets",
+    "seq2seq/decode.py: translate(max_len)": "the one-text form of "
+                                             "translate_corpus, whose max_len "
+                                             "the CLI sets",
+}
+CALLERS = (sorted((ROOT / "src").rglob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + sorted((ROOT / "scripts_calib").glob("*.py")))
+
+
+class TestEveryDefaultIsSet:
+    def test_scanner_finds_unset_defaults(self):
+        sources = {"a.py": ("def f(x, y=1, *, z=2): pass\n"
+                            "class K:\n"
+                            "    def __init__(self, a=0, b=1): pass\n"
+                            "    def m(self, c=3): pass\n"
+                            "    @staticmethod\n"
+                            "    def s(d=4): pass\n")}
+        assert unset_defaults(sources, []) == [
+            "a.py: f(y)", "a.py: f(z)", "a.py: K(a)", "a.py: K(b)",
+            "a.py: m(c)", "a.py: s(d)"]
+        callers = ["f(0, 1)\nmod.f(0, z=2)\n"  # positional, keyword
+                   "K(b=1)\nobj.m(**kw)\nK.s(*args)\n"]
+        assert unset_defaults(sources, callers) == ["a.py: K(a)"]
+        assert unset_defaults(sources, ["K(0)\nK.__init__(b=1)\n"]) == [
+            "a.py: f(y)", "a.py: f(z)", "a.py: K(b)", "a.py: m(c)",
+            "a.py: s(d)"]
+
+    def test_census_flags_new_and_stale_entries(self):
+        allowed = {"a.py: f(y)": "reason", "a.py: g(z)": "stale"}
+        assert census(["a.py: f(y)", "a.py: m(c)"], allowed) == (
+            ["a.py: m(c)"], ["a.py: g(z)"])
+
+    def test_every_default_is_set_outside_tests(self):
+        found = unset_defaults(
+            {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
+             for p in MODULES},
+            [p.read_text(encoding="utf-8") for p in CALLERS])
+        assert census(found, NOT_SET_OUTSIDE_TESTS) == ([], [])
 
 
 def finite_check_imports(source: str) -> list[str]:

@@ -121,8 +121,7 @@ class TestForward:
 
     def test_cross_attention_rows_stochastic(self):
         m = tiny_model(seed=6, layers=2)
-        _, cap = forward_teacher_forced(m, [5, 6, 7, 2], [1, 5, 6],
-                                        capture_attn=True)
+        _, cap = forward_teacher_forced(m, [5, 6, 7, 2], [1, 5, 6])
         assert len(cap) == 2
         for layer in cap:
             sums = layer.sum(axis=-1)
