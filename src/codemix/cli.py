@@ -31,9 +31,9 @@ from .text import (SynthTaskSpec, build_vocab, check_count, decode_utf8,
                    gen_clean_corpus, gen_synthetic_corpus, load_parallel_tsv,
                    read_utf8, save_parallel_tsv, split_lines)
 from .train import (TrainingConfig, check_pairs, config_from_items,
-                    train_stage1, train_stage2)
+                    stage2_val_count, train_stage1, train_stage2)
 from .translit import (check_translit_model, hybrid_transliterate,
-                       load_translit_dict)
+                       load_translit_dict, oov_words)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,6 +193,11 @@ def _cmd_train(args) -> int:
         if not path:
             raise UsageError(f"{flag} is required for {stage} training")
         _check_nonempty(flag, path, pairs, "pairs")
+    if args.stage != "stage1":
+        try:
+            stage2_val_count(len(clean), tcfg.stage2)
+        except DataError as e:
+            raise DataError(f"--clean-tsv {args.clean_tsv}: {e}") from None
     rng = make_rng(tcfg.seed)
     init_rng, s1_rng, s2_rng = rng.spawn(3)
     if args.init_from:
@@ -226,9 +231,15 @@ def _cmd_distill(args) -> int:
     student_cfg = _model_config(args, teacher.config.vocab,
                                 max_len=teacher.config.max_len)
     check_pairs(clean, student_cfg, args.clean_tsv)
-    student, report = train_student(student_cfg, teacher, clean, pool,
-                                    KDKind(args.kd), make_rng(args.seed),
-                                    dcfg, beam=args.beam)
+    try:
+        student, report = train_student(student_cfg, teacher, clean, pool,
+                                        KDKind(args.kd), make_rng(args.seed),
+                                        dcfg, beam=args.beam)
+    except DataError as e:
+        if not str(e).startswith("unlabeled_pool"):
+            raise
+        name = "<stdin>" if args.pool == "-" else args.pool
+        raise DataError(f"--pool {name}: {e}") from None
     if args.quantize:
         student = quantize_model(student)
     save_checkpoint(student, args.out)
@@ -260,17 +271,9 @@ def _cmd_translit(args) -> int:
             check_translit_model(model)
         except DataError as e:
             raise DataError(f"{args.model}: {e}") from None
-
-    def check(text: str) -> None:  # the words the dictionary lacks
-        if model is None:
-            hybrid_transliterate(text, tdict)  # raises on the first of them
-            return
-        for word in text.split():
-            if tdict.lookup(word) is None:
-                check_length(word.lower(), model.config)
-
     return _map_lines(args, lambda ts: [
-        hybrid_transliterate(t, tdict, model) for t in ts], check)
+        hybrid_transliterate(t, tdict, model) for t in ts],
+        lambda t: oov_words(t, tdict, model))
 
 
 def _cmd_eval_bleu(args) -> int:

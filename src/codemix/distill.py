@@ -206,7 +206,9 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     that trains (`check_pairs`) is a DataError raised before
     pseudo-labelling, which decodes to the teacher's own step limit; a
     pool source the teacher skips, or whose pair does not fit that
-    student, counts in `DistillReport.skipped_sources`.
+    student, counts in `DistillReport.skipped_sources`. A pool with no
+    usable source is a DataError naming `unlabeled_pool` and counting
+    each cause.
     """
     for name, items in (("clean_corpus", clean_corpus),
                         ("unlabeled_pool", unlabeled_pool)):
@@ -221,13 +223,21 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
     check_trainable(student)
     check_pairs(clean_corpus, student.config)
 
-    pseudo, _ = generate_pseudo_labels(teacher, unlabeled_pool, beam=beam)
+    pseudo, skipped = generate_pseudo_labels(teacher, unlabeled_pool,
+                                             beam=beam)
     # a pair must fit the student, whose KD batches it goes into
     pseudo = [ex for ex in pseudo if all(
         id_count_fits(len(encode_source(text, vocab)), student.config)
         for text in (ex.source, ex.target))]
     if not pseudo:
-        raise DataError("teacher produced no usable pseudo-labels")
+        n = len(unlabeled_pool)
+        long = sum(not id_count_fits(len(encode_source(
+            unlabeled_pool[i], vocab)), teacher.config) for i in skipped)
+        raise DataError(
+            f"unlabeled_pool: teacher produced no usable pseudo-labels for "
+            f"its {n} sources: {long} too long for the teacher, "
+            f"{len(skipped) - long} unfinished or empty, {n - len(skipped)} "
+            f"too long for the student")
     report = DistillReport(kd_kind=kd_kind.value,
                            skipped_sources=len(unlabeled_pool) - len(pseudo))
 

@@ -261,8 +261,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     every parameter's gradient, rolls the model back to the last epoch-end
     snapshot and raises TrainingDivergedError.
     An int8 model is inference only: `check_trainable` raises DataError. So
-    does a pair that does not fit the model (`check_pairs`), before the
-    first step.
+    does a pair of `corpus` or `val_corpus` that does not fit the model
+    (`check_pairs`), before the first step.
     """
     check_trainable(model)
     if not corpus:
@@ -270,6 +270,10 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     check_loop_sizes(epochs, batch_size)
     check_loss_settings(lam, label_smoothing)
     check_pairs(corpus, model.config)
+    try:
+        check_pairs(val_corpus or [], model.config)
+    except DataError as e:
+        raise DataError(f"val_corpus {e}") from None
     vocab = model.config.vocab
     use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
     # each term's weight in the objective seeds its backward
@@ -352,6 +356,21 @@ def train_stage1(model: Seq2SeqModel, noisy_corpus: Corpus,
                stage="stage1")
 
 
+def stage2_val_count(n: int, stage2: StageConfig) -> int:
+    """How many of n clean pairs stage 2 holds out for validation:
+    `val_fraction` of them, rounded, and at least one. DataError when n is
+    below 10 or the split leaves no pair to train on."""
+    if n < 10:
+        raise DataError("stage 2 needs at least 10 examples for a "
+                        "validation split")
+    n_val = max(1, int(round(stage2.val_fraction * n)))
+    if n_val >= n:
+        raise DataError(f"stage2.val_fraction {stage2.val_fraction} holds "
+                        f"out {n_val} of {n} clean pairs for validation, "
+                        f"leaving none to train on")
+    return n_val
+
+
 def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
                  config: TrainingConfig,
                  rng: np.random.Generator) -> TrainReport:
@@ -360,18 +379,10 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
     return (in place) the best-validation checkpoint, which may be the
     untrained epoch-0 model."""
     check_trainable(model)
-    if len(clean_corpus) < 10:
-        raise DataError("stage 2 needs at least 10 examples for a "
-                        "validation split")
+    n_val = stage2_val_count(len(clean_corpus), config.stage2)
     check_pairs(clean_corpus, model.config)  # indices before the split
     split_rng, fit_rng = rng.spawn(2)
     order = split_rng.permutation(len(clean_corpus))
-    n = len(clean_corpus)
-    n_val = max(1, int(round(config.stage2.val_fraction * n)))
-    if n_val >= n:
-        raise DataError(f"stage2.val_fraction {config.stage2.val_fraction} "
-                        f"holds out {n_val} of {n} clean pairs for "
-                        f"validation, leaving none to train on")
     val = [clean_corpus[i] for i in order[:n_val]]
     tr = [clean_corpus[i] for i in order[n_val:]]
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import DataError
 from .numerics import make_rng
-from .seq2seq import Seq2SeqConfig, Seq2SeqModel, init_model, translate_corpus
+from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, check_length, init_model,
+                      translate_corpus)
 from .text import ParallelExample, Vocab, build_vocab, read_utf8, split_lines
 from .train import fit
 
@@ -76,25 +77,34 @@ def check_translit_model(model: Seq2SeqModel) -> None:
                         f"needs a char-level one")
 
 
+def oov_words(text: str, tdict: TranslitDict,
+              model: Seq2SeqModel | None) -> list[str]:
+    """The lowercased words of `text` that `tdict` lacks, which `model`
+    spells, as it trains on lowercased pairs. DataError when there is one
+    and no model, or when one does not fit the model (`check_length`)."""
+    words = [w for w in text.split() if tdict.lookup(w) is None]
+    if words and model is None:
+        raise DataError(f"word {words[0]!r} not in the transliteration "
+                        f"dictionary and no fallback model was given")
+    oov = [w.lower() for w in words]
+    for word in oov:
+        check_length(word, model.config)
+    return oov
+
+
 def hybrid_transliterate(text: str, tdict: TranslitDict,
                          model: Seq2SeqModel | None = None,
                          decode_words=partial(translate_corpus, beam=1)
                          ) -> str:
     """Per word: use the dictionary mapping when present, otherwise the
-    model's output for the lowercased word, as the model trains on
-    lowercased pairs. Words are joined by single spaces. A model that is
-    not char-level is a DataError (`check_translit_model`)."""
+    model's output for the lowercased word (`oov_words`, which raises on
+    a word the model cannot take). Words are joined by single spaces. A
+    model that is not char-level is a DataError (`check_translit_model`)."""
     if model is not None:
         check_translit_model(model)
-    words = text.split()
-    hits = [tdict.lookup(word) for word in words]
-    oov = [w for w, hit in zip(words, hits) if hit is None]
-    if oov and model is None:
-        raise DataError(f"word {oov[0]!r} not in the transliteration "
-                        f"dictionary and no fallback model was given")
-    decoded = iter(decode_words(model, [w.lower() for w in oov]) if oov
-                   else ())
-    return " ".join(next(decoded) if hit is None else hit for hit in hits)
+    oov = oov_words(text, tdict, model)
+    decoded = iter(decode_words(model, oov) if oov else ())
+    return " ".join(tdict.lookup(w) or next(decoded) for w in text.split())
 
 
 def train_translit(word_pairs: list[tuple[str, str]],

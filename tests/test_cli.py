@@ -347,6 +347,19 @@ class TestTranslitCli:
         assert rc == 0
         assert read(out).strip() == "kaala joota"
 
+    def test_dict_only_transliterates_each_line_once(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+
+        def spy(text, *args):
+            calls.append(text)
+            return hybrid(text, *args)
+
+        hybrid = cli.hybrid_transliterate
+        monkeypatch.setattr(cli, "hybrid_transliterate", spy)
+        self.test_dict_only_pipeline(tmp_path)
+        assert calls == ["kala juta"]
+
     def test_oov_without_model_is_data_error(self, tmp_path):
         d = tmp_path / "d.tsv"
         d.write_text("juta\tjoota\n", encoding="utf-8")
@@ -573,6 +586,30 @@ class TestTrainCli:
         assert rc == 2
         assert ("stage2.val_fraction 0.99 holds out 20 of 20 clean pairs"
                 in _one_error_line(capsys))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_clean,config,message", [
+        (5, "", "stage 2 needs at least 10 examples for a validation split"),
+        (12, "stage2.val_fraction = 0.99\n",
+         "stage2.val_fraction 0.99 holds out 12 of 12 clean pairs")])
+    def test_stage2_split_is_checked_before_stage1(
+            self, n_clean, config, message, corpus_dir, tmp_path, capsys,
+            monkeypatch):
+        clean, cfg = tmp_path / "clean.tsv", tmp_path / "c.cfg"
+        clean.write_text("".join(ln + "\n" for ln in read(
+            corpus_dir / "clean.tsv").splitlines()[:n_clean]),
+            encoding="utf-8")
+        cfg.write_text(config, encoding="utf-8")
+        monkeypatch.setattr(cli, "train_stage1", lambda *a: pytest.fail(
+            "stage 1 trained"))
+        capsys.readouterr()
+        rc = run(["train", "--train-tsv", str(corpus_dir / "train.tsv"),
+                  "--clean-tsv", str(clean), "--stage", "both",
+                  "--config", str(cfg), "--out", str(tmp_path / "out")]
+                 + TINY_MODEL)
+        assert rc == 2
+        assert _one_error_line(capsys).startswith(
+            f"error: --clean-tsv {clean}: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_empty_clean_tsv_is_named_before_any_training(
@@ -1100,7 +1137,7 @@ class TestBadArguments:
     # {ck} a trained checkpoint, {queries} two queries around a blank line,
     # {blank} only a blank line, {seedcfg} a training config with seed = -1,
     # {clean} a clean corpus for the committed teacher, {empty} an empty
-    # file, {out} the output
+    # file, {long} one 40-word line, {out} the output
     CASES = {
         "translate-max-len-0": (
             ["translate", "--checkpoint", "{ck}", "--input", "{queries}",
@@ -1183,6 +1220,12 @@ class TestBadArguments:
             ["distill", "--teacher", "{teacher}", "--clean-tsv", "{clean}",
              "--pool", "{blank}", "--out", "{out}"],
             "--pool {blank}: no queries to train on"),
+        "distill-pool-too-long-for-the-teacher": (
+            ["distill", "--teacher", "{teacher}", "--clean-tsv", "{clean}",
+             "--pool", "{long}", "--out", "{out}"],
+            "--pool {long}: unlabeled_pool: teacher produced no usable "
+            "pseudo-labels for its 1 sources: 1 too long for the teacher, "
+            "0 unfinished or empty, 0 too long for the student"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1194,11 +1237,13 @@ class TestBadArguments:
         seedcfg, clean = tmp_path / "seed.cfg", tmp_path / "clean.tsv"
         seedcfg.write_text("stage1.epochs = 1\nseed = -1\n", encoding="utf-8")
         clean.write_text("kala juta\tblack shoe\n", encoding="utf-8")
-        empty = tmp_path / "empty.tsv"
+        empty, long = tmp_path / "empty.tsv", tmp_path / "long.txt"
         empty.write_bytes(b"")
+        long.write_text(" ".join(["kala"] * 40) + "\n", encoding="utf-8")
         paths = {"ck": checkpoint_dir, "queries": queries, "blank": blank,
                  "seedcfg": seedcfg, "clean": clean, "teacher": TEACHER,
-                 "empty": empty, "train": corpus_dir / "train.tsv",
+                 "empty": empty, "long": long,
+                 "train": corpus_dir / "train.tsv",
                  "conll": corpus_dir / "langid.conll",
                  "out": tmp_path / "out"}
         fill = {k: str(v) for k, v in paths.items()}

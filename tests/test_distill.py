@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -317,6 +318,23 @@ class TestTrainStudent:
                                   initial_student=clone)
         assert report.steps
         assert all(abs(s.loss_kd) < 1e-5 for s in report.steps)
+
+    def test_no_usable_pseudo_label_counts_each_cause(self):
+        # the committed teacher translates "beboero" to nothing and "bere
+        # vpu" to two words, which with their EOS or BOS do not fit a
+        # max_len 2 student
+        teacher = load_checkpoint(TEACHER)
+        student_cfg = Seq2SeqConfig(vocab=teacher.config.vocab,
+                                    n_enc_layers=1, n_dec_layers=1,
+                                    d_model=16, n_heads=2, d_ff=32, max_len=2)
+        pool = ["beboero", " ".join(["bere"] * 40), "bere vpu"]
+        with pytest.raises(DataError, match=re.escape(
+                "unlabeled_pool: teacher produced no usable pseudo-labels "
+                "for its 3 sources: 1 too long for the teacher, 1 unfinished "
+                "or empty, 1 too long for the student")):
+            train_student(student_cfg, teacher,
+                          [ParallelExample("bere", "vpu")], pool, KDKind.JS,
+                          make_rng(3), DistillConfig(epochs=1))
 
     def test_int8_teacher(self, tmp_path, monkeypatch):
         # the pseudo-labels are the int8 teacher's own translations, the

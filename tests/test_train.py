@@ -732,6 +732,21 @@ class TestOverLongPair:
         assert all(np.array_equal(t.data, snap[k])
                    for k, t in model.params.items())
 
+    def test_fit_names_a_validation_pair_before_any_step(self, monkeypatch):
+        model, words = self.model(64), self.WORDS
+        corpus = [ParallelExample(words[i], words[i]) for i in range(5)]
+        val = [ParallelExample(" ".join(words), words[0])]
+        snap = model.snapshot()
+        monkeypatch.setattr(train_mod, "step_tensors",
+                            lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(DataError, match="^val_corpus pair 0: sequence "
+                                            "length 6 exceeds max_len 4$"):
+            fit(model, corpus, epochs=1, lr=1e-2, batch_size=2, kinds=(),
+                lam=0.0, label_smoothing=0.1, weight_decay=0.0,
+                rngs=make_rng(65).spawn(3), val_corpus=val)
+        assert all(np.array_equal(t.data, snap[k])
+                   for k, t in model.params.items())
+
     def test_stage2_names_the_pair_by_its_index_in_the_clean_corpus(self):
         # the pair lands in the shuffled training split; the error names
         # its place in the corpus the caller gave
