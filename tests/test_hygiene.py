@@ -341,12 +341,15 @@ def census(found: list[str], allowed) -> tuple[list[str], list[str]]:
 NOT_SET_OUTSIDE_TESTS = {
     "cli.py: main(argv)": "the entry point: the console script passes none, "
                           "tests pass their arguments",
-    "langid.py: train_crf(lr)": "tests reach it through reference_train_crf",
-    "langid.py: train_crf(batch_size)": "tests reach it through "
-                                        "reference_train_crf",
-    "distill.py: train_student(initial_student)": "tests reach it through "
-                                                  "reference_train_student",
-    "seq2seq/model.py: init_model(dtype)": "float64 gradient checks",
+    "langid.py: train_crf(lr)": "tests drive a non-finite step through it",
+    "langid.py: train_crf(batch_size)": "tests compare every batch size with "
+                                        "reference_train_crf, bit for bit",
+    "distill.py: train_student(initial_student)": "tests train the "
+                                                  "teacher's clone, a KD "
+                                                  "fixed point, and roll a "
+                                                  "given student back",
+    "seq2seq/model.py: init_model(dtype)": "float64 models for the fused "
+                                           "nodes' reference comparisons",
     "translit.py: hybrid_transliterate(decode_words)": "tests substitute a "
                                                        "reference decoder",
     "seq2seq/decode.py: greedy_decode(max_len)": "the beam-1 reference for "
