@@ -31,7 +31,7 @@ from codemix.numerics import make_rng  # noqa: E402
 from codemix.seq2seq import Seq2SeqConfig, init_model  # noqa: E402
 from codemix.text import (SynthTaskSpec, check_count,  # noqa: E402
                           gen_synthetic_corpus, synthetic_vocab)
-from codemix.train import fit  # noqa: E402
+from codemix.train import Recipe, fit  # noqa: E402
 
 
 def xattn_experiment(seed: int, n_train: int = 3000, n_dec_layers: int = 4,
@@ -61,11 +61,11 @@ def xattn_experiment(seed: int, n_train: int = 3000, n_dec_layers: int = 4,
         grid[:, epoch - 1] = xattn_identity_errors(m, val_texts)
         return False
 
-    report = fit(model, train_corpus, epochs=epochs, lr=1e-3,
-                 batch_size=64, kinds=(AugKind.AUTOENCODER,), lam=0.5,
-                 label_smoothing=0.1, weight_decay=0.0,
-                 rngs=fit_rng.spawn(3), on_epoch_end=after_epoch,
-                 stage="ae-xattn")
+    recipe = Recipe(epochs, lr=1e-3, batch_size=64, lam=0.5,
+                    label_smoothing=0.1, weight_decay=0.0,
+                    kinds=(AugKind.AUTOENCODER,))
+    report = fit(model, train_corpus, recipe, fit_rng.spawn(3),
+                 on_epoch_end=after_epoch, stage="ae-xattn")
     return grid, [e.train_loss for e in report.epochs]
 
 

@@ -5,8 +5,9 @@ The teacher is frozen: it pseudo-labels a pool of unlabeled sources once
 (beam search), and one pass without a tape keeps its distribution over
 each usable pair's decoder positions, which the student matches per step
 under the CE or JS loss, both computed by `kd_loss`, one tape node. The
-student trains in the shared loop `train.fit`, which takes the KD loss
-through its `extra_loss` hook and minimizes
+student trains in the shared loop `train.fit` with a `DistillConfig`,
+which is a `train.Recipe`; `fit` takes the KD loss through its
+`extra_loss` hook and minimizes
     (1 - lambda) * (loss_s + loss_d) + lambda * loss_kd
 with lambda = 0.5 by default. No tape node forms that sum: `fit` runs each
 term's backward right after its forward, loss_s, loss_d, then loss_kd,
@@ -27,14 +28,15 @@ import numpy as np
 
 from .augment import AugKind
 from .errors import DataError
-from .numerics import Tensor, check_rate, log_softmax, no_grad
+from .numerics import Tensor, log_softmax, no_grad
 from .numerics.tensor import _make
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
                       beam_search_batch, init_model, make_batch)
 from .seq2seq.model import check_id_count, encode_source, id_count_fits
-from .text import PAD, Corpus, ParallelExample, Vocab, decode
-from .train import (DEFAULT_STAGE2_KINDS, check_loop_sizes,
-                    check_loss_settings, check_pairs, check_trainable, fit)
+from .text import (PAD, Corpus, ParallelExample, Vocab, check_count,
+                   decode)
+from .train import (DEFAULT_STAGE2_KINDS, Recipe, check_pairs,
+                    check_trainable, fit)
 
 LN2 = float(np.log(2.0))
 JS_UPPER_BOUND = 2.0 * LN2
@@ -138,8 +140,10 @@ def kd_loss(kind: KDKind, teacher_probs: np.ndarray,
     return _make(np.asarray(value), (student_logp,), backward, "kd_loss")
 
 
-@dataclass
-class DistillConfig:
+@dataclass(frozen=True)
+class DistillConfig(Recipe):
+    """The recipe `train_student` trains the student with: a `train.Recipe`
+    (checked as every recipe is) with distillation's defaults."""
     epochs: int = 4
     lr: float = 1e-3
     batch_size: int = 64
@@ -147,12 +151,6 @@ class DistillConfig:
     label_smoothing: float = 0.1
     weight_decay: float = 0.01
     kinds: tuple[AugKind, ...] = DEFAULT_STAGE2_KINDS
-
-    def __post_init__(self):
-        check_loop_sizes(self.epochs, self.batch_size)
-        check_rate("lr", self.lr, positive=True)
-        check_rate("weight_decay", self.weight_decay)
-        check_loss_settings(self.lam, self.label_smoothing)
 
 
 def _check_same_vocab(who: str, vocab: Vocab, teacher_vocab: Vocab) -> None:
@@ -278,11 +276,8 @@ def train_student(student_config: Seq2SeqConfig, teacher: Seq2SeqModel,
             for name in ("loss_s", "loss_d", "loss_kd")})
         return False
 
-    fit(student, clean_corpus, epochs=cfg.epochs, lr=cfg.lr,
-        batch_size=cfg.batch_size, kinds=cfg.kinds, lam=cfg.lam,
-        label_smoothing=cfg.label_smoothing, weight_decay=cfg.weight_decay,
-        rngs=(data_rng, aug_rng, drop_rng), on_epoch_end=record_epoch,
-        extra_loss=kd_term, stage="distillation")
+    fit(student, clean_corpus, cfg, (data_rng, aug_rng, drop_rng),
+        on_epoch_end=record_epoch, extra_loss=kd_term, stage="distillation")
     return student, report
 
 
@@ -311,12 +306,11 @@ def bench_latency(model: Seq2SeqModel, queries: list[str], warmup: int = 10,
     """Single-threaded per-query beam-search decode timing, to the model's
     own step limit (or `max_len` tokens when that is lower); p50/p95 from
     the empirical distribution. Queries are cycled when samples exceeds
-    the query count. A query longer than the model's max_len is a
+    the query count. `samples` must be an integer >= 200 and `warmup` one
+    >= 10 (`check_count`). A query longer than the model's max_len is a
     DataError naming its index, raised before the warm-up."""
-    if samples < 200:
-        raise DataError("bench_latency needs at least 200 samples")
-    if warmup < 10:
-        raise DataError("bench_latency needs at least 10 warmup decodes")
+    check_count("samples", samples, least=200)
+    check_count("warmup", warmup, least=10)
     if not queries:
         raise DataError("bench_latency needs at least one query")
     vocab = model.config.vocab

@@ -46,6 +46,11 @@ LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 N_LABELS = len(LABELS)
 BOS_WORD = "<s>"
 EOS_WORD = "</s>"
+# The window's padding past each end of a query: objects, so no word equals
+# one (a query word spelled `<s>` is a word), each with the one feature that
+# names its edge.
+_BOS, _EOS = object(), object()
+_EDGE_FEATURES = {_BOS: (BOS_WORD,), _EOS: (EOS_WORD,)}
 
 
 class QueryLanguage(enum.Enum):
@@ -80,9 +85,10 @@ def _word_features(word: str) -> list[str]:
     """Lowercased char n-grams (1..4, padded with ^/$ for n >= 2), length
     bucket, digit flag, special-character flag; sorted, de-duplicated and
     without the window offset, which every feature of a word shares as a
-    prefix (so `offset + f` sorts in the same order)."""
-    if word in (BOS_WORD, EOS_WORD):
-        return [word]
+    prefix (so `offset + f` sorts in the same order). The window's edge
+    padding has only the feature that names it (`_EDGE_FEATURES`)."""
+    if word in _EDGE_FEATURES:
+        return list(_EDGE_FEATURES[word])
     w = word.lower()
     feats = [f"1:{c}" for c in w]
     padded = "^" + w + "$"
@@ -103,13 +109,14 @@ _OFFSETS = ("-1:", "0:", "+1:")
 
 def extract_features(words: list[str], position: int) -> tuple[str, ...]:
     """Features of the context window (previous, current, next word), with
-    BOS/EOS dummies at the boundaries. Deterministic for a given input.
+    BOS/EOS dummies (`-1:<s>`, `+1:</s>`) past the query's ends, which no
+    word, not even one spelled `<s>`, shares. Deterministic for a given input.
     This is the template as strings; `_query_ids` turns the same features
     into ids one word at a time."""
     if not 0 <= position < len(words):
         raise DataError(f"position {position} out of range for {len(words)} words")
-    prev_w = words[position - 1] if position > 0 else BOS_WORD
-    next_w = words[position + 1] if position + 1 < len(words) else EOS_WORD
+    prev_w = words[position - 1] if position > 0 else _BOS
+    next_w = words[position + 1] if position + 1 < len(words) else _EOS
     window = (prev_w, words[position], next_w)
     return tuple(offset + f for offset, w in zip(_OFFSETS, window)
                  for f in _word_features(w))
@@ -123,7 +130,7 @@ def _query_ids(words: list[str], memo: dict, ids_of) -> list[np.ndarray]:
     word's `_word_features` and each (word, offset) pair's id array, so with
     one memo a word's features are built once and its ids at an offset
     looked up once."""
-    padded = [BOS_WORD, *words, EOS_WORD]
+    padded = [_BOS, *words, _EOS]
     out = []
     for t in range(len(words)):
         window = []

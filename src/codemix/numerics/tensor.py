@@ -154,15 +154,16 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g`, shaped like this tensor, into `.grad`."""
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
         else:
             self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse-mode sweep seeding this (scalar) tensor's gradient.
+        A seed `grad` must be shaped like the tensor (ShapeError otherwise):
+        every gradient on the tape is shaped like the tensor it is for.
 
         The graph is freed as it is walked: each non-leaf node, once its
         backward has run, loses its closure, its parents and its `.grad`.
@@ -173,6 +174,9 @@ class Tensor:
                 raise ShapeError("backward() without an explicit gradient "
                                  "requires a scalar tensor")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ShapeError(f"backward() seed of shape {np.shape(grad)} "
+                             f"for a tensor of shape {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]

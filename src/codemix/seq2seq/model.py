@@ -84,6 +84,9 @@ class Seq2SeqConfig:
         if not 0.0 <= self.dropout_prob < 1.0:
             raise DataError(f"dropout_prob must be in [0, 1), "
                             f"got {self.dropout_prob!r}")
+        if not 0.0 <= self.init_std < float("inf"):
+            raise DataError(f"init_std must be a finite number >= 0, "
+                            f"got {self.init_std!r}")
         if self.d_model % self.n_heads != 0:
             raise DataError(f"d_model {self.d_model} not divisible by "
                             f"n_heads {self.n_heads}")

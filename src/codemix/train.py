@@ -8,10 +8,12 @@ them to `fit`, so configurations that skip augmentation consume exactly the
 same data and dropout streams as ones that weight it at zero.
 
 `fit` is the one training loop of the package: two-stage training,
-transliteration and distillation all step through it. Distillation adds
-its KD term through `fit`'s `extra_loss` hook: a forward of the student
-alone, matched to teacher probabilities that were computed before the
-first step.
+transliteration and distillation all step through it. What it trains with
+is one `Recipe`, checked when it is built: each stage's comes from
+`TrainingConfig.recipe`, distillation's `DistillConfig` is one, and
+transliteration builds its own. Distillation adds its KD term through
+`fit`'s `extra_loss` hook: a forward of the student alone, matched to
+teacher probabilities that were computed before the first step.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ DEFAULT_STAGE2_KINDS = (AugKind.DROPCHAR, AugKind.AUTOENCODER)
 
 def check_loop_sizes(epochs, batch_size) -> None:
     """A training loop's `epochs` must be an integer >= 0 and its
-    `batch_size` an integer >= 1 (fit, StageConfig, DistillConfig)."""
+    `batch_size` an integer >= 1 (Recipe, StageConfig)."""
     check_count("epochs", epochs)
     check_count("batch_size", batch_size, least=1)
 
 
 def check_loss_settings(lam, label_smoothing) -> None:
     """The objective's settings: the weight `lambda` must be in [0, 1] and
-    `label_smoothing` in [0, 1); NaN is in neither (TrainingConfig,
-    DistillConfig, fit)."""
+    `label_smoothing` in [0, 1); NaN is in neither (Recipe,
+    TrainingConfig)."""
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"lambda must be in [0, 1], got {lam}")
     if not 0.0 <= label_smoothing < 1.0:
@@ -69,6 +71,30 @@ def check_pairs(corpus: Corpus, config: Seq2SeqConfig,
         except DataError as e:
             label = f"pair {i}" if path is None else f"{path}: line {i + 1}"
             raise DataError(f"{label}: {e}") from None
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """The values `fit` trains with. Building one checks them all, so
+    `fit` checks none of them again: loop sizes (`check_loop_sizes`), a
+    learning rate > 0 and a weight decay >= 0 (`check_rate`; NaN and +Inf
+    pass, and the step's finite check rejects what they write), and the
+    objective's weight and label smoothing (`check_loss_settings`).
+    `kinds` are the augmentations a step samples from; `lam` weighs the
+    objective's terms as `fit` states."""
+    epochs: int
+    lr: float
+    batch_size: int
+    lam: float
+    label_smoothing: float
+    weight_decay: float
+    kinds: tuple[AugKind, ...]
+
+    def __post_init__(self):
+        check_loop_sizes(self.epochs, self.batch_size)
+        check_rate("lr", self.lr, positive=True)
+        check_rate("weight_decay", self.weight_decay)
+        check_loss_settings(self.lam, self.label_smoothing)
 
 
 @dataclass
@@ -106,6 +132,14 @@ class TrainingConfig:
     def __post_init__(self):
         check_rate("weight_decay", self.weight_decay)
         check_loss_settings(self.lam, self.label_smoothing)
+
+    def recipe(self, stage: str) -> Recipe:
+        """The recipe of `stage` ("stage1" or "stage2"): that stage's
+        epochs, lr, batch_size and kinds, with the shared lambda, label
+        smoothing and weight decay."""
+        s = getattr(self, stage)
+        return Recipe(s.epochs, s.lr, s.batch_size, self.lam,
+                      self.label_smoothing, self.weight_decay, s.kinds)
 
     def items(self) -> dict[str, object]:
         return {
@@ -226,15 +260,15 @@ def evaluate_loss(model: Seq2SeqModel, corpus: Corpus, label_smoothing: float,
     return total / n_tokens
 
 
-def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
-        batch_size: int, kinds: tuple[AugKind, ...], lam: float,
-        label_smoothing: float, weight_decay: float,
+def fit(model: Seq2SeqModel, corpus: Corpus, recipe: Recipe,
         rngs: tuple[np.random.Generator, np.random.Generator,
-                    np.random.Generator],
+                    np.random.Generator], *,
         val_corpus: Corpus | None = None,
         on_epoch_end=None, extra_loss=None, stage: str = "fit") -> TrainReport:
-    """Shared training loop: per supervised batch, optionally sample one
-    augmented batch and weigh the losses with lambda.
+    """Shared training loop: `recipe.epochs` passes over `corpus` in
+    batches of `recipe.batch_size`; per supervised batch, optionally sample
+    one augmented batch and weigh the losses with lambda (`recipe.lam`).
+    The recipe was checked when it was built; `fit` checks it no further.
 
     `rngs` are the (data order, augmentation, dropout) streams; callers pass
     `rng.spawn(3)` or streams of their own.
@@ -267,31 +301,29 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
     check_trainable(model)
     if not corpus:
         raise DataError("cannot train on an empty corpus")
-    check_loop_sizes(epochs, batch_size)
-    check_loss_settings(lam, label_smoothing)
     check_pairs(corpus, model.config)
     try:
         check_pairs(val_corpus or [], model.config)
     except DataError as e:
         raise DataError(f"val_corpus {e}") from None
-    vocab = model.config.vocab
-    use_aug = bool(kinds) and (lam > 0.0 or extra_loss is not None)
+    vocab, lam = model.config.vocab, recipe.lam
+    use_aug = bool(recipe.kinds) and (lam > 0.0 or extra_loss is not None)
     # each term's weight in the objective seeds its backward
     w_s = 1.0 - lam if use_aug or extra_loss is not None else 1.0
     w_d = 1.0 - lam if extra_loss is not None else lam
     seed_s, seed_d, seed_x = (np.asarray(w, model.dtype)
                               for w in (w_s, w_d, lam))
     data_rng, aug_rng, drop_rng = rngs
-    opt = AdamWState(lr=lr, weight_decay=weight_decay)
+    opt = AdamWState(lr=recipe.lr, weight_decay=recipe.weight_decay)
     report = TrainReport(stage=stage)
     snapshot = model.snapshot()
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, recipe.epochs + 1):
         t0 = time.perf_counter()
         order = data_rng.permutation(len(corpus))
         losses: list[float] = []
         aug_losses: dict[str, list[float]] = {}
         try:
-            for idxs in _batches(len(corpus), batch_size):
+            for idxs in _batches(len(corpus), recipe.batch_size):
                 rows = [corpus[order[i]] for i in idxs]
                 batch = make_batch(vocab, [ex.source for ex in rows],
                                    [ex.target for ex in rows])
@@ -300,17 +332,17 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
                 term = label_smoothed_ce(
                     model.forward(batch["src"], batch["dec_in"],
                                   rng=drop_rng),
-                    batch["labels"], label_smoothing)
+                    batch["labels"], recipe.label_smoothing)
                 term.backward(seed_s)
                 loss_s, loss_d = term.item(), None
                 if use_aug:
-                    aug = sample_augmented_batch(corpus, kinds, len(rows),
-                                                 aug_rng, vocab)
+                    aug = sample_augmented_batch(corpus, recipe.kinds,
+                                                 len(rows), aug_rng, vocab)
                     abatch = pad_batch(aug.inputs, aug.outputs)
                     term = label_smoothed_ce(
                         model.forward(abatch["src"], abatch["dec_in"],
                                       rng=drop_rng),
-                        abatch["labels"], label_smoothing)
+                        abatch["labels"], recipe.label_smoothing)
                     term.backward(seed_d)
                     loss_d = term.item()
                     aug_losses.setdefault(aug.kind.value, []).append(loss_d)
@@ -328,8 +360,8 @@ def fit(model: Seq2SeqModel, corpus: Corpus, *, epochs: int, lr: float,
         snapshot = model.snapshot()
         val_loss = None
         if val_corpus:
-            val_loss = evaluate_loss(model, val_corpus, label_smoothing,
-                                     batch_size)
+            val_loss = evaluate_loss(model, val_corpus, recipe.label_smoothing,
+                                     recipe.batch_size)
         report.epochs.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(losses)),
@@ -348,11 +380,7 @@ def train_stage1(model: Seq2SeqModel, noisy_corpus: Corpus,
                  rng: np.random.Generator) -> TrainReport:
     """Fixed-epoch `fit` with stage 1's recipe on whatever corpus the
     caller gives: in the paper's pipeline the noisy pseudo-labeled one."""
-    return fit(model, noisy_corpus, epochs=config.stage1.epochs,
-               lr=config.stage1.lr, batch_size=config.stage1.batch_size,
-               kinds=config.stage1.kinds, lam=config.lam,
-               label_smoothing=config.label_smoothing,
-               weight_decay=config.weight_decay, rngs=rng.spawn(3),
+    return fit(model, noisy_corpus, config.recipe("stage1"), rng.spawn(3),
                stage="stage1")
 
 
@@ -399,11 +427,7 @@ def train_stage2(model: Seq2SeqModel, clean_corpus: Corpus,
             best["since"] += 1
         return best["since"] >= config.stage2.patience
 
-    report = fit(model, tr, epochs=config.stage2.epochs,
-                 lr=config.stage2.lr, batch_size=config.stage2.batch_size,
-                 kinds=config.stage2.kinds, lam=config.lam,
-                 label_smoothing=config.label_smoothing,
-                 weight_decay=config.weight_decay, rngs=fit_rng.spawn(3),
+    report = fit(model, tr, config.recipe("stage2"), fit_rng.spawn(3),
                  val_corpus=val, on_epoch_end=stop_check, stage="stage2")
     model.restore(best["snap"])
     report.notes["best_epoch"] = best["epoch"]

@@ -14,7 +14,7 @@ from .numerics import make_rng
 from .seq2seq import (Seq2SeqConfig, Seq2SeqModel, check_length, init_model,
                       translate_corpus)
 from .text import ParallelExample, Vocab, build_vocab, read_utf8, split_lines
-from .train import fit
+from .train import Recipe, fit
 
 
 class TranslitDict:
@@ -113,9 +113,12 @@ def train_translit(word_pairs: list[tuple[str, str]],
                    epochs: int = 60, lr: float = 1e-3,
                    batch_size: int = 32) -> Seq2SeqModel:
     """Character-level seq2seq training on (word, transliteration) pairs,
-    reusing the shared training loop (no augmentation)."""
+    reusing the shared training loop with a recipe of plain cross-entropy:
+    no augmentation, label smoothing or weight decay."""
     if not word_pairs:
         raise DataError("train_translit needs a non-empty pair list")
+    recipe = Recipe(epochs, lr, batch_size, lam=0.0, label_smoothing=0.0,
+                    weight_decay=0.0, kinds=())
     rng = rng or make_rng(0)
     corpus = [ParallelExample(w.lower(), t.lower()) for w, t in word_pairs]
     if config is None:
@@ -123,7 +126,5 @@ def train_translit(word_pairs: list[tuple[str, str]],
         config = char_seq2seq_config(vocab)
     init_rng, fit_rng = rng.spawn(2)
     model = init_model(config, init_rng)
-    fit(model, corpus, epochs=epochs, lr=lr, batch_size=batch_size,
-        kinds=(), lam=0.0, label_smoothing=0.0, weight_decay=0.0,
-        rngs=fit_rng.spawn(3), stage="translit")
+    fit(model, corpus, recipe, fit_rng.spawn(3), stage="translit")
     return model

@@ -10,7 +10,7 @@ from codemix.seq2seq import (Seq2SeqConfig, init_model, label_smoothed_ce,
                              make_batch, pad_batch)
 from codemix.text import (MASK_TOKEN, ParallelExample, SynthTaskSpec,
                           build_vocab, gen_synthetic_corpus, synthetic_vocab)
-from codemix.train import fit
+from codemix.train import Recipe, fit
 
 from oracles import add, mul
 
@@ -178,9 +178,10 @@ class TestObjective:
         corpus, _ = gen_synthetic_corpus(self.SPEC, 8)
         batch_size = len(corpus) // 2
         got = self.model()
-        fit(got, corpus, epochs=1, lr=1e-3, batch_size=batch_size,
-            kinds=KINDS, lam=lam, label_smoothing=0.1, weight_decay=0.01,
-            rngs=make_rng(5).spawn(3))
+        fit(got, corpus, Recipe(epochs=1, lr=1e-3, batch_size=batch_size,
+                                lam=lam, label_smoothing=0.1,
+                                weight_decay=0.01, kinds=KINDS),
+            make_rng(5).spawn(3))
         want = self.composed_steps(corpus, lam, batch_size,
                                    make_rng(5).spawn(3))
         for name, t in want.params.items():

@@ -748,7 +748,9 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("key,value", [("n_heads", "0"),
                                            ("d_model", "sixty-four"),
-                                           ("dropout_prob", "2.0")])
+                                           ("dropout_prob", "2.0"),
+                                           ("init_std", "-1"),
+                                           ("init_std", "nan")])
     def test_bad_checkpoint_config_is_exit_two(self, key, value,
                                                checkpoint_dir, tmp_path,
                                                capsys):
@@ -764,6 +766,7 @@ class TestBadInputFiles:
         assert run(["translate", "--checkpoint", str(ck), "--input",
                     str(inp), "--output", str(tmp_path / "out.txt")]) == 2
         err = _one_error_line(capsys)
+        assert err.startswith(f"error: {ck}: bad config.txt: ")
         assert "config.txt" in err and (key in err or value in err)
 
 

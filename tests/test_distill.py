@@ -673,6 +673,18 @@ class TestLatency:
         with pytest.raises(DataError):
             bench_latency(model, [], warmup=10, samples=200)
 
+    @pytest.mark.parametrize("counts,message", [
+        ({"samples": 250.5}, "samples must be an integer >= 200, got 250.5"),
+        ({"warmup": 10.0}, "warmup must be an integer >= 10, got 10.0")],
+        ids=["samples-float", "warmup-float"])
+    def test_counts_are_data_errors_naming_them(self, counts, message,
+                                               monkeypatch):
+        model, corpus = overfit_teacher()
+        monkeypatch.setattr(distill_mod, "beam_search",
+                            lambda *a, **k: pytest.fail("decoded"))
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            bench_latency(model, [corpus[0].source], **counts)
+
     def test_over_long_query_named_before_the_warm_up(self, monkeypatch):
         # max_len 16: 15 words and EOS fit, 16 words and EOS do not
         model, corpus = overfit_teacher()

@@ -28,6 +28,7 @@ import io
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -354,8 +355,9 @@ def capped_epochs(monkeypatch):
     count a mutation made huge still finishes."""
     fit = train_mod.fit
 
-    def capped(*args, epochs, **kwargs):
-        return fit(*args, epochs=min(epochs, MAX_EPOCHS), **kwargs)
+    def capped(model, corpus, recipe, *args, **kwargs):
+        recipe = replace(recipe, epochs=min(recipe.epochs, MAX_EPOCHS))
+        return fit(model, corpus, recipe, *args, **kwargs)
 
     monkeypatch.setattr(train_mod, "fit", capped)
 

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ class TestFeatures:
         assert "-1:<s>" in first
         last = extract_features(["alpha", "beta"], 1)
         assert "+1:</s>" in last
+
+    def test_a_word_spelled_like_an_edge_is_a_word(self):
+        # its own n-grams, not the edge's one feature
+        feats = extract_features(["<s>", "kapda"], 0)
+        assert {"-1:<s>", "0:3:<s>", "0:special"} <= set(feats)
+        assert "0:<s>" not in feats
+        feats = extract_features(["kapda", "</s>"], 1)
+        assert {"0:4:</s>", "+1:</s>"} <= set(feats)
+        assert "0:</s>" not in feats
+
+    def test_a_word_spelled_like_an_edge_is_no_edge_of_its_neighbour(self):
+        alone = extract_features(["kapda"], 0)
+        after = extract_features(["<s>", "kapda"], 1)
+        before = extract_features(["kapda", "</s>"], 0)
+        assert "-1:<s>" in alone and "+1:</s>" in alone
+        assert "-1:<s>" not in after and "+1:</s>" not in before
+        assert after != alone and before != alone
 
     def test_context_offsets_present(self):
         feats = extract_features(["red", "shoe", "cover"], 1)
@@ -353,11 +371,12 @@ class TestNllGrad:
 
     def test_features_extracted_once_per_token(self, monkeypatch):
         """A whole train_crf run builds each distinct word's features once
-        (the <s> and </s> boundary dummies count as words), whatever the
+        (the window's two edge paddings count as words), whatever the
         epoch count."""
         import codemix.langid as langid
         corpus = separable_corpus(12) * 2  # every word at least twice
-        words = {t.word for q in corpus for t in q} | {"<s>", "</s>"}
+        words = ({t.word for q in corpus for t in q}
+                 | {langid._BOS, langid._EOS})
         calls = []
 
         def counted(word):
@@ -368,7 +387,7 @@ class TestNllGrad:
         for epochs in (1, 3):
             calls.clear()
             train_crf(corpus, epochs=epochs, rng=make_rng(13))
-            assert sorted(calls) == sorted(words)
+            assert Counter(calls) == Counter(words)
 
     def test_ids_and_rows_equal_dict_reference_exactly(self):
         rng = make_rng(15)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ class TestTensorBasics:
         t = Tensor(rnd((3,)), requires_grad=True)
         with pytest.raises(ShapeError):
             add(t, t).backward()
+
+    @pytest.mark.parametrize("seed_shape", [(3,), (1,), (3, 2), (1, 2, 3)],
+                             ids=["row", "one", "transposed", "leading-one"])
+    def test_backward_seed_must_match_the_tensor(self, seed_shape):
+        # the seed is the tape's one gradient from outside: shaped like its
+        # tensor, as every gradient a backward returns is like its parent
+        t = Tensor(rnd((2, 3)), requires_grad=True)
+        out = mul(t, t)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"backward() seed of shape {seed_shape} for a tensor of "
+                f"shape (2, 3)")):
+            out.backward(np.ones(seed_shape))
+        assert t.grad is None
+        out.backward(np.ones((2, 3)))
+        assert np.array_equal(t.grad, 2 * t.data)
 
     def test_no_grad_suppresses_tape(self):
         t = Tensor(rnd((3,)), requires_grad=True)

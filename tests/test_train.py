@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from codemix.seq2seq import (Seq2SeqConfig, Seq2SeqModel, beam_search,
 from codemix.text import (BOS, ParallelExample, SynthTaskSpec, Vocab,
                           gen_clean_corpus, gen_synthetic_corpus,
                           synthetic_vocab)
-from codemix.train import (StageConfig, TrainingConfig, config_from_items,
-                           evaluate_loss, fit, train_stage1, train_stage2)
+from codemix.train import (DEFAULT_STAGE1_KINDS, Recipe, StageConfig,
+                           TrainingConfig, config_from_items, evaluate_loss,
+                           fit, train_stage1, train_stage2)
 from codemix.translit import train_translit
 
 from oracles import check_pure_backward, tape_nodes, teacher_probs
@@ -57,11 +59,12 @@ class TestStage1:
         cfg.stage1 = StageConfig(epochs=2, lr=1e-3, batch_size=16)
         m_a, m_b = small_setup(seed=4), small_setup(seed=4)
         train_stage1(m_a, clean, cfg, make_rng(6))
-        fit(m_b, clean, epochs=2, lr=1e-3, batch_size=16,
-            kinds=cfg.stage1.kinds, lam=cfg.lam,
-            label_smoothing=cfg.label_smoothing,
-            weight_decay=cfg.weight_decay, rngs=make_rng(6).spawn(3),
-            stage="stage1")
+        fit(m_b, clean, Recipe(epochs=2, lr=1e-3, batch_size=16,
+                               lam=cfg.lam,
+                               label_smoothing=cfg.label_smoothing,
+                               weight_decay=cfg.weight_decay,
+                               kinds=cfg.stage1.kinds),
+            make_rng(6).spawn(3), stage="stage1")
         assert weights_equal(m_a, m_b)
         assert not weights_equal(m_a, small_setup(seed=4))
 
@@ -116,9 +119,10 @@ class TestStage1:
         before = {k: t.data.copy() for k, t in model.params.items()}
         with pytest.raises(TrainingDivergedError,
                            match="after the optimizer step.*rolled back"):
-            fit(model, corpus, epochs=2, lr=lr, batch_size=16, kinds=(),
-                lam=0.0, label_smoothing=0.1, weight_decay=weight_decay,
-                rngs=make_rng(8).spawn(3))
+            fit(model, corpus, Recipe(epochs=2, lr=lr, batch_size=16,
+                                      lam=0.0, label_smoothing=0.1,
+                                      weight_decay=weight_decay, kinds=()),
+                make_rng(8).spawn(3))
         assert all(np.array_equal(model.params[k].data, before[k])
                    for k in before)
         assert all(t.grad is None for t in model.params.values())
@@ -140,9 +144,11 @@ class TestStage1:
         model = small_setup(seed=6)
         before = model.snapshot()
         with pytest.raises(TrainingDivergedError, match="rolled back"):
-            fit(model, corpus, epochs=1, lr=1e-3, batch_size=16,
-                kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
-                weight_decay=0.0, rngs=make_rng(8).spawn(3))
+            fit(model, corpus, Recipe(epochs=1, lr=1e-3, batch_size=16,
+                                      lam=0.5, label_smoothing=0.1,
+                                      weight_decay=0.0,
+                                      kinds=(AugKind.AUTOENCODER,)),
+                make_rng(8).spawn(3))
         assert len(calls) == 2
         assert all(t.grad is None for t in model.params.values())
         assert all(np.array_equal(model.params[k].data, before[k])
@@ -264,9 +270,10 @@ class TestInt8Training:
             assert type(m) is Seq2SeqModel and m.quantized
             assert m.model_id.endswith("-int8")
             with pytest.raises(DataError, match="cannot train an int8"):
-                fit(m, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
-                    lam=0.5, label_smoothing=0.1, weight_decay=0.0,
-                    rngs=make_rng(0).spawn(3))
+                fit(m, corpus, Recipe(epochs=1, lr=1e-3, batch_size=8,
+                                      lam=0.5, label_smoothing=0.1,
+                                      weight_decay=0.0, kinds=()),
+                    make_rng(0).spawn(3))
 
     def test_train_stage2_rejects_int8_model(self):
         model = quantize_model(small_setup(seed=16))
@@ -285,9 +292,10 @@ class TestInt8Training:
         model = quantize_model(small_setup(seed=16))
         corpus, _ = gen_synthetic_corpus(SPEC, 16)
         with pytest.raises(DataError, match="int8"):
-            fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=(),
-                lam=0.5, label_smoothing=0.1, weight_decay=0.0,
-                rngs=make_rng(0).spawn(3))
+            fit(model, corpus, Recipe(epochs=1, lr=1e-3, batch_size=8,
+                                      lam=0.5, label_smoothing=0.1,
+                                      weight_decay=0.0, kinds=()),
+                make_rng(0).spawn(3))
 
 
 class TestWeightsBinding:
@@ -319,9 +327,10 @@ class TestWeightsBinding:
 
         snap = model.snapshot()
         assert passes(model) == passes(rebuilt(model))
-        fit(model, corpus, epochs=1, lr=1e-2, batch_size=8, kinds=(),
-            lam=0.0, label_smoothing=0.1, weight_decay=0.0,
-            rngs=make_rng(23).spawn(3))
+        fit(model, corpus, Recipe(epochs=1, lr=1e-2, batch_size=8, lam=0.0,
+                                  label_smoothing=0.1, weight_decay=0.0,
+                                  kinds=()),
+            make_rng(23).spawn(3))
         assert not np.array_equal(model.params["dec0.ffn.w1"].data,
                                   snap["dec0.ffn.w1"])
         assert passes(model) == passes(rebuilt(model))
@@ -363,9 +372,10 @@ class TestFreedTape:
         model = small_setup(seed=31)
         tracemalloc.start()
         try:
-            fit(model, corpus, epochs=epochs, lr=1e-3, batch_size=32,
-                kinds=kinds, lam=0.5, label_smoothing=0.1, weight_decay=0.01,
-                rngs=make_rng(32).spawn(3))
+            fit(model, corpus, Recipe(epochs=epochs, lr=1e-3, batch_size=32,
+                                      lam=0.5, label_smoothing=0.1,
+                                      weight_decay=0.01, kinds=kinds),
+                make_rng(32).spawn(3))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,9 +408,10 @@ class TestTermOrder:
         monkeypatch.setattr(Seq2SeqModel, "forward", spy_forward)
         monkeypatch.setattr(Tensor, "backward", spy_backward)
         corpus, _ = gen_synthetic_corpus(SPEC, 8)
-        fit(model, corpus, epochs=1, lr=1e-3, batch_size=4,
-            kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
-            weight_decay=0.0, rngs=make_rng(34).spawn(3), **fit_kwargs)
+        fit(model, corpus, Recipe(epochs=1, lr=1e-3, batch_size=4, lam=0.5,
+                                  label_smoothing=0.1, weight_decay=0.0,
+                                  kinds=(AugKind.AUTOENCODER,)),
+            make_rng(34).spawn(3), **fit_kwargs)
         return "".join(calls)
 
     def test_augmentation_alternates_forward_and_backward(self,
@@ -706,6 +717,45 @@ class TestConfigFile:
             read_kv(path)
 
 
+class TestRecipe:
+    """`fit` trains with one checked, frozen `Recipe`."""
+
+    def test_a_stage_recipe_takes_the_stage_and_shared_values(self):
+        cfg = TrainingConfig(lam=0.25, label_smoothing=0.05,
+                             weight_decay=0.0)
+        cfg.stage2 = StageConfig(epochs=3, lr=2e-3, batch_size=16, kinds=())
+        assert cfg.recipe("stage2") == Recipe(
+            epochs=3, lr=2e-3, batch_size=16, lam=0.25, label_smoothing=0.05,
+            weight_decay=0.0, kinds=())
+        assert cfg.recipe("stage1").kinds == DEFAULT_STAGE1_KINDS
+
+    def test_distill_config_is_a_recipe_with_no_checks_of_its_own(self):
+        assert issubclass(DistillConfig, Recipe)
+        assert "__post_init__" not in vars(DistillConfig)
+        assert ([f.name for f in fields(DistillConfig)]
+                == [f.name for f in fields(Recipe)])
+
+    @pytest.mark.parametrize("recipe", [
+        Recipe(1, 1e-3, 8, 0.5, 0.1, 0.0, ()), DistillConfig()],
+        ids=["recipe", "distill-config"])
+    def test_is_frozen(self, recipe):
+        with pytest.raises(FrozenInstanceError):
+            recipe.lr = 0.0
+
+    def test_fit_checks_no_value_of_its_recipe(self, monkeypatch):
+        recipe = Recipe(epochs=1, lr=1e-3, batch_size=4, lam=0.5,
+                        label_smoothing=0.1, weight_decay=0.0,
+                        kinds=(AugKind.AUTOENCODER,))
+        for name in ("check_loop_sizes", "check_loss_settings",
+                     "check_rate"):
+            monkeypatch.setattr(train_mod, name,
+                                lambda *a, **k: pytest.fail("re-checked"))
+        corpus, _ = gen_synthetic_corpus(SPEC, 8)
+        report = fit(small_setup(seed=40), corpus, recipe,
+                     make_rng(41).spawn(3))
+        assert len(report.epochs) == 1
+
+
 class TestOverLongPair:
     WORDS = [f"w{i}" for i in range(5)]
 
@@ -726,9 +776,10 @@ class TestOverLongPair:
         snap = model.snapshot()
         with pytest.raises(DataError, match="^pair 8: sequence length 6 "
                                             "exceeds max_len 4$"):
-            fit(model, corpus, epochs=1, lr=1e-2, batch_size=2, kinds=(),
-                lam=0.0, label_smoothing=0.1, weight_decay=0.0,
-                rngs=make_rng(61).spawn(3))
+            fit(model, corpus, Recipe(epochs=1, lr=1e-2, batch_size=2,
+                                      lam=0.0, label_smoothing=0.1,
+                                      weight_decay=0.0, kinds=()),
+                make_rng(61).spawn(3))
         assert all(np.array_equal(t.data, snap[k])
                    for k, t in model.params.items())
 
@@ -741,9 +792,10 @@ class TestOverLongPair:
                             lambda *a: pytest.fail("a step ran"))
         with pytest.raises(DataError, match="^val_corpus pair 0: sequence "
                                             "length 6 exceeds max_len 4$"):
-            fit(model, corpus, epochs=1, lr=1e-2, batch_size=2, kinds=(),
-                lam=0.0, label_smoothing=0.1, weight_decay=0.0,
-                rngs=make_rng(65).spawn(3), val_corpus=val)
+            fit(model, corpus, Recipe(epochs=1, lr=1e-2, batch_size=2,
+                                      lam=0.0, label_smoothing=0.1,
+                                      weight_decay=0.0, kinds=()),
+                make_rng(65).spawn(3), val_corpus=val)
         assert all(np.array_equal(t.data, snap[k])
                    for k, t in model.params.items())
 
@@ -823,9 +875,10 @@ class TestExtraLossHook:
                 model.forward(batch["src"], batch["dec_in"]),
                 batch["labels"], 0.1)
 
-        fit(model, corpus, epochs=1, lr=1e-3, batch_size=8, kinds=kinds,
-            lam=0.5, label_smoothing=0.1, weight_decay=0.0,
-            rngs=make_rng(21).spawn(3), extra_loss=hook)
+        fit(model, corpus, Recipe(epochs=1, lr=1e-3, batch_size=8, lam=0.5,
+                                  label_smoothing=0.1, weight_decay=0.0,
+                                  kinds=kinds),
+            make_rng(21).spawn(3), extra_loss=hook)
         return seen
 
     def test_hook_gets_no_augmentation_loss_without_kinds(self):
@@ -855,9 +908,11 @@ class TestExtraLossHook:
                            [ex.source for ex in corpus],
                            [ex.target for ex in corpus])
         t_probs = teacher_probs(teacher, batch)
-        fit(student, corpus, epochs=1, lr=1e-3, batch_size=8,
-            kinds=(AugKind.AUTOENCODER,), lam=0.5, label_smoothing=0.1,
-            weight_decay=0.0, rngs=make_rng(24).spawn(3),
+        fit(student, corpus, Recipe(epochs=1, lr=1e-3, batch_size=8,
+                                    lam=0.5, label_smoothing=0.1,
+                                    weight_decay=0.0,
+                                    kinds=(AugKind.AUTOENCODER,)),
+            make_rng(24).spawn(3),
             extra_loss=lambda n, s, d: kd_loss(kind, t_probs, log_softmax(
                 student.forward(batch["src"], batch["dec_in"]))))
         assert {"label_smoothed_ce", "kd_loss"} <= set(ops)
@@ -866,14 +921,16 @@ class TestExtraLossHook:
 
 def _fit_small(**sizes):
     corpus, _ = gen_synthetic_corpus(SPEC, 8)
-    fit(small_setup(seed=24), corpus, lr=1e-3, kinds=(), lam=0.0,
-        label_smoothing=0.1, weight_decay=0.0, rngs=make_rng(25).spawn(3),
-        **sizes)
+    fit(small_setup(seed=24), corpus,
+        Recipe(lr=1e-3, lam=0.0, label_smoothing=0.1, weight_decay=0.0,
+               kinds=(), **sizes),
+        make_rng(25).spawn(3))
 
 
 PAIRS = [("kala", "kaala"), ("juta", "joota")]
-# A loop size no loop can run: (the call, its error). Each is checked where
-# the loop runs, so callers that pass the size straight through get it too.
+# A loop size no loop can run: (the call, its error). Each is checked when
+# the `Recipe` a loop runs is built, so callers that pass the size straight
+# through get it too; the fit-* rows fit with such a recipe.
 LOOP_SIZE_CASES = {
     "fit-epochs-negative": (lambda: _fit_small(epochs=-1, batch_size=4),
                             "epochs must be an integer >= 0, got -1"),
@@ -898,14 +955,15 @@ def test_loop_size_is_a_data_error_naming_it(case):
 
 def _fit_steps(lr=1e-3, weight_decay=0.0):
     """Fit a small model for one epoch; the weights must be unchanged if
-    fit raises."""
+    building the recipe or fitting raises."""
     corpus, _ = gen_synthetic_corpus(SPEC, 8)
     model = small_setup(seed=26)
     before = {k: t.data.copy() for k, t in model.params.items()}
     try:
-        fit(model, corpus, epochs=1, lr=lr, batch_size=4, kinds=(),
-            lam=0.0, label_smoothing=0.1, weight_decay=weight_decay,
-            rngs=make_rng(27).spawn(3))
+        fit(model, corpus, Recipe(epochs=1, lr=lr, batch_size=4, lam=0.0,
+                                  label_smoothing=0.1,
+                                  weight_decay=weight_decay, kinds=()),
+            make_rng(27).spawn(3))
     finally:
         assert all(np.array_equal(t.data, before[k])
                    for k, t in model.params.items())
@@ -952,13 +1010,14 @@ def test_step_size_is_a_data_error_naming_it(case):
 
 def _fit_lam(lam):
     corpus, _ = gen_synthetic_corpus(SPEC, 8)
-    fit(small_setup(seed=28), corpus, epochs=1, lr=1e-3, batch_size=4,
-        kinds=(AugKind.AUTOENCODER,), lam=lam, label_smoothing=0.1,
-        weight_decay=0.0, rngs=make_rng(29).spawn(3))
+    fit(small_setup(seed=28), corpus,
+        Recipe(epochs=1, lr=1e-3, batch_size=4, lam=lam, label_smoothing=0.1,
+               weight_decay=0.0, kinds=(AugKind.AUTOENCODER,)),
+        make_rng(29).spawn(3))
 
 
 # An objective weight outside its range: (the call, its error), raised when
-# the config is built, before any corpus is read or model built.
+# the config or the `Recipe` is built, before any step.
 LOSS_SETTING_CASES = {
     "config-lambda-above-1": (lambda: TrainingConfig(lam=1.5),
                               "lambda must be in [0, 1], got 1.5"),
